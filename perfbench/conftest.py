@@ -1,0 +1,13 @@
+"""Make the benchmark's modules and the program's source importable.
+
+Run the benchmark's tests from the repository root with
+``python3 -m pytest perfbench -q``.
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))

@@ -11,7 +11,14 @@ parties derive:
 
 ``K_t`` must be invertible mod ``p``; the digest reduces to 0 with
 probability ~2^-256, but the code is total: it re-derives with an
-appended retry counter (documented deviation, DESIGN.md §4).
+appended retry counter (documented deviation, DESIGN.md §4).  The retry
+input ``encode_epoch(t) ∥ r`` goes through the same keyed PRF as ``t``.
+
+Each derivation runs on a :class:`~repro.crypto.prf.PRF` that holds its
+key's HMAC state: the key schedule is paid on the PRF's first
+evaluation, and every later epoch costs only the HMAC of the 8-byte
+epoch.  Constructing key material builds ``2N+1`` PRFs but hashes
+nothing, so setup cost does not grow with the keyed state.
 
 :class:`SIESKeyMaterial` is the *querier's* view (it owns everything).
 Sources receive :class:`SourceKeys` — only ``(K, k_i, p)``, which is

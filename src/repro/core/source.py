@@ -61,7 +61,8 @@ class SIESSource(SourceRole):
         self._modulus_bytes = (keys.p.bit_length() + 7) // 8
         self._ops = ops
         # PRF objects are part of the sensor's installed state, not
-        # per-epoch work, so they are built here (outside timed paths).
+        # per-epoch work, so they are built here (outside timed paths);
+        # each builds its keyed HMAC state on its first evaluation.
         self._master_prf = keys.master_prf()
         self._pad_prf = keys.pad_prf()
         self._share_prf = keys.share_prf()

@@ -2,8 +2,11 @@
 
 Each primitive is timed exactly as the protocols execute it:
 
-* ``C_HM1`` / ``C_HM256`` — one HMAC over a 20-byte key and the 8-byte
-  epoch encoding (the protocols' actual input shape);
+* ``C_HM1`` / ``C_HM256`` — one ``PRF(key20, alg).int_at_epoch(t)`` on
+  a warm PRF: ``evaluate`` of the 8-byte epoch encoding, read as an
+  integer, which is how every role consumes each temporal derivation.
+  The PRF's keyed HMAC state is built by its first evaluation, a
+  one-time, per-key cost outside the timed loop;
 * ``C_A20`` / ``C_A32`` — one modular addition at 160 / 256 bits;
 * ``C_M32`` / ``C_M128`` — one modular multiplication at 256 / 1024 bits;
 * ``C_MI32`` — one extended-Euclid inverse at 256 bits;
@@ -21,9 +24,9 @@ import random
 
 from repro.baselines.secoa.sketch import item_level
 from repro.costmodel.constants import CostConstants
-from repro.crypto.hmac import HM1, HM256
 from repro.crypto.modular import modinv
 from repro.crypto.primes import next_prime
+from repro.crypto.prf import PRF
 from repro.crypto.rsa import generate_rsa_keypair
 from repro.utils.timing import time_operation
 
@@ -51,7 +54,7 @@ def measure_constants(
 
     rng = random.Random(seed)
     key20 = rng.randbytes(20)
-    epoch_msg = (12345).to_bytes(8, "big")
+    epoch = 12345
 
     p256 = next_prime(1 << 255)
     a256 = rng.getrandbits(255)
@@ -65,12 +68,15 @@ def measure_constants(
     m1024 = rng.getrandbits(1020)
     m1024b = rng.getrandbits(1020)
 
+    prf_hm1 = PRF(key20, "sha1")
+    prf_hm256 = PRF(key20, "sha256")
+
     def timed(op) -> float:
         return time_operation(op, repeat=repeat, inner_loops=inner_loops).median
 
     constants = CostConstants(
-        c_hm1=timed(lambda: HM1(key20, epoch_msg)),
-        c_hm256=timed(lambda: HM256(key20, epoch_msg)),
+        c_hm1=timed(lambda: prf_hm1.int_at_epoch(epoch)),
+        c_hm256=timed(lambda: prf_hm256.int_at_epoch(epoch)),
         c_a20=timed(lambda: (a160 + b160) % n160),
         c_a32=timed(lambda: (a256 + b256) % p256),
         c_m32=timed(lambda: (a256 * b256) % p256),

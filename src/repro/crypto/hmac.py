@@ -12,6 +12,16 @@ This module implements HMAC from its definition,
 ``H((K' ⊕ opad) ∥ H((K' ⊕ ipad) ∥ m))``, over any
 :class:`repro.crypto.hashes.HashFunction` — including the pure-Python
 backends — and is cross-validated against :mod:`hmac` in the tests.
+
+The key schedule is paid once per :class:`HMAC`: the constructor
+derives ``K' ⊕ ipad`` and ``K' ⊕ opad`` with ``bytes.translate`` over
+two precomputed 256-byte tables (as the stdlib does) and absorbs each
+pad block into its own hash state.  :meth:`HMAC.copy` clones both
+states, so a caller holding a keyed ``HMAC`` (see
+:class:`repro.crypto.prf.PRF`) evaluates a new message by copying
+states and hashing only the message and the inner digest, never the
+pads.  Both pad states are key-equivalent secrets; ``repr`` shows only
+the algorithm and backend.
 """
 
 from __future__ import annotations
@@ -20,12 +30,15 @@ from repro.crypto.hashes import HashFunction, get_hash
 
 __all__ = ["hmac_digest", "HMAC", "HM1", "HM256"]
 
-_IPAD = 0x36
-_OPAD = 0x5C
+#: ``x ⊕ ipad`` / ``x ⊕ opad`` for every byte value, for ``bytes.translate``.
+_TRANS_IPAD = bytes(x ^ 0x36 for x in range(256))
+_TRANS_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 class HMAC:
     """Incremental HMAC bound to a key and a hash function."""
+
+    __slots__ = ("_hash", "_inner", "_outer")
 
     def __init__(self, key: bytes, hash_function: HashFunction, data: bytes = b"") -> None:
         self._hash = hash_function
@@ -33,20 +46,31 @@ class HMAC:
         if len(key) > block_size:
             key = hash_function.digest(key)
         key = key.ljust(block_size, b"\x00")
-        self._outer_key = bytes(b ^ _OPAD for b in key)
-        self._inner = hash_function.new(bytes(b ^ _IPAD for b in key))
+        self._inner = hash_function.new(key.translate(_TRANS_IPAD))
+        self._outer = hash_function.new(key.translate(_TRANS_OPAD))
         if data:
             self._inner.update(data)
+
+    def __repr__(self) -> str:
+        return f"HMAC({self._hash.name}, backend={self._hash.backend!r})"
 
     @property
     def digest_size(self) -> int:
         return self._hash.digest_size
 
+    def copy(self) -> "HMAC":
+        """An independent clone: updating it never touches this instance."""
+        clone = HMAC.__new__(HMAC)
+        clone._hash = self._hash
+        clone._inner = self._inner.copy()
+        clone._outer = self._outer.copy()
+        return clone
+
     def update(self, data: bytes) -> None:
         self._inner.update(data)
 
     def digest(self) -> bytes:
-        outer = self._hash.new(self._outer_key)
+        outer = self._outer.copy()
         outer.update(self._inner.digest())
         return outer.digest()
 

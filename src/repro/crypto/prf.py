@@ -10,6 +10,16 @@ byte strings, optionally expanding or reducing the output.
 The epoch encoding is 8 bytes big-endian, giving a canonical, injective
 input for all 64-bit epochs — ambiguity between inputs like ``t=1`` and
 ``t="1"`` would silently weaken freshness.
+
+Each :class:`PRF` keeps one keyed :class:`~repro.crypto.hmac.HMAC`, so
+the key schedule (padding the key, hashing both pad blocks) is paid once
+per key rather than once per epoch: :meth:`PRF.evaluate` is
+``copy → update(message) → digest`` on that state.  The keyed state is
+built lazily, on the first evaluation, because setup builds far more
+PRFs (``2N+1`` in :class:`repro.core.keys.SIESKeyMaterial`, three per
+source) than a typical run evaluates right away.  The fill is benign
+under threads: racing first evaluations build identical states and
+either one may be kept.
 """
 
 from __future__ import annotations
@@ -23,12 +33,15 @@ from repro.utils.validation import check_nonnegative_int, check_positive_int
 __all__ = ["PRF", "encode_epoch"]
 
 _EPOCH_BYTES = 8
+_EPOCH_LIMIT = 1 << (8 * _EPOCH_BYTES)
 
 
 def encode_epoch(epoch: int) -> bytes:
     """Canonical 8-byte big-endian encoding of a time epoch."""
+    if type(epoch) is int and 0 <= epoch < _EPOCH_LIMIT:
+        return epoch.to_bytes(_EPOCH_BYTES, "big")  # the per-epoch hot path
     check_nonnegative_int("epoch", epoch)
-    if epoch >= 1 << (8 * _EPOCH_BYTES):
+    if epoch >= _EPOCH_LIMIT:
         raise ParameterError(f"epoch {epoch} exceeds 64 bits")
     return int_to_bytes(epoch, _EPOCH_BYTES)
 
@@ -52,7 +65,11 @@ class PRF:
             raise ParameterError("PRF key must be a non-empty byte string")
         self._key = bytes(key)
         self._hash = get_hash(algorithm, backend)
+        self._mac: HMAC | None = None
         self.algorithm = algorithm
+
+    def __repr__(self) -> str:
+        return f"PRF({self.algorithm!r}, backend={self._hash.backend!r})"
 
     @property
     def output_size(self) -> int:
@@ -61,7 +78,12 @@ class PRF:
 
     def evaluate(self, message: bytes) -> bytes:
         """``F_K(message)`` as raw bytes (one HMAC evaluation)."""
-        return HMAC(self._key, self._hash, message).digest()
+        mac = self._mac
+        if mac is None:
+            mac = self._mac = HMAC(self._key, self._hash)
+        mac = mac.copy()
+        mac.update(message)
+        return mac.digest()
 
     def at_epoch(self, epoch: int) -> bytes:
         """``F_K(t)`` with the canonical epoch encoding — the paper's use."""

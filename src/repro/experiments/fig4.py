@@ -77,11 +77,11 @@ def run(
 
         sies = measure_source_cost(
             SIESProtocol(num_sources, seed=seed),
-            workload, epochs=fast_epoch_list, source_ids=fast_source_list,
+            workload, epochs=fast_epoch_list, source_ids=fast_source_list, warmup=True,
         )
         cmt = measure_source_cost(
             CMTProtocol(num_sources, seed=seed),
-            workload, epochs=fast_epoch_list, source_ids=fast_source_list,
+            workload, epochs=fast_epoch_list, source_ids=fast_source_list, warmup=True,
         )
         secoa_cf = measure_source_cost(
             SECOASumProtocol(

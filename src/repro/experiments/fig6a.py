@@ -63,10 +63,12 @@ def run(
     for n in source_counts:
         workload = paper_workload(n, scale, seed=seed)
         sies = measure_querier_cost(
-            SIESProtocol(n, seed=seed), workload, epochs=list(range(1, fast_epochs + 1))
+            SIESProtocol(n, seed=seed), workload,
+            epochs=list(range(1, fast_epochs + 1)), warmup=True,
         )
         cmt = measure_querier_cost(
-            CMTProtocol(n, seed=seed), workload, epochs=list(range(1, fast_epochs + 1))
+            CMTProtocol(n, seed=seed), workload,
+            epochs=list(range(1, fast_epochs + 1)), warmup=True,
         )
         secoa_seconds: float | None = None
         if max_secoa_sources is None or n <= max_secoa_sources:

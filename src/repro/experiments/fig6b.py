@@ -55,11 +55,11 @@ def run(
         workload = paper_workload(num_sources, scale, seed=seed)
         sies = measure_querier_cost(
             SIESProtocol(num_sources, seed=seed),
-            workload, epochs=list(range(1, fast_epochs + 1)),
+            workload, epochs=list(range(1, fast_epochs + 1)), warmup=True,
         )
         cmt = measure_querier_cost(
             CMTProtocol(num_sources, seed=seed),
-            workload, epochs=list(range(1, fast_epochs + 1)),
+            workload, epochs=list(range(1, fast_epochs + 1)), warmup=True,
         )
         secoa = measure_querier_cost(
             SECOASumProtocol(num_sources, num_sketches=num_sketches, seed=seed),

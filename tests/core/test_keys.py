@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.keys import KEY_BYTES, SIESKeyMaterial, SourceKeys
+from repro.core.keys import KEY_BYTES, SIESKeyMaterial, SourceKeys, _temporal_int
 from repro.core.params import SIESParams
 from repro.crypto.hmac import HM1, HM256
-from repro.crypto.prf import encode_epoch
+from repro.crypto.prf import PRF, encode_epoch
 from repro.errors import KeyMaterialError
+from repro.utils.bytesops import bytes_to_int
 
 P = SIESParams(num_sources=8).p
 
@@ -90,3 +91,17 @@ def test_distinct_sources_have_distinct_temporal_keys(material: SIESKeyMaterial)
     pads = {material.source_pad_at(i, 1) for i in range(8)}
     shares = {material.share_digest_at(i, 1) for i in range(8)}
     assert len(pads) == 8 and len(shares) == 8
+
+
+def test_invertibility_retry_path_uses_warm_prf_state() -> None:
+    """Force ``K_t ≡ 0`` with a modulus equal to the first digest: the
+    retry input ``encode_epoch(t) ∥ r`` must go through the same keyed
+    state and give exactly ``HM256(K, t ∥ 1)``."""
+    key = b"\x33" * 20
+    first = bytes_to_int(HM256(key, encode_epoch(9)))
+    expected = bytes_to_int(HM256(key, encode_epoch(9) + bytes([1])))
+    warm = PRF(key, "sha256")
+    warm.at_epoch(3)
+    for prf in (warm, PRF(key, "sha256")):
+        assert _temporal_int(prf, 9, first, require_invertible=True) == expected
+        assert _temporal_int(prf, 9, first, require_invertible=False) == first

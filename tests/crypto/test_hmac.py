@@ -72,3 +72,47 @@ def test_digest_sizes_match_paper() -> None:
 def test_key_separation() -> None:
     assert HM1(b"key-a", b"m") != HM1(b"key-b", b"m")
     assert HM256(b"key-a", b"m") != HM256(b"key-b", b"m")
+
+
+@pytest.mark.parametrize("backend", ["hashlib", "pure"])
+@pytest.mark.parametrize("algorithm", ["sha1", "sha256"])
+def test_copy_is_independent(backend: str, algorithm: str) -> None:
+    mac = HMAC(b"key", get_hash(algorithm, backend), b"shared prefix ")
+    before = mac.digest()
+    clone = mac.copy()
+    clone.update(b"clone-only suffix")
+    assert mac.digest() == before
+    assert clone.digest() == hmac_digest(
+        b"key", b"shared prefix clone-only suffix", algorithm, backend
+    )
+    # And the other way round: the original's updates never reach the clone.
+    mac.update(b"original-only suffix")
+    assert clone.digest() == hmac_digest(
+        b"key", b"shared prefix clone-only suffix", algorithm, backend
+    )
+    assert mac.digest() == hmac_digest(
+        b"key", b"shared prefix original-only suffix", algorithm, backend
+    )
+
+
+def test_digest_is_repeatable_and_non_destructive() -> None:
+    mac = HMAC(b"key", get_hash("sha256"), b"m")
+    assert mac.digest() == mac.digest() == HM256(b"key", b"m")
+    mac.update(b"ore")
+    assert mac.digest() == HM256(b"key", b"more")
+
+
+@pytest.mark.parametrize("backend", ["hashlib", "pure"])
+@pytest.mark.parametrize("key_len", [1, 20, 64, 200])
+def test_repr_exposes_neither_key_nor_pad_states(backend: str, key_len: int) -> None:
+    key = bytes((7 * i + 1) % 256 for i in range(key_len))
+    mac = HMAC(key, get_hash("sha256", backend))
+    text = repr(mac) + str(mac)
+    assert repr(mac) == f"HMAC(sha256, backend={backend!r})"
+    block = key if key_len <= 64 else hashlib.sha256(key).digest()
+    block = block.ljust(64, b"\x00")
+    ipad = bytes(b ^ 0x36 for b in block)
+    opad = bytes(b ^ 0x5C for b in block)
+    for secret in (key, ipad, opad):
+        assert secret.hex() not in text
+        assert repr(secret) not in text

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac as stdlib_hmac
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.crypto.hmac import HM1, HM256
@@ -73,3 +78,82 @@ def test_modulus_must_be_positive() -> None:
     prf = PRF(b"k")
     with pytest.raises(ParameterError):
         prf.int_at_epoch(1, modulus=0)
+
+
+# ----------------------------------------------------------------------
+# Keyed state: one HMAC key schedule per PRF, copied per evaluation
+# ----------------------------------------------------------------------
+
+_STDLIB = {"sha1": hashlib.sha1, "sha256": hashlib.sha256}
+
+
+def _messages() -> list[bytes]:
+    # Epoch inputs interleaved with the K_t retry input and odd lengths,
+    # so a warm state that leaked one message into the next would show.
+    return [
+        encode_epoch(1),
+        encode_epoch(2),
+        encode_epoch(1) + bytes([1]),
+        b"",
+        encode_epoch(1),
+        b"x" * 200,
+        encode_epoch(1) + bytes([2]),
+        encode_epoch(2),
+    ]
+
+
+@pytest.mark.parametrize("backend", ["hashlib", "pure"])
+@pytest.mark.parametrize("algorithm", ["sha1", "sha256"])
+@pytest.mark.parametrize("key_len", [1, 20, 63, 64, 65, 200])
+def test_warm_and_fresh_prfs_match_stdlib(backend: str, algorithm: str, key_len: int) -> None:
+    key = bytes((31 * i + 5) % 256 for i in range(key_len))
+    warm = PRF(key, algorithm, backend)
+    for message in _messages():
+        expected = stdlib_hmac.new(key, message, _STDLIB[algorithm]).digest()
+        assert warm.evaluate(message) == expected
+        assert PRF(key, algorithm, backend).evaluate(message) == expected
+
+
+def test_racing_first_evaluations_match_sequential() -> None:
+    """Cold PRFs filled concurrently from a thread pool (as ``run_batched``
+    with ``max_workers > 1`` does) return the sequential results."""
+    workers = 4
+    keys = [bytes([i + 1]) * 20 for i in range(24)]
+    algorithms = ("sha1", "sha256")
+    expected = {
+        (i, alg, t): PRF(key, alg).at_epoch(t)
+        for i, key in enumerate(keys)
+        for alg in algorithms
+        for t in range(workers)
+    }
+    cold = {(i, alg): PRF(key, alg) for i, key in enumerate(keys) for alg in algorithms}
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def first_call(i: int, alg: str, epoch: int) -> bytes:
+        barrier.wait()  # release all workers onto the same cold PRF at once
+        return cold[i, alg].at_epoch(epoch)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {
+            (i, alg, t): pool.submit(first_call, i, alg, t)
+            for (i, alg) in cold
+            for t in range(workers)
+        }
+        got = {coord: future.result() for coord, future in futures.items()}
+    assert got == expected
+    # The raced state stays correct for later calls too.
+    for (i, alg), prf in cold.items():
+        assert prf.at_epoch(99) == PRF(keys[i], alg).at_epoch(99)
+
+
+@pytest.mark.parametrize("backend", ["hashlib", "pure"])
+def test_repr_exposes_no_key_material(backend: str) -> None:
+    key = bytes(range(1, 21))
+    prf = PRF(key, "sha256", backend)
+    cold = repr(prf)
+    prf.at_epoch(1)  # fill the keyed state; repr must not change
+    assert repr(prf) == cold == f"PRF('sha256', backend={backend!r})"
+    block = key.ljust(64, b"\x00")
+    for secret in (key, bytes(b ^ 0x36 for b in block), bytes(b ^ 0x5C for b in block)):
+        assert secret.hex() not in repr(prf) + str(prf)
+        assert repr(secret) not in repr(prf) + str(prf)

@@ -74,3 +74,18 @@ def test_paper_workload_factory() -> None:
     workload = paper_workload(4, 100, seed=7)
     assert workload.domain == (1800, 5000)
     assert all(1800 <= workload(s, 1) <= 5000 for s in range(4))
+
+
+def test_warmup_keeps_samples_and_ledgers_per_timed_call() -> None:
+    """The untimed warm-up call is neither sampled nor charged."""
+    protocol = SIESProtocol(N, seed=5)
+    cold = measure_source_cost(protocol, WORKLOAD, epochs=[1, 2], source_ids=(0, 1))
+    warm = measure_source_cost(
+        protocol, WORKLOAD, epochs=[1, 2], source_ids=(0, 1), warmup=True
+    )
+    assert warm.samples == cold.samples == 4
+    assert warm.ops.counts == cold.ops.counts
+    querier = measure_querier_cost(protocol, WORKLOAD, epochs=[1, 2], warmup=True)
+    assert querier.samples == 2
+    assert querier.ops.get("inv32") == 2
+    assert querier.ops.get("hm256") == 2 * (N + 1)

@@ -197,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--diff", default=None, metavar="PATH",
                          help="diff against another recorded trace on the determined "
                               "slice; exit 1 on disagreement")
-    trace_p.add_argument("--sequential", action="store_true",
-                         help="runtime substrate: use the historical sequential fault "
-                              "streams instead of the cluster-comparable keyed oracle")
     trace_p.add_argument("--protocol", default="sies", choices=sorted(available_protocols()))
     trace_p.add_argument("--sources", type=int, default=16)
     trace_p.add_argument("--fanout", type=int, default=4)
@@ -580,12 +577,7 @@ def _run_observed(args: argparse.Namespace, recorder=None):
     if args.substrate == "runtime":
         from repro.runtime import RuntimeConfig, RuntimeSimulator
 
-        config = RuntimeConfig(
-            num_epochs=args.epochs,
-            plan=plan,
-            seed=args.seed,
-            keyed_faults=not getattr(args, "sequential", False),
-        )
+        config = RuntimeConfig(num_epochs=args.epochs, plan=plan, seed=args.seed)
         simulator = RuntimeSimulator(protocol, tree, workload, config)
         if recorder is not None:
             simulator.set_observer(TransportTraceAdapter(recorder))

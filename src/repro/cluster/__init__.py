@@ -3,10 +3,11 @@
 Runs the same Initialization → Merging → Evaluation process as the
 logical-clock runtimes, but with every tree node bound to a real TCP
 server on localhost and every PSR crossing a real socket inside a
-:mod:`repro.cluster.envelope` frame.  Loss is injected deterministically
-at the stream layer (:mod:`repro.cluster.faults`), recovery is the
-paper's reported-failure subset, and the traffic ledger proves zero
-silent drops.  See ``docs/cluster.md``.
+:mod:`repro.cluster.envelope` frame.  Every hop runs the event
+runtime's ARQ engine (:mod:`repro.runtime.hop`) over the same keyed
+fault oracle, with loss injected at the stream layer
+(:mod:`repro.cluster.faults`); recovery is the paper's reported-failure
+subset, and the traffic ledger proves zero silent drops.  See ``docs/cluster.md``.
 """
 
 from repro.cluster.envelope import (
@@ -18,14 +19,9 @@ from repro.cluster.envelope import (
     encode_ack,
     encode_data,
 )
-from repro.cluster.faults import StreamFaultInjector, StreamVerdict, parcel_fate
+from repro.cluster.faults import parcel_fate
 from repro.cluster.framing import DEFAULT_MAX_PAYLOAD, FrameAssembler, FrameReader, FrameWriter
-from repro.cluster.metrics import (
-    ClusterEpochResult,
-    ClusterRunMetrics,
-    ClusterTrafficLedger,
-    EdgeCounters,
-)
+from repro.cluster.metrics import ClusterEpochResult, ClusterRunMetrics
 from repro.cluster.node import AggregatorNode, ClusterNode, QuerierNode, SourceNode
 from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator, run_cluster
 
@@ -37,8 +33,6 @@ __all__ = [
     "decode_envelope",
     "encode_ack",
     "encode_data",
-    "StreamFaultInjector",
-    "StreamVerdict",
     "parcel_fate",
     "DEFAULT_MAX_PAYLOAD",
     "FrameAssembler",
@@ -46,8 +40,6 @@ __all__ = [
     "FrameWriter",
     "ClusterEpochResult",
     "ClusterRunMetrics",
-    "ClusterTrafficLedger",
-    "EdgeCounters",
     "AggregatorNode",
     "ClusterNode",
     "QuerierNode",

@@ -3,58 +3,30 @@
 TCP never loses bytes, so the cluster injects loss *before* the socket:
 when the fault schedule says an attempt is lost, the sender simply does
 not write the envelope (and counts the drop) — from the receiver's point
-of view this is indistinguishable from a radio swallowing the packet,
-which is exactly the PR 3 fault semantics transplanted to real sockets.
+of view this is indistinguishable from a radio swallowing the packet.
 
-Determinism under real concurrency
-----------------------------------
-
-:class:`repro.runtime.faults.FaultInjector` draws from one sequential
-stream per edge, which is deterministic under the logical-time scheduler
-but would make outcomes depend on OS timing here (pipelined epochs
-interleave their attempts on shared edges nondeterministically).  The
-cluster therefore keys every decision by the full attempt coordinate::
-
-    (sender, receiver, parcel uid, attempt index)
-
-via independent :class:`~repro.utils.rng.DeterministicRandom` streams.
-A verdict is a pure function of the seed and that coordinate — *no
-matter when or in what order the attempts happen* — so the set of
-parcels that ultimately deliver (and hence every epoch's survivor set
-and exact SUM) is reproducible run to run and computable in advance by
+The schedule is :class:`~repro.runtime.faults.KeyedFaultInjector`, the
+oracle the event runtime uses too.  It keys every decision by the full
+attempt coordinate ``(sender, receiver, parcel uid, attempt index)``, so
+a verdict is a pure function of the seed and that coordinate — *no
+matter when or in what order the attempts happen* — and the set of
+parcels that ultimately deliver (hence every epoch's survivor set and
+exact SUM) is reproducible run to run and computable in advance by
 :func:`parcel_fate`, the oracle the differential tests replay.
 
-Reused from the PR 3 plan: per-edge-class :class:`LinkProfile` loss and
-duplication rates.  Latency/jitter are *not* simulated — real sockets
-provide real latency — and time-windowed features (bursts, outages) are
-rejected because the cluster has no logical clock to window them on.
+Latency and jitter of the plan's :class:`~repro.runtime.faults.LinkProfile`
+are *not* simulated here — real sockets provide real latency.  Loss,
+duplication, epoch-windowed bursts and node outages apply exactly as on
+the runtime.
 """
 
 from __future__ import annotations
 
 from repro.network.channel import EdgeClass
-from repro.runtime.faults import KeyedFaultInjector, KeyedVerdict
-from repro.runtime.transport import RetransmitPolicy
+from repro.runtime.faults import KeyedFaultInjector
+from repro.runtime.hop import RetransmitPolicy
 
-__all__ = ["StreamVerdict", "StreamFaultInjector", "parcel_fate"]
-
-
-#: What the injected fault model does to one envelope write — the
-#: substrate-neutral :class:`~repro.runtime.faults.KeyedVerdict` under
-#: its historical cluster name.
-StreamVerdict = KeyedVerdict
-
-
-class StreamFaultInjector(KeyedFaultInjector):
-    """Deterministic, order-independent fault oracle for stream sends.
-
-    The keyed-draw logic now lives in
-    :class:`~repro.runtime.faults.KeyedFaultInjector` so the runtime can
-    replay the identical schedule (``RuntimeConfig.keyed_faults``); this
-    subclass exists to keep the cluster's public name and import path
-    stable.  Stream labels are unchanged — same seed, same verdicts as
-    every earlier release.
-    """
+__all__ = ["parcel_fate"]
 
 
 def parcel_fate(

@@ -9,16 +9,13 @@ back down it, so the hop looks exactly like the paper's one-hop radio
 link with a MAC-layer ARQ on top:
 
 * each application send becomes one *parcel* (uid = epoch: a node sends
-  exactly one PSR per epoch per hop) driven by :meth:`ClusterNode._send_reliable`
-  — bounded retransmission with exponential backoff and deterministic
-  jitter, mirroring :class:`~repro.runtime.transport.ReliableTransport`;
+  exactly one PSR per epoch per hop) run through the hop engine of
+  :mod:`repro.runtime.hop` — the same ARQ, dedup, ACK discipline and
+  keyed fault oracle the event runtime drives; this module only turns
+  the engine's answers into socket writes and ``asyncio`` waits;
 * the inner protocol frame is encoded **once** per parcel and carried
   byte-identical across retransmissions; only the envelope's attempt
   counter changes (see :mod:`repro.cluster.envelope`);
-* the receiver delivers the first copy per ``(sender, uid)`` to the
-  protocol role, suppresses duplicates, counts late and undecodable
-  copies, and ACKs every received copy — unless the seeded fault
-  schedule (:mod:`repro.cluster.faults`) swallows the ACK;
 * a sender giving up does **not** retract a delivered copy: downstream
   correctness derives from the manifests receivers really merged.
 
@@ -35,7 +32,6 @@ import asyncio
 
 from repro.errors import (
     ConfigurationError,
-    SecurityError,
     SimulationError,
     WireDecodeError,
     WireEncodeError,
@@ -43,23 +39,26 @@ from repro.errors import (
 from repro.network.channel import EdgeClass
 from repro.cluster.clock import ClusterClock
 from repro.cluster.envelope import AckEnvelope, DataEnvelope, decode_envelope, encode_ack, encode_data
-from repro.cluster.faults import StreamFaultInjector
 from repro.cluster.framing import FrameReader, FrameWriter
-from repro.cluster.metrics import ClusterEpochResult, ClusterTrafficLedger
+from repro.cluster.metrics import ClusterEpochResult
 from repro.protocols.base import AggregatorRole, PartialStateRecord, QuerierRole, SourceRole
-from repro.runtime.recovery import EpochRecovery
-from repro.runtime.transport import RetransmitPolicy, TransportObserver
-from repro.utils.rng import DeterministicRandom
+from repro.runtime.faults import KeyedFaultInjector
+from repro.runtime.hop import (
+    DECODE_FAILURE,
+    DELIVERED,
+    LATE,
+    HopEngine,
+    HopLedger,
+    Parcel,
+    RetransmitPolicy,
+    TransportObserver,
+)
+from repro.runtime.recovery import settle_final, settle_lost
 from repro.wire.codec import PSRCodec
 
 __all__ = ["ClusterNode", "SourceNode", "AggregatorNode", "QuerierNode"]
 
 _HOST = "127.0.0.1"
-
-# Dispositions of a first-copy arrival (ledger classification).
-_DELIVERED = "delivered"
-_LATE = "late"
-_DECODE_FAILURE = "decode_failure"
 
 
 class ClusterNode:
@@ -69,8 +68,8 @@ class ClusterNode:
         self,
         node_id: int,
         *,
-        ledger: ClusterTrafficLedger,
-        injector: StreamFaultInjector,
+        ledger: HopLedger,
+        injector: KeyedFaultInjector,
         policy: RetransmitPolicy,
         clock: ClusterClock,
         seed: int,
@@ -79,14 +78,14 @@ class ClusterNode:
     ) -> None:
         self.node_id = node_id
         self.ledger = ledger
-        self.injector = injector
-        self.policy = policy
         self.clock = clock
-        self.seed = seed
-        #: Same ``(kind, attrs)`` hook shape as the runtime's
-        #: :class:`~repro.runtime.transport.ReliableTransport`, so one
-        #: trace adapter observes both substrates.
-        self.observer = observer
+        #: This node's half of every hop it takes part in: sender on its
+        #: uplink, receiver for its children.  The observer gets the
+        #: same ``(kind, attrs)`` events as on the runtime, so one trace
+        #: adapter observes both substrates.
+        self.engine = HopEngine(
+            injector, policy, ledger, seed=seed, now=clock.now, observer=observer
+        )
         #: child node id → edge class of the link it sends on.
         self._edge_of_sender = edge_of_sender
         self._server: asyncio.Server | None = None
@@ -97,10 +96,8 @@ class ClusterNode:
         self._uplink_writer: FrameWriter | None = None
         self._uplink_stream: asyncio.StreamWriter | None = None
         self._ack_task: asyncio.Task | None = None
-        #: parcel uid → event set when its ACK arrives.
-        self._pending_acks: dict[int, asyncio.Event] = {}
-        #: (sender, uid) pairs already delivered (duplicate suppression).
-        self._seen: set[tuple[int, int]] = set()
+        #: parcel uid → the parcel and the event set when its ACK arrives.
+        self._pending: dict[int, tuple[Parcel, asyncio.Event]] = {}
         #: Frames that failed envelope parsing on an inbound connection —
         #: impossible from a well-behaved peer; conservation catches the
         #: imbalance and this counter names the culprit node.
@@ -205,83 +202,19 @@ class ClusterNode:
             )
         return edge
 
-    def _emit(
-        self,
-        kind: str,
-        *,
-        epoch: int,
-        uid: int,
-        attempt: int,
-        edge: EdgeClass,
-        sender: int,
-        receiver: int,
-        **extra: object,
-    ) -> None:
-        """Notify the observer with the runtime transport's attribute keys."""
-        if self.observer is None:
-            return
-        attrs: dict = {
-            "time": self.clock.now(),
-            "epoch": epoch,
-            "uid": uid,
-            "attempt": attempt,
-            "edge": edge.value,
-            "sender": sender,
-            "receiver": receiver,
-        }
-        attrs.update(extra)
-        self.observer(kind, attrs)
-
     async def _handle_data(self, envelope: DataEnvelope, acks: FrameWriter) -> None:
         edge = self._classify(envelope.sender)
-        counters = self.ledger.edge(edge)
-        counters.frames_received += 1
-        key = (envelope.sender, envelope.uid)
-        if key in self._seen:
-            counters.duplicates_suppressed += 1
-            disposition_kind = "duplicate"
-        else:
-            self._seen.add(key)
-            disposition = self._deliver(envelope)
-            if disposition == _DELIVERED:
-                counters.delivered += 1
-                disposition_kind = "deliver"
-            elif disposition == _LATE:
-                counters.late_frames += 1
-                disposition_kind = "late"
-            else:
-                counters.decode_failures += 1
-                disposition_kind = "decode_failure"
-        self._emit(
-            disposition_kind,
-            epoch=envelope.epoch,
-            uid=envelope.uid,
-            attempt=envelope.attempt,
-            edge=edge,
-            sender=envelope.sender,
-            receiver=self.node_id,
-        )
-        # Transport ACK for every received copy — even duplicates, even
-        # undecodable inner frames (the *transport* delivered fine) —
-        # unless the seeded schedule swallows it on the way back.
-        if self.injector.ack_verdict(
-            envelope.sender, self.node_id, edge, envelope.uid, envelope.attempt
+        if self.engine.receive(
+            envelope.sender,
+            self.node_id,
+            edge,
+            envelope.uid,
+            envelope.attempt,
+            lambda: self._deliver(envelope),
         ):
-            counters.acks_dropped += 1
-            self._emit(
-                "ack_lost",
-                epoch=envelope.epoch,
-                uid=envelope.uid,
-                attempt=envelope.attempt,
-                edge=edge,
-                sender=envelope.sender,
-                receiver=self.node_id,
-            )
-        else:
             ack = encode_ack(epoch=envelope.epoch, uid=envelope.uid, attempt=envelope.attempt)
             await acks.write_frame(ack)
-            counters.acks_sent += 1
-            counters.ack_bytes += len(ack)
+            self.ledger.edge(edge).ack_bytes += len(ack)
 
     def _deliver(self, envelope: DataEnvelope) -> str:
         """Role-specific handling of a first copy; returns its disposition."""
@@ -308,26 +241,12 @@ class ClusterNode:
             if not isinstance(envelope, AckEnvelope) or self._parent_edge is None:
                 self.stream_errors += 1
                 return
-            self.ledger.edge(self._parent_edge).acks_received += 1
-            event = self._pending_acks.get(envelope.uid)
-            if event is not None:
-                event.set()
+            pending = self._pending.get(envelope.uid)
+            parcel = pending[0] if pending is not None else None
+            if self.engine.ack_arrived(self._parent_edge, parcel) and pending is not None:
+                pending[1].set()
 
-    def _backoff_u(self, uid: int, attempt: int) -> float:
-        """Jitter variate for one attempt — keyed, so independent of timing."""
-        rng = DeterministicRandom(
-            self.seed,
-            "cluster",
-            "backoff",
-            f"{self.node_id}->{self._parent_id}",
-            f"uid:{uid}",
-            f"try:{attempt}",
-        )
-        return rng.random()
-
-    async def _send_reliable(
-        self, *, epoch: int, uid: int, manifest: frozenset[int], inner: bytes
-    ) -> bool:
+    async def _send_reliable(self, *, epoch: int, manifest: frozenset[int], inner: bytes) -> bool:
         """Run one parcel through the ARQ; True once ACKed, False on give-up.
 
         The delivered-or-not outcome is the keyed fault schedule's, not
@@ -338,71 +257,32 @@ class ClusterNode:
         """
         if self._uplink_writer is None or self._parent_edge is None or self._parent_id is None:
             raise SimulationError(f"node {self.node_id} has no uplink to send on")
-        counters = self.ledger.edge(self._parent_edge)
+        parcel = Parcel(self.node_id, self._parent_id, self._parent_edge, epoch, manifest)
         event = asyncio.Event()
-        self._pending_acks[uid] = event
+        self._pending[epoch] = (parcel, event)
         try:
-            for attempt in range(self.policy.max_attempts):
-                counters.attempts += 1
-                if attempt:
-                    counters.retransmissions += 1
-                self._emit(
-                    "attempt",
-                    epoch=epoch,
-                    uid=uid,
-                    attempt=attempt,
-                    edge=self._parent_edge,
-                    sender=self.node_id,
-                    receiver=self._parent_id,
-                )
-                verdict = self.injector.data_verdict(
-                    self.node_id, self._parent_id, self._parent_edge, uid, attempt
-                )
-                if verdict.lost:
-                    counters.drops_injected += 1
-                    self._emit(
-                        "drop",
-                        epoch=epoch,
-                        uid=uid,
-                        attempt=attempt,
-                        edge=self._parent_edge,
-                        sender=self.node_id,
-                        receiver=self._parent_id,
-                        cause="link",
-                    )
-                else:
+            while True:
+                copies, timeout = self.engine.attempt(parcel)
+                if copies:
                     frame = encode_data(
                         epoch=epoch,
                         sender=self.node_id,
-                        uid=uid,
-                        attempt=attempt,
+                        uid=epoch,
+                        attempt=parcel.attempts - 1,
                         manifest=manifest,
                         inner=inner,
                     )
-                    for _ in range(verdict.copies):
+                    for _ in range(copies):
                         await self._uplink_writer.write_frame(frame)
-                        counters.frames_sent += 1
-                        counters.envelope_bytes += len(frame)
-                    counters.dup_copies += verdict.copies - 1
-                timeout = self.policy.timeout_for(attempt, self._backoff_u(uid, attempt))
+                    self.ledger.edge(self._parent_edge).envelope_bytes += copies * len(frame)
                 try:
                     await self.clock.wait_for(event.wait(), timeout)
                     return True
                 except TimeoutError:
-                    continue
-            counters.gave_up += 1
-            self._emit(
-                "give_up",
-                epoch=epoch,
-                uid=uid,
-                attempt=self.policy.max_attempts - 1,
-                edge=self._parent_edge,
-                sender=self.node_id,
-                receiver=self._parent_id,
-            )
-            return False
+                    if not self.engine.expire(parcel):
+                        return parcel.acked
         finally:
-            del self._pending_acks[uid]
+            del self._pending[epoch]
 
     async def _send_psr(
         self,
@@ -423,7 +303,7 @@ class ClusterNode:
                 f"{expected} bytes — wire format and model have diverged"
             )
         self.ledger.edge(self._parent_edge).psr_bytes += len(inner)
-        return await self._send_reliable(epoch=epoch, uid=epoch, manifest=manifest, inner=inner)
+        return await self._send_reliable(epoch=epoch, manifest=manifest, inner=inner)
 
 
 class SourceNode(ClusterNode):
@@ -475,15 +355,15 @@ class AggregatorNode(ClusterNode):
     def _deliver(self, envelope: DataEnvelope) -> str:
         state = self._epochs.get(envelope.epoch)
         if state is None or state.closed:
-            return _LATE
+            return LATE
         try:
             psr = self.codec.decode(envelope.inner)
         except WireDecodeError:
-            return _DECODE_FAILURE
+            return DECODE_FAILURE
         state.inbox.append((psr, envelope.manifest))
         if len(state.inbox) >= state.expected:
             state.complete.set()
-        return _DELIVERED
+        return DELIVERED
 
     def open_epoch(self, epoch: int, expected: int) -> None:
         """Register the epoch's inbox *before* any child may send.
@@ -555,32 +435,31 @@ class QuerierNode(ClusterNode):
     def _deliver(self, envelope: DataEnvelope) -> str:
         state = self._epochs.get(envelope.epoch)
         if state is None or state.closed:
-            return _LATE
+            return LATE
         try:
             psr = self.codec.decode(envelope.inner)
         except WireDecodeError:
-            return _DECODE_FAILURE
+            return DECODE_FAILURE
         state.closed = True
-        recovery = EpochRecovery.from_final_manifest(
+        settlement = settle_final(
+            self.role,
             envelope.epoch,
+            psr,
             attempted=state.attempted,
             manifest=envelope.manifest,
             pre_failed=state.pre_failed,
+            num_sources=self.num_sources,
+            evaluate=self.evaluate,
         )
-        result = ClusterEpochResult(
+        state.result = ClusterEpochResult(
             epoch=envelope.epoch,
-            recovery=recovery,
+            recovery=settlement.recovery,
+            result=settlement.result,
+            security_failure=settlement.security_failure,
             completion_latency=self.clock.now() - state.started_at,
         )
-        if self.evaluate:
-            subset = recovery.reporting_subset(self.num_sources)
-            try:
-                result.result = self.role.evaluate(envelope.epoch, psr, reporting_sources=subset)
-            except SecurityError as exc:
-                result.security_failure = type(exc).__name__
-        state.result = result
         state.settled.set()
-        return _DELIVERED
+        return DELIVERED
 
     def open_epoch(
         self, epoch: int, attempted: frozenset[int], pre_failed: frozenset[int]
@@ -600,21 +479,15 @@ class QuerierNode(ClusterNode):
         except TimeoutError:
             pass
         if state.result is None:
-            # Nothing arrived: the epoch is lost, not wrong.  MessageLost
-            # (the network swallowed every path) stays distinct from
-            # NoResult (no source ever reported).
+            # Nothing arrived: the epoch is lost, not wrong.
             state.closed = True
-            recovery = EpochRecovery(
-                epoch=epoch,
-                attempted=state.attempted,
-                survivors=frozenset(),
-                pre_failed=state.pre_failed,
-                converged=False,
+            settlement = settle_lost(
+                epoch, attempted=state.attempted, pre_failed=state.pre_failed
             )
             state.result = ClusterEpochResult(
                 epoch=epoch,
-                recovery=recovery,
-                security_failure="MessageLost" if state.attempted else "NoResult",
+                recovery=settlement.recovery,
+                security_failure=settlement.security_failure,
             )
         return state.result
 

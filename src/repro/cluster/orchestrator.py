@@ -12,7 +12,7 @@
    pipelining but paced by completion instead of a clock;
 4. **drain** — uplinks half-close bottom-up (sources first, root last)
    so every in-flight ACK is read before any socket dies, then servers
-   stop and :meth:`~repro.cluster.metrics.ClusterTrafficLedger.check_conservation`
+   stop and :meth:`~repro.runtime.hop.HopLedger.check_conservation`
    proves no frame went unaccounted.
 
 Epoch deadlines are *relative to the epoch's launch*, so a window-8 run
@@ -35,13 +35,12 @@ from repro.network.channel import EdgeClass
 from repro.network.simulator import QUERIER_NODE_ID, Workload
 from repro.network.topology import AggregationTree
 from repro.cluster.clock import ClusterClock
-from repro.cluster.faults import StreamFaultInjector
-from repro.cluster.metrics import ClusterRunMetrics, ClusterTrafficLedger
+from repro.cluster.metrics import ClusterRunMetrics
 from repro.cluster.node import AggregatorNode, ClusterNode, QuerierNode, SourceNode, require_codec
 from repro.protocols.base import SecureAggregationProtocol
-from repro.runtime.faults import FaultPlan
+from repro.runtime.faults import FaultPlan, KeyedFaultInjector
+from repro.runtime.hop import HopLedger, RetransmitPolicy, TransportObserver
 from repro.runtime.recovery import expected_contributions
-from repro.runtime.transport import RetransmitPolicy, TransportObserver
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ClusterConfig", "EpochOrchestrator", "run_cluster"]
@@ -74,8 +73,8 @@ class ClusterConfig:
     querier_slack: float = 0.25
     #: Per-hop ARQ shape, in real seconds.
     policy: RetransmitPolicy = field(default_factory=_default_policy)
-    #: What the stream layer does to envelopes (loss/duplication only;
-    #: time-windowed faults are rejected — see repro.cluster.faults).
+    #: What the stream layer does to envelopes (loss, duplication,
+    #: epoch-windowed bursts and outages — see repro.cluster.faults).
     plan: FaultPlan = field(default_factory=FaultPlan)
     #: Seed for the fault schedule and backoff jitter streams.
     seed: int = 0
@@ -120,8 +119,8 @@ class EpochOrchestrator:
         self.config = config or ClusterConfig()
         self.codec = require_codec(protocol.wire_codec(), protocol.name)
         self.clock = ClusterClock()
-        self.injector = StreamFaultInjector(self.config.plan, seed=self.config.seed)
-        self.ledger = ClusterTrafficLedger()
+        self.injector = KeyedFaultInjector(self.config.plan, seed=self.config.seed)
+        self.ledger = HopLedger()
         common = dict(
             ledger=self.ledger,
             injector=self.injector,
@@ -215,8 +214,12 @@ class EpochOrchestrator:
 
     async def _run_epoch(self, epoch: int, window: asyncio.Semaphore):
         async with window:
+            # A source down this epoch counts as a reported failure.
             attempted = frozenset(
-                sid for sid in self.tree.source_ids if sid not in self.config.failed_sources
+                sid
+                for sid in self.tree.source_ids
+                if sid not in self.config.failed_sources
+                and not self.config.plan.node_down(sid, epoch)
             )
             pre_failed = frozenset(self.tree.source_ids) - attempted
             expected = expected_contributions(self.tree, attempted)

@@ -32,6 +32,7 @@ from repro.obs.publish import (
     publish_ops,
     publish_runtime_metrics,
     publish_traffic,
+    publish_transport,
 )
 from repro.obs.trace import EVENT_KINDS, ObsEvent, TraceRecorder, trace_dispositions
 
@@ -51,6 +52,7 @@ __all__ = [
     "ProfiledCodec",
     "publish_traffic",
     "publish_ops",
+    "publish_transport",
     "publish_network_metrics",
     "publish_runtime_metrics",
     "publish_cluster_metrics",

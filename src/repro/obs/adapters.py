@@ -5,12 +5,12 @@ Three hook surfaces, one schema:
 * :class:`ChannelTraceAdapter` — a PSR-level interceptor on the analytic
   :class:`~repro.network.channel.Channel` (lossless hops → ``send``
   events), run-scoped via the channel's ``begin_run`` listeners;
-* :class:`TransportTraceAdapter` — the ``(kind, attrs)`` observer
-  callable understood by both the runtime's
-  :class:`~repro.runtime.transport.ReliableTransport`
-  (``RuntimeSimulator.set_observer``) and the cluster's node/ARQ path
-  (``ClusterConfig.observer``), turning attempt/drop/deliver/duplicate/
-  late/decode-failure/give-up callbacks into :class:`ObsEvent` records.
+* :class:`TransportTraceAdapter` — the ``(kind, attrs)`` observer of
+  the hop engine (:class:`~repro.runtime.hop.HopEngine`) both ARQ
+  substrates drive (``RuntimeSimulator.set_observer`` and
+  ``ClusterConfig.observer``), turning attempt/drop/deliver/duplicate/
+  late/decode-failure/ack-lost/give-up events into :class:`ObsEvent`
+  records.
 
 The lower layers never import :mod:`repro.obs` — they emit plain
 callables/dicts and these adapters do the schema mapping, keeping the

@@ -1,7 +1,8 @@
 """Publishers: native per-substrate metrics → the unified registry.
 
-Each substrate keeps its ad-hoc ledger shape for backward compatibility;
-these functions map every ledger into one metric namespace so
+Each substrate keeps its native run metrics; these functions map every
+ledger into one metric namespace (the ``sies_transport_*`` counters come
+from the one hop ledger both ARQ substrates fill) so
 ``repro metrics`` (and any Prometheus scrape of an exported file) reads
 identical names whichever substrate produced the run:
 
@@ -46,11 +47,13 @@ if TYPE_CHECKING:
     from repro.cluster.metrics import ClusterRunMetrics
     from repro.network.metrics import RunMetrics
     from repro.protocols.base import OpCounter
+    from repro.runtime.hop import HopLedger
     from repro.runtime.metrics import RuntimeRunMetrics
 
 __all__ = [
     "publish_traffic",
     "publish_ops",
+    "publish_transport",
     "publish_network_metrics",
     "publish_runtime_metrics",
     "publish_cluster_metrics",
@@ -170,25 +173,40 @@ def publish_network_metrics(metrics: "RunMetrics", registry: MetricsRegistry) ->
     )
 
 
-def _publish_transport_dicts(
-    registry: MetricsRegistry, *, substrate: str, fields: dict[str, dict]
-) -> None:
-    help_by_name = {
-        "sies_transport_attempts_total": "Physical ARQ attempts",
-        "sies_transport_retransmissions_total": "Attempts beyond the first per parcel",
-        "sies_transport_delivered_total": "First copies handed to the application",
-        "sies_transport_duplicates_total": "Copies suppressed by receiver dedup",
-        "sies_transport_late_total": "Copies arriving after their merge deadline",
-        "sies_transport_gave_up_total": "Parcels whose sender exhausted its retries",
-        "sies_transport_acks_sent_total": "Transport ACKs sent",
-        "sies_transport_acks_lost_total": "Transport ACKs swallowed in flight",
-    }
-    for name, per_edge in fields.items():
-        metric = registry.counter(name, help_by_name[name], _EDGE_LABELS)
-        for edge, count in sorted(per_edge.items(), key=lambda kv: getattr(kv[0], "value", kv[0])):
-            edge_value = getattr(edge, "value", edge)
+#: Ledger counter → (metric name, help), in publication order.
+_TRANSPORT_METRICS: tuple[tuple[str, str, str], ...] = (
+    ("attempts", "sies_transport_attempts_total", "Physical ARQ attempts"),
+    (
+        "retransmissions",
+        "sies_transport_retransmissions_total",
+        "Attempts beyond the first per parcel",
+    ),
+    ("delivered", "sies_transport_delivered_total", "First copies handed to the application"),
+    (
+        "duplicates_suppressed",
+        "sies_transport_duplicates_total",
+        "Copies suppressed by receiver dedup",
+    ),
+    ("late_frames", "sies_transport_late_total", "Copies arriving after their merge deadline"),
+    (
+        "gave_up",
+        "sies_transport_gave_up_total",
+        "Parcels whose sender exhausted its retries",
+    ),
+    ("acks_sent", "sies_transport_acks_sent_total", "Transport ACKs sent"),
+    ("acks_dropped", "sies_transport_acks_lost_total", "Transport ACKs swallowed in flight"),
+)
+
+
+def publish_transport(ledger: "HopLedger", registry: MetricsRegistry, *, substrate: str) -> None:
+    """The hop ledger both ARQ substrates fill → ``sies_transport_*``."""
+    by_edge = sorted(ledger.by_class.items(), key=lambda kv: kv[0].value)
+    for field_name, name, help_text in _TRANSPORT_METRICS:
+        metric = registry.counter(name, help_text, _EDGE_LABELS)
+        for edge, counters in by_edge:
+            count = getattr(counters, field_name)
             if count:
-                metric.inc(count, substrate=substrate, edge=edge_value)
+                metric.inc(count, substrate=substrate, edge=edge.value)
 
 
 def publish_runtime_metrics(metrics: "RuntimeRunMetrics", registry: MetricsRegistry) -> None:
@@ -202,28 +220,7 @@ def publish_runtime_metrics(metrics: "RuntimeRunMetrics", registry: MetricsRegis
         aggregator=metrics.aggregator_ops,
         querier=metrics.querier_ops,
     )
-    transport = metrics.transport
-    _publish_transport_dicts(
-        registry,
-        substrate=substrate,
-        fields={
-            "sies_transport_attempts_total": transport.attempts,
-            "sies_transport_retransmissions_total": transport.retransmissions,
-            "sies_transport_delivered_total": transport.delivered,
-            "sies_transport_duplicates_total": transport.duplicates_suppressed,
-            "sies_transport_gave_up_total": transport.gave_up,
-            "sies_transport_acks_sent_total": transport.acks_sent,
-            "sies_transport_acks_lost_total": transport.acks_lost,
-        },
-    )
-    late = registry.counter(
-        "sies_transport_late_total",
-        "Copies arriving after their merge deadline",
-        _EDGE_LABELS,
-    )
-    late_total = sum(e.late_arrivals for e in metrics.epochs)
-    if late_total:
-        late.inc(late_total, substrate=substrate, edge="all")
+    publish_transport(metrics.transport, registry, substrate=substrate)
     accepted = sum(1 for e in metrics.epochs if e.accepted)
     unrecovered = sum(1 for e in metrics.epochs if not e.recovery.converged)
     _publish_epoch_outcomes(
@@ -264,20 +261,7 @@ def publish_cluster_metrics(metrics: "ClusterRunMetrics", registry: MetricsRegis
             frame_bytes.inc(c.envelope_bytes, substrate=substrate, edge=edge.value)
         if c.decode_failures:
             decode_failures.inc(c.decode_failures, substrate=substrate, edge=edge.value)
-    _publish_transport_dicts(
-        registry,
-        substrate=substrate,
-        fields={
-            "sies_transport_attempts_total": {e: c.attempts for e, c in by_edge},
-            "sies_transport_retransmissions_total": {e: c.retransmissions for e, c in by_edge},
-            "sies_transport_delivered_total": {e: c.delivered for e, c in by_edge},
-            "sies_transport_duplicates_total": {e: c.duplicates_suppressed for e, c in by_edge},
-            "sies_transport_late_total": {e: c.late_frames for e, c in by_edge},
-            "sies_transport_gave_up_total": {e: c.gave_up for e, c in by_edge},
-            "sies_transport_acks_sent_total": {e: c.acks_sent for e, c in by_edge},
-            "sies_transport_acks_lost_total": {e: c.acks_dropped for e, c in by_edge},
-        },
-    )
+    publish_transport(ledger, registry, substrate=substrate)
     accepted = sum(1 for e in metrics.epochs if e.accepted)
     unrecovered = sum(1 for e in metrics.epochs if not e.recovery.converged)
     _publish_epoch_outcomes(

@@ -23,7 +23,8 @@ Traces serialize to JSON-lines (one compact object per event) and are
 diffable: :func:`trace_dispositions` reduces a trace to its
 **seed-determined slice** — per-epoch sets of delivered / dropped /
 late hops — which must be identical for the runtime and the cluster on
-the same seed, plan, and tree (``RuntimeConfig.keyed_faults``).  The
+the same seed, plan, and tree (both drive one hop engine over one keyed
+fault oracle).  The
 ACK-timing-dependent kinds (``give_up``, ``ack_lost``, ``duplicate``)
 are recorded but deliberately excluded from that slice.
 """
@@ -78,7 +79,7 @@ class ObsEvent:
     time: float | None = None
     #: 0-based physical attempt index; ``None`` outside the ARQ path.
     attempt: int | None = None
-    #: Parcel uid; the cluster and keyed runtime use ``uid == epoch``.
+    #: Parcel uid; both ARQ substrates use ``uid == epoch``.
     uid: int | None = None
     wire_bytes: int | None = None
     psr_type: str | None = None

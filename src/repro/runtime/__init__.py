@@ -2,13 +2,15 @@
 
 Where :mod:`repro.network` executes epochs as a lossless function-call
 chain, this package drives them through a deterministic event scheduler
-over faulty links: seeded per-edge loss/latency/duplication, burst
-outages and node churn (:mod:`repro.runtime.faults`), a per-hop
-ACK/retransmission layer with exponential backoff
-(:mod:`repro.runtime.transport`), aggregator merge deadlines, and a
-recovery path that converts undelivered subtrees into the paper's
-reported-failure subset so the querier answers the exact SUM over the
-survivors (:mod:`repro.runtime.recovery`).
+over faulty links: keyed per-edge loss/latency/duplication, epoch-windowed
+bursts and node outages (:mod:`repro.runtime.faults`), the per-hop
+ACK/retransmission engine with exponential backoff
+(:mod:`repro.runtime.hop`, driven by :mod:`repro.runtime.transport`),
+aggregator merge deadlines, and a recovery path that converts
+undelivered subtrees into the paper's reported-failure subset so the
+querier answers the exact SUM over the survivors
+(:mod:`repro.runtime.recovery`).  The TCP cluster drives the same hop
+engine and fault oracle.
 
 Quick start::
 
@@ -28,21 +30,17 @@ Quick start::
 from repro.runtime.events import EventScheduler, ScheduledEvent
 from repro.runtime.faults import (
     BurstLoss,
-    FaultInjector,
     FaultPlan,
+    KeyedFaultInjector,
+    KeyedVerdict,
     LinkProfile,
-    LinkVerdict,
     NodeOutage,
 )
+from repro.runtime.hop import EdgeCounters, HopEngine, HopLedger, Parcel, RetransmitPolicy
 from repro.runtime.metrics import RuntimeEpochMetrics, RuntimeRunMetrics
 from repro.runtime.recovery import EpochRecovery, RecoveryLedger
 from repro.runtime.simulator import RuntimeConfig, RuntimeSimulator
-from repro.runtime.transport import (
-    Parcel,
-    ReliableTransport,
-    RetransmitPolicy,
-    TransportStats,
-)
+from repro.runtime.transport import ReliableTransport
 
 __all__ = [
     "EventScheduler",
@@ -51,11 +49,13 @@ __all__ = [
     "BurstLoss",
     "NodeOutage",
     "FaultPlan",
-    "LinkVerdict",
-    "FaultInjector",
+    "KeyedVerdict",
+    "KeyedFaultInjector",
     "RetransmitPolicy",
     "Parcel",
-    "TransportStats",
+    "EdgeCounters",
+    "HopLedger",
+    "HopEngine",
     "ReliableTransport",
     "EpochRecovery",
     "RecoveryLedger",

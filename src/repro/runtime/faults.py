@@ -1,18 +1,17 @@
-"""Seeded link and node fault models for the event runtime.
+"""The seeded fault model both substrates share.
 
 A :class:`FaultPlan` declares *what can go wrong*: per-edge-class link
-profiles (loss rate, latency, jitter, duplication), time-windowed burst
-losses, and node crash/recover churn.  A :class:`FaultInjector` turns
-the plan into deterministic per-transmission verdicts.
+profiles (loss rate, latency, jitter, duplication), epoch-windowed burst
+losses, and node outages.  A :class:`KeyedFaultInjector` turns the plan
+into verdicts keyed by the full attempt coordinate
+``(sender, receiver, parcel uid, attempt index)``: a verdict is a pure
+function of the seed and that coordinate — no matter when, in what
+order, or how often it is queried.  That is what keeps the TCP cluster
+reproducible under real concurrency and what lets the event runtime
+replay the *same* loss schedule as the cluster on the same seed.
 
-Determinism: every edge gets its own
-:class:`~repro.utils.rng.DeterministicRandom` child stream keyed by the
-``sender->receiver`` pair, and every :meth:`FaultInjector.attempt` call
-draws a *fixed* number of variates from that stream regardless of the
-verdict, so a changed loss outcome on one attempt never perturbs the
-latency of the next.  Two runs with the same plan and seed therefore
-produce identical fault sequences — the property the acceptance tests
-assert by comparing whole metrics ledgers.
+Windows are counted in epochs (a parcel's uid is its epoch), never in
+time: a burst or an outage covers the same attempts on every substrate.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError, ParameterError
+from repro.errors import ParameterError
 from repro.network.channel import EdgeClass
 from repro.utils.rng import DeterministicRandom
 
@@ -29,8 +28,6 @@ __all__ = [
     "BurstLoss",
     "NodeOutage",
     "FaultPlan",
-    "LinkVerdict",
-    "FaultInjector",
     "KeyedVerdict",
     "KeyedFaultInjector",
 ]
@@ -66,47 +63,56 @@ class LinkProfile:
 
 @dataclass(frozen=True)
 class BurstLoss:
-    """Elevated loss on a time window — models interference bursts.
+    """Elevated loss over the epochs ``first_epoch..last_epoch`` (inclusive).
 
-    During ``[start, end)`` the effective loss rate on matching edges
-    becomes ``1 - (1-base)*(1-loss_rate)`` (independent loss sources).
+    Models interference bursts: on matching edges the effective loss
+    rate becomes ``1 - (1-base)*(1-loss_rate)`` (independent loss
+    sources), for data attempts and ACKs alike.
     """
 
-    start: float
-    end: float
+    first_epoch: int
+    last_epoch: int
     loss_rate: float = 1.0
     edge_class: EdgeClass | None = None
 
     def __post_init__(self) -> None:
         _check_rate("loss_rate", self.loss_rate)
-        if self.end <= self.start:
-            raise ParameterError(f"burst window [{self.start}, {self.end}) is empty")
+        if self.last_epoch < self.first_epoch:
+            raise ParameterError(
+                f"burst window {self.first_epoch}..{self.last_epoch} is empty"
+            )
 
-    def active(self, now: float, edge: EdgeClass) -> bool:
+    def active(self, epoch: int, edge: EdgeClass) -> bool:
         if self.edge_class is not None and edge is not self.edge_class:
             return False
-        return self.start <= now < self.end
+        return self.first_epoch <= epoch <= self.last_epoch
 
 
 @dataclass(frozen=True)
 class NodeOutage:
-    """A node is down (neither receives, ACKs, nor transmits) in ``[start, end)``."""
+    """A node is down over the epochs ``first_epoch..last_epoch`` (inclusive).
+
+    A down node receives nothing (every attempt sent to it is lost) and
+    so forwards nothing; a down source does not report at all.
+    """
 
     node_id: int
-    start: float
-    end: float = math.inf
+    first_epoch: int
+    last_epoch: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise ParameterError(f"outage window [{self.start}, {self.end}) is empty")
+        if self.last_epoch < self.first_epoch:
+            raise ParameterError(
+                f"outage window {self.first_epoch}..{self.last_epoch} is empty"
+            )
 
-    def down(self, now: float) -> bool:
-        return self.start <= now < self.end
+    def down(self, epoch: int) -> bool:
+        return self.first_epoch <= epoch <= self.last_epoch
 
 
 @dataclass
 class FaultPlan:
-    """The complete fault configuration of one runtime run."""
+    """The complete fault configuration of one run."""
 
     #: Profile used for edge classes without an explicit override.
     default_profile: LinkProfile = field(default_factory=LinkProfile)
@@ -117,6 +123,25 @@ class FaultPlan:
 
     def profile_for(self, edge: EdgeClass) -> LinkProfile:
         return self.profiles.get(edge, self.default_profile)
+
+    def node_down(self, node_id: int, epoch: int) -> bool:
+        """True when the node is inside any of its outage windows."""
+        return any(o.node_id == node_id and o.down(epoch) for o in self.outages)
+
+    def loss_rate(self, edge: EdgeClass, epoch: int) -> float:
+        """Steady-state loss combined with every burst active at *epoch*.
+
+        Exactly the profile's rate when no burst is active, so plans
+        without bursts keep their thresholds bit for bit.
+        """
+        rate = self.profile_for(edge).loss_rate
+        active = [b for b in self.bursts if b.active(epoch, edge)]
+        if not active:
+            return rate
+        survive = 1.0 - rate
+        for burst in active:
+            survive *= 1.0 - burst.loss_rate
+        return 1.0 - survive
 
     @classmethod
     def lossless(cls) -> "FaultPlan":
@@ -130,82 +155,8 @@ class FaultPlan:
 
 
 @dataclass(frozen=True)
-class LinkVerdict:
-    """What the channel did to one physical transmission attempt.
-
-    ``latencies`` holds one arrival delay per surviving copy — empty
-    when the packet was lost, two entries when it was duplicated.
-    """
-
-    lost: bool
-    latencies: tuple[float, ...]
-
-    @property
-    def copies(self) -> int:
-        return len(self.latencies)
-
-
-class FaultInjector:
-    """Deterministic oracle answering "what happens to this transmission?"."""
-
-    def __init__(self, plan: FaultPlan, *, seed: int = 0) -> None:
-        self.plan = plan
-        self._seed = seed
-        self._streams: dict[tuple[int, int], DeterministicRandom] = {}
-        #: Transmission attempts adjudicated, per edge class (diagnostics).
-        self.attempts_by_class: dict[EdgeClass, int] = {}
-
-    def _stream(self, sender: int, receiver: int) -> DeterministicRandom:
-        key = (sender, receiver)
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = DeterministicRandom(self._seed, "link", f"{sender}->{receiver}")
-            self._streams[key] = stream
-        return stream
-
-    def node_down(self, node_id: int, now: float) -> bool:
-        """True when the node is inside any of its outage windows."""
-        return any(o.node_id == node_id and o.down(now) for o in self.plan.outages)
-
-    def effective_loss_rate(self, edge: EdgeClass, now: float) -> float:
-        """Steady-state loss combined with every active burst."""
-        survive = 1.0 - self.plan.profile_for(edge).loss_rate
-        for burst in self.plan.bursts:
-            if burst.active(now, edge):
-                survive *= 1.0 - burst.loss_rate
-        return 1.0 - survive
-
-    def attempt(
-        self, sender: int, receiver: int, edge: EdgeClass, now: float
-    ) -> LinkVerdict:
-        """Adjudicate one physical transmission at logical time *now*.
-
-        Exactly four variates are drawn per call (loss, latency,
-        duplication, duplicate latency) so verdict outcomes never shift
-        the stream for later attempts on the same edge.
-        """
-        self.attempts_by_class[edge] = self.attempts_by_class.get(edge, 0) + 1
-        profile = self.plan.profile_for(edge)
-        rng = self._stream(sender, receiver)
-        u_loss = rng.random()
-        u_latency = rng.random()
-        u_dup = rng.random()
-        u_dup_latency = rng.random()
-
-        if self.node_down(receiver, now):
-            return LinkVerdict(lost=True, latencies=())
-        if u_loss < self.effective_loss_rate(edge, now):
-            return LinkVerdict(lost=True, latencies=())
-
-        latencies = [profile.latency + u_latency * profile.jitter]
-        if u_dup < profile.duplicate_rate:
-            latencies.append(profile.latency + u_dup_latency * profile.jitter)
-        return LinkVerdict(lost=False, latencies=tuple(latencies))
-
-
-@dataclass(frozen=True)
 class KeyedVerdict:
-    """What a keyed fault schedule does to one transmission attempt."""
+    """What the keyed fault schedule does to one transmission attempt."""
 
     lost: bool
     #: Copies that survive the link (0 lost, 1 normal, 2 duplicated).
@@ -215,41 +166,22 @@ class KeyedVerdict:
 class KeyedFaultInjector:
     """Order-independent fault oracle keyed by the attempt coordinate.
 
-    Where :class:`FaultInjector` draws from one *sequential* stream per
-    edge (deterministic only when attempts are adjudicated in a fixed
-    order), this oracle keys every decision by the full coordinate
-    ``(sender, receiver, parcel uid, attempt index)`` through
-    independent :class:`~repro.utils.rng.DeterministicRandom` streams.
-    A verdict is a pure function of the seed and the coordinate — no
-    matter when, in what order, or how often it is queried — which is
-    what lets the TCP cluster stay reproducible under real concurrency
-    and what lets the runtime replay the *same* loss schedule as the
-    cluster for cross-substrate trace comparison
-    (``RuntimeConfig.keyed_faults``).
+    Every decision draws from an independent
+    :class:`~repro.utils.rng.DeterministicRandom` stream keyed by
+    ``(sender, receiver, parcel uid, attempt index)``, and the number
+    of variates per draw never depends on the verdict.  Bursts and
+    outages fold into the loss *threshold* and draw nothing extra, so a
+    plan without them yields exactly the schedule it always did.
 
     The stream labels deliberately keep the literal ``"cluster"``
-    namespace the cluster substrate introduced: both substrates must
-    draw identical schedules from one seed, and re-labelling would
-    silently re-randomize every pinned cluster test.
-
-    Time-windowed features (:class:`BurstLoss`, :class:`NodeOutage`)
-    are rejected — a keyed schedule has no notion of *when* an attempt
-    happens, which is exactly the point.
+    namespace the cluster substrate introduced: re-labelling would
+    silently re-randomize every pinned schedule.
     """
 
     def __init__(self, plan: FaultPlan, *, seed: int = 0) -> None:
-        if plan.bursts:
-            raise ConfigurationError(
-                "BurstLoss windows are defined over logical time and cannot be "
-                "keyed by attempt coordinate; use per-edge LinkProfile loss"
-            )
-        if plan.outages:
-            raise ConfigurationError(
-                "NodeOutage windows are defined over logical time and cannot be "
-                "keyed by attempt coordinate; model churn via failed_sources"
-            )
         self.plan = plan
         self.seed = seed
+        self._windowed = bool(plan.bursts or plan.outages)
         #: Verdicts issued per edge class (diagnostics).
         self.verdicts_by_class: dict[EdgeClass, int] = {}
 
@@ -261,16 +193,23 @@ class KeyedFaultInjector:
         )
         return [rng.random() for _ in range(n)]
 
+    def _threshold(self, destination: int, edge: EdgeClass, uid: int) -> float:
+        """Loss threshold of an attempt towards *destination* in epoch *uid*."""
+        if not self._windowed:
+            return self.plan.profile_for(edge).loss_rate
+        if self.plan.node_down(destination, uid):
+            return 1.0
+        return self.plan.loss_rate(edge, uid)
+
     def data_verdict(
         self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int
     ) -> KeyedVerdict:
         """Fate of data attempt *attempt* of parcel *uid*."""
         self.verdicts_by_class[edge] = self.verdicts_by_class.get(edge, 0) + 1
-        profile = self.plan.profile_for(edge)
         u_loss, u_dup = self._draw("data", sender, receiver, uid, attempt, 2)
-        if u_loss < profile.loss_rate:
+        if u_loss < self._threshold(receiver, edge, uid):
             return KeyedVerdict(lost=True, copies=0)
-        copies = 2 if u_dup < profile.duplicate_rate else 1
+        copies = 2 if u_dup < self.plan.profile_for(edge).duplicate_rate else 1
         return KeyedVerdict(lost=False, copies=copies)
 
     def ack_verdict(
@@ -282,9 +221,8 @@ class KeyedFaultInjector:
         receiver→sender); keyed independently of the data draw so a lost
         packet and a lost ACK are uncorrelated, as on a real radio.
         """
-        profile = self.plan.profile_for(edge)
         (u_loss,) = self._draw("ack", sender, receiver, uid, attempt, 1)
-        return u_loss < profile.loss_rate
+        return u_loss < self._threshold(sender, edge, uid)
 
     def data_latencies(
         self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int, copies: int

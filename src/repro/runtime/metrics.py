@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.network.channel import TrafficCounters
 from repro.protocols.base import EvaluationResult, OpCounter
 from repro.runtime.recovery import EpochRecovery, RecoveryLedger
-from repro.runtime.transport import TransportStats
+from repro.runtime.hop import HopLedger
 
 __all__ = ["RuntimeEpochMetrics", "RuntimeRunMetrics", "latency_percentile"]
 
@@ -67,7 +67,7 @@ class RuntimeRunMetrics:
     num_sources: int
     seed: int
     epochs: list[RuntimeEpochMetrics] = field(default_factory=list)
-    transport: TransportStats = field(default_factory=TransportStats)
+    transport: HopLedger = field(default_factory=HopLedger)
     recovery: RecoveryLedger = field(default_factory=RecoveryLedger)
     traffic: TrafficCounters = field(default_factory=TrafficCounters)
     source_ops: OpCounter = field(default_factory=OpCounter)
@@ -99,7 +99,7 @@ class RuntimeRunMetrics:
         return [e.completion_latency for e in self.epochs if e.recovery.converged]
 
     def retransmissions_total(self) -> int:
-        return sum(self.transport.retransmissions.values())
+        return self.transport.total("retransmissions")
 
     def security_failures(self) -> list[tuple[int, str]]:
         return [(e.epoch, e.security_failure) for e in self.epochs if e.security_failure]

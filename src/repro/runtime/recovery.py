@@ -15,8 +15,10 @@ never desynchronize verification: a contribution is in the subset iff
 it is in the ciphertext.
 
 This module holds the bookkeeping around that idea: classifying each
-epoch's sources into survivors / lost / pre-declared-failed, and the
-converged-or-not verdict the property tests assert on.
+epoch's sources into survivors / lost / pre-declared-failed, the
+converged-or-not verdict the property tests assert on, and the
+querier's settlement of an epoch (:func:`settle_final`,
+:func:`settle_lost`), which every substrate calls.
 """
 
 from __future__ import annotations
@@ -24,12 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import SimulationError
+from repro.errors import SecurityError, SimulationError
 
 if TYPE_CHECKING:
     from repro.network.topology import AggregationTree
+    from repro.protocols.base import EvaluationResult, PartialStateRecord, QuerierRole
 
-__all__ = ["EpochRecovery", "RecoveryLedger", "expected_contributions"]
+__all__ = [
+    "EpochRecovery",
+    "RecoveryLedger",
+    "Settlement",
+    "expected_contributions",
+    "settle_final",
+    "settle_lost",
+]
 
 
 def expected_contributions(tree: "AggregationTree", attempted: frozenset[int]) -> dict[int, int]:
@@ -116,6 +126,67 @@ class EpochRecovery:
         if self.converged and len(self.survivors) == num_sources:
             return None
         return sorted(self.survivors)
+
+
+@dataclass(frozen=True)
+class Settlement:
+    """How the querier concluded one epoch."""
+
+    recovery: EpochRecovery
+    result: "EvaluationResult | None" = None
+    #: Security exception class name raised by the querier, if any;
+    #: ``"MessageLost"`` / ``"NoResult"`` when no final PSR arrived.
+    security_failure: str | None = None
+
+
+def settle_final(
+    querier: "QuerierRole",
+    epoch: int,
+    psr: "PartialStateRecord",
+    *,
+    attempted: frozenset[int],
+    manifest: frozenset[int],
+    pre_failed: frozenset[int],
+    num_sources: int,
+    evaluate: bool = True,
+) -> Settlement:
+    """Settle an epoch whose final PSR arrived carrying *manifest*.
+
+    The querier evaluates over the manifest's reporting subset; a
+    :class:`~repro.errors.SecurityError` rejects the epoch under its
+    class name instead of propagating.
+    """
+    recovery = EpochRecovery.from_final_manifest(
+        epoch, attempted=attempted, manifest=manifest, pre_failed=pre_failed
+    )
+    if not evaluate:
+        return Settlement(recovery)
+    try:
+        result = querier.evaluate(
+            epoch, psr, reporting_sources=recovery.reporting_subset(num_sources)
+        )
+    except SecurityError as exc:
+        return Settlement(recovery, security_failure=type(exc).__name__)
+    return Settlement(recovery, result=result)
+
+
+def settle_lost(
+    epoch: int, *, attempted: frozenset[int], pre_failed: frozenset[int]
+) -> Settlement:
+    """Settle an epoch whose final PSR never reached the querier.
+
+    ``MessageLost`` (sources reported but the network swallowed every
+    path) stays distinct from ``NoResult`` (no source ever reported),
+    matching :class:`~repro.network.simulator.NetworkSimulator`.
+    """
+    recovery = EpochRecovery(
+        epoch=epoch,
+        attempted=attempted,
+        survivors=frozenset(),
+        pre_failed=pre_failed,
+        converged=False,
+    )
+    return Settlement(recovery, security_failure="MessageLost" if attempted else "NoResult")
 
 
 @dataclass

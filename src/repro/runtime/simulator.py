@@ -5,10 +5,10 @@
 the sources, bottom-up merging, evaluation at the querier — but over a
 *faulty network* instead of a lossless function call chain:
 
-* every hop goes through the per-hop ARQ of
-  :mod:`repro.runtime.transport` (ACKs, timeouts, bounded
-  retransmission with exponential backoff) and the seeded
-  :class:`~repro.runtime.faults.FaultInjector`;
+* every hop goes through the per-hop ARQ of :mod:`repro.runtime.hop`
+  (ACKs, timeouts, bounded retransmission with exponential backoff),
+  driven by :mod:`repro.runtime.transport` over the keyed fault oracle
+  of :mod:`repro.runtime.faults` — the one the TCP cluster uses;
 * aggregators **hold-and-wait**: each epoch they merge whatever
   children delivered by their deadline (``hold_time ×`` node height) —
   or immediately once every expected child arrived — and forward the
@@ -23,14 +23,15 @@ The runtime reuses the existing role objects and
 interceptor from :mod:`repro.attacks` works here too — and sees
 retransmissions as extra attack opportunities, exactly like a real
 radio.  All scheduling is logical-clock based and seeded; see
-:meth:`RuntimeRunMetrics.ledger` for the determinism contract.
+:meth:`RuntimeRunMetrics.ledger` for the determinism contract.  Every
+run ends by checking the hop ledger's conservation laws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import SecurityError, SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
 from repro.network.simulator import QUERIER_NODE_ID, Workload
@@ -41,15 +42,16 @@ from repro.protocols.base import (
     SecureAggregationProtocol,
 )
 from repro.runtime.events import EventScheduler
-from repro.runtime.faults import FaultInjector, FaultPlan, KeyedFaultInjector
+from repro.runtime.faults import FaultPlan, KeyedFaultInjector
+from repro.runtime.hop import LATE, RetransmitPolicy, TransportObserver
 from repro.runtime.metrics import RuntimeEpochMetrics, RuntimeRunMetrics
-from repro.runtime.recovery import EpochRecovery, expected_contributions
-from repro.runtime.transport import (
-    ReliableTransport,
-    RetransmitPolicy,
-    TransportObserver,
-    TransportStats,
+from repro.runtime.recovery import (
+    Settlement,
+    expected_contributions,
+    settle_final,
+    settle_lost,
 )
+from repro.runtime.transport import ReliableTransport
 from repro.utils.validation import check_positive_int
 
 __all__ = ["RuntimeConfig", "RuntimeSimulator"]
@@ -81,15 +83,17 @@ class RuntimeConfig:
     evaluate: bool = True
     #: Source ids that are known-failed up front (never report).
     failed_sources: frozenset[int] = field(default_factory=frozenset)
-    #: When True, link verdicts come from the attempt-coordinate-keyed
-    #: oracle the TCP cluster uses (uid = epoch) instead of the
-    #: historical sequential per-edge streams: same seed + plan then
-    #: yields the *same* loss schedule as the cluster, making traces
-    #: comparable across substrates.  Keyed plans reject bursts/outages.
-    keyed_faults: bool = False
+    #: Selects nothing: link verdicts always come from the keyed oracle
+    #: the TCP cluster uses.  Accepted as ``True`` for existing callers.
+    keyed_faults: bool = True
 
     def __post_init__(self) -> None:
         check_positive_int("num_epochs", self.num_epochs)
+        if not self.keyed_faults:
+            raise ConfigurationError(
+                "the sequential fault streams are gone; the runtime always uses "
+                "the keyed fault oracle (keyed_faults=True)"
+            )
         if self.epoch_interval <= 0 or self.hold_time <= 0 or self.querier_slack < 0:
             raise SimulationError(
                 "epoch_interval and hold_time must be positive, querier_slack non-negative"
@@ -155,20 +159,13 @@ class RuntimeSimulator:
         # (encoded once per parcel, retransmitted byte-identically).
         self.channel = Channel(codec=protocol.wire_codec())
         self.scheduler = EventScheduler()
-        self.injector = FaultInjector(self.config.plan, seed=self.config.seed)
-        self.keyed_injector = (
-            KeyedFaultInjector(self.config.plan, seed=self.config.seed)
-            if self.config.keyed_faults
-            else None
-        )
+        self.keyed_injector = KeyedFaultInjector(self.config.plan, seed=self.config.seed)
         self.transport = ReliableTransport(
             self.scheduler,
-            self.injector,
+            self.keyed_injector,
             self.channel,
             self.config.policy,
             seed=self.config.seed,
-            stats=TransportStats(),
-            keyed=self.keyed_injector,
         )
 
         self.source_ops = OpCounter()
@@ -210,36 +207,13 @@ class RuntimeSimulator:
     def set_observer(self, observer: TransportObserver | None) -> None:
         """Install an observability hook over the whole runtime.
 
-        The hook receives every transport event (``attempt``, ``drop``,
-        ``deliver``, ``duplicate``, ``ack_lost``, ``give_up``) plus the
-        simulator-level ``late`` events for copies that arrived after
-        their receiver's merge deadline.  :mod:`repro.obs` builds the
-        unified trace from exactly this stream.
+        The hook receives every hop event of the
+        :class:`~repro.runtime.hop.HopEngine` (``attempt``, ``drop``,
+        ``deliver``, ``duplicate``, ``late``, ``ack_lost``,
+        ``give_up``).  :mod:`repro.obs` builds the unified trace from
+        exactly this stream.
         """
-        self.transport.observer = observer
-
-    def _edge_of(self, sender: int, receiver: int) -> EdgeClass:
-        if receiver == QUERIER_NODE_ID:
-            return EdgeClass.AGGREGATOR_TO_QUERIER
-        if sender in self._sources:
-            return EdgeClass.SOURCE_TO_AGGREGATOR
-        return EdgeClass.AGGREGATOR_TO_AGGREGATOR
-
-    def _notify_late(self, epoch: int, message: DataMessage) -> None:
-        observer = self.transport.observer
-        if observer is not None:
-            observer(
-                "late",
-                {
-                    "time": self.scheduler.now,
-                    "epoch": epoch,
-                    "uid": None,
-                    "attempt": None,
-                    "edge": self._edge_of(message.sender, message.receiver).value,
-                    "sender": message.sender,
-                    "receiver": message.receiver,
-                },
-            )
+        self.transport.engine.observer = observer
 
     # ------------------------------------------------------------------
     # Execution
@@ -280,7 +254,7 @@ class RuntimeSimulator:
             # Stragglers can arrive (and be classified late) after an
             # epoch finalized; fold in the final tally.
             em.late_arrivals = self._states[em.epoch].late_arrivals
-        metrics.transport = self.transport.stats
+        metrics.transport = self.transport.ledger
         metrics.traffic = self.channel.counters
         metrics.source_ops = self.source_ops
         metrics.aggregator_ops = self.aggregator_ops
@@ -288,6 +262,7 @@ class RuntimeSimulator:
         metrics.events_processed = self.scheduler.events_processed
         for em in metrics.epochs:
             metrics.recovery.record(em.recovery)
+        metrics.transport.check_conservation()
         return metrics
 
     # ------------------------------------------------------------------
@@ -296,24 +271,25 @@ class RuntimeSimulator:
 
     def _start_epoch(self, epoch: int) -> None:
         now = self.scheduler.now
-        attempted: list[int] = []
-        pre_failed: list[int] = []
-        for sid in self.tree.source_ids:
-            if sid in self.config.failed_sources or self.injector.node_down(sid, now):
-                pre_failed.append(sid)
-            else:
-                attempted.append(sid)
-        attempted_set = frozenset(attempted)
+        # A source down this epoch counts as a reported failure.
+        attempted = frozenset(
+            sid
+            for sid in self.tree.source_ids
+            if sid not in self.config.failed_sources
+            and not self.config.plan.node_down(sid, epoch)
+        )
         state = _EpochState(
             epoch,
             now,
-            attempted_set,
-            frozenset(pre_failed),
-            self._expected_contributions(attempted_set),
+            attempted,
+            frozenset(self.tree.source_ids) - attempted,
+            self._expected_contributions(attempted),
         )
         self._states[epoch] = state
 
-        for sid in attempted:
+        for sid in self.tree.source_ids:
+            if sid not in attempted:
+                continue
             value = self.workload(sid, epoch)
             psr = self._sources[sid].initialize(epoch, value)
             parent = self.tree.parent(sid)
@@ -339,36 +315,34 @@ class RuntimeSimulator:
         self.scheduler.call_at(querier_deadline, lambda e=epoch: self._finalize_lost(e))
 
     def _make_deliver(self, epoch: int):
-        def deliver(message: DataMessage, manifest: frozenset[int]) -> None:
-            self._on_delivery(epoch, message, manifest)
+        def deliver(message: DataMessage, manifest: frozenset[int]) -> str | None:
+            return self._on_delivery(epoch, message, manifest)
 
         return deliver
 
     def _on_delivery(
         self, epoch: int, message: DataMessage, manifest: frozenset[int]
-    ) -> None:
+    ) -> str | None:
+        """Hand a first copy to its receiver; :data:`LATE` past the deadline."""
         state = self._states[epoch]
         if message.receiver == QUERIER_NODE_ID:
-            self._on_final(state, message, manifest)
-            return
+            return self._on_final(state, message, manifest)
         aid = message.receiver
         if aid in state.merged:
             state.late_arrivals += 1
-            self._notify_late(epoch, message)
-            return
+            return LATE
         inbox = state.inboxes.setdefault(aid, [])
         inbox.append((message.psr, manifest))
         # Early merge: everything that can still arrive has arrived.
         if len(inbox) >= state.expected.get(aid, 0):
             self._merge(epoch, aid)
+        return None
 
     def _merge(self, epoch: int, aid: int) -> None:
         state = self._states[epoch]
         if aid in state.merged:
             return  # early merge already ran; the deadline event no-ops
         state.merged.add(aid)
-        if self.injector.node_down(aid, self.scheduler.now):
-            return  # a crashed aggregator forwards nothing; subtree is lost
         received = state.inboxes.pop(aid, [])
         if not received:
             return  # whole subtree failed/undelivered this epoch
@@ -394,61 +368,43 @@ class RuntimeSimulator:
 
     def _on_final(
         self, state: _EpochState, message: DataMessage, manifest: frozenset[int]
-    ) -> None:
+    ) -> str | None:
         if state.finalized:
             state.late_arrivals += 1
-            self._notify_late(state.epoch, message)
-            return
+            return LATE
         state.finalized = True
-        recovery = EpochRecovery.from_final_manifest(
+        settlement = settle_final(
+            self._querier,
             state.epoch,
+            message.psr,
             attempted=state.attempted,
             manifest=manifest,
             pre_failed=state.pre_failed,
+            num_sources=self.tree.num_sources,
+            evaluate=self.config.evaluate,
         )
-        em = RuntimeEpochMetrics(
-            epoch=state.epoch,
-            recovery=recovery,
-            completion_latency=self.scheduler.now - state.start_time,
-            late_arrivals=state.late_arrivals,
-        )
-        if self.config.evaluate:
-            subset = recovery.reporting_subset(self.tree.num_sources)
-            try:
-                em.result = self._querier.evaluate(
-                    state.epoch, message.psr, reporting_sources=subset
-                )
-            except SecurityError as exc:
-                em.security_failure = type(exc).__name__
-        if self._metrics is None:
-            raise SimulationError("epoch finalized outside an active run()")
-        self._metrics.epochs.append(em)
+        self._record(state, settlement, self.scheduler.now - state.start_time)
+        return None
 
     def _finalize_lost(self, epoch: int) -> None:
-        """Querier deadline: nothing arrived — record the epoch as lost.
-
-        ``MessageLost`` (sources reported but the network swallowed
-        every path to the querier) is kept distinct from ``NoResult``
-        (nothing was ever sent, e.g. all sources pre-failed), matching
-        :class:`~repro.network.simulator.NetworkSimulator` semantics.
-        """
+        """Querier deadline: nothing arrived — record the epoch as lost."""
         state = self._states[epoch]
         if state.finalized:
             return  # the happy path already evaluated this epoch
         state.finalized = True
-        recovery = EpochRecovery(
-            epoch=epoch,
-            attempted=state.attempted,
-            survivors=frozenset(),
-            pre_failed=state.pre_failed,
-            converged=False,
-        )
-        em = RuntimeEpochMetrics(
-            epoch=epoch,
-            recovery=recovery,
-            security_failure="MessageLost" if state.attempted else "NoResult",
-            late_arrivals=state.late_arrivals,
-        )
+        settlement = settle_lost(epoch, attempted=state.attempted, pre_failed=state.pre_failed)
+        self._record(state, settlement, 0.0)
+
+    def _record(self, state: _EpochState, settlement: Settlement, latency: float) -> None:
         if self._metrics is None:
             raise SimulationError("epoch finalized outside an active run()")
-        self._metrics.epochs.append(em)
+        self._metrics.epochs.append(
+            RuntimeEpochMetrics(
+                epoch=state.epoch,
+                recovery=settlement.recovery,
+                result=settlement.result,
+                security_failure=settlement.security_failure,
+                completion_latency=latency,
+                late_arrivals=state.late_arrivals,
+            )
+        )

@@ -1,24 +1,19 @@
-"""Per-hop reliable delivery: ACKs, timeouts, retransmission, dedup.
+"""The event-scheduler driver of the per-hop ARQ.
 
-Real WSN MAC layers retransmit unacknowledged frames a bounded number
-of times; SIES rides on that and recovers whatever still gets lost via
-the reporting-subset mechanism.  This module models the MAC half:
+Every decision of the hop — verdicts, copies, timeouts, give-up, dedup,
+ACK fate, accounting — comes from :class:`~repro.runtime.hop.HopEngine`.
+This module only turns those answers into scheduler events:
 
-* every application send becomes a :class:`Parcel` with a unique id;
-* each physical attempt passes through the legitimate
+* each physical attempt first passes through the legitimate
   :class:`~repro.network.channel.Channel` (so adversary interceptors
-  and byte counters see retransmissions exactly like first attempts)
-  and then through the :class:`~repro.runtime.faults.FaultInjector`;
-* the receiver delivers the first copy to the application, suppresses
-  duplicates by parcel id, and always returns a transport-level ACK
-  (itself subject to link faults on the reverse direction);
-* the sender arms a retransmission timer per attempt — exponential
-  backoff with deterministic jitter — and gives up after the retry
-  budget, invoking the sender's failure callback.
-
-A sender "giving up" does **not** retract a copy that actually arrived
-(the ACK may be the lost half): correctness downstream derives from
-what receivers really merged, never from sender-side beliefs.
+  and byte counters see retransmissions exactly like first attempts);
+  the frame is encoded once per parcel and every attempt replays the
+  identical bytes;
+* every surviving copy becomes an arrival event after its keyed link
+  latency, every surviving ACK an ACK event after its keyed return
+  latency;
+* every attempt arms a retransmission timer, whatever the link did —
+  the sender cannot observe loss, only missing ACKs.
 """
 
 from __future__ import annotations
@@ -26,158 +21,56 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.errors import ParameterError
 from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
 from repro.runtime.events import EventScheduler, ScheduledEvent
-from repro.runtime.faults import FaultInjector, KeyedFaultInjector
-from repro.utils.rng import DeterministicRandom
+from repro.runtime.faults import KeyedFaultInjector
+from repro.runtime.hop import DELIVERED, HopEngine, HopLedger, Parcel, RetransmitPolicy
 
-__all__ = [
-    "RetransmitPolicy",
-    "Parcel",
-    "TransportStats",
-    "ReliableTransport",
-    "TransportObserver",
-]
+__all__ = ["RetransmitPolicy", "RuntimeParcel", "ReliableTransport"]
 
-#: Application delivery callback: (delivered message, manifest).
-DeliverFn = Callable[[DataMessage, frozenset[int]], None]
+#: Application delivery callback: (delivered message, manifest).  May
+#: return :data:`~repro.runtime.hop.LATE` to classify the copy as late;
+#: anything else counts as delivered.
+DeliverFn = Callable[[DataMessage, frozenset[int]], "str | None"]
 #: Sender-side failure callback once the retry budget is exhausted.
-FailFn = Callable[["Parcel"], None]
-#: Observability hook: ``(event kind, attributes)`` per transport event.
-#: Kinds: ``attempt``, ``drop``, ``deliver``, ``duplicate``, ``ack_lost``,
-#: ``give_up``.  Kept as a plain callable so the transport stays below
-#: :mod:`repro.obs` in the layering (the adapter lives up there).
-TransportObserver = Callable[[str, dict], None]
+FailFn = Callable[["RuntimeParcel"], None]
 
 
-@dataclass(frozen=True)
-class RetransmitPolicy:
-    """Retry budget and backoff shape of the per-hop ARQ.
+@dataclass(eq=False)
+class RuntimeParcel(Parcel):
+    """A parcel plus the runtime's in-flight state."""
 
-    Attempt ``a`` (0-based) waits ``ack_timeout * backoff**a`` scaled
-    by ``1 + uniform(0, jitter)`` before retransmitting — classic
-    truncated exponential backoff with jitter to de-synchronize
-    colliding retransmitters.
-    """
-
-    max_retries: int = 4
-    ack_timeout: float = 12.0
-    backoff: float = 2.0
-    jitter: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ParameterError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.ack_timeout <= 0:
-            raise ParameterError(f"ack_timeout must be positive, got {self.ack_timeout}")
-        if self.backoff < 1.0:
-            raise ParameterError(f"backoff must be >= 1, got {self.backoff}")
-        if self.jitter < 0:
-            raise ParameterError(f"jitter must be non-negative, got {self.jitter}")
-
-    def timeout_for(self, attempt: int, u: float) -> float:
-        """Deadline delay before retransmission *attempt+1* (``u ∈ [0,1)``)."""
-        return self.ack_timeout * (self.backoff**attempt) * (1.0 + self.jitter * u)
-
-    @property
-    def max_attempts(self) -> int:
-        return self.max_retries + 1
-
-    def worst_case_span(self) -> float:
-        """Upper bound on time from first send to giving up (no latencies)."""
-        return sum(
-            self.timeout_for(attempt, 1.0) for attempt in range(self.max_attempts)
-        )
-
-
-@dataclass
-class Parcel:
-    """One application-level send in flight across a single hop."""
-
-    uid: int
-    message: DataMessage
-    edge: EdgeClass
-    manifest: frozenset[int]
+    message: DataMessage | None = None
     on_deliver: DeliverFn | None = None
     on_fail: FailFn | None = None
-    attempts: int = 0
-    acked: bool = False
-    failed: bool = False
     timer: ScheduledEvent | None = field(default=None, repr=False)
-    #: Cached wire encoding from the first attempt — retransmissions put
-    #: byte-identical frames on the air, as a real MAC layer would.
+    #: Wire encoding from the first attempt, replayed by retransmissions.
     frame: bytes | None = field(default=None, repr=False)
 
 
-@dataclass
-class TransportStats:
-    """Per-edge-class ARQ counters — part of the deterministic ledger."""
-
-    attempts: dict[EdgeClass, int] = field(default_factory=dict)
-    retransmissions: dict[EdgeClass, int] = field(default_factory=dict)
-    delivered: dict[EdgeClass, int] = field(default_factory=dict)
-    duplicates_suppressed: dict[EdgeClass, int] = field(default_factory=dict)
-    acks_sent: dict[EdgeClass, int] = field(default_factory=dict)
-    acks_lost: dict[EdgeClass, int] = field(default_factory=dict)
-    gave_up: dict[EdgeClass, int] = field(default_factory=dict)
-
-    @staticmethod
-    def _bump(counter: dict[EdgeClass, int], edge: EdgeClass, by: int = 1) -> None:
-        counter[edge] = counter.get(edge, 0) + by
-
-    def as_dict(self) -> dict[str, dict[str, int]]:
-        """Canonical JSON-friendly form (keys sorted for run diffing)."""
-        return {
-            name: {edge.value: count for edge, count in sorted(
-                getattr(self, name).items(), key=lambda item: item[0].value
-            )}
-            for name in (
-                "attempts",
-                "retransmissions",
-                "delivered",
-                "duplicates_suppressed",
-                "acks_sent",
-                "acks_lost",
-                "gave_up",
-            )
-        }
-
-
 class ReliableTransport:
-    """The per-hop ARQ engine shared by every node of the runtime."""
+    """Drives one :class:`HopEngine` for every hop of the runtime."""
 
     def __init__(
         self,
         scheduler: EventScheduler,
-        injector: FaultInjector,
+        injector: KeyedFaultInjector,
         channel: Channel,
         policy: RetransmitPolicy,
         *,
         seed: int = 0,
-        stats: TransportStats | None = None,
-        keyed: KeyedFaultInjector | None = None,
-        observer: TransportObserver | None = None,
     ) -> None:
         self.scheduler = scheduler
         self.injector = injector
         self.channel = channel
-        self.policy = policy
-        self.stats = stats if stats is not None else TransportStats()
-        #: When set, link verdicts come from the attempt-coordinate-keyed
-        #: oracle (parcel uid = epoch, matching the TCP cluster) instead
-        #: of the sequential per-edge streams — same seed, same loss
-        #: schedule as the cluster, the basis of cross-substrate trace
-        #: comparison.  ``None`` preserves the historical sequential
-        #: draws bit for bit.
-        self.keyed = keyed
-        #: Optional observability hook (see :data:`TransportObserver`).
-        self.observer = observer
-        self._backoff_rng = DeterministicRandom(seed, "transport", "backoff")
-        self._next_uid = 0
-        #: Parcel uids already delivered to the application at each receiver.
-        self._seen: dict[int, set[int]] = {}
+        self.engine = HopEngine(
+            injector, policy, HopLedger(), seed=seed, now=lambda: scheduler.now
+        )
+
+    @property
+    def ledger(self) -> HopLedger:
+        return self.engine.ledger
 
     def send(
         self,
@@ -187,162 +80,58 @@ class ReliableTransport:
         *,
         on_deliver: DeliverFn | None = None,
         on_fail: FailFn | None = None,
-    ) -> Parcel:
-        """Hand one message to the ARQ; callbacks fire as events."""
-        parcel = Parcel(
-            uid=self._next_uid,
-            message=message,
+    ) -> RuntimeParcel:
+        """Hand one message (its epoch is the parcel uid) to the ARQ."""
+        parcel = RuntimeParcel(
+            sender=message.sender,
+            receiver=message.receiver,
             edge=edge,
+            uid=message.epoch,
             manifest=manifest,
+            message=message,
             on_deliver=on_deliver,
             on_fail=on_fail,
         )
-        self._next_uid += 1
         self._attempt(parcel)
         return parcel
 
-    # ------------------------------------------------------------------
-    # Sender side
-    # ------------------------------------------------------------------
-
-    def _attempt(self, parcel: Parcel) -> None:
-        attempt_index = parcel.attempts
-        parcel.attempts += 1
-        TransportStats._bump(self.stats.attempts, parcel.edge)
-        if attempt_index > 0:
-            TransportStats._bump(self.stats.retransmissions, parcel.edge)
-
+    def _attempt(self, parcel: RuntimeParcel) -> None:
         message = parcel.message
-        # The legitimate transmission: byte counters and adversary
-        # interceptors apply per physical attempt — retransmissions
-        # cost real radio bytes and give the adversary another shot.
-        # Encode exactly once per parcel; every attempt replays the
-        # identical frame bytes.
         if self.channel.codec is not None and parcel.frame is None:
             parcel.frame = self.channel.codec.encode(message.psr)
         outcome = self.channel.transmit(message, parcel.edge, frame=parcel.frame)
-        self._notify("attempt", parcel, attempt_index)
-        if outcome is not None:
-            if self.keyed is not None:
-                kv = self.keyed.data_verdict(
-                    message.sender, message.receiver, parcel.edge, message.epoch, attempt_index
-                )
-                latencies: tuple[float, ...] = ()
-                if not kv.lost:
-                    latencies = self.keyed.data_latencies(
-                        message.sender,
-                        message.receiver,
-                        parcel.edge,
-                        message.epoch,
-                        attempt_index,
-                        kv.copies,
-                    )
-            else:
-                verdict = self.injector.attempt(
-                    message.sender, message.receiver, parcel.edge, self.scheduler.now
-                )
-                latencies = verdict.latencies
-            if not latencies:
-                self._notify("drop", parcel, attempt_index, cause="link")
-            for latency in latencies:
+        copies, timeout = self.engine.attempt(parcel, swallowed=outcome is None)
+        if copies:
+            index = parcel.attempts - 1
+            for latency in self.injector.data_latencies(
+                parcel.sender, parcel.receiver, parcel.edge, parcel.uid, index, copies
+            ):
                 self.scheduler.call_later(
-                    latency,
-                    lambda m=outcome, p=parcel, a=attempt_index: self._arrive(p, m, a),
+                    latency, lambda m=outcome, a=index: self._arrive(parcel, m, a)
                 )
-        else:
-            # The channel itself swallowed the frame (adversary drop or
-            # decode failure) before the link lottery even ran.
-            self._notify("drop", parcel, attempt_index, cause="channel")
+        parcel.timer = self.scheduler.call_later(timeout, lambda: self._expire(parcel))
 
-        # Arm the retransmission timer regardless of what the link did —
-        # the sender cannot observe loss, only missing ACKs.
-        if attempt_index < self.policy.max_retries:
-            delay = self.policy.timeout_for(attempt_index, self._backoff_rng.random())
-            parcel.timer = self.scheduler.call_later(
-                delay, lambda p=parcel: self._retransmit(p)
-            )
-        else:
-            delay = self.policy.timeout_for(attempt_index, self._backoff_rng.random())
-            parcel.timer = self.scheduler.call_later(
-                delay, lambda p=parcel: self._give_up(p)
-            )
-
-    def _retransmit(self, parcel: Parcel) -> None:
-        if parcel.acked:
-            return
-        self._attempt(parcel)
-
-    def _give_up(self, parcel: Parcel) -> None:
-        if parcel.acked:
-            return
-        parcel.failed = True
-        TransportStats._bump(self.stats.gave_up, parcel.edge)
-        self._notify("give_up", parcel, parcel.attempts - 1)
-        if parcel.on_fail is not None:
+    def _expire(self, parcel: RuntimeParcel) -> None:
+        if self.engine.expire(parcel):
+            self._attempt(parcel)
+        elif parcel.failed and parcel.on_fail is not None:
             parcel.on_fail(parcel)
 
-    def _notify(self, kind: str, parcel: Parcel, attempt_index: int, **extra: object) -> None:
-        if self.observer is None:
-            return
-        message = parcel.message
-        attrs: dict = {
-            "time": self.scheduler.now,
-            "epoch": message.epoch,
-            "uid": parcel.uid,
-            "attempt": attempt_index,
-            "edge": parcel.edge.value,
-            "sender": message.sender,
-            "receiver": message.receiver,
-        }
-        attrs.update(extra)
-        self.observer(kind, attrs)
+    def _arrive(self, parcel: RuntimeParcel, message: DataMessage, attempt: int) -> None:
+        def classify() -> str:
+            if parcel.on_deliver is None:
+                return DELIVERED
+            return parcel.on_deliver(message, parcel.manifest) or DELIVERED
 
-    # ------------------------------------------------------------------
-    # Receiver side
-    # ------------------------------------------------------------------
-
-    def _arrive(self, parcel: Parcel, message: DataMessage, attempt_index: int) -> None:
-        receiver = message.receiver
-        now = self.scheduler.now
-        if self.injector.node_down(receiver, now):
-            return  # a crashed node neither delivers nor ACKs
-        seen = self._seen.setdefault(receiver, set())
-        if parcel.uid in seen:
-            TransportStats._bump(self.stats.duplicates_suppressed, parcel.edge)
-            self._notify("duplicate", parcel, attempt_index)
-        else:
-            seen.add(parcel.uid)
-            TransportStats._bump(self.stats.delivered, parcel.edge)
-            self._notify("deliver", parcel, attempt_index)
-            if parcel.on_deliver is not None:
-                parcel.on_deliver(message, parcel.manifest)
-        # The transport ACKs every copy (the sender may have missed the
-        # previous ACK); the reverse direction suffers the same faults.
-        TransportStats._bump(self.stats.acks_sent, parcel.edge)
-        if self.keyed is not None:
-            if self.keyed.ack_verdict(
-                message.sender, receiver, parcel.edge, message.epoch, attempt_index
-            ):
-                TransportStats._bump(self.stats.acks_lost, parcel.edge)
-                self._notify("ack_lost", parcel, attempt_index)
-                return
-            delay = self.keyed.ack_latency(
-                message.sender, receiver, parcel.edge, message.epoch, attempt_index
+        if self.engine.receive(
+            parcel.sender, parcel.receiver, parcel.edge, parcel.uid, attempt, classify
+        ):
+            delay = self.injector.ack_latency(
+                parcel.sender, parcel.receiver, parcel.edge, parcel.uid, attempt
             )
-        else:
-            verdict = self.injector.attempt(receiver, message.sender, parcel.edge, now)
-            if verdict.lost:
-                TransportStats._bump(self.stats.acks_lost, parcel.edge)
-                self._notify("ack_lost", parcel, attempt_index)
-                return
-            delay = verdict.latencies[0]
-        # Multiple ACK copies collapse into the first; extras are no-ops.
-        self.scheduler.call_later(delay, lambda p=parcel: self._ack(p))
+            self.scheduler.call_later(delay, lambda: self._ack(parcel))
 
-    def _ack(self, parcel: Parcel) -> None:
-        if parcel.acked:
-            return
-        parcel.acked = True
-        if parcel.timer is not None:
+    def _ack(self, parcel: RuntimeParcel) -> None:
+        if self.engine.ack_arrived(parcel.edge, parcel) and parcel.timer is not None:
             parcel.timer.cancel()
             parcel.timer = None

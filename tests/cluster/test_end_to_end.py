@@ -21,7 +21,7 @@ import asyncio
 
 import pytest
 
-from repro.cluster.faults import StreamFaultInjector, parcel_fate
+from repro.cluster.faults import parcel_fate
 from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator, run_cluster
 from repro.core.protocol import SIESProtocol
 from repro.datasets.workload import DomainScaledWorkload
@@ -30,7 +30,7 @@ from repro.network.channel import EdgeClass
 from repro.network.simulator import QUERIER_NODE_ID
 from repro.network.topology import build_complete_tree
 from repro.runtime import FaultPlan, RuntimeConfig, RuntimeSimulator
-from repro.runtime.faults import BurstLoss
+from repro.runtime.faults import BurstLoss, KeyedFaultInjector, NodeOutage
 from repro.runtime.transport import RetransmitPolicy
 from repro.wire.frame import HEADER_LEN
 
@@ -48,7 +48,7 @@ def oracle_survivors(
 ) -> frozenset[int]:
     """Replay the keyed fault schedule bottom-up: a source survives iff
     every hop on its path to the querier delivers its epoch parcel."""
-    injector = StreamFaultInjector(plan, seed=seed)
+    injector = KeyedFaultInjector(plan, seed=seed)
 
     def hop_delivers(nid: int) -> bool:
         parent = tree.parent(nid)
@@ -189,15 +189,20 @@ class TestConfigurationRejections:
                 DomainScaledWorkload(4, scale=100, seed=1),
             )
 
-    def test_time_windowed_plan_rejected(self) -> None:
-        config = ClusterConfig(plan=FaultPlan(bursts=(BurstLoss(start=0.0, end=1.0),)))
-        with pytest.raises(ConfigurationError):
-            EpochOrchestrator(
-                SIESProtocol(4, seed=1),
-                build_complete_tree(4, 2),
-                DomainScaledWorkload(4, scale=100, seed=1),
-                config,
-            )
+    def test_epoch_windowed_plan_accepted(self) -> None:
+        plan = FaultPlan(
+            bursts=(BurstLoss(first_epoch=1, last_epoch=1),),
+            outages=(NodeOutage(node_id=0, first_epoch=2),),
+        )
+        orchestrator = EpochOrchestrator(
+            SIESProtocol(4, seed=1),
+            build_complete_tree(4, 2),
+            DomainScaledWorkload(4, scale=100, seed=1),
+            ClusterConfig(plan=plan),
+        )
+        edge = EdgeClass.SOURCE_TO_AGGREGATOR
+        assert orchestrator.injector.data_verdict(1, 5, edge, 1, 0).lost
+        assert orchestrator.injector.data_verdict(1, 0, edge, 2, 0).lost
 
     def test_invalid_knobs_rejected(self) -> None:
         with pytest.raises(Exception):

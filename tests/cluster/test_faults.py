@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from repro.cluster.faults import StreamFaultInjector, StreamVerdict, parcel_fate
-from repro.errors import ConfigurationError
+from repro.cluster.faults import parcel_fate
 from repro.network.channel import EdgeClass
-from repro.runtime.faults import BurstLoss, FaultPlan, LinkProfile, NodeOutage
+from repro.runtime.faults import (
+    BurstLoss,
+    FaultPlan,
+    KeyedFaultInjector,
+    KeyedVerdict,
+    LinkProfile,
+    NodeOutage,
+)
 from repro.runtime.transport import RetransmitPolicy
 
 EDGE = EdgeClass.SOURCE_TO_AGGREGATOR
@@ -29,8 +33,8 @@ COORDS = [
 class TestDeterminism:
     def test_verdict_is_a_pure_function_of_the_coordinate(self) -> None:
         """Same seed, any call order / interleaving → same verdicts."""
-        forward = StreamFaultInjector(PLAN, seed=11)
-        shuffled = StreamFaultInjector(PLAN, seed=11)
+        forward = KeyedFaultInjector(PLAN, seed=11)
+        shuffled = KeyedFaultInjector(PLAN, seed=11)
         expected = {c: forward.data_verdict(c[0], c[1], EDGE, c[2], c[3]) for c in COORDS}
         order = list(COORDS)
         random.Random(4).shuffle(order)
@@ -41,8 +45,8 @@ class TestDeterminism:
             assert forward.data_verdict(c[0], c[1], EDGE, c[2], c[3]) == expected[c]
 
     def test_different_seeds_give_different_schedules(self) -> None:
-        a = StreamFaultInjector(PLAN, seed=1)
-        b = StreamFaultInjector(PLAN, seed=2)
+        a = KeyedFaultInjector(PLAN, seed=1)
+        b = KeyedFaultInjector(PLAN, seed=2)
         assert any(
             a.data_verdict(c[0], c[1], EDGE, c[2], c[3])
             != b.data_verdict(c[0], c[1], EDGE, c[2], c[3])
@@ -52,7 +56,7 @@ class TestDeterminism:
     def test_ack_draw_is_independent_of_data_draw(self) -> None:
         """A lost packet and a lost ACK must be uncorrelated (distinct
         keyed streams), so the two verdict sequences cannot coincide."""
-        injector = StreamFaultInjector(FaultPlan.uniform_loss(0.5), seed=3)
+        injector = KeyedFaultInjector(FaultPlan.uniform_loss(0.5), seed=3)
         data = [injector.data_verdict(c[0], c[1], EDGE, c[2], c[3]).lost for c in COORDS]
         acks = [injector.ack_verdict(c[0], c[1], EDGE, c[2], c[3]) for c in COORDS]
         assert data != acks
@@ -60,27 +64,27 @@ class TestDeterminism:
 
 class TestRates:
     def test_lossless_plan_never_drops(self) -> None:
-        injector = StreamFaultInjector(FaultPlan.lossless(), seed=5)
+        injector = KeyedFaultInjector(FaultPlan.lossless(), seed=5)
         for c in COORDS:
-            assert injector.data_verdict(c[0], c[1], EDGE, c[2], c[3]) == StreamVerdict(
+            assert injector.data_verdict(c[0], c[1], EDGE, c[2], c[3]) == KeyedVerdict(
                 lost=False, copies=1
             )
             assert injector.ack_verdict(c[0], c[1], EDGE, c[2], c[3]) is False
 
     def test_total_loss_always_drops(self) -> None:
-        injector = StreamFaultInjector(FaultPlan.uniform_loss(1.0), seed=5)
+        injector = KeyedFaultInjector(FaultPlan.uniform_loss(1.0), seed=5)
         for c in COORDS:
             verdict = injector.data_verdict(c[0], c[1], EDGE, c[2], c[3])
             assert verdict.lost and verdict.copies == 0
 
     def test_duplicate_rate_one_always_writes_two_copies(self) -> None:
         plan = FaultPlan(default_profile=LinkProfile(duplicate_rate=1.0))
-        injector = StreamFaultInjector(plan, seed=5)
+        injector = KeyedFaultInjector(plan, seed=5)
         for c in COORDS:
             assert injector.data_verdict(c[0], c[1], EDGE, c[2], c[3]).copies == 2
 
     def test_empirical_loss_rate_tracks_the_profile(self) -> None:
-        injector = StreamFaultInjector(FaultPlan.uniform_loss(0.2), seed=9)
+        injector = KeyedFaultInjector(FaultPlan.uniform_loss(0.2), seed=9)
         lost = sum(
             injector.data_verdict(0, 1, EDGE, uid, 0).lost for uid in range(4000)
         )
@@ -91,12 +95,12 @@ class TestRates:
             default_profile=LinkProfile(loss_rate=0.0),
             profiles={EdgeClass.AGGREGATOR_TO_QUERIER: LinkProfile(loss_rate=1.0)},
         )
-        injector = StreamFaultInjector(plan, seed=5)
+        injector = KeyedFaultInjector(plan, seed=5)
         assert not injector.data_verdict(0, 1, EDGE, 1, 0).lost
         assert injector.data_verdict(0, -1, EdgeClass.AGGREGATOR_TO_QUERIER, 1, 0).lost
 
     def test_verdict_diagnostics_count_per_edge(self) -> None:
-        injector = StreamFaultInjector(PLAN, seed=5)
+        injector = KeyedFaultInjector(PLAN, seed=5)
         injector.data_verdict(0, 1, EDGE, 1, 0)
         injector.data_verdict(0, 1, EdgeClass.AGGREGATOR_TO_QUERIER, 1, 0)
         injector.data_verdict(0, 1, EDGE, 1, 1)
@@ -106,33 +110,40 @@ class TestRates:
         }
 
 
-class TestTimeWindowedFeaturesRejected:
-    def test_bursts_rejected(self) -> None:
-        plan = FaultPlan(bursts=(BurstLoss(start=0.0, end=5.0),))
-        with pytest.raises(ConfigurationError):
-            StreamFaultInjector(plan, seed=0)
+class TestEpochWindowedFeatures:
+    def test_bursts_apply_inside_their_epoch_window(self) -> None:
+        plan = FaultPlan(bursts=(BurstLoss(first_epoch=2, last_epoch=3, edge_class=EDGE),))
+        injector = KeyedFaultInjector(plan, seed=0)
+        assert parcel_fate(injector, POLICY, 0, 1, EDGE, 1) == (True, 1)
+        assert parcel_fate(injector, POLICY, 0, 1, EDGE, 2) == (False, POLICY.max_attempts)
+        assert parcel_fate(injector, POLICY, 0, 1, EDGE, 4) == (True, 1)
+        # Other edge classes never see the burst.
+        other = EdgeClass.AGGREGATOR_TO_QUERIER
+        assert parcel_fate(injector, POLICY, 0, 1, other, 2) == (True, 1)
 
-    def test_outages_rejected(self) -> None:
-        plan = FaultPlan(outages=(NodeOutage(node_id=3, start=0.0, end=5.0),))
-        with pytest.raises(ConfigurationError):
-            StreamFaultInjector(plan, seed=0)
+    def test_outages_swallow_every_attempt_to_the_down_node(self) -> None:
+        plan = FaultPlan(outages=(NodeOutage(node_id=3, first_epoch=1, last_epoch=5),))
+        injector = KeyedFaultInjector(plan, seed=0)
+        assert parcel_fate(injector, POLICY, 0, 3, EDGE, 5) == (False, POLICY.max_attempts)
+        assert parcel_fate(injector, POLICY, 0, 3, EDGE, 6) == (True, 1)
+        assert parcel_fate(injector, POLICY, 0, 1, EDGE, 5) == (True, 1)
 
 
 class TestParcelFate:
     def test_lossless_delivers_first_attempt(self) -> None:
-        injector = StreamFaultInjector(FaultPlan.lossless(), seed=0)
+        injector = KeyedFaultInjector(FaultPlan.lossless(), seed=0)
         assert parcel_fate(injector, POLICY, 0, 1, EDGE, 1) == (True, 1)
 
     def test_total_loss_exhausts_the_budget(self) -> None:
-        injector = StreamFaultInjector(FaultPlan.uniform_loss(1.0), seed=0)
+        injector = KeyedFaultInjector(FaultPlan.uniform_loss(1.0), seed=0)
         assert parcel_fate(injector, POLICY, 0, 1, EDGE, 1) == (False, POLICY.max_attempts)
 
     def test_fate_matches_a_manual_replay(self) -> None:
         """parcel_fate is definitionally the ARQ replayed against the
         schedule: an attempt delivers iff not lost, and the sender stops
         at the first attempt whose ACK also survives."""
-        injector = StreamFaultInjector(FaultPlan.uniform_loss(0.45), seed=13)
-        oracle = StreamFaultInjector(FaultPlan.uniform_loss(0.45), seed=13)
+        injector = KeyedFaultInjector(FaultPlan.uniform_loss(0.45), seed=13)
+        oracle = KeyedFaultInjector(FaultPlan.uniform_loss(0.45), seed=13)
         for uid in range(300):
             delivered, attempts = parcel_fate(injector, POLICY, 2, 5, EDGE, uid)
             assert 1 <= attempts <= POLICY.max_attempts
@@ -148,7 +159,7 @@ class TestParcelFate:
 
     def test_delivery_rate_beats_single_attempt_loss(self) -> None:
         """Five attempts at 30% loss → ~(1 - 0.3^5) of parcels deliver."""
-        injector = StreamFaultInjector(PLAN, seed=17)
+        injector = KeyedFaultInjector(PLAN, seed=17)
         delivered = sum(
             parcel_fate(injector, POLICY, 0, 1, EDGE, uid)[0] for uid in range(1500)
         )

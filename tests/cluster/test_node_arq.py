@@ -14,13 +14,13 @@ import asyncio
 import pytest
 
 from repro.cluster.clock import ClusterClock
-from repro.cluster.faults import StreamFaultInjector, parcel_fate
-from repro.cluster.metrics import ClusterTrafficLedger
+from repro.cluster.faults import parcel_fate
 from repro.cluster.node import AggregatorNode, SourceNode
 from repro.core.protocol import SIESProtocol
 from repro.errors import SimulationError
 from repro.network.channel import EdgeClass
-from repro.runtime.faults import FaultPlan, LinkProfile
+from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile
+from repro.runtime.hop import HopLedger
 from repro.runtime.transport import RetransmitPolicy
 
 EDGE = EdgeClass.SOURCE_TO_AGGREGATOR
@@ -38,8 +38,8 @@ class _Hop:
     """A live source→aggregator link plus its accounting."""
 
     def __init__(self, plan: FaultPlan, policy: RetransmitPolicy, seed: int) -> None:
-        self.ledger = ClusterTrafficLedger()
-        self.injector = StreamFaultInjector(plan, seed=seed)
+        self.ledger = HopLedger()
+        self.injector = KeyedFaultInjector(plan, seed=seed)
         common = dict(
             ledger=self.ledger,
             injector=self.injector,
@@ -138,7 +138,7 @@ def test_give_up_does_not_retract_a_delivered_copy() -> None:
     really holds the PSR — downstream truth comes from receiver state."""
     plan = FaultPlan.uniform_loss(0.5)
     seed = 23
-    probe = StreamFaultInjector(plan, seed=seed)
+    probe = KeyedFaultInjector(plan, seed=seed)
     uid = None
     for candidate in range(1, 4000):
         delivered = acked = False
@@ -183,7 +183,7 @@ def test_lossy_epochs_match_the_parcel_fate_oracle() -> None:
             return hop, outcomes
 
     hop, outcomes = _run(scenario())
-    oracle = StreamFaultInjector(plan, seed=seed)
+    oracle = KeyedFaultInjector(plan, seed=seed)
     fates = {
         epoch: parcel_fate(oracle, IMPATIENT, 0, 1, EDGE, epoch) for epoch in epochs
     }
@@ -200,7 +200,7 @@ def test_lossy_epochs_match_the_parcel_fate_oracle() -> None:
             assert outcomes[epoch] is False
 
     _run_again_is_identical = {
-        epoch: parcel_fate(StreamFaultInjector(plan, seed=seed), IMPATIENT, 0, 1, EDGE, epoch)
+        epoch: parcel_fate(KeyedFaultInjector(plan, seed=seed), IMPATIENT, 0, 1, EDGE, epoch)
         for epoch in epochs
     }
     assert _run_again_is_identical == fates

@@ -1,4 +1,4 @@
-"""The tentpole acceptance test: one trace schema across substrates.
+"""One trace schema across substrates.
 
 Same seed, tree, workload and fault plan through the keyed event
 runtime and the asyncio TCP cluster must yield *identical*
@@ -17,8 +17,9 @@ from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator
 from repro.core.protocol import SIESProtocol
 from repro.datasets.workload import DomainScaledWorkload
 from repro.network.topology import build_complete_tree
+from repro.network.channel import EdgeClass
 from repro.obs import TraceRecorder, TransportTraceAdapter, diff_traces
-from repro.runtime import FaultPlan, RuntimeConfig, RuntimeSimulator
+from repro.runtime import BurstLoss, FaultPlan, NodeOutage, RuntimeConfig, RuntimeSimulator
 
 pytestmark = pytest.mark.cluster
 
@@ -122,3 +123,56 @@ def test_lossless_traces_have_no_drops_and_full_delivery() -> None:
             assert len(per_epoch["delivered"]) == hops
     verdict = diff_traces(runtime_rec.events, cluster_rec.events)
     assert verdict.agrees
+
+
+def _assert_substrates_agree(n, fanout, epochs, seed, plan):
+    runtime_rec, runtime_metrics = _runtime_trace(n, fanout, epochs, seed, plan)
+    cluster_rec, cluster_metrics = _cluster_trace(n, fanout, epochs, seed, plan)
+    verdict = diff_traces(
+        runtime_rec.events, cluster_rec.events, label_a="runtime", label_b="cluster"
+    )
+    assert verdict.agrees, verdict.describe()
+    workload = DomainScaledWorkload(n, scale=100, seed=seed)
+    for rt_epoch, cl_epoch in zip(runtime_metrics.epochs, cluster_metrics.epochs, strict=True):
+        assert rt_epoch.recovery.survivors == cl_epoch.recovery.survivors
+        for em in (rt_epoch, cl_epoch):
+            assert em.accepted, f"epoch {em.epoch}: {em.security_failure}"
+            expected = sum(workload(sid, em.epoch) for sid in em.recovery.survivors)
+            assert em.result is not None and em.result.value == expected
+    return runtime_rec, runtime_metrics
+
+
+def test_traces_agree_with_an_aggregator_down_for_epochs_one_and_two() -> None:
+    n, fanout = 8, 2
+    tree = build_complete_tree(n, fanout)
+    aggregator = tree.parent(0)
+    assert aggregator is not None
+    plan = FaultPlan(
+        default_profile=FaultPlan.uniform_loss(0.2).default_profile,
+        outages=(NodeOutage(node_id=aggregator, first_epoch=1, last_epoch=2),),
+    )
+    runtime_rec, metrics = _assert_substrates_agree(n, fanout, 4, 2011, plan)
+    subtree = frozenset(tree.leaves_under(aggregator))
+    for em in metrics.epochs:
+        if em.epoch <= 2:
+            assert not em.recovery.survivors & subtree
+        slices = runtime_rec.dispositions()[em.epoch]
+        into = [hop for hop in slices["delivered"] if hop[1] == aggregator]
+        assert bool(into) == (em.epoch > 2)
+
+
+def test_traces_agree_under_an_edge_class_burst() -> None:
+    plan = FaultPlan(
+        default_profile=FaultPlan.uniform_loss(0.1).default_profile,
+        bursts=(
+            BurstLoss(
+                first_epoch=2,
+                last_epoch=2,
+                loss_rate=0.9,
+                edge_class=EdgeClass.SOURCE_TO_AGGREGATOR,
+            ),
+        ),
+    )
+    runtime_rec, _ = _assert_substrates_agree(8, 2, 3, 17, plan)
+    slices = runtime_rec.dispositions()
+    assert slices[2]["dropped"], "the burst epoch lost no source hop"

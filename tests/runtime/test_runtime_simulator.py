@@ -123,10 +123,10 @@ def test_aggregator_crash_loses_subtree_then_recovers() -> None:
     aggregator = tree.parent(0)  # the first leaf-level aggregator
     assert aggregator is not None
     subtree = frozenset(tree.leaves_under(aggregator))
-    # Down for the first two epochs (interval 500), back for the rest.
+    # Down for the first two epochs, back for the rest.
     plan = FaultPlan(
         default_profile=LinkProfile(loss_rate=0.0, latency=1.0, jitter=0.0),
-        outages=(NodeOutage(node_id=aggregator, start=0.0, end=1000.0),),
+        outages=(NodeOutage(node_id=aggregator, first_epoch=1, last_epoch=2),),
     )
     sim, workload = make_runtime(plan=plan, epochs=4, tree=tree)
     metrics = sim.run()
@@ -140,7 +140,7 @@ def test_aggregator_crash_loses_subtree_then_recovers() -> None:
 
 
 def test_crashed_source_counts_as_node_failure() -> None:
-    plan = FaultPlan(outages=(NodeOutage(node_id=3, start=0.0, end=750.0),))
+    plan = FaultPlan(outages=(NodeOutage(node_id=3, first_epoch=1, last_epoch=2),))
     sim, _ = make_runtime(plan=plan, epochs=3)
     metrics = sim.run()
     assert metrics.epochs[0].recovery.pre_failed == frozenset({3})

@@ -9,7 +9,7 @@ from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
 from repro.protocols.base import PartialStateRecord
 from repro.runtime.events import EventScheduler
-from repro.runtime.faults import FaultInjector, FaultPlan, LinkProfile, NodeOutage
+from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile, NodeOutage
 from repro.runtime.transport import ReliableTransport, RetransmitPolicy
 
 
@@ -26,7 +26,7 @@ def make_transport(plan: FaultPlan, policy: RetransmitPolicy | None = None, *, s
     scheduler = EventScheduler()
     transport = ReliableTransport(
         scheduler,
-        FaultInjector(plan, seed=seed),
+        KeyedFaultInjector(plan, seed=seed),
         Channel(),
         policy or RetransmitPolicy(),
         seed=seed,
@@ -72,7 +72,7 @@ def test_clean_link_delivers_first_attempt() -> None:
     assert failed == []
     assert parcel.acked and not parcel.failed
     assert parcel.attempts == 1
-    assert transport.stats.retransmissions == {}
+    assert transport.ledger.total("retransmissions") == 0
 
 
 def test_lossy_link_retransmits_until_delivery() -> None:
@@ -84,8 +84,8 @@ def test_lossy_link_retransmits_until_delivery() -> None:
     edge = EdgeClass.SOURCE_TO_AGGREGATOR
     delivered_count = sum(len(d) for _, d, _ in outcomes)
     assert delivered_count >= 19  # 9 attempts at 60% loss: ~0.999^… practically all
-    assert transport.stats.retransmissions[edge] > 0
-    assert transport.stats.attempts[edge] > 20
+    assert transport.ledger.retransmissions[edge] > 0
+    assert transport.ledger.attempts[edge] > 20
 
 
 def test_retry_budget_exhaustion_reports_failure() -> None:
@@ -99,8 +99,8 @@ def test_retry_budget_exhaustion_reports_failure() -> None:
     assert parcel.failed and not parcel.acked
     assert parcel.attempts == 4  # 1 original + 3 retries
     edge = EdgeClass.SOURCE_TO_AGGREGATOR
-    assert transport.stats.gave_up[edge] == 1
-    assert transport.stats.retransmissions[edge] == 3
+    assert transport.ledger.gave_up[edge] == 1
+    assert transport.ledger.retransmissions[edge] == 3
 
 
 def test_duplicates_suppressed_at_receiver() -> None:
@@ -110,7 +110,7 @@ def test_duplicates_suppressed_at_receiver() -> None:
     scheduler.run()
     assert delivered == [frozenset({0})]  # app sees exactly one copy
     edge = EdgeClass.SOURCE_TO_AGGREGATOR
-    assert transport.stats.duplicates_suppressed[edge] >= 1
+    assert transport.ledger.duplicates_suppressed[edge] >= 1
 
 
 def test_lost_ack_causes_spurious_retransmit_but_single_delivery() -> None:
@@ -118,16 +118,8 @@ def test_lost_ack_causes_spurious_retransmit_but_single_delivery() -> None:
     plan = FaultPlan.lossless()
     policy = RetransmitPolicy(max_retries=2, ack_timeout=5.0, jitter=0.0)
     scheduler = EventScheduler()
-    injector = FaultInjector(plan, seed=0)
-    real_attempt = injector.attempt
-
-    def asymmetric(sender, receiver, edge, now):
-        verdict = real_attempt(sender, receiver, edge, now)
-        if sender == 1:  # the ACK direction
-            return type(verdict)(lost=True, latencies=())
-        return verdict
-
-    injector.attempt = asymmetric  # type: ignore[method-assign]
+    injector = KeyedFaultInjector(plan, seed=0)
+    injector.ack_verdict = lambda *coordinate: True  # type: ignore[method-assign]
     transport = ReliableTransport(scheduler, injector, Channel(), policy, seed=0)
     delivered: list[frozenset[int]] = []
     failed: list[int] = []
@@ -144,12 +136,12 @@ def test_lost_ack_causes_spurious_retransmit_but_single_delivery() -> None:
     assert delivered == [frozenset({0})]
     assert failed == [parcel.uid]
     edge = EdgeClass.SOURCE_TO_AGGREGATOR
-    assert transport.stats.acks_lost[edge] == 3
-    assert transport.stats.duplicates_suppressed[edge] == 2
+    assert transport.ledger.acks_dropped[edge] == 3
+    assert transport.ledger.duplicates_suppressed[edge] == 2
 
 
 def test_crashed_receiver_neither_delivers_nor_acks() -> None:
-    plan = FaultPlan(outages=(NodeOutage(node_id=1, start=0.0),))
+    plan = FaultPlan(outages=(NodeOutage(node_id=1, first_epoch=0),))
     policy = RetransmitPolicy(max_retries=1, ack_timeout=5.0, jitter=0.0)
     scheduler, transport = make_transport(plan, policy)
     parcel, delivered, failed = send_one(transport)
@@ -166,7 +158,7 @@ def test_channel_interceptor_sees_every_physical_attempt() -> None:
     seen: list[int] = []
     channel.add_interceptor(lambda m, e: (seen.append(m.epoch), m)[1])
     transport = ReliableTransport(
-        scheduler, FaultInjector(plan, seed=0), channel, policy, seed=0
+        scheduler, KeyedFaultInjector(plan, seed=0), channel, policy, seed=0
     )
     transport.send(
         DataMessage(0, 1, 7, StubPSR(7)),
@@ -191,7 +183,7 @@ def test_adversarial_drop_looks_like_loss_and_triggers_retransmit() -> None:
     channel.add_interceptor(drop_twice)
     transport = ReliableTransport(
         scheduler,
-        FaultInjector(FaultPlan.lossless(), seed=0),
+        KeyedFaultInjector(FaultPlan.lossless(), seed=0),
         channel,
         RetransmitPolicy(max_retries=4, ack_timeout=3.0, jitter=0.0),
         seed=0,
@@ -205,4 +197,4 @@ def test_adversarial_drop_looks_like_loss_and_triggers_retransmit() -> None:
     )
     scheduler.run()
     assert delivered == [frozenset({0})]
-    assert transport.stats.retransmissions[EdgeClass.SOURCE_TO_AGGREGATOR] == 2
+    assert transport.ledger.retransmissions[EdgeClass.SOURCE_TO_AGGREGATOR] == 2

@@ -177,6 +177,14 @@ def test_trace_command_dispositions(capsys) -> None:
     assert set(slices["1"]) == {"delivered", "dropped", "late", "decode_failures"}
 
 
+def test_trace_command_has_no_sequential_fault_mode(capsys) -> None:
+    # One keyed fault oracle serves every substrate; the old sequential
+    # per-edge streams (and their CLI switch) are gone.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["trace", "--sequential"])
+    capsys.readouterr()
+
+
 def test_trace_command_diff_agreement_and_divergence(tmp_path, capsys) -> None:
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

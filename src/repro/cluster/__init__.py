@@ -21,7 +21,7 @@ from repro.cluster.envelope import (
 )
 from repro.cluster.faults import parcel_fate
 from repro.cluster.framing import DEFAULT_MAX_PAYLOAD, FrameAssembler, FrameReader, FrameWriter
-from repro.cluster.metrics import ClusterEpochResult, ClusterRunMetrics
+from repro.cluster.metrics import ClusterRunMetrics
 from repro.cluster.node import AggregatorNode, ClusterNode, QuerierNode, SourceNode
 from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator, run_cluster
 
@@ -38,7 +38,6 @@ __all__ = [
     "FrameAssembler",
     "FrameReader",
     "FrameWriter",
-    "ClusterEpochResult",
     "ClusterRunMetrics",
     "AggregatorNode",
     "ClusterNode",

@@ -19,7 +19,7 @@ measurements, never as inputs to any decision a test asserts on.
 from __future__ import annotations
 
 import asyncio
-from collections.abc import Awaitable, Callable
+from collections.abc import Awaitable
 from typing import TypeVar
 
 from repro.errors import SimulationError
@@ -30,7 +30,7 @@ T = TypeVar("T")
 
 
 class ClusterClock:
-    """Monotonic seconds + timer primitives bound to the running loop."""
+    """Monotonic seconds and timed waits bound to the running loop."""
 
     def _loop(self) -> asyncio.AbstractEventLoop:
         try:
@@ -44,17 +44,6 @@ class ClusterClock:
     def now(self) -> float:
         """Monotonic seconds (the event loop's clock, never wall time)."""
         return self._loop().time()
-
-    async def sleep(self, delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
-        await asyncio.sleep(delay)
-
-    def call_at(
-        self, when: float, callback: Callable[[], None]
-    ) -> asyncio.TimerHandle:
-        """Schedule *callback* at absolute loop time *when* (cancellable)."""
-        return self._loop().call_at(when, callback)
 
     async def wait_for(self, awaitable: Awaitable[T], timeout: float) -> T:
         """``asyncio.wait_for`` routed through the wrapper for auditability."""

@@ -19,11 +19,15 @@ link with a MAC-layer ARQ on top:
 * a sender giving up does **not** retract a delivered copy: downstream
   correctness derives from the manifests receivers really merged.
 
-Roles reuse the protocol role objects unchanged: the aggregator holds
-and waits (merge at ``epoch launch + hold_time × height``, or as soon
-as every expected child arrived), the querier turns the final manifest
-into the paper's reported-failure subset and evaluates the exact SUM
-over the survivors (:class:`~repro.runtime.recovery.EpochRecovery`).
+Above the hop, aggregators and the querier drive the event runtime's
+clock-free epoch machine (:mod:`repro.runtime.epoch`): the aggregator
+holds and waits (merge at ``epoch launch + hold_time × height``, or as
+soon as every expected child arrived), the querier turns the final
+manifest into the paper's reported-failure subset and evaluates the
+exact SUM over the survivors.  This module decodes the inner frame —
+an undecodable copy stays a decode failure — and keeps one
+``asyncio.Event`` plus one timed wait per aggregator-epoch and per
+querier-epoch.
 """
 
 from __future__ import annotations
@@ -40,20 +44,19 @@ from repro.network.channel import EdgeClass
 from repro.cluster.clock import ClusterClock
 from repro.cluster.envelope import AckEnvelope, DataEnvelope, decode_envelope, encode_ack, encode_data
 from repro.cluster.framing import FrameReader, FrameWriter
-from repro.cluster.metrics import ClusterEpochResult
 from repro.protocols.base import AggregatorRole, PartialStateRecord, QuerierRole, SourceRole
+from repro.runtime.epoch import HoldAndWait, QuerierEpochs
 from repro.runtime.faults import KeyedFaultInjector
 from repro.runtime.hop import (
     DECODE_FAILURE,
     DELIVERED,
-    LATE,
     HopEngine,
     HopLedger,
     Parcel,
     RetransmitPolicy,
     TransportObserver,
 )
-from repro.runtime.recovery import settle_final, settle_lost
+from repro.runtime.metrics import EpochRecord
 from repro.wire.codec import PSRCodec
 
 __all__ = ["ClusterNode", "SourceNode", "AggregatorNode", "QuerierNode"]
@@ -321,19 +324,6 @@ class SourceNode(ClusterNode):
         )
 
 
-class _AggregatorEpoch:
-    """Inbox and deadline state of one in-flight epoch at an aggregator."""
-
-    __slots__ = ("expected", "inbox", "complete", "closed")
-
-    def __init__(self, expected: int) -> None:
-        self.expected = expected
-        self.inbox: list[tuple[PartialStateRecord, frozenset[int]]] = []
-        #: Set when every expected child contribution has arrived.
-        self.complete = asyncio.Event()
-        self.closed = False
-
-
 class AggregatorNode(ClusterNode):
     """Merging phase ``M``: hold-and-wait, then forward PSR + manifest."""
 
@@ -347,23 +337,20 @@ class AggregatorNode(ClusterNode):
         **kwargs,
     ) -> None:
         super().__init__(node_id, **kwargs)
-        self.role = role
         self.codec = codec
-        self.is_root = is_root
-        self._epochs: dict[int, _AggregatorEpoch] = {}
+        self.merger = HoldAndWait(node_id, role, is_root=is_root)
+        #: epoch → set once every expected child contribution has arrived.
+        self._complete: dict[int, asyncio.Event] = {}
 
     def _deliver(self, envelope: DataEnvelope) -> str:
-        state = self._epochs.get(envelope.epoch)
-        if state is None or state.closed:
-            return LATE
         try:
             psr = self.codec.decode(envelope.inner)
         except WireDecodeError:
             return DECODE_FAILURE
-        state.inbox.append((psr, envelope.manifest))
-        if len(state.inbox) >= state.expected:
-            state.complete.set()
-        return DELIVERED
+        disposition, complete = self.merger.offer(envelope.epoch, psr, envelope.manifest)
+        if complete:
+            self._complete[envelope.epoch].set()
+        return disposition
 
     def open_epoch(self, epoch: int, expected: int) -> None:
         """Register the epoch's inbox *before* any child may send.
@@ -372,44 +359,25 @@ class AggregatorNode(ClusterNode):
         every node in one event-loop step, then launches the sources —
         so an early arrival can never race an unregistered inbox.
         """
-        if epoch in self._epochs:
-            raise SimulationError(f"aggregator {self.node_id} already opened epoch {epoch}")
-        self._epochs[epoch] = _AggregatorEpoch(expected)
+        self.merger.open(epoch, expected)
+        self._complete[epoch] = asyncio.Event()
 
     async def run_epoch(self, epoch: int, hold: float) -> None:
         """Hold until deadline *hold* (or all expected children), merge, forward."""
-        state = self._epochs.get(epoch)
-        if state is None:
+        complete = self._complete.get(epoch)
+        if complete is None:
             raise SimulationError(
                 f"aggregator {self.node_id} ran epoch {epoch} without opening it"
             )
         try:
-            await self.clock.wait_for(state.complete.wait(), hold)
+            await self.clock.wait_for(complete.wait(), hold)
         except TimeoutError:
             pass  # deadline merge: take whatever arrived
-        state.closed = True
-        if not state.inbox:
-            return  # whole subtree lost this epoch; nothing to forward
-        psrs = [psr for psr, _ in state.inbox]
-        manifest = frozenset().union(*(man for _, man in state.inbox))
-        merged = self.role.merge(epoch, psrs)
-        if self.is_root:
-            merged = self.role.finalize_for_querier(merged)
-        await self._send_psr(self.codec, epoch=epoch, psr=merged, manifest=manifest)
-
-
-class _QuerierEpoch:
-    """One epoch awaiting its final PSR at the querier."""
-
-    __slots__ = ("attempted", "pre_failed", "started_at", "settled", "closed", "result")
-
-    def __init__(self, attempted: frozenset[int], pre_failed: frozenset[int], started_at: float) -> None:
-        self.attempted = attempted
-        self.pre_failed = pre_failed
-        self.started_at = started_at
-        self.settled = asyncio.Event()
-        self.closed = False
-        self.result: ClusterEpochResult | None = None
+        del self._complete[epoch]
+        forward = self.merger.close(epoch)
+        if forward is not None:
+            merged, manifest = forward
+            await self._send_psr(self.codec, epoch=epoch, psr=merged, manifest=manifest)
 
 
 class QuerierNode(ClusterNode):
@@ -426,70 +394,41 @@ class QuerierNode(ClusterNode):
         **kwargs,
     ) -> None:
         super().__init__(node_id, **kwargs)
-        self.role = role
         self.codec = codec
-        self.num_sources = num_sources
-        self.evaluate = evaluate
-        self._epochs: dict[int, _QuerierEpoch] = {}
+        self.epochs = QuerierEpochs(role, num_sources=num_sources, evaluate=evaluate)
+        #: epoch → set once its final PSR settled it.
+        self._settled: dict[int, asyncio.Event] = {}
 
     def _deliver(self, envelope: DataEnvelope) -> str:
-        state = self._epochs.get(envelope.epoch)
-        if state is None or state.closed:
-            return LATE
         try:
             psr = self.codec.decode(envelope.inner)
         except WireDecodeError:
             return DECODE_FAILURE
-        state.closed = True
-        settlement = settle_final(
-            self.role,
-            envelope.epoch,
-            psr,
-            attempted=state.attempted,
-            manifest=envelope.manifest,
-            pre_failed=state.pre_failed,
-            num_sources=self.num_sources,
-            evaluate=self.evaluate,
+        disposition = self.epochs.offer(
+            envelope.epoch, psr, envelope.manifest, now=self.clock.now()
         )
-        state.result = ClusterEpochResult(
-            epoch=envelope.epoch,
-            recovery=settlement.recovery,
-            result=settlement.result,
-            security_failure=settlement.security_failure,
-            completion_latency=self.clock.now() - state.started_at,
-        )
-        state.settled.set()
-        return DELIVERED
+        if disposition == DELIVERED:
+            self._settled[envelope.epoch].set()
+        return disposition
 
     def open_epoch(
         self, epoch: int, attempted: frozenset[int], pre_failed: frozenset[int]
     ) -> None:
         """Register the epoch (and stamp its start) before any source sends."""
-        if epoch in self._epochs:
-            raise SimulationError(f"querier already opened epoch {epoch}")
-        self._epochs[epoch] = _QuerierEpoch(attempted, pre_failed, self.clock.now())
+        self.epochs.open(epoch, attempted, pre_failed, started_at=self.clock.now())
+        self._settled[epoch] = asyncio.Event()
 
-    async def run_epoch(self, epoch: int, deadline: float) -> ClusterEpochResult:
+    async def run_epoch(self, epoch: int, deadline: float) -> EpochRecord:
         """Wait up to *deadline* seconds for the final PSR; settle the epoch."""
-        state = self._epochs.get(epoch)
-        if state is None:
+        settled = self._settled.get(epoch)
+        if settled is None:
             raise SimulationError(f"querier ran epoch {epoch} without opening it")
         try:
-            await self.clock.wait_for(state.settled.wait(), deadline)
+            await self.clock.wait_for(settled.wait(), deadline)
         except TimeoutError:
-            pass
-        if state.result is None:
-            # Nothing arrived: the epoch is lost, not wrong.
-            state.closed = True
-            settlement = settle_lost(
-                epoch, attempted=state.attempted, pre_failed=state.pre_failed
-            )
-            state.result = ClusterEpochResult(
-                epoch=epoch,
-                recovery=settlement.recovery,
-                security_failure=settlement.security_failure,
-            )
-        return state.result
+            pass  # nothing arrived: the epoch is lost, not wrong
+        del self._settled[epoch]
+        return self.epochs.expire(epoch)
 
 
 def require_codec(codec: PSRCodec | None, protocol_name: str) -> PSRCodec:

@@ -17,7 +17,8 @@
 
 Epoch deadlines are *relative to the epoch's launch*, so a window-8 run
 has eight independent deadline clocks ticking — the hold-and-wait
-schedule (``hold_time × height``) is per epoch, not global.
+schedule (``hold_time × height``, from the event runtime's
+:class:`~repro.runtime.epoch.EpochPlanner`) is per epoch, not global.
 
 Everything protocol-specific comes from the registered facades
 (:func:`repro.protocols.registry.create_protocol`): the orchestrator
@@ -38,9 +39,9 @@ from repro.cluster.clock import ClusterClock
 from repro.cluster.metrics import ClusterRunMetrics
 from repro.cluster.node import AggregatorNode, ClusterNode, QuerierNode, SourceNode, require_codec
 from repro.protocols.base import SecureAggregationProtocol
+from repro.runtime.epoch import EpochPlanner, settled_epochs
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
 from repro.runtime.hop import HopLedger, RetransmitPolicy, TransportObserver
-from repro.runtime.recovery import expected_contributions
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ClusterConfig", "EpochOrchestrator", "run_cluster"]
@@ -160,14 +161,14 @@ class EpochOrchestrator:
             edge_of_sender={tree.root_id: EdgeClass.AGGREGATOR_TO_QUERIER},
             **common,
         )
-        self._heights = self._node_heights()
+        self._planner = EpochPlanner(
+            tree,
+            hold_time=self.config.hold_time,
+            querier_slack=self.config.querier_slack,
+            failed_sources=self.config.failed_sources,
+            faults=self.config.plan,
+        )
         self._ran = False
-
-    def _node_heights(self) -> dict[int, int]:
-        heights: dict[int, int] = {sid: 0 for sid in self.tree.source_ids}
-        for aid in self.tree.bottom_up_aggregators():
-            heights[aid] = 1 + max(heights[c] for c in self.tree.children(aid))
-        return heights
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -212,35 +213,23 @@ class EpochOrchestrator:
     # Epoch pipeline
     # ------------------------------------------------------------------
 
-    async def _run_epoch(self, epoch: int, window: asyncio.Semaphore):
+    async def _run_epoch(self, epoch: int, window: asyncio.Semaphore) -> None:
         async with window:
-            # A source down this epoch counts as a reported failure.
-            attempted = frozenset(
-                sid
-                for sid in self.tree.source_ids
-                if sid not in self.config.failed_sources
-                and not self.config.plan.node_down(sid, epoch)
+            plan = self._planner.plan(epoch)
+            self.querier.open_epoch(epoch, plan.attempted, plan.pre_failed)
+            for aid, expected in plan.expected.items():
+                self.aggregators[aid].open_epoch(epoch, expected)
+            await asyncio.gather(
+                self.querier.run_epoch(epoch, self._planner.querier_offset),
+                *(
+                    self.aggregators[aid].run_epoch(epoch, self._planner.merge_offset[aid])
+                    for aid in plan.expected
+                ),
+                *(
+                    self.sources[sid].run_epoch(epoch, self.workload(sid, epoch))
+                    for sid in sorted(plan.attempted)
+                ),
             )
-            pre_failed = frozenset(self.tree.source_ids) - attempted
-            expected = expected_contributions(self.tree, attempted)
-            self.querier.open_epoch(epoch, attempted, pre_failed)
-            live = [aid for aid in self.tree.aggregator_ids if expected[aid] > 0]
-            for aid in live:
-                self.aggregators[aid].open_epoch(epoch, expected[aid])
-            deadline = (
-                self.config.hold_time * (self._heights[self.tree.root_id] + 1)
-                + self.config.querier_slack
-            )
-            querier_task = asyncio.ensure_future(self.querier.run_epoch(epoch, deadline))
-            others = [
-                self.aggregators[aid].run_epoch(epoch, self.config.hold_time * self._heights[aid])
-                for aid in live
-            ] + [
-                self.sources[sid].run_epoch(epoch, self.workload(sid, epoch))
-                for sid in sorted(attempted)
-            ]
-            await asyncio.gather(querier_task, *others)
-            return querier_task.result()
 
     async def run(self) -> ClusterRunMetrics:
         """Execute the configured epochs over real sockets.
@@ -264,7 +253,7 @@ class EpochOrchestrator:
         started = self.clock.now()
         try:
             window = asyncio.Semaphore(self.config.window)
-            results = await asyncio.gather(
+            await asyncio.gather(
                 *(
                     self._run_epoch(self.config.start_epoch + offset, window)
                     for offset in range(self.config.num_epochs)
@@ -273,9 +262,12 @@ class EpochOrchestrator:
         finally:
             metrics.wall_seconds = self.clock.now() - started
             await self._shutdown()
-        metrics.epochs = sorted(results, key=lambda r: r.epoch)
-        for result in metrics.epochs:
-            metrics.recovery.record(result.recovery)
+        # After the drain, so stragglers' late copies are counted too.
+        metrics.record_epochs(
+            settled_epochs(
+                self.querier.epochs, (node.merger for node in self.aggregators.values())
+            )
+        )
         metrics.traffic = self.ledger
         self.ledger.check_conservation()
         return metrics

@@ -6,11 +6,12 @@ over faulty links: keyed per-edge loss/latency/duplication, epoch-windowed
 bursts and node outages (:mod:`repro.runtime.faults`), the per-hop
 ACK/retransmission engine with exponential backoff
 (:mod:`repro.runtime.hop`, driven by :mod:`repro.runtime.transport`),
-aggregator merge deadlines, and a recovery path that converts
+aggregator merge deadlines and querier settlement
+(:mod:`repro.runtime.epoch`), and a recovery path that converts
 undelivered subtrees into the paper's reported-failure subset so the
 querier answers the exact SUM over the survivors
 (:mod:`repro.runtime.recovery`).  The TCP cluster drives the same hop
-engine and fault oracle.
+engine, epoch machine and fault oracle.
 
 Quick start::
 
@@ -36,8 +37,9 @@ from repro.runtime.faults import (
     LinkProfile,
     NodeOutage,
 )
+from repro.runtime.epoch import EpochPlan, EpochPlanner, HoldAndWait, QuerierEpochs
 from repro.runtime.hop import EdgeCounters, HopEngine, HopLedger, Parcel, RetransmitPolicy
-from repro.runtime.metrics import RuntimeEpochMetrics, RuntimeRunMetrics
+from repro.runtime.metrics import EpochRecord, RuntimeRunMetrics
 from repro.runtime.recovery import EpochRecovery, RecoveryLedger
 from repro.runtime.simulator import RuntimeConfig, RuntimeSimulator
 from repro.runtime.transport import ReliableTransport
@@ -57,9 +59,13 @@ __all__ = [
     "HopLedger",
     "HopEngine",
     "ReliableTransport",
+    "EpochPlan",
+    "EpochPlanner",
+    "HoldAndWait",
+    "QuerierEpochs",
     "EpochRecovery",
     "RecoveryLedger",
-    "RuntimeEpochMetrics",
+    "EpochRecord",
     "RuntimeRunMetrics",
     "RuntimeConfig",
     "RuntimeSimulator",

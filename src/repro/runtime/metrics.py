@@ -1,8 +1,10 @@
 """Measurement containers for the fault-injecting runtime.
 
-Unlike :class:`~repro.network.metrics.RunMetrics`, nothing here carries
-wall-clock seconds: every field is a function of the seed and the
-configuration, so two runs with identical inputs produce identical
+:class:`EpochRecord` is how one epoch ended and :class:`EpochSeries` the
+run-level views over a list of them; the TCP cluster's metrics use both.
+Unlike :class:`~repro.network.metrics.RunMetrics`, nothing the runtime
+records carries wall-clock seconds: every field is a function of the seed
+and the configuration, so two runs with identical inputs produce identical
 :meth:`RuntimeRunMetrics.ledger` dicts — the determinism contract the
 acceptance tests compare byte for byte.
 
@@ -18,10 +20,10 @@ from dataclasses import dataclass, field
 
 from repro.network.channel import TrafficCounters
 from repro.protocols.base import EvaluationResult, OpCounter
-from repro.runtime.recovery import EpochRecovery, RecoveryLedger
 from repro.runtime.hop import HopLedger
+from repro.runtime.recovery import EpochRecovery, RecoveryLedger
 
-__all__ = ["RuntimeEpochMetrics", "RuntimeRunMetrics", "latency_percentile"]
+__all__ = ["EpochRecord", "EpochSeries", "RuntimeRunMetrics", "latency_percentile"]
 
 
 def latency_percentile(samples: list[float], fraction: float) -> float:
@@ -40,18 +42,20 @@ def latency_percentile(samples: list[float], fraction: float) -> float:
 
 
 @dataclass
-class RuntimeEpochMetrics:
-    """One epoch through the event runtime."""
+class EpochRecord:
+    """How one epoch ended, on either lossy substrate."""
 
     epoch: int
     recovery: EpochRecovery
     result: EvaluationResult | None = None
     #: Security exception class name raised by the querier, if any;
-    #: ``"MessageLost"`` when no final PSR survived the network.
+    #: ``"MessageLost"`` / ``"NoResult"`` when no final PSR arrived.
     security_failure: str | None = None
-    #: Logical time from epoch start to evaluation (0 if unrecovered).
+    #: Epoch start to the querier's verdict on the substrate's clock —
+    #: logical ticks on the runtime, seconds on the cluster (0 if lost).
     completion_latency: float = 0.0
-    #: Copies of this epoch's traffic that arrived after a deadline.
+    #: First copies of this epoch's traffic classified late, anywhere
+    #: in the tree and at any time during the run.
     late_arrivals: int = 0
 
     @property
@@ -59,29 +63,21 @@ class RuntimeEpochMetrics:
         return self.result is not None and self.security_failure is None
 
 
-@dataclass
-class RuntimeRunMetrics:
-    """Everything one runtime run measured (fully deterministic)."""
+class EpochSeries:
+    """Run-level views over ``epochs``, shared by both lossy substrates."""
 
-    protocol: str
-    num_sources: int
-    seed: int
-    epochs: list[RuntimeEpochMetrics] = field(default_factory=list)
-    transport: HopLedger = field(default_factory=HopLedger)
-    recovery: RecoveryLedger = field(default_factory=RecoveryLedger)
-    traffic: TrafficCounters = field(default_factory=TrafficCounters)
-    source_ops: OpCounter = field(default_factory=OpCounter)
-    aggregator_ops: OpCounter = field(default_factory=OpCounter)
-    querier_ops: OpCounter = field(default_factory=OpCounter)
-    events_processed: int = 0
+    epochs: list[EpochRecord]
+    recovery: RecoveryLedger
 
     @property
     def num_epochs(self) -> int:
         return len(self.epochs)
 
-    # ------------------------------------------------------------------
-    # Headline rates
-    # ------------------------------------------------------------------
+    def record_epochs(self, records: list[EpochRecord]) -> None:
+        """Adopt the run's settled epochs and tally their recovery."""
+        self.epochs = records
+        for record in records:
+            self.recovery.record(record.recovery)
 
     def delivery_rate(self) -> float:
         """Fraction of attempted source contributions that survived."""
@@ -98,18 +94,60 @@ class RuntimeRunMetrics:
     def completion_latencies(self) -> list[float]:
         return [e.completion_latency for e in self.epochs if e.recovery.converged]
 
+    def results(self) -> list[EvaluationResult]:
+        return [e.result for e in self.epochs if e.result is not None]
+
+    def latency_summary(self) -> dict[str, float]:
+        """Nearest-rank p50/p90/p99 and max of the completion latencies."""
+        latencies = self.completion_latencies()
+        return {
+            "p50": latency_percentile(latencies, 0.50),
+            "p90": latency_percentile(latencies, 0.90),
+            "p99": latency_percentile(latencies, 0.99),
+            "max": max(latencies) if latencies else 0.0,
+        }
+
+    def epoch_entries(self, *, measured: bool = True) -> list[dict]:
+        """Per-epoch ledger rows; *measured* adds latency and late copies."""
+        entries = []
+        for e in self.epochs:
+            entry = {
+                "epoch": e.epoch,
+                "value": str(e.result.value) if e.result else None,
+                "verified": e.result.verified if e.result else None,
+                "security_failure": e.security_failure,
+                "survivors": sorted(e.recovery.survivors),
+                "lost": sorted(e.recovery.lost),
+                "converged": e.recovery.converged,
+            }
+            if measured:
+                entry["completion_latency"] = e.completion_latency
+                entry["late_arrivals"] = e.late_arrivals
+            entries.append(entry)
+        return entries
+
+
+@dataclass
+class RuntimeRunMetrics(EpochSeries):
+    """Everything one runtime run measured (fully deterministic)."""
+
+    protocol: str
+    num_sources: int
+    seed: int
+    epochs: list[EpochRecord] = field(default_factory=list)
+    transport: HopLedger = field(default_factory=HopLedger)
+    recovery: RecoveryLedger = field(default_factory=RecoveryLedger)
+    traffic: TrafficCounters = field(default_factory=TrafficCounters)
+    source_ops: OpCounter = field(default_factory=OpCounter)
+    aggregator_ops: OpCounter = field(default_factory=OpCounter)
+    querier_ops: OpCounter = field(default_factory=OpCounter)
+    events_processed: int = 0
+
     def retransmissions_total(self) -> int:
         return self.transport.total("retransmissions")
 
     def security_failures(self) -> list[tuple[int, str]]:
         return [(e.epoch, e.security_failure) for e in self.epochs if e.security_failure]
-
-    def results(self) -> list[EvaluationResult]:
-        return [e.result for e in self.epochs if e.result is not None]
-
-    # ------------------------------------------------------------------
-    # The determinism contract
-    # ------------------------------------------------------------------
 
     def ledger(self) -> dict:
         """Canonical, JSON-serializable record of the whole run.
@@ -118,7 +156,6 @@ class RuntimeRunMetrics:
         object ids — so two runs with the same configuration and seed
         must produce equal ledgers (asserted by the acceptance tests).
         """
-        latencies = self.completion_latencies()
         return {
             "protocol": self.protocol,
             "num_sources": self.num_sources,
@@ -146,24 +183,6 @@ class RuntimeRunMetrics:
                 "aggregator": dict(sorted(self.aggregator_ops.counts.items())),
                 "querier": dict(sorted(self.querier_ops.counts.items())),
             },
-            "latency": {
-                "p50": latency_percentile(latencies, 0.50),
-                "p90": latency_percentile(latencies, 0.90),
-                "p99": latency_percentile(latencies, 0.99),
-                "max": max(latencies) if latencies else 0.0,
-            },
-            "epochs": [
-                {
-                    "epoch": e.epoch,
-                    "value": str(e.result.value) if e.result else None,
-                    "verified": e.result.verified if e.result else None,
-                    "security_failure": e.security_failure,
-                    "survivors": sorted(e.recovery.survivors),
-                    "lost": sorted(e.recovery.lost),
-                    "converged": e.recovery.converged,
-                    "completion_latency": e.completion_latency,
-                    "late_arrivals": e.late_arrivals,
-                }
-                for e in self.epochs
-            ],
+            "latency": self.latency_summary(),
+            "epochs": self.epoch_entries(),
         }

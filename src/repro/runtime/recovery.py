@@ -15,50 +15,18 @@ never desynchronize verification: a contribution is in the subset iff
 it is in the ciphertext.
 
 This module holds the bookkeeping around that idea: classifying each
-epoch's sources into survivors / lost / pre-declared-failed, the
-converged-or-not verdict the property tests assert on, and the
-querier's settlement of an epoch (:func:`settle_final`,
-:func:`settle_lost`), which every substrate calls.
+epoch's sources into survivors / lost / pre-declared-failed, and the
+converged-or-not verdict the property tests assert on.  The querier's
+settlement of an epoch lives in :mod:`repro.runtime.epoch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro.errors import SecurityError, SimulationError
+from repro.errors import SimulationError
 
-if TYPE_CHECKING:
-    from repro.network.topology import AggregationTree
-    from repro.protocols.base import EvaluationResult, PartialStateRecord, QuerierRole
-
-__all__ = [
-    "EpochRecovery",
-    "RecoveryLedger",
-    "Settlement",
-    "expected_contributions",
-    "settle_final",
-    "settle_lost",
-]
-
-
-def expected_contributions(tree: "AggregationTree", attempted: frozenset[int]) -> dict[int, int]:
-    """Per-aggregator count of child contributions that could arrive.
-
-    A child source counts iff it attempted to report; a child aggregator
-    counts iff any attempted source sits in its subtree.  Both runtimes
-    (:class:`~repro.runtime.simulator.RuntimeSimulator` and the TCP
-    cluster) use this for the early-merge fast path: an aggregator
-    merges the moment everything that *can* arrive has arrived, so
-    deadlines only matter when the network actually loses something.
-    """
-    expected: dict[int, int] = {}
-    live_subtree: dict[int, bool] = {sid: sid in attempted for sid in tree.source_ids}
-    for aid in tree.bottom_up_aggregators():
-        count = sum(1 for child in tree.children(aid) if live_subtree[child])
-        expected[aid] = count
-        live_subtree[aid] = count > 0
-    return expected
+__all__ = ["EpochRecovery", "RecoveryLedger"]
 
 
 @dataclass(frozen=True)
@@ -126,67 +94,6 @@ class EpochRecovery:
         if self.converged and len(self.survivors) == num_sources:
             return None
         return sorted(self.survivors)
-
-
-@dataclass(frozen=True)
-class Settlement:
-    """How the querier concluded one epoch."""
-
-    recovery: EpochRecovery
-    result: "EvaluationResult | None" = None
-    #: Security exception class name raised by the querier, if any;
-    #: ``"MessageLost"`` / ``"NoResult"`` when no final PSR arrived.
-    security_failure: str | None = None
-
-
-def settle_final(
-    querier: "QuerierRole",
-    epoch: int,
-    psr: "PartialStateRecord",
-    *,
-    attempted: frozenset[int],
-    manifest: frozenset[int],
-    pre_failed: frozenset[int],
-    num_sources: int,
-    evaluate: bool = True,
-) -> Settlement:
-    """Settle an epoch whose final PSR arrived carrying *manifest*.
-
-    The querier evaluates over the manifest's reporting subset; a
-    :class:`~repro.errors.SecurityError` rejects the epoch under its
-    class name instead of propagating.
-    """
-    recovery = EpochRecovery.from_final_manifest(
-        epoch, attempted=attempted, manifest=manifest, pre_failed=pre_failed
-    )
-    if not evaluate:
-        return Settlement(recovery)
-    try:
-        result = querier.evaluate(
-            epoch, psr, reporting_sources=recovery.reporting_subset(num_sources)
-        )
-    except SecurityError as exc:
-        return Settlement(recovery, security_failure=type(exc).__name__)
-    return Settlement(recovery, result=result)
-
-
-def settle_lost(
-    epoch: int, *, attempted: frozenset[int], pre_failed: frozenset[int]
-) -> Settlement:
-    """Settle an epoch whose final PSR never reached the querier.
-
-    ``MessageLost`` (sources reported but the network swallowed every
-    path) stays distinct from ``NoResult`` (no source ever reported),
-    matching :class:`~repro.network.simulator.NetworkSimulator`.
-    """
-    recovery = EpochRecovery(
-        epoch=epoch,
-        attempted=attempted,
-        survivors=frozenset(),
-        pre_failed=pre_failed,
-        converged=False,
-    )
-    return Settlement(recovery, security_failure="MessageLost" if attempted else "NoResult")
 
 
 @dataclass

@@ -18,6 +18,11 @@ the sources, bottom-up merging, evaluation at the querier — but over a
   over the survivors — graceful degradation instead of a spurious
   :class:`~repro.errors.IntegrityError`.
 
+Those last two are the clock-free epoch machine of
+:mod:`repro.runtime.epoch`, which the TCP cluster drives too; this
+module turns its deadline offsets into scheduler events and feeds it
+every delivered first copy and every fired deadline.
+
 The runtime reuses the existing role objects and
 :class:`~repro.network.channel.Channel` unchanged, so every adversary
 interceptor from :mod:`repro.attacks` works here too — and sees
@@ -36,21 +41,12 @@ from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
 from repro.network.simulator import QUERIER_NODE_ID, Workload
 from repro.network.topology import AggregationTree
-from repro.protocols.base import (
-    OpCounter,
-    PartialStateRecord,
-    SecureAggregationProtocol,
-)
+from repro.protocols.base import OpCounter, SecureAggregationProtocol
+from repro.runtime.epoch import EpochPlanner, HoldAndWait, QuerierEpochs, settled_epochs
 from repro.runtime.events import EventScheduler
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
-from repro.runtime.hop import LATE, RetransmitPolicy, TransportObserver
-from repro.runtime.metrics import RuntimeEpochMetrics, RuntimeRunMetrics
-from repro.runtime.recovery import (
-    Settlement,
-    expected_contributions,
-    settle_final,
-    settle_lost,
-)
+from repro.runtime.hop import RetransmitPolicy, TransportObserver
+from repro.runtime.metrics import RuntimeRunMetrics
 from repro.runtime.transport import ReliableTransport
 from repro.utils.validation import check_positive_int
 
@@ -100,42 +96,6 @@ class RuntimeConfig:
             )
 
 
-class _EpochState:
-    """Mutable per-epoch bookkeeping while the epoch is in flight."""
-
-    __slots__ = (
-        "epoch",
-        "start_time",
-        "attempted",
-        "pre_failed",
-        "inboxes",
-        "merged",
-        "expected",
-        "finalized",
-        "late_arrivals",
-    )
-
-    def __init__(
-        self,
-        epoch: int,
-        start_time: float,
-        attempted: frozenset[int],
-        pre_failed: frozenset[int],
-        expected: dict[int, int],
-    ) -> None:
-        self.epoch = epoch
-        self.start_time = start_time
-        self.attempted = attempted
-        self.pre_failed = pre_failed
-        #: aggregator id -> [(psr, manifest), ...] in arrival order.
-        self.inboxes: dict[int, list[tuple[PartialStateRecord, frozenset[int]]]] = {}
-        self.merged: set[int] = set()
-        #: aggregator id -> number of child contributions that may arrive.
-        self.expected = expected
-        self.finalized = False
-        self.late_arrivals = 0
-
-
 class RuntimeSimulator:
     """Runs a protocol over a lossy, latency-bearing, retransmitting network."""
 
@@ -174,31 +134,27 @@ class RuntimeSimulator:
         self._sources = {
             sid: protocol.create_source(sid, ops=self.source_ops) for sid in tree.source_ids
         }
-        self._aggregators = {
-            aid: protocol.create_aggregator(ops=self.aggregator_ops)
+        self._mergers = {
+            aid: HoldAndWait(
+                aid,
+                protocol.create_aggregator(ops=self.aggregator_ops),
+                is_root=(aid == tree.root_id),
+            )
             for aid in tree.aggregator_ids
         }
-        self._querier = protocol.create_querier(ops=self.querier_ops)
-        self._heights = self._node_heights()
-        self._merge_schedule = tree.bottom_up_aggregators()
-        self._states: dict[int, _EpochState] = {}
-        self._metrics: RuntimeRunMetrics | None = None
+        self._querier = QuerierEpochs(
+            protocol.create_querier(ops=self.querier_ops),
+            num_sources=tree.num_sources,
+            evaluate=self.config.evaluate,
+        )
+        self._planner = EpochPlanner(
+            tree,
+            hold_time=self.config.hold_time,
+            querier_slack=self.config.querier_slack,
+            failed_sources=self.config.failed_sources,
+            faults=self.config.plan,
+        )
         self._ran = False
-
-    # ------------------------------------------------------------------
-    # Topology precomputation
-    # ------------------------------------------------------------------
-
-    def _node_heights(self) -> dict[int, int]:
-        """Height of every node (sources 0, aggregators 1 + max child)."""
-        heights: dict[int, int] = {sid: 0 for sid in self.tree.source_ids}
-        for aid in self.tree.bottom_up_aggregators():
-            heights[aid] = 1 + max(heights[c] for c in self.tree.children(aid))
-        return heights
-
-    def _expected_contributions(self, attempted: frozenset[int]) -> dict[int, int]:
-        """Per-aggregator early-merge counts (shared with the TCP cluster)."""
-        return expected_contributions(self.tree, attempted)
 
     # ------------------------------------------------------------------
     # Observability
@@ -235,11 +191,6 @@ class RuntimeSimulator:
         epochs = num_epochs if num_epochs is not None else self.config.num_epochs
         check_positive_int("num_epochs", epochs)
 
-        self._metrics = RuntimeRunMetrics(
-            protocol=self.protocol.name,
-            num_sources=self.tree.num_sources,
-            seed=self.config.seed,
-        )
         for offset in range(epochs):
             epoch = self.config.start_epoch + offset
             self.scheduler.call_at(
@@ -248,20 +199,18 @@ class RuntimeSimulator:
             )
         self.scheduler.run()
 
-        metrics = self._metrics
-        metrics.epochs.sort(key=lambda em: em.epoch)
-        for em in metrics.epochs:
-            # Stragglers can arrive (and be classified late) after an
-            # epoch finalized; fold in the final tally.
-            em.late_arrivals = self._states[em.epoch].late_arrivals
-        metrics.transport = self.transport.ledger
-        metrics.traffic = self.channel.counters
-        metrics.source_ops = self.source_ops
-        metrics.aggregator_ops = self.aggregator_ops
-        metrics.querier_ops = self.querier_ops
-        metrics.events_processed = self.scheduler.events_processed
-        for em in metrics.epochs:
-            metrics.recovery.record(em.recovery)
+        metrics = RuntimeRunMetrics(
+            protocol=self.protocol.name,
+            num_sources=self.tree.num_sources,
+            seed=self.config.seed,
+            transport=self.transport.ledger,
+            traffic=self.channel.counters,
+            source_ops=self.source_ops,
+            aggregator_ops=self.aggregator_ops,
+            querier_ops=self.querier_ops,
+            events_processed=self.scheduler.events_processed,
+        )
+        metrics.record_epochs(settled_epochs(self._querier, self._mergers.values()))
         metrics.transport.check_conservation()
         return metrics
 
@@ -271,24 +220,13 @@ class RuntimeSimulator:
 
     def _start_epoch(self, epoch: int) -> None:
         now = self.scheduler.now
-        # A source down this epoch counts as a reported failure.
-        attempted = frozenset(
-            sid
-            for sid in self.tree.source_ids
-            if sid not in self.config.failed_sources
-            and not self.config.plan.node_down(sid, epoch)
-        )
-        state = _EpochState(
-            epoch,
-            now,
-            attempted,
-            frozenset(self.tree.source_ids) - attempted,
-            self._expected_contributions(attempted),
-        )
-        self._states[epoch] = state
+        plan = self._planner.plan(epoch)
+        for aid, expected in plan.expected.items():
+            self._mergers[aid].open(epoch, expected)
+        self._querier.open(epoch, plan.attempted, plan.pre_failed, started_at=now)
 
         for sid in self.tree.source_ids:
-            if sid not in attempted:
+            if sid not in plan.attempted:
                 continue
             value = self.workload(sid, epoch)
             psr = self._sources[sid].initialize(epoch, value)
@@ -302,56 +240,40 @@ class RuntimeSimulator:
                 on_deliver=self._make_deliver(epoch),
             )
 
-        for aid in self._merge_schedule:
+        # Only live aggregators hold an inbox, so only they get a deadline.
+        for aid in plan.expected:
             self.scheduler.call_at(
-                now + self.config.hold_time * self._heights[aid],
+                now + self._planner.merge_offset[aid],
                 lambda a=aid, e=epoch: self._merge(e, a),
             )
-        querier_deadline = (
-            now
-            + self.config.hold_time * (self._heights[self.tree.root_id] + 1)
-            + self.config.querier_slack
+        self.scheduler.call_at(
+            now + self._planner.querier_offset, lambda e=epoch: self._querier.expire(e)
         )
-        self.scheduler.call_at(querier_deadline, lambda e=epoch: self._finalize_lost(e))
 
     def _make_deliver(self, epoch: int):
-        def deliver(message: DataMessage, manifest: frozenset[int]) -> str | None:
+        def deliver(message: DataMessage, manifest: frozenset[int]) -> str:
             return self._on_delivery(epoch, message, manifest)
 
         return deliver
 
-    def _on_delivery(
-        self, epoch: int, message: DataMessage, manifest: frozenset[int]
-    ) -> str | None:
-        """Hand a first copy to its receiver; :data:`LATE` past the deadline."""
-        state = self._states[epoch]
+    def _on_delivery(self, epoch: int, message: DataMessage, manifest: frozenset[int]) -> str:
+        """Hand a first copy to its receiver's state machine."""
         if message.receiver == QUERIER_NODE_ID:
-            return self._on_final(state, message, manifest)
-        aid = message.receiver
-        if aid in state.merged:
-            state.late_arrivals += 1
-            return LATE
-        inbox = state.inboxes.setdefault(aid, [])
-        inbox.append((message.psr, manifest))
-        # Early merge: everything that can still arrive has arrived.
-        if len(inbox) >= state.expected.get(aid, 0):
-            self._merge(epoch, aid)
-        return None
+            return self._querier.offer(epoch, message.psr, manifest, now=self.scheduler.now)
+        disposition, complete = self._mergers[message.receiver].offer(
+            epoch, message.psr, manifest
+        )
+        if complete:
+            self._merge(epoch, message.receiver)  # early merge
+        return disposition
 
     def _merge(self, epoch: int, aid: int) -> None:
-        state = self._states[epoch]
-        if aid in state.merged:
-            return  # early merge already ran; the deadline event no-ops
-        state.merged.add(aid)
-        received = state.inboxes.pop(aid, [])
-        if not received:
-            return  # whole subtree failed/undelivered this epoch
-        psrs = [psr for psr, _ in received]
-        manifest = frozenset().union(*(man for _, man in received))
-        merged = self._aggregators[aid].merge(epoch, psrs)
+        forward = self._mergers[aid].close(epoch)
+        if forward is None:
+            return
+        merged, manifest = forward
         parent = self.tree.parent(aid)
         if parent is None:
-            merged = self._aggregators[aid].finalize_for_querier(merged)
             receiver, edge = QUERIER_NODE_ID, EdgeClass.AGGREGATOR_TO_QUERIER
         else:
             receiver, edge = parent, EdgeClass.AGGREGATOR_TO_AGGREGATOR
@@ -360,51 +282,4 @@ class RuntimeSimulator:
             edge,
             manifest,
             on_deliver=self._make_deliver(epoch),
-        )
-
-    # ------------------------------------------------------------------
-    # Querier side: evaluation and recovery
-    # ------------------------------------------------------------------
-
-    def _on_final(
-        self, state: _EpochState, message: DataMessage, manifest: frozenset[int]
-    ) -> str | None:
-        if state.finalized:
-            state.late_arrivals += 1
-            return LATE
-        state.finalized = True
-        settlement = settle_final(
-            self._querier,
-            state.epoch,
-            message.psr,
-            attempted=state.attempted,
-            manifest=manifest,
-            pre_failed=state.pre_failed,
-            num_sources=self.tree.num_sources,
-            evaluate=self.config.evaluate,
-        )
-        self._record(state, settlement, self.scheduler.now - state.start_time)
-        return None
-
-    def _finalize_lost(self, epoch: int) -> None:
-        """Querier deadline: nothing arrived — record the epoch as lost."""
-        state = self._states[epoch]
-        if state.finalized:
-            return  # the happy path already evaluated this epoch
-        state.finalized = True
-        settlement = settle_lost(epoch, attempted=state.attempted, pre_failed=state.pre_failed)
-        self._record(state, settlement, 0.0)
-
-    def _record(self, state: _EpochState, settlement: Settlement, latency: float) -> None:
-        if self._metrics is None:
-            raise SimulationError("epoch finalized outside an active run()")
-        self._metrics.epochs.append(
-            RuntimeEpochMetrics(
-                epoch=state.epoch,
-                recovery=settlement.recovery,
-                result=settlement.result,
-                security_failure=settlement.security_failure,
-                completion_latency=latency,
-                late_arrivals=state.late_arrivals,
-            )
         )

@@ -8,7 +8,7 @@ from repro.utils.bytesops import (
     xor_bytes,
 )
 from repro.utils.rng import DeterministicRandom, derive_seed
-from repro.utils.timing import Stopwatch, TimingStats, time_operation
+from repro.utils.timing import TimingStats, time_operation
 from repro.utils.validation import (
     check_in_range,
     check_nonnegative_int,
@@ -24,7 +24,6 @@ __all__ = [
     "constant_time_eq",
     "DeterministicRandom",
     "derive_seed",
-    "Stopwatch",
     "TimingStats",
     "time_operation",
     "check_positive_int",

@@ -1,9 +1,6 @@
 """Wall-clock measurement utilities for the experiment harness.
 
-The paper reports average CPU time per epoch over 20 epochs.  We provide
-a :class:`Stopwatch` that accumulates named segments (so a protocol run
-can attribute time to *source*, *aggregator* and *querier* work
-separately even though the simulation is single-process) plus a
+Summary statistics over repeated timing samples, plus a
 repeat-and-summarize helper for micro-benchmarks of the Table II
 constants.
 """
@@ -12,11 +9,10 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-__all__ = ["Stopwatch", "TimingStats", "time_operation"]
+__all__ = ["TimingStats", "time_operation"]
 
 
 @dataclass
@@ -64,54 +60,6 @@ class TimingStats:
             return 0.0
         mu = self.mean
         return math.sqrt(sum((s - mu) ** 2 for s in self.samples) / (len(self.samples) - 1))
-
-
-class Stopwatch:
-    """Accumulates elapsed time into named segments.
-
-    >>> sw = Stopwatch()
-    >>> with sw.measure("source"):
-    ...     pass
-    >>> sw.seconds("source") >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._segments: dict[str, float] = {}
-        self._counts: dict[str, int] = {}
-
-    @contextmanager
-    def measure(self, segment: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._segments[segment] = self._segments.get(segment, 0.0) + elapsed
-            self._counts[segment] = self._counts.get(segment, 0) + 1
-
-    def add(self, segment: str, seconds: float) -> None:
-        """Credit *seconds* to *segment* without running a timer."""
-        self._segments[segment] = self._segments.get(segment, 0.0) + seconds
-        self._counts[segment] = self._counts.get(segment, 0) + 1
-
-    def seconds(self, segment: str) -> float:
-        return self._segments.get(segment, 0.0)
-
-    def count(self, segment: str) -> int:
-        return self._counts.get(segment, 0)
-
-    def mean_seconds(self, segment: str) -> float:
-        n = self._counts.get(segment, 0)
-        return self._segments.get(segment, 0.0) / n if n else 0.0
-
-    def segments(self) -> dict[str, float]:
-        """A copy of all accumulated segment totals (seconds)."""
-        return dict(self._segments)
-
-    def reset(self) -> None:
-        self._segments.clear()
-        self._counts.clear()
 
 
 def time_operation(

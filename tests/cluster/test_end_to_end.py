@@ -120,6 +120,44 @@ def test_lossy_epochs_match_the_tree_walk_oracle() -> None:
     assert lossy_epochs > 0, "25% loss produced no lossy epoch — test is vacuous"
     assert metrics.traffic.total("drops_injected") > 0
     metrics.traffic.check_conservation()
+    # Whatever the timing, every late copy the ledger counts is one some
+    # epoch records (stragglers after settlement included).
+    assert sum(em.late_arrivals for em in metrics.epochs) == metrics.traffic.total(
+        "late_frames"
+    )
+
+
+def test_late_copies_are_counted_whatever_the_timing() -> None:
+    """A merge deadline shorter than the first ACK timeout: every source
+    copy whose first delivered attempt is a retransmission reaches an
+    inbox that already closed, and each one is recorded against its epoch."""
+    n, epochs, seed = 8, 4, 2011
+    plan = FaultPlan.uniform_loss(0.4)
+    tree = build_complete_tree(n, 4)
+    config = ClusterConfig(
+        num_epochs=epochs, window=2, seed=seed, plan=plan, hold_time=0.002, querier_slack=0.2
+    )
+    assert config.hold_time < config.policy.ack_timeout
+    metrics = run_cluster(
+        SIESProtocol(n, seed=seed), tree, DomainScaledWorkload(n, scale=100, seed=seed), config
+    )
+    injector = KeyedFaultInjector(plan, seed=seed)
+    edge = EdgeClass.SOURCE_TO_AGGREGATOR
+    retried = 0
+    for epoch in range(1, epochs + 1):
+        for sid in tree.source_ids:
+            parent = tree.parent(sid)
+            attempts = range(config.policy.max_attempts)
+            first = next(
+                (a for a in attempts if not injector.data_verdict(sid, parent, edge, epoch, a).lost),
+                None,
+            )
+            retried += first is not None and first > 0
+    assert retried > 0, "40% loss needed no retransmission — test is vacuous"
+    late = metrics.traffic.total("late_frames")
+    assert late >= retried
+    assert sum(em.late_arrivals for em in metrics.epochs) == late
+    metrics.traffic.check_conservation()
 
 
 def test_deterministic_ledger_is_window_and_rerun_invariant() -> None:

@@ -3,7 +3,8 @@
 Property sweep over random trees × loss × duplication × a
 channel-dropping adversary: every run ends with the hop ledger's
 conservation laws holding (``run()`` checks them itself; the tests
-check again), and every accepted epoch is the exact SUM over its
+check again), every late copy the ledger counts is one some epoch
+records, and every accepted epoch is the exact SUM over its
 survivors.  Plus the regression for copies sent to a down receiver,
 which once vanished without a counter or a trace event.
 """
@@ -56,6 +57,7 @@ def test_conservation_and_exact_sums_hold(
 
     ledger = metrics.transport
     ledger.check_conservation()
+    assert sum(em.late_arrivals for em in metrics.epochs) == ledger.total("late_frames")
     if adversary:
         assert ledger.total("drops_channel") == dropper.seen // 5 > 0
     else:
@@ -67,6 +69,26 @@ def test_conservation_and_exact_sums_hold(
             assert em.result.value == expected
         else:
             assert em.security_failure in ("MessageLost", "NoResult")
+
+
+@pytest.mark.parametrize("seed", [3, 29])
+@pytest.mark.parametrize("loss", [0.2, 0.55])
+def test_late_copies_balance_against_the_ledger(loss: float, seed: int) -> None:
+    """The sweep above rarely misses a deadline; a 20-tick hold does, and
+    every late copy the ledger counts must be one some epoch records."""
+    n = 12
+    sim = RuntimeSimulator(
+        SIESProtocol(num_sources=n, seed=seed),
+        build_random_tree(n, max_fanout=3, seed=seed),
+        UniformWorkload(n, 0, 200, seed=seed),
+        RuntimeConfig(
+            num_epochs=6, plan=FaultPlan.uniform_loss(loss), hold_time=20.0, seed=seed
+        ),
+    )
+    metrics = sim.run()
+    late = metrics.transport.total("late_frames")
+    assert late > 0
+    assert sum(em.late_arrivals for em in metrics.epochs) == late
 
 
 def test_copy_sent_to_a_down_receiver_is_counted_and_traced() -> None:

@@ -1,0 +1,247 @@
+"""The clock-free epoch machine, driven by hand: no scheduler, no sockets.
+
+Each test plays the driver's part explicitly — open the epoch, offer the
+copies a network would deliver, fire the deadlines — so every
+hold-and-wait and settlement decision is checked apart from either
+substrate.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.protocol import SIESProtocol
+from repro.errors import SimulationError
+from repro.network.topology import build_chain_tree, build_random_tree
+from repro.runtime.epoch import EpochPlanner, HoldAndWait, QuerierEpochs, node_heights
+from repro.runtime.faults import FaultPlan, NodeOutage
+from repro.runtime.hop import DELIVERED, LATE
+
+N = 4
+PROTOCOL = SIESProtocol(N, seed=3)
+VALUES = {0: 11, 1: 22, 2: 33, 3: 44}
+
+
+def psr(sid: int, epoch: int = 1):
+    return PROTOCOL.create_source(sid).initialize(epoch, VALUES[sid])
+
+
+class CountingAggregator:
+    """An aggregator role that records every merge and finalize call."""
+
+    def __init__(self) -> None:
+        self.role = PROTOCOL.create_aggregator()
+        self.merges: list[int] = []
+        self.finalized = 0
+
+    def merge(self, epoch, psrs):
+        self.merges.append(len(psrs))
+        return self.role.merge(epoch, psrs)
+
+    def finalize_for_querier(self, merged):
+        self.finalized += 1
+        return self.role.finalize_for_querier(merged)
+
+
+def test_inbox_is_complete_the_moment_the_expected_count_arrives() -> None:
+    merger = HoldAndWait(10, PROTOCOL.create_aggregator(), is_root=False)
+    merger.open(1, expected=2)
+    assert merger.offer(1, psr(0), frozenset({0})) == (DELIVERED, False)
+    assert merger.offer(1, psr(1), frozenset({1})) == (DELIVERED, True)
+    forward = merger.close(1)
+    assert forward is not None and forward[1] == frozenset({0, 1})
+
+
+def test_deadline_merge_of_a_partial_inbox_forwards_the_manifest_union() -> None:
+    role = CountingAggregator()
+    merger = HoldAndWait(10, role, is_root=False)
+    merger.open(1, expected=3)
+    assert merger.offer(1, psr(0), frozenset({0})) == (DELIVERED, False)
+    assert merger.offer(1, psr(2), frozenset({2, 3})) == (DELIVERED, False)
+    merged, manifest = merger.close(1)
+    assert manifest == frozenset({0, 2, 3})
+    assert role.merges == [2]
+    assert merged == PROTOCOL.create_aggregator().merge(1, [psr(0), psr(2)])
+
+
+def test_an_empty_inbox_forwards_nothing() -> None:
+    role = CountingAggregator()
+    merger = HoldAndWait(10, role, is_root=True)
+    merger.open(1, expected=2)
+    assert merger.close(1) is None
+    assert role.merges == [] and role.finalized == 0
+
+
+def test_a_copy_after_close_is_late_and_counted() -> None:
+    merger = HoldAndWait(10, PROTOCOL.create_aggregator(), is_root=False)
+    merger.open(1, expected=2)
+    merger.offer(1, psr(0), frozenset({0}))
+    merger.close(1)
+    assert merger.offer(1, psr(1), frozenset({1})) == (LATE, False)
+    # An epoch this aggregator never held an inbox for is late too.
+    assert merger.offer(7, psr(1, 7), frozenset({1})) == (LATE, False)
+    assert merger.late == {1: 1, 7: 1}
+
+
+def test_a_second_close_does_nothing() -> None:
+    role = CountingAggregator()
+    merger = HoldAndWait(10, role, is_root=True)
+    merger.open(1, expected=1)
+    merger.offer(1, psr(0), frozenset({0}))
+    assert merger.close(1) is not None
+    assert merger.close(1) is None
+    assert role.merges == [1] and role.finalized == 1
+
+
+def test_reopening_an_open_epoch_is_rejected() -> None:
+    merger = HoldAndWait(10, PROTOCOL.create_aggregator(), is_root=False)
+    merger.open(1, expected=1)
+    with pytest.raises(SimulationError):
+        merger.open(1, expected=1)
+
+
+@pytest.mark.parametrize("is_root", [False, True])
+def test_finalize_for_querier_runs_once_and_only_at_the_root(is_root: bool) -> None:
+    role = CountingAggregator()
+    merger = HoldAndWait(10, role, is_root=is_root)
+    for epoch in (1, 2):
+        merger.open(epoch, expected=2)
+        merger.offer(epoch, psr(0, epoch), frozenset({0}))
+        merger.offer(epoch, psr(1, epoch), frozenset({1}))
+        merger.close(epoch)
+        merger.close(epoch)
+    assert role.merges == [2, 2]
+    assert role.finalized == (2 if is_root else 0)
+
+
+def test_a_final_psr_settles_with_the_exact_sum_over_its_manifest() -> None:
+    root = HoldAndWait(10, PROTOCOL.create_aggregator(), is_root=True)
+    root.open(1, expected=4)
+    for sid in (0, 2, 3):  # source 1's copy never arrives
+        root.offer(1, psr(sid), frozenset({sid}))
+    merged, manifest = root.close(1)
+
+    querier = QuerierEpochs(PROTOCOL.create_querier(), num_sources=N)
+    querier.open(1, frozenset(range(N)), frozenset(), started_at=100.0)
+    assert querier.offer(1, merged, manifest, now=142.5) == DELIVERED
+    record = querier.expire(1)
+    assert record.accepted and record.result.verified
+    assert record.result.value == VALUES[0] + VALUES[2] + VALUES[3]
+    assert record.recovery.survivors == frozenset({0, 2, 3})
+    assert record.recovery.lost == frozenset({1})
+    assert record.completion_latency == 42.5
+
+
+def test_full_manifest_evaluates_over_all_sources() -> None:
+    root = HoldAndWait(10, PROTOCOL.create_aggregator(), is_root=True)
+    root.open(1, expected=N)
+    for sid in range(N):
+        root.offer(1, psr(sid), frozenset({sid}))
+    merged, manifest = root.close(1)
+    querier = QuerierEpochs(PROTOCOL.create_querier(), num_sources=N)
+    querier.open(1, frozenset(range(N)), frozenset(), started_at=0.0)
+    querier.offer(1, merged, manifest, now=1.0)
+    record = querier.records[1]
+    assert record.recovery.complete and record.result.value == sum(VALUES.values())
+
+
+def test_late_final_psr_after_expiry_and_expiry_after_settlement() -> None:
+    merged = PROTOCOL.create_aggregator().merge(1, [psr(0)])
+    querier = QuerierEpochs(PROTOCOL.create_querier(), num_sources=N)
+    querier.open(1, frozenset({0}), frozenset({1, 2, 3}), started_at=0.0)
+    lost = querier.expire(1)
+    assert lost.security_failure == "MessageLost" and not lost.accepted
+    assert lost.completion_latency == 0.0
+    assert querier.offer(1, merged, frozenset({0}), now=9.0) == LATE
+    assert querier.records[1] is lost and querier.late == {1: 1}
+
+    querier.open(2, frozenset({0}), frozenset({1, 2, 3}), started_at=0.0)
+    assert querier.offer(2, PROTOCOL.create_aggregator().merge(2, [psr(0, 2)]),
+                         frozenset({0}), now=3.0) == DELIVERED
+    settled = querier.records[2]
+    assert querier.expire(2) is settled and settled.accepted
+    assert querier.offer(2, merged, frozenset({0}), now=4.0) == LATE
+    assert querier.late == {1: 1, 2: 1}
+
+
+def test_message_lost_versus_no_result() -> None:
+    querier = QuerierEpochs(PROTOCOL.create_querier(), num_sources=N)
+    querier.open(1, frozenset({0, 1}), frozenset({2, 3}), started_at=0.0)
+    querier.open(2, frozenset(), frozenset(range(N)), started_at=0.0)
+    assert querier.expire(1).security_failure == "MessageLost"
+    assert querier.expire(2).security_failure == "NoResult"
+    assert querier.expire(2).recovery.pre_failed == frozenset(range(N))
+
+
+def test_querier_rejects_reopening_and_unknown_epochs() -> None:
+    querier = QuerierEpochs(PROTOCOL.create_querier(), num_sources=N)
+    querier.open(1, frozenset({0}), frozenset(), started_at=0.0)
+    with pytest.raises(SimulationError):
+        querier.open(1, frozenset({0}), frozenset(), started_at=0.0)
+    with pytest.raises(SimulationError):
+        querier.expire(5)
+
+
+def reference_heights(tree) -> dict[int, int]:
+    """Height as the longest walk from any source up to the node."""
+    heights = {node_id: 0 for node_id in (*tree.source_ids, *tree.aggregator_ids)}
+    for sid in tree.source_ids:
+        distance, node = 0, tree.parent(sid)
+        while node is not None:
+            distance += 1
+            heights[node] = max(heights[node], distance)
+            node = tree.parent(node)
+    return heights
+
+
+def check_plan(tree, failed: frozenset[int], faults: FaultPlan, epoch: int) -> None:
+    planner = EpochPlanner(
+        tree, hold_time=7.0, querier_slack=3.0, failed_sources=failed, faults=faults
+    )
+    heights = node_heights(tree)
+    assert heights == reference_heights(tree)
+    assert planner.merge_offset == {aid: 7.0 * heights[aid] for aid in tree.aggregator_ids}
+    assert planner.querier_offset == 7.0 * (heights[tree.root_id] + 1) + 3.0
+
+    plan = planner.plan(epoch)
+    down = {sid for sid in tree.source_ids if faults.node_down(sid, epoch)}
+    assert plan.attempted == frozenset(tree.source_ids) - failed - down
+    assert plan.pre_failed == frozenset(tree.source_ids) - plan.attempted
+    live = {
+        aid for aid in tree.aggregator_ids
+        if any(sid in plan.attempted for sid in tree.leaves_under(aid))
+    }
+    assert set(plan.expected) == live
+    for aid in live:
+        assert plan.expected[aid] == sum(
+            1 for child in tree.children(aid) if child in plan.attempted or child in live
+        )
+    assert list(plan.expected) == [a for a in tree.bottom_up_aggregators() if a in live]
+
+
+def test_plan_on_a_chain_tree() -> None:
+    tree = build_chain_tree(6)
+    heights = node_heights(tree)
+    assert heights[tree.root_id] == 5
+    assert sorted(heights[aid] for aid in tree.aggregator_ids) == [1, 2, 3, 4, 5]
+    faults = FaultPlan(outages=(NodeOutage(node_id=5, first_epoch=2, last_epoch=2),))
+    # Sources 4 and 5 share the deepest aggregator: with 4 failed and 5
+    # down in epoch 2 that aggregator is not live, and its parent expects
+    # only its own source.
+    check_plan(tree, frozenset({4}), faults, epoch=2)
+    plan = EpochPlanner(
+        tree, hold_time=1.0, querier_slack=0.0, failed_sources=frozenset({4}), faults=faults
+    ).plan(2)
+    deepest = tree.parent(5)
+    assert deepest not in plan.expected
+    assert plan.expected[tree.parent(deepest)] == 1
+    check_plan(tree, frozenset({4}), faults, epoch=3)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_plan_on_a_random_tree(seed: int) -> None:
+    tree = build_random_tree(23, max_fanout=4, seed=seed)
+    faults = FaultPlan(outages=(NodeOutage(node_id=seed, first_epoch=1, last_epoch=1),))
+    check_plan(tree, frozenset(), FaultPlan.lossless(), epoch=1)
+    check_plan(tree, frozenset({0, 7, 8, 9, 10, 11}), faults, epoch=1)
+    check_plan(tree, frozenset(tree.source_ids), faults, epoch=1)

@@ -89,6 +89,40 @@ def test_loss_recovers_to_exact_sum_over_survivors() -> None:
     assert metrics.retransmissions_total() > 0
 
 
+def test_late_copies_are_counted_and_never_reach_the_sum() -> None:
+    """A hold time below the ARQ's second retransmit delay makes copies
+    miss their merge deadline; each is counted late against its epoch and
+    none of the sources it carried survives."""
+    sim, workload = make_runtime(
+        plan=FaultPlan.uniform_loss(0.4), epochs=10, hold_time=20.0, seed=1
+    )
+    assert sim.config.hold_time < sim.config.policy.timeout_for(0, 0.0) + (
+        sim.config.policy.timeout_for(1, 0.0)
+    )
+    late: list[dict] = []
+    sim.set_observer(lambda kind, attrs: late.append(attrs) if kind == "late" else None)
+    metrics = sim.run()
+
+    assert any(em.late_arrivals >= 1 for em in metrics.epochs)
+    assert sum(em.late_arrivals for em in metrics.epochs) == len(late)
+    assert sum(em.late_arrivals for em in metrics.epochs) == metrics.transport.total(
+        "late_frames"
+    )
+    by_epoch = {em.epoch: em for em in metrics.epochs}
+    for attrs in late:
+        em = by_epoch[attrs["epoch"]]
+        # A late first copy is never merged, and it was its sources'
+        # only way up the tree this epoch.
+        carried = set(sim.tree.leaves_under(attrs["sender"]))
+        assert not carried & em.recovery.survivors
+    for em in metrics.epochs:
+        assert em.late_arrivals == sum(1 for attrs in late if attrs["epoch"] == em.epoch)
+        if em.accepted:
+            assert em.result.value == sum(
+                workload(sid, em.epoch) for sid in em.recovery.survivors
+            )
+
+
 def test_pre_declared_failures_never_attempt() -> None:
     sim, workload = make_runtime(failed_sources=frozenset({1, 5}))
     metrics = sim.run()

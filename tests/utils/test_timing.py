@@ -1,12 +1,10 @@
-"""Stopwatch and timing statistics."""
+"""Timing statistics and the micro-benchmark helper."""
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro.utils.timing import Stopwatch, TimingStats, time_operation
+from repro.utils.timing import TimingStats, time_operation
 
 
 def test_stats_summary() -> None:
@@ -27,43 +25,6 @@ def test_stats_odd_median_and_empty() -> None:
     assert stats.median == 2.0
     empty = TimingStats()
     assert empty.mean == empty.median == empty.stddev == 0.0
-
-
-def test_stopwatch_accumulates_segments() -> None:
-    sw = Stopwatch()
-    with sw.measure("a"):
-        time.sleep(0.002)
-    with sw.measure("a"):
-        pass
-    with sw.measure("b"):
-        pass
-    assert sw.count("a") == 2
-    assert sw.count("b") == 1
-    assert sw.seconds("a") >= 0.002
-    assert sw.mean_seconds("a") == pytest.approx(sw.seconds("a") / 2)
-    assert set(sw.segments()) == {"a", "b"}
-
-
-def test_stopwatch_measures_even_on_exception() -> None:
-    sw = Stopwatch()
-    with pytest.raises(ValueError):
-        with sw.measure("x"):
-            raise ValueError("boom")
-    assert sw.count("x") == 1
-
-
-def test_stopwatch_add_and_reset() -> None:
-    sw = Stopwatch()
-    sw.add("manual", 1.5)
-    assert sw.seconds("manual") == 1.5
-    sw.reset()
-    assert sw.seconds("manual") == 0.0 and sw.count("manual") == 0
-
-
-def test_unknown_segment_reads_zero() -> None:
-    sw = Stopwatch()
-    assert sw.seconds("nope") == 0.0
-    assert sw.mean_seconds("nope") == 0.0
 
 
 def test_time_operation_counts_and_amortizes() -> None:

@@ -46,16 +46,3 @@ class SIESAggregator(AggregatorRole):
         if self._ops is not None and len(psrs) > 1:
             self._ops.add("add32", len(psrs) - 1)
         return SIESRecord(ciphertext=total, epoch=epoch, modulus_bytes=self._modulus_bytes)
-
-    def combine_many(
-        self, items: Sequence[tuple[int, Sequence[PartialStateRecord]]]
-    ) -> list[SIESRecord]:
-        """One merged PSR per ``(epoch, psrs)`` inbox (batched pipeline).
-
-        Aggregators are keyless, so there is nothing to amortize across
-        epochs — the value of the batch entry point is draining one
-        aggregator's inboxes for a whole epoch window in a single call.
-        Outputs are bit-identical to repeated :meth:`merge` calls.
-        """
-        merge = self.merge
-        return [merge(epoch, psrs) for epoch, psrs in items]

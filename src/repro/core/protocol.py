@@ -121,7 +121,7 @@ class SIESProtocol(SecureAggregationProtocol):
         Pass the result to :meth:`create_querier` (``key_cache=``) to
         amortize the querier's per-epoch ``N+1`` HM256 + ``N`` HM1
         derivations across epoch windows and repeated queries; see
-        ``docs/batched_pipeline.md`` for sizing guidance.
+        ``docs/api_overview.md`` for sizing guidance.
         """
         return KeyScheduleCache(self.keys, capacity=capacity, ops=ops)
 

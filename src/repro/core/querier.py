@@ -37,7 +37,7 @@ from repro.core.layout import MessageLayout
 from repro.core.source import SIESRecord
 from repro.crypto.keycache import KeyScheduleCache
 from repro.crypto.modular import modinv
-from repro.errors import LayoutError, ProtocolError, SecurityError, VerificationFailure
+from repro.errors import LayoutError, ProtocolError, VerificationFailure
 from repro.protocols.base import EvaluationResult, OpCounter, PartialStateRecord, QuerierRole
 from repro.utils.bytesops import constant_time_eq, int_to_bytes
 
@@ -134,34 +134,6 @@ class SIESQuerier(QuerierRole):
             exact=True,
             extras={"secret": extracted_secret, "contributors": n},
         )
-
-    def evaluate_many(
-        self,
-        items: Sequence[tuple[int, PartialStateRecord, Sequence[int] | None]],
-    ) -> list[EvaluationResult | SecurityError]:
-        """Evaluate a window of final PSRs (batched pipeline entry point).
-
-        Every item's reporting subset is validated *before* any
-        evaluation runs, so caller errors (empty subset, duplicate or
-        out-of-range ids) raise :class:`~repro.errors.ProtocolError`
-        eagerly for the whole batch.  Security failures are captured
-        per item — see :meth:`QuerierRole.evaluate_many`.
-
-        With a warm :class:`~repro.crypto.keycache.KeyScheduleCache`
-        the whole batch performs zero HMAC evaluations; with a cold
-        cache (or none) each epoch costs the paper's ``N+1`` HM256 +
-        ``N`` HM1, exactly like sequential evaluation.
-        """
-        batch = list(items)
-        for _, _, reporting_sources in batch:
-            self._validated_contributors(reporting_sources)
-        outcomes: list[EvaluationResult | SecurityError] = []
-        for epoch, psr, reporting_sources in batch:
-            try:
-                outcomes.append(self.evaluate(epoch, psr, reporting_sources=reporting_sources))
-            except SecurityError as exc:
-                outcomes.append(exc)
-        return outcomes
 
     # ------------------------------------------------------------------
     # Internals

@@ -14,7 +14,6 @@ Per epoch, with reading ``v_i,t``:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.keys import SourceKeys, _temporal_int
@@ -93,18 +92,3 @@ class SIESSource(SourceRole):
             self._ops.add("mul32", 1)
             self._ops.add("add32", 1)
         return SIESRecord(ciphertext=ciphertext, epoch=epoch, modulus_bytes=self._modulus_bytes)
-
-    def encrypt_many(self, items: Sequence[tuple[int, int]]) -> list[SIESRecord]:
-        """One PSR per ``(epoch, value)`` pair (batched pipeline entry).
-
-        SIES has no cross-epoch structure to exploit at the source —
-        every epoch needs fresh ``K_t``/``k_i,t``/``ss_i,t`` HMACs, so
-        the per-record cost stays the paper's Eq. 3.  The batch entry
-        point exists for pipeline symmetry: it lets the simulator (or a
-        gateway fronting many sensors) produce a whole epoch window in
-        one call, off the per-epoch critical path and fanned out across
-        a worker pool.  Records are bit-identical to repeated
-        :meth:`initialize` calls — the differential harness asserts it.
-        """
-        initialize = self.initialize
-        return [initialize(epoch, value) for epoch, value in items]

@@ -19,7 +19,7 @@ Layers (bottom up):
 * :mod:`repro.crypto.secret_sharing` — additive N-out-of-N sharing.
 * :mod:`repro.crypto.keychain` — one-way hash chains (μTesla substrate).
 * :mod:`repro.crypto.keycache` — LRU-cached per-epoch key schedules
-  (the amortization layer under the batched evaluation pipeline).
+  (amortizes the querier's key schedule across repeated evaluations).
 """
 
 from repro.crypto.hashes import HashFunction, available_backends, get_hash, sha1, sha256

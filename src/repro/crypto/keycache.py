@@ -4,24 +4,22 @@ The SIES querier re-derives ``K_t``, every contributing ``k_i,t`` and
 every ``ss_i,t`` from scratch on each evaluation — ``N+1`` HM256 and
 ``N`` HM1 calls per epoch (paper Eq. 9).  Those derivations depend only
 on ``(long-lived key, epoch)``, so a querier that answers several
-queries against the same epoch, re-verifies a window, or processes
-epochs in batches pays the full key-schedule cost repeatedly for
-byte-identical outputs.
+queries against the same epoch or re-verifies a window of epochs pays
+the full key-schedule cost repeatedly for byte-identical outputs.
 
 :class:`KeyScheduleCache` memoizes the three derivation streams behind
 an LRU bound:
 
 * the cache is **transparent** — it returns bit-for-bit the values the
-  underlying provider would (``tests/differential`` and
-  ``tests/property/test_keycache_properties.py`` pin this down,
-  including across eviction and re-prefetch);
+  underlying provider would (``tests/property/test_keycache_properties.py``
+  pins this down, including across eviction and re-prefetch);
 * the cache is **lazy per entry** — ``k_i,t`` / ``ss_i,t`` are derived
   per source on demand, so an epoch with a reporting subset costs
   exactly the subset's derivations, never all ``N``;
 * HMAC work is charged to an op counter **only when a derivation
   actually runs** — a warm cache therefore shows up as strictly fewer
   ``hm256``/``hm1`` counts per evaluation, which is the invariant the
-  batched-pipeline acceptance tests assert.
+  key-cache amortization tests assert.
 
 ``prefetch(epochs)`` fills whole epoch windows ahead of evaluation so
 the key-schedule cost is paid once per window (and can be paid off the
@@ -83,8 +81,8 @@ class KeyScheduleCache:
         The key material whose derivations are memoized.
     capacity:
         Maximum number of *epochs* held; least-recently-used epochs are
-        evicted first.  Size it to at least the epoch window driven
-        through the batched pipeline (see ``docs/batched_pipeline.md``).
+        evicted first.  Size it to at least the epoch window a querier
+        prefetches and evaluates (see ``docs/api_overview.md``).
     ops:
         Default op counter charged for derivations the cache actually
         performs (``hm256`` for ``K_t``/``k_i,t``, ``hm1`` for

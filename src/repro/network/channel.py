@@ -165,7 +165,7 @@ class Channel:
         untouched (a caller holding it keeps a consistent snapshot);
         reads through ``channel.counters`` see the new run.  Registered
         run listeners are notified with the fresh counters so observers
-        (e.g. :class:`~repro.network.tracing.SimulationTracer`) can
+        (e.g. :class:`~repro.obs.adapters.ChannelTraceAdapter`) can
         scope their own state to the same boundary.
         """
         self.counters = TrafficCounters()

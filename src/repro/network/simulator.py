@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import SecurityError, SimulationError
@@ -29,13 +28,7 @@ from repro.network.energy import EnergyLedger, EnergyModel
 from repro.network.messages import DataMessage
 from repro.network.metrics import EpochMetrics, RunMetrics
 from repro.network.topology import AggregationTree
-from repro.protocols.base import (
-    EvaluationResult,
-    OpCounter,
-    PartialStateRecord,
-    QuerierRole,
-    SecureAggregationProtocol,
-)
+from repro.protocols.base import OpCounter, PartialStateRecord, SecureAggregationProtocol
 from repro.utils.validation import check_positive_int
 
 __all__ = ["SimulationConfig", "NetworkSimulator", "QUERIER_NODE_ID", "naive_collection_traffic"]
@@ -144,219 +137,12 @@ class NetworkSimulator:
             metrics.energy_by_node = dict(self._energy.spent_by_node)
         return metrics
 
-    def run_batched(
-        self,
-        num_epochs: int | None = None,
-        *,
-        window: int = 8,
-        max_workers: int | None = None,
-        cache_capacity: int | None = None,
-    ) -> RunMetrics:
-        """Execute epochs in windows through the batch entry points.
-
-        Equivalent to :meth:`run` — ``tests/differential`` asserts
-        bit-identical ciphertexts, results, operation counts and
-        accept/reject verdicts — but restructured for throughput:
-
-        * every reporting source produces a whole window of PSRs in one
-          ``encrypt_many`` call (optionally fanned out across a thread
-          pool with *max_workers*);
-        * each aggregator drains its window of inboxes through one
-          ``combine_many`` call;
-        * the querier prefetches the window's key schedules into a
-          :class:`~repro.crypto.keycache.KeyScheduleCache` (when the
-          protocol provides ``create_key_cache``) and evaluates via
-          ``evaluate_many``.
-
-        Ordering contract for interceptors: source→aggregator messages
-        are delivered epoch-major in source order (exactly the
-        sequential order); aggregator output messages are delivered
-        per aggregator in ascending epoch order, which preserves the
-        sequential relative order on every edge an interceptor can key
-        on epoch-wise (in particular aggregator→querier, the replay
-        surface).  Wall-clock attribution within a batch call is split
-        evenly across the window (operation counts stay exact).
-
-        Workloads must be pure functions of ``(source_id, epoch)`` —
-        every bundled workload is — because readings are drawn in
-        source-major instead of epoch-major order.
-        """
-        epochs = num_epochs if num_epochs is not None else self.config.num_epochs
-        check_positive_int("num_epochs", epochs)
-        check_positive_int("window", window)
-        if max_workers is not None:
-            check_positive_int("max_workers", max_workers)
-        self.channel.begin_run()
-
-        querier: QuerierRole = self._querier
-        cache = None
-        make_cache = getattr(self.protocol, "create_key_cache", None)
-        if self.config.evaluate and make_cache is not None:
-            capacity = cache_capacity if cache_capacity is not None else max(2 * window, 16)
-            # A cache smaller than the window would evict prefetched
-            # epochs before evaluation reads them — correct results but
-            # twice the HMAC work, breaking op-count parity with the
-            # sequential path.  Never run starved.
-            capacity = max(capacity, window)
-            cache = make_cache(capacity=capacity)
-            querier = self.protocol.create_querier(ops=self.querier_ops, key_cache=cache)
-
-        metrics = RunMetrics(protocol=self.protocol.name, num_sources=self.tree.num_sources)
-        all_epochs = [self.config.start_epoch + offset for offset in range(epochs)]
-        for start in range(0, len(all_epochs), window):
-            metrics.epochs.extend(
-                self._run_window(all_epochs[start : start + window], querier, cache, max_workers)
-            )
-        metrics.traffic = self.channel.counters
-        metrics.source_ops = self.source_ops
-        metrics.aggregator_ops = self.aggregator_ops
-        metrics.querier_ops = self.querier_ops
-        if self._energy is not None:
-            metrics.energy_by_node = dict(self._energy.spent_by_node)
-        return metrics
-
-    def _run_window(
-        self,
-        wepochs: list[int],
-        querier: QuerierRole,
-        cache,
-        max_workers: int | None,
-    ) -> list[EpochMetrics]:
-        """One window of the batched pipeline; see :meth:`run_batched`."""
-        tree = self.tree
-        reporting = {epoch: self._reporting_sources(epoch) for epoch in wepochs}
-        reporting_sets = {epoch: set(ids) for epoch, ids in reporting.items()}
-        ems = {epoch: EpochMetrics(epoch=epoch) for epoch in wepochs}
-        inboxes: dict[int, dict[int, list[PartialStateRecord]]] = {e: {} for e in wepochs}
-
-        # --- Initialization phase, batched per source -------------------
-        items_by_source = {}
-        for sid in tree.source_ids:
-            items = [
-                (epoch, self.workload(sid, epoch))
-                for epoch in wepochs
-                if sid in reporting_sets[epoch]
-            ]
-            if items:
-                items_by_source[sid] = items
-
-        psr_by_source: dict[int, dict[int, PartialStateRecord]] = {}
-
-        def record_psrs(sid: int, psrs, elapsed: float) -> None:
-            items = items_by_source[sid]
-            psr_by_source[sid] = {epoch: psr for (epoch, _), psr in zip(items, psrs)}
-            for epoch, _ in items:
-                ems[epoch].source_seconds_total += elapsed / len(items)
-
-        if max_workers:
-            # Pooled sources get fresh role objects with private op
-            # counters (the shared ledger is not thread-safe); counters
-            # are merged afterwards, so totals match the serial path.
-            def job(sid: int):
-                local_ops = OpCounter()
-                role = self.protocol.create_source(sid, ops=local_ops)
-                start = time.perf_counter()
-                psrs = role.encrypt_many(items_by_source[sid])
-                return psrs, time.perf_counter() - start, local_ops
-
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = {sid: pool.submit(job, sid) for sid in items_by_source}
-            for sid in items_by_source:
-                psrs, elapsed, local_ops = futures[sid].result()
-                self.source_ops.merge(local_ops)
-                record_psrs(sid, psrs, elapsed)
-        else:
-            for sid in items_by_source:
-                start = time.perf_counter()
-                psrs = self._sources[sid].encrypt_many(items_by_source[sid])
-                record_psrs(sid, psrs, time.perf_counter() - start)
-
-        # Deliver in the sequential order (epoch-major, source order).
-        for epoch in wepochs:
-            for sid in reporting[epoch]:
-                parent = tree.parent(sid)
-                if parent is None:
-                    raise SimulationError(f"source {sid} has no parent aggregator")
-                self._deliver(DataMessage(sid, parent, epoch, psr_by_source[sid][epoch]), inboxes[epoch])
-                ems[epoch].sources_reporting += 1
-
-        # --- Merging phase, batched per aggregator ----------------------
-        # Bottom-up order guarantees every child (for every epoch of the
-        # window) has delivered before an aggregator's batch is drained.
-        final_psrs: dict[int, PartialStateRecord | None] = {epoch: None for epoch in wepochs}
-        sent_to_querier: set[int] = set()
-        for aid in self._merge_schedule:
-            batch = []
-            for epoch in wepochs:
-                received = inboxes[epoch].pop(aid, [])
-                if received:
-                    batch.append((epoch, received))
-            if not batch:
-                continue  # whole subtree failed/suppressed this window
-            aggregator = self._aggregators[aid]
-            start = time.perf_counter()
-            merged_batch = aggregator.combine_many(batch)
-            per_item = (time.perf_counter() - start) / len(batch)
-            parent = tree.parent(aid)
-            receiver = QUERIER_NODE_ID if parent is None else parent
-            for (epoch, _), merged in zip(batch, merged_batch):
-                ems[epoch].aggregator_seconds_total += per_item
-                ems[epoch].aggregator_merges += 1
-                if receiver == QUERIER_NODE_ID:
-                    start = time.perf_counter()
-                    merged = aggregator.finalize_for_querier(merged)
-                    ems[epoch].aggregator_seconds_total += time.perf_counter() - start
-                    sent_to_querier.add(epoch)
-                    final_psrs[epoch] = self._deliver_to_querier(
-                        DataMessage(aid, receiver, epoch, merged)
-                    )
-                else:
-                    self._deliver(DataMessage(aid, receiver, epoch, merged), inboxes[epoch])
-
-        # --- Evaluation phase, batched over the window -------------------
-        if self.config.evaluate:
-            eval_items = []
-            for epoch in wepochs:
-                if final_psrs[epoch] is None:
-                    # The paper treats a missing report as a trivially
-                    # detected DoS.  A final PSR that was *transmitted*
-                    # and then swallowed on the last hop is recorded
-                    # distinctly from one that was never produced.
-                    ems[epoch].security_failure = (
-                        "MessageLost" if epoch in sent_to_querier else "NoResult"
-                    )
-                    continue
-                all_reported = len(reporting[epoch]) == tree.num_sources
-                eval_items.append(
-                    (epoch, final_psrs[epoch], None if all_reported else reporting[epoch])
-                )
-            if eval_items and cache is not None:
-                # Warm exactly what evaluation will touch, charging the
-                # querier ledger for the derivations actually performed —
-                # totals match the sequential path HMAC for HMAC.
-                for epoch, _, contributors in eval_items:
-                    start = time.perf_counter()
-                    cache.prefetch([epoch], source_ids=contributors, ops=self.querier_ops)
-                    ems[epoch].querier_seconds += time.perf_counter() - start
-            if eval_items:
-                start = time.perf_counter()
-                outcomes = querier.evaluate_many(eval_items)
-                per_item = (time.perf_counter() - start) / len(eval_items)
-                for (epoch, _, _), outcome in zip(eval_items, outcomes):
-                    ems[epoch].querier_seconds += per_item
-                    if isinstance(outcome, EvaluationResult):
-                        ems[epoch].result = outcome
-                    else:
-                        ems[epoch].security_failure = type(outcome).__name__
-        return [ems[epoch] for epoch in wepochs]
-
     def run_epoch(self, epoch: int) -> EpochMetrics:
         """Execute one epoch as its own measured run (fresh traffic counters).
 
-        Multi-epoch entry points (:meth:`run`, :meth:`run_batched`)
-        accumulate one ledger across their epochs; a bare ``run_epoch``
-        is a run of its own and must not inherit frame bytes from
-        whatever ran on this simulator before.
+        :meth:`run` accumulates one ledger across its epochs; a bare
+        ``run_epoch`` is a run of its own and must not inherit frame
+        bytes from whatever ran on this simulator before.
         """
         self.channel.begin_run()
         return self._execute_epoch(epoch)

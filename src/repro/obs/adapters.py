@@ -33,8 +33,9 @@ class ChannelTraceAdapter:
     lossless function-call links, so a hop observed is a hop delivered;
     :func:`~repro.obs.trace.trace_dispositions` treats ``send``
     accordingly.  Attach/detach are idempotent and the recorder is
-    cleared on every ``begin_run`` — same run-scoping contract as
-    :class:`~repro.network.tracing.SimulationTracer`.
+    cleared on every ``begin_run``, so one recorder holds one run.
+    Events carry hop metadata only, never PSR contents, so a trace file
+    is safe to share.
     """
 
     def __init__(self, recorder: TraceRecorder) -> None:

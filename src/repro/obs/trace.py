@@ -1,9 +1,9 @@
 """The unified structured trace: one event schema for every substrate.
 
-:class:`ObsEvent` generalizes the network layer's
-:class:`~repro.network.tracing.TraceEvent` with the fields the other
-substrates need — *substrate* name, *run id*, *attempt index*, parcel
-*uid*, and a *kind* that classifies the disposition of the hop:
+:class:`ObsEvent` describes one hop on any substrate: the hop metadata
+(epoch, edge, sender, receiver, size, PSR type) plus *substrate* name,
+*run id*, *attempt index*, parcel *uid*, and a *kind* that classifies
+the disposition of the hop:
 
 ======================  =====================================================
 kind                    meaning

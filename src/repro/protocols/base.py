@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ParameterError, SecurityError
+from repro.errors import ParameterError
 
 __all__ = [
     "PartialStateRecord",
@@ -142,15 +142,6 @@ class SourceRole(ABC):
     def initialize(self, epoch: int, value: int) -> PartialStateRecord:
         """Produce the PSR for this source's *value* at *epoch*."""
 
-    def encrypt_many(self, items: Sequence[tuple[int, int]]) -> list[PartialStateRecord]:
-        """Batch entry point: one PSR per ``(epoch, value)`` pair.
-
-        Semantically identical to calling :meth:`initialize` per item
-        (the differential harness asserts this); protocols override it
-        when per-batch amortization is possible.
-        """
-        return [self.initialize(epoch, value) for epoch, value in items]
-
 
 class AggregatorRole(ABC):
     """Merging phase ``M`` — runs on an aggregator sensor."""
@@ -158,16 +149,6 @@ class AggregatorRole(ABC):
     @abstractmethod
     def merge(self, epoch: int, psrs: Sequence[PartialStateRecord]) -> PartialStateRecord:
         """Fuse the children's PSRs into a single PSR."""
-
-    def combine_many(
-        self, items: Sequence[tuple[int, Sequence[PartialStateRecord]]]
-    ) -> list[PartialStateRecord]:
-        """Batch entry point: one merged PSR per ``(epoch, psrs)`` group.
-
-        Groups are independent (one inbox per epoch), so this is
-        semantically identical to calling :meth:`merge` per group.
-        """
-        return [self.merge(epoch, psrs) for epoch, psrs in items]
 
     def finalize_for_querier(self, psr: PartialStateRecord) -> PartialStateRecord:
         """Extra work the *sink* performs before the hop to the querier.
@@ -197,26 +178,6 @@ class QuerierRole(ABC):
         Raises a :class:`repro.errors.SecurityError` subclass when a
         protocol with integrity detects tampering or replay.
         """
-
-    def evaluate_many(
-        self,
-        items: Sequence[tuple[int, PartialStateRecord, Sequence[int] | None]],
-    ) -> list["EvaluationResult | SecurityError"]:
-        """Batch entry point over ``(epoch, psr, reporting_sources)`` triples.
-
-        Returns one outcome per item, aligned with the input: the
-        :class:`EvaluationResult` on acceptance, or the *captured*
-        :class:`~repro.errors.SecurityError` on a detected violation —
-        a rejected epoch must not abort the rest of the window.
-        Non-security errors (caller mistakes) propagate immediately.
-        """
-        outcomes: list[EvaluationResult | SecurityError] = []
-        for epoch, psr, reporting_sources in items:
-            try:
-                outcomes.append(self.evaluate(epoch, psr, reporting_sources=reporting_sources))
-            except SecurityError as exc:
-                outcomes.append(exc)
-        return outcomes
 
 
 class SecureAggregationProtocol(ABC):

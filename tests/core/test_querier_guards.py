@@ -3,8 +3,7 @@
 An empty subset, a duplicate source id, or an out-of-range id makes the
 decryption subtract the wrong pad sum and (at best) reject an honest
 result, or silently decrypt garbage.  These are caller errors, not
-attacks, so both :meth:`SIESQuerier.evaluate` and
-:meth:`SIESQuerier.evaluate_many` raise a clear
+attacks, so :meth:`SIESQuerier.evaluate` raises a clear
 :class:`~repro.errors.ProtocolError` before touching any ciphertext.
 """
 
@@ -14,7 +13,6 @@ import pytest
 
 from repro.core.protocol import SIESProtocol
 from repro.errors import ProtocolError
-from repro.protocols.base import EvaluationResult
 
 N = 6
 EPOCH = 1
@@ -60,23 +58,6 @@ def test_out_of_range_source_ids_rejected(deployment, bad_id: int) -> None:
         querier.evaluate(EPOCH, final, reporting_sources=[0, 1, bad_id])
 
 
-def test_evaluate_many_validates_whole_batch_eagerly(deployment) -> None:
-    """A bad subset anywhere in the batch fails before any evaluation."""
-    protocol, psrs, _, aggregator = deployment
-    querier = protocol.create_querier()
-    good = aggregator.merge(EPOCH, psrs)
-    bad_items = [
-        (EPOCH, good, None),
-        (EPOCH, _subset_psr(deployment, [1, 1]), [1, 1]),  # duplicates
-    ]
-    with pytest.raises(ProtocolError, match="duplicate"):
-        querier.evaluate_many(bad_items)
-    with pytest.raises(ProtocolError, match="no reporting sources"):
-        querier.evaluate_many([(EPOCH, good, [])])
-    with pytest.raises(ProtocolError, match="outside"):
-        querier.evaluate_many([(EPOCH, good, [0, N])])
-
-
 def test_valid_subset_still_evaluates(deployment) -> None:
     """The guards must not break legitimate failed-subset evaluation."""
     protocol, _, values, _ = deployment
@@ -86,10 +67,6 @@ def test_valid_subset_still_evaluates(deployment) -> None:
     result = querier.evaluate(EPOCH, final, reporting_sources=subset)
     assert result.value == sum(values[i] for i in subset)
     assert result.verified
-
-    outcomes = querier.evaluate_many([(EPOCH, final, subset)])
-    assert isinstance(outcomes[0], EvaluationResult)
-    assert outcomes[0].value == result.value
 
 
 def test_guards_apply_with_key_cache(deployment) -> None:

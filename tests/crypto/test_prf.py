@@ -115,8 +115,9 @@ def test_warm_and_fresh_prfs_match_stdlib(backend: str, algorithm: str, key_len:
 
 
 def test_racing_first_evaluations_match_sequential() -> None:
-    """Cold PRFs filled concurrently from a thread pool (as ``run_batched``
-    with ``max_workers > 1`` does) return the sequential results."""
+    """Cold PRFs filled concurrently from a thread pool return the
+    sequential results: a PRF shared across threads may build its keyed
+    HMAC state twice, but every evaluation still matches."""
     workers = 4
     keys = [bytes([i + 1]) * 20 for i in range(24)]
     algorithms = ("sha1", "sha256")

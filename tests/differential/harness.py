@@ -1,23 +1,33 @@
-"""Differential harness: the batched pipeline must equal the sequential one.
+"""Differential harness: the analytic simulator against an exact oracle.
 
-Every perf-oriented change to the epoch pipeline rides on the same
-contract: replay an *identical* workload — same keys, same topology,
-same failures, same adversary — through ``NetworkSimulator.run`` and
-``NetworkSimulator.run_batched`` and require
+The analytic :class:`~repro.network.simulator.NetworkSimulator` has one
+epoch loop with two entry points, and the suite names them by how they
+group epochs:
 
-* **ciphertexts** — every PSR observed on the channel (post-adversary)
-  is bit-identical, keyed by ``(epoch, sender)``;
-* **results** — per-epoch decrypted SUMs match (or are absent in both);
-* **verdicts** — per-epoch accept/reject outcomes and security-failure
-  class names match (no detection divergence, no false-positive skew);
-* **op counts** — the source/aggregator/querier primitive-operation
-  ledgers are equal, so the fast path cannot silently do different
-  (or skipped) crypto;
-* **traffic** — per-edge byte/message counters match.
+* **batched** — one ``run()`` call over the whole epoch range, one
+  traffic ledger for the run;
+* **sequential** — one ``run_epoch()`` call per epoch, each its own
+  measured run.
 
-Both paths get fresh protocol/simulator/adversary instances built from
-the same :class:`RunSpec` (seeded key generation makes them
-key-identical), because interceptors and channels are stateful.
+Every scenario (a :class:`RunSpec`) is rebuilt from scratch for each
+entry point — same keys, topology, failures and adversary, because
+interceptors and channels are stateful — and checked twice:
+
+:func:`assert_equivalent`
+    both entry points agree bit for bit: channel ciphertexts, per-epoch
+    SUMs and verdicts, the three op ledgers, and per-edge traffic;
+:func:`assert_oracle`
+    the run matches what the spec alone predicts —
+
+    * every accepted epoch's SUM is the workload's exact sum over that
+      epoch's reporting sources (never wrong-and-accepted);
+    * every epoch the adversary or lossy link did not touch is
+      accepted, and with ``touched_rejected`` every touched epoch is
+      not;
+    * the source ledger holds 2 ``hm256`` + 1 ``hm1`` per reporting
+      source, and the querier ledger ``|contributors| + 1`` ``hm256``
+      and ``|contributors|`` ``hm1`` per evaluated epoch;
+    * S-A messages equal the number of reporting sources.
 """
 
 from __future__ import annotations
@@ -43,21 +53,17 @@ __all__ = [
     "execute_path",
     "run_both_paths",
     "assert_equivalent",
+    "assert_oracle",
     "count_combinations",
 ]
 
 
 class LossyLink:
-    """A stateless lossy link usable identically on both execution paths.
+    """A stateless lossy link: each message's fate is a seeded hash.
 
-    The batched pipeline delivers messages in a different *global*
-    order than the sequential one (the per-edge relative order is
-    preserved), so a lossy link that consumed RNG state per call would
-    diverge between paths.  This one decides each drop purely from a
-    seeded hash of ``(epoch, sender, edge)`` — the same message meets
-    the same fate on either path, which is exactly what a differential
-    scenario needs (and what a real fading channel looks like to a
-    replayed trace).
+    A drop is decided purely from ``(epoch, sender, edge)``, so the same
+    message meets the same fate on either entry point and in any order
+    — what a replayed trace of a real fading channel looks like.
     """
 
     def __init__(
@@ -72,8 +78,8 @@ class LossyLink:
         self.loss_rate = loss_rate
         self.seed = seed
         self.edge_class = edge_class
-        #: ``(epoch, sender)`` pairs this link actually swallowed.
-        self.dropped: list[tuple[int, int]] = []
+        #: Epoch of every message this link actually swallowed.
+        self.applications: list[int] = []
 
     def would_drop(self, epoch: int, sender: int, edge: EdgeClass) -> bool:
         draw = derive_seed(self.seed, "lossy", f"{epoch}", f"{sender}", edge.value)
@@ -83,7 +89,7 @@ class LossyLink:
         if self.edge_class is not None and edge is not self.edge_class:
             return message
         if self.would_drop(message.epoch, message.sender, edge):
-            self.dropped.append((message.epoch, message.sender))
+            self.applications.append(message.epoch)
             return None
         return message
 
@@ -93,7 +99,7 @@ AttackFactory = Callable[[SecureAggregationProtocol], Interceptor]
 
 @dataclass
 class RunSpec:
-    """A complete, reproducible scenario both execution paths replay."""
+    """A complete, reproducible SIES scenario both entry points replay."""
 
     num_sources: int
     fanout: int = 3
@@ -106,25 +112,31 @@ class RunSpec:
     #: ``source_id -> epochs`` dynamic (per-epoch) reported failures.
     dynamic_failures: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
     attack_factory: AttackFactory | None = None
-    #: Batched-path knobs (ignored by the sequential path).
-    window: int = 4
-    max_workers: int | None = None
-    cache_capacity: int | None = None
-    protocol_factory: Callable[["RunSpec"], SecureAggregationProtocol] | None = None
 
-    def build_protocol(self) -> SecureAggregationProtocol:
-        if self.protocol_factory is not None:
-            return self.protocol_factory(self)
-        return SIESProtocol(self.num_sources, seed=self.key_seed)
+    @property
+    def epochs(self) -> range:
+        return range(1, self.num_epochs + 1)
+
+    def build_workload(self) -> UniformWorkload:
+        low, high = self.value_range
+        return UniformWorkload(self.num_sources, low, high, seed=self.workload_seed)
+
+    def reporting(self, epoch: int) -> list[int]:
+        """Source ids the querier is told reported at *epoch*."""
+        failed = set(self.static_failures)
+        failed.update(sid for sid, epochs in self.dynamic_failures.items() if epoch in epochs)
+        return [sid for sid in range(self.num_sources) if sid not in failed]
 
 
 @dataclass
 class PathTrace:
-    """Everything one execution path produced that the contract compares."""
+    """Everything one entry point produced that the contract compares."""
 
     metrics: RunMetrics
     #: ``(epoch, sender) -> ciphertext`` for every channel-observed PSR.
     ciphertexts: dict[tuple[int, int], int]
+    #: Epochs in which the adversary modified or swallowed a message.
+    touched: set[int]
 
     @property
     def verdicts(self) -> list[tuple[int, str | None]]:
@@ -135,56 +147,73 @@ class PathTrace:
         return [em.result.value if em.result is not None else None for em in self.metrics.epochs]
 
 
+def _touched_epochs(attack: Interceptor | None) -> set[int]:
+    # A passive eavesdropper records every hop it sees but changes none.
+    if attack is None or isinstance(attack, Eavesdropper):
+        return set()
+    return set(getattr(attack, "applications", ()))
+
+
 def execute_path(spec: RunSpec, *, batched: bool) -> PathTrace:
-    """Build the scenario from scratch and run one execution path."""
-    protocol = spec.build_protocol()
+    """Build the scenario from scratch and run it through one entry point."""
+    protocol = SIESProtocol(spec.num_sources, seed=spec.key_seed)
     tree = build_complete_tree(spec.num_sources, spec.fanout)
-    workload = UniformWorkload(
-        spec.num_sources, spec.value_range[0], spec.value_range[1], seed=spec.workload_seed
-    )
     simulator = NetworkSimulator(
         protocol,
         tree,
-        workload,
+        spec.build_workload(),
         SimulationConfig(num_epochs=spec.num_epochs, failed_sources=spec.static_failures),
     )
     for source_id, epochs in spec.dynamic_failures.items():
         simulator.fail_source_at(source_id, epochs)
-    if spec.attack_factory is not None:
-        simulator.channel.add_interceptor(spec.attack_factory(protocol))
+    attack = spec.attack_factory(protocol) if spec.attack_factory is not None else None
+    if attack is not None:
+        simulator.channel.add_interceptor(attack)
     # The spy sits *after* the adversary, so it records what the
     # receivers actually saw — attack effects included.
     spy = Eavesdropper()
     simulator.channel.add_interceptor(spy)
 
     if batched:
-        metrics = simulator.run_batched(
-            window=spec.window,
-            max_workers=spec.max_workers,
-            cache_capacity=spec.cache_capacity,
-        )
-    else:
         metrics = simulator.run()
+    else:
+        # Each run_epoch starts a fresh traffic ledger; fold them into
+        # one so the two entry points compare edge by edge.
+        metrics = RunMetrics(protocol=protocol.name, num_sources=spec.num_sources)
+        for epoch in spec.epochs:
+            metrics.epochs.append(simulator.run_epoch(epoch))
+            counters = simulator.channel.counters
+            for edge, size in counters.bytes_by_class.items():
+                metrics.traffic.bytes_by_class[edge] = metrics.traffic.bytes_for(edge) + size
+            for edge, count in counters.messages_by_class.items():
+                metrics.traffic.messages_by_class[edge] = (
+                    metrics.traffic.messages_for(edge) + count
+                )
+        metrics.source_ops = simulator.source_ops
+        metrics.aggregator_ops = simulator.aggregator_ops
+        metrics.querier_ops = simulator.querier_ops
 
     ciphertexts = {
         (epoch, sender): psr.ciphertext
         for (epoch, sender, psr) in spy.observations
         if hasattr(psr, "ciphertext")
     }
-    return PathTrace(metrics=metrics, ciphertexts=ciphertexts)
+    return PathTrace(metrics=metrics, ciphertexts=ciphertexts, touched=_touched_epochs(attack))
 
 
 def run_both_paths(spec: RunSpec) -> tuple[PathTrace, PathTrace]:
+    """``(sequential, batched)`` traces of the same scenario."""
     return execute_path(spec, batched=False), execute_path(spec, batched=True)
 
 
 def assert_equivalent(sequential: PathTrace, batched: PathTrace, *, context: str = "") -> None:
-    """Assert the full differential contract between the two traces."""
+    """Assert the two entry points produced the same run, bit for bit."""
     label = f" [{context}]" if context else ""
 
     assert batched.ciphertexts == sequential.ciphertexts, (
         f"channel ciphertexts diverged{label}"
     )
+    assert batched.touched == sequential.touched, f"adversary touched other epochs{label}"
 
     seq_epochs = sequential.metrics.epochs
     bat_epochs = batched.metrics.epochs
@@ -219,11 +248,56 @@ def assert_equivalent(sequential: PathTrace, batched: PathTrace, *, context: str
     ), f"traffic messages diverged{label}"
 
 
+def assert_oracle(
+    spec: RunSpec, trace: PathTrace, *, context: str = "", touched_rejected: bool = False
+) -> None:
+    """Assert the run matches the exact values and ledgers *spec* predicts."""
+    label = f" [{context}]" if context else ""
+    workload = spec.build_workload()
+    epochs = trace.metrics.epochs
+    assert [em.epoch for em in epochs] == list(spec.epochs), f"epoch schedule{label}"
+
+    reported = 0
+    querier_hm256 = 0
+    querier_hm1 = 0
+    for em in epochs:
+        reporting = spec.reporting(em.epoch)
+        reported += len(reporting)
+        assert em.sources_reporting == len(reporting), f"epoch {em.epoch}{label}"
+        accepted = em.security_failure is None and em.result is not None
+        if accepted:
+            exact = sum(workload(sid, em.epoch) for sid in reporting)
+            assert em.result.value == exact, (
+                f"epoch {em.epoch} accepted a wrong SUM{label}: {em.result.value} != {exact}"
+            )
+        if em.epoch not in trace.touched:
+            assert accepted, (
+                f"untouched epoch {em.epoch} not accepted{label}: {em.security_failure!r}"
+            )
+        elif touched_rejected:
+            assert not accepted, f"touched epoch {em.epoch} accepted{label}"
+        if em.security_failure not in ("MessageLost", "NoResult"):
+            querier_hm256 += len(reporting) + 1
+            querier_hm1 += len(reporting)
+
+    metrics = trace.metrics
+    source_ledger = (metrics.source_ops.get("hm256"), metrics.source_ops.get("hm1"))
+    assert source_ledger == (2 * reported, reported), (
+        f"source ledger (hm256, hm1)={source_ledger}, expected {(2 * reported, reported)}{label}"
+    )
+    querier_ledger = (metrics.querier_ops.get("hm256"), metrics.querier_ops.get("hm1"))
+    assert querier_ledger == (querier_hm256, querier_hm1), (
+        f"querier ledger (hm256, hm1)={querier_ledger}, "
+        f"expected {(querier_hm256, querier_hm1)}{label}"
+    )
+    sa_messages = metrics.traffic.messages_for(EdgeClass.SOURCE_TO_AGGREGATOR)
+    assert sa_messages == reported, f"S-A messages {sa_messages} != {reported}{label}"
+
+
 def count_combinations(specs: Iterable[RunSpec]) -> int:
     """Epoch/failure/tamper combinations a spec list exercises.
 
     Each simulated epoch is one (epoch × failure-set × tamper-state)
-    point of the differential contract — the acceptance criterion
-    requires ≥ 200 of them.
+    point of the contract; the randomized sweep requires ≥ 200 of them.
     """
     return sum(spec.num_epochs for spec in specs)

@@ -1,16 +1,18 @@
-"""Randomized differential sweep: batched pipeline ≡ sequential pipeline.
+"""Randomized differential sweep: ``run()`` ≡ ``run_epoch()`` ≡ exact oracle.
 
-A seeded generator draws scenarios across network size, fanout, window
-size, worker-pool use, cache capacity (including capacities smaller
-than the window, forcing eviction mid-run), static and dynamic source
-failures, and every channel adversary — then replays each through both
-execution paths and asserts the full differential contract
-(ciphertexts, SUMs, op counts, verdicts, traffic).
+A seeded generator draws scenarios across network size, fanout, static
+and dynamic source failures, and every active channel adversary, then
+replays each through both simulator entry points (one ``run()`` over
+the range, "batched"; one ``run_epoch()`` per epoch, "sequential").
+Both must agree bit for bit, and the run must match the oracle: exact
+SUMs on every accepted epoch, every untouched epoch accepted, every
+tampered epoch rejected, and the closed-form op ledgers and S-A message
+counts (see :mod:`tests.differential.harness`).
 
 The sweep covers ≥ 200 epoch/failure/tamper combinations (asserted
-explicitly), satisfying the batched-pipeline acceptance criterion, and
-pins the amortization claim: a warm key-schedule cache performs
-strictly fewer HMAC evaluations per epoch than the sequential querier.
+explicitly).  The key-schedule cache tests pin the amortization claim:
+a warm cache performs strictly fewer HMAC evaluations per epoch than
+the plain querier.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.protocols.base import OpCounter
 from tests.differential.harness import (
     RunSpec,
     assert_equivalent,
+    assert_oracle,
     count_combinations,
     execute_path,
     run_both_paths,
@@ -84,6 +87,9 @@ def _random_specs(seed: int, count: int) -> list[tuple[str, RunSpec]]:
             )
             dynamic[sid] = epochs
         attack_factory, attack_name = _attack_factory(rng)
+        # The ``window`` draw (only shown in the id) and the two draws
+        # after the spec select nothing; dropping them would reshuffle
+        # every later scenario of the seeded stream.
         window = rng.choice([1, 2, 3, 4, 8, 16])
         spec = RunSpec(
             num_sources=num_sources,
@@ -95,12 +101,9 @@ def _random_specs(seed: int, count: int) -> list[tuple[str, RunSpec]]:
             static_failures=static,
             dynamic_failures=dynamic,
             attack_factory=attack_factory,
-            window=window,
-            max_workers=rng.choice([None, None, 2, 4]),
-            # Occasionally starve the cache below the window so LRU
-            # eviction happens on the hot path.
-            cache_capacity=rng.choice([None, None, max(1, window // 2)]),
         )
+        rng.choice([None, None, 2, 4])
+        rng.choice([None, None, max(1, window // 2)])
         specs.append((f"{index:02d}-{attack_name}-n{num_sources}-w{window}", spec))
     return specs
 
@@ -116,21 +119,32 @@ def test_sweep_covers_required_combinations() -> None:
 def test_batched_equals_sequential(label: str, spec: RunSpec) -> None:
     sequential, batched = run_both_paths(spec)
     assert_equivalent(sequential, batched, context=label)
+    # Every drawn adversary is active, so a touched epoch is never accepted.
+    assert_oracle(spec, batched, context=label, touched_rejected=True)
 
 
 def test_attacked_sweep_actually_detects_something() -> None:
     """Guard against a vacuous sweep: the drawn scenarios must include
-    both accepted epochs and querier-rejected epochs."""
+    accepted epochs (some over a failed subset), querier-rejected
+    epochs, and epochs the adversary touched."""
     verdicts = set()
+    subset_accepted = False
+    touched = 0
     for _, spec in SPECS:
-        trace = execute_path(spec, batched=False)
-        verdicts.update(failure for _, failure in trace.verdicts)
+        trace = execute_path(spec, batched=True)
+        touched += len(trace.touched)
+        for em in trace.metrics.epochs:
+            verdicts.add(em.security_failure)
+            if em.security_failure is None and len(spec.reporting(em.epoch)) < spec.num_sources:
+                subset_accepted = True
     assert None in verdicts, "no epoch was ever accepted"
     assert "VerificationFailure" in verdicts, "no epoch was ever rejected"
+    assert subset_accepted, "no failed-subset epoch was ever accepted"
+    assert touched, "no adversary ever touched an epoch"
 
 
 # ----------------------------------------------------------------------
-# The amortization claim (acceptance criterion)
+# The key-schedule cache's amortization claim
 # ----------------------------------------------------------------------
 
 EPOCHS = list(range(1, 9))
@@ -168,9 +182,8 @@ def test_warm_cache_strictly_fewer_hmacs_per_epoch() -> None:
     assert warm_ops.get("hm256") == len(EPOCHS) * (N + 1)
     assert warm_ops.get("hm1") == len(EPOCHS) * N
 
-    outcomes = cached_querier.evaluate_many([(epoch, finals[epoch], None) for epoch in EPOCHS])
-    assert all(not isinstance(outcome, Exception) for outcome in outcomes)
-    assert [outcome.value for outcome in outcomes] == [
+    results = [cached_querier.evaluate(epoch, finals[epoch]) for epoch in EPOCHS]
+    assert [result.value for result in results] == [
         seq_querier.evaluate(epoch, finals[epoch]).value for epoch in EPOCHS
     ]
     # Strictly fewer HMACs per epoch at evaluation time: zero vs 2N+1.
@@ -183,7 +196,6 @@ def test_cache_amortizes_repeated_windows() -> None:
     key schedule once in total, the sequential querier pays it twice."""
     protocol = SIESProtocol(N, seed=32)
     finals = _finals(protocol)
-    items = [(epoch, finals[epoch], None) for epoch in EPOCHS]
 
     seq_ops = OpCounter()
     seq_querier = protocol.create_querier(ops=seq_ops)
@@ -195,8 +207,8 @@ def test_cache_amortizes_repeated_windows() -> None:
     cache = protocol.create_key_cache(capacity=len(EPOCHS))
     cached_querier = protocol.create_querier(ops=cached_ops, key_cache=cache)
     for _ in range(2):
-        for outcome in cached_querier.evaluate_many(items):
-            assert not isinstance(outcome, Exception)
+        for epoch in EPOCHS:
+            assert cached_querier.evaluate(epoch, finals[epoch]).verified
 
     assert cached_ops.get("hm256") == seq_ops.get("hm256") // 2
     assert cached_ops.get("hm1") == seq_ops.get("hm1") // 2

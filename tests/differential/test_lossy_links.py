@@ -1,14 +1,14 @@
-"""Sequential-vs-batched parity under packet loss.
+"""Both entry points and the oracle under packet loss.
 
-The batched pipeline restructures delivery order, so unreported drops
-are exactly where it could silently diverge: a subtree vanishing on the
-sequential path must vanish identically on the batched path, final-hop
-losses must classify as ``MessageLost`` on both, and partial-subtree
-losses must produce the *same* ``IntegrityError`` verdicts (the querier
-believes all sources reported, so a missing contribution is detected
-tampering on either path).  :class:`~tests.differential.harness.LossyLink`
-makes the channel's fate a pure function of ``(epoch, sender, edge)``,
-which keeps both paths on the same loss realization.
+Unreported drops are where a run could silently go wrong: a subtree
+vanishing must reject the epoch (the querier believes all sources
+reported, so a missing contribution fails the share check), a final-hop
+loss must classify as ``MessageLost``, and every epoch the link did not
+touch must still be accepted with its exact SUM.  ``run()`` ("batched")
+and ``run_epoch()`` ("sequential") must agree on all of it.
+:class:`~tests.differential.harness.LossyLink` makes the channel's fate
+a pure function of ``(epoch, sender, edge)``, which keeps both entry
+points on the same loss realization.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from tests.differential.harness import (
     LossyLink,
     RunSpec,
     assert_equivalent,
+    assert_oracle,
     run_both_paths,
 )
 
@@ -38,15 +39,15 @@ def test_lossy_parity(loss_rate: float, edge_class: EdgeClass | None) -> None:
         num_sources=12,
         fanout=3,
         num_epochs=10,
-        window=4,
         attack_factory=lambda _p: LossyLink(
             loss_rate, seed=int(loss_rate * 100), edge_class=edge_class
         ),
     )
+    context = f"loss={loss_rate} edge={edge_class}"
     sequential, batched = run_both_paths(spec)
-    assert_equivalent(
-        sequential, batched, context=f"loss={loss_rate} edge={edge_class}"
-    )
+    assert_equivalent(sequential, batched, context=context)
+    assert_oracle(spec, batched, context=context, touched_rejected=True)
+    assert batched.touched, f"link never dropped anything [{context}]"
 
 
 def test_final_hop_loss_is_message_lost_on_both_paths() -> None:
@@ -54,13 +55,13 @@ def test_final_hop_loss_is_message_lost_on_both_paths() -> None:
         num_sources=9,
         fanout=3,
         num_epochs=8,
-        window=3,
         attack_factory=lambda _p: LossyLink(
             0.5, seed=9, edge_class=EdgeClass.AGGREGATOR_TO_QUERIER
         ),
     )
     sequential, batched = run_both_paths(spec)
     assert_equivalent(sequential, batched, context="final-hop loss")
+    assert_oracle(spec, batched, context="final-hop loss", touched_rejected=True)
     failures = {failure for _, failure in sequential.verdicts if failure}
     # With 50% A-Q loss over 8 epochs, some epochs must be lost — and
     # every lost epoch must carry the distinct MessageLost classification.
@@ -73,13 +74,13 @@ def test_source_loss_detected_identically() -> None:
         num_sources=12,
         fanout=3,
         num_epochs=8,
-        window=4,
         attack_factory=lambda _p: LossyLink(
             0.35, seed=3, edge_class=EdgeClass.SOURCE_TO_AGGREGATOR
         ),
     )
     sequential, batched = run_both_paths(spec)
     assert_equivalent(sequential, batched, context="source loss")
+    assert_oracle(spec, batched, context="source loss", touched_rejected=True)
     failures = {failure for _, failure in sequential.verdicts if failure}
     assert "VerificationFailure" in failures
 
@@ -90,10 +91,10 @@ def test_loss_with_dynamic_failures_parity() -> None:
         num_sources=12,
         fanout=3,
         num_epochs=8,
-        window=3,
         static_failures=frozenset({2}),
         dynamic_failures={5: (2, 3), 7: (4,)},
         attack_factory=lambda _p: LossyLink(0.2, seed=17),
     )
     sequential, batched = run_both_paths(spec)
     assert_equivalent(sequential, batched, context="loss+failures")
+    assert_oracle(spec, batched, context="loss+failures", touched_rejected=True)

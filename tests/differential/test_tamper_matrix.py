@@ -1,17 +1,19 @@
-"""Tamper matrix: adversary × execution path × failure mode.
+"""Tamper matrix: adversary × entry point × failure mode.
 
 Every channel adversary from :mod:`repro.attacks.adversary` is mounted
-against both the sequential and the batched pipeline, under both the
-all-report regime and a failed-subset regime (static plus dynamic
-reported failures).  The contract has two layers:
+against both simulator entry points — one ``run()`` over the range
+("batched") and one ``run_epoch()`` per epoch ("sequential") — under
+both the all-report regime and a failed-subset regime (static plus
+dynamic reported failures).  The contract has two layers:
 
-* **no verdict divergence** — for every cell of the matrix, an epoch
-  raises :class:`~repro.errors.VerificationFailure` in both paths or in
-  neither (checked cell-by-cell via the differential harness);
+* **no verdict divergence** — for every cell of the matrix, both entry
+  points agree epoch by epoch, and the run matches the exact oracle
+  (:func:`~tests.differential.harness.assert_oracle`);
 * **detection** — for the actively tampering adversaries, every epoch
-  whose final record the attack actually touched is rejected (what
-  Theorems 2/4 promise), and no clean epoch is ever rejected in either
-  path (no false positives introduced by batching).
+  whose records the attack actually touched is rejected with
+  :class:`~repro.errors.VerificationFailure` (what Theorems 2/4
+  promise), and no untouched epoch is ever rejected (no false
+  positives; the passive eavesdropper touches none).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.network.channel import EdgeClass
 from tests.differential.harness import (
     RunSpec,
     assert_equivalent,
+    assert_oracle,
     execute_path,
     run_both_paths,
 )
@@ -77,7 +80,6 @@ def _spec(scenario: str, failure_mode: str) -> RunSpec:
         key_seed=zlib.crc32(f"{scenario}/{failure_mode}".encode()) % 100_000,
         workload_seed=42,
         attack_factory=factory,
-        window=3,
         **FAILURE_MODES[failure_mode],
     )
 
@@ -85,9 +87,11 @@ def _spec(scenario: str, failure_mode: str) -> RunSpec:
 @pytest.mark.parametrize("failure_mode", sorted(FAILURE_MODES))
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_no_verdict_divergence(scenario: str, failure_mode: str) -> None:
-    """Sequential and batched must agree epoch-by-epoch, bit-by-bit."""
-    sequential, batched = run_both_paths(_spec(scenario, failure_mode))
+    """Both entry points agree bit by bit, and the run matches the oracle."""
+    spec = _spec(scenario, failure_mode)
+    sequential, batched = run_both_paths(spec)
     assert_equivalent(sequential, batched, context=f"{scenario}/{failure_mode}")
+    assert_oracle(spec, batched, context=f"{scenario}/{failure_mode}", touched_rejected=True)
 
 
 @pytest.mark.parametrize("failure_mode", sorted(FAILURE_MODES))
@@ -95,41 +99,28 @@ def test_no_verdict_divergence(scenario: str, failure_mode: str) -> None:
 @pytest.mark.parametrize("batched", [False, True], ids=["sequential", "batched"])
 def test_detection_contract(scenario: str, failure_mode: str, batched: bool) -> None:
     """Tampered epochs are rejected; untouched epochs are accepted."""
-    factory, always_detected = SCENARIOS[scenario]
-    spec = _spec(scenario, failure_mode)
-
-    # Rebuild with an attack instance we keep a handle on, to know
-    # exactly which epochs it touched.
-    captured: dict[str, object] = {}
-
-    def capturing_factory(protocol):
-        captured["attack"] = factory(protocol)
-        return captured["attack"]
-
-    spec.attack_factory = capturing_factory
-    trace = execute_path(spec, batched=batched)
-    attack = captured["attack"]
-    attacked_epochs = set(getattr(attack, "applications", []))
+    _, always_detected = SCENARIOS[scenario]
+    trace = execute_path(_spec(scenario, failure_mode), batched=batched)
+    path = "batched" if batched else "sequential"
 
     for epoch, failure in trace.verdicts:
-        if epoch in attacked_epochs and always_detected:
+        if epoch in trace.touched and always_detected:
             assert failure == "VerificationFailure", (
-                f"{scenario}/{failure_mode}: attacked epoch {epoch} accepted "
-                f"({'batched' if batched else 'sequential'} path)"
+                f"{scenario}/{failure_mode}: attacked epoch {epoch} accepted ({path} path)"
             )
-        if epoch not in attacked_epochs:
+        if epoch not in trace.touched:
             assert failure is None, (
                 f"{scenario}/{failure_mode}: clean epoch {epoch} rejected with {failure} "
-                f"({'batched' if batched else 'sequential'} path) — false positive"
+                f"({path} path) — false positive"
             )
 
 
 def test_matrix_includes_genuinely_attacked_epochs() -> None:
     """The matrix is not vacuous: tampering scenarios really fire."""
-    for scenario, (factory, always_detected) in SCENARIOS.items():
+    for scenario, (_, always_detected) in SCENARIOS.items():
         if not always_detected:
             continue
-        spec = _spec(scenario, "all-report")
-        sequential, batched = run_both_paths(spec)
-        rejected = [e for e, failure in sequential.verdicts if failure is not None]
+        trace = execute_path(_spec(scenario, "all-report"), batched=True)
+        rejected = [e for e, failure in trace.verdicts if failure is not None]
         assert rejected, f"{scenario} never produced a rejected epoch"
+        assert trace.touched, f"{scenario} never touched an epoch"

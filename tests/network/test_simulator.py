@@ -138,7 +138,7 @@ def test_nothing_sent_records_no_result(setup) -> None:
 
 
 def test_message_lost_parity_across_run_modes(setup) -> None:
-    """run, run_epoch and run_batched must all classify final-hop drops alike."""
+    """run and run_epoch must classify final-hop drops alike."""
     _, tree, workload = setup
 
     def lossy(epoch_mod):
@@ -149,7 +149,7 @@ def test_message_lost_parity_across_run_modes(setup) -> None:
         )
 
     verdicts = {}
-    for mode in ("run", "run_epoch", "run_batched"):
+    for mode in ("run", "run_epoch"):
         sim = NetworkSimulator(
             SIESProtocol(N, seed=1), tree, workload, SimulationConfig(num_epochs=4)
         )
@@ -157,14 +157,11 @@ def test_message_lost_parity_across_run_modes(setup) -> None:
         if mode == "run":
             metrics = sim.run()
             verdicts[mode] = [(em.epoch, em.security_failure) for em in metrics.epochs]
-        elif mode == "run_batched":
-            metrics = sim.run_batched(window=3)
-            verdicts[mode] = [(em.epoch, em.security_failure) for em in metrics.epochs]
         else:
             verdicts[mode] = [
                 (epoch, sim.run_epoch(epoch).security_failure) for epoch in range(1, 5)
             ]
-    assert verdicts["run"] == verdicts["run_epoch"] == verdicts["run_batched"]
+    assert verdicts["run"] == verdicts["run_epoch"]
     assert [failure for _, failure in verdicts["run"]] == [
         None, "MessageLost", None, "MessageLost"
     ]

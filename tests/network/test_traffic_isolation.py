@@ -52,13 +52,6 @@ def test_repeated_runs_produce_identical_ledgers() -> None:
     assert first.traffic is not second.traffic
 
 
-def test_run_batched_starts_from_zeroed_counters() -> None:
-    sim = _simulator()
-    sequential = sim.run()
-    batched = sim.run_batched(window=2)
-    assert batched.traffic.total_frame_bytes() == sequential.traffic.total_frame_bytes()
-
-
 def test_begin_run_preserves_the_previous_snapshot() -> None:
     sim = _simulator()
     sim.run_epoch(1)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.layout import MessageLayout
 from repro.errors import ReproError
-from repro.network.tracing import TraceEvent
+from repro.obs.trace import ObsEvent
 from repro.queries.predicates import parse_predicate
 from repro.queries.query import Query
 
@@ -59,7 +59,7 @@ def test_layout_decode_never_crashes(message: int) -> None:
 @given(st.text(max_size=120))
 def test_trace_event_parser_rejects_junk(line: str) -> None:
     try:
-        event = TraceEvent.from_json(line)
+        event = ObsEvent.from_json(line)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
         return
     assert isinstance(event.sequence, int)

@@ -8,13 +8,17 @@ never by wall clocks.  Determinism rests on two invariants:
 * events fire in ``(time, sequence)`` order, where the sequence number
   is assigned at scheduling time — ties are broken by scheduling order,
   which is itself deterministic;
-* no component reads ``time.time()``/``random`` globals; all randomness
-  flows through :class:`~repro.utils.rng.DeterministicRandom` streams
-  owned by the fault injector and transport.
+* no component reads ``time.time()``/``random`` globals: fault verdicts
+  and delays are keyed digests of their attempt coordinate
+  (:class:`~repro.runtime.faults.KeyedFaultInjector`), and backoff
+  jitter comes from one seeded sequential stream per link.
 
-The scheduler is intentionally minimal (a binary heap and a cancel
-flag): protocols and transports build timers, timeouts and deadlines
-out of :meth:`EventScheduler.call_at` / :meth:`call_later` alone.
+The scheduler is intentionally minimal (a binary heap of
+``(time, sequence, event)`` tuples and a cancel flag): protocols and
+transports build timers, timeouts and deadlines out of
+:meth:`EventScheduler.call_at` / :meth:`call_later` alone.  The unique
+sequence number settles every tie, so the heap compares plain tuples
+and never reaches the event itself.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from repro.errors import SimulationError
 __all__ = ["EventScheduler", "ScheduledEvent"]
 
 
-@dataclass(order=True)
+@dataclass
 class ScheduledEvent:
-    """A pending callback; comparable by ``(time, seq)`` for the heap."""
+    """A pending callback, queued at ``(time, seq)``."""
 
     time: float
     seq: int
@@ -48,7 +52,7 @@ class EventScheduler:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._processed = 0
 
     @property
@@ -63,7 +67,7 @@ class EventScheduler:
     @property
     def pending(self) -> int:
         """Number of scheduled, not-yet-cancelled events."""
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def call_at(self, when: float, action: Callable[[], None]) -> ScheduledEvent:
         """Schedule *action* at absolute logical time *when*."""
@@ -71,9 +75,10 @@ class EventScheduler:
             raise SimulationError(
                 f"cannot schedule into the past: {when} < now={self._now}"
             )
-        event = ScheduledEvent(time=when, seq=self._seq, action=action)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = ScheduledEvent(time=when, seq=seq, action=action)
+        heapq.heappush(self._heap, (when, seq, event))
         return event
 
     def call_later(self, delay: float, action: Callable[[], None]) -> ScheduledEvent:
@@ -88,14 +93,15 @@ class EventScheduler:
         *max_events* is a runaway backstop: a transport bug that
         reschedules forever should fail loudly, not hang the suite.
         """
+        heap = self._heap
         processed = 0
-        while self._heap:
+        while heap:
             if until is not None and until():
                 return
-            event = heapq.heappop(self._heap)
+            when, _, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = when
             event.action()
             self._processed += 1
             processed += 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ParameterError
 from repro.network.channel import EdgeClass
-from repro.utils.rng import DeterministicRandom
+from repro.utils.rng import derive_key, keyed_uniforms
 
 __all__ = [
     "LinkProfile",
@@ -163,35 +163,43 @@ class KeyedVerdict:
     copies: int
 
 
+_LOST = KeyedVerdict(lost=True, copies=0)
+_DELIVERED = KeyedVerdict(lost=False, copies=1)
+_DUPLICATED = KeyedVerdict(lost=False, copies=2)
+
+
 class KeyedFaultInjector:
     """Order-independent fault oracle keyed by the attempt coordinate.
 
-    Every decision draws from an independent
-    :class:`~repro.utils.rng.DeterministicRandom` stream keyed by
-    ``(sender, receiver, parcel uid, attempt index)``, and the number
-    of variates per draw never depends on the verdict.  Bursts and
-    outages fold into the loss *threshold* and draw nothing extra, so a
-    plan without them yields exactly the schedule it always did.
+    Fault schedule v2.  Every decision reads its uniforms from one keyed
+    BLAKE2b digest (:func:`~repro.utils.rng.keyed_uniforms`) of the label
+    ``kind/sender->receiver/uid/attempt``, under a key derived once per
+    injector from the seed.  The four kinds — ``data`` (loss, then
+    duplication), ``ack`` (ACK loss), ``lat`` and ``acklat`` (delays) —
+    are independent streams, and no generator state is carried from one
+    draw to the next, so a verdict depends on nothing but the seed and
+    its coordinate.  The number of uniforms per draw never depends on
+    the verdict.  Bursts and outages fold into the loss *threshold* and
+    draw nothing extra, so a plan without them yields exactly the plain
+    plan's schedule.
 
-    The stream labels deliberately keep the literal ``"cluster"``
-    namespace the cluster substrate introduced: re-labelling would
-    silently re-randomize every pinned schedule.
+    Changing the key derivation or the label format re-randomizes every
+    keyed schedule; that is a new schedule version, not a refactor.
     """
 
     def __init__(self, plan: FaultPlan, *, seed: int = 0) -> None:
         self.plan = plan
         self.seed = seed
+        self._key = derive_key(seed, "fault-schedule-v2")
         self._windowed = bool(plan.bursts or plan.outages)
         #: Verdicts issued per edge class (diagnostics).
         self.verdicts_by_class: dict[EdgeClass, int] = {}
 
     def _draw(
         self, kind: str, sender: int, receiver: int, uid: int, attempt: int, n: int
-    ) -> list[float]:
-        rng = DeterministicRandom(
-            self.seed, "cluster", kind, f"{sender}->{receiver}", f"uid:{uid}", f"try:{attempt}"
-        )
-        return [rng.random() for _ in range(n)]
+    ) -> tuple[float, ...]:
+        label = f"{kind}/{sender}->{receiver}/{uid}/{attempt}".encode("ascii")
+        return keyed_uniforms(self._key, label, n)
 
     def _threshold(self, destination: int, edge: EdgeClass, uid: int) -> float:
         """Loss threshold of an attempt towards *destination* in epoch *uid*."""
@@ -208,9 +216,8 @@ class KeyedFaultInjector:
         self.verdicts_by_class[edge] = self.verdicts_by_class.get(edge, 0) + 1
         u_loss, u_dup = self._draw("data", sender, receiver, uid, attempt, 2)
         if u_loss < self._threshold(receiver, edge, uid):
-            return KeyedVerdict(lost=True, copies=0)
-        copies = 2 if u_dup < self.plan.profile_for(edge).duplicate_rate else 1
-        return KeyedVerdict(lost=False, copies=copies)
+            return _LOST
+        return _DUPLICATED if u_dup < self.plan.profile_for(edge).duplicate_rate else _DELIVERED
 
     def ack_verdict(
         self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int

@@ -4,9 +4,9 @@ Same seed, tree, workload and fault plan through the keyed event
 runtime and the asyncio TCP cluster must yield *identical*
 seed-determined disposition slices — per-epoch delivered/dropped sets
 of hops — because both substrates consult the same attempt-keyed fault
-oracle (``DeterministicRandom(seed, "cluster", ...)``).  Timing-
-dependent kinds (duplicates, ACK losses, give-ups) are recorded but
-excluded from the compared slice.
+oracle (``KeyedFaultInjector``: one keyed BLAKE2b digest per attempt
+coordinate).  Timing-dependent kinds (duplicates, ACK losses, give-ups)
+are recorded but excluded from the compared slice.
 """
 
 from __future__ import annotations

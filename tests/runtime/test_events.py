@@ -81,3 +81,42 @@ def test_until_predicate_stops_the_loop() -> None:
     scheduler.run(until=lambda: len(fired) >= 3)
     assert fired == [0, 1, 2]
     assert scheduler.pending == 2
+
+
+def test_same_time_events_fire_in_scheduling_order_across_nesting() -> None:
+    """Ties are settled by the sequence number alone, including events
+    scheduled for the current instant from inside a callback."""
+    scheduler = EventScheduler()
+    fired: list[str] = []
+
+    def spawn() -> None:
+        fired.append("spawn")
+        scheduler.call_later(0.0, lambda: fired.append("child"))
+
+    scheduler.call_at(1.0, spawn)
+    scheduler.call_at(1.0, lambda: fired.append("sibling"))
+    scheduler.run()
+    assert fired == ["spawn", "sibling", "child"]
+
+
+def test_cancelled_events_are_skipped_and_not_counted() -> None:
+    scheduler = EventScheduler()
+    fired: list[int] = []
+    events = [scheduler.call_at(1.0, lambda i=i: fired.append(i)) for i in range(4)]
+    events[1].cancel()
+    events[3].cancel()
+    scheduler.run()
+    assert fired == [0, 2]
+    assert scheduler.events_processed == 2
+    assert scheduler.now == 1.0
+
+
+def test_pending_ignores_cancelled_entries() -> None:
+    scheduler = EventScheduler()
+    events = [scheduler.call_at(float(i), lambda: None) for i in range(5)]
+    assert scheduler.pending == 5
+    events[0].cancel()
+    events[4].cancel()
+    assert scheduler.pending == 3
+    scheduler.run()
+    assert scheduler.pending == 0

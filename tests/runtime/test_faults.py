@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import ParameterError
@@ -15,6 +17,17 @@ from repro.runtime.faults import (
 )
 
 EDGE = EdgeClass.SOURCE_TO_AGGREGATOR
+
+
+def reference_uniforms(
+    seed: int, kind: str, sender: int, receiver: int, uid: int, attempt: int, n: int
+) -> list[float]:
+    """Schedule v2 written out from its definition, sharing no code with it."""
+    key = hashlib.sha256(f"{seed}/fault-schedule-v2".encode()).digest()
+    label = f"{kind}/{sender}->{receiver}/{uid}/{attempt}".encode()
+    digest = hashlib.blake2b(label, key=key, digest_size=8 * n).digest()
+    words = [int.from_bytes(digest[8 * i : 8 * i + 8], "big") for i in range(n)]
+    return [(word >> 11) / 2**53 for word in words]
 
 
 def test_profile_validation() -> None:
@@ -150,24 +163,49 @@ class TestKeyedFaultInjector:
     """The keyed oracle both substrates consult."""
 
     def test_matches_the_cluster_injector_draw_for_draw(self) -> None:
-        """Verdicts are the literal ``"cluster"``-labelled keyed draws —
-        the schedule every pinned cluster test was recorded against."""
-        from repro.utils.rng import DeterministicRandom
-
+        """Verdicts are schedule v2's keyed digests, replayed here by an
+        independent reference: BLAKE2b keyed by SHA-256 of the seed."""
         plan = FaultPlan.uniform_loss(0.3, duplicate_rate=0.1)
         keyed = KeyedFaultInjector(plan, seed=11)
         edge = EdgeClass.SOURCE_TO_AGGREGATOR
         for uid in (1, 2, 900):
             for attempt in range(3):
-                labels = ("0->1", f"uid:{uid}", f"try:{attempt}")
-                data = DeterministicRandom(11, "cluster", "data", *labels)
-                u_loss, u_dup = data.random(), data.random()
+                u_loss, u_dup = reference_uniforms(11, "data", 0, 1, uid, attempt, 2)
                 verdict = keyed.data_verdict(0, 1, edge, uid, attempt)
                 assert verdict.lost == (u_loss < 0.3)
                 if not verdict.lost:
                     assert verdict.copies == (2 if u_dup < 0.1 else 1)
-                ack = DeterministicRandom(11, "cluster", "ack", *labels)
-                assert keyed.ack_verdict(0, 1, edge, uid, attempt) == (ack.random() < 0.3)
+                (u_ack,) = reference_uniforms(11, "ack", 0, 1, uid, attempt, 1)
+                assert keyed.ack_verdict(0, 1, edge, uid, attempt) == (u_ack < 0.3)
+        timed = KeyedFaultInjector(FaultPlan.uniform_loss(0.0, latency=1.0, jitter=2.0), seed=11)
+        lat = reference_uniforms(11, "lat", 0, 1, 5, 1, 2)
+        assert timed.data_latencies(0, 1, edge, 5, 1, 2) == tuple(1.0 + 2.0 * u for u in lat)
+        (acklat,) = reference_uniforms(11, "acklat", 0, 1, 5, 1, 1)
+        assert timed.ack_latency(0, 1, edge, 5, 1) == 1.0 + 2.0 * acklat
+
+    def test_golden_schedule_v2(self) -> None:
+        """Literal first verdicts of seed 11: any re-randomization of the
+        keyed schedule must fail here, loudly, and ship as a new version."""
+        plan = FaultPlan.uniform_loss(0.3, duplicate_rate=0.1)
+        keyed = KeyedFaultInjector(plan, seed=11)
+        edge = EdgeClass.SOURCE_TO_AGGREGATOR
+        observed = []
+        for uid in range(1, 9):
+            verdict = keyed.data_verdict(0, 1, edge, uid, 0)
+            observed.append((verdict.lost, verdict.copies, keyed.ack_verdict(0, 1, edge, uid, 0)))
+        assert observed == [
+            (True, 0, True),
+            (False, 1, False),
+            (False, 1, False),
+            (True, 0, True),
+            (False, 1, False),
+            (True, 0, False),
+            (False, 1, False),
+            (True, 0, False),
+        ]
+        raw = KeyedFaultInjector(FaultPlan.uniform_loss(0.0, latency=0.0, jitter=1.0), seed=11)
+        assert raw.data_latencies(0, 1, edge, 1, 0, 2) == (0.4742348025357316, 0.5331259880209128)
+        assert raw.ack_latency(0, 1, edge, 1, 0) == 0.3802030533542434
 
     def test_latency_draws_are_keyed_and_profile_bounded(self) -> None:
         plan = FaultPlan.uniform_loss(0.0, latency=2.0, jitter=0.5)
@@ -203,3 +241,91 @@ class TestKeyedFaultInjector:
                     0, 1, EDGE, uid, attempt
                 )
         assert keyed.data_verdict(0, 5, EDGE, 2, 0).lost
+
+
+def _coordinates(count: int):
+    """*count* distinct attempt coordinates ``(sender, receiver, uid, attempt)``."""
+    per_link = count // 20
+    for sender in range(10):
+        for receiver in (100, 101):
+            for i in range(per_link):
+                yield sender, receiver, i // 4, i % 4
+
+
+class TestScheduleV2Properties:
+    """Statistical and boundary properties of the keyed digests."""
+
+    COORDINATES = 20_000
+
+    def test_uniforms_lie_in_the_unit_interval(self) -> None:
+        raw = KeyedFaultInjector(FaultPlan.uniform_loss(0.0, latency=0.0, jitter=1.0), seed=4)
+        for sender, receiver, uid, attempt in _coordinates(5_000):
+            draws = raw.data_latencies(sender, receiver, EDGE, uid, attempt, 2)
+            draws += (raw.ack_latency(sender, receiver, EDGE, uid, attempt),)
+            assert all(0.0 <= u < 1.0 for u in draws)
+        # The loss uniform sits below every threshold of 1.0 and above none of 0.0.
+        never = KeyedFaultInjector(FaultPlan.uniform_loss(0.0), seed=4)
+        always = KeyedFaultInjector(FaultPlan.uniform_loss(1.0), seed=4)
+        for sender, receiver, uid, attempt in _coordinates(self.COORDINATES):
+            assert not never.data_verdict(sender, receiver, EDGE, uid, attempt).lost
+            assert always.data_verdict(sender, receiver, EDGE, uid, attempt).lost
+            assert always.ack_verdict(sender, receiver, EDGE, uid, attempt)
+
+    def test_empirical_loss_rate_matches_the_plan(self) -> None:
+        injector = KeyedFaultInjector(FaultPlan.uniform_loss(0.2), seed=1)
+        lost = sum(
+            injector.data_verdict(sender, receiver, EDGE, uid, attempt).lost
+            for sender, receiver, uid, attempt in _coordinates(self.COORDINATES)
+        )
+        assert abs(lost / self.COORDINATES - 0.2) <= 0.01
+
+    def test_data_and_ack_draws_are_uncorrelated(self) -> None:
+        injector = KeyedFaultInjector(FaultPlan.uniform_loss(0.5), seed=2)
+        pairs = [
+            (
+                float(injector.data_verdict(sender, receiver, EDGE, uid, attempt).lost),
+                float(injector.ack_verdict(sender, receiver, EDGE, uid, attempt)),
+            )
+            for sender, receiver, uid, attempt in _coordinates(self.COORDINATES)
+        ]
+        n = len(pairs)
+        mean_x = sum(x for x, _ in pairs) / n
+        mean_y = sum(y for _, y in pairs) / n
+        cov = sum((x - mean_x) * (y - mean_y) for x, y in pairs)
+        var_x = sum((x - mean_x) ** 2 for x, _ in pairs)
+        var_y = sum((y - mean_y) ** 2 for _, y in pairs)
+        assert abs(cov / (var_x * var_y) ** 0.5) < 0.02
+
+    def test_node_outage_drops_every_attempt_to_the_down_node(self) -> None:
+        plan = FaultPlan(
+            default_profile=LinkProfile(loss_rate=0.0, duplicate_rate=0.5),
+            outages=(NodeOutage(node_id=7, first_epoch=3, last_epoch=6),),
+        )
+        injector = KeyedFaultInjector(plan, seed=5)
+        for sender in range(20):
+            for uid in range(3, 7):
+                for attempt in range(8):
+                    assert injector.data_verdict(sender, 7, EDGE, uid, attempt).lost
+                    # ...and every ACK travelling back to it.
+                    assert injector.ack_verdict(7, sender, EDGE, uid, attempt)
+            assert not injector.data_verdict(sender, 7, EDGE, 7, 0).lost
+
+    def test_burst_free_thresholds_are_the_profile_rates(self) -> None:
+        profiles = {EdgeClass.AGGREGATOR_TO_QUERIER: LinkProfile(loss_rate=0.35)}
+        plain = FaultPlan(default_profile=LinkProfile(loss_rate=0.2), profiles=profiles)
+        with_outage = FaultPlan(
+            default_profile=plain.default_profile,
+            profiles=profiles,
+            outages=(NodeOutage(node_id=99, first_epoch=0),),
+        )
+        for edge in EdgeClass:
+            for epoch in range(50):
+                assert plain.loss_rate(edge, epoch) == plain.profile_for(edge).loss_rate
+                assert with_outage.loss_rate(edge, epoch) == plain.profile_for(edge).loss_rate
+        a = KeyedFaultInjector(plain, seed=8)
+        b = KeyedFaultInjector(with_outage, seed=8)
+        for edge in EdgeClass:
+            for sender, receiver, uid, attempt in _coordinates(2_000):
+                assert a.data_verdict(sender, receiver, edge, uid, attempt) == b.data_verdict(
+                    sender, receiver, edge, uid, attempt
+                )

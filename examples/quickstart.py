@@ -42,10 +42,8 @@ def main() -> None:
             f"{em.result.value / 100:>10.2f} | {truth} ({status})"
         )
 
-    print("\nPer-epoch averages:")
-    print(f"  source initialization : {metrics.mean_source_seconds() * 1e6:8.2f} us")
-    print(f"  aggregator merge      : {metrics.mean_aggregator_seconds() * 1e6:8.2f} us")
-    print(f"  querier evaluation    : {metrics.mean_querier_seconds() * 1e3:8.2f} ms")
+    print("\nPer-role CPU time: python -m repro.cli experiment fig4 | fig5 | fig6a")
+    print("Traffic per message:")
     for edge in EdgeClass:
         print(f"  bytes per {edge.value} message : {metrics.traffic.mean_bytes_per_message(edge):.0f}")
     assert metrics.all_verified(), "an honest network must always verify"

@@ -11,12 +11,16 @@ must be logical (scheduler ticks), not wall-clock.  This rule bans:
   ``random.randint(...)``, ...) — they share unseeded global state;
 * module-level ``numpy.random.*`` legacy functions and an unseeded
   ``numpy.random.default_rng()``;
-* ``os.urandom`` and ``uuid.uuid1``/``uuid.uuid4``.
+* ``os.urandom`` and ``uuid.uuid1``/``uuid.uuid4``;
+* ``time.perf_counter`` / ``time.monotonic`` inside the clock-free
+  substrates and roles (``repro.network``, ``repro.runtime``,
+  ``repro.core``, ``repro.protocols``).
 
 Deliberately allowed:
 
-* ``time.perf_counter`` — measuring how long computation took is the
-  cost model's job and does not influence simulated behaviour;
+* ``time.perf_counter`` / ``time.monotonic`` elsewhere — timing is the
+  job of :mod:`repro.experiments`, :mod:`repro.obs.profiling` and
+  :mod:`repro.utils.timing`, and does not influence simulated behaviour;
 * ``random.Random``/``random.SystemRandom`` *construction* — seeded
   instances are the deterministic path, and ``SystemRandom`` is the
   documented entropy source for long-term key generation in
@@ -56,6 +60,9 @@ _ALLOWED_NUMPY_RANDOM_ATTRS = frozenset(
 
 _ALLOWLISTED_MODULES = ("repro.utils.rng",)
 
+_CLOCK_FREE_PACKAGES = ("repro.network.", "repro.runtime.", "repro.core.", "repro.protocols.")
+_TIMER_CALLS = ("time.perf_counter", "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns")
+
 
 @register_rule
 class DeterminismRule(Rule):
@@ -63,11 +70,13 @@ class DeterminismRule(Rule):
     severity = Severity.ERROR
     description = (
         "no time.time/datetime.now/unseeded random.*/os.urandom outside "
-        "repro.utils.rng — protects seeded replay"
+        "repro.utils.rng, no timers in the substrates — protects seeded replay"
     )
     interests = (ast.Call,)
+    _clock_free: bool = False
 
     def begin_module(self, ctx: LintContext) -> bool:
+        self._clock_free = f"{ctx.module}.".startswith(_CLOCK_FREE_PACKAGES)
         return not any(ctx.module.startswith(mod) for mod in _ALLOWLISTED_MODULES)
 
     def check(self, node: ast.AST, ctx: LintContext) -> None:
@@ -78,6 +87,9 @@ class DeterminismRule(Rule):
         reason = _BANNED_CALLS.get(target)
         if reason is not None:
             ctx.report(self, node, f"{target}(): {reason}")
+            return
+        if self._clock_free and target in _TIMER_CALLS:
+            ctx.report(self, node, f"{target}(): {ctx.module} is clock-free; time it from outside")
             return
         if target.startswith("numpy.random.") or target.startswith("np.random."):
             attr = target.rsplit(".", 1)[1]

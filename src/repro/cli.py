@@ -246,9 +246,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             tag = "verified" if em.result.verified else "UNVERIFIED"
             kind = "exact" if em.result.exact else "estimate"
             print(f"epoch {em.epoch}: {kind} result {em.result.value} ({tag})")
-    print(f"\nmean source init : {metrics.mean_source_seconds() * 1e6:10.2f} us")
-    print(f"mean merge       : {metrics.mean_aggregator_seconds() * 1e6:10.2f} us")
-    print(f"mean evaluation  : {metrics.mean_querier_seconds() * 1e3:10.2f} ms")
+    print("\nper-role CPU time: python -m repro.cli experiment fig4 | fig5 | fig6a")
     for edge in EdgeClass:
         print(f"bytes per {edge.value} msg : {metrics.traffic.mean_bytes_per_message(edge):10.0f}")
     return 0

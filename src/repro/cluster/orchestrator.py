@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.network.channel import EdgeClass
-from repro.network.simulator import QUERIER_NODE_ID, Workload
+from repro.network.messages import QUERIER_NODE_ID, Workload
 from repro.network.topology import AggregationTree
 from repro.cluster.clock import ClusterClock
 from repro.cluster.metrics import ClusterRunMetrics

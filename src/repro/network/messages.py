@@ -16,11 +16,18 @@ Two message kinds exist:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.protocols.base import PartialStateRecord
 
-__all__ = ["DataMessage", "BroadcastPacket"]
+__all__ = ["QUERIER_NODE_ID", "Workload", "DataMessage", "BroadcastPacket"]
+
+#: Sentinel node id for the querier (it is not part of the sensor tree).
+QUERIER_NODE_ID = -1
+
+#: A workload maps (source_id, epoch) to the source's integer reading.
+Workload = Callable[[int, int], int]
 
 
 @dataclass

@@ -1,67 +1,33 @@
-"""Per-epoch and per-run measurement containers.
+"""Per-run measurement container of the analytic simulator.
 
-Everything the experiment harness reports is collected here: wall-clock
-seconds attributed to the *source*, *aggregator* and *querier* roles
-(the paper's three CPU-time metrics), primitive-operation counts (for
-the modeled costs of Section V), traffic per edge class (Table V), and
-verification outcomes.
-
-The simulator runs all parties in one process, so role times are
-accumulated around the exact role calls only — key-schedule work done
-by the test harness or the adversary is never charged to a role.
+Each epoch ends as one :class:`~repro.runtime.metrics.EpochRecord`, the
+type every substrate records; :class:`RunMetrics` adds what the
+analytic simulator measures per run: primitive-operation counts (for
+the modeled costs of Section V), traffic per edge class (Table V) and,
+optionally, radio energy per node.  Per-role CPU time is measured by the
+Figure 4–6 experiments (:mod:`repro.experiments.common`), not here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.network.channel import EdgeClass, TrafficCounters
-from repro.protocols.base import EvaluationResult, OpCounter
+from repro.network.channel import TrafficCounters
+from repro.protocols.base import OpCounter
+from repro.runtime.metrics import EpochRecord, EpochSeries
+from repro.runtime.recovery import RecoveryLedger
 
-__all__ = ["EpochMetrics", "RunMetrics"]
-
-
-@dataclass
-class EpochMetrics:
-    """Measurements for a single epoch."""
-
-    epoch: int
-    #: Wall-clock seconds summed over *all* sources this epoch.
-    source_seconds_total: float = 0.0
-    #: Wall-clock seconds summed over all aggregator merge calls.
-    aggregator_seconds_total: float = 0.0
-    #: Wall-clock seconds of the querier's evaluation.
-    querier_seconds: float = 0.0
-    #: Number of source initializations that ran (excludes failed nodes).
-    sources_reporting: int = 0
-    #: Number of aggregator merge invocations.
-    aggregator_merges: int = 0
-    result: EvaluationResult | None = None
-    #: Security exception raised by the querier, if any (class name).
-    security_failure: str | None = None
-
-    @property
-    def source_seconds_mean(self) -> float:
-        """Per-source CPU time — the paper's Figure 4 metric."""
-        return self.source_seconds_total / self.sources_reporting if self.sources_reporting else 0.0
-
-    @property
-    def aggregator_seconds_mean(self) -> float:
-        """Per-merge CPU time — the paper's Figure 5 metric."""
-        return (
-            self.aggregator_seconds_total / self.aggregator_merges
-            if self.aggregator_merges
-            else 0.0
-        )
+__all__ = ["RunMetrics"]
 
 
 @dataclass
-class RunMetrics:
+class RunMetrics(EpochSeries):
     """Measurements aggregated over a whole simulation run."""
 
     protocol: str
     num_sources: int
-    epochs: list[EpochMetrics] = field(default_factory=list)
+    epochs: list[EpochRecord] = field(default_factory=list)
+    recovery: RecoveryLedger = field(default_factory=RecoveryLedger)
     traffic: TrafficCounters = field(default_factory=TrafficCounters)
     source_ops: OpCounter = field(default_factory=OpCounter)
     aggregator_ops: OpCounter = field(default_factory=OpCounter)
@@ -69,80 +35,5 @@ class RunMetrics:
     #: Joules per node when an energy model is attached (else empty).
     energy_by_node: dict[int, float] = field(default_factory=dict)
 
-    @property
-    def num_epochs(self) -> int:
-        return len(self.epochs)
-
-    # ------------------------------------------------------------------
-    # The paper's headline per-epoch averages
-    # ------------------------------------------------------------------
-
-    def mean_source_seconds(self) -> float:
-        """Average CPU time of one source initialization (Fig. 4)."""
-        samples = [e.source_seconds_mean for e in self.epochs if e.sources_reporting]
-        return sum(samples) / len(samples) if samples else 0.0
-
-    def mean_aggregator_seconds(self) -> float:
-        """Average CPU time of one aggregator merge (Fig. 5)."""
-        samples = [e.aggregator_seconds_mean for e in self.epochs if e.aggregator_merges]
-        return sum(samples) / len(samples) if samples else 0.0
-
-    def mean_querier_seconds(self) -> float:
-        """Average CPU time of one evaluation (Fig. 6)."""
-        samples = [e.querier_seconds for e in self.epochs]
-        return sum(samples) / len(samples) if samples else 0.0
-
-    def mean_edge_bytes(self, edge_class: EdgeClass) -> float:
-        """Average message size on an edge class (Table V)."""
-        return self.traffic.mean_bytes_per_message(edge_class)
-
-    def results(self) -> list[EvaluationResult]:
-        return [e.result for e in self.epochs if e.result is not None]
-
     def all_verified(self) -> bool:
         return all(e.result.verified for e in self.epochs if e.result is not None)
-
-    def security_failures(self) -> list[tuple[int, str]]:
-        return [(e.epoch, e.security_failure) for e in self.epochs if e.security_failure]
-
-    # ------------------------------------------------------------------
-    # Serialization (for offline analysis / run-to-run diffing)
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """A JSON-serializable summary of the run.
-
-        Big-integer result values are stringified so arbitrary-precision
-        sums survive JSON round-trips losslessly.
-        """
-        return {
-            "protocol": self.protocol,
-            "num_sources": self.num_sources,
-            "num_epochs": self.num_epochs,
-            "mean_source_seconds": self.mean_source_seconds(),
-            "mean_aggregator_seconds": self.mean_aggregator_seconds(),
-            "mean_querier_seconds": self.mean_querier_seconds(),
-            "traffic_bytes": {
-                edge.value: count for edge, count in self.traffic.bytes_by_class.items()
-            },
-            "traffic_messages": {
-                edge.value: count for edge, count in self.traffic.messages_by_class.items()
-            },
-            "ops": {
-                "source": dict(self.source_ops.counts),
-                "aggregator": dict(self.aggregator_ops.counts),
-                "querier": dict(self.querier_ops.counts),
-            },
-            "energy_by_node": {str(n): j for n, j in self.energy_by_node.items()},
-            "epochs": [
-                {
-                    "epoch": e.epoch,
-                    "value": str(e.result.value) if e.result else None,
-                    "verified": e.result.verified if e.result else None,
-                    "exact": e.result.exact if e.result else None,
-                    "security_failure": e.security_failure,
-                    "sources_reporting": e.sources_reporting,
-                }
-                for e in self.epochs
-            ],
-        }

@@ -10,34 +10,39 @@ Each epoch (paper Section III-B):
 3. the querier runs the **evaluation** phase on the PSR received from
    the sink; security exceptions are recorded, not swallowed silently.
 
-The simulator charges wall-clock time to each role around the exact
-phase calls, accumulates primitive-operation counts, traffic per edge
-class and (optionally) radio energy, and reports everything as
-:class:`~repro.network.metrics.RunMetrics`.
+The simulator drives the clock-free epoch machine of
+:mod:`repro.runtime.epoch` — the one the event runtime and the TCP
+cluster drive — in zero time.  Its querier is told the reporting subset
+by the plan (the paper's reported failures), never by what was merged,
+so a PSR dropped below the root ends in a rejected epoch, not a smaller
+SUM.  Op counts, traffic per edge class and (optionally) radio energy
+accumulate into :class:`~repro.network.metrics.RunMetrics`.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.errors import SecurityError, SimulationError
+from repro.errors import SimulationError
 from repro.network.channel import Channel, EdgeClass
 from repro.network.energy import EnergyLedger, EnergyModel
-from repro.network.messages import DataMessage
-from repro.network.metrics import EpochMetrics, RunMetrics
+from repro.network.messages import QUERIER_NODE_ID, DataMessage, Workload
+from repro.network.metrics import RunMetrics
 from repro.network.topology import AggregationTree
 from repro.protocols.base import OpCounter, PartialStateRecord, SecureAggregationProtocol
+from repro.runtime.epoch import EpochPlanner, HoldAndWait, settle_final, settle_lost
+from repro.runtime.faults import FaultPlan, NodeOutage
+from repro.runtime.metrics import EpochRecord
 from repro.utils.validation import check_positive_int
 
-__all__ = ["SimulationConfig", "NetworkSimulator", "QUERIER_NODE_ID", "naive_collection_traffic"]
-
-#: Sentinel node id for the querier (it is not part of the sensor tree).
-QUERIER_NODE_ID = -1
-
-#: A workload maps (source_id, epoch) to the source's integer reading.
-Workload = Callable[[int, int], int]
+__all__ = [
+    "SimulationConfig",
+    "NetworkSimulator",
+    "QUERIER_NODE_ID",
+    "Workload",
+    "naive_collection_traffic",
+]
 
 
 @dataclass
@@ -72,6 +77,12 @@ class NetworkSimulator:
                 f"topology has {tree.num_sources} sources but protocol was set up "
                 f"for {protocol.num_sources}"
             )
+        if tree.node(tree.root_id).is_source:
+            raise SimulationError(f"source {tree.root_id} has no parent aggregator")
+        #: Node → the receiver of its one hop up the tree.
+        self._uplink = {
+            n.node_id: QUERIER_NODE_ID if n.parent_id is None else n.parent_id for n in tree
+        }
         self.protocol = protocol
         self.tree = tree
         self.workload = workload
@@ -89,17 +100,25 @@ class NetworkSimulator:
         self._sources = {
             sid: protocol.create_source(sid, ops=self.source_ops) for sid in tree.source_ids
         }
-        self._aggregators = {
-            aid: protocol.create_aggregator(ops=self.aggregator_ops)
+        self._mergers = {
+            aid: HoldAndWait(
+                aid,
+                protocol.create_aggregator(ops=self.aggregator_ops),
+                is_root=(aid == tree.root_id),
+            )
             for aid in tree.aggregator_ids
         }
         self._querier = protocol.create_querier(ops=self.querier_ops)
-        self._merge_schedule = tree.bottom_up_aggregators()
+        self._planner = EpochPlanner(
+            tree,
+            hold_time=0.0,
+            querier_slack=0.0,
+            failed_sources=self.config.failed_sources,
+            faults=FaultPlan(),
+        )
         self._energy = (
             EnergyLedger(self.config.energy_model) if self.config.energy_model else None
         )
-        #: Per-epoch dynamic failures injected by tests/attacks.
-        self._epoch_failures: dict[int, set[int]] = {}
 
     # ------------------------------------------------------------------
     # Failure injection (paper Section IV-B, "Discussion")
@@ -109,12 +128,8 @@ class NetworkSimulator:
         """Mark *source_id* as failed (and reported) for the given epochs."""
         if source_id not in self._sources:
             raise SimulationError(f"unknown source {source_id}")
-        for epoch in epochs:
-            self._epoch_failures.setdefault(epoch, set()).add(source_id)
-
-    def _reporting_sources(self, epoch: int) -> list[int]:
-        failed = set(self.config.failed_sources) | self._epoch_failures.get(epoch, set())
-        return [sid for sid in self.tree.source_ids if sid not in failed]
+        outages = tuple(NodeOutage(source_id, epoch, epoch) for epoch in epochs)
+        self._planner.faults.outages += outages
 
     # ------------------------------------------------------------------
     # Execution
@@ -125,19 +140,21 @@ class NetworkSimulator:
         epochs = num_epochs if num_epochs is not None else self.config.num_epochs
         check_positive_int("num_epochs", epochs)
         self.channel.begin_run()
-        metrics = RunMetrics(protocol=self.protocol.name, num_sources=self.tree.num_sources)
-        for offset in range(epochs):
-            epoch = self.config.start_epoch + offset
-            metrics.epochs.append(self._execute_epoch(epoch))
-        metrics.traffic = self.channel.counters
-        metrics.source_ops = self.source_ops
-        metrics.aggregator_ops = self.aggregator_ops
-        metrics.querier_ops = self.querier_ops
+        records = [self._execute_epoch(self.config.start_epoch + i) for i in range(epochs)]
+        metrics = RunMetrics(
+            protocol=self.protocol.name,
+            num_sources=self.tree.num_sources,
+            traffic=self.channel.counters,
+            source_ops=self.source_ops,
+            aggregator_ops=self.aggregator_ops,
+            querier_ops=self.querier_ops,
+        )
+        metrics.record_epochs(records)
         if self._energy is not None:
             metrics.energy_by_node = dict(self._energy.spent_by_node)
         return metrics
 
-    def run_epoch(self, epoch: int) -> EpochMetrics:
+    def run_epoch(self, epoch: int) -> EpochRecord:
         """Execute one epoch as its own measured run (fresh traffic counters).
 
         :meth:`run` accumulates one ledger across its epochs; a bare
@@ -147,104 +164,59 @@ class NetworkSimulator:
         self.channel.begin_run()
         return self._execute_epoch(epoch)
 
-    def _execute_epoch(self, epoch: int) -> EpochMetrics:
+    def _execute_epoch(self, epoch: int) -> EpochRecord:
         """One epoch's work, accounted into the channel's current counters."""
-        em = EpochMetrics(epoch=epoch)
-        reporting = self._reporting_sources(epoch)
-        all_reported = len(reporting) == self.tree.num_sources
-        inboxes: dict[int, list[PartialStateRecord]] = {}
+        plan = self._planner.plan(epoch)
+        for aid, expected in plan.expected.items():
+            self._mergers[aid].open(epoch, expected)
+        for sid in self.tree.source_ids:
+            if sid in plan.attempted:
+                psr = self._sources[sid].initialize(epoch, self.workload(sid, epoch))
+                self._send(DataMessage(sid, self._uplink[sid], epoch, psr))
+        final = None
+        for aid in plan.expected:  # bottom-up, so the root closes last
+            forward = self._mergers[aid].close(epoch)
+            if forward is not None:
+                final = self._send(DataMessage(aid, self._uplink[aid], epoch, forward[0]))
+        if final is None:
+            return settle_lost(epoch, attempted=plan.attempted, pre_failed=plan.pre_failed)
+        return settle_final(
+            self._querier,
+            epoch,
+            final,
+            attempted=plan.attempted,
+            manifest=plan.attempted,
+            pre_failed=plan.pre_failed,
+            num_sources=self.tree.num_sources,
+            evaluate=self.config.evaluate,
+        )
 
-        # --- Initialization phase at every reporting source ------------
-        for sid in reporting:
-            value = self.workload(sid, epoch)
-            start = time.perf_counter()
-            psr = self._sources[sid].initialize(epoch, value)
-            em.source_seconds_total += time.perf_counter() - start
-            em.sources_reporting += 1
-            parent = self.tree.parent(sid)
-            if parent is None:
-                raise SimulationError(f"source {sid} has no parent aggregator")
-            self._deliver(DataMessage(sid, parent, epoch, psr), inboxes)
+    def _send(self, message: DataMessage) -> PartialStateRecord | None:
+        """One hop, radio energy charged; the PSR, when it reached the querier.
 
-        # --- Merging phase, bottom-up -----------------------------------
-        final_psr: PartialStateRecord | None = None
-        sent_to_querier = False
-        for aid in self._merge_schedule:
-            received = inboxes.pop(aid, [])
-            if not received:
-                continue  # whole subtree failed/suppressed this epoch
-            start = time.perf_counter()
-            merged = self._aggregators[aid].merge(epoch, received)
-            em.aggregator_seconds_total += time.perf_counter() - start
-            em.aggregator_merges += 1
-            parent = self.tree.parent(aid)
-            receiver = QUERIER_NODE_ID if parent is None else parent
-            if receiver == QUERIER_NODE_ID:
-                start = time.perf_counter()
-                merged = self._aggregators[aid].finalize_for_querier(merged)
-                em.aggregator_seconds_total += time.perf_counter() - start
-                message = DataMessage(aid, receiver, epoch, merged)
-                sent_to_querier = True
-                final_psr = self._deliver_to_querier(message)
-            else:
-                self._deliver(DataMessage(aid, receiver, epoch, merged), inboxes)
-
-        # --- Evaluation phase at the querier -----------------------------
-        if self.config.evaluate:
-            if final_psr is None:
-                # The paper treats a missing report as a trivially detected
-                # DoS.  A final PSR dropped on its last hop (the channel
-                # transmitted it, an interceptor returned None) is a
-                # distinct event from no PSR ever being produced.
-                em.security_failure = "MessageLost" if sent_to_querier else "NoResult"
-            else:
-                try:
-                    start = time.perf_counter()
-                    em.result = self._querier.evaluate(
-                        epoch,
-                        final_psr,
-                        reporting_sources=None if all_reported else reporting,
-                    )
-                    em.querier_seconds = time.perf_counter() - start
-                except SecurityError as exc:
-                    em.querier_seconds = time.perf_counter() - start
-                    em.security_failure = type(exc).__name__
-        return em
-
-    # ------------------------------------------------------------------
-    # Delivery helpers
-    # ------------------------------------------------------------------
-
-    def _edge_class(self, message: DataMessage) -> EdgeClass:
+        A PSR delivered to an aggregator goes into its hold-and-wait inbox
+        with an empty manifest: the plan, not the merge, names the
+        reporting subset here.
+        """
         if message.receiver == QUERIER_NODE_ID:
-            return EdgeClass.AGGREGATOR_TO_QUERIER
-        if self.tree.node(message.sender).is_source:
-            return EdgeClass.SOURCE_TO_AGGREGATOR
-        return EdgeClass.AGGREGATOR_TO_AGGREGATOR
-
-    def _deliver(
-        self, message: DataMessage, inboxes: dict[int, list[PartialStateRecord]]
-    ) -> None:
-        edge = self._edge_class(message)
-        self._account_energy(message, edge)
+            edge = EdgeClass.AGGREGATOR_TO_QUERIER
+        elif message.sender in self._sources:
+            edge = EdgeClass.SOURCE_TO_AGGREGATOR
+        else:
+            edge = EdgeClass.AGGREGATOR_TO_AGGREGATOR
+        if self._energy is not None:
+            size = message.wire_size()
+            distance = self.tree.node(message.sender).link_distance_m
+            self._energy.on_transmit(message.sender, size, distance)
+            if message.receiver != QUERIER_NODE_ID:
+                self._energy.on_receive(message.receiver, size)
         delivered = self.channel.transmit(message, edge)
-        if delivered is not None:
-            inboxes.setdefault(delivered.receiver, []).append(delivered.psr)
-
-    def _deliver_to_querier(self, message: DataMessage) -> PartialStateRecord | None:
-        edge = self._edge_class(message)
-        self._account_energy(message, edge)
-        delivered = self.channel.transmit(message, edge)
-        return delivered.psr if delivered is not None else None
-
-    def _account_energy(self, message: DataMessage, edge: EdgeClass) -> None:
-        if self._energy is None:
-            return
-        size = message.wire_size()
-        sender_node = self.tree.node(message.sender)
-        self._energy.on_transmit(message.sender, size, sender_node.link_distance_m)
-        if message.receiver != QUERIER_NODE_ID:
-            self._energy.on_receive(message.receiver, size)
+        if delivered is None:
+            return None
+        if message.receiver == QUERIER_NODE_ID:
+            return delivered.psr
+        self._mergers[message.receiver].offer(message.epoch, delivered.psr, frozenset())
+        return None
 
 
 def naive_collection_traffic(
@@ -265,15 +237,11 @@ def naive_collection_traffic(
     tx_bytes: dict[int, int] = {}
     ledger = EnergyLedger(energy_model) if energy_model is not None else None
     for node in tree:
-        if node.node_id == tree.root_id:
-            descendants = tree.num_sources  # root forwards everything to the querier
-        else:
-            descendants = len(tree.leaves_under(node.node_id))
-        size = descendants * reading_bytes
+        # The root forwards every reading to the querier.
+        size = len(tree.leaves_under(node.node_id)) * reading_bytes
         tx_bytes[node.node_id] = size
         if ledger is not None:
             ledger.on_transmit(node.node_id, size, node.link_distance_m)
-            received = size if node.is_source else size
             if not node.is_source:
-                ledger.on_receive(node.node_id, received)
+                ledger.on_receive(node.node_id, size)
     return tx_bytes, ledger

@@ -28,6 +28,7 @@ from repro.obs.metrics import (
 from repro.obs.profiling import PhaseProfiler, ProfiledCodec
 from repro.obs.publish import (
     publish_cluster_metrics,
+    publish_epoch_outcomes,
     publish_network_metrics,
     publish_ops,
     publish_runtime_metrics,
@@ -53,6 +54,7 @@ __all__ = [
     "publish_traffic",
     "publish_ops",
     "publish_transport",
+    "publish_epoch_outcomes",
     "publish_network_metrics",
     "publish_runtime_metrics",
     "publish_cluster_metrics",

@@ -48,12 +48,13 @@ if TYPE_CHECKING:
     from repro.network.metrics import RunMetrics
     from repro.protocols.base import OpCounter
     from repro.runtime.hop import HopLedger
-    from repro.runtime.metrics import RuntimeRunMetrics
+    from repro.runtime.metrics import EpochSeries, RuntimeRunMetrics
 
 __all__ = [
     "publish_traffic",
     "publish_ops",
     "publish_transport",
+    "publish_epoch_outcomes",
     "publish_network_metrics",
     "publish_runtime_metrics",
     "publish_cluster_metrics",
@@ -110,44 +111,37 @@ def publish_ops(
                 ops.inc(count, substrate=substrate, role=role, op=op)
 
 
-def _publish_epoch_outcomes(
-    registry: MetricsRegistry,
-    *,
-    substrate: str,
-    total: int,
-    accepted: int,
-    unrecovered: int,
-    delivery_rate: float,
-    acceptance_rate: float,
-    latencies: list[float],
+def publish_epoch_outcomes(
+    series: "EpochSeries", registry: MetricsRegistry, *, substrate: str
 ) -> None:
+    """Epoch outcomes; *unrecovered* means lost, not rejected (PSR never arrived)."""
     registry.counter("sies_epochs_total", "Epochs executed", ("substrate",)).inc(
-        total, substrate=substrate
+        series.num_epochs, substrate=substrate
     )
     registry.counter(
         "sies_epochs_accepted_total", "Epochs whose exact SUM was accepted", ("substrate",)
-    ).inc(accepted, substrate=substrate)
+    ).inc(sum(1 for e in series.epochs if e.accepted), substrate=substrate)
     registry.counter(
         "sies_epochs_unrecovered_total", "Epochs lost end to end", ("substrate",)
-    ).inc(unrecovered, substrate=substrate)
+    ).inc(sum(1 for e in series.epochs if not e.recovery.converged), substrate=substrate)
     registry.gauge(
         "sies_delivery_rate", "Fraction of attempted contributions that survived", ("substrate",)
-    ).set(delivery_rate, substrate=substrate)
+    ).set(series.delivery_rate(), substrate=substrate)
     registry.gauge(
         "sies_acceptance_rate", "Fraction of epochs accepted by the querier", ("substrate",)
-    ).set(acceptance_rate, substrate=substrate)
+    ).set(series.acceptance_rate(), substrate=substrate)
     latency = registry.histogram(
         "sies_completion_latency",
         "Epoch completion latency (substrate-native time units)",
         DEFAULT_LATENCY_BUCKETS,
         ("substrate",),
     )
-    for sample in latencies:
+    for sample in series.completion_latencies():
         latency.observe(sample, substrate=substrate)
 
 
 def publish_network_metrics(metrics: "RunMetrics", registry: MetricsRegistry) -> None:
-    """Analytic :class:`~repro.network.metrics.RunMetrics` → registry."""
+    """Analytic :class:`~repro.network.metrics.RunMetrics` → registry (zero-time latencies)."""
     substrate = "network"
     publish_traffic(metrics.traffic, registry, substrate=substrate)
     publish_ops(
@@ -157,20 +151,7 @@ def publish_network_metrics(metrics: "RunMetrics", registry: MetricsRegistry) ->
         aggregator=metrics.aggregator_ops,
         querier=metrics.querier_ops,
     )
-    accepted = sum(
-        1 for e in metrics.epochs if e.result is not None and e.security_failure is None
-    )
-    unrecovered = sum(1 for e in metrics.epochs if e.security_failure is not None)
-    _publish_epoch_outcomes(
-        registry,
-        substrate=substrate,
-        total=metrics.num_epochs,
-        accepted=accepted,
-        unrecovered=unrecovered,
-        delivery_rate=1.0,
-        acceptance_rate=accepted / metrics.num_epochs if metrics.num_epochs else 1.0,
-        latencies=[],
-    )
+    publish_epoch_outcomes(metrics, registry, substrate=substrate)
 
 
 #: Ledger counter → (metric name, help), in publication order.
@@ -221,18 +202,7 @@ def publish_runtime_metrics(metrics: "RuntimeRunMetrics", registry: MetricsRegis
         querier=metrics.querier_ops,
     )
     publish_transport(metrics.transport, registry, substrate=substrate)
-    accepted = sum(1 for e in metrics.epochs if e.accepted)
-    unrecovered = sum(1 for e in metrics.epochs if not e.recovery.converged)
-    _publish_epoch_outcomes(
-        registry,
-        substrate=substrate,
-        total=metrics.num_epochs,
-        accepted=accepted,
-        unrecovered=unrecovered,
-        delivery_rate=metrics.delivery_rate(),
-        acceptance_rate=metrics.acceptance_rate(),
-        latencies=metrics.completion_latencies(),
-    )
+    publish_epoch_outcomes(metrics, registry, substrate=substrate)
 
 
 def publish_cluster_metrics(metrics: "ClusterRunMetrics", registry: MetricsRegistry) -> None:
@@ -262,15 +232,4 @@ def publish_cluster_metrics(metrics: "ClusterRunMetrics", registry: MetricsRegis
         if c.decode_failures:
             decode_failures.inc(c.decode_failures, substrate=substrate, edge=edge.value)
     publish_transport(ledger, registry, substrate=substrate)
-    accepted = sum(1 for e in metrics.epochs if e.accepted)
-    unrecovered = sum(1 for e in metrics.epochs if not e.recovery.converged)
-    _publish_epoch_outcomes(
-        registry,
-        substrate=substrate,
-        total=metrics.num_epochs,
-        accepted=accepted,
-        unrecovered=unrecovered,
-        delivery_rate=metrics.delivery_rate(),
-        acceptance_rate=metrics.acceptance_rate(),
-        latencies=[e.completion_latency for e in metrics.epochs if e.recovery.converged],
-    )
+    publish_epoch_outcomes(metrics, registry, substrate=substrate)

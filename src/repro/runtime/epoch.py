@@ -30,8 +30,9 @@ The drivers own the time: the event runtime
 (:class:`~repro.runtime.simulator.RuntimeSimulator`) turns the offsets
 into scheduler events, the TCP cluster (:mod:`repro.cluster.node`) into
 one ``asyncio.Event`` plus one timed wait per aggregator-epoch and per
-querier-epoch.  Times enter only as arguments (``started_at``, ``now``)
-to stamp completion latencies.
+querier-epoch, the analytic simulator into a zero-time bottom-up pass.
+Times enter only as arguments (``started_at``, ``now``) to stamp
+completion latencies.
 """
 
 from __future__ import annotations
@@ -100,10 +101,13 @@ class EpochPlanner:
         self.faults = faults
         heights = node_heights(tree)
         self._bottom_up = tree.bottom_up_aggregators()
+        self._sources = frozenset(tree.source_ids)
         #: Aggregator → its merge deadline, relative to the epoch start.
         self.merge_offset = {aid: hold_time * heights[aid] for aid in self._bottom_up}
         #: The querier's deadline, relative to the epoch start.
         self.querier_offset = hold_time * (heights[tree.root_id] + 1) + querier_slack
+        #: The plan of every epoch in which no source is down.
+        self._full = self._walk(self._sources)
 
     def plan(self, epoch: int) -> EpochPlan:
         """The epoch's participants and its live aggregators' expected counts.
@@ -114,12 +118,13 @@ class EpochPlanner:
         aggregator merge the moment everything that *can* arrive has
         arrived, so deadlines only matter when the network loses something.
         """
-        tree = self.tree
-        attempted = frozenset(
-            sid
-            for sid in tree.source_ids
-            if sid not in self.failed_sources and not self.faults.node_down(sid, epoch)
+        down = self._sources & self.failed_sources.union(
+            o.node_id for o in self.faults.outages if o.down(epoch)
         )
+        return self._walk(self._sources - down) if down else self._full
+
+    def _walk(self, attempted: frozenset[int]) -> EpochPlan:
+        tree = self.tree
         live: dict[int, bool] = {sid: sid in attempted for sid in tree.source_ids}
         expected: dict[int, int] = {}
         for aid in self._bottom_up:
@@ -127,7 +132,7 @@ class EpochPlanner:
             live[aid] = count > 0
             if count:
                 expected[aid] = count
-        return EpochPlan(attempted, frozenset(tree.source_ids) - attempted, expected)
+        return EpochPlan(attempted, self._sources - attempted, expected)
 
 
 class HoldAndWait:
@@ -216,9 +221,10 @@ def settle_lost(
 ) -> EpochRecord:
     """Settle an epoch whose final PSR never reached the querier.
 
-    ``MessageLost`` (sources reported but the network swallowed every
-    path) stays distinct from ``NoResult`` (no source ever reported),
-    matching :class:`~repro.network.simulator.NetworkSimulator`.
+    ``MessageLost`` (sources attempted but the network or an adversary
+    swallowed every path) stays distinct from ``NoResult`` (no source
+    attempted: all failed or down).  All three substrates settle lost
+    epochs here, so they draw the distinction alike.
     """
     recovery = EpochRecovery(
         epoch=epoch,

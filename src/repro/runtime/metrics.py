@@ -1,16 +1,16 @@
-"""Measurement containers for the fault-injecting runtime.
+"""Epoch records every substrate shares, and the runtime's run metrics.
 
 :class:`EpochRecord` is how one epoch ended and :class:`EpochSeries` the
-run-level views over a list of them; the TCP cluster's metrics use both.
-Unlike :class:`~repro.network.metrics.RunMetrics`, nothing the runtime
-records carries wall-clock seconds: every field is a function of the seed
-and the configuration, so two runs with identical inputs produce identical
+run-level views over a list of them; the analytic simulator and the TCP
+cluster build their run metrics on both.  Nothing the runtime records
+carries wall-clock seconds: every field is a function of the seed and
+the configuration, so two runs with identical inputs produce identical
 :meth:`RuntimeRunMetrics.ledger` dicts — the determinism contract the
 acceptance tests compare byte for byte.
 
-Latency fields are *logical* (scheduler time units): epoch completion
-latency is the span from the epoch's start event to the querier's
-evaluation of its final PSR.
+Latency fields are *logical* (scheduler time units; 0 on the zero-time
+analytic simulator): epoch completion latency is the span from the
+epoch's start event to the querier's evaluation of its final PSR.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def latency_percentile(samples: list[float], fraction: float) -> float:
 
 @dataclass
 class EpochRecord:
-    """How one epoch ended, on either lossy substrate."""
+    """How one epoch ended, on any substrate."""
 
     epoch: int
     recovery: EpochRecovery
@@ -62,9 +62,14 @@ class EpochRecord:
     def accepted(self) -> bool:
         return self.result is not None and self.security_failure is None
 
+    @property
+    def sources_reporting(self) -> int:
+        """Sources that attempted to report (not failed or down)."""
+        return len(self.recovery.attempted)
+
 
 class EpochSeries:
-    """Run-level views over ``epochs``, shared by both lossy substrates."""
+    """Run-level views over ``epochs``, shared by every substrate."""
 
     epochs: list[EpochRecord]
     recovery: RecoveryLedger
@@ -96,6 +101,9 @@ class EpochSeries:
 
     def results(self) -> list[EvaluationResult]:
         return [e.result for e in self.epochs if e.result is not None]
+
+    def security_failures(self) -> list[tuple[int, str]]:
+        return [(e.epoch, e.security_failure) for e in self.epochs if e.security_failure]
 
     def latency_summary(self) -> dict[str, float]:
         """Nearest-rank p50/p90/p99 and max of the completion latencies."""
@@ -145,9 +153,6 @@ class RuntimeRunMetrics(EpochSeries):
 
     def retransmissions_total(self) -> int:
         return self.transport.total("retransmissions")
-
-    def security_failures(self) -> list[tuple[int, str]]:
-        return [(e.epoch, e.security_failure) for e in self.epochs if e.security_failure]
 
     def ledger(self) -> dict:
         """Canonical, JSON-serializable record of the whole run.

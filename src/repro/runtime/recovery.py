@@ -87,9 +87,9 @@ class EpochRecovery:
     def reporting_subset(self, num_sources: int) -> list[int] | None:
         """The ``reporting_sources`` argument for the querier.
 
-        ``None`` (meaning "all") when every source survived — matching
-        the sequential simulator's calling convention so op counts and
-        behaviour line up; otherwise the sorted survivor list.
+        ``None`` (meaning "all") when every source survived — the
+        querier's full-set path, on every substrate — otherwise the
+        sorted survivor list.
         """
         if self.converged and len(self.survivors) == num_sources:
             return None

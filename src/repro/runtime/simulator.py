@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.channel import Channel, EdgeClass
-from repro.network.messages import DataMessage
-from repro.network.simulator import QUERIER_NODE_ID, Workload
+from repro.network.messages import QUERIER_NODE_ID, DataMessage, Workload
 from repro.network.topology import AggregationTree
 from repro.protocols.base import OpCounter, SecureAggregationProtocol
 from repro.runtime.epoch import EpochPlanner, HoldAndWait, QuerierEpochs, settled_epochs

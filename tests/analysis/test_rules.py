@@ -146,6 +146,37 @@ class TestDeterminism:
         """)
         assert findings == []
 
+    def test_positive_timer_inside_a_substrate(self) -> None:
+        findings = lint(
+            """
+            import time
+            from time import monotonic
+            def merge_timed(role, epoch, psrs):
+                t0 = time.perf_counter()
+                merged = role.merge(epoch, psrs)
+                return merged, time.perf_counter() - t0, monotonic()
+            """,
+            module="repro.network.simulator",
+            path="src/repro/network/simulator.py",
+        )
+        assert rules_of(findings) == {"SL002"}
+        assert len(findings) == 3
+        assert "clock-free" in findings[0].message
+
+    def test_negative_timer_in_a_measuring_module(self) -> None:
+        findings = lint(
+            """
+            import time
+            def measure(fn):
+                t0 = time.perf_counter()
+                fn()
+                return time.perf_counter() - t0, time.monotonic()
+            """,
+            module="repro.experiments.common",
+            path="src/repro/experiments/common.py",
+        )
+        assert findings == []
+
     def test_negative_system_random_for_keys(self) -> None:
         findings = lint("""
         import random as _random

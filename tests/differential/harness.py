@@ -231,7 +231,6 @@ def assert_equivalent(sequential: PathTrace, batched: PathTrace, *, context: str
             f"SUM diverged at epoch {seq_em.epoch}{label}: {seq_value} != {bat_value}"
         )
         assert seq_em.sources_reporting == bat_em.sources_reporting, label
-        assert seq_em.aggregator_merges == bat_em.aggregator_merges, label
 
     for role in ("source_ops", "aggregator_ops", "querier_ops"):
         seq_counts = getattr(sequential.metrics, role).counts

@@ -1,46 +1,34 @@
-"""Metrics containers: per-epoch and per-run aggregation."""
+"""Metrics containers: per-epoch records and per-run aggregation."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.network.channel import EdgeClass, TrafficCounters
-from repro.network.metrics import EpochMetrics, RunMetrics
+from repro.network.metrics import RunMetrics
 from repro.protocols.base import EvaluationResult
+from repro.runtime.metrics import EpochRecord
+from repro.runtime.recovery import EpochRecovery
 
 
-def _epoch(epoch: int, *, sources: int = 4, merges: int = 2, value: int = 10,
-           verified: bool = True, failure: str | None = None) -> EpochMetrics:
-    em = EpochMetrics(
-        epoch=epoch,
-        source_seconds_total=0.4,
-        aggregator_seconds_total=0.2,
-        querier_seconds=0.1,
-        sources_reporting=sources,
-        aggregator_merges=merges,
-        security_failure=failure,
+def _epoch(epoch: int, *, sources: int = 4, value: int = 10,
+           verified: bool = True, failure: str | None = None) -> EpochRecord:
+    attempted = frozenset(range(sources))
+    recovery = EpochRecovery(
+        epoch=epoch, attempted=attempted, survivors=attempted,
+        pre_failed=frozenset(), converged=True,
     )
+    record = EpochRecord(epoch, recovery, security_failure=failure)
     if failure is None:
-        em.result = EvaluationResult(value=value, epoch=epoch, verified=verified, exact=True)
-    return em
-
-
-def test_epoch_means() -> None:
-    em = _epoch(1)
-    assert em.source_seconds_mean == pytest.approx(0.1)
-    assert em.aggregator_seconds_mean == pytest.approx(0.1)
-    empty = EpochMetrics(epoch=2)
-    assert empty.source_seconds_mean == 0.0
-    assert empty.aggregator_seconds_mean == 0.0
+        record.result = EvaluationResult(value=value, epoch=epoch, verified=verified, exact=True)
+    return record
 
 
 def test_run_metrics_means_over_epochs() -> None:
     run = RunMetrics(protocol="sies", num_sources=4)
-    run.epochs = [_epoch(1), _epoch(2)]
+    run.record_epochs([_epoch(1), _epoch(2, sources=3)])
     assert run.num_epochs == 2
-    assert run.mean_source_seconds() == pytest.approx(0.1)
-    assert run.mean_aggregator_seconds() == pytest.approx(0.1)
-    assert run.mean_querier_seconds() == pytest.approx(0.1)
+    assert [e.sources_reporting for e in run.epochs] == [4, 3]
+    assert run.acceptance_rate() == 1.0
+    assert run.delivery_rate() == 1.0
+    assert run.recovery.epochs_complete == 2
     assert run.all_verified()
     assert [r.value for r in run.results()] == [10, 10]
     assert run.security_failures() == []
@@ -48,36 +36,27 @@ def test_run_metrics_means_over_epochs() -> None:
 
 def test_run_metrics_with_failures() -> None:
     run = RunMetrics(protocol="sies", num_sources=4)
-    run.epochs = [_epoch(1), _epoch(2, failure="VerificationFailure")]
-    assert not run.all_verified() or True  # failed epoch has no result
+    run.record_epochs([_epoch(1), _epoch(2, failure="VerificationFailure")])
+    assert run.all_verified()  # the rejected epoch has no result to check
     assert run.security_failures() == [(2, "VerificationFailure")]
     assert len(run.results()) == 1
+    assert run.acceptance_rate() == 0.5
 
 
 def test_run_metrics_unverified_results() -> None:
     run = RunMetrics(protocol="cmt", num_sources=4)
-    run.epochs = [_epoch(1, verified=False)]
+    run.record_epochs([_epoch(1, verified=False)])
     assert not run.all_verified()
-
-
-def test_mean_edge_bytes_uses_traffic() -> None:
-    run = RunMetrics(protocol="sies", num_sources=4)
-    traffic = TrafficCounters()
-    traffic.record(EdgeClass.SOURCE_TO_AGGREGATOR, 32)
-    traffic.record(EdgeClass.SOURCE_TO_AGGREGATOR, 32)
-    run.traffic = traffic
-    assert run.mean_edge_bytes(EdgeClass.SOURCE_TO_AGGREGATOR) == 32.0
-    assert run.mean_edge_bytes(EdgeClass.AGGREGATOR_TO_QUERIER) == 0.0
 
 
 def test_empty_run_metrics() -> None:
     run = RunMetrics(protocol="sies", num_sources=4)
-    assert run.mean_source_seconds() == 0.0
-    assert run.mean_querier_seconds() == 0.0
+    assert run.num_epochs == 0
+    assert run.acceptance_rate() == 1.0
     assert run.all_verified()  # vacuously
 
 
-def test_to_dict_is_json_serializable() -> None:
+def test_epoch_entries_are_json_serializable() -> None:
     import json
 
     from repro.core.protocol import SIESProtocol
@@ -92,13 +71,13 @@ def test_to_dict_is_json_serializable() -> None:
         workload,
         SimulationConfig(num_epochs=2),
     ).run()
-    payload = metrics.to_dict()
-    text = json.dumps(payload)  # must not raise
-    restored = json.loads(text)
-    assert restored["protocol"] == "sies"
-    assert restored["num_epochs"] == 2
-    assert restored["traffic_bytes"]["S-A"] == 2 * 8 * 32
-    assert restored["epochs"][0]["verified"] is True
+    restored = json.loads(json.dumps(metrics.epoch_entries()))  # must not raise
+    assert [entry["epoch"] for entry in restored] == [1, 2]
+    assert restored[0]["verified"] is True
+    assert restored[0]["survivors"] == list(range(8))
+    assert restored[0]["completion_latency"] == 0.0
+    # Big-integer SUMs are stringified so they survive JSON losslessly.
     expected = sum(workload(s, 1) for s in range(8))
-    assert int(restored["epochs"][0]["value"]) == expected
-    assert restored["ops"]["querier"]["inv32"] == 2
+    assert restored[0]["value"] == str(expected)
+    big = RunMetrics("sies", 4, epochs=[_epoch(3, value=2**200)])
+    assert json.loads(json.dumps(big.epoch_entries()))[0]["value"] == str(2**200)

@@ -59,12 +59,17 @@ def test_message_counts_match_topology(setup) -> None:
 
 def test_epoch_metrics_counts(setup) -> None:
     protocol, tree, workload = setup
-    em = NetworkSimulator(protocol, tree, workload).run_epoch(1)
+    sim = NetworkSimulator(protocol, tree, workload)
+    em = sim.run_epoch(1)
     assert em.sources_reporting == N
-    assert em.aggregator_merges == tree.num_aggregators
-    assert em.source_seconds_total > 0
-    assert em.querier_seconds > 0
-    assert em.source_seconds_mean == pytest.approx(em.source_seconds_total / N)
+    # every aggregator merges once and forwards exactly one PSR
+    counters = sim.channel.counters
+    forwarded = sum(
+        counters.messages_for(edge)
+        for edge in (EdgeClass.AGGREGATOR_TO_AGGREGATOR, EdgeClass.AGGREGATOR_TO_QUERIER)
+    )
+    assert forwarded == tree.num_aggregators
+    assert em.recovery.complete and em.completion_latency == 0.0
 
 
 def test_failed_sources_are_excluded_and_verified(setup) -> None:
@@ -126,7 +131,11 @@ def test_dropped_final_message_records_message_lost(setup) -> None:
 
 
 def test_nothing_sent_records_no_result(setup) -> None:
-    """When every source's PSR is suppressed, no final PSR ever exists."""
+    """Sources attempted but every PSR was swallowed: the epoch is lost.
+
+    Only an epoch in which no source attempted at all — every one
+    failed — has no result to lose.
+    """
     protocol, tree, workload = setup
     sim = NetworkSimulator(protocol, tree, workload, SimulationConfig(num_epochs=1))
     sim.channel.add_interceptor(
@@ -134,7 +143,14 @@ def test_nothing_sent_records_no_result(setup) -> None:
     )
     em = sim.run_epoch(1)
     assert em.result is None
+    assert em.security_failure == "MessageLost"
+    assert em.sources_reporting == N and not em.recovery.converged
+
+    config = SimulationConfig(num_epochs=1, failed_sources=frozenset(range(N)))
+    em = NetworkSimulator(SIESProtocol(N, seed=1), tree, workload, config).run_epoch(1)
+    assert em.result is None
     assert em.security_failure == "NoResult"
+    assert em.sources_reporting == 0
 
 
 def test_message_lost_parity_across_run_modes(setup) -> None:

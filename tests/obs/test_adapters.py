@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from repro.attacks import AdditiveTamperAttack
 from repro.core.protocol import SIESProtocol
 from repro.datasets.workload import UniformWorkload
+from repro.network.channel import EdgeClass
 from repro.network.simulator import NetworkSimulator, SimulationConfig
 from repro.network.topology import build_complete_tree
 from repro.obs import (
@@ -188,3 +190,27 @@ def test_publish_network_and_runtime_share_metric_names() -> None:
     text = registry.render_prometheus()
     assert 'sies_traffic_bytes_total{substrate="network",edge="S-A"}' in text
     assert 'sies_traffic_bytes_total{substrate="runtime",edge="S-A"}' in text
+
+    # An analytic run with one lost and one rejected epoch: only the
+    # lost one is unrecovered, and neither is accepted.
+    epochs = 4
+    lossy = _network_simulator(epochs=epochs)
+    tamper = AdditiveTamperAttack(delta=1, modulus=lossy.protocol.p)
+
+    def adversary(message, edge):
+        if edge is EdgeClass.AGGREGATOR_TO_QUERIER and message.epoch == 2:
+            return None
+        return tamper(message, edge) if message.epoch == 3 else message
+
+    lossy.channel.add_interceptor(adversary)
+    run = lossy.run()
+    assert run.security_failures() == [(2, "MessageLost"), (3, "VerificationFailure")]
+    analytic = MetricsRegistry()
+    publish_network_metrics(run, analytic)
+    assert analytic.get("sies_epochs_total").value(substrate="network") == epochs
+    assert analytic.get("sies_epochs_unrecovered_total").value(substrate="network") == 1
+    assert analytic.get("sies_epochs_accepted_total").value(substrate="network") == epochs - 2
+    assert analytic.get("sies_acceptance_rate").value(substrate="network") == 0.5
+    # The analytic substrate is zero-time: one 0 sample per settled epoch.
+    latency = analytic.get("sies_completion_latency").snapshot(substrate="network")
+    assert latency["count"] == epochs - 1 and latency["sum"] == 0.0

@@ -8,6 +8,8 @@ substrate.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.protocol import SIESProtocol
@@ -245,3 +247,55 @@ def test_plan_on_a_random_tree(seed: int) -> None:
     check_plan(tree, frozenset(), FaultPlan.lossless(), epoch=1)
     check_plan(tree, frozenset({0, 7, 8, 9, 10, 11}), faults, epoch=1)
     check_plan(tree, frozenset(tree.source_ids), faults, epoch=1)
+
+
+def reference_plan(tree, failed: frozenset[int], faults: FaultPlan, epoch: int):
+    """The plan by definition: ask every source, then every aggregator."""
+    attempted = frozenset(
+        sid for sid in tree.source_ids
+        if sid not in failed and not faults.node_down(sid, epoch)
+    )
+    live = {
+        aid for aid in tree.aggregator_ids
+        if any(sid in attempted for sid in tree.leaves_under(aid))
+    }
+    expected = {
+        aid: sum(1 for child in tree.children(aid) if child in attempted or child in live)
+        for aid in tree.bottom_up_aggregators()
+        if aid in live
+    }
+    return attempted, frozenset(tree.source_ids) - attempted, expected
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6, 7])
+def test_plan_matches_the_per_source_definition_over_random_outages(seed: int) -> None:
+    rng = random.Random(seed)
+    tree = build_random_tree(31, max_fanout=4, seed=seed)
+    nodes = [*tree.source_ids, *tree.aggregator_ids]
+    # Outages on sources and aggregators alike; an aggregator outage
+    # never changes who attempts.
+    outages = tuple(
+        NodeOutage(rng.choice(nodes), first, first + rng.randrange(3))
+        for first in (rng.randrange(1, 16) for _ in range(rng.randrange(1, 12)))
+    )
+    faults = FaultPlan(outages=outages)
+    shapes = set()
+    for failed in (frozenset(), frozenset(rng.sample(tree.source_ids, 2))):
+        planner = EpochPlanner(
+            tree, hold_time=1.0, querier_slack=0.0, failed_sources=failed, faults=faults
+        )
+        for epoch in range(1, 20):
+            attempted, pre_failed, expected = reference_plan(tree, failed, faults, epoch)
+            plan = planner.plan(epoch)
+            assert plan.attempted == attempted and plan.pre_failed == pre_failed
+            assert list(plan.expected.items()) == list(expected.items())  # bottom-up order
+            shapes.add(bool(pre_failed))
+    assert shapes == {False, True}, "both the full plan and the walk must run"
+    # Epochs without a down source share one plan, precomputed once.
+    clean = EpochPlanner(
+        tree, hold_time=1.0, querier_slack=0.0, failed_sources=frozenset(), faults=FaultPlan()
+    )
+    assert clean.plan(1) is clean.plan(2)
+    attempted, pre_failed, expected = reference_plan(tree, frozenset(), FaultPlan(), 3)
+    plan = clean.plan(3)
+    assert (plan.attempted, plan.pre_failed, plan.expected) == (attempted, pre_failed, expected)

@@ -45,7 +45,7 @@ def main() -> None:
     print("\nPer-role CPU time: python -m repro.cli experiment fig4 | fig5 | fig6a")
     print("Traffic per message:")
     for edge in EdgeClass:
-        print(f"  bytes per {edge.value} message : {metrics.traffic.mean_bytes_per_message(edge):.0f}")
+        print(f"  bytes per {edge.value} message : {metrics.traffic.per_message('payload_bytes', edge):.0f}")
     assert metrics.all_verified(), "an honest network must always verify"
 
 

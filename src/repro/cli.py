@@ -248,7 +248,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"epoch {em.epoch}: {kind} result {em.result.value} ({tag})")
     print("\nper-role CPU time: python -m repro.cli experiment fig4 | fig5 | fig6a")
     for edge in EdgeClass:
-        print(f"bytes per {edge.value} msg : {metrics.traffic.mean_bytes_per_message(edge):10.0f}")
+        print(f"bytes per {edge.value} msg : {metrics.traffic.per_message('payload_bytes', edge):10.0f}")
     return 0
 
 
@@ -379,7 +379,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         counters = metrics.traffic.edge(edge)
         print(
             f"  {edge.value}: {counters.frames_sent:6d} frames, "
-            f"{counters.envelope_bytes:8d} envelope B, {counters.psr_bytes:8d} PSR B"
+            f"{counters.envelope_bytes:8d} envelope B, {counters.frame_bytes:8d} PSR frame B"
         )
     return 0
 

@@ -3,17 +3,16 @@
 The cluster's headline safety property is **zero silent drops**: every
 envelope a sender decided to transmit is accounted for — written to the
 wire, deliberately dropped by the seeded fault schedule, suppressed as a
-duplicate, counted late, or rejected as undecodable.  The traffic ledger
-is the :class:`~repro.runtime.hop.HopLedger` the hop engine fills on
-both substrates; its
-:meth:`~repro.runtime.hop.HopLedger.check_conservation` runs at the end
-of every run.  On top of the frame counts the cluster keeps byte
-accounting that is double-entry like the channel layer's
-:class:`~repro.network.channel.TrafficCounters`: ``psr_bytes`` is the
-*measured* inner protocol frame, counted **once per parcel** and
-cross-checked against ``codec.framed_size()`` at the send site, while
-``envelope_bytes`` and ``ack_bytes`` count every byte actually written
-(retransmissions and duplicates included).
+duplicate, counted late, or rejected as undecodable.  The run's one
+ledger is the :class:`~repro.network.ledger.HopLedger` every substrate
+fills: the hop engine counts the ARQ, and the send path counts
+``messages``, ``payload_bytes`` and ``frame_bytes`` per attempt exactly
+as the channel does on the other two substrates (the inner frame is
+checked against ``codec.framed_size()`` once per parcel).  Two counters
+are the cluster's own: ``envelope_bytes`` and ``ack_bytes`` count every
+byte actually written (retransmissions and duplicates included).
+:meth:`~repro.network.ledger.HopLedger.check_conservation` runs at the
+end of every run.
 
 Determinism split: parcel fates, survivor sets and SUM values are
 seed-determined (:mod:`repro.cluster.faults`), but *attempt counts* can
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.runtime.hop import HopLedger
+from repro.network.ledger import HopLedger
 from repro.runtime.metrics import EpochRecord, EpochSeries
 from repro.runtime.recovery import RecoveryLedger
 

@@ -34,13 +34,8 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.errors import (
-    ConfigurationError,
-    SimulationError,
-    WireDecodeError,
-    WireEncodeError,
-)
-from repro.network.channel import EdgeClass
+from repro.errors import ConfigurationError, SimulationError, WireDecodeError
+from repro.network.ledger import EdgeClass, HopLedger
 from repro.cluster.clock import ClusterClock
 from repro.cluster.envelope import AckEnvelope, DataEnvelope, decode_envelope, encode_ack, encode_data
 from repro.cluster.framing import FrameReader, FrameWriter
@@ -51,7 +46,6 @@ from repro.runtime.hop import (
     DECODE_FAILURE,
     DELIVERED,
     HopEngine,
-    HopLedger,
     Parcel,
     RetransmitPolicy,
     TransportObserver,
@@ -249,23 +243,40 @@ class ClusterNode:
             if self.engine.ack_arrived(self._parent_edge, parcel) and pending is not None:
                 pending[1].set()
 
-    async def _send_reliable(self, *, epoch: int, manifest: frozenset[int], inner: bytes) -> bool:
+    async def _send_psr(
+        self,
+        codec: PSRCodec,
+        *,
+        epoch: int,
+        psr: PartialStateRecord,
+        manifest: frozenset[int],
+    ) -> bool:
         """Run one parcel through the ARQ; True once ACKed, False on give-up.
 
-        The delivered-or-not outcome is the keyed fault schedule's, not
-        the event loop's: an attempt the schedule spares is physically
-        written (TCP then delivers it), an attempt it swallows is never
-        written.  Slow ACKs can only add extra attempts whose copies the
-        receiver suppresses — see :func:`repro.cluster.faults.parcel_fate`.
+        The inner frame is encoded and size-checked once, then every
+        attempt counts one message with its payload and frame bytes, as
+        the channel does on the runtime.  The delivered-or-not outcome
+        is the keyed fault schedule's, not the event loop's: an attempt
+        the schedule spares is physically written (TCP then delivers
+        it), an attempt it swallows is never written.  Slow ACKs can
+        only add extra attempts whose copies the receiver suppresses —
+        see :func:`repro.cluster.faults.parcel_fate`.
         """
         if self._uplink_writer is None or self._parent_edge is None or self._parent_id is None:
             raise SimulationError(f"node {self.node_id} has no uplink to send on")
+        inner = codec.encode(psr)
+        frame_size = codec.checked_frame_size(psr, inner)
+        payload_size = psr.wire_size()
+        counters = self.ledger.edge(self._parent_edge)
         parcel = Parcel(self.node_id, self._parent_id, self._parent_edge, epoch, manifest)
         event = asyncio.Event()
         self._pending[epoch] = (parcel, event)
         try:
             while True:
                 copies, timeout = self.engine.attempt(parcel)
+                counters.messages += 1
+                counters.payload_bytes += payload_size
+                counters.frame_bytes += frame_size
                 if copies:
                     frame = encode_data(
                         epoch=epoch,
@@ -277,7 +288,7 @@ class ClusterNode:
                     )
                     for _ in range(copies):
                         await self._uplink_writer.write_frame(frame)
-                    self.ledger.edge(self._parent_edge).envelope_bytes += copies * len(frame)
+                    counters.envelope_bytes += copies * len(frame)
                 try:
                     await self.clock.wait_for(event.wait(), timeout)
                     return True
@@ -286,27 +297,6 @@ class ClusterNode:
                         return parcel.acked
         finally:
             del self._pending[epoch]
-
-    async def _send_psr(
-        self,
-        codec: PSRCodec,
-        *,
-        epoch: int,
-        psr: PartialStateRecord,
-        manifest: frozenset[int],
-    ) -> bool:
-        """Encode *psr* once, cross-check the size contract, run the ARQ."""
-        if self._parent_edge is None:
-            raise SimulationError(f"node {self.node_id} has no uplink to send on")
-        inner = codec.encode(psr)
-        expected = codec.framed_size(psr)
-        if len(inner) != expected:
-            raise WireEncodeError(
-                f"{len(inner)}-byte frame for a PSR whose analytic size announces "
-                f"{expected} bytes — wire format and model have diverged"
-            )
-        self.ledger.edge(self._parent_edge).psr_bytes += len(inner)
-        return await self._send_reliable(epoch=epoch, manifest=manifest, inner=inner)
 
 
 class SourceNode(ClusterNode):

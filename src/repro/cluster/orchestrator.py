@@ -12,7 +12,7 @@
    pipelining but paced by completion instead of a clock;
 4. **drain** — uplinks half-close bottom-up (sources first, root last)
    so every in-flight ACK is read before any socket dies, then servers
-   stop and :meth:`~repro.runtime.hop.HopLedger.check_conservation`
+   stop and :meth:`~repro.network.ledger.HopLedger.check_conservation`
    proves no frame went unaccounted.
 
 Epoch deadlines are *relative to the epoch's launch*, so a window-8 run
@@ -32,7 +32,7 @@ import asyncio
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.network.channel import EdgeClass
+from repro.network.ledger import EdgeClass, HopLedger
 from repro.network.messages import QUERIER_NODE_ID, Workload
 from repro.network.topology import AggregationTree
 from repro.cluster.clock import ClusterClock
@@ -41,7 +41,7 @@ from repro.cluster.node import AggregatorNode, ClusterNode, QuerierNode, SourceN
 from repro.protocols.base import SecureAggregationProtocol
 from repro.runtime.epoch import EpochPlanner, settled_epochs
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
-from repro.runtime.hop import HopLedger, RetransmitPolicy, TransportObserver
+from repro.runtime.hop import RetransmitPolicy, TransportObserver
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ClusterConfig", "EpochOrchestrator", "run_cluster"]

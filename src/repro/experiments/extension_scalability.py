@@ -71,7 +71,7 @@ def run(
         ).run()
         if not metrics.all_verified():
             raise SimulationError(f"honest SIES run failed verification at N={n}")
-        sies_total = metrics.traffic.total_bytes()
+        sies_total = metrics.traffic.total("payload_bytes")
         sies_max_edge = sies.psr_bytes  # constant per edge by construction
 
         # Commit-and-attest: three phases, paths down the tree.

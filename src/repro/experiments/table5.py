@@ -65,10 +65,10 @@ def run(
         if not metrics.all_verified() and name != "cmt":
             raise SimulationError(f"honest {name} run failed verification")
         actuals[name] = {
-            edge: metrics.traffic.mean_bytes_per_message(edge) for edge in EdgeClass
+            edge: metrics.traffic.per_message("payload_bytes", edge) for edge in EdgeClass
         }
         frame_actuals[name] = {
-            edge: metrics.traffic.mean_frame_bytes_per_message(edge) for edge in EdgeClass
+            edge: metrics.traffic.per_message("frame_bytes", edge) for edge in EdgeClass
         }
         # Measured-vs-analytic agreement: SIES/CMT codecs add exactly
         # the frame header, nothing else.

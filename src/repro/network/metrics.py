@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.network.channel import TrafficCounters
+from repro.network.ledger import HopLedger
 from repro.protocols.base import OpCounter
 from repro.runtime.metrics import EpochRecord, EpochSeries
 from repro.runtime.recovery import RecoveryLedger
@@ -28,7 +28,7 @@ class RunMetrics(EpochSeries):
     num_sources: int
     epochs: list[EpochRecord] = field(default_factory=list)
     recovery: RecoveryLedger = field(default_factory=RecoveryLedger)
-    traffic: TrafficCounters = field(default_factory=TrafficCounters)
+    traffic: HopLedger = field(default_factory=HopLedger)
     source_ops: OpCounter = field(default_factory=OpCounter)
     aggregator_ops: OpCounter = field(default_factory=OpCounter)
     querier_ops: OpCounter = field(default_factory=OpCounter)

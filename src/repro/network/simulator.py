@@ -144,7 +144,7 @@ class NetworkSimulator:
         metrics = RunMetrics(
             protocol=self.protocol.name,
             num_sources=self.tree.num_sources,
-            traffic=self.channel.counters,
+            traffic=self.channel.ledger,
             source_ops=self.source_ops,
             aggregator_ops=self.aggregator_ops,
             querier_ops=self.querier_ops,
@@ -155,7 +155,7 @@ class NetworkSimulator:
         return metrics
 
     def run_epoch(self, epoch: int) -> EpochRecord:
-        """Execute one epoch as its own measured run (fresh traffic counters).
+        """Execute one epoch as its own measured run (fresh traffic ledger).
 
         :meth:`run` accumulates one ledger across its epochs; a bare
         ``run_epoch`` is a run of its own and must not inherit frame
@@ -165,7 +165,7 @@ class NetworkSimulator:
         return self._execute_epoch(epoch)
 
     def _execute_epoch(self, epoch: int) -> EpochRecord:
-        """One epoch's work, accounted into the channel's current counters."""
+        """One epoch's work, accounted into the channel's current ledger."""
         plan = self._planner.plan(epoch)
         for aid, expected in plan.expected.items():
             self._mergers[aid].open(epoch, expected)

@@ -19,7 +19,8 @@ observability spine strictly on top of the substrates it observes.
 
 from __future__ import annotations
 
-from repro.network.channel import Channel, EdgeClass, TrafficCounters
+from repro.network.channel import Channel, EdgeClass
+from repro.network.ledger import HopLedger
 from repro.network.messages import DataMessage
 from repro.obs.trace import TraceRecorder
 
@@ -58,7 +59,7 @@ class ChannelTraceAdapter:
         self._channel.remove_run_listener(self._on_begin_run)
         self._channel = None
 
-    def _on_begin_run(self, counters: TrafficCounters) -> None:
+    def _on_begin_run(self, ledger: HopLedger) -> None:
         self.recorder.reset()
 
     def _observe(self, message: DataMessage, edge: EdgeClass) -> DataMessage:

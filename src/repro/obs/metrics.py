@@ -1,9 +1,10 @@
 """Substrate-neutral metrics registry with Prometheus/JSON exporters.
 
 Every substrate keeps its own native accounting —
-:class:`~repro.network.channel.TrafficCounters`,
+:class:`~repro.network.metrics.RunMetrics`,
 :class:`~repro.runtime.metrics.RuntimeRunMetrics`,
-:class:`~repro.cluster.metrics.ClusterRunMetrics` — and *publishes*
+:class:`~repro.cluster.metrics.ClusterRunMetrics`, each around one
+:class:`~repro.network.ledger.HopLedger` — and *publishes*
 into one :class:`MetricsRegistry` under unified names
 (:mod:`repro.obs.publish`), so a dashboard or diff tool reads one
 namespace regardless of which execution substrate produced the run.

@@ -1,18 +1,31 @@
 """Publishers: native per-substrate metrics → the unified registry.
 
 Each substrate keeps its native run metrics; these functions map every
-ledger into one metric namespace (the ``sies_transport_*`` counters come
-from the one hop ledger both ARQ substrates fill) so
-``repro metrics`` (and any Prometheus scrape of an exported file) reads
-identical names whichever substrate produced the run:
+ledger into one metric namespace so ``repro metrics`` (and any
+Prometheus scrape of an exported file) reads identical names whichever
+substrate produced the run.  Every run holds one
+:class:`~repro.network.ledger.HopLedger`, and :func:`publish_traffic`
+and :func:`publish_transport` are the only writers of its series, so a
+traffic series means the same thing on all three substrates:
+
+* ``sies_traffic_messages_total`` — transmissions, one per attempt;
+* ``sies_traffic_bytes_total`` — analytic payload bytes
+  (``psr.wire_size()``, Table V), per attempt;
+* ``sies_frame_bytes_total`` — measured PSR frame bytes (header
+  included, envelope excluded), per attempt;
+* ``sies_decode_failures_total`` — frames discarded as unparseable, by
+  the channel or by the receiving node.
+
+On the ARQ substrates ``sies_traffic_messages_total`` therefore equals
+``sies_transport_attempts_total`` edge class by edge class.
 
 ==========================================  =======================================
 metric                                      labels
 ==========================================  =======================================
-``sies_traffic_bytes_total``                ``substrate, edge`` (analytic payload)
-``sies_traffic_messages_total``             ``substrate, edge``
-``sies_frame_bytes_total``                  ``substrate, edge`` (measured frames)
-``sies_decode_failures_total``              ``substrate, edge``
+``sies_traffic_bytes_total``                ``substrate, edge`` (payload, per attempt)
+``sies_traffic_messages_total``             ``substrate, edge`` (one per attempt)
+``sies_frame_bytes_total``                  ``substrate, edge`` (frames, per attempt)
+``sies_decode_failures_total``              ``substrate, edge`` (channel + receiver)
 ``sies_transport_attempts_total``           ``substrate, edge``
 ``sies_transport_retransmissions_total``    ``substrate, edge``
 ``sies_transport_delivered_total``          ``substrate, edge``
@@ -40,14 +53,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.network.channel import TrafficCounters
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.cluster.metrics import ClusterRunMetrics
+    from repro.network.ledger import HopLedger
     from repro.network.metrics import RunMetrics
     from repro.protocols.base import OpCounter
-    from repro.runtime.hop import HopLedger
     from repro.runtime.metrics import EpochSeries, RuntimeRunMetrics
 
 __all__ = [
@@ -63,34 +75,37 @@ __all__ = [
 _EDGE_LABELS = ("substrate", "edge")
 
 
-def publish_traffic(
-    counters: TrafficCounters, registry: MetricsRegistry, *, substrate: str
-) -> None:
-    """Channel-layer byte/message accounting (all substrates share it)."""
-    traffic_bytes = registry.counter(
-        "sies_traffic_bytes_total", "Analytic payload bytes per edge class", _EDGE_LABELS
+def publish_traffic(ledger: "HopLedger", registry: MetricsRegistry, *, substrate: str) -> None:
+    """The run's traffic counters → ``sies_traffic_*`` and the frame series."""
+    series = (
+        (
+            "sies_traffic_bytes_total",
+            "Analytic payload bytes per edge class, per attempt",
+            lambda c: c.payload_bytes,
+        ),
+        (
+            "sies_traffic_messages_total",
+            "Transmissions per edge class, one per attempt",
+            lambda c: c.messages,
+        ),
+        (
+            "sies_frame_bytes_total",
+            "Measured PSR frame bytes per edge class, per attempt",
+            lambda c: c.frame_bytes,
+        ),
+        (
+            "sies_decode_failures_total",
+            "Frames discarded as unparseable, by the channel or the receiver",
+            lambda c: c.channel_decode_failures + c.decode_failures,
+        ),
     )
-    messages = registry.counter(
-        "sies_traffic_messages_total", "Messages per edge class", _EDGE_LABELS
-    )
-    frame_bytes = registry.counter(
-        "sies_frame_bytes_total", "Measured wire-frame bytes per edge class", _EDGE_LABELS
-    )
-    decode_failures = registry.counter(
-        "sies_decode_failures_total", "Frames discarded as unparseable", _EDGE_LABELS
-    )
-    for edge, count in sorted(counters.bytes_by_class.items(), key=lambda kv: kv[0].value):
-        traffic_bytes.inc(count, substrate=substrate, edge=edge.value)
-    for edge, count in sorted(counters.messages_by_class.items(), key=lambda kv: kv[0].value):
-        messages.inc(count, substrate=substrate, edge=edge.value)
-    for edge, count in sorted(
-        counters.frame_bytes_by_class.items(), key=lambda kv: kv[0].value
-    ):
-        frame_bytes.inc(count, substrate=substrate, edge=edge.value)
-    for edge, count in sorted(
-        counters.decode_failures_by_class.items(), key=lambda kv: kv[0].value
-    ):
-        decode_failures.inc(count, substrate=substrate, edge=edge.value)
+    by_edge = sorted(ledger.by_class.items(), key=lambda kv: kv[0].value)
+    for name, help_text, read in series:
+        metric = registry.counter(name, help_text, _EDGE_LABELS)
+        for edge, counters in by_edge:
+            count = read(counters)
+            if count:
+                metric.inc(count, substrate=substrate, edge=edge.value)
 
 
 def publish_ops(
@@ -193,7 +208,7 @@ def publish_transport(ledger: "HopLedger", registry: MetricsRegistry, *, substra
 def publish_runtime_metrics(metrics: "RuntimeRunMetrics", registry: MetricsRegistry) -> None:
     """Event-runtime ledger → registry (logical-time latencies)."""
     substrate = "runtime"
-    publish_traffic(metrics.traffic, registry, substrate=substrate)
+    publish_traffic(metrics.transport, registry, substrate=substrate)
     publish_ops(
         registry,
         substrate=substrate,
@@ -208,28 +223,6 @@ def publish_runtime_metrics(metrics: "RuntimeRunMetrics", registry: MetricsRegis
 def publish_cluster_metrics(metrics: "ClusterRunMetrics", registry: MetricsRegistry) -> None:
     """TCP-cluster ledger → registry (real-seconds latencies)."""
     substrate = "cluster"
-    ledger = metrics.traffic
-    by_edge = sorted(ledger.by_class.items(), key=lambda kv: kv[0].value)
-    traffic_bytes = registry.counter(
-        "sies_traffic_bytes_total", "Analytic payload bytes per edge class", _EDGE_LABELS
-    )
-    messages = registry.counter(
-        "sies_traffic_messages_total", "Messages per edge class", _EDGE_LABELS
-    )
-    frame_bytes = registry.counter(
-        "sies_frame_bytes_total", "Measured wire-frame bytes per edge class", _EDGE_LABELS
-    )
-    decode_failures = registry.counter(
-        "sies_decode_failures_total", "Frames discarded as unparseable", _EDGE_LABELS
-    )
-    for edge, c in by_edge:
-        if c.psr_bytes:
-            traffic_bytes.inc(c.psr_bytes, substrate=substrate, edge=edge.value)
-        if c.delivered:
-            messages.inc(c.delivered, substrate=substrate, edge=edge.value)
-        if c.envelope_bytes:
-            frame_bytes.inc(c.envelope_bytes, substrate=substrate, edge=edge.value)
-        if c.decode_failures:
-            decode_failures.inc(c.decode_failures, substrate=substrate, edge=edge.value)
-    publish_transport(ledger, registry, substrate=substrate)
+    publish_traffic(metrics.traffic, registry, substrate=substrate)
+    publish_transport(metrics.traffic, registry, substrate=substrate)
     publish_epoch_outcomes(metrics, registry, substrate=substrate)

@@ -28,6 +28,7 @@ Quick start::
     print(metrics.delivery_rate(), metrics.retransmissions_total())
 """
 
+from repro.network.ledger import EdgeCounters, HopLedger
 from repro.runtime.events import EventScheduler, ScheduledEvent
 from repro.runtime.faults import (
     BurstLoss,
@@ -38,7 +39,7 @@ from repro.runtime.faults import (
     NodeOutage,
 )
 from repro.runtime.epoch import EpochPlan, EpochPlanner, HoldAndWait, QuerierEpochs
-from repro.runtime.hop import EdgeCounters, HopEngine, HopLedger, Parcel, RetransmitPolicy
+from repro.runtime.hop import HopEngine, Parcel, RetransmitPolicy
 from repro.runtime.metrics import EpochRecord, RuntimeRunMetrics
 from repro.runtime.recovery import EpochRecovery, RecoveryLedger
 from repro.runtime.simulator import RuntimeConfig, RuntimeSimulator

@@ -192,8 +192,6 @@ class KeyedFaultInjector:
         self.seed = seed
         self._key = derive_key(seed, "fault-schedule-v2")
         self._windowed = bool(plan.bursts or plan.outages)
-        #: Verdicts issued per edge class (diagnostics).
-        self.verdicts_by_class: dict[EdgeClass, int] = {}
 
     def _draw(
         self, kind: str, sender: int, receiver: int, uid: int, attempt: int, n: int
@@ -213,7 +211,6 @@ class KeyedFaultInjector:
         self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int
     ) -> KeyedVerdict:
         """Fate of data attempt *attempt* of parcel *uid*."""
-        self.verdicts_by_class[edge] = self.verdicts_by_class.get(edge, 0) + 1
         u_loss, u_dup = self._draw("data", sender, receiver, uid, attempt, 2)
         if u_loss < self._threshold(receiver, edge, uid):
             return _LOST

@@ -16,10 +16,11 @@ clock, touches a socket, or schedules a callback:
   by ``(sender, uid)``, has the driver classify each first copy
   (delivered, late, or decode failure), and decides whether the ACK —
   sent for *every* received copy — survives the way back;
-* every outcome is counted into one per-edge-class :class:`HopLedger`
-  whose :meth:`~HopLedger.check_conservation` proves no frame was
-  dropped silently, and reported as a ``(kind, attrs)`` event to the
-  optional :data:`TransportObserver`.
+* every outcome is counted into the run's per-edge-class
+  :class:`~repro.network.ledger.HopLedger`, whose
+  :meth:`~repro.network.ledger.HopLedger.check_conservation` proves no
+  frame was dropped silently, and reported as a ``(kind, attrs)``
+  event to the optional :data:`TransportObserver`.
 
 The drivers own the time and the bytes: the event runtime
 (:class:`~repro.runtime.transport.ReliableTransport`) turns copies and
@@ -36,10 +37,10 @@ what receivers really merged, never from sender-side beliefs.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.errors import ParameterError, SimulationError
-from repro.network.channel import EdgeClass
+from repro.network.ledger import EdgeClass, HopLedger
 from repro.runtime.faults import KeyedFaultInjector
 from repro.utils.rng import DeterministicRandom
 
@@ -49,8 +50,6 @@ __all__ = [
     "DECODE_FAILURE",
     "RetransmitPolicy",
     "Parcel",
-    "EdgeCounters",
-    "HopLedger",
     "HopEngine",
     "TransportObserver",
 ]
@@ -123,125 +122,6 @@ class Parcel:
     attempts: int = 0
     acked: bool = False
     failed: bool = False
-
-
-@dataclass
-class EdgeCounters:
-    """Frame accounting for one edge class of the tree."""
-
-    #: ARQ send decisions (first attempts + retransmissions).
-    attempts: int = 0
-    #: Attempts beyond the first per parcel.
-    retransmissions: int = 0
-    #: Attempts the fault schedule swallowed (nothing reached the link).
-    drops_injected: int = 0
-    #: Attempts the channel swallowed before the schedule ran (runtime
-    #: adversary drops and decode failures).
-    drops_channel: int = 0
-    #: Extra copies put on the link by duplication verdicts.
-    dup_copies: int = 0
-    #: Data copies put on the link / received at the far end.
-    frames_sent: int = 0
-    frames_received: int = 0
-    #: First copy of a parcel, handed to the application.
-    delivered: int = 0
-    #: Copies of an already-received parcel (dropped after ACK).
-    duplicates_suppressed: int = 0
-    #: First copies that arrived after their receiver's deadline.
-    late_frames: int = 0
-    #: First copies whose inner protocol frame failed to decode.
-    decode_failures: int = 0
-    #: Parcels whose sender exhausted its retry budget.
-    gave_up: int = 0
-    #: ACKs sent / swallowed by the schedule / observed by the sender.
-    acks_sent: int = 0
-    acks_dropped: int = 0
-    acks_received: int = 0
-    #: Measured inner protocol frame bytes, once per parcel (cluster;
-    #: cross-checked against ``codec.framed_size()`` at the send site).
-    psr_bytes: int = 0
-    #: Bytes of every data envelope / ACK frame written (cluster).
-    envelope_bytes: int = 0
-    ack_bytes: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-_COUNTER_NAMES = frozenset(f.name for f in fields(EdgeCounters))
-
-
-class HopLedger:
-    """Per-edge-class :class:`EdgeCounters` plus the conservation laws.
-
-    Reading a counter name off the ledger (``ledger.attempts``) gives
-    that counter's per-edge mapping ``{EdgeClass: count}``.
-    """
-
-    def __init__(self) -> None:
-        self.by_class: dict[EdgeClass, EdgeCounters] = {}
-
-    def edge(self, edge_class: EdgeClass) -> EdgeCounters:
-        counters = self.by_class.get(edge_class)
-        if counters is None:
-            counters = EdgeCounters()
-            self.by_class[edge_class] = counters
-        return counters
-
-    def total(self, field_name: str) -> int:
-        return sum(getattr(c, field_name) for c in self.by_class.values())
-
-    def __getattr__(self, name: str) -> dict[EdgeClass, int]:
-        if name in _COUNTER_NAMES:
-            return {edge: getattr(c, name) for edge, c in self.by_class.items()}
-        raise AttributeError(name)
-
-    def as_dict(self) -> dict[str, dict[str, int]]:
-        return {
-            edge.value: counters.as_dict()
-            for edge, counters in sorted(self.by_class.items(), key=lambda item: item[0].value)
-        }
-
-    def check_conservation(self) -> None:
-        """Raise :class:`~repro.errors.SimulationError` on any silent drop.
-
-        Called once per run after every copy and ACK has landed; every
-        law must balance on every edge class independently:
-
-        * each attempt puts 1 or 2 copies on the link or is swallowed
-          by the schedule or the channel;
-        * every copy put on the link arrives;
-        * every arrival is classified exactly once;
-        * every arrival is ACKed, unless the schedule drops the ACK;
-        * every ACK sent is observed by the sender.
-        """
-        for edge, c in sorted(self.by_class.items(), key=lambda item: item[0].value):
-            laws = [
-                (
-                    "attempts == drops_injected + drops_channel + frames_sent - dup_copies",
-                    c.attempts,
-                    c.drops_injected + c.drops_channel + c.frames_sent - c.dup_copies,
-                ),
-                ("frames_sent == frames_received", c.frames_sent, c.frames_received),
-                (
-                    "frames_received == delivered + duplicates_suppressed "
-                    "+ late_frames + decode_failures",
-                    c.frames_received,
-                    c.delivered + c.duplicates_suppressed + c.late_frames + c.decode_failures,
-                ),
-                (
-                    "frames_received == acks_sent + acks_dropped",
-                    c.frames_received,
-                    c.acks_sent + c.acks_dropped,
-                ),
-                ("acks_sent == acks_received", c.acks_sent, c.acks_received),
-            ]
-            for law, lhs, rhs in laws:
-                if lhs != rhs:
-                    raise SimulationError(
-                        f"silent drop on {edge.value}: {law} violated ({lhs} != {rhs}); "
-                        f"full counters: {c.as_dict()}"
-                    )
 
 
 class HopEngine:

@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.network.channel import TrafficCounters
+from repro.network.ledger import HopLedger
 from repro.protocols.base import EvaluationResult, OpCounter
-from repro.runtime.hop import HopLedger
 from repro.runtime.recovery import EpochRecovery, RecoveryLedger
 
 __all__ = ["EpochRecord", "EpochSeries", "RuntimeRunMetrics", "latency_percentile"]
@@ -145,7 +144,6 @@ class RuntimeRunMetrics(EpochSeries):
     epochs: list[EpochRecord] = field(default_factory=list)
     transport: HopLedger = field(default_factory=HopLedger)
     recovery: RecoveryLedger = field(default_factory=RecoveryLedger)
-    traffic: TrafficCounters = field(default_factory=TrafficCounters)
     source_ops: OpCounter = field(default_factory=OpCounter)
     aggregator_ops: OpCounter = field(default_factory=OpCounter)
     querier_ops: OpCounter = field(default_factory=OpCounter)
@@ -171,18 +169,6 @@ class RuntimeRunMetrics(EpochSeries):
             "events_processed": self.events_processed,
             "transport": self.transport.as_dict(),
             "recovery": self.recovery.as_dict(),
-            "traffic_bytes": {
-                edge.value: count
-                for edge, count in sorted(
-                    self.traffic.bytes_by_class.items(), key=lambda item: item[0].value
-                )
-            },
-            "traffic_messages": {
-                edge.value: count
-                for edge, count in sorted(
-                    self.traffic.messages_by_class.items(), key=lambda item: item[0].value
-                )
-            },
             "ops": {
                 "source": dict(sorted(self.source_ops.counts.items())),
                 "aggregator": dict(sorted(self.aggregator_ops.counts.items())),

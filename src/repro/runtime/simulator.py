@@ -203,7 +203,6 @@ class RuntimeSimulator:
             num_sources=self.tree.num_sources,
             seed=self.config.seed,
             transport=self.transport.ledger,
-            traffic=self.channel.counters,
             source_ops=self.source_ops,
             aggregator_ops=self.aggregator_ops,
             querier_ops=self.querier_ops,

@@ -7,6 +7,7 @@ This module only turns those answers into scheduler events:
 * each physical attempt first passes through the legitimate
   :class:`~repro.network.channel.Channel` (so adversary interceptors
   and byte counters see retransmissions exactly like first attempts);
+  the channel and the engine fill one ledger, the channel's;
   the frame is encoded once per parcel and every attempt replays the
   identical bytes;
 * every surviving copy becomes an arrival event after its keyed link
@@ -22,10 +23,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.network.channel import Channel, EdgeClass
+from repro.network.ledger import HopLedger
 from repro.network.messages import DataMessage
 from repro.runtime.events import EventScheduler, ScheduledEvent
 from repro.runtime.faults import KeyedFaultInjector
-from repro.runtime.hop import DELIVERED, HopEngine, HopLedger, Parcel, RetransmitPolicy
+from repro.runtime.hop import DELIVERED, HopEngine, Parcel, RetransmitPolicy
 
 __all__ = ["RetransmitPolicy", "RuntimeParcel", "ReliableTransport"]
 
@@ -65,7 +67,7 @@ class ReliableTransport:
         self.injector = injector
         self.channel = channel
         self.engine = HopEngine(
-            injector, policy, HopLedger(), seed=seed, now=lambda: scheduler.now
+            injector, policy, channel.ledger, seed=seed, now=lambda: scheduler.now
         )
 
     @property

@@ -91,3 +91,18 @@ class PSRCodec(ABC):
     def framed_size(self, psr: PartialStateRecord) -> int:
         """Exact frame length :meth:`encode` will produce for *psr*."""
         return HEADER_LEN + psr.wire_size() + self.payload_overhead(psr)
+
+    def checked_frame_size(self, psr: PartialStateRecord, frame: bytes) -> int:
+        """``len(frame)``, checked against :meth:`framed_size` of *psr*.
+
+        The measured-vs-analytic cross-check every sender runs: the bytes
+        on the wire must equal the model's size plus the audited framing
+        overhead, or :class:`~repro.errors.WireEncodeError` is raised.
+        """
+        expected = self.framed_size(psr)
+        if len(frame) != expected:
+            raise WireEncodeError(
+                f"{len(frame)}-byte frame for a PSR whose analytic size announces "
+                f"{expected} bytes — wire format and model have diverged"
+            )
+        return expected

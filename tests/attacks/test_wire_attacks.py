@@ -123,9 +123,12 @@ class TestChannelMechanics:
         )
         simulator.channel.add_frame_interceptor(FrameTruncationAttack(2))
         simulator.run()
-        counters = simulator.channel.counters
-        assert counters.decode_failures_for(EdgeClass.AGGREGATOR_TO_QUERIER) == 2
-        assert counters.decode_failures_for(EdgeClass.SOURCE_TO_AGGREGATOR) == 0
+        ledger = simulator.channel.ledger
+        assert ledger.channel_decode_failures == {
+            EdgeClass.SOURCE_TO_AGGREGATOR: 0,
+            EdgeClass.AGGREGATOR_TO_AGGREGATOR: 0,
+            EdgeClass.AGGREGATOR_TO_QUERIER: 2,
+        }
 
     def test_frame_bytes_exceed_analytic_by_header_exactly(self) -> None:
         protocol = SIESProtocol(N, seed=62)
@@ -134,14 +137,13 @@ class TestChannelMechanics:
             protocol, tree, WORKLOAD, SimulationConfig(num_epochs=3)
         )
         simulator.run()
-        counters = simulator.channel.counters
+        ledger = simulator.channel.ledger
         from repro.wire.frame import HEADER_LEN
 
         for edge in EdgeClass:
-            messages = counters.messages_for(edge)
-            assert counters.frame_bytes_for(edge) == (
-                counters.bytes_for(edge) + messages * HEADER_LEN
-            )
+            c = ledger.edge(edge)
+            assert c.messages > 0
+            assert c.frame_bytes == c.payload_bytes + c.messages * HEADER_LEN
 
     def test_frame_interceptor_requires_codec(self) -> None:
         with pytest.raises(ConfigurationError):

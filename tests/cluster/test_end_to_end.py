@@ -310,13 +310,15 @@ def test_acceptance_64_sources_100_epochs_20_percent_loss() -> None:
     assert metrics.traffic.total("drops_injected") > 0
     assert metrics.traffic.total("retransmissions") > 0
 
-    # Byte-exact wire accounting: SIES PSR frames are constant-size, so
-    # each edge class's psr_bytes must equal parcels × framed_size.
-    frame_size = orchestrator.codec.framed_size(protocol.create_source(0).initialize(1, 42))
+    # Byte-exact wire accounting: SIES PSRs are constant-size, so each
+    # edge class's traffic counters must equal attempts × their size.
+    psr = protocol.create_source(0).initialize(1, 42)
+    frame_size = orchestrator.codec.framed_size(psr)
     for edge in EdgeClass:
         c = metrics.traffic.edge(edge)
-        parcels = c.attempts - c.retransmissions
-        assert c.psr_bytes == parcels * frame_size
+        assert c.messages == c.attempts > c.retransmissions
+        assert c.payload_bytes == c.attempts * psr.wire_size()
+        assert c.frame_bytes == c.attempts * frame_size
     # On S-A links the manifest is always a single id, making the whole
     # envelope constant-size too — pin it to the byte.
     sa = metrics.traffic.edge(EdgeClass.SOURCE_TO_AGGREGATOR)

@@ -99,16 +99,6 @@ class TestRates:
         assert not injector.data_verdict(0, 1, EDGE, 1, 0).lost
         assert injector.data_verdict(0, -1, EdgeClass.AGGREGATOR_TO_QUERIER, 1, 0).lost
 
-    def test_verdict_diagnostics_count_per_edge(self) -> None:
-        injector = KeyedFaultInjector(PLAN, seed=5)
-        injector.data_verdict(0, 1, EDGE, 1, 0)
-        injector.data_verdict(0, 1, EdgeClass.AGGREGATOR_TO_QUERIER, 1, 0)
-        injector.data_verdict(0, 1, EDGE, 1, 1)
-        assert injector.verdicts_by_class == {
-            EDGE: 2,
-            EdgeClass.AGGREGATOR_TO_QUERIER: 1,
-        }
-
 
 class TestEpochWindowedFeatures:
     def test_bursts_apply_inside_their_epoch_window(self) -> None:

@@ -20,7 +20,7 @@ from repro.core.protocol import SIESProtocol
 from repro.errors import SimulationError
 from repro.network.channel import EdgeClass
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile
-from repro.runtime.hop import HopLedger
+from repro.network.ledger import HopLedger
 from repro.runtime.transport import RetransmitPolicy
 
 EDGE = EdgeClass.SOURCE_TO_AGGREGATOR
@@ -89,10 +89,11 @@ def test_lossless_delivery_pins_every_counter() -> None:
         assert c.delivered == 1 and c.duplicates_suppressed == 0
         assert c.late_frames == 0 and c.decode_failures == 0 and c.gave_up == 0
         assert c.acks_sent == 1 and c.acks_dropped == 0 and c.acks_received == 1
-        assert c.psr_bytes == _CODEC.framed_size(
-            _PROTOCOL.create_source(0).initialize(1, 42)
-        )
-        assert c.envelope_bytes > c.psr_bytes  # envelope wraps the PSR frame
+        psr = _PROTOCOL.create_source(0).initialize(1, 42)
+        assert c.messages == 1
+        assert c.payload_bytes == psr.wire_size()
+        assert c.frame_bytes == _CODEC.framed_size(psr)
+        assert c.envelope_bytes > c.frame_bytes  # envelope wraps the PSR frame
         hop.ledger.check_conservation()
 
     _run(scenario())
@@ -126,8 +127,13 @@ def test_total_loss_exhausts_budget_and_gives_up() -> None:
         assert c.drops_injected == IMPATIENT.max_attempts
         assert c.frames_sent == 0 and c.frames_received == 0 and c.delivered == 0
         assert c.gave_up == 1 and c.acks_sent == 0
-        # psr_bytes still counted once: the parcel existed, the link ate it.
-        assert c.psr_bytes > 0
+        # Every attempt is a radio transmission the link then ate: the
+        # traffic counters still charge each one, the envelopes none.
+        psr = _PROTOCOL.create_source(0).initialize(1, 42)
+        assert c.messages == IMPATIENT.max_attempts
+        assert c.payload_bytes == IMPATIENT.max_attempts * psr.wire_size()
+        assert c.frame_bytes == IMPATIENT.max_attempts * _CODEC.framed_size(psr)
+        assert c.envelope_bytes == 0
         hop.ledger.check_conservation()
 
     _run(scenario())

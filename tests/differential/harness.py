@@ -39,6 +39,7 @@ from repro.attacks.adversary import Eavesdropper
 from repro.core.protocol import SIESProtocol
 from repro.datasets.workload import UniformWorkload
 from repro.network.channel import EdgeClass, Interceptor
+from repro.network.ledger import HopLedger
 from repro.network.messages import DataMessage
 from repro.network.metrics import RunMetrics
 from repro.network.simulator import NetworkSimulator, SimulationConfig
@@ -177,18 +178,12 @@ def execute_path(spec: RunSpec, *, batched: bool) -> PathTrace:
     if batched:
         metrics = simulator.run()
     else:
-        # Each run_epoch starts a fresh traffic ledger; fold them into
-        # one so the two entry points compare edge by edge.
+        # Each run_epoch starts a fresh traffic ledger; sum them so the
+        # two entry points compare counter by counter.
         metrics = RunMetrics(protocol=protocol.name, num_sources=spec.num_sources)
         for epoch in spec.epochs:
             metrics.epochs.append(simulator.run_epoch(epoch))
-            counters = simulator.channel.counters
-            for edge, size in counters.bytes_by_class.items():
-                metrics.traffic.bytes_by_class[edge] = metrics.traffic.bytes_for(edge) + size
-            for edge, count in counters.messages_by_class.items():
-                metrics.traffic.messages_by_class[edge] = (
-                    metrics.traffic.messages_for(edge) + count
-                )
+            _add_ledger(metrics.traffic, simulator.channel.ledger)
         metrics.source_ops = simulator.source_ops
         metrics.aggregator_ops = simulator.aggregator_ops
         metrics.querier_ops = simulator.querier_ops
@@ -199,6 +194,13 @@ def execute_path(spec: RunSpec, *, batched: bool) -> PathTrace:
         if hasattr(psr, "ciphertext")
     }
     return PathTrace(metrics=metrics, ciphertexts=ciphertexts, touched=_touched_epochs(attack))
+
+
+def _add_ledger(total: HopLedger, ledger: HopLedger) -> None:
+    for edge, counters in ledger.by_class.items():
+        into = total.edge(edge)
+        for name, count in counters.as_dict().items():
+            setattr(into, name, getattr(into, name) + count)
 
 
 def run_both_paths(spec: RunSpec) -> tuple[PathTrace, PathTrace]:
@@ -239,12 +241,12 @@ def assert_equivalent(sequential: PathTrace, batched: PathTrace, *, context: str
             f"{role} diverged{label}: sequential={seq_counts} batched={bat_counts}"
         )
 
-    assert (
-        batched.metrics.traffic.bytes_by_class == sequential.metrics.traffic.bytes_by_class
-    ), f"traffic bytes diverged{label}"
-    assert (
-        batched.metrics.traffic.messages_by_class == sequential.metrics.traffic.messages_by_class
-    ), f"traffic messages diverged{label}"
+    # Every counter: messages, payload and frame bytes, decode failures.
+    seq_traffic = sequential.metrics.traffic.as_dict()
+    bat_traffic = batched.metrics.traffic.as_dict()
+    assert bat_traffic == seq_traffic, (
+        f"traffic ledger diverged{label}: sequential={seq_traffic} batched={bat_traffic}"
+    )
 
 
 def assert_oracle(
@@ -289,7 +291,7 @@ def assert_oracle(
         f"querier ledger (hm256, hm1)={querier_ledger}, "
         f"expected {(querier_hm256, querier_hm1)}{label}"
     )
-    sa_messages = metrics.traffic.messages_for(EdgeClass.SOURCE_TO_AGGREGATOR)
+    sa_messages = metrics.traffic.messages.get(EdgeClass.SOURCE_TO_AGGREGATOR, 0)
     assert sa_messages == reported, f"S-A messages {sa_messages} != {reported}{label}"
 
 

@@ -64,7 +64,7 @@ def test_sies_on_random_topology_20_epochs_paper_workload() -> None:
         assert em.result.value == sum(workload(s, em.epoch) for s in range(n))
     # constant 32-byte messages everywhere
     for edge in EdgeClass:
-        assert metrics.traffic.mean_bytes_per_message(edge) == 32.0
+        assert metrics.traffic.per_message("payload_bytes", edge) == 32.0
 
 
 def test_sies_and_cmt_agree_on_the_sum() -> None:
@@ -103,7 +103,9 @@ def test_wire_size_comparison_matches_table5_ordering() -> None:
         metrics = NetworkSimulator(
             _protocol(name), tree, workload, SimulationConfig(num_epochs=1)
         ).run()
-        sizes[name] = metrics.traffic.mean_bytes_per_message(EdgeClass.SOURCE_TO_AGGREGATOR)
+        sizes[name] = metrics.traffic.per_message(
+            "payload_bytes", EdgeClass.SOURCE_TO_AGGREGATOR
+        )
     assert sizes["cmt"] == 20
     assert sizes["sies"] == 32
     # at test scale (J=6, 512-bit SEALs) the gap is ~13x; at the paper's

@@ -36,8 +36,8 @@ def test_sies_exact_on_deepest_topology() -> None:
         assert em.result.value == sum(workload(s, em.epoch) for s in range(n))
     # constant bytes on every edge, regardless of depth
     for edge in EdgeClass:
-        if metrics.traffic.messages_for(edge):
-            assert metrics.traffic.mean_bytes_per_message(edge) == 32.0
+        if metrics.traffic.messages.get(edge):
+            assert metrics.traffic.per_message("payload_bytes", edge) == 32.0
 
 
 def test_chain_vs_complete_same_result_same_bytes_per_edge() -> None:

@@ -21,24 +21,32 @@ def test_traffic_counters_by_edge_class() -> None:
     channel.transmit(_message(size=32), EdgeClass.SOURCE_TO_AGGREGATOR)
     channel.transmit(_message(size=32), EdgeClass.SOURCE_TO_AGGREGATOR)
     channel.transmit(_message(size=20), EdgeClass.AGGREGATOR_TO_QUERIER)
-    counters = channel.counters
-    assert counters.bytes_for(EdgeClass.SOURCE_TO_AGGREGATOR) == 64
-    assert counters.messages_for(EdgeClass.SOURCE_TO_AGGREGATOR) == 2
-    assert counters.mean_bytes_per_message(EdgeClass.SOURCE_TO_AGGREGATOR) == 32
-    assert counters.bytes_for(EdgeClass.AGGREGATOR_TO_QUERIER) == 20
-    assert counters.bytes_for(EdgeClass.AGGREGATOR_TO_AGGREGATOR) == 0
-    assert counters.total_bytes() == 84
+    ledger = channel.ledger
+    sa = ledger.edge(EdgeClass.SOURCE_TO_AGGREGATOR)
+    assert sa.payload_bytes == 64 and sa.messages == 2
+    assert ledger.per_message("payload_bytes", EdgeClass.SOURCE_TO_AGGREGATOR) == 32
+    assert ledger.payload_bytes == {
+        EdgeClass.SOURCE_TO_AGGREGATOR: 64,
+        EdgeClass.AGGREGATOR_TO_QUERIER: 20,
+    }
+    assert ledger.total("payload_bytes") == 84
+    # A codec-less channel has no frames to measure.
+    assert ledger.total("frame_bytes") == 0
 
 
 def test_mean_of_empty_class_is_zero() -> None:
-    assert Channel().counters.mean_bytes_per_message(EdgeClass.AGGREGATOR_TO_AGGREGATOR) == 0.0
+    ledger = Channel().ledger
+    assert ledger.per_message("payload_bytes", EdgeClass.AGGREGATOR_TO_AGGREGATOR) == 0.0
+    assert ledger.by_class == {}  # reading the mean creates no entry
 
 
 def test_counters_reset() -> None:
     channel = Channel()
     channel.transmit(_message(), EdgeClass.SOURCE_TO_AGGREGATOR)
-    channel.counters.reset()
-    assert channel.counters.total_bytes() == 0
+    old = channel.ledger
+    fresh = channel.begin_run()
+    assert fresh is channel.ledger and fresh.total("payload_bytes") == 0
+    assert old.total("payload_bytes") == 32
 
 
 def test_interceptor_can_modify() -> None:
@@ -59,7 +67,7 @@ def test_interceptor_can_drop_but_traffic_still_counted() -> None:
     channel.add_interceptor(lambda m, e: None)
     assert channel.transmit(_message(), EdgeClass.SOURCE_TO_AGGREGATOR) is None
     # the sender still spent the transmission energy/bytes
-    assert channel.counters.messages_for(EdgeClass.SOURCE_TO_AGGREGATOR) == 1
+    assert channel.ledger.edge(EdgeClass.SOURCE_TO_AGGREGATOR).messages == 1
 
 
 def test_interceptors_apply_in_order_and_short_circuit() -> None:

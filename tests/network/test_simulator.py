@@ -51,10 +51,12 @@ def test_message_counts_match_topology(setup) -> None:
     metrics = sim.run()
     traffic = metrics.traffic
     # per epoch: N source messages, (aggregators - 1) A-A, 1 A-Q
-    assert traffic.messages_for(EdgeClass.SOURCE_TO_AGGREGATOR) == 2 * N
-    assert traffic.messages_for(EdgeClass.AGGREGATOR_TO_AGGREGATOR) == 2 * (tree.num_aggregators - 1)
-    assert traffic.messages_for(EdgeClass.AGGREGATOR_TO_QUERIER) == 2
-    assert traffic.mean_bytes_per_message(EdgeClass.SOURCE_TO_AGGREGATOR) == protocol.psr_bytes
+    assert traffic.messages == {
+        EdgeClass.SOURCE_TO_AGGREGATOR: 2 * N,
+        EdgeClass.AGGREGATOR_TO_AGGREGATOR: 2 * (tree.num_aggregators - 1),
+        EdgeClass.AGGREGATOR_TO_QUERIER: 2,
+    }
+    assert traffic.per_message("payload_bytes", EdgeClass.SOURCE_TO_AGGREGATOR) == protocol.psr_bytes
 
 
 def test_epoch_metrics_counts(setup) -> None:
@@ -63,9 +65,9 @@ def test_epoch_metrics_counts(setup) -> None:
     em = sim.run_epoch(1)
     assert em.sources_reporting == N
     # every aggregator merges once and forwards exactly one PSR
-    counters = sim.channel.counters
+    messages = sim.channel.ledger.messages
     forwarded = sum(
-        counters.messages_for(edge)
+        messages.get(edge, 0)
         for edge in (EdgeClass.AGGREGATOR_TO_AGGREGATOR, EdgeClass.AGGREGATOR_TO_QUERIER)
     )
     assert forwarded == tree.num_aggregators

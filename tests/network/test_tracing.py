@@ -58,8 +58,7 @@ def test_trace_agrees_with_traffic_counters() -> None:
     for event in recorder.events:
         traced[event.edge] = traced.get(event.edge, 0) + event.wire_bytes
     assert traced == {
-        edge.value: metrics.traffic.bytes_for(edge)
-        for edge in metrics.traffic.bytes_by_class
+        edge.value: count for edge, count in metrics.traffic.payload_bytes.items()
     }
 
 
@@ -118,7 +117,7 @@ def test_double_attach_records_each_hop_once() -> None:
     adapter.attach(simulator.channel)
     adapter.attach(simulator.channel)  # must be a no-op, not a second interceptor
     metrics = simulator.run()
-    hops = sum(metrics.traffic.messages_by_class.values())
+    hops = metrics.traffic.total("messages")
     assert len(recorder.events) == hops
 
 

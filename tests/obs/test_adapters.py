@@ -6,6 +6,7 @@ from repro.attacks import AdditiveTamperAttack
 from repro.core.protocol import SIESProtocol
 from repro.datasets.workload import UniformWorkload
 from repro.network.channel import EdgeClass
+from repro.network.ledger import HopLedger
 from repro.network.simulator import NetworkSimulator, SimulationConfig
 from repro.network.topology import build_complete_tree
 from repro.obs import (
@@ -17,6 +18,7 @@ from repro.obs import (
     TransportTraceAdapter,
     publish_network_metrics,
     publish_runtime_metrics,
+    publish_traffic,
 )
 from repro.runtime import FaultPlan, RuntimeConfig, RuntimeSimulator
 
@@ -51,7 +53,7 @@ def test_channel_adapter_records_every_hop_as_send() -> None:
     adapter = ChannelTraceAdapter(recorder)
     adapter.attach(simulator.channel)
     metrics = simulator.run()
-    hops = sum(metrics.traffic.messages_by_class.values())
+    hops = metrics.traffic.total("messages")
     assert len(recorder.events) == hops
     assert {e.kind for e in recorder.events} == {"send"}
     assert all(e.wire_bytes and e.psr_type == "SIESRecord" for e in recorder.events)
@@ -68,7 +70,7 @@ def test_channel_adapter_attach_is_idempotent() -> None:
     adapter.attach(simulator.channel)
     adapter.attach(simulator.channel)  # no-op, not a second interceptor
     metrics = simulator.run()
-    assert len(recorder.events) == sum(metrics.traffic.messages_by_class.values())
+    assert len(recorder.events) == metrics.traffic.total("messages")
 
 
 def test_channel_adapter_detach_stops_recording() -> None:
@@ -214,3 +216,21 @@ def test_publish_network_and_runtime_share_metric_names() -> None:
     # The analytic substrate is zero-time: one 0 sample per settled epoch.
     latency = analytic.get("sies_completion_latency").snapshot(substrate="network")
     assert latency["count"] == epochs - 1 and latency["sum"] == 0.0
+
+
+def test_decode_failures_publish_channel_and_receiver_discards() -> None:
+    """The channel's discards (law 1 on the runtime) and the receiver's
+    (law 3 on the cluster) are one series; zero counters stay silent."""
+    ledger = HopLedger()
+    aq = ledger.edge(EdgeClass.AGGREGATOR_TO_QUERIER)
+    aq.channel_decode_failures = 2
+    aq.decode_failures = 1
+    ledger.edge(EdgeClass.SOURCE_TO_AGGREGATOR).messages = 4
+    registry = MetricsRegistry()
+    publish_traffic(ledger, registry, substrate="cluster")
+    failures = registry.get("sies_decode_failures_total")
+    assert failures is not None
+    assert failures.samples() == [("sies_decode_failures_total", ("cluster", "A-Q"), 3)]
+    messages = registry.get("sies_traffic_messages_total")
+    assert messages is not None
+    assert messages.samples() == [("sies_traffic_messages_total", ("cluster", "S-A"), 4)]

@@ -7,6 +7,10 @@ of hops — because both substrates consult the same attempt-keyed fault
 oracle (``KeyedFaultInjector``: one keyed BLAKE2b digest per attempt
 coordinate).  Timing-dependent kinds (duplicates, ACK losses, give-ups)
 are recorded but excluded from the compared slice.
+
+The published traffic series must mean the same thing on every
+substrate as well: one message and its payload and frame bytes per
+attempt, counted into the run's one ledger.
 """
 
 from __future__ import annotations
@@ -16,9 +20,18 @@ import pytest
 from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator
 from repro.core.protocol import SIESProtocol
 from repro.datasets.workload import DomainScaledWorkload
+from repro.network.simulator import NetworkSimulator, SimulationConfig
 from repro.network.topology import build_complete_tree
 from repro.network.channel import EdgeClass
-from repro.obs import TraceRecorder, TransportTraceAdapter, diff_traces
+from repro.obs import (
+    MetricsRegistry,
+    TraceRecorder,
+    TransportTraceAdapter,
+    diff_traces,
+    publish_cluster_metrics,
+    publish_network_metrics,
+    publish_runtime_metrics,
+)
 from repro.runtime import BurstLoss, FaultPlan, NodeOutage, RuntimeConfig, RuntimeSimulator
 
 pytestmark = pytest.mark.cluster
@@ -176,3 +189,82 @@ def test_traces_agree_under_an_edge_class_burst() -> None:
     runtime_rec, _ = _assert_substrates_agree(8, 2, 3, 17, plan)
     slices = runtime_rec.dispositions()
     assert slices[2]["dropped"], "the burst epoch lost no source hop"
+
+
+#: The series ``publish_traffic`` writes, plus the ARQ attempts they
+#: must agree with.
+_TRAFFIC = (
+    "sies_traffic_messages_total",
+    "sies_traffic_bytes_total",
+    "sies_frame_bytes_total",
+    "sies_decode_failures_total",
+)
+
+
+def _series(publish, metrics, names) -> dict[str, dict[str, float]]:
+    """``{metric: {edge: value}}`` of *metrics* published alone."""
+    registry = MetricsRegistry()
+    publish(metrics, registry)
+    out = {}
+    for name in names:
+        metric = registry.get(name)
+        assert metric is not None, name
+        out[name] = {labels[1]: value for _, labels, value in metric.samples()}
+    return out
+
+
+def test_traffic_series_count_attempts_on_both_arq_substrates() -> None:
+    """Regression: the cluster once published deliveries as messages,
+    framed PSR bytes once per parcel as payload bytes, and envelope
+    bytes as frame bytes; both substrates now publish one definition."""
+    n, fanout, epochs, seed = 8, 2, 4, 2011
+    plan = FaultPlan.uniform_loss(0.2)
+    _, runtime_metrics = _runtime_trace(n, fanout, epochs, seed, plan)
+    _, cluster_metrics = _cluster_trace(n, fanout, epochs, seed, plan)
+    protocol = SIESProtocol(n, seed=seed)
+    psr = protocol.create_source(0).initialize(1, 1)
+    frame_size = protocol.wire_codec().framed_size(psr)
+
+    names = _TRAFFIC + ("sies_transport_attempts_total",)
+    runtime = _series(publish_runtime_metrics, runtime_metrics, names)
+    cluster = _series(publish_cluster_metrics, cluster_metrics, names)
+    for published in (runtime, cluster):
+        attempts = published["sies_transport_attempts_total"]
+        assert set(attempts) == {edge.value for edge in EdgeClass}
+        assert published["sies_traffic_messages_total"] == attempts
+        assert published["sies_traffic_bytes_total"] == {
+            edge: protocol.psr_bytes * count for edge, count in attempts.items()
+        }
+        assert published["sies_frame_bytes_total"] == {
+            edge: frame_size * count for edge, count in attempts.items()
+        }
+        assert published["sies_decode_failures_total"] == {}
+    # Slow ACKs may add cluster attempts; wherever they did not, the
+    # two substrates publish the same traffic, edge class by edge class.
+    rt_attempts = runtime["sies_transport_attempts_total"]
+    cl_attempts = cluster["sies_transport_attempts_total"]
+    matched = [edge for edge in rt_attempts if rt_attempts[edge] == cl_attempts[edge]]
+    assert matched, "no edge class made the same attempts on both substrates"
+    for name in _TRAFFIC:
+        for edge in matched:
+            assert runtime[name].get(edge) == cluster[name].get(edge), (name, edge)
+
+
+def test_lossless_runtime_publishes_the_analytic_traffic() -> None:
+    n, fanout, epochs, seed = 8, 2, 3, 5
+    args = (
+        SIESProtocol(n, seed=seed),
+        build_complete_tree(n, fanout),
+        DomainScaledWorkload(n, scale=100, seed=seed),
+    )
+    analytic = NetworkSimulator(*args, SimulationConfig(num_epochs=epochs)).run()
+    runtime = RuntimeSimulator(
+        *args,
+        RuntimeConfig(
+            num_epochs=epochs, seed=seed, plan=FaultPlan.lossless(), keyed_faults=True
+        ),
+    ).run()
+    network_series = _series(publish_network_metrics, analytic, _TRAFFIC)
+    runtime_series = _series(publish_runtime_metrics, runtime, _TRAFFIC)
+    assert network_series == runtime_series
+    assert network_series["sies_traffic_messages_total"]["S-A"] == n * epochs

@@ -240,7 +240,9 @@ def test_retransmissions_cost_traffic_bytes() -> None:
     edge = EdgeClass.SOURCE_TO_AGGREGATOR
     # Every retransmission is a real radio transmission: byte counters
     # must exceed the lossless run's on at least the source tier.
-    assert lossy_metrics.traffic.bytes_for(edge) > clean_metrics.traffic.bytes_for(edge)
+    lossy_sa = lossy_metrics.transport.edge(edge)
+    assert lossy_sa.payload_bytes > clean_metrics.transport.edge(edge).payload_bytes
+    assert lossy_sa.messages == lossy_sa.attempts
     assert lossy_metrics.retransmissions_total() > 0
 
 

@@ -167,7 +167,9 @@ def test_channel_interceptor_sees_every_physical_attempt() -> None:
     )
     scheduler.run()
     assert seen == [7] * 5  # adversary saw the original and all 4 retransmits
-    assert channel.counters.messages_for(EdgeClass.SOURCE_TO_AGGREGATOR) == 5
+    sa = channel.ledger.edge(EdgeClass.SOURCE_TO_AGGREGATOR)
+    assert sa.messages == sa.attempts == 5  # channel and engine share one ledger
+    assert transport.ledger is channel.ledger
 
 
 def test_adversarial_drop_looks_like_loss_and_triggers_retransmit() -> None:

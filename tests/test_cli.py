@@ -212,6 +212,23 @@ def test_metrics_command_prometheus(capsys) -> None:
     assert 'le="+Inf"' in out
 
 
+def test_metrics_traffic_series_match_across_substrates(capsys) -> None:
+    """Both ARQ substrates count one message and its bytes per attempt."""
+
+    def traffic_lines(substrate: str) -> list[str]:
+        assert main(["metrics", "--substrate", substrate, "--seed", "2011"]) == 0
+        out = capsys.readouterr().out
+        return [
+            line.replace(f'substrate="{substrate}",', "")
+            for line in out.splitlines()
+            if line.startswith("sies_traffic_")
+        ]
+
+    runtime = traffic_lines("runtime")
+    assert len(runtime) == 6  # messages and bytes on S-A, A-A and A-Q
+    assert traffic_lines("cluster") == runtime
+
+
 def test_metrics_command_json_all_substrates_share_names(capsys) -> None:
     import json
 

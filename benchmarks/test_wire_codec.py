@@ -4,8 +4,8 @@ The codec layer sits on every simulated radio hop, so its throughput
 bounds large-N simulation speed.  This benchmark measures raw
 ``encode`` and ``decode`` rates for each built-in codec at paper
 parameters, plus the full channel round trip (encode → decode →
-delivery) relative to the legacy object-passing channel, giving future
-perf work a trajectory baseline for the serialization tax.
+delivery), giving future perf work a trajectory baseline for the
+serialization tax.
 
 Run with::
 
@@ -89,12 +89,11 @@ def test_decode_throughput(benchmark, name: str) -> None:
 
 
 @pytest.mark.benchmark(group="wire-channel")
-@pytest.mark.parametrize("mode", ["codec", "legacy"])
-def test_channel_roundtrip_tax(benchmark, mode: str) -> None:
+def test_channel_roundtrip_tax(benchmark) -> None:
     """Full transmit() path: the per-hop cost the simulators pay."""
     protocol = SIESProtocol(64, seed=SEED)
     psr = protocol.create_source(0).initialize(EPOCH, 1234)
-    channel = Channel(codec=protocol.wire_codec() if mode == "codec" else None)
+    channel = Channel(protocol.wire_codec())
     message = DataMessage(0, 1, EPOCH, psr)
 
     def transmit_batch():

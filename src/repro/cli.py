@@ -541,11 +541,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _run_observed(args: argparse.Namespace, recorder=None):
     """Run the substrate named by ``args.substrate``, optionally traced.
 
-    Returns the run's native metrics object; when *recorder* is given,
-    the matching obs adapter feeds it during the run.
+    Returns the run's native metrics object; *recorder*, when given, is
+    the run's hop observer.
     """
-    from repro.obs import ChannelTraceAdapter, TransportTraceAdapter
-
     kwargs = {"seed": args.seed}
     if args.protocol == "secoa_s":
         kwargs["num_sketches"] = 50
@@ -554,18 +552,8 @@ def _run_observed(args: argparse.Namespace, recorder=None):
     tree = build_complete_tree(args.sources, args.fanout)
 
     if args.substrate == "network":
-        simulator = NetworkSimulator(
-            protocol, tree, workload, SimulationConfig(num_epochs=args.epochs)
-        )
-        adapter = None
-        if recorder is not None:
-            adapter = ChannelTraceAdapter(recorder)
-            adapter.attach(simulator.channel)
-        try:
-            return simulator.run()
-        finally:
-            if adapter is not None:
-                adapter.detach()
+        config = SimulationConfig(num_epochs=args.epochs, observer=recorder)
+        return NetworkSimulator(protocol, tree, workload, config).run()
 
     from repro.runtime import FaultPlan, LinkProfile
 
@@ -575,19 +563,15 @@ def _run_observed(args: argparse.Namespace, recorder=None):
     if args.substrate == "runtime":
         from repro.runtime import RuntimeConfig, RuntimeSimulator
 
-        config = RuntimeConfig(num_epochs=args.epochs, plan=plan, seed=args.seed)
-        simulator = RuntimeSimulator(protocol, tree, workload, config)
-        if recorder is not None:
-            simulator.set_observer(TransportTraceAdapter(recorder))
-        return simulator.run()
+        config = RuntimeConfig(
+            num_epochs=args.epochs, plan=plan, seed=args.seed, observer=recorder
+        )
+        return RuntimeSimulator(protocol, tree, workload, config).run()
 
     from repro.cluster import ClusterConfig, run_cluster
 
     config = ClusterConfig(
-        num_epochs=args.epochs,
-        plan=plan,
-        seed=args.seed,
-        observer=None if recorder is None else TransportTraceAdapter(recorder),
+        num_epochs=args.epochs, plan=plan, seed=args.seed, observer=recorder
     )
     return run_cluster(protocol, tree, workload, config)
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.errors import ConfigurationError, SimulationError, WireDecodeError
+from repro.errors import SimulationError, WireDecodeError
 from repro.network.ledger import EdgeClass, HopLedger
 from repro.cluster.clock import ClusterClock
 from repro.cluster.envelope import AckEnvelope, DataEnvelope, decode_envelope, encode_ack, encode_data
@@ -78,8 +78,8 @@ class ClusterNode:
         self.clock = clock
         #: This node's half of every hop it takes part in: sender on its
         #: uplink, receiver for its children.  The observer gets the
-        #: same ``(kind, attrs)`` events as on the runtime, so one trace
-        #: adapter observes both substrates.
+        #: same ``(kind, attrs)`` events as on the runtime, so one
+        #: :class:`~repro.obs.trace.TraceRecorder` observes both substrates.
         self.engine = HopEngine(
             injector, policy, ledger, seed=seed, now=clock.now, observer=observer
         )
@@ -420,12 +420,3 @@ class QuerierNode(ClusterNode):
         del self._settled[epoch]
         return self.epochs.expire(epoch)
 
-
-def require_codec(codec: PSRCodec | None, protocol_name: str) -> PSRCodec:
-    """The cluster cannot run a protocol that has no wire format."""
-    if codec is None:
-        raise ConfigurationError(
-            f"protocol {protocol_name!r} provides no wire codec; the TCP cluster "
-            "only transports real byte frames"
-        )
-    return codec

@@ -37,7 +37,7 @@ from repro.network.messages import QUERIER_NODE_ID, Workload
 from repro.network.topology import AggregationTree
 from repro.cluster.clock import ClusterClock
 from repro.cluster.metrics import ClusterRunMetrics
-from repro.cluster.node import AggregatorNode, ClusterNode, QuerierNode, SourceNode, require_codec
+from repro.cluster.node import AggregatorNode, ClusterNode, QuerierNode, SourceNode
 from repro.protocols.base import SecureAggregationProtocol
 from repro.runtime.epoch import EpochPlanner, settled_epochs
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
@@ -84,10 +84,10 @@ class ClusterConfig:
     #: Source ids that are known-failed up front (never report).
     failed_sources: frozenset[int] = field(default_factory=frozenset)
     #: ``(kind, attrs)`` hook fed from every node's ARQ and receive path
-    #: — the same shape :meth:`RuntimeSimulator.set_observer` accepts,
-    #: so one :class:`~repro.obs.adapters.TransportTraceAdapter` traces
-    #: either substrate.  Purely observational: never consulted by the
-    #: run itself.
+    #: — the shape of ``SimulationConfig.observer`` and
+    #: ``RuntimeConfig.observer``, so one
+    #: :class:`~repro.obs.trace.TraceRecorder` traces any substrate.
+    #: Purely observational: never consulted by the run itself.
     observer: TransportObserver | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -118,7 +118,7 @@ class EpochOrchestrator:
         self.tree = tree
         self.workload = workload
         self.config = config or ClusterConfig()
-        self.codec = require_codec(protocol.wire_codec(), protocol.name)
+        self.codec = protocol.wire_codec()
         self.clock = ClusterClock()
         self.injector = KeyedFaultInjector(self.config.plan, seed=self.config.seed)
         self.ledger = HopLedger()

@@ -6,13 +6,13 @@ Every PSR hop goes through a :class:`Channel`, which
   aggregator→querier) and counts the transmission into the run's
   :class:`~repro.network.ledger.HopLedger` — the exact quantities of the
   paper's Table V and communication analysis;
-* when built with a :class:`~repro.wire.codec.PSRCodec`, **encodes the
-  PSR into its real byte frame** for the hop: the frame travels through
+* **encodes the PSR into its real byte frame** with the protocol's
+  :class:`~repro.wire.codec.PSRCodec`: the frame travels through
   frame-level interceptors (bit flips, truncation, header forgery),
   then the receiver decodes it — a malformed frame is *dropped with a
   typed* :class:`~repro.errors.WireDecodeError`, exactly how a real
   receiver discards an unparseable packet;
-* passes the (decoded) message through registered PSR-level
+* passes the decoded message through registered PSR-level
   *interceptors* in order.  An interceptor models an adversary (or a
   lossy link): it may return the message unchanged, a modified message,
   or ``None`` to drop it.
@@ -27,7 +27,9 @@ model can never silently drift from the bytes actually sent.
 The channel is where the threat model lives: the paper's adversary "may
 … infiltrate the wireless channel", so attacks in :mod:`repro.attacks`
 are implemented purely as interceptors — protocols cannot tell the
-difference, exactly as in a real deployment.
+difference, exactly as in a real deployment.  The channel only answers
+whether a hop arrived; its drivers report that answer as trace events
+(:func:`repro.runtime.hop.emit_hop`).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError, WireDecodeError
+from repro.errors import WireDecodeError
 from repro.network.ledger import EdgeClass, HopLedger
 from repro.network.messages import DataMessage
 
@@ -47,7 +49,6 @@ __all__ = [
     "Channel",
     "Interceptor",
     "FrameInterceptor",
-    "RunListener",
 ]
 
 
@@ -59,27 +60,19 @@ Interceptor = Callable[[DataMessage, EdgeClass], DataMessage | None]
 #: return them unchanged, corrupted, or ``None`` to drop the frame.
 FrameInterceptor = Callable[[bytes, EdgeClass], "bytes | None"]
 
-#: A run listener is notified whenever :meth:`Channel.begin_run`
-#: installs a fresh ledger — observers (tracers, metric adapters) use it
-#: to scope their own state to the run boundary.
-RunListener = Callable[[HopLedger], None]
-
 
 class Channel:
     """Delivers :class:`DataMessage`s, counting traffic and applying attacks.
 
-    With *codec* ``None`` the channel passes PSR objects through
-    directly — the analytic mode third-party protocols without a wire
-    format still use.  With a codec, every transmission is a real
-    encode → (frame interceptors) → decode round trip.
+    Every transmission is a real encode → (frame interceptors) → decode
+    round trip through *codec*.
     """
 
-    def __init__(self, codec: "PSRCodec | None" = None) -> None:
+    def __init__(self, codec: "PSRCodec") -> None:
         self.codec = codec
         self.ledger = HopLedger()
         self._interceptors: list[Interceptor] = []
         self._frame_interceptors: list[FrameInterceptor] = []
-        self._run_listeners: list[RunListener] = []
 
     def begin_run(self) -> HopLedger:
         """Install a fresh ledger for a new measured run.
@@ -89,26 +82,10 @@ class Channel:
         instead of silently accumulating traffic from earlier runs on
         the same simulator.  The previous ledger is left untouched (a
         caller holding it keeps a consistent snapshot); reads through
-        ``channel.ledger`` see the new run.  Registered run listeners
-        are notified with the fresh ledger so observers (e.g.
-        :class:`~repro.obs.adapters.ChannelTraceAdapter`) can scope
-        their own state to the same boundary.
+        ``channel.ledger`` see the new run.
         """
         self.ledger = HopLedger()
-        for listener in list(self._run_listeners):
-            listener(self.ledger)
         return self.ledger
-
-    # -- run-boundary listeners ------------------------------------------
-
-    def add_run_listener(self, listener: RunListener) -> None:
-        """Register *listener* to be called on every :meth:`begin_run`."""
-        if listener not in self._run_listeners:
-            self._run_listeners.append(listener)
-
-    def remove_run_listener(self, listener: RunListener) -> None:
-        if listener in self._run_listeners:
-            self._run_listeners.remove(listener)
 
     # -- interceptor management -----------------------------------------
 
@@ -120,12 +97,7 @@ class Channel:
         self._interceptors.remove(interceptor)
 
     def add_frame_interceptor(self, interceptor: FrameInterceptor) -> None:
-        """Attach a byte-level adversary (requires a codec: bytes to attack)."""
-        if self.codec is None:
-            raise ConfigurationError(
-                "frame interceptors need a codec-backed channel — without a codec "
-                "there are no frame bytes to attack"
-            )
+        """Attach a byte-level adversary; order of attachment = order applied."""
         self._frame_interceptors.append(interceptor)
 
     def remove_frame_interceptor(self, interceptor: FrameInterceptor) -> None:
@@ -150,23 +122,16 @@ class Channel:
         Traffic is accounted for the legitimate transmission (the sender
         spent that energy regardless of what the adversary later does),
         once per call — the runtime calls it once per ARQ attempt.
-        On a codec-backed channel the PSR is encoded to its byte frame
-        (or *frame* is transmitted verbatim when given — the ARQ layer
-        passes the cached first-attempt encoding so retransmissions are
-        byte-identical), attacked at the byte level, and decoded at the
-        receiver; a frame that fails to decode is dropped and counted.
-        Returns the possibly-modified message, or ``None`` if dropped.
+        The PSR is encoded to its byte frame (or *frame* is transmitted
+        verbatim when given — the ARQ layer passes the cached
+        first-attempt encoding so retransmissions are byte-identical),
+        attacked at the byte level, and decoded at the receiver; a frame
+        that fails to decode is dropped and counted.  Returns the
+        possibly-modified message, or ``None`` if dropped.
         """
         counters = self.ledger.edge(edge_class)
         counters.messages += 1
         counters.payload_bytes += message.wire_size()
-        if self.codec is None:
-            if frame is not None:
-                raise ConfigurationError(
-                    "pre-encoded frame passed to a channel without a codec"
-                )
-            return self._apply_psr_interceptors(message, edge_class)
-
         if frame is None:
             frame = self.codec.encode(message.psr)
         counters.frame_bytes += self.codec.checked_frame_size(message.psr, frame)
@@ -184,20 +149,14 @@ class Channel:
             # raise (fuzzed in tests/wire/test_fuzz.py).
             counters.channel_decode_failures += 1
             return None
-        delivered = DataMessage(
+        delivered: DataMessage | None = DataMessage(
             sender=message.sender,
             receiver=message.receiver,
             epoch=psr.epoch,
             psr=psr,
         )
-        return self._apply_psr_interceptors(delivered, edge_class)
-
-    def _apply_psr_interceptors(
-        self, message: DataMessage, edge_class: EdgeClass
-    ) -> DataMessage | None:
-        current: DataMessage | None = message
         for interceptor in self._interceptors:
-            if current is None:
+            delivered = interceptor(delivered, edge_class)
+            if delivered is None:
                 return None
-            current = interceptor(current, edge_class)
-        return current
+        return delivered

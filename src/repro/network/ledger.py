@@ -13,8 +13,11 @@ and every substrate fills exactly one ledger per run:
   the channel's three traffic counters itself.
 
 Every traffic counter counts per transmission **attempt** — the radio
-cost the paper's analysis charges, retransmissions included.  Sitting
-below the channel, this module imports nothing from the substrates.
+cost the paper's analysis charges, retransmissions included — so on
+every substrate the trace and the ledger agree: per edge class, the
+number of ``attempt`` events an observer sees equals ``messages``.
+Sitting below the channel, this module imports nothing from the
+substrates.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class EdgeCounters:
     #: quantity of the paper's Table V.
     payload_bytes: int = 0
     #: Measured frame bytes (``len(frame)``) per attempt, each checked
-    #: against ``PSRCodec.framed_size`` (0 on a codec-less channel).
+    #: against ``PSRCodec.framed_size``.
     frame_bytes: int = 0
     #: Frames the channel discarded because they no longer parsed (on
     #: the runtime also counted as ``drops_channel``).

@@ -5,9 +5,9 @@ Two message kinds exist:
 * :class:`DataMessage` — a PSR travelling up the aggregation tree
   during an epoch.  Its accounted size is the PSR payload size — the
   quantity the paper's Table V reports (it deliberately excludes
-  MAC-layer headers, which are identical across schemes).  On a
-  codec-backed :class:`~repro.network.channel.Channel` the PSR does not
-  travel as an object: it is encoded into a real byte frame
+  MAC-layer headers, which are identical across schemes).  On the
+  :class:`~repro.network.channel.Channel` the PSR does not travel as
+  an object: it is encoded into a real byte frame
   (:mod:`repro.wire`) for the hop and decoded at the receiver, with the
   measured ``len(frame)`` accounted separately from this analytic size.
 * :class:`BroadcastPacket` — a μTesla-authenticated packet travelling

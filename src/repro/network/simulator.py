@@ -16,7 +16,9 @@ cluster drive — in zero time.  Its querier is told the reporting subset
 by the plan (the paper's reported failures), never by what was merged,
 so a PSR dropped below the root ends in a rejected epoch, not a smaller
 SUM.  Op counts, traffic per edge class and (optionally) radio energy
-accumulate into :class:`~repro.network.metrics.RunMetrics`.
+accumulate into :class:`~repro.network.metrics.RunMetrics`; every hop is
+reported to the optional ``observer`` as ``attempt`` then ``deliver``
+or ``drop`` — the hop-event stream of the runtime and the cluster.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.network.topology import AggregationTree
 from repro.protocols.base import OpCounter, PartialStateRecord, SecureAggregationProtocol
 from repro.runtime.epoch import EpochPlanner, HoldAndWait, settle_final, settle_lost
 from repro.runtime.faults import FaultPlan, NodeOutage
+from repro.runtime.hop import TransportObserver, emit_hop
 from repro.runtime.metrics import EpochRecord
 from repro.utils.validation import check_positive_int
 
@@ -60,6 +63,10 @@ class SimulationConfig:
     evaluate: bool = True
     #: Source ids that have permanently failed (reported to the querier).
     failed_sources: frozenset[int] = field(default_factory=frozenset)
+    #: ``(kind, attrs)`` hook fed every hop (``attempt`` then ``deliver``
+    #: or ``drop``) — the shape of ``RuntimeConfig.observer`` and
+    #: ``ClusterConfig.observer``.  Purely observational.
+    observer: TransportObserver | None = field(default=None, repr=False)
 
 
 class NetworkSimulator:
@@ -87,9 +94,9 @@ class NetworkSimulator:
         self.tree = tree
         self.workload = workload
         self.config = config or SimulationConfig()
-        # Codec-backed channel: every hop transmits the PSR's real byte
-        # frame (encode → adversary → decode), with measured frame bytes
-        # cross-checked against the analytic wire_size() per message.
+        # Every hop transmits the PSR's real byte frame (encode →
+        # adversary → decode), with measured frame bytes cross-checked
+        # against the analytic wire_size() per message.
         self.channel = Channel(codec=protocol.wire_codec())
 
         # Role instantiation — the protocol's setup phase already ran in
@@ -210,13 +217,30 @@ class NetworkSimulator:
             self._energy.on_transmit(message.sender, size, distance)
             if message.receiver != QUERIER_NODE_ID:
                 self._energy.on_receive(message.receiver, size)
-        delivered = self.channel.transmit(message, edge)
+        observer = self.config.observer
+        if observer is None:
+            delivered = self.channel.transmit(message, edge)
+        else:
+            delivered = self._observed_transmit(observer, message, edge)
         if delivered is None:
             return None
         if message.receiver == QUERIER_NODE_ID:
             return delivered.psr
         self._mergers[message.receiver].offer(message.epoch, delivered.psr, frozenset())
         return None
+
+    def _observed_transmit(
+        self, observer: TransportObserver, message: DataMessage, edge: EdgeClass
+    ) -> DataMessage | None:
+        """:meth:`Channel.transmit`, reported as the hop's single attempt."""
+        hop = (message.sender, message.receiver, edge, message.epoch, 0, None)
+        emit_hop(observer, "attempt", *hop)
+        delivered = self.channel.transmit(message, edge)
+        if delivered is None:
+            emit_hop(observer, "drop", *hop, cause="channel")
+        else:
+            emit_hop(observer, "deliver", *hop)
+        return delivered
 
 
 def naive_collection_traffic(

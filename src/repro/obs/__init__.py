@@ -3,10 +3,10 @@
 One trace schema, one metric namespace, one profiler for all three
 substrates (analytic network, event runtime, TCP cluster):
 
-* :mod:`repro.obs.trace` — :class:`ObsEvent` / :class:`TraceRecorder`,
-  JSON-lines serialization, and the seed-determined disposition slice;
-* :mod:`repro.obs.adapters` — hook adapters for the analytic channel
-  and the runtime/cluster ``(kind, attrs)`` transport observers;
+* :mod:`repro.obs.trace` — :class:`ObsEvent` / :class:`TraceRecorder`
+  (itself the ``(kind, attrs)`` hop observer every substrate's config
+  accepts), JSON-lines serialization, and the seed-determined
+  disposition slice;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
   gauges, fixed-bucket histograms, Prometheus-text and JSON exporters;
 * :mod:`repro.obs.publish` — maps every substrate's native ledger into
@@ -16,7 +16,6 @@ substrates (analytic network, event runtime, TCP cluster):
 * :mod:`repro.obs.diff` — trace diffing on the determined slice.
 """
 
-from repro.obs.adapters import ChannelTraceAdapter, TransportTraceAdapter
 from repro.obs.diff import DispositionDelta, TraceDiff, diff_dispositions, diff_traces
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -42,8 +41,6 @@ __all__ = [
     "ObsEvent",
     "TraceRecorder",
     "trace_dispositions",
-    "ChannelTraceAdapter",
-    "TransportTraceAdapter",
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
     "Gauge",

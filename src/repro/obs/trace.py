@@ -1,15 +1,14 @@
 """The unified structured trace: one event schema for every substrate.
 
 :class:`ObsEvent` describes one hop on any substrate: the hop metadata
-(epoch, edge, sender, receiver, size, PSR type) plus *substrate* name,
-*run id*, *attempt index*, parcel *uid*, and a *kind* that classifies
-the disposition of the hop:
+(epoch, edge, sender, receiver) plus *substrate* name, *run id*,
+*attempt index*, parcel *uid*, and a *kind* that classifies the
+disposition of the hop:
 
 ======================  =====================================================
 kind                    meaning
 ======================  =====================================================
-``send``                a hop crossed an analytic (lossless) channel
-``attempt``             the ARQ put one physical attempt on the link
+``attempt``             one physical attempt was put on the link
 ``drop``                the attempt was swallowed (injected loss or channel)
 ``deliver``             first copy of a parcel handed to the application
 ``duplicate``           a further copy, suppressed by receiver-side dedup
@@ -19,14 +18,23 @@ kind                    meaning
 ``give_up``             the sender exhausted its retry budget
 ======================  =====================================================
 
+Every substrate emits these events through one ``(kind, attrs)``
+observer (:data:`repro.runtime.hop.TransportObserver`, filled by
+:func:`repro.runtime.hop.emit_hop`): the analytic simulator reports each
+hop as one ``attempt`` followed by ``deliver`` or ``drop`` (``detail``
+``channel``), the runtime and the cluster report their hop engine's
+ARQ.  A :class:`TraceRecorder` *is* such an observer — pass it as
+``SimulationConfig.observer``, ``RuntimeConfig.observer`` or
+``ClusterConfig.observer``.
+
 Traces serialize to JSON-lines (one compact object per event) and are
 diffable: :func:`trace_dispositions` reduces a trace to its
 **seed-determined slice** — per-epoch sets of delivered / dropped /
 late hops — which must be identical for the runtime and the cluster on
 the same seed, plan, and tree (both drive one hop engine over one keyed
-fault oracle).  The
-ACK-timing-dependent kinds (``give_up``, ``ack_lost``, ``duplicate``)
-are recorded but deliberately excluded from that slice.
+fault oracle), and for a lossless run also for the analytic simulator.
+The ACK-timing-dependent kinds (``give_up``, ``ack_lost``,
+``duplicate``) are recorded but deliberately excluded from that slice.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ from repro.errors import ParameterError
 
 EVENT_KINDS: frozenset[str] = frozenset(
     {
-        "send",
         "attempt",
         "drop",
         "deliver",
@@ -81,8 +88,6 @@ class ObsEvent:
     attempt: int | None = None
     #: Parcel uid; both ARQ substrates use ``uid == epoch``.
     uid: int | None = None
-    wire_bytes: int | None = None
-    psr_type: str | None = None
     #: Free-form qualifier (e.g. drop cause ``link`` vs ``channel``).
     detail: str | None = None
 
@@ -101,8 +106,6 @@ class ObsEvent:
             ("time", self.time),
             ("attempt", self.attempt),
             ("uid", self.uid),
-            ("bytes", self.wire_bytes),
-            ("psr", self.psr_type),
             ("detail", self.detail),
         ):
             if value is not None:
@@ -124,8 +127,6 @@ class ObsEvent:
             time=data.get("time"),
             attempt=data.get("attempt"),
             uid=data.get("uid"),
-            wire_bytes=data.get("bytes"),
-            psr_type=data.get("psr"),
             detail=data.get("detail"),
         )
 
@@ -134,15 +135,30 @@ class ObsEvent:
 class TraceRecorder:
     """Collects :class:`ObsEvent` records for one run of one substrate.
 
-    Adapters (:mod:`repro.obs.adapters`) feed it; analysis and the
-    ``repro trace`` CLI read it.  The recorder assigns sequence numbers
-    in call order — causal order on a single-threaded substrate.
+    The recorder is the substrates' ``(kind, attrs)`` observer itself
+    (:meth:`__call__`); analysis and the ``repro trace`` CLI read it.
+    It assigns sequence numbers in call order — causal order on a
+    single-threaded substrate.
     """
 
     substrate: str
     run_id: str = "run-0"
     events: list[ObsEvent] = field(default_factory=list)
     _sequence: int = 0
+
+    def __call__(self, kind: str, attrs: dict) -> None:
+        """Record one hop event from a substrate's observer stream."""
+        self.record(
+            kind,
+            epoch=attrs["epoch"],
+            edge=attrs["edge"],
+            sender=attrs["sender"],
+            receiver=attrs["receiver"],
+            time=attrs.get("time"),
+            attempt=attrs.get("attempt"),
+            uid=attrs.get("uid"),
+            detail=attrs.get("cause"),
+        )
 
     def record(
         self,
@@ -155,8 +171,6 @@ class TraceRecorder:
         time: float | None = None,
         attempt: int | None = None,
         uid: int | None = None,
-        wire_bytes: int | None = None,
-        psr_type: str | None = None,
         detail: str | None = None,
     ) -> ObsEvent:
         if kind not in EVENT_KINDS:
@@ -175,8 +189,6 @@ class TraceRecorder:
             time=time,
             attempt=attempt,
             uid=uid,
-            wire_bytes=wire_bytes,
-            psr_type=psr_type,
             detail=detail,
         )
         self.events.append(event)
@@ -259,18 +271,15 @@ def trace_dispositions(
     decode_failures: dict[int, set[tuple[int, int]]] = {}
     for event in events:
         hop = (event.sender, event.receiver)
-        if event.kind in ("attempt", "send"):
+        if event.kind == "attempt":
             attempted.setdefault(event.epoch, set()).add(hop)
-        elif event.kind in ("deliver",):
+        elif event.kind == "deliver":
             delivered.setdefault(event.epoch, set()).add(hop)
             attempted.setdefault(event.epoch, set()).add(hop)
         elif event.kind == "late":
             late.setdefault(event.epoch, set()).add(hop)
         elif event.kind == "decode_failure":
             decode_failures.setdefault(event.epoch, set()).add(hop)
-        # send on an analytic channel *is* a delivery (lossless hop)
-        if event.kind == "send":
-            delivered.setdefault(event.epoch, set()).add(hop)
     out: dict[int, dict[str, list[tuple[int, int]]]] = {}
     epochs = set(attempted) | set(delivered) | set(late) | set(decode_failures)
     for epoch in sorted(epochs):

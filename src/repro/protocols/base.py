@@ -19,9 +19,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ParameterError
+
+if TYPE_CHECKING:
+    from repro.wire.codec import PSRCodec
 
 __all__ = [
     "PartialStateRecord",
@@ -216,18 +219,16 @@ class SecureAggregationProtocol(ABC):
     def create_querier(self, *, ops: OpCounter | None = None) -> QuerierRole:
         """Role for the querier, holding all verification material."""
 
-    def wire_codec(self) -> "Any | None":
-        """The byte codec serializing this protocol's PSRs, or ``None``.
+    @abstractmethod
+    def wire_codec(self) -> "PSRCodec":
+        """The byte codec serializing this protocol's PSRs.
 
         Returns a :class:`repro.wire.codec.PSRCodec` bound to this
         instance's framing parameters (modulus width, sketch count…).
-        Every built-in protocol provides one; simulators pass it to the
-        :class:`~repro.network.channel.Channel` so each hop transmits a
-        real encoded frame.  ``None`` (the default for third-party
-        protocols without a wire format yet) keeps the channel in the
-        analytic, object-passing mode.
+        Every substrate transmits real encoded frames with it: the
+        simulators pass it to the :class:`~repro.network.channel.Channel`,
+        the TCP cluster to its nodes.
         """
-        return None
 
     def _check_source_id(self, source_id: int) -> int:
         if not 0 <= source_id < self.num_sources:

@@ -20,7 +20,8 @@ clock, touches a socket, or schedules a callback:
   :class:`~repro.network.ledger.HopLedger`, whose
   :meth:`~repro.network.ledger.HopLedger.check_conservation` proves no
   frame was dropped silently, and reported as a ``(kind, attrs)``
-  event to the optional :data:`TransportObserver`.
+  event to the optional :data:`TransportObserver` through
+  :func:`emit_hop`, the emit helper every substrate's hop path shares.
 
 The drivers own the time and the bytes: the event runtime
 (:class:`~repro.runtime.transport.ReliableTransport`) turns copies and
@@ -52,14 +53,46 @@ __all__ = [
     "Parcel",
     "HopEngine",
     "TransportObserver",
+    "emit_hop",
 ]
 
 #: Observability hook: ``(event kind, attributes)`` per hop event.
 #: Kinds: ``attempt``, ``drop``, ``deliver``, ``duplicate``, ``late``,
 #: ``decode_failure``, ``ack_lost``, ``give_up``.  Kept as a plain
 #: callable so the engine stays below :mod:`repro.obs` in the layering
-#: (the adapter lives up there).
+#: (:class:`~repro.obs.trace.TraceRecorder` is one).
 TransportObserver = Callable[[str, dict], None]
+
+
+def emit_hop(
+    observer: TransportObserver,
+    kind: str,
+    sender: int,
+    receiver: int,
+    edge: EdgeClass,
+    uid: int,
+    attempt: int,
+    time: float | None,
+    **extra: object,
+) -> None:
+    """Report one hop event to *observer* in the shared attribute schema.
+
+    Keys: ``time`` (the driver's clock, ``None`` on the zero-time
+    analytic substrate), ``epoch`` and ``uid`` (a parcel's uid is its
+    epoch), ``attempt``, ``edge``, ``sender``, ``receiver``, plus
+    *extra* (``cause`` on drops).
+    """
+    attrs: dict = {
+        "time": time,
+        "epoch": uid,
+        "uid": uid,
+        "attempt": attempt,
+        "edge": edge.value,
+        "sender": sender,
+        "receiver": receiver,
+    }
+    attrs.update(extra)
+    observer(kind, attrs)
 
 #: Dispositions of a first copy, as the driver classifies it (these
 #: are also the trace kinds the engine emits for it).
@@ -293,16 +326,7 @@ class HopEngine:
         attempt: int,
         **extra: object,
     ) -> None:
-        if self.observer is None:
-            return
-        attrs: dict = {
-            "time": self.now(),
-            "epoch": uid,
-            "uid": uid,
-            "attempt": attempt,
-            "edge": edge.value,
-            "sender": sender,
-            "receiver": receiver,
-        }
-        attrs.update(extra)
-        self.observer(kind, attrs)
+        if self.observer is not None:
+            emit_hop(
+                self.observer, kind, sender, receiver, edge, uid, attempt, self.now(), **extra
+            )

@@ -81,6 +81,13 @@ class RuntimeConfig:
     #: Selects nothing: link verdicts always come from the keyed oracle
     #: the TCP cluster uses.  Accepted as ``True`` for existing callers.
     keyed_faults: bool = True
+    #: ``(kind, attrs)`` hook fed every hop event of the
+    #: :class:`~repro.runtime.hop.HopEngine` (``attempt``, ``drop``,
+    #: ``deliver``, ``duplicate``, ``late``, ``decode_failure``,
+    #: ``ack_lost``, ``give_up``) — the shape of
+    #: ``SimulationConfig.observer`` and ``ClusterConfig.observer``.
+    #: Purely observational.
+    observer: TransportObserver | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         check_positive_int("num_epochs", self.num_epochs)
@@ -114,7 +121,7 @@ class RuntimeSimulator:
         self.tree = tree
         self.workload = workload
         self.config = config or RuntimeConfig()
-        # Codec-backed channel: the ARQ below transmits real byte frames
+        # The ARQ below transmits real byte frames through the channel
         # (encoded once per parcel, retransmitted byte-identically).
         self.channel = Channel(codec=protocol.wire_codec())
         self.scheduler = EventScheduler()
@@ -125,6 +132,7 @@ class RuntimeSimulator:
             self.channel,
             self.config.policy,
             seed=self.config.seed,
+            observer=self.config.observer,
         )
 
         self.source_ops = OpCounter()
@@ -154,21 +162,6 @@ class RuntimeSimulator:
             faults=self.config.plan,
         )
         self._ran = False
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-
-    def set_observer(self, observer: TransportObserver | None) -> None:
-        """Install an observability hook over the whole runtime.
-
-        The hook receives every hop event of the
-        :class:`~repro.runtime.hop.HopEngine` (``attempt``, ``drop``,
-        ``deliver``, ``duplicate``, ``late``, ``ack_lost``,
-        ``give_up``).  :mod:`repro.obs` builds the unified trace from
-        exactly this stream.
-        """
-        self.transport.engine.observer = observer
 
     # ------------------------------------------------------------------
     # Execution

@@ -27,7 +27,13 @@ from repro.network.ledger import HopLedger
 from repro.network.messages import DataMessage
 from repro.runtime.events import EventScheduler, ScheduledEvent
 from repro.runtime.faults import KeyedFaultInjector
-from repro.runtime.hop import DELIVERED, HopEngine, Parcel, RetransmitPolicy
+from repro.runtime.hop import (
+    DELIVERED,
+    HopEngine,
+    Parcel,
+    RetransmitPolicy,
+    TransportObserver,
+)
 
 __all__ = ["RetransmitPolicy", "RuntimeParcel", "ReliableTransport"]
 
@@ -62,12 +68,18 @@ class ReliableTransport:
         policy: RetransmitPolicy,
         *,
         seed: int = 0,
+        observer: TransportObserver | None = None,
     ) -> None:
         self.scheduler = scheduler
         self.injector = injector
         self.channel = channel
         self.engine = HopEngine(
-            injector, policy, channel.ledger, seed=seed, now=lambda: scheduler.now
+            injector,
+            policy,
+            channel.ledger,
+            seed=seed,
+            now=lambda: scheduler.now,
+            observer=observer,
         )
 
     @property
@@ -99,7 +111,7 @@ class ReliableTransport:
 
     def _attempt(self, parcel: RuntimeParcel) -> None:
         message = parcel.message
-        if self.channel.codec is not None and parcel.frame is None:
+        if parcel.frame is None:
             parcel.frame = self.channel.codec.encode(message.psr)
         outcome = self.channel.transmit(message, parcel.edge, frame=parcel.frame)
         copies, timeout = self.engine.attempt(parcel, swallowed=outcome is None)

@@ -22,7 +22,6 @@ from repro.attacks.wire import (
 from repro.baselines.cmt import CMTProtocol
 from repro.core.protocol import SIESProtocol
 from repro.datasets.workload import UniformWorkload
-from repro.errors import ConfigurationError
 from repro.network.channel import Channel, EdgeClass
 from repro.network.simulator import NetworkSimulator, SimulationConfig
 from repro.network.topology import build_complete_tree
@@ -144,10 +143,6 @@ class TestChannelMechanics:
             c = ledger.edge(edge)
             assert c.messages > 0
             assert c.frame_bytes == c.payload_bytes + c.messages * HEADER_LEN
-
-    def test_frame_interceptor_requires_codec(self) -> None:
-        with pytest.raises(ConfigurationError):
-            Channel().add_frame_interceptor(FrameTruncationAttack(1))
 
     def test_clear_interceptors_detaches_frame_attacks(self) -> None:
         protocol = SIESProtocol(N, seed=63)

@@ -26,8 +26,9 @@ from repro.cluster.faults import parcel_fate
 from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator, run_cluster
 from repro.core.protocol import SIESProtocol
 from repro.datasets.workload import DomainScaledWorkload
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.network.channel import EdgeClass
+from repro.protocols.base import SecureAggregationProtocol
 from repro.network.simulator import QUERIER_NODE_ID
 from repro.network.topology import build_complete_tree
 from repro.runtime import FaultPlan, RuntimeConfig, RuntimeSimulator
@@ -226,19 +227,23 @@ class TestConfigurationRejections:
             )
 
     def test_protocol_without_codec_rejected(self) -> None:
-        class NoWireProtocol:
+        """``wire_codec`` is abstract: a protocol without a wire format
+        cannot be built, so no substrate ever meets one."""
+
+        class NoWireProtocol(SecureAggregationProtocol):
             name = "no-wire"
-            num_sources = 4
 
-            def wire_codec(self):
-                return None
+            def create_source(self, source_id, *, ops=None):
+                raise NotImplementedError
 
-        with pytest.raises(ConfigurationError):
-            EpochOrchestrator(
-                NoWireProtocol(),  # type: ignore[arg-type]
-                build_complete_tree(4, 2),
-                DomainScaledWorkload(4, scale=100, seed=1),
-            )
+            def create_aggregator(self, *, ops=None):
+                raise NotImplementedError
+
+            def create_querier(self, *, ops=None):
+                raise NotImplementedError
+
+        with pytest.raises(TypeError, match="wire_codec"):
+            NoWireProtocol(4)  # type: ignore[abstract]
 
     def test_epoch_windowed_plan_accepted(self) -> None:
         plan = FaultPlan(

@@ -7,41 +7,49 @@ import dataclasses
 from repro.core.source import SIESRecord
 from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
+from repro.wire.codecs import SIESCodec
+from repro.wire.frame import HEADER_LEN
+
+SIZE = 32
 
 
-def _message(epoch: int = 1, size: int = 32) -> DataMessage:
+def _channel() -> Channel:
+    return Channel(SIESCodec(SIZE))
+
+
+def _message(epoch: int = 1) -> DataMessage:
     return DataMessage(
         sender=0, receiver=1, epoch=epoch,
-        psr=SIESRecord(ciphertext=123, epoch=epoch, modulus_bytes=size),
+        psr=SIESRecord(ciphertext=123, epoch=epoch, modulus_bytes=SIZE),
     )
 
 
 def test_traffic_counters_by_edge_class() -> None:
-    channel = Channel()
-    channel.transmit(_message(size=32), EdgeClass.SOURCE_TO_AGGREGATOR)
-    channel.transmit(_message(size=32), EdgeClass.SOURCE_TO_AGGREGATOR)
-    channel.transmit(_message(size=20), EdgeClass.AGGREGATOR_TO_QUERIER)
+    channel = _channel()
+    channel.transmit(_message(), EdgeClass.SOURCE_TO_AGGREGATOR)
+    channel.transmit(_message(), EdgeClass.SOURCE_TO_AGGREGATOR)
+    channel.transmit(_message(), EdgeClass.AGGREGATOR_TO_QUERIER)
     ledger = channel.ledger
     sa = ledger.edge(EdgeClass.SOURCE_TO_AGGREGATOR)
     assert sa.payload_bytes == 64 and sa.messages == 2
     assert ledger.per_message("payload_bytes", EdgeClass.SOURCE_TO_AGGREGATOR) == 32
     assert ledger.payload_bytes == {
         EdgeClass.SOURCE_TO_AGGREGATOR: 64,
-        EdgeClass.AGGREGATOR_TO_QUERIER: 20,
+        EdgeClass.AGGREGATOR_TO_QUERIER: 32,
     }
-    assert ledger.total("payload_bytes") == 84
-    # A codec-less channel has no frames to measure.
-    assert ledger.total("frame_bytes") == 0
+    assert ledger.total("payload_bytes") == 96
+    # Every hop carries a real frame: the payload plus its header.
+    assert ledger.total("frame_bytes") == 96 + 3 * HEADER_LEN
 
 
 def test_mean_of_empty_class_is_zero() -> None:
-    ledger = Channel().ledger
+    ledger = _channel().ledger
     assert ledger.per_message("payload_bytes", EdgeClass.AGGREGATOR_TO_AGGREGATOR) == 0.0
     assert ledger.by_class == {}  # reading the mean creates no entry
 
 
 def test_counters_reset() -> None:
-    channel = Channel()
+    channel = _channel()
     channel.transmit(_message(), EdgeClass.SOURCE_TO_AGGREGATOR)
     old = channel.ledger
     fresh = channel.begin_run()
@@ -50,7 +58,7 @@ def test_counters_reset() -> None:
 
 
 def test_interceptor_can_modify() -> None:
-    channel = Channel()
+    channel = _channel()
 
     def bump(message, edge):
         return dataclasses.replace(
@@ -63,7 +71,7 @@ def test_interceptor_can_modify() -> None:
 
 
 def test_interceptor_can_drop_but_traffic_still_counted() -> None:
-    channel = Channel()
+    channel = _channel()
     channel.add_interceptor(lambda m, e: None)
     assert channel.transmit(_message(), EdgeClass.SOURCE_TO_AGGREGATOR) is None
     # the sender still spent the transmission energy/bytes
@@ -71,7 +79,7 @@ def test_interceptor_can_drop_but_traffic_still_counted() -> None:
 
 
 def test_interceptors_apply_in_order_and_short_circuit() -> None:
-    channel = Channel()
+    channel = _channel()
     seen: list[str] = []
 
     def first(m, e):
@@ -89,7 +97,7 @@ def test_interceptors_apply_in_order_and_short_circuit() -> None:
 
 
 def test_remove_and_clear_interceptors() -> None:
-    channel = Channel()
+    channel = _channel()
     drop = lambda m, e: None  # noqa: E731
     channel.add_interceptor(drop)
     channel.remove_interceptor(drop)

@@ -1,35 +1,38 @@
 """Tracing the analytic simulator: hop capture, queries, round-tripping.
 
-The analytic channel is traced by :class:`~repro.obs.ChannelTraceAdapter`
-feeding a :class:`~repro.obs.TraceRecorder`; every hop becomes one
-``send`` :class:`~repro.obs.ObsEvent`.
+A :class:`~repro.obs.TraceRecorder` passed as ``SimulationConfig.observer``
+records every hop as an ``attempt`` :class:`~repro.obs.ObsEvent`
+followed by ``deliver`` — or by ``drop`` when the channel (an adversary,
+a malformed frame) swallowed it.
 """
 
 from __future__ import annotations
 
 import io
 
-from repro.attacks.adversary import Eavesdropper
+from repro.attacks.adversary import DropAttack, Eavesdropper
+from repro.attacks.wire import FrameTruncationAttack
 from repro.core.protocol import SIESProtocol
 from repro.datasets.workload import UniformWorkload
+from repro.network.channel import EdgeClass
 from repro.network.simulator import QUERIER_NODE_ID, NetworkSimulator, SimulationConfig
 from repro.network.topology import build_complete_tree
-from repro.obs import ChannelTraceAdapter, ObsEvent, TraceRecorder
+from repro.obs import ObsEvent, TraceRecorder, trace_dispositions
 
 N = 16
 
 
-def _simulator(epochs: int = 1) -> NetworkSimulator:
+def _simulator(epochs: int = 1, recorder: TraceRecorder | None = None) -> NetworkSimulator:
     protocol = SIESProtocol(N, seed=3)
     tree = build_complete_tree(N, 4)
     workload = UniformWorkload(N, 1, 50, seed=4)
-    return NetworkSimulator(protocol, tree, workload, SimulationConfig(num_epochs=epochs))
+    config = SimulationConfig(num_epochs=epochs, observer=recorder)
+    return NetworkSimulator(protocol, tree, workload, config)
 
 
 def _traced_run(epochs: int = 2):
-    simulator = _simulator(epochs)
     recorder = TraceRecorder(substrate="network")
-    ChannelTraceAdapter(recorder).attach(simulator.channel)
+    simulator = _simulator(epochs, recorder)
     metrics = simulator.run()
     return recorder, simulator.tree, metrics
 
@@ -37,9 +40,13 @@ def _traced_run(epochs: int = 2):
 def test_captures_every_hop() -> None:
     recorder, tree, _ = _traced_run(epochs=2)
     hops_per_epoch = N + (tree.num_aggregators - 1) + 1
-    assert len(recorder.events) == 2 * hops_per_epoch
+    assert len(recorder.events) == 2 * 2 * hops_per_epoch
     assert recorder.epochs() == [1, 2]
-    assert len(recorder.filter(epoch=1)) == hops_per_epoch
+    assert len(recorder.filter(epoch=1, kinds=("attempt",))) == hops_per_epoch
+    assert len(recorder.filter(epoch=1, kinds=("deliver",))) == hops_per_epoch
+    kinds = [e.kind for e in recorder.events]
+    assert kinds == ["attempt", "deliver"] * (2 * hops_per_epoch)
+    assert all(e.attempt == 0 and e.uid == e.epoch and e.time is None for e in recorder.events)
 
 
 def test_sequence_is_strictly_increasing_and_causal() -> None:
@@ -48,24 +55,30 @@ def test_sequence_is_strictly_increasing_and_causal() -> None:
     assert sequences == sorted(sequences) == list(range(len(sequences)))
     # all source hops precede the final A-Q hop
     final = [e for e in recorder.events if e.receiver == QUERIER_NODE_ID]
-    assert len(final) == 1
+    assert [e.kind for e in final] == ["attempt", "deliver"]
     assert all(e.sequence < final[0].sequence for e in recorder.filter(edge="S-A"))
 
 
 def test_trace_agrees_with_traffic_counters() -> None:
-    recorder, _, metrics = _traced_run(epochs=2)
-    traced: dict[str, int] = {}
-    for event in recorder.events:
-        traced[event.edge] = traced.get(event.edge, 0) + event.wire_bytes
-    assert traced == {
-        edge.value: count for edge, count in metrics.traffic.payload_bytes.items()
-    }
+    """One ``attempt`` event per message the ledger counts, edge class by
+    edge class — lossless and with an adversary dropping hops (the
+    runtime and the cluster: ``tests/obs/test_cross_substrate.py``)."""
+    for attack in (None, DropAttack(sender_ids=frozenset({0}))):
+        recorder = TraceRecorder(substrate="network")
+        simulator = _simulator(epochs=2, recorder=recorder)
+        if attack is not None:
+            simulator.channel.add_interceptor(attack)
+        metrics = simulator.run()
+        assert bool(recorder.filter(kinds=("drop",))) == (attack is not None)
+        for edge in EdgeClass:
+            attempts = recorder.filter(edge=edge.value, kinds=("attempt",))
+            assert len(attempts) == metrics.traffic.edge(edge).messages > 0
 
 
 def test_hops_through_node() -> None:
     recorder, tree, _ = _traced_run(epochs=1)
     aggregator = tree.parent(0)
-    hops = recorder.filter(node=aggregator)
+    hops = recorder.filter(node=aggregator, kinds=("attempt",))
     # receives from its 4 children, sends once upward
     assert sum(1 for e in hops if e.receiver == aggregator) == 4
     assert sum(1 for e in hops if e.sender == aggregator) == 1
@@ -73,11 +86,10 @@ def test_hops_through_node() -> None:
 
 def test_ciphertexts_excluded_by_default() -> None:
     """Events carry hop metadata only: no ciphertext reaches the trace."""
-    simulator = _simulator(epochs=1)
+    recorder = TraceRecorder(substrate="network")
+    simulator = _simulator(epochs=1, recorder=recorder)
     spy = Eavesdropper()
     simulator.channel.add_interceptor(spy)
-    recorder = TraceRecorder(substrate="network")
-    ChannelTraceAdapter(recorder).attach(simulator.channel)
     simulator.run()
     buffer = io.StringIO()
     recorder.write_jsonl(buffer)
@@ -98,9 +110,8 @@ def test_jsonl_roundtrip() -> None:
 
 def test_event_json_big_ints_survive() -> None:
     event = ObsEvent(
-        sequence=0, substrate="network", run_id="run-0", kind="send", epoch=1,
-        edge="S-A", sender=0, receiver=1, uid=1 << 255, wire_bytes=32,
-        psr_type="SIESRecord",
+        sequence=0, substrate="network", run_id="run-0", kind="attempt", epoch=1,
+        edge="S-A", sender=0, receiver=1, uid=1 << 255, attempt=0,
     )
     assert ObsEvent.from_json(event.to_json()) == event
 
@@ -110,50 +121,31 @@ def test_tracing_does_not_perturb_results() -> None:
     assert metrics.all_verified()
 
 
-def test_double_attach_records_each_hop_once() -> None:
-    simulator = _simulator(epochs=1)
+def test_attacked_hops_trace_as_channel_drops() -> None:
+    """Regression: a hop the channel swallows is traced as a drop.
+
+    The analytic trace once recorded hops as a PSR interceptor, so a hop
+    dropped by a later interceptor showed up as delivered and a frame
+    killed by a frame-level attack left no event at all.
+    """
     recorder = TraceRecorder(substrate="network")
-    adapter = ChannelTraceAdapter(recorder)
-    adapter.attach(simulator.channel)
-    adapter.attach(simulator.channel)  # must be a no-op, not a second interceptor
+    simulator = _simulator(epochs=2, recorder=recorder)
+    simulator.channel.add_interceptor(DropAttack(sender_ids=frozenset({0})))
+    simulator.channel.add_frame_interceptor(FrameTruncationAttack(1))
     metrics = simulator.run()
-    hops = metrics.traffic.total("messages")
-    assert len(recorder.events) == hops
+    assert metrics.security_failures() == [(1, "MessageLost"), (2, "MessageLost")]
 
-
-def test_detach_stops_recording() -> None:
-    simulator = _simulator(epochs=1)
-    recorder = TraceRecorder(substrate="network")
-    adapter = ChannelTraceAdapter(recorder)
-    adapter.attach(simulator.channel)
-    adapter.detach()
-    adapter.detach()  # idempotent
-    simulator.run()
-    assert recorder.events == []
-
-
-def test_two_run_reuse_scopes_events_per_run() -> None:
-    simulator = _simulator(epochs=1)
-    recorder = TraceRecorder(substrate="network")
-    ChannelTraceAdapter(recorder).attach(simulator.channel)
-    simulator.run()
-    first_run = list(recorder.events)
-    simulator.run()
-    # begin_run resets the trace: the second run neither accumulates the
-    # first run's events nor continues its sequence numbering.
-    assert len(recorder.events) == len(first_run)
-    assert recorder.events[0].sequence == 0
-    assert recorder.events == first_run  # same seed, same deterministic trace
-
-
-def test_attach_to_second_channel_detaches_from_first() -> None:
-    first = _simulator(epochs=1)
-    second = _simulator(epochs=1)
-    recorder = TraceRecorder(substrate="network")
-    adapter = ChannelTraceAdapter(recorder)
-    adapter.attach(first.channel)
-    adapter.attach(second.channel)
-    first.run()
-    assert recorder.events == []  # no longer listening on the first channel
-    second.run()
-    assert recorder.events != []
+    dropped_source = (0, simulator.tree.parent(0))
+    dropped_root = (simulator.tree.root_id, QUERIER_NODE_ID)
+    for epoch in (1, 2):
+        for sender, receiver in (dropped_source, dropped_root):
+            hop = recorder.filter(epoch=epoch, node=sender)
+            hop = [e for e in hop if (e.sender, e.receiver) == (sender, receiver)]
+            assert [(e.kind, e.detail) for e in hop] == [
+                ("attempt", None),
+                ("drop", "channel"),
+            ]
+    slices = trace_dispositions(recorder.events)
+    assert sorted(slices) == [1, 2]
+    for per_epoch in slices.values():
+        assert per_epoch["dropped"] == sorted([dropped_source, dropped_root])

@@ -1,4 +1,9 @@
-"""Adapters and profiling: substrate hooks into the unified schema."""
+"""Substrate hooks into the unified schema, metric publishing and profiling.
+
+Every substrate reports hops to one ``(kind, attrs)`` observer; a
+:class:`~repro.obs.TraceRecorder` passed as the config's ``observer``
+adapts that stream into :class:`~repro.obs.ObsEvent` records.
+"""
 
 from __future__ import annotations
 
@@ -10,12 +15,10 @@ from repro.network.ledger import HopLedger
 from repro.network.simulator import NetworkSimulator, SimulationConfig
 from repro.network.topology import build_complete_tree
 from repro.obs import (
-    ChannelTraceAdapter,
     MetricsRegistry,
     PhaseProfiler,
     ProfiledCodec,
     TraceRecorder,
-    TransportTraceAdapter,
     publish_network_metrics,
     publish_runtime_metrics,
     publish_traffic,
@@ -25,91 +28,53 @@ from repro.runtime import FaultPlan, RuntimeConfig, RuntimeSimulator
 N = 16
 
 
-def _network_simulator(epochs: int = 2) -> NetworkSimulator:
+def _network_simulator(
+    epochs: int = 2, observer: TraceRecorder | None = None
+) -> NetworkSimulator:
     protocol = SIESProtocol(N, seed=3)
     tree = build_complete_tree(N, 4)
     workload = UniformWorkload(N, 1, 50, seed=4)
-    return NetworkSimulator(protocol, tree, workload, SimulationConfig(num_epochs=epochs))
+    config = SimulationConfig(num_epochs=epochs, observer=observer)
+    return NetworkSimulator(protocol, tree, workload, config)
 
 
-def _runtime_simulator(*, loss: float, seed: int = 11, epochs: int = 3) -> RuntimeSimulator:
+def _runtime_simulator(
+    *, loss: float, seed: int = 11, epochs: int = 3, observer: TraceRecorder | None = None
+) -> RuntimeSimulator:
     protocol = SIESProtocol(N, seed=seed)
     tree = build_complete_tree(N, 4)
     workload = UniformWorkload(N, 1, 50, seed=seed)
     config = RuntimeConfig(
-        num_epochs=epochs, plan=FaultPlan.uniform_loss(loss), seed=seed, keyed_faults=True
+        num_epochs=epochs,
+        plan=FaultPlan.uniform_loss(loss),
+        seed=seed,
+        keyed_faults=True,
+        observer=observer,
     )
     return RuntimeSimulator(protocol, tree, workload, config)
 
 
 # ----------------------------------------------------------------------
-# ChannelTraceAdapter (analytic substrate)
+# The recorder as the hop observer
 # ----------------------------------------------------------------------
 
 
-def test_channel_adapter_records_every_hop_as_send() -> None:
-    simulator = _network_simulator(epochs=2)
+def test_analytic_observer_records_every_hop_as_attempt_and_deliver() -> None:
     recorder = TraceRecorder(substrate="network")
-    adapter = ChannelTraceAdapter(recorder)
-    adapter.attach(simulator.channel)
-    metrics = simulator.run()
+    metrics = _network_simulator(epochs=2, observer=recorder).run()
     hops = metrics.traffic.total("messages")
-    assert len(recorder.events) == hops
-    assert {e.kind for e in recorder.events} == {"send"}
-    assert all(e.wire_bytes and e.psr_type == "SIESRecord" for e in recorder.events)
-    # analytic hops are deliveries: nothing is ever "dropped"
+    assert len(recorder.filter(kinds=("attempt",))) == hops
+    assert len(recorder.filter(kinds=("deliver",))) == hops
+    assert {e.kind for e in recorder.events} == {"attempt", "deliver"}
+    # lossless analytic hops are deliveries: nothing is ever "dropped"
     for per_epoch in recorder.dispositions().values():
         assert per_epoch["dropped"] == []
         assert len(per_epoch["delivered"]) > 0
 
 
-def test_channel_adapter_attach_is_idempotent() -> None:
-    simulator = _network_simulator(epochs=1)
-    recorder = TraceRecorder(substrate="network")
-    adapter = ChannelTraceAdapter(recorder)
-    adapter.attach(simulator.channel)
-    adapter.attach(simulator.channel)  # no-op, not a second interceptor
-    metrics = simulator.run()
-    assert len(recorder.events) == metrics.traffic.total("messages")
-
-
-def test_channel_adapter_detach_stops_recording() -> None:
-    simulator = _network_simulator(epochs=1)
-    recorder = TraceRecorder(substrate="network")
-    adapter = ChannelTraceAdapter(recorder)
-    adapter.attach(simulator.channel)
-    adapter.detach()
-    adapter.detach()  # idempotent
-    simulator.run()
-    assert recorder.events == []
-
-
-def test_channel_adapter_resets_recorder_per_run() -> None:
-    first = _network_simulator(epochs=1)
-    recorder = TraceRecorder(substrate="network")
-    adapter = ChannelTraceAdapter(recorder)
-    adapter.attach(first.channel)
-    first.run()
-    count = len(recorder.events)
-    adapter.detach()
-    second = _network_simulator(epochs=1)
-    adapter.attach(second.channel)
-    second.run()
-    # begin_run cleared the recorder: same deterministic run, not doubled.
-    assert len(recorder.events) == count
-    assert recorder.events[0].sequence == 0
-
-
-# ----------------------------------------------------------------------
-# TransportTraceAdapter (runtime substrate)
-# ----------------------------------------------------------------------
-
-
 def test_transport_adapter_traces_runtime_arq() -> None:
-    simulator = _runtime_simulator(loss=0.3)
     recorder = TraceRecorder(substrate="runtime")
-    simulator.set_observer(TransportTraceAdapter(recorder))
-    metrics = simulator.run()
+    metrics = _runtime_simulator(loss=0.3, observer=recorder).run()
     kinds = {e.kind for e in recorder.events}
     assert "attempt" in kinds and "deliver" in kinds and "drop" in kinds
     attempts = [e for e in recorder.events if e.kind == "attempt"]
@@ -124,11 +89,18 @@ def test_transport_adapter_traces_runtime_arq() -> None:
 
 def test_transport_adapter_observer_is_optional() -> None:
     """No observer, no trace — and byte-identical metrics either way."""
-    traced = _runtime_simulator(loss=0.3)
     recorder = TraceRecorder(substrate="runtime")
-    traced.set_observer(TransportTraceAdapter(recorder))
-    plain = _runtime_simulator(loss=0.3)
-    assert traced.run().ledger() == plain.run().ledger()
+    traced = _runtime_simulator(loss=0.3, observer=recorder).run()
+    plain = _runtime_simulator(loss=0.3).run()
+    assert traced.ledger() == plain.ledger()
+    assert traced.epochs == plain.epochs
+    assert recorder.events
+
+    recorder = TraceRecorder(substrate="network")
+    traced = _network_simulator(epochs=3, observer=recorder).run()
+    plain = _network_simulator(epochs=3).run()
+    assert traced.traffic.as_dict() == plain.traffic.as_dict()
+    assert traced.epochs == plain.epochs
     assert recorder.events
 
 

@@ -6,11 +6,13 @@ seed-determined disposition slices — per-epoch delivered/dropped sets
 of hops — because both substrates consult the same attempt-keyed fault
 oracle (``KeyedFaultInjector``: one keyed BLAKE2b digest per attempt
 coordinate).  Timing-dependent kinds (duplicates, ACK losses, give-ups)
-are recorded but excluded from the compared slice.
+are recorded but excluded from the compared slice.  Without loss the
+analytic simulator's trace agrees with both.
 
 The published traffic series must mean the same thing on every
 substrate as well: one message and its payload and frame bytes per
-attempt, counted into the run's one ledger.
+attempt, counted into the run's one ledger — and one ``attempt`` trace
+event per message.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from repro.network.channel import EdgeClass
 from repro.obs import (
     MetricsRegistry,
     TraceRecorder,
-    TransportTraceAdapter,
     diff_traces,
     publish_cluster_metrics,
     publish_network_metrics,
@@ -42,15 +43,27 @@ pytestmark = pytest.mark.cluster
 SAFE = dict(hold_time=0.5, querier_slack=0.5)
 
 
+def _analytic_trace(n, fanout, epochs, seed) -> tuple[TraceRecorder, object]:
+    recorder = TraceRecorder(substrate="network", run_id=f"seed-{seed}")
+    simulator = NetworkSimulator(
+        SIESProtocol(n, seed=seed),
+        build_complete_tree(n, fanout),
+        DomainScaledWorkload(n, scale=100, seed=seed),
+        SimulationConfig(num_epochs=epochs, observer=recorder),
+    )
+    return recorder, simulator.run()
+
+
 def _runtime_trace(n, fanout, epochs, seed, plan) -> tuple[TraceRecorder, object]:
     recorder = TraceRecorder(substrate="runtime", run_id=f"seed-{seed}")
     simulator = RuntimeSimulator(
         SIESProtocol(n, seed=seed),
         build_complete_tree(n, fanout),
         DomainScaledWorkload(n, scale=100, seed=seed),
-        RuntimeConfig(num_epochs=epochs, seed=seed, plan=plan, keyed_faults=True),
+        RuntimeConfig(
+            num_epochs=epochs, seed=seed, plan=plan, keyed_faults=True, observer=recorder
+        ),
     )
-    simulator.set_observer(TransportTraceAdapter(recorder))
     return recorder, simulator.run()
 
 
@@ -63,7 +76,7 @@ def _cluster_trace(n, fanout, epochs, seed, plan) -> tuple[TraceRecorder, object
         seed=seed,
         plan=plan,
         window=4,
-        observer=TransportTraceAdapter(recorder),
+        observer=recorder,
         **SAFE,
     )
     orchestrator = EpochOrchestrator(
@@ -125,17 +138,22 @@ def test_trace_agreement_across_seeds() -> None:
 
 
 def test_lossless_traces_have_no_drops_and_full_delivery() -> None:
+    analytic_rec, _ = _analytic_trace(8, 2, 2, 5)
     runtime_rec, _ = _runtime_trace(8, 2, 2, 5, FaultPlan.lossless())
     cluster_rec, _ = _cluster_trace(8, 2, 2, 5, FaultPlan.lossless())
     # every sending node (sources + aggregators, root included) delivers
     hops = 8 + build_complete_tree(8, 2).num_aggregators
-    for recorder in (runtime_rec, cluster_rec):
+    for recorder in (analytic_rec, runtime_rec, cluster_rec):
+        assert sorted(recorder.dispositions()) == [1, 2]
         for per_epoch in recorder.dispositions().values():
             assert per_epoch["dropped"] == []
             assert per_epoch["late"] == []
             assert len(per_epoch["delivered"]) == hops
-    verdict = diff_traces(runtime_rec.events, cluster_rec.events)
-    assert verdict.agrees
+    for label, other in (("runtime", runtime_rec), ("cluster", cluster_rec)):
+        verdict = diff_traces(
+            analytic_rec.events, other.events, label_a="analytic", label_b=label
+        )
+        assert verdict.agrees, verdict.describe()
 
 
 def _assert_substrates_agree(n, fanout, epochs, seed, plan):
@@ -248,6 +266,20 @@ def test_traffic_series_count_attempts_on_both_arq_substrates() -> None:
     for name in _TRAFFIC:
         for edge in matched:
             assert runtime[name].get(edge) == cluster[name].get(edge), (name, edge)
+
+
+@pytest.mark.parametrize("substrate", ["runtime", "cluster"])
+def test_attempt_events_match_ledger_messages(substrate: str) -> None:
+    """The trace narrates the ledger at 20% loss: one ``attempt`` event
+    per message counted, edge class by edge class (the analytic
+    simulator: ``tests/network/test_tracing.py``)."""
+    trace = _runtime_trace if substrate == "runtime" else _cluster_trace
+    recorder, metrics = trace(8, 2, 4, 2011, FaultPlan.uniform_loss(0.2))
+    ledger = metrics.transport if substrate == "runtime" else metrics.traffic
+    assert recorder.filter(kinds=("drop",))
+    for edge in EdgeClass:
+        attempts = recorder.filter(edge=edge.value, kinds=("attempt",))
+        assert len(attempts) == ledger.edge(edge).messages > 0
 
 
 def test_lossless_runtime_publishes_the_analytic_traffic() -> None:

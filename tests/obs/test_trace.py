@@ -47,7 +47,7 @@ def test_jsonl_roundtrip_preserves_everything() -> None:
     rec = _recorder()
     rec.record(
         "drop", epoch=3, edge="A-A", sender=9, receiver=10,
-        time=12.5, attempt=2, uid=3, wire_bytes=44, psr_type="SIESRecord", detail="link",
+        time=12.5, attempt=2, uid=3, detail="link",
     )
     rec.record("give_up", epoch=3, edge="A-A", sender=9, receiver=10, attempt=4)
     buf = io.StringIO()
@@ -91,11 +91,20 @@ def test_dispositions_classify_hops_per_epoch() -> None:
 
 
 def test_analytic_send_counts_as_delivery() -> None:
+    """An analytic hop is an ``attempt`` then a ``deliver`` or a ``drop``,
+    as on the ARQ substrates; there is no separate ``send`` kind."""
     rec = TraceRecorder(substrate="network")
-    rec.record("send", epoch=1, edge="S-A", sender=0, receiver=8)
+    hop = dict(edge="S-A", receiver=8, uid=1, attempt=0)
+    rec("attempt", dict(hop, epoch=1, sender=0))
+    rec("deliver", dict(hop, epoch=1, sender=0))
+    rec("attempt", dict(hop, epoch=1, sender=1))
+    rec("drop", dict(hop, epoch=1, sender=1, cause="channel"))
     slices = trace_dispositions(rec.events)
     assert slices[1]["delivered"] == [(0, 8)]
-    assert slices[1]["dropped"] == []
+    assert slices[1]["dropped"] == [(1, 8)]
+    assert rec.events[-1].detail == "channel"
+    with pytest.raises(ParameterError, match="unknown trace event kind"):
+        rec.record("send", epoch=1, edge="S-A", sender=0, receiver=8)
 
 
 def test_diff_traces_agrees_on_identical_slices() -> None:

@@ -17,7 +17,7 @@ from repro.core.protocol import SIESProtocol
 from repro.datasets.workload import UniformWorkload
 from repro.network.channel import EdgeClass
 from repro.network.topology import build_complete_tree, build_random_tree
-from repro.obs import TraceRecorder, TransportTraceAdapter
+from repro.obs import TraceRecorder
 from repro.runtime import FaultPlan, LinkProfile, NodeOutage, RuntimeConfig, RuntimeSimulator
 
 
@@ -102,14 +102,13 @@ def test_copy_sent_to_a_down_receiver_is_counted_and_traced() -> None:
         default_profile=LinkProfile(loss_rate=0.0, latency=1.0, jitter=0.0),
         outages=(NodeOutage(node_id=aggregator, first_epoch=1, last_epoch=1),),
     )
+    recorder = TraceRecorder(substrate="runtime")
     sim = RuntimeSimulator(
         SIESProtocol(num_sources=n, seed=7),
         tree,
         UniformWorkload(n, 0, 500, seed=7),
-        RuntimeConfig(num_epochs=2, plan=plan, seed=7),
+        RuntimeConfig(num_epochs=2, plan=plan, seed=7, observer=recorder),
     )
-    recorder = TraceRecorder(substrate="runtime")
-    sim.set_observer(TransportTraceAdapter(recorder))
     metrics = sim.run()
 
     towards = recorder.filter(epoch=1, node=aggregator, edge="S-A")

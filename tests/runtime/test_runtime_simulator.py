@@ -93,14 +93,17 @@ def test_late_copies_are_counted_and_never_reach_the_sum() -> None:
     """A hold time below the ARQ's second retransmit delay makes copies
     miss their merge deadline; each is counted late against its epoch and
     none of the sources it carried survives."""
+    late: list[dict] = []
     sim, workload = make_runtime(
-        plan=FaultPlan.uniform_loss(0.4), epochs=10, hold_time=20.0, seed=1
+        plan=FaultPlan.uniform_loss(0.4),
+        epochs=10,
+        hold_time=20.0,
+        seed=1,
+        observer=lambda kind, attrs: late.append(attrs) if kind == "late" else None,
     )
     assert sim.config.hold_time < sim.config.policy.timeout_for(0, 0.0) + (
         sim.config.policy.timeout_for(1, 0.0)
     )
-    late: list[dict] = []
-    sim.set_observer(lambda kind, attrs: late.append(attrs) if kind == "late" else None)
     metrics = sim.run()
 
     assert any(em.late_arrivals >= 1 for em in metrics.epochs)

@@ -4,22 +4,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.source import SIESRecord
 from repro.errors import ParameterError
 from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
-from repro.protocols.base import PartialStateRecord
 from repro.runtime.events import EventScheduler
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile, NodeOutage
 from repro.runtime.transport import ReliableTransport, RetransmitPolicy
+from repro.wire.codecs import SIESCodec
+
+MODULUS_BYTES = 32
 
 
-class StubPSR(PartialStateRecord):
-    def __init__(self, epoch: int = 1, size: int = 32) -> None:
-        self.epoch = epoch
-        self._size = size
+def _channel() -> Channel:
+    return Channel(SIESCodec(MODULUS_BYTES))
 
-    def wire_size(self) -> int:
-        return self._size
+
+def _record(epoch: int = 1) -> SIESRecord:
+    return SIESRecord(ciphertext=12345, epoch=epoch, modulus_bytes=MODULUS_BYTES)
 
 
 def make_transport(plan: FaultPlan, policy: RetransmitPolicy | None = None, *, seed: int = 0):
@@ -27,7 +29,7 @@ def make_transport(plan: FaultPlan, policy: RetransmitPolicy | None = None, *, s
     transport = ReliableTransport(
         scheduler,
         KeyedFaultInjector(plan, seed=seed),
-        Channel(),
+        _channel(),
         policy or RetransmitPolicy(),
         seed=seed,
     )
@@ -38,7 +40,7 @@ def send_one(transport: ReliableTransport, *, epoch: int = 1):
     delivered: list[frozenset[int]] = []
     failed: list[int] = []
     parcel = transport.send(
-        DataMessage(0, 1, epoch, StubPSR(epoch)),
+        DataMessage(0, 1, epoch, _record(epoch)),
         EdgeClass.SOURCE_TO_AGGREGATOR,
         frozenset({0}),
         on_deliver=lambda _m, manifest: delivered.append(manifest),
@@ -120,11 +122,11 @@ def test_lost_ack_causes_spurious_retransmit_but_single_delivery() -> None:
     scheduler = EventScheduler()
     injector = KeyedFaultInjector(plan, seed=0)
     injector.ack_verdict = lambda *coordinate: True  # type: ignore[method-assign]
-    transport = ReliableTransport(scheduler, injector, Channel(), policy, seed=0)
+    transport = ReliableTransport(scheduler, injector, _channel(), policy, seed=0)
     delivered: list[frozenset[int]] = []
     failed: list[int] = []
     parcel = transport.send(
-        DataMessage(0, 1, 1, StubPSR()),
+        DataMessage(0, 1, 1, _record()),
         EdgeClass.SOURCE_TO_AGGREGATOR,
         frozenset({0}),
         on_deliver=lambda _m, manifest: delivered.append(manifest),
@@ -154,14 +156,14 @@ def test_channel_interceptor_sees_every_physical_attempt() -> None:
     plan = FaultPlan.uniform_loss(1.0)
     policy = RetransmitPolicy(max_retries=4, ack_timeout=2.0, jitter=0.0)
     scheduler = EventScheduler()
-    channel = Channel()
+    channel = _channel()
     seen: list[int] = []
     channel.add_interceptor(lambda m, e: (seen.append(m.epoch), m)[1])
     transport = ReliableTransport(
         scheduler, KeyedFaultInjector(plan, seed=0), channel, policy, seed=0
     )
     transport.send(
-        DataMessage(0, 1, 7, StubPSR(7)),
+        DataMessage(0, 1, 7, _record(7)),
         EdgeClass.SOURCE_TO_AGGREGATOR,
         frozenset({0}),
     )
@@ -174,7 +176,7 @@ def test_channel_interceptor_sees_every_physical_attempt() -> None:
 
 def test_adversarial_drop_looks_like_loss_and_triggers_retransmit() -> None:
     scheduler = EventScheduler()
-    channel = Channel()
+    channel = _channel()
     # Drop the first two physical attempts, then let traffic through.
     state = {"count": 0}
 
@@ -192,7 +194,7 @@ def test_adversarial_drop_looks_like_loss_and_triggers_retransmit() -> None:
     )
     delivered: list[frozenset[int]] = []
     transport.send(
-        DataMessage(0, 1, 1, StubPSR()),
+        DataMessage(0, 1, 1, _record()),
         EdgeClass.SOURCE_TO_AGGREGATOR,
         frozenset({0}),
         on_deliver=lambda _m, manifest: delivered.append(manifest),

@@ -163,7 +163,8 @@ def test_trace_command_prints_events_and_filters(capsys) -> None:
                  "--epochs", "2", "--seed", "7", "--epoch", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     events = [json.loads(line) for line in lines]
-    assert events and all(e["epoch"] == 2 and e["kind"] == "send" for e in events)
+    assert events and all(e["epoch"] == 2 for e in events)
+    assert {e["kind"] for e in events} <= {"attempt", "deliver"}
 
 
 def test_trace_command_dispositions(capsys) -> None:

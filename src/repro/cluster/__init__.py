@@ -22,7 +22,7 @@ from repro.cluster.envelope import (
 from repro.cluster.faults import parcel_fate
 from repro.cluster.framing import DEFAULT_MAX_PAYLOAD, FrameAssembler, FrameReader, FrameWriter
 from repro.cluster.metrics import ClusterRunMetrics
-from repro.cluster.node import AggregatorNode, ClusterNode, QuerierNode, SourceNode
+from repro.cluster.node import ClusterNode
 from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator, run_cluster
 
 __all__ = [
@@ -39,10 +39,7 @@ __all__ = [
     "FrameReader",
     "FrameWriter",
     "ClusterRunMetrics",
-    "AggregatorNode",
     "ClusterNode",
-    "QuerierNode",
-    "SourceNode",
     "ClusterConfig",
     "EpochOrchestrator",
     "run_cluster",

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.network.ledger import HopLedger
 from repro.runtime.metrics import EpochRecord, EpochSeries
-from repro.runtime.recovery import RecoveryLedger
 
 __all__ = ["ClusterRunMetrics"]
 
@@ -43,7 +42,6 @@ class ClusterRunMetrics(EpochSeries):
     window: int
     epochs: list[EpochRecord] = field(default_factory=list)
     traffic: HopLedger = field(default_factory=HopLedger)
-    recovery: RecoveryLedger = field(default_factory=RecoveryLedger)
     #: Real seconds for the whole run (servers up → last epoch settled).
     wall_seconds: float = 0.0
 
@@ -75,7 +73,7 @@ class ClusterRunMetrics(EpochSeries):
                 "num_epochs": self.num_epochs,
                 "acceptance_rate": self.acceptance_rate(),
                 "delivery_rate": self.delivery_rate(),
-                "recovery": self.recovery.as_dict(),
+                "recovery": self.recovery_summary(),
                 "traffic": self.traffic.as_dict(),
                 "wall_seconds": self.wall_seconds,
                 "epochs_per_second": self.epochs_per_second(),

@@ -9,16 +9,21 @@
 3. **pipeline** — epochs launch in order through a bounded window (an
    ``asyncio.Semaphore``): up to ``window`` epochs are in flight at
    once, exactly like the logical runtime's ``epoch_interval``
-   pipelining but paced by completion instead of a clock;
+   pipelining but paced by completion instead of a clock.  An epoch
+   holds its slot until its querier has settled it and every parcel it
+   sent has finished its ARQ;
 4. **drain** — uplinks half-close bottom-up (sources first, root last)
    so every in-flight ACK is read before any socket dies, then servers
    stop and :meth:`~repro.network.ledger.HopLedger.check_conservation`
    proves no frame went unaccounted.
 
-Epoch deadlines are *relative to the epoch's launch*, so a window-8 run
-has eight independent deadline clocks ticking — the hold-and-wait
-schedule (``hold_time × height``, from the event runtime's
-:class:`~repro.runtime.epoch.EpochPlanner`) is per epoch, not global.
+Each epoch runs on the event runtime's
+:class:`~repro.runtime.epoch.EpochDriver`, with the running loop's
+``time`` and ``call_later`` as its timer and :meth:`ClusterNode.send_psr
+<repro.cluster.node.ClusterNode.send_psr>` tasks as its sends.  Epoch
+deadlines are *relative to the epoch's launch*, so a window-8 run has
+eight independent sets of loop timers armed — the hold-and-wait schedule
+(``hold_time × height``) is per epoch, not global.
 
 Everything protocol-specific comes from the registered facades
 (:func:`repro.protocols.registry.create_protocol`): the orchestrator
@@ -29,17 +34,18 @@ secoa_m — through the same lifecycle.
 from __future__ import annotations
 
 import asyncio
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.network.ledger import EdgeClass, HopLedger
 from repro.network.messages import QUERIER_NODE_ID, Workload
 from repro.network.topology import AggregationTree
-from repro.cluster.clock import ClusterClock
 from repro.cluster.metrics import ClusterRunMetrics
-from repro.cluster.node import AggregatorNode, ClusterNode, QuerierNode, SourceNode
-from repro.protocols.base import SecureAggregationProtocol
-from repro.runtime.epoch import EpochPlanner, settled_epochs
+from repro.cluster.node import ClusterNode
+from repro.protocols.base import PartialStateRecord, SecureAggregationProtocol
+from repro.runtime.epoch import EpochDriver, EpochPlanner
+from repro.runtime.metrics import EpochRecord
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
 from repro.runtime.hop import RetransmitPolicy, TransportObserver
 from repro.utils.validation import check_positive_int
@@ -119,48 +125,8 @@ class EpochOrchestrator:
         self.workload = workload
         self.config = config or ClusterConfig()
         self.codec = protocol.wire_codec()
-        self.clock = ClusterClock()
         self.injector = KeyedFaultInjector(self.config.plan, seed=self.config.seed)
         self.ledger = HopLedger()
-        common = dict(
-            ledger=self.ledger,
-            injector=self.injector,
-            policy=self.config.policy,
-            clock=self.clock,
-            seed=self.config.seed,
-            observer=self.config.observer,
-        )
-        self.sources = {
-            sid: SourceNode(sid, protocol.create_source(sid), self.codec, **common)
-            for sid in tree.source_ids
-        }
-        self.aggregators = {
-            aid: AggregatorNode(
-                aid,
-                protocol.create_aggregator(),
-                self.codec,
-                is_root=(aid == tree.root_id),
-                edge_of_sender={
-                    child: (
-                        EdgeClass.SOURCE_TO_AGGREGATOR
-                        if tree.node(child).is_source
-                        else EdgeClass.AGGREGATOR_TO_AGGREGATOR
-                    )
-                    for child in tree.children(aid)
-                },
-                **common,
-            )
-            for aid in tree.aggregator_ids
-        }
-        self.querier = QuerierNode(
-            QUERIER_NODE_ID,
-            protocol.create_querier(),
-            self.codec,
-            num_sources=tree.num_sources,
-            evaluate=self.config.evaluate,
-            edge_of_sender={tree.root_id: EdgeClass.AGGREGATOR_TO_QUERIER},
-            **common,
-        )
         self._planner = EpochPlanner(
             tree,
             hold_time=self.config.hold_time,
@@ -168,68 +134,111 @@ class EpochOrchestrator:
             failed_sources=self.config.failed_sources,
             faults=self.config.plan,
         )
+        #: Node id → its node, built on the running loop by :meth:`run`.
+        self._nodes: dict[int, ClusterNode] = {}
+        #: Epoch in flight → (settled future, its parcels' ARQ tasks).
+        self._in_flight: dict[int, tuple[asyncio.Future, list[asyncio.Task]]] = {}
         self._ran = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def _all_nodes(self) -> list[ClusterNode]:
-        return [*self.sources.values(), *self.aggregators.values(), self.querier]
+    def _build(self, loop: asyncio.AbstractEventLoop) -> EpochDriver:
+        """The driver on *loop*'s timer, and one node per tree node plus the querier."""
+        protocol, tree = self.protocol, self.tree
+
+        def call_later(delay: float, fn: Callable[[], None]) -> None:
+            loop.call_later(delay, self._fire, fn)
+
+        driver = EpochDriver(
+            self._planner,
+            self.workload,
+            sources={sid: protocol.create_source(sid) for sid in tree.source_ids},
+            aggregators={aid: protocol.create_aggregator() for aid in tree.aggregator_ids},
+            querier=protocol.create_querier(),
+            now=loop.time,
+            call_later=call_later,
+            send=self._send,
+            evaluate=self.config.evaluate,
+            on_settled=self._settled,
+        )
+        for node_id in (*tree.source_ids, *tree.aggregator_ids, QUERIER_NODE_ID):
+            self._nodes[node_id] = ClusterNode(
+                node_id,
+                codec=self.codec,
+                uplink=self._planner.uplink,
+                deliver=driver.deliver,
+                ledger=self.ledger,
+                injector=self.injector,
+                policy=self.config.policy,
+                seed=self.config.seed,
+                now=loop.time,
+                observer=self.config.observer,
+            )
+        return driver
 
     async def _bind_and_connect(self) -> None:
-        for node in self._all_nodes():
+        for node in self._nodes.values():
             await node.start()
-        for sid, source in self.sources.items():
-            parent = self.tree.parent(sid)
-            if parent is None:
-                raise SimulationError(f"source {sid} has no parent aggregator")
-            await source.connect_uplink(
-                parent, self.aggregators[parent].port, EdgeClass.SOURCE_TO_AGGREGATOR
-            )
-        for aid, aggregator in self.aggregators.items():
-            parent = self.tree.parent(aid)
-            if parent is None:
-                await aggregator.connect_uplink(
-                    QUERIER_NODE_ID, self.querier.port, EdgeClass.AGGREGATOR_TO_QUERIER
-                )
-            else:
-                await aggregator.connect_uplink(
-                    parent, self.aggregators[parent].port, EdgeClass.AGGREGATOR_TO_AGGREGATOR
-                )
+        for node_id, (receiver, _) in self._planner.uplink.items():
+            await self._nodes[node_id].connect_uplink(self._nodes[receiver].port)
 
     async def _shutdown(self) -> None:
         # Bottom-up: leaves half-close first, so each parent sees EOF only
         # after all child traffic, ACKs everything, and only then does the
         # parent's own uplink close — no ACK is ever stranded in a buffer.
-        for source in self.sources.values():
-            await source.close_uplink()
-        for aid in self.tree.bottom_up_aggregators():
-            await self.aggregators[aid].close_uplink()
-        for node in self._all_nodes():
+        for node_id in (*self.tree.source_ids, *self.tree.bottom_up_aggregators()):
+            await self._nodes[node_id].close_uplink()
+        for node in self._nodes.values():
             await node.stop()
 
     # ------------------------------------------------------------------
     # Epoch pipeline
     # ------------------------------------------------------------------
 
-    async def _run_epoch(self, epoch: int, window: asyncio.Semaphore) -> None:
+    def _send(
+        self,
+        sender: int,
+        receiver: int,
+        edge: EdgeClass,
+        epoch: int,
+        psr: PartialStateRecord,
+        manifest: frozenset[int],
+    ) -> None:
+        """The driver's send: one ARQ task on *sender*'s uplink, kept by its epoch."""
+        _, parcels = self._in_flight[epoch]
+        parcels.append(asyncio.ensure_future(self._nodes[sender].send_psr(epoch, psr, manifest)))
+
+    def _settled(self, record: EpochRecord) -> None:
+        self._in_flight[record.epoch][0].set_result(None)
+
+    def _fire(self, fn: Callable[[], None]) -> None:
+        """Run a driver timer; an error in it fails every epoch in flight
+        (a timer's exception would otherwise only reach the loop's log,
+        and an epoch whose expiry failed would never settle)."""
+        try:
+            fn()
+        except Exception as exc:
+            for settled, _ in self._in_flight.values():
+                if not settled.done():
+                    settled.set_exception(exc)
+            raise
+
+    async def _run_epoch(
+        self, driver: EpochDriver, epoch: int, window: asyncio.Semaphore
+    ) -> None:
         async with window:
-            plan = self._planner.plan(epoch)
-            self.querier.open_epoch(epoch, plan.attempted, plan.pre_failed)
-            for aid, expected in plan.expected.items():
-                self.aggregators[aid].open_epoch(epoch, expected)
-            await asyncio.gather(
-                self.querier.run_epoch(epoch, self._planner.querier_offset),
-                *(
-                    self.aggregators[aid].run_epoch(epoch, self._planner.merge_offset[aid])
-                    for aid in plan.expected
-                ),
-                *(
-                    self.sources[sid].run_epoch(epoch, self.workload(sid, epoch))
-                    for sid in sorted(plan.attempted)
-                ),
-            )
+            settled: asyncio.Future = asyncio.get_running_loop().create_future()
+            parcels: list[asyncio.Task] = []
+            self._in_flight[epoch] = (settled, parcels)
+            driver.start(epoch)
+            await settled
+            # Merges happen before the settlement, so every parcel of the
+            # epoch is already in the list: wait for each ARQ to finish.
+            for parcel in parcels:
+                await parcel
+            del self._in_flight[epoch]
 
     async def run(self) -> ClusterRunMetrics:
         """Execute the configured epochs over real sockets.
@@ -243,34 +252,32 @@ class EpochOrchestrator:
                 "for an independent (and reproducible) run"
             )
         self._ran = True
-        metrics = ClusterRunMetrics(
-            protocol=self.protocol.name,
-            num_sources=self.tree.num_sources,
-            seed=self.config.seed,
-            window=self.config.window,
-        )
+        loop = asyncio.get_running_loop()
+        driver = self._build(loop)
         await self._bind_and_connect()
-        started = self.clock.now()
+        started = loop.time()
         try:
             window = asyncio.Semaphore(self.config.window)
             await asyncio.gather(
                 *(
-                    self._run_epoch(self.config.start_epoch + offset, window)
+                    self._run_epoch(driver, self.config.start_epoch + offset, window)
                     for offset in range(self.config.num_epochs)
                 )
             )
         finally:
-            metrics.wall_seconds = self.clock.now() - started
+            wall_seconds = loop.time() - started
             await self._shutdown()
-        # After the drain, so stragglers' late copies are counted too.
-        metrics.record_epochs(
-            settled_epochs(
-                self.querier.epochs, (node.merger for node in self.aggregators.values())
-            )
-        )
-        metrics.traffic = self.ledger
         self.ledger.check_conservation()
-        return metrics
+        return ClusterRunMetrics(
+            protocol=self.protocol.name,
+            num_sources=self.tree.num_sources,
+            seed=self.config.seed,
+            window=self.config.window,
+            # After the drain, so stragglers' late copies are counted too.
+            epochs=driver.records(),
+            traffic=self.ledger,
+            wall_seconds=wall_seconds,
+        )
 
 
 def run_cluster(

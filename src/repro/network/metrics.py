@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.network.ledger import HopLedger
 from repro.protocols.base import OpCounter
 from repro.runtime.metrics import EpochRecord, EpochSeries
-from repro.runtime.recovery import RecoveryLedger
 
 __all__ = ["RunMetrics"]
 
@@ -27,7 +26,6 @@ class RunMetrics(EpochSeries):
     protocol: str
     num_sources: int
     epochs: list[EpochRecord] = field(default_factory=list)
-    recovery: RecoveryLedger = field(default_factory=RecoveryLedger)
     traffic: HopLedger = field(default_factory=HopLedger)
     source_ops: OpCounter = field(default_factory=OpCounter)
     aggregator_ops: OpCounter = field(default_factory=OpCounter)

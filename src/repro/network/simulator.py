@@ -84,12 +84,6 @@ class NetworkSimulator:
                 f"topology has {tree.num_sources} sources but protocol was set up "
                 f"for {protocol.num_sources}"
             )
-        if tree.node(tree.root_id).is_source:
-            raise SimulationError(f"source {tree.root_id} has no parent aggregator")
-        #: Node → the receiver of its one hop up the tree.
-        self._uplink = {
-            n.node_id: QUERIER_NODE_ID if n.parent_id is None else n.parent_id for n in tree
-        }
         self.protocol = protocol
         self.tree = tree
         self.workload = workload
@@ -151,12 +145,12 @@ class NetworkSimulator:
         metrics = RunMetrics(
             protocol=self.protocol.name,
             num_sources=self.tree.num_sources,
+            epochs=records,
             traffic=self.channel.ledger,
             source_ops=self.source_ops,
             aggregator_ops=self.aggregator_ops,
             querier_ops=self.querier_ops,
         )
-        metrics.record_epochs(records)
         if self._energy is not None:
             metrics.energy_by_node = dict(self._energy.spent_by_node)
         return metrics
@@ -179,12 +173,12 @@ class NetworkSimulator:
         for sid in self.tree.source_ids:
             if sid in plan.attempted:
                 psr = self._sources[sid].initialize(epoch, self.workload(sid, epoch))
-                self._send(DataMessage(sid, self._uplink[sid], epoch, psr))
+                self._send(sid, epoch, psr)
         final = None
         for aid in plan.expected:  # bottom-up, so the root closes last
             forward = self._mergers[aid].close(epoch)
             if forward is not None:
-                final = self._send(DataMessage(aid, self._uplink[aid], epoch, forward[0]))
+                final = self._send(aid, epoch, forward[0])
         if final is None:
             return settle_lost(epoch, attempted=plan.attempted, pre_failed=plan.pre_failed)
         return settle_final(
@@ -198,25 +192,23 @@ class NetworkSimulator:
             evaluate=self.config.evaluate,
         )
 
-    def _send(self, message: DataMessage) -> PartialStateRecord | None:
-        """One hop, radio energy charged; the PSR, when it reached the querier.
+    def _send(
+        self, sender: int, epoch: int, psr: PartialStateRecord
+    ) -> PartialStateRecord | None:
+        """One hop up the tree, radio energy charged; the PSR, when it
+        reached the querier.
 
         A PSR delivered to an aggregator goes into its hold-and-wait inbox
         with an empty manifest: the plan, not the merge, names the
         reporting subset here.
         """
-        if message.receiver == QUERIER_NODE_ID:
-            edge = EdgeClass.AGGREGATOR_TO_QUERIER
-        elif message.sender in self._sources:
-            edge = EdgeClass.SOURCE_TO_AGGREGATOR
-        else:
-            edge = EdgeClass.AGGREGATOR_TO_AGGREGATOR
+        receiver, edge = self._planner.uplink[sender]
+        message = DataMessage(sender, receiver, epoch, psr)
         if self._energy is not None:
             size = message.wire_size()
-            distance = self.tree.node(message.sender).link_distance_m
-            self._energy.on_transmit(message.sender, size, distance)
-            if message.receiver != QUERIER_NODE_ID:
-                self._energy.on_receive(message.receiver, size)
+            self._energy.on_transmit(sender, size, self.tree.node(sender).link_distance_m)
+            if receiver != QUERIER_NODE_ID:
+                self._energy.on_receive(receiver, size)
         observer = self.config.observer
         if observer is None:
             delivered = self.channel.transmit(message, edge)
@@ -224,9 +216,9 @@ class NetworkSimulator:
             delivered = self._observed_transmit(observer, message, edge)
         if delivered is None:
             return None
-        if message.receiver == QUERIER_NODE_ID:
+        if receiver == QUERIER_NODE_ID:
             return delivered.psr
-        self._mergers[message.receiver].offer(message.epoch, delivered.psr, frozenset())
+        self._mergers[receiver].offer(epoch, delivered.psr, frozenset())
         return None
 
     def _observed_transmit(

@@ -12,8 +12,8 @@ namespace regardless of which execution substrate produced the run.
 Design constraints:
 
 * **No clock.**  The registry stores only values handed to it; any
-  timing it reports was measured elsewhere (``ClusterClock``,
-  ``EventScheduler`` logical time, or an injected counter).  That keeps
+  timing it reports was measured elsewhere (the cluster's event-loop
+  clock, ``EventScheduler`` logical time, or an injected counter).  That keeps
   the module SL002-clean and the exported values deterministic for
   seeded runs.
 * **Fixed histogram buckets.**  Bucket bounds are part of a histogram's

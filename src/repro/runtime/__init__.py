@@ -38,10 +38,10 @@ from repro.runtime.faults import (
     LinkProfile,
     NodeOutage,
 )
-from repro.runtime.epoch import EpochPlan, EpochPlanner, HoldAndWait, QuerierEpochs
+from repro.runtime.epoch import EpochDriver, EpochPlan, EpochPlanner, HoldAndWait, QuerierEpochs
 from repro.runtime.hop import HopEngine, Parcel, RetransmitPolicy
 from repro.runtime.metrics import EpochRecord, RuntimeRunMetrics
-from repro.runtime.recovery import EpochRecovery, RecoveryLedger
+from repro.runtime.recovery import EpochRecovery
 from repro.runtime.simulator import RuntimeConfig, RuntimeSimulator
 from repro.runtime.transport import ReliableTransport
 
@@ -62,10 +62,10 @@ __all__ = [
     "ReliableTransport",
     "EpochPlan",
     "EpochPlanner",
+    "EpochDriver",
     "HoldAndWait",
     "QuerierEpochs",
     "EpochRecovery",
-    "RecoveryLedger",
     "EpochRecord",
     "RuntimeRunMetrics",
     "RuntimeConfig",

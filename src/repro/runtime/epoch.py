@@ -4,14 +4,15 @@ Above the per-hop ARQ (:mod:`repro.runtime.hop`) every lossy substrate
 makes the same per-epoch decisions — paper Section IV-B failure handling
 as a protocol run: aggregators merge whatever their children delivered,
 and the querier verifies the exact SUM over the reported subset that the
-merged manifests name.  This module makes those decisions and nothing
-else; like the hop engine it never reads a clock, touches a socket or
-schedules a callback:
+merged manifests name.  This module makes those decisions, and drives
+them on a timer it is handed; like the hop engine it never reads a
+clock or touches a socket of its own:
 
 * :class:`EpochPlanner` — per tree, once: node heights, each
-  aggregator's merge offset (``hold_time × height``) and the querier's
-  deadline offset (``hold_time × (root height + 1) + querier_slack``);
-  per epoch (:meth:`EpochPlanner.plan`): the attempted and pre-failed
+  aggregator's merge offset (``hold_time × height``), the querier's
+  deadline offset (``hold_time × (root height + 1) + querier_slack``)
+  and the uplink table (every node's receiver and edge class); per
+  epoch (:meth:`EpochPlanner.plan`): the attempted and pre-failed
   sources and the contributions each *live* aggregator — one with an
   attempted source under it — can still receive;
 * :class:`HoldAndWait` — one aggregator's inboxes, one per live epoch:
@@ -24,32 +25,38 @@ schedules a callback:
   epoch (:func:`settle_final`), the deadline settles an unsettled one as
   lost (:func:`settle_lost`), and anything later is late;
 * :func:`settled_epochs` — the run's :class:`EpochRecord` list, with every
-  late first copy of an epoch's traffic folded into that epoch.
+  late first copy of an epoch's traffic folded into that epoch;
+* :class:`EpochDriver` — the one driver of all of the above on a timer:
+  it starts each epoch, arms its deadlines, hands every first copy to
+  its receiver's machine and routes every forward up the tree.
 
-The drivers own the time: the event runtime
-(:class:`~repro.runtime.simulator.RuntimeSimulator`) turns the offsets
-into scheduler events, the TCP cluster (:mod:`repro.cluster.node`) into
-one ``asyncio.Event`` plus one timed wait per aggregator-epoch and per
-querier-epoch, the analytic simulator into a zero-time bottom-up pass.
-Times enter only as arguments (``started_at``, ``now``) to stamp
-completion latencies.
+The event runtime (:class:`~repro.runtime.simulator.RuntimeSimulator`)
+and the TCP cluster (:mod:`repro.cluster.orchestrator`) both run on
+:class:`EpochDriver`; only the timer (the scheduler's logical clock, or
+the running asyncio loop) and the ``send`` callable (ARQ over scheduler
+events, or over a socket) differ.  The analytic simulator walks the same
+machine bottom-up in zero time.  Times enter the machine only as
+arguments (``started_at``, ``now``) to stamp completion latencies.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import SecurityError, SimulationError
+from repro.network.ledger import EdgeClass
+from repro.network.messages import QUERIER_NODE_ID
 from repro.runtime.hop import DELIVERED, LATE
 from repro.runtime.metrics import EpochRecord
 from repro.runtime.recovery import EpochRecovery
 
 if TYPE_CHECKING:
+    from repro.network.messages import Workload
     from repro.network.topology import AggregationTree
-    from repro.protocols.base import AggregatorRole, PartialStateRecord, QuerierRole
+    from repro.protocols.base import AggregatorRole, PartialStateRecord, QuerierRole, SourceRole
     from repro.runtime.faults import FaultPlan
 
 __all__ = [
@@ -61,6 +68,7 @@ __all__ = [
     "settle_final",
     "settle_lost",
     "settled_epochs",
+    "EpochDriver",
 ]
 
 
@@ -106,6 +114,8 @@ class EpochPlanner:
         self.merge_offset = {aid: hold_time * heights[aid] for aid in self._bottom_up}
         #: The querier's deadline, relative to the epoch start.
         self.querier_offset = hold_time * (heights[tree.root_id] + 1) + querier_slack
+        #: Node → (receiver, edge class) of its one hop up the tree.
+        self.uplink = _uplink_table(tree)
         #: The plan of every epoch in which no source is down.
         self._full = self._walk(self._sources)
 
@@ -133,6 +143,25 @@ class EpochPlanner:
             if count:
                 expected[aid] = count
         return EpochPlan(attempted, self._sources - attempted, expected)
+
+
+def _uplink_table(tree: "AggregationTree") -> dict[int, tuple[int, EdgeClass]]:
+    s_a, a_a = EdgeClass.SOURCE_TO_AGGREGATOR, EdgeClass.AGGREGATOR_TO_AGGREGATOR
+    uplink: dict[int, tuple[int, EdgeClass]] = {}
+    # Siblings share one hop tuple: the table keeps one long-lived object
+    # per receiver and edge class, not one per node, which keeps a
+    # simulator's set-up from adding to the garbage collector's work.
+    hops: dict[tuple[int, EdgeClass], tuple[int, EdgeClass]] = {}
+    for node in tree:
+        parent = node.parent_id
+        if parent is not None:
+            hop = (parent, s_a if node.is_source else a_a)
+            uplink[node.node_id] = hops.setdefault(hop, hop)
+        elif node.is_source:
+            raise SimulationError(f"source {node.node_id} has no parent aggregator")
+        else:
+            uplink[node.node_id] = (QUERIER_NODE_ID, EdgeClass.AGGREGATOR_TO_QUERIER)
+    return uplink
 
 
 class HoldAndWait:
@@ -314,3 +343,101 @@ def settled_epochs(querier: QuerierEpochs, mergers: Iterable[HoldAndWait]) -> li
     for record in records:
         record.late_arrivals = late[record.epoch]
     return records
+
+
+#: ``send(sender, receiver, edge, epoch, psr, manifest)``: put one PSR on
+#: its hop.  The callee owns delivery and calls :meth:`EpochDriver.deliver`
+#: with every first copy that reaches *receiver*.
+SendFn = Callable[[int, int, EdgeClass, int, "PartialStateRecord", frozenset[int]], None]
+
+
+class EpochDriver:
+    """Runs the epoch machine on a timer: starts, deadlines, deliveries.
+
+    It is handed its timer as two plain callables, ``now()`` and
+    ``call_later(delay, fn)``, and the network as one, *send*.  Per epoch, :meth:`start`
+    plans it, opens the live inboxes and the querier, initializes and
+    sends the attempted sources' PSRs, then arms each live aggregator's
+    merge deadline (in ``plan.expected`` order) and the querier's
+    expiry.  :meth:`deliver` takes each first copy: an aggregator whose
+    inbox completes merges at once (the early merge), and every merge
+    forwards up :attr:`EpochPlanner.uplink`.  No timer is ever
+    cancelled: a deadline that finds its inbox closed does nothing.
+    """
+
+    def __init__(
+        self,
+        planner: EpochPlanner,
+        workload: "Workload",
+        *,
+        sources: Mapping[int, "SourceRole"],
+        aggregators: Mapping[int, "AggregatorRole"],
+        querier: "QuerierRole",
+        now: Callable[[], float],
+        call_later: Callable[[float, Callable[[], None]], object],
+        send: SendFn,
+        evaluate: bool = True,
+        on_settled: Callable[[EpochRecord], None] | None = None,
+    ) -> None:
+        tree = planner.tree
+        self.planner = planner
+        self.workload = workload
+        self.sources = sources
+        self.mergers = {
+            aid: HoldAndWait(aid, role, is_root=(aid == tree.root_id))
+            for aid, role in aggregators.items()
+        }
+        self.querier = QuerierEpochs(querier, num_sources=tree.num_sources, evaluate=evaluate)
+        self._now = now
+        self._call_later = call_later
+        self._send = send
+        #: Called once per epoch with its record, when it settles.
+        self._on_settled = on_settled
+
+    def start(self, epoch: int) -> None:
+        """Open the epoch everywhere, send the sources' PSRs, arm the deadlines."""
+        planner = self.planner
+        plan = planner.plan(epoch)
+        for aid, expected in plan.expected.items():
+            self.mergers[aid].open(epoch, expected)
+        self.querier.open(epoch, plan.attempted, plan.pre_failed, started_at=self._now())
+        for sid in planner.tree.source_ids:
+            if sid in plan.attempted:
+                psr = self.sources[sid].initialize(epoch, self.workload(sid, epoch))
+                receiver, edge = planner.uplink[sid]
+                self._send(sid, receiver, edge, epoch, psr, frozenset((sid,)))
+        # Only live aggregators hold an inbox, so only they get a deadline.
+        for aid in plan.expected:
+            self._call_later(planner.merge_offset[aid], lambda a=aid: self._merge(epoch, a))
+        self._call_later(planner.querier_offset, lambda: self._expire(epoch))
+
+    def deliver(
+        self, receiver: int, epoch: int, psr: "PartialStateRecord", manifest: frozenset[int]
+    ) -> str:
+        """Hand a first copy to *receiver*'s machine; returns its disposition."""
+        if receiver == QUERIER_NODE_ID:
+            disposition = self.querier.offer(epoch, psr, manifest, now=self._now())
+            if disposition == DELIVERED and self._on_settled is not None:
+                self._on_settled(self.querier.records[epoch])
+            return disposition
+        disposition, complete = self.mergers[receiver].offer(epoch, psr, manifest)
+        if complete:
+            self._merge(epoch, receiver)  # early merge
+        return disposition
+
+    def records(self) -> list[EpochRecord]:
+        """Every settled epoch, late copies folded in (see :func:`settled_epochs`)."""
+        return settled_epochs(self.querier, self.mergers.values())
+
+    def _merge(self, epoch: int, aid: int) -> None:
+        forward = self.mergers[aid].close(epoch)
+        if forward is not None:
+            receiver, edge = self.planner.uplink[aid]
+            self._send(aid, receiver, edge, epoch, *forward)
+
+    def _expire(self, epoch: int) -> None:
+        if epoch in self.querier.records:
+            return  # its final PSR settled it
+        record = self.querier.expire(epoch)
+        if self._on_settled is not None:
+            self._on_settled(record)

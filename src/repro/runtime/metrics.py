@@ -16,11 +16,12 @@ epoch's start event to the querier's evaluation of its final PSR.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.network.ledger import HopLedger
 from repro.protocols.base import EvaluationResult, OpCounter
-from repro.runtime.recovery import EpochRecovery, RecoveryLedger
+from repro.runtime.recovery import EpochRecovery
 
 __all__ = ["EpochRecord", "EpochSeries", "RuntimeRunMetrics", "latency_percentile"]
 
@@ -71,17 +72,27 @@ class EpochSeries:
     """Run-level views over ``epochs``, shared by every substrate."""
 
     epochs: list[EpochRecord]
-    recovery: RecoveryLedger
 
     @property
     def num_epochs(self) -> int:
         return len(self.epochs)
 
-    def record_epochs(self, records: list[EpochRecord]) -> None:
-        """Adopt the run's settled epochs and tally their recovery."""
-        self.epochs = records
-        for record in records:
-            self.recovery.record(record.recovery)
+    def recovery_summary(self) -> dict[str, object]:
+        """Run-level recovery tallies: epochs complete, recovered (some
+        sources lost, SUM over the survivors) and unrecovered (no final
+        PSR), sources lost and survived, and losses per source."""
+        recoveries = [e.recovery for e in self.epochs]
+        converged = [r for r in recoveries if r.converged]
+        complete = sum(1 for r in converged if r.complete)
+        lost = Counter(sid for r in recoveries for sid in r.lost)
+        return {
+            "epochs_complete": complete,
+            "epochs_recovered": len(converged) - complete,
+            "epochs_unrecovered": len(recoveries) - len(converged),
+            "sources_lost_total": sum(lost.values()),
+            "sources_survived_total": sum(len(r.survivors) for r in recoveries),
+            "lost_by_source": {str(sid): count for sid, count in sorted(lost.items())},
+        }
 
     def delivery_rate(self) -> float:
         """Fraction of attempted source contributions that survived."""
@@ -143,7 +154,6 @@ class RuntimeRunMetrics(EpochSeries):
     seed: int
     epochs: list[EpochRecord] = field(default_factory=list)
     transport: HopLedger = field(default_factory=HopLedger)
-    recovery: RecoveryLedger = field(default_factory=RecoveryLedger)
     source_ops: OpCounter = field(default_factory=OpCounter)
     aggregator_ops: OpCounter = field(default_factory=OpCounter)
     querier_ops: OpCounter = field(default_factory=OpCounter)
@@ -168,7 +178,7 @@ class RuntimeRunMetrics(EpochSeries):
             "acceptance_rate": self.acceptance_rate(),
             "events_processed": self.events_processed,
             "transport": self.transport.as_dict(),
-            "recovery": self.recovery.as_dict(),
+            "recovery": self.recovery_summary(),
             "ops": {
                 "source": dict(sorted(self.source_ops.counts.items())),
                 "aggregator": dict(sorted(self.aggregator_ops.counts.items())),

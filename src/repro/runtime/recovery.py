@@ -22,11 +22,11 @@ settlement of an epoch lives in :mod:`repro.runtime.epoch`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 
-__all__ = ["EpochRecovery", "RecoveryLedger"]
+__all__ = ["EpochRecovery"]
 
 
 @dataclass(frozen=True)
@@ -94,39 +94,3 @@ class EpochRecovery:
         if self.converged and len(self.survivors) == num_sources:
             return None
         return sorted(self.survivors)
-
-
-@dataclass
-class RecoveryLedger:
-    """Run-level tallies of the recovery path (deterministic)."""
-
-    epochs_complete: int = 0
-    epochs_recovered: int = 0
-    epochs_unrecovered: int = 0
-    sources_lost_total: int = 0
-    sources_survived_total: int = 0
-    lost_by_source: dict[int, int] = field(default_factory=dict)
-
-    def record(self, recovery: EpochRecovery) -> None:
-        if not recovery.converged:
-            self.epochs_unrecovered += 1
-        elif recovery.complete:
-            self.epochs_complete += 1
-        else:
-            self.epochs_recovered += 1
-        self.sources_survived_total += len(recovery.survivors)
-        self.sources_lost_total += len(recovery.lost)
-        for source_id in recovery.lost:
-            self.lost_by_source[source_id] = self.lost_by_source.get(source_id, 0) + 1
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "epochs_complete": self.epochs_complete,
-            "epochs_recovered": self.epochs_recovered,
-            "epochs_unrecovered": self.epochs_unrecovered,
-            "sources_lost_total": self.sources_lost_total,
-            "sources_survived_total": self.sources_survived_total,
-            "lost_by_source": {
-                str(sid): count for sid, count in sorted(self.lost_by_source.items())
-            },
-        }

@@ -18,10 +18,11 @@ the sources, bottom-up merging, evaluation at the querier — but over a
   over the survivors — graceful degradation instead of a spurious
   :class:`~repro.errors.IntegrityError`.
 
-Those last two are the clock-free epoch machine of
-:mod:`repro.runtime.epoch`, which the TCP cluster drives too; this
-module turns its deadline offsets into scheduler events and feeds it
-every delivered first copy and every fired deadline.
+Those last two are the epoch machine of :mod:`repro.runtime.epoch`, run
+by its :class:`~repro.runtime.epoch.EpochDriver` — the driver the TCP
+cluster runs too.  This module builds the roles, hands the driver the
+scheduler as its timer, and puts every PSR the driver sends onto the
+ARQ, whose first copies go back to the driver.
 
 The runtime reuses the existing role objects and
 :class:`~repro.network.channel.Channel` unchanged, so every adversary
@@ -38,10 +39,10 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.channel import Channel, EdgeClass
-from repro.network.messages import QUERIER_NODE_ID, DataMessage, Workload
+from repro.network.messages import DataMessage, Workload
 from repro.network.topology import AggregationTree
-from repro.protocols.base import OpCounter, SecureAggregationProtocol
-from repro.runtime.epoch import EpochPlanner, HoldAndWait, QuerierEpochs, settled_epochs
+from repro.protocols.base import OpCounter, PartialStateRecord, SecureAggregationProtocol
+from repro.runtime.epoch import EpochDriver, EpochPlanner
 from repro.runtime.events import EventScheduler
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
 from repro.runtime.hop import RetransmitPolicy, TransportObserver
@@ -138,28 +139,27 @@ class RuntimeSimulator:
         self.source_ops = OpCounter()
         self.aggregator_ops = OpCounter()
         self.querier_ops = OpCounter()
-        self._sources = {
-            sid: protocol.create_source(sid, ops=self.source_ops) for sid in tree.source_ids
-        }
-        self._mergers = {
-            aid: HoldAndWait(
-                aid,
-                protocol.create_aggregator(ops=self.aggregator_ops),
-                is_root=(aid == tree.root_id),
-            )
-            for aid in tree.aggregator_ids
-        }
-        self._querier = QuerierEpochs(
-            protocol.create_querier(ops=self.querier_ops),
-            num_sources=tree.num_sources,
+        self._driver = EpochDriver(
+            EpochPlanner(
+                tree,
+                hold_time=self.config.hold_time,
+                querier_slack=self.config.querier_slack,
+                failed_sources=self.config.failed_sources,
+                faults=self.config.plan,
+            ),
+            workload,
+            sources={
+                sid: protocol.create_source(sid, ops=self.source_ops) for sid in tree.source_ids
+            },
+            aggregators={
+                aid: protocol.create_aggregator(ops=self.aggregator_ops)
+                for aid in tree.aggregator_ids
+            },
+            querier=protocol.create_querier(ops=self.querier_ops),
+            now=lambda: self.scheduler.now,
+            call_later=self.scheduler.call_later,
+            send=self._send,
             evaluate=self.config.evaluate,
-        )
-        self._planner = EpochPlanner(
-            tree,
-            hold_time=self.config.hold_time,
-            querier_slack=self.config.querier_slack,
-            failed_sources=self.config.failed_sources,
-            faults=self.config.plan,
         )
         self._ran = False
 
@@ -186,8 +186,7 @@ class RuntimeSimulator:
         for offset in range(epochs):
             epoch = self.config.start_epoch + offset
             self.scheduler.call_at(
-                offset * self.config.epoch_interval,
-                lambda e=epoch: self._start_epoch(e),
+                offset * self.config.epoch_interval, lambda e=epoch: self._driver.start(e)
             )
         self.scheduler.run()
 
@@ -195,82 +194,30 @@ class RuntimeSimulator:
             protocol=self.protocol.name,
             num_sources=self.tree.num_sources,
             seed=self.config.seed,
+            epochs=self._driver.records(),
             transport=self.transport.ledger,
             source_ops=self.source_ops,
             aggregator_ops=self.aggregator_ops,
             querier_ops=self.querier_ops,
             events_processed=self.scheduler.events_processed,
         )
-        metrics.record_epochs(settled_epochs(self._querier, self._mergers.values()))
         metrics.transport.check_conservation()
         return metrics
 
-    # ------------------------------------------------------------------
-    # Epoch lifecycle
-    # ------------------------------------------------------------------
+    def _send(
+        self,
+        sender: int,
+        receiver: int,
+        edge: EdgeClass,
+        epoch: int,
+        psr: PartialStateRecord,
+        manifest: frozenset[int],
+    ) -> None:
+        """One PSR onto the ARQ; its first copies go back to the driver."""
 
-    def _start_epoch(self, epoch: int) -> None:
-        now = self.scheduler.now
-        plan = self._planner.plan(epoch)
-        for aid, expected in plan.expected.items():
-            self._mergers[aid].open(epoch, expected)
-        self._querier.open(epoch, plan.attempted, plan.pre_failed, started_at=now)
-
-        for sid in self.tree.source_ids:
-            if sid not in plan.attempted:
-                continue
-            value = self.workload(sid, epoch)
-            psr = self._sources[sid].initialize(epoch, value)
-            parent = self.tree.parent(sid)
-            if parent is None:
-                raise SimulationError(f"source {sid} has no parent aggregator")
-            self.transport.send(
-                DataMessage(sid, parent, epoch, psr),
-                EdgeClass.SOURCE_TO_AGGREGATOR,
-                frozenset((sid,)),
-                on_deliver=self._make_deliver(epoch),
-            )
-
-        # Only live aggregators hold an inbox, so only they get a deadline.
-        for aid in plan.expected:
-            self.scheduler.call_at(
-                now + self._planner.merge_offset[aid],
-                lambda a=aid, e=epoch: self._merge(e, a),
-            )
-        self.scheduler.call_at(
-            now + self._planner.querier_offset, lambda e=epoch: self._querier.expire(e)
-        )
-
-    def _make_deliver(self, epoch: int):
         def deliver(message: DataMessage, manifest: frozenset[int]) -> str:
-            return self._on_delivery(epoch, message, manifest)
+            return self._driver.deliver(message.receiver, epoch, message.psr, manifest)
 
-        return deliver
-
-    def _on_delivery(self, epoch: int, message: DataMessage, manifest: frozenset[int]) -> str:
-        """Hand a first copy to its receiver's state machine."""
-        if message.receiver == QUERIER_NODE_ID:
-            return self._querier.offer(epoch, message.psr, manifest, now=self.scheduler.now)
-        disposition, complete = self._mergers[message.receiver].offer(
-            epoch, message.psr, manifest
-        )
-        if complete:
-            self._merge(epoch, message.receiver)  # early merge
-        return disposition
-
-    def _merge(self, epoch: int, aid: int) -> None:
-        forward = self._mergers[aid].close(epoch)
-        if forward is None:
-            return
-        merged, manifest = forward
-        parent = self.tree.parent(aid)
-        if parent is None:
-            receiver, edge = QUERIER_NODE_ID, EdgeClass.AGGREGATOR_TO_QUERIER
-        else:
-            receiver, edge = parent, EdgeClass.AGGREGATOR_TO_AGGREGATOR
         self.transport.send(
-            DataMessage(aid, receiver, epoch, merged),
-            edge,
-            manifest,
-            on_deliver=self._make_deliver(epoch),
+            DataMessage(sender, receiver, epoch, psr), edge, manifest, on_deliver=deliver
         )

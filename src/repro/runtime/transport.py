@@ -41,8 +41,6 @@ __all__ = ["RetransmitPolicy", "RuntimeParcel", "ReliableTransport"]
 #: return :data:`~repro.runtime.hop.LATE` to classify the copy as late;
 #: anything else counts as delivered.
 DeliverFn = Callable[[DataMessage, frozenset[int]], "str | None"]
-#: Sender-side failure callback once the retry budget is exhausted.
-FailFn = Callable[["RuntimeParcel"], None]
 
 
 @dataclass(eq=False)
@@ -51,7 +49,6 @@ class RuntimeParcel(Parcel):
 
     message: DataMessage | None = None
     on_deliver: DeliverFn | None = None
-    on_fail: FailFn | None = None
     timer: ScheduledEvent | None = field(default=None, repr=False)
     #: Wire encoding from the first attempt, replayed by retransmissions.
     frame: bytes | None = field(default=None, repr=False)
@@ -93,7 +90,6 @@ class ReliableTransport:
         manifest: frozenset[int],
         *,
         on_deliver: DeliverFn | None = None,
-        on_fail: FailFn | None = None,
     ) -> RuntimeParcel:
         """Hand one message (its epoch is the parcel uid) to the ARQ."""
         parcel = RuntimeParcel(
@@ -104,7 +100,6 @@ class ReliableTransport:
             manifest=manifest,
             message=message,
             on_deliver=on_deliver,
-            on_fail=on_fail,
         )
         self._attempt(parcel)
         return parcel
@@ -128,8 +123,6 @@ class ReliableTransport:
     def _expire(self, parcel: RuntimeParcel) -> None:
         if self.engine.expire(parcel):
             self._attempt(parcel)
-        elif parcel.failed and parcel.on_fail is not None:
-            parcel.on_fail(parcel)
 
     def _arrive(self, parcel: RuntimeParcel, message: DataMessage, attempt: int) -> None:
         def classify() -> str:

@@ -32,6 +32,7 @@ from repro.protocols.base import SecureAggregationProtocol
 from repro.network.simulator import QUERIER_NODE_ID
 from repro.network.topology import build_complete_tree
 from repro.runtime import FaultPlan, RuntimeConfig, RuntimeSimulator
+from repro.runtime.epoch import EpochDriver
 from repro.runtime.faults import BurstLoss, KeyedFaultInjector, NodeOutage
 from repro.runtime.transport import RetransmitPolicy
 from repro.wire.frame import HEADER_LEN
@@ -217,6 +218,32 @@ def test_pre_failed_sources_are_excluded_and_reported() -> None:
         )
 
 
+def test_a_failing_driver_timer_fails_the_run(monkeypatch) -> None:
+    """An error inside a loop timer (here the querier's expiry, the only
+    way an all-failed epoch settles) must fail the run, not strand the
+    epoch in its window slot forever."""
+
+    def broken_expiry(self, epoch: int) -> None:
+        raise SimulationError("expiry bug")
+
+    monkeypatch.setattr(EpochDriver, "_expire", broken_expiry)
+    n = 4
+    config = ClusterConfig(
+        num_epochs=2, window=2, plan=FaultPlan.lossless(), failed_sources=frozenset(range(n)),
+        hold_time=0.01, querier_slack=0.01,
+    )
+    orchestrator = EpochOrchestrator(
+        SIESProtocol(n, seed=1), build_complete_tree(n, 2),
+        DomainScaledWorkload(n, scale=100, seed=1), config,
+    )
+
+    async def bounded() -> None:
+        await asyncio.wait_for(orchestrator.run(), timeout=20.0)
+
+    with pytest.raises(SimulationError, match="expiry bug"):
+        asyncio.run(bounded())
+
+
 class TestConfigurationRejections:
     def test_tree_protocol_size_mismatch(self) -> None:
         with pytest.raises(SimulationError):
@@ -310,7 +337,7 @@ def test_acceptance_64_sources_100_epochs_20_percent_loss() -> None:
     # Zero silent drops: the conservation laws and per-node error
     # counters account for every frame ever written or swallowed.
     metrics.traffic.check_conservation()
-    for node in orchestrator._all_nodes():
+    for node in orchestrator._nodes.values():
         assert node.stream_errors == 0
     assert metrics.traffic.total("drops_injected") > 0
     assert metrics.traffic.total("retransmissions") > 0

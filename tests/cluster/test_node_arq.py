@@ -1,9 +1,11 @@
 """One hop over a real socket: ARQ, dedup, give-up, ACK accounting.
 
-A single source→aggregator link built from the real node classes, so
-every counter the ledger keeps can be pinned exactly against the keyed
-fault schedule.  Timing-dependent quantities (extra attempts under a
-slow ACK) are asserted as inequalities; everything the schedule
+A single source→aggregator link built from two real
+:class:`~repro.cluster.node.ClusterNode` endpoints (the parent hands
+every decoded first copy to a recording ``deliver``), so every counter
+the ledger keeps can be pinned exactly against the keyed fault
+schedule.  Timing-dependent quantities (extra attempts under a slow
+ACK) are asserted as inequalities; everything the schedule
 determines — delivery, injected drops, duplicate copies — exactly.
 """
 
@@ -13,14 +15,14 @@ import asyncio
 
 import pytest
 
-from repro.cluster.clock import ClusterClock
 from repro.cluster.faults import parcel_fate
-from repro.cluster.node import AggregatorNode, SourceNode
+from repro.cluster.node import ClusterNode
 from repro.core.protocol import SIESProtocol
 from repro.errors import SimulationError
 from repro.network.channel import EdgeClass
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile
 from repro.network.ledger import HopLedger
+from repro.runtime.hop import DELIVERED
 from repro.runtime.transport import RetransmitPolicy
 
 EDGE = EdgeClass.SOURCE_TO_AGGREGATOR
@@ -35,32 +37,43 @@ _CODEC = _PROTOCOL.wire_codec()
 
 
 class _Hop:
-    """A live source→aggregator link plus its accounting."""
+    """A live source→aggregator link plus its accounting.
+
+    Built inside the running loop: the nodes stamp its clock.
+    """
 
     def __init__(self, plan: FaultPlan, policy: RetransmitPolicy, seed: int) -> None:
         self.ledger = HopLedger()
         self.injector = KeyedFaultInjector(plan, seed=seed)
+        #: ``(receiver, epoch, psr, manifest)`` of every first copy.
+        self.delivered: list[tuple] = []
         common = dict(
+            codec=_CODEC,
+            uplink={0: (1, EDGE)},
+            deliver=self._deliver,
             ledger=self.ledger,
             injector=self.injector,
             policy=policy,
-            clock=ClusterClock(),
             seed=seed,
+            now=asyncio.get_running_loop().time,
         )
-        self.parent = AggregatorNode(
-            1,
-            _PROTOCOL.create_aggregator(),
-            _CODEC,
-            is_root=False,
-            edge_of_sender={0: EDGE},
-            **common,
-        )
-        self.child = SourceNode(0, _PROTOCOL.create_source(0), _CODEC, **common)
+        self.parent = ClusterNode(1, **common)
+        self.child = ClusterNode(0, **common)
+        self.source = _PROTOCOL.create_source(0)
+
+    def _deliver(self, receiver, epoch, psr, manifest) -> str:
+        self.delivered.append((receiver, epoch, psr, manifest))
+        return DELIVERED
+
+    async def send(self, epoch: int, value: int) -> bool:
+        """The source's PSR for *epoch* through the child's ARQ."""
+        psr = self.source.initialize(epoch, value)
+        return await self.child.send_psr(epoch, psr, frozenset({0}))
 
     async def __aenter__(self) -> "_Hop":
         await self.parent.start()
         assert self.parent.port is not None
-        await self.child.connect_uplink(1, self.parent.port, EDGE)
+        await self.child.connect_uplink(self.parent.port)
         return self
 
     async def __aexit__(self, *exc_info) -> None:
@@ -80,8 +93,10 @@ def _run(coro):
 def test_lossless_delivery_pins_every_counter() -> None:
     async def scenario() -> None:
         async with _Hop(FaultPlan.lossless(), PATIENT, seed=0) as hop:
-            hop.parent.open_epoch(1, expected=1)
-            assert await hop.child.run_epoch(1, 42) is True
+            assert await hop.send(1, 42) is True
+        psr = _PROTOCOL.create_source(0).initialize(1, 42)
+        # The parent decoded the inner frame and handed it on, manifest and all.
+        assert hop.delivered == [(1, 1, psr, frozenset({0}))]
         c = hop.counters()
         assert c.attempts == 1 and c.retransmissions == 0
         assert c.drops_injected == 0 and c.dup_copies == 0
@@ -89,7 +104,6 @@ def test_lossless_delivery_pins_every_counter() -> None:
         assert c.delivered == 1 and c.duplicates_suppressed == 0
         assert c.late_frames == 0 and c.decode_failures == 0 and c.gave_up == 0
         assert c.acks_sent == 1 and c.acks_dropped == 0 and c.acks_received == 1
-        psr = _PROTOCOL.create_source(0).initialize(1, 42)
         assert c.messages == 1
         assert c.payload_bytes == psr.wire_size()
         assert c.frame_bytes == _CODEC.framed_size(psr)
@@ -103,8 +117,8 @@ def test_duplicated_copy_is_suppressed_and_still_acked() -> None:
     async def scenario() -> None:
         plan = FaultPlan(default_profile=LinkProfile(duplicate_rate=1.0))
         async with _Hop(plan, PATIENT, seed=0) as hop:
-            hop.parent.open_epoch(1, expected=1)
-            assert await hop.child.run_epoch(1, 42) is True
+            assert await hop.send(1, 42) is True
+        assert len(hop.delivered) == 1
         c = hop.counters()
         assert c.attempts == 1
         assert c.frames_sent == 2 and c.dup_copies == 1
@@ -119,8 +133,8 @@ def test_duplicated_copy_is_suppressed_and_still_acked() -> None:
 def test_total_loss_exhausts_budget_and_gives_up() -> None:
     async def scenario() -> None:
         async with _Hop(FaultPlan.uniform_loss(1.0), IMPATIENT, seed=0) as hop:
-            hop.parent.open_epoch(1, expected=1)
-            assert await hop.child.run_epoch(1, 42) is False
+            assert await hop.send(1, 42) is False
+        assert hop.delivered == []
         c = hop.counters()
         assert c.attempts == IMPATIENT.max_attempts
         assert c.retransmissions == IMPATIENT.max_attempts - 1
@@ -161,8 +175,8 @@ def test_give_up_does_not_retract_a_delivered_copy() -> None:
 
     async def scenario() -> None:
         async with _Hop(plan, IMPATIENT, seed=seed) as hop:
-            hop.parent.open_epoch(uid, expected=1)
-            assert await hop.child.run_epoch(uid, 42) is False  # gave up...
+            assert await hop.send(uid, 42) is False  # gave up...
+        assert [epoch for _, epoch, _, _ in hop.delivered] == [uid]
         c = hop.counters()
         assert c.delivered == 1  # ...yet the copy was delivered
         assert c.gave_up == 1
@@ -184,8 +198,7 @@ def test_lossy_epochs_match_the_parcel_fate_oracle() -> None:
         async with _Hop(plan, IMPATIENT, seed=seed) as hop:
             outcomes = {}
             for epoch in epochs:
-                hop.parent.open_epoch(epoch, expected=1)
-                outcomes[epoch] = await hop.child.run_epoch(epoch, epoch)
+                outcomes[epoch] = await hop.send(epoch, epoch)
             return hop, outcomes
 
     hop, outcomes = _run(scenario())
@@ -195,6 +208,9 @@ def test_lossy_epochs_match_the_parcel_fate_oracle() -> None:
     }
     c = hop.counters()
     assert c.delivered == sum(1 for delivered, _ in fates.values() if delivered)
+    assert [epoch for _, epoch, _, _ in hop.delivered] == [
+        epoch for epoch, (delivered, _) in fates.items() if delivered
+    ]
     # Attempt counts are timing-dependent only *upward* (slow ACKs add
     # attempts; nothing removes one).
     assert c.attempts >= sum(attempts for _, attempts in fates.values())
@@ -217,27 +233,8 @@ def test_frame_from_unknown_sender_is_rejected() -> None:
         async with _Hop(FaultPlan.lossless(), PATIENT, seed=0) as hop:
             with pytest.raises(SimulationError):
                 hop.parent._classify(99)
-
-    _run(scenario())
-
-
-def test_duplicate_open_epoch_rejected() -> None:
-    async def scenario() -> None:
-        async with _Hop(FaultPlan.lossless(), PATIENT, seed=0) as hop:
-            hop.parent.open_epoch(1, expected=1)
+            # A node is not the receiver of its own uplink either.
             with pytest.raises(SimulationError):
-                hop.parent.open_epoch(1, expected=1)
-            assert await hop.child.run_epoch(1, 42) is True
-
-    _run(scenario())
-
-
-def test_run_epoch_without_open_raises() -> None:
-    async def scenario() -> None:
-        async with _Hop(FaultPlan.lossless(), PATIENT, seed=0) as hop:
-            with pytest.raises(SimulationError):
-                await hop.parent.run_epoch(3, hold=0.01)
-            hop.parent.open_epoch(1, expected=1)
-            await hop.child.run_epoch(1, 42)
+                hop.child._classify(0)
 
     _run(scenario())

@@ -22,21 +22,21 @@ def _epoch(epoch: int, *, sources: int = 4, value: int = 10,
 
 
 def test_run_metrics_means_over_epochs() -> None:
-    run = RunMetrics(protocol="sies", num_sources=4)
-    run.record_epochs([_epoch(1), _epoch(2, sources=3)])
+    run = RunMetrics(protocol="sies", num_sources=4, epochs=[_epoch(1), _epoch(2, sources=3)])
     assert run.num_epochs == 2
     assert [e.sources_reporting for e in run.epochs] == [4, 3]
     assert run.acceptance_rate() == 1.0
     assert run.delivery_rate() == 1.0
-    assert run.recovery.epochs_complete == 2
+    assert run.recovery_summary()["epochs_complete"] == 2
     assert run.all_verified()
     assert [r.value for r in run.results()] == [10, 10]
     assert run.security_failures() == []
 
 
 def test_run_metrics_with_failures() -> None:
-    run = RunMetrics(protocol="sies", num_sources=4)
-    run.record_epochs([_epoch(1), _epoch(2, failure="VerificationFailure")])
+    run = RunMetrics(
+        protocol="sies", num_sources=4, epochs=[_epoch(1), _epoch(2, failure="VerificationFailure")]
+    )
     assert run.all_verified()  # the rejected epoch has no result to check
     assert run.security_failures() == [(2, "VerificationFailure")]
     assert len(run.results()) == 1
@@ -44,8 +44,7 @@ def test_run_metrics_with_failures() -> None:
 
 
 def test_run_metrics_unverified_results() -> None:
-    run = RunMetrics(protocol="cmt", num_sources=4)
-    run.record_epochs([_epoch(1, verified=False)])
+    run = RunMetrics(protocol="cmt", num_sources=4, epochs=[_epoch(1, verified=False)])
     assert not run.all_verified()
 
 

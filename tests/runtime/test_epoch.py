@@ -1,9 +1,11 @@
-"""The clock-free epoch machine, driven by hand: no scheduler, no sockets.
+"""The epoch machine, driven by hand: no scheduler, no sockets.
 
-Each test plays the driver's part explicitly — open the epoch, offer the
+Most tests play the driver's part explicitly — open the epoch, offer the
 copies a network would deliver, fire the deadlines — so every
 hold-and-wait and settlement decision is checked apart from either
-substrate.
+substrate.  The :class:`EpochDriver` tests hand the one driver a fake
+timer that records ``(delay, fn)`` pairs and a ``send`` that records
+every hop, then play the network: deliver copies, fire deadlines.
 """
 
 from __future__ import annotations
@@ -12,12 +14,29 @@ import random
 
 import pytest
 
+from repro.cluster.orchestrator import EpochOrchestrator
 from repro.core.protocol import SIESProtocol
 from repro.errors import SimulationError
-from repro.network.topology import build_chain_tree, build_random_tree
-from repro.runtime.epoch import EpochPlanner, HoldAndWait, QuerierEpochs, node_heights
+from repro.network.ledger import EdgeClass
+from repro.network.messages import QUERIER_NODE_ID
+from repro.network.simulator import NetworkSimulator
+from repro.network.topology import (
+    AggregationTree,
+    TreeNode,
+    build_chain_tree,
+    build_complete_tree,
+    build_random_tree,
+)
+from repro.runtime.epoch import (
+    EpochDriver,
+    EpochPlanner,
+    HoldAndWait,
+    QuerierEpochs,
+    node_heights,
+)
 from repro.runtime.faults import FaultPlan, NodeOutage
 from repro.runtime.hop import DELIVERED, LATE
+from repro.runtime.simulator import RuntimeSimulator
 
 N = 4
 PROTOCOL = SIESProtocol(N, seed=3)
@@ -299,3 +318,184 @@ def test_plan_matches_the_per_source_definition_over_random_outages(seed: int) -
     attempted, pre_failed, expected = reference_plan(tree, frozenset(), FaultPlan(), 3)
     plan = clean.plan(3)
     assert (plan.attempted, plan.pre_failed, plan.expected) == (attempted, pre_failed, expected)
+
+
+def test_uplink_table_names_every_hop_and_its_edge_class() -> None:
+    tree = build_random_tree(17, max_fanout=3, seed=9)
+    planner = EpochPlanner(
+        tree, hold_time=1.0, querier_slack=0.0, failed_sources=frozenset(), faults=FaultPlan()
+    )
+    assert set(planner.uplink) == {node.node_id for node in tree}
+    for sid in tree.source_ids:
+        assert planner.uplink[sid] == (tree.parent(sid), EdgeClass.SOURCE_TO_AGGREGATOR)
+    for aid in tree.aggregator_ids:
+        expected = (
+            (QUERIER_NODE_ID, EdgeClass.AGGREGATOR_TO_QUERIER)
+            if aid == tree.root_id
+            else (tree.parent(aid), EdgeClass.AGGREGATOR_TO_AGGREGATOR)
+        )
+        assert planner.uplink[aid] == expected
+
+
+@pytest.mark.parametrize(
+    "substrate", [NetworkSimulator, RuntimeSimulator, EpochOrchestrator],
+    ids=["analytic", "runtime", "cluster"],
+)
+def test_a_source_at_the_root_is_rejected_at_construction(substrate) -> None:
+    tree = AggregationTree([TreeNode(0, is_source=True)])
+    with pytest.raises(SimulationError, match="source 0 has no parent aggregator"):
+        substrate(SIESProtocol(1, seed=1), tree, lambda sid, epoch: 7)
+
+
+# ----------------------------------------------------------------------
+# EpochDriver on a fake timer
+# ----------------------------------------------------------------------
+
+#: build_complete_tree(4, 2): sources 0, 1 under aggregator 4, sources
+#: 2, 3 under aggregator 5, both under the root 6.
+TREE = build_complete_tree(N, 2)
+HOLD, SLACK = 10.0, 5.0
+S_A, A_A, A_Q = (
+    EdgeClass.SOURCE_TO_AGGREGATOR,
+    EdgeClass.AGGREGATOR_TO_AGGREGATOR,
+    EdgeClass.AGGREGATOR_TO_QUERIER,
+)
+
+
+class Harness:
+    """One driver over TREE with a fake timer, a recording send and
+    a recording settlement hook."""
+
+    def __init__(self, *, failed: frozenset[int] = frozenset()) -> None:
+        self.now = 0.0
+        #: Every ``call_later`` the driver made, in order.
+        self.armed: list[tuple[float, object]] = []
+        #: Every ``send(sender, receiver, edge, epoch, psr, manifest)``.
+        self.sent: list[tuple] = []
+        self.settled = []
+        self.driver = EpochDriver(
+            EpochPlanner(
+                TREE, hold_time=HOLD, querier_slack=SLACK, failed_sources=failed,
+                faults=FaultPlan(),
+            ),
+            lambda sid, epoch: VALUES[sid],
+            sources={sid: PROTOCOL.create_source(sid) for sid in TREE.source_ids},
+            aggregators={aid: PROTOCOL.create_aggregator() for aid in TREE.aggregator_ids},
+            querier=PROTOCOL.create_querier(),
+            now=lambda: self.now,
+            call_later=lambda delay, fn: self.armed.append((delay, fn)),
+            send=lambda *hop: self.sent.append(hop),
+            on_settled=self.settled.append,
+        )
+
+    def deliver_sent(self, index: int) -> str:
+        """Deliver the copy of ``sent[index]`` to its receiver."""
+        _, receiver, _, epoch, psr, manifest = self.sent[index]
+        return self.driver.deliver(receiver, epoch, psr, manifest)
+
+    def fire(self, delay: float) -> None:
+        """Fire every armed timer of *delay* (in arming order)."""
+        for armed, fn in list(self.armed):
+            if armed == delay:
+                fn()
+
+
+def merged(epoch: int, sids) -> object:
+    return PROTOCOL.create_aggregator().merge(epoch, [psr(sid, epoch) for sid in sids])
+
+
+def test_start_sends_every_source_then_arms_merges_in_plan_order_then_the_querier() -> None:
+    h = Harness()
+    h.driver.start(1)
+    assert h.sent == [
+        (sid, TREE.parent(sid), S_A, 1, psr(sid), frozenset({sid})) for sid in TREE.source_ids
+    ]
+    # Merge deadlines in plan.expected (bottom-up) order, then the querier.
+    assert [delay for delay, _ in h.armed] == [HOLD, HOLD, 2 * HOLD, 3 * HOLD + SLACK]
+
+
+def test_an_early_merge_forwards_at_once() -> None:
+    h = Harness()
+    h.driver.start(1)
+    assert h.deliver_sent(0) == DELIVERED
+    assert len(h.sent) == N  # aggregator 4 still waits for source 1
+    assert h.deliver_sent(1) == DELIVERED
+    # Its inbox is complete: it merged and forwarded without a deadline.
+    assert h.sent[N] == (4, 6, A_A, 1, merged(1, [0, 1]), frozenset({0, 1}))
+    # Its deadline, firing later, finds the inbox closed and sends nothing.
+    h.fire(HOLD)
+    assert len(h.sent) == N + 1
+
+
+def test_a_deadline_merge_forwards_the_manifest_union_of_a_partial_inbox() -> None:
+    h = Harness()
+    h.driver.start(1)
+    for index in (0, 2, 3):  # source 1's copy never arrives
+        h.deliver_sent(index)
+    assert [hop[0] for hop in h.sent[N:]] == [5]  # only aggregator 5 was complete
+    h.fire(HOLD)
+    assert h.sent[N + 1] == (4, 6, A_A, 1, merged(1, [0]), frozenset({0}))
+    # The root completes with both children and forwards to the querier.
+    h.deliver_sent(N)
+    h.deliver_sent(N + 1)
+    sender, receiver, edge, epoch, final, manifest = h.sent[N + 2]
+    assert (sender, receiver, edge, epoch) == (6, QUERIER_NODE_ID, A_Q, 1)
+    assert manifest == frozenset({0, 2, 3})
+    h.now = 17.0
+    assert h.deliver_sent(N + 2) == DELIVERED
+    [record] = h.settled
+    assert record.accepted and record.result.value == VALUES[0] + VALUES[2] + VALUES[3]
+    assert record.recovery.lost == frozenset({1})
+    assert record.completion_latency == 17.0
+    # The querier's expiry finds the epoch settled: no second settlement.
+    h.fire(3 * HOLD + SLACK)
+    assert h.settled == [record]
+
+
+def test_a_dead_subtree_forwards_nothing() -> None:
+    h = Harness(failed=frozenset({0, 1}))
+    h.driver.start(1)
+    assert [hop[0] for hop in h.sent] == [2, 3]
+    # Aggregator 4 is not live: no inbox, no deadline.
+    assert [delay for delay, _ in h.armed] == [HOLD, 2 * HOLD, 3 * HOLD + SLACK]
+    # A live aggregator whose children all got lost forwards nothing either.
+    h.fire(HOLD)
+    h.fire(2 * HOLD)
+    assert len(h.sent) == 2
+    h.fire(3 * HOLD + SLACK)
+    [record] = h.settled
+    assert record.security_failure == "MessageLost"
+    assert record.recovery.pre_failed == frozenset({0, 1})
+
+
+@pytest.mark.parametrize(
+    "failed, verdict",
+    [(frozenset({1}), "MessageLost"), (frozenset(range(N)), "NoResult")],
+    ids=["attempted", "all-failed"],
+)
+def test_querier_expiry_settles_message_lost_or_no_result(failed, verdict) -> None:
+    h = Harness(failed=failed)
+    h.driver.start(1)
+    h.fire(3 * HOLD + SLACK)
+    [record] = h.settled
+    assert record.security_failure == verdict and not record.accepted
+    assert record.recovery.attempted == frozenset(range(N)) - failed
+    assert h.driver.records() == [record]
+
+
+def test_a_copy_arriving_after_the_merge_is_late() -> None:
+    h = Harness()
+    h.driver.start(1)
+    h.deliver_sent(0)
+    h.fire(HOLD)  # aggregator 4 merges source 0 alone; 5 has nothing
+    assert h.sent[N] == (4, 6, A_A, 1, merged(1, [0]), frozenset({0}))
+    assert h.deliver_sent(1) == LATE
+    assert h.deliver_sent(2) == LATE
+    assert h.deliver_sent(N) == DELIVERED
+    h.fire(2 * HOLD)  # the root merges what it has and forwards it
+    assert h.sent[N + 1][:3] == (6, QUERIER_NODE_ID, A_Q)
+    h.fire(3 * HOLD + SLACK)  # ...but the querier's deadline passes first
+    assert h.deliver_sent(N + 1) == LATE
+    [record] = h.driver.records()
+    assert record.security_failure == "MessageLost"
+    assert record.late_arrivals == 3  # two at the aggregators, one at the querier

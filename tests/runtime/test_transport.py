@@ -38,15 +38,13 @@ def make_transport(plan: FaultPlan, policy: RetransmitPolicy | None = None, *, s
 
 def send_one(transport: ReliableTransport, *, epoch: int = 1):
     delivered: list[frozenset[int]] = []
-    failed: list[int] = []
     parcel = transport.send(
         DataMessage(0, 1, epoch, _record(epoch)),
         EdgeClass.SOURCE_TO_AGGREGATOR,
         frozenset({0}),
         on_deliver=lambda _m, manifest: delivered.append(manifest),
-        on_fail=lambda p: failed.append(p.uid),
     )
-    return parcel, delivered, failed
+    return parcel, delivered
 
 
 def test_policy_validation() -> None:
@@ -68,10 +66,9 @@ def test_backoff_grows_exponentially() -> None:
 
 def test_clean_link_delivers_first_attempt() -> None:
     scheduler, transport = make_transport(FaultPlan.lossless())
-    parcel, delivered, failed = send_one(transport)
+    parcel, delivered = send_one(transport)
     scheduler.run()
     assert delivered == [frozenset({0})]
-    assert failed == []
     assert parcel.acked and not parcel.failed
     assert parcel.attempts == 1
     assert transport.ledger.total("retransmissions") == 0
@@ -84,7 +81,7 @@ def test_lossy_link_retransmits_until_delivery() -> None:
     outcomes = [send_one(transport, epoch=e) for e in range(1, 21)]
     scheduler.run()
     edge = EdgeClass.SOURCE_TO_AGGREGATOR
-    delivered_count = sum(len(d) for _, d, _ in outcomes)
+    delivered_count = sum(len(d) for _, d in outcomes)
     assert delivered_count >= 19  # 9 attempts at 60% loss: ~0.999^… practically all
     assert transport.ledger.retransmissions[edge] > 0
     assert transport.ledger.attempts[edge] > 20
@@ -94,10 +91,9 @@ def test_retry_budget_exhaustion_reports_failure() -> None:
     plan = FaultPlan.uniform_loss(1.0)  # the void: nothing ever arrives
     policy = RetransmitPolicy(max_retries=3, ack_timeout=5.0, jitter=0.0)
     scheduler, transport = make_transport(plan, policy)
-    parcel, delivered, failed = send_one(transport)
+    parcel, delivered = send_one(transport)
     scheduler.run()
     assert delivered == []
-    assert failed == [parcel.uid]
     assert parcel.failed and not parcel.acked
     assert parcel.attempts == 4  # 1 original + 3 retries
     edge = EdgeClass.SOURCE_TO_AGGREGATOR
@@ -108,7 +104,7 @@ def test_retry_budget_exhaustion_reports_failure() -> None:
 def test_duplicates_suppressed_at_receiver() -> None:
     plan = FaultPlan(default_profile=LinkProfile(duplicate_rate=1.0, jitter=0.0))
     scheduler, transport = make_transport(plan)
-    _, delivered, _ = send_one(transport)
+    _, delivered = send_one(transport)
     scheduler.run()
     assert delivered == [frozenset({0})]  # app sees exactly one copy
     edge = EdgeClass.SOURCE_TO_AGGREGATOR
@@ -123,21 +119,14 @@ def test_lost_ack_causes_spurious_retransmit_but_single_delivery() -> None:
     injector = KeyedFaultInjector(plan, seed=0)
     injector.ack_verdict = lambda *coordinate: True  # type: ignore[method-assign]
     transport = ReliableTransport(scheduler, injector, _channel(), policy, seed=0)
-    delivered: list[frozenset[int]] = []
-    failed: list[int] = []
-    parcel = transport.send(
-        DataMessage(0, 1, 1, _record()),
-        EdgeClass.SOURCE_TO_AGGREGATOR,
-        frozenset({0}),
-        on_deliver=lambda _m, manifest: delivered.append(manifest),
-        on_fail=lambda p: failed.append(p.uid),
-    )
+    parcel, delivered = send_one(transport)
     scheduler.run()
     # The receiver got it (once, despite 3 physical copies); the sender
     # believes it failed — and that belief must NOT retract the delivery.
     assert delivered == [frozenset({0})]
-    assert failed == [parcel.uid]
+    assert parcel.failed and not parcel.acked
     edge = EdgeClass.SOURCE_TO_AGGREGATOR
+    assert transport.ledger.gave_up[edge] == 1
     assert transport.ledger.acks_dropped[edge] == 3
     assert transport.ledger.duplicates_suppressed[edge] == 2
 
@@ -146,10 +135,11 @@ def test_crashed_receiver_neither_delivers_nor_acks() -> None:
     plan = FaultPlan(outages=(NodeOutage(node_id=1, first_epoch=0),))
     policy = RetransmitPolicy(max_retries=1, ack_timeout=5.0, jitter=0.0)
     scheduler, transport = make_transport(plan, policy)
-    parcel, delivered, failed = send_one(transport)
+    parcel, delivered = send_one(transport)
     scheduler.run()
     assert delivered == []
-    assert failed == [parcel.uid]
+    assert parcel.failed and not parcel.acked
+    assert transport.ledger.gave_up[EdgeClass.SOURCE_TO_AGGREGATOR] == 1
 
 
 def test_channel_interceptor_sees_every_physical_attempt() -> None:

@@ -5,10 +5,10 @@ envelope a sender decided to transmit is accounted for — written to the
 wire, deliberately dropped by the seeded fault schedule, suppressed as a
 duplicate, counted late, or rejected as undecodable.  The run's one
 ledger is the :class:`~repro.network.ledger.HopLedger` every substrate
-fills: the hop engine counts the ARQ, and the send path counts
-``messages``, ``payload_bytes`` and ``frame_bytes`` per attempt exactly
-as the channel does on the other two substrates (the inner frame is
-checked against ``codec.framed_size()`` once per parcel).  Two counters
+fills: the hop engine counts the ARQ, and the run's channel counts
+``messages``, ``payload_bytes`` and ``frame_bytes`` per attempt, as on
+the other two substrates (each frame checked against
+``codec.framed_size()``).  Two counters
 are the cluster's own: ``envelope_bytes`` and ``ack_bytes`` count every
 byte actually written (retransmissions and duplicates included).
 :meth:`~repro.network.ledger.HopLedger.check_conservation` runs at the

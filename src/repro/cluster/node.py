@@ -13,18 +13,24 @@ link with a MAC-layer ARQ on top:
   :mod:`repro.runtime.hop` — the same ARQ, dedup, ACK discipline and
   keyed fault oracle the event runtime drives; this module only turns
   the engine's answers into socket writes and ``asyncio`` waits;
+* every hop goes through the run's one
+  :class:`~repro.network.channel.Channel`, split at the socket: the
+  sender's ``emit`` runs before each write (a frame it drops is never
+  written: ``drops_channel``), the receiver's ``accept`` on each first
+  copy (a copy it rejects is a ``decode_failures`` arrival, ACKed);
 * the inner protocol frame is encoded **once** per parcel and carried
-  byte-identical across retransmissions; only the envelope's attempt
-  counter changes (see :mod:`repro.cluster.envelope`);
+  byte-identical across retransmissions unless a frame interceptor
+  rewrites it; only the envelope's attempt counter changes (see
+  :mod:`repro.cluster.envelope`);
 * a sender giving up does **not** retract a delivered copy: downstream
   correctness derives from the manifests receivers really merged.
 
 Above the hop every node is the same :class:`ClusterNode`: the epoch
 machine lives in one :class:`~repro.runtime.epoch.EpochDriver` owned by
-the orchestrator.  A node decodes each first copy's inner frame — an
-undecodable copy stays a decode failure — and hands the PSR to its
-*deliver* callable (the driver's :meth:`~repro.runtime.epoch.EpochDriver.deliver`);
-the driver, in turn, sends through :meth:`ClusterNode.send_psr`.
+the orchestrator.  A node hands each accepted first copy to its
+*deliver* callable (the driver's :meth:`~repro.runtime.epoch.EpochDriver.deliver`),
+routed by the envelope's epoch, never by the attacker-readable frame
+header; the driver, in turn, sends through :meth:`ClusterNode.send_psr`.
 """
 
 from __future__ import annotations
@@ -33,13 +39,14 @@ import asyncio
 from collections.abc import Callable, Mapping
 
 from repro.errors import SimulationError, WireDecodeError
-from repro.network.ledger import EdgeClass, HopLedger
+from repro.network.channel import Channel
+from repro.network.ledger import EdgeClass
+from repro.network.messages import DataMessage
 from repro.cluster.envelope import AckEnvelope, DataEnvelope, decode_envelope, encode_ack, encode_data
 from repro.cluster.framing import FrameReader, FrameWriter
 from repro.protocols.base import PartialStateRecord
 from repro.runtime.faults import KeyedFaultInjector
 from repro.runtime.hop import DECODE_FAILURE, HopEngine, Parcel, RetransmitPolicy, TransportObserver
-from repro.wire.codec import PSRCodec
 
 __all__ = ["ClusterNode"]
 
@@ -53,7 +60,9 @@ DeliverFn = Callable[[int, int, PartialStateRecord, frozenset[int]], str]
 class ClusterNode:
     """One tree node: a TCP server plus an optional uplink to its parent.
 
-    *uplink* is the tree's table ``{node: (receiver, edge class)}``
+    *channel* is the run's channel, shared by every node: its ledger is
+    the run's one hop ledger.  *uplink* is the tree's table
+    ``{node: (receiver, edge class)}``
     (:attr:`~repro.runtime.epoch.EpochPlanner.uplink`): it names this
     node's own hop (none on the querier) and which senders are its
     children.  *now* is the running loop's clock, stamped on observer
@@ -64,10 +73,9 @@ class ClusterNode:
         self,
         node_id: int,
         *,
-        codec: PSRCodec,
+        channel: Channel,
         uplink: Mapping[int, tuple[int, EdgeClass]],
         deliver: DeliverFn,
-        ledger: HopLedger,
         injector: KeyedFaultInjector,
         policy: RetransmitPolicy,
         seed: int,
@@ -75,15 +83,16 @@ class ClusterNode:
         observer: TransportObserver | None = None,
     ) -> None:
         self.node_id = node_id
-        self.codec = codec
-        self.ledger = ledger
+        self.channel = channel
         self._uplink = uplink
         self._deliver_psr = deliver
         #: This node's half of every hop it takes part in: sender on its
         #: uplink, receiver for its children.  The observer gets the
         #: same ``(kind, attrs)`` events as on the runtime, so one
         #: :class:`~repro.obs.trace.TraceRecorder` observes both substrates.
-        self.engine = HopEngine(injector, policy, ledger, seed=seed, now=now, observer=observer)
+        self.engine = HopEngine(
+            injector, policy, channel.ledger, seed=seed, now=now, observer=observer
+        )
         self._server: asyncio.Server | None = None
         self.port: int | None = None
         self._uplink_writer: FrameWriter | None = None
@@ -201,19 +210,21 @@ class ClusterNode:
             edge,
             envelope.uid,
             envelope.attempt,
-            lambda: self._deliver(envelope),
+            lambda: self._deliver(envelope, edge),
         ):
             ack = encode_ack(epoch=envelope.epoch, uid=envelope.uid, attempt=envelope.attempt)
             await acks.write_frame(ack)
-            self.ledger.edge(edge).ack_bytes += len(ack)
+            self.engine.ledger.edge(edge).ack_bytes += len(ack)
 
-    def _deliver(self, envelope: DataEnvelope) -> str:
-        """Decode a first copy and hand it to the epoch machine."""
-        try:
-            psr = self.codec.decode(envelope.inner)
-        except WireDecodeError:
+    def _deliver(self, envelope: DataEnvelope, edge: EdgeClass) -> str:
+        """Accept a first copy off the channel and hand it to the epoch machine."""
+        message = self.channel.accept(
+            envelope.inner, envelope.sender, self.node_id, edge, envelope.manifest
+        )
+        if message is None:
             return DECODE_FAILURE
-        return self._deliver_psr(self.node_id, envelope.epoch, psr, envelope.manifest)
+        # Routed by the envelope's epoch: the frame header's is the attacker's.
+        return self._deliver_psr(self.node_id, envelope.epoch, message.psr, message.manifest)
 
     # ------------------------------------------------------------------
     # Outbound: the per-hop ARQ over the uplink
@@ -242,46 +253,43 @@ class ClusterNode:
             if self.engine.ack_arrived(edge, parcel) and pending is not None:
                 pending[1].set()
 
-    async def send_psr(self, epoch: int, psr: PartialStateRecord, manifest: frozenset[int]) -> bool:
+    async def send_psr(self, message: DataMessage) -> bool:
         """Run one parcel through the ARQ; True once ACKed, False on give-up.
 
-        The inner frame is encoded and size-checked once, then every
-        attempt counts one message with its payload and frame bytes, as
-        the channel does on the runtime.  The delivered-or-not outcome
-        is the keyed fault schedule's, not the event loop's: an attempt
-        the schedule spares is physically written (TCP then delivers
-        it), an attempt it swallows is never written.  Slow ACKs can
-        only add extra attempts whose copies the receiver suppresses —
-        see :func:`repro.cluster.faults.parcel_fate`.
+        The inner frame is encoded once; every attempt then goes through
+        the channel's sender half, which counts it and may rewrite or
+        drop the frame, exactly as on the runtime.  The delivered-or-not
+        outcome is the keyed fault schedule's, not the event loop's: an
+        attempt the schedule spares is physically written (TCP then
+        delivers it), an attempt it or the channel swallows is never
+        written.  Slow ACKs can only add extra attempts whose copies the
+        receiver suppresses — see :func:`repro.cluster.faults.parcel_fate`.
         """
         if self._uplink_writer is None:
             raise SimulationError(f"node {self.node_id} has no uplink to send on")
         receiver, edge = self._uplink[self.node_id]
-        inner = self.codec.encode(psr)
-        frame_size = self.codec.checked_frame_size(psr, inner)
-        payload_size = psr.wire_size()
-        counters = self.ledger.edge(edge)
-        parcel = Parcel(self.node_id, receiver, edge, epoch, manifest)
+        epoch = message.epoch
+        inner = self.channel.codec.encode(message.psr)
+        counters = self.engine.ledger.edge(edge)
+        parcel = Parcel(self.node_id, receiver, edge, epoch)
         event = asyncio.Event()
         self._pending[epoch] = (parcel, event)
         try:
             while True:
-                copies, timeout = self.engine.attempt(parcel)
-                counters.messages += 1
-                counters.payload_bytes += payload_size
-                counters.frame_bytes += frame_size
-                if copies:
-                    frame = encode_data(
+                frame = self.channel.emit(message, edge, inner)
+                copies, timeout = self.engine.attempt(parcel, swallowed=frame is None)
+                if frame is not None and copies:
+                    envelope = encode_data(
                         epoch=epoch,
                         sender=self.node_id,
                         uid=epoch,
                         attempt=parcel.attempts - 1,
-                        manifest=manifest,
-                        inner=inner,
+                        manifest=message.manifest,
+                        inner=frame,
                     )
                     for _ in range(copies):
-                        await self._uplink_writer.write_frame(frame)
-                    counters.envelope_bytes += copies * len(frame)
+                        await self._uplink_writer.write_frame(envelope)
+                    counters.envelope_bytes += copies * len(envelope)
                 try:
                     await asyncio.wait_for(event.wait(), timeout)
                     return True

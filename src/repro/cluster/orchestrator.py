@@ -17,10 +17,19 @@
    stop and :meth:`~repro.network.ledger.HopLedger.check_conservation`
    proves no frame went unaccounted.
 
+Every hop goes through one :class:`~repro.network.channel.Channel`
+(:attr:`EpochOrchestrator.channel`), whose ledger is the run's one hop
+ledger: interceptors from :mod:`repro.attacks` attach to it exactly as
+on the other two substrates.
+
 Each epoch runs on the event runtime's
 :class:`~repro.runtime.epoch.EpochDriver`, with the running loop's
 ``time`` and ``call_later`` as its timer and :meth:`ClusterNode.send_psr
-<repro.cluster.node.ClusterNode.send_psr>` tasks as its sends.  Epoch
+<repro.cluster.node.ClusterNode.send_psr>` tasks as its sends.  The
+first error raised by the driver — in a timer, a delivery or a launch —
+or by a parcel's ARQ fails the run: every epoch in flight stops
+waiting, no further epoch launches, the fleet drains as usual, and
+:meth:`EpochOrchestrator.run` raises that error.  Epoch
 deadlines are *relative to the epoch's launch*, so a window-8 run has
 eight independent sets of loop timers armed — the hold-and-wait schedule
 (``hold_time × height``) is per epoch, not global.
@@ -38,8 +47,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.network.ledger import EdgeClass, HopLedger
-from repro.network.messages import QUERIER_NODE_ID, Workload
+from repro.network.channel import Channel
+from repro.network.ledger import EdgeClass
+from repro.network.messages import QUERIER_NODE_ID, DataMessage, Workload
 from repro.network.topology import AggregationTree
 from repro.cluster.metrics import ClusterRunMetrics
 from repro.cluster.node import ClusterNode
@@ -47,7 +57,7 @@ from repro.protocols.base import PartialStateRecord, SecureAggregationProtocol
 from repro.runtime.epoch import EpochDriver, EpochPlanner
 from repro.runtime.metrics import EpochRecord
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
-from repro.runtime.hop import RetransmitPolicy, TransportObserver
+from repro.runtime.hop import LATE, RetransmitPolicy, TransportObserver
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ClusterConfig", "EpochOrchestrator", "run_cluster"]
@@ -124,9 +134,9 @@ class EpochOrchestrator:
         self.tree = tree
         self.workload = workload
         self.config = config or ClusterConfig()
-        self.codec = protocol.wire_codec()
+        #: Every hop's channel; ``channel.ledger`` is the run's one ledger.
+        self.channel = Channel(protocol.wire_codec())
         self.injector = KeyedFaultInjector(self.config.plan, seed=self.config.seed)
-        self.ledger = HopLedger()
         self._planner = EpochPlanner(
             tree,
             hold_time=self.config.hold_time,
@@ -138,6 +148,8 @@ class EpochOrchestrator:
         self._nodes: dict[int, ClusterNode] = {}
         #: Epoch in flight → (settled future, its parcels' ARQ tasks).
         self._in_flight: dict[int, tuple[asyncio.Future, list[asyncio.Task]]] = {}
+        #: The first error of the run; once set, the driver is never entered again.
+        self._failure: Exception | None = None
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -149,7 +161,7 @@ class EpochOrchestrator:
         protocol, tree = self.protocol, self.tree
 
         def call_later(delay: float, fn: Callable[[], None]) -> None:
-            loop.call_later(delay, self._fire, fn)
+            loop.call_later(delay, self._guard, fn)
 
         driver = EpochDriver(
             self._planner,
@@ -166,10 +178,9 @@ class EpochOrchestrator:
         for node_id in (*tree.source_ids, *tree.aggregator_ids, QUERIER_NODE_ID):
             self._nodes[node_id] = ClusterNode(
                 node_id,
-                codec=self.codec,
+                channel=self.channel,
                 uplink=self._planner.uplink,
-                deliver=driver.deliver,
-                ledger=self.ledger,
+                deliver=lambda *copy: self._guard(driver.deliver, *copy) or LATE,
                 injector=self.injector,
                 policy=self.config.policy,
                 seed=self.config.seed,
@@ -208,43 +219,61 @@ class EpochOrchestrator:
     ) -> None:
         """The driver's send: one ARQ task on *sender*'s uplink, kept by its epoch."""
         _, parcels = self._in_flight[epoch]
-        parcels.append(asyncio.ensure_future(self._nodes[sender].send_psr(epoch, psr, manifest)))
+        message = DataMessage(sender, receiver, epoch, psr, manifest)
+        parcels.append(asyncio.ensure_future(self._nodes[sender].send_psr(message)))
 
     def _settled(self, record: EpochRecord) -> None:
         self._in_flight[record.epoch][0].set_result(None)
 
-    def _fire(self, fn: Callable[[], None]) -> None:
-        """Run a driver timer; an error in it fails every epoch in flight
-        (a timer's exception would otherwise only reach the loop's log,
-        and an epoch whose expiry failed would never settle)."""
-        try:
-            fn()
-        except Exception as exc:
-            for settled, _ in self._in_flight.values():
-                if not settled.done():
-                    settled.set_exception(exc)
-            raise
+    def _guard(self, fn: Callable[..., str | None], *args: object) -> str | None:
+        """Enter the driver through *fn*, unless the run already failed.
+
+        An error in a timer or an inbound delivery would otherwise only
+        reach the loop's log (or kill the node's connection), and its
+        epoch would never settle; instead it fails the run.  A copy that
+        arrives after the failure is left unmerged (the delivery wrapper
+        reports it as late).
+        """
+        if self._failure is None:
+            try:
+                return fn(*args)
+            except Exception as exc:  # sieslint: disable=SL005 — run() raises it
+                self._fail(exc)
+        return None
+
+    def _fail(self, exc: Exception) -> None:
+        """Record the run's first error and release every epoch in flight."""
+        if self._failure is None:
+            self._failure = exc
+        for settled, _ in self._in_flight.values():
+            if not settled.done():
+                settled.set_result(None)
 
     async def _run_epoch(
         self, driver: EpochDriver, epoch: int, window: asyncio.Semaphore
     ) -> None:
         async with window:
+            if self._failure is not None:
+                return  # a failed run launches nothing more
             settled: asyncio.Future = asyncio.get_running_loop().create_future()
             parcels: list[asyncio.Task] = []
             self._in_flight[epoch] = (settled, parcels)
-            driver.start(epoch)
+            self._guard(driver.start, epoch)
             await settled
-            # Merges happen before the settlement, so every parcel of the
-            # epoch is already in the list: wait for each ARQ to finish.
-            for parcel in parcels:
-                await parcel
+            # Merges happen before the settlement (after a failure the
+            # driver sends nothing more), so every parcel of the epoch is
+            # already in the list: wait for each ARQ to finish.
+            for outcome in await asyncio.gather(*parcels, return_exceptions=True):
+                if isinstance(outcome, Exception):
+                    self._fail(outcome)
             del self._in_flight[epoch]
 
     async def run(self) -> ClusterRunMetrics:
         """Execute the configured epochs over real sockets.
 
         One-shot, like :meth:`RuntimeSimulator.run`: dedup state and the
-        fault schedule are bound to this fleet.
+        fault schedule are bound to this fleet.  Raises the run's first
+        error (see the module docstring) after the fleet has drained.
         """
         if self._ran:
             raise SimulationError(
@@ -266,8 +295,15 @@ class EpochOrchestrator:
             )
         finally:
             wall_seconds = loop.time() - started
-            await self._shutdown()
-        self.ledger.check_conservation()
+            try:
+                await self._shutdown()
+            except Exception:
+                if self._failure is None:
+                    raise
+        if self._failure is not None:
+            raise self._failure
+        ledger = self.channel.ledger
+        ledger.check_conservation()
         return ClusterRunMetrics(
             protocol=self.protocol.name,
             num_sources=self.tree.num_sources,
@@ -275,7 +311,7 @@ class EpochOrchestrator:
             window=self.config.window,
             # After the drain, so stragglers' late copies are counted too.
             epochs=driver.records(),
-            traffic=self.ledger,
+            traffic=ledger,
             wall_seconds=wall_seconds,
         )
 

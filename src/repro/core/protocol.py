@@ -28,7 +28,6 @@ from repro.core.layout import MessageLayout
 from repro.core.params import SIESParams
 from repro.core.querier import SIESQuerier
 from repro.core.source import SIESSource
-from repro.crypto.keycache import KeyScheduleCache
 from repro.protocols.base import OpCounter, SecureAggregationProtocol
 from repro.protocols.registry import register_protocol
 
@@ -105,25 +104,8 @@ class SIESProtocol(SecureAggregationProtocol):
 
         return SIESCodec(self.params.modulus_bytes)
 
-    def create_querier(
-        self,
-        *,
-        ops: OpCounter | None = None,
-        key_cache: KeyScheduleCache | None = None,
-    ) -> SIESQuerier:
-        return SIESQuerier(self.keys, self.layout, ops=ops, key_cache=key_cache)
-
-    def create_key_cache(
-        self, *, capacity: int = 128, ops: OpCounter | None = None
-    ) -> KeyScheduleCache:
-        """A key-schedule cache over this deployment's key material.
-
-        Pass the result to :meth:`create_querier` (``key_cache=``) to
-        amortize the querier's per-epoch ``N+1`` HM256 + ``N`` HM1
-        derivations across epoch windows and repeated queries; see
-        ``docs/api_overview.md`` for sizing guidance.
-        """
-        return KeyScheduleCache(self.keys, capacity=capacity, ops=ops)
+    def create_querier(self, *, ops: OpCounter | None = None) -> SIESQuerier:
+        return SIESQuerier(self.keys, self.layout, ops=ops)
 
 
 register_protocol("sies", SIESProtocol)

@@ -18,14 +18,6 @@ reporting subset is validated up front — an empty subset, a duplicate
 source id, or an out-of-range id would make the decryption silently
 produce garbage, so all three raise :class:`~repro.errors.ProtocolError`
 instead.
-
-Step 1 is the only per-epoch cost that does not depend on the incoming
-PSR, so it can be amortized: construct the querier with a
-:class:`~repro.crypto.keycache.KeyScheduleCache` and the temporal
-derivations are served from (and charged to) the cache — ``prefetch``
-a window once, then every evaluation against it performs zero HMAC
-work.  Without a cache the behaviour and op accounting are exactly the
-paper's.
 """
 
 from __future__ import annotations
@@ -35,7 +27,6 @@ from collections.abc import Sequence
 from repro.core.keys import SIESKeyMaterial
 from repro.core.layout import MessageLayout
 from repro.core.source import SIESRecord
-from repro.crypto.keycache import KeyScheduleCache
 from repro.crypto.modular import modinv
 from repro.errors import LayoutError, ProtocolError, VerificationFailure
 from repro.protocols.base import EvaluationResult, OpCounter, PartialStateRecord, QuerierRole
@@ -55,11 +46,6 @@ class SIESQuerier(QuerierRole):
         The Fig. 2 message layout shared with the sources.
     ops:
         Optional ledger for primitive-operation counts.
-    key_cache:
-        Optional :class:`~repro.crypto.keycache.KeyScheduleCache` over
-        *keys* (or an equivalent provider).  When present, temporal
-        derivations go through the cache and HMAC operations are
-        charged to *ops* only for actual cache misses.
     """
 
     def __init__(
@@ -68,17 +54,11 @@ class SIESQuerier(QuerierRole):
         layout: MessageLayout,
         *,
         ops: OpCounter | None = None,
-        key_cache: KeyScheduleCache | None = None,
     ) -> None:
         self._keys = keys
         self._layout = layout
         self._p = keys.p
         self._ops = ops
-        self._cache = key_cache
-
-    @property
-    def key_cache(self) -> KeyScheduleCache | None:
-        return self._cache
 
     def evaluate(
         self,
@@ -169,28 +149,17 @@ class SIESQuerier(QuerierRole):
         return contributors
 
     def _temporal_material(self, epoch: int, contributors: list[int]) -> tuple[int, int, int]:
-        """``(K_t, Σ k_i,t mod p, Σ truncated ss_i,t)`` for the epoch.
-
-        Direct derivation charges the full ``N+1``/``N`` HMAC cost;
-        the cached path charges only actual misses (the cache does the
-        accounting), so op counts stay honest in both modes.
-        """
-        cache = self._cache
+        """``(K_t, Σ k_i,t mod p, Σ truncated ss_i,t)`` for the epoch,
+        charging the full ``N+1`` HM256 / ``N`` HM1 derivation cost."""
+        keys = self._keys
         truncate = self._layout.truncate_share
+        k_t = keys.master_key_at(epoch)
         pad_sum = 0
         share_sum = 0
-        if cache is None:
-            keys = self._keys
-            k_t = keys.master_key_at(epoch)
-            for source_id in contributors:
-                pad_sum = (pad_sum + keys.source_pad_at(source_id, epoch)) % self._p
-                share_sum += truncate(keys.share_digest_at(source_id, epoch))
-            if self._ops is not None:
-                self._ops.add("hm256", len(contributors) + 1)
-                self._ops.add("hm1", len(contributors))
-        else:
-            k_t = cache.master_key_at(epoch, ops=self._ops)
-            for source_id in contributors:
-                pad_sum = (pad_sum + cache.source_pad_at(source_id, epoch, ops=self._ops)) % self._p
-                share_sum += truncate(cache.share_digest_at(source_id, epoch, ops=self._ops))
+        for source_id in contributors:
+            pad_sum = (pad_sum + keys.source_pad_at(source_id, epoch)) % self._p
+            share_sum += truncate(keys.share_digest_at(source_id, epoch))
+        if self._ops is not None:
+            self._ops.add("hm256", len(contributors) + 1)
+            self._ops.add("hm1", len(contributors))
         return k_t, pad_sum, share_sum

@@ -18,14 +18,11 @@ Layers (bottom up):
   ``E(m,K,k,p) = K*m + k mod p``.
 * :mod:`repro.crypto.secret_sharing` — additive N-out-of-N sharing.
 * :mod:`repro.crypto.keychain` — one-way hash chains (μTesla substrate).
-* :mod:`repro.crypto.keycache` — LRU-cached per-epoch key schedules
-  (amortizes the querier's key schedule across repeated evaluations).
 """
 
 from repro.crypto.hashes import HashFunction, available_backends, get_hash, sha1, sha256
 from repro.crypto.hmac import HM1, HM256, hmac_digest
 from repro.crypto.homomorphic import HomomorphicCipher, decrypt, encrypt
-from repro.crypto.keycache import KeyScheduleCache, KeyScheduleProvider
 from repro.crypto.keychain import OneWayKeyChain
 from repro.crypto.modular import egcd, modinv, modexp
 from repro.crypto.paillier import PaillierKeyPair, PaillierPublicKey
@@ -59,6 +56,4 @@ __all__ = [
     "decrypt",
     "AdditiveSecretSharing",
     "OneWayKeyChain",
-    "KeyScheduleCache",
-    "KeyScheduleProvider",
 ]

@@ -1,26 +1,32 @@
 """The (insecure) wireless channel with adversary hooks.
 
-Every PSR hop goes through a :class:`Channel`, which
+Every PSR hop, on every substrate, goes through a :class:`Channel`,
+split at the wire into a sender half and a receiver half:
 
-* classifies the edge (source→aggregator, aggregator→aggregator,
-  aggregator→querier) and counts the transmission into the run's
-  :class:`~repro.network.ledger.HopLedger` — the exact quantities of the
-  paper's Table V and communication analysis;
-* **encodes the PSR into its real byte frame** with the protocol's
-  :class:`~repro.wire.codec.PSRCodec`: the frame travels through
-  frame-level interceptors (bit flips, truncation, header forgery),
-  then the receiver decodes it — a malformed frame is *dropped with a
-  typed* :class:`~repro.errors.WireDecodeError`, exactly how a real
-  receiver discards an unparseable packet;
-* passes the decoded message through registered PSR-level
-  *interceptors* in order.  An interceptor models an adversary (or a
-  lossy link): it may return the message unchanged, a modified message,
-  or ``None`` to drop it.
+* :meth:`Channel.emit` (sender) counts the attempt into the run's
+  :class:`~repro.network.ledger.HopLedger` under its edge class
+  (source→aggregator, aggregator→aggregator, aggregator→querier) — the
+  exact quantities of the paper's Table V and communication analysis —
+  **encodes the PSR into its real byte frame** with the protocol's
+  :class:`~repro.wire.codec.PSRCodec` and passes the frame through the
+  frame-level interceptors (bit flips, truncation, header forgery);
+* :meth:`Channel.accept` (receiver) decodes the frame — a malformed
+  frame is *dropped with a typed* :class:`~repro.errors.WireDecodeError`
+  and counted, exactly how a real receiver discards an unparseable
+  packet — and passes the decoded message, survivor manifest included,
+  through the PSR-level *interceptors* in order.
 
-Each transmission counts one message and its bytes twice:
+An interceptor models an adversary (or a lossy link): it may return the
+frame or message unchanged, a modified one, or ``None`` to drop it.
+The analytic simulator and the event runtime call both halves at once
+(:meth:`Channel.transmit`); the TCP cluster calls :meth:`~Channel.emit`
+before the socket write and :meth:`~Channel.accept` where a first copy
+lands, so a frame crosses a real socket between the two halves.
+
+Each attempt counts one message and its bytes twice:
 ``payload_bytes`` is the paper's *analytic* payload (``psr.wire_size()``,
 the Table V quantity), ``frame_bytes`` the **measured** ``len(frame)``.
-The channel cross-checks the two on every hop
+The channel cross-checks the two on every attempt
 (:meth:`~repro.wire.codec.PSRCodec.checked_frame_size`) so the analytic
 model can never silently drift from the bytes actually sent.
 
@@ -65,7 +71,7 @@ class Channel:
     """Delivers :class:`DataMessage`s, counting traffic and applying attacks.
 
     Every transmission is a real encode → (frame interceptors) → decode
-    round trip through *codec*.
+    → (PSR interceptors) round trip through *codec*.
     """
 
     def __init__(self, codec: "PSRCodec") -> None:
@@ -110,24 +116,19 @@ class Channel:
 
     # -- transmission ----------------------------------------------------
 
-    def transmit(
-        self,
-        message: DataMessage,
-        edge_class: EdgeClass,
-        *,
-        frame: bytes | None = None,
-    ) -> DataMessage | None:
-        """Send *message* over an *edge_class* link.
+    def emit(
+        self, message: DataMessage, edge_class: EdgeClass, frame: bytes | None = None
+    ) -> bytes | None:
+        """Sender half: count one attempt of *message* and put its frame on the air.
 
         Traffic is accounted for the legitimate transmission (the sender
         spent that energy regardless of what the adversary later does),
-        once per call — the runtime calls it once per ARQ attempt.
-        The PSR is encoded to its byte frame (or *frame* is transmitted
-        verbatim when given — the ARQ layer passes the cached
-        first-attempt encoding so retransmissions are byte-identical),
-        attacked at the byte level, and decoded at the receiver; a frame
-        that fails to decode is dropped and counted.  Returns the
-        possibly-modified message, or ``None`` if dropped.
+        once per call — the ARQ substrates call it once per attempt.
+        The PSR is encoded to its byte frame, or *frame* is sent verbatim
+        when given (the ARQ layer passes its per-parcel encoding so
+        retransmissions are byte-identical), then attacked at the byte
+        level.  Returns the frame the receiver gets, or ``None`` if a frame
+        interceptor dropped it.
         """
         counters = self.ledger.edge(edge_class)
         counters.messages += 1
@@ -135,28 +136,60 @@ class Channel:
         if frame is None:
             frame = self.codec.encode(message.psr)
         counters.frame_bytes += self.codec.checked_frame_size(message.psr, frame)
-
         attacked: bytes | None = frame
         for frame_interceptor in self._frame_interceptors:
             attacked = frame_interceptor(attacked, edge_class)
             if attacked is None:
                 return None
+        return attacked
+
+    def accept(
+        self,
+        frame: bytes,
+        sender: int,
+        receiver: int,
+        edge_class: EdgeClass,
+        manifest: frozenset[int] = frozenset(),
+    ) -> DataMessage | None:
+        """Receiver half: decode *frame* from *sender* and run the PSR interceptors.
+
+        *manifest* is the survivor manifest the transport carried with
+        the frame.  The delivered message's epoch is the frame header's,
+        which is attacker-controlled: drivers route by their transport
+        epoch, never by this one.  Returns the possibly-modified
+        message, or ``None`` if the frame did not decode (counted) or an
+        interceptor dropped it.
+        """
         try:
-            psr = self.codec.decode(attacked)
+            psr = self.codec.decode(frame)
         except WireDecodeError:
             # A real receiver discards what it cannot parse; the typed
             # error family is the *only* thing a malformed frame may
             # raise (fuzzed in tests/wire/test_fuzz.py).
-            counters.channel_decode_failures += 1
+            self.ledger.edge(edge_class).channel_decode_failures += 1
             return None
-        delivered: DataMessage | None = DataMessage(
-            sender=message.sender,
-            receiver=message.receiver,
-            epoch=psr.epoch,
-            psr=psr,
-        )
+        delivered: DataMessage | None = DataMessage(sender, receiver, psr.epoch, psr, manifest)
         for interceptor in self._interceptors:
             delivered = interceptor(delivered, edge_class)
             if delivered is None:
                 return None
         return delivered
+
+    def transmit(
+        self,
+        message: DataMessage,
+        edge_class: EdgeClass,
+        *,
+        frame: bytes | None = None,
+    ) -> DataMessage | None:
+        """Both halves in one call: :meth:`emit`, then :meth:`accept`.
+
+        Returns the message as the receiver gets it, or ``None`` if it
+        was dropped on the way.
+        """
+        attacked = self.emit(message, edge_class, frame)
+        if attacked is None:
+            return None
+        return self.accept(
+            attacked, message.sender, message.receiver, edge_class, message.manifest
+        )

@@ -5,12 +5,12 @@ Table V).  :class:`HopLedger` keeps one :class:`EdgeCounters` per class,
 and every substrate fills exactly one ledger per run:
 
 * the :class:`~repro.network.channel.Channel` counts messages, analytic
-  payload bytes, measured frame bytes and its own decode discards — the
-  analytic simulator's whole ledger;
+  payload bytes and measured frame bytes in its sender half and its own
+  decode discards in its receiver half — the analytic simulator's whole
+  ledger;
 * the per-hop ARQ (:class:`~repro.runtime.hop.HopEngine`) adds the
-  attempt, copy and ACK counters on the event runtime, whose channel
-  writes the same ledger, and on the TCP cluster, whose send path counts
-  the channel's three traffic counters itself.
+  attempt, copy and ACK counters on the event runtime and on the TCP
+  cluster, into the same ledger as their channel.
 
 Every traffic counter counts per transmission **attempt** — the radio
 cost the paper's analysis charges, retransmissions included — so on
@@ -50,8 +50,10 @@ class EdgeCounters:
     #: Measured frame bytes (``len(frame)``) per attempt, each checked
     #: against ``PSRCodec.framed_size``.
     frame_bytes: int = 0
-    #: Frames the channel discarded because they no longer parsed (on
-    #: the runtime also counted as ``drops_channel``).
+    #: Frames the channel's receiver half discarded because they no
+    #: longer parsed (also counted as ``drops_channel`` on the runtime,
+    #: whose channel decodes at the sender, and as ``decode_failures`` on
+    #: the cluster, whose receiver decodes the copy it got).
     channel_decode_failures: int = 0
     #: ARQ send decisions (first attempts + retransmissions).
     attempts: int = 0
@@ -59,8 +61,9 @@ class EdgeCounters:
     retransmissions: int = 0
     #: Attempts the fault schedule swallowed (nothing reached the link).
     drops_injected: int = 0
-    #: Attempts the channel swallowed before the schedule ran (runtime
-    #: adversary drops and decode failures).
+    #: Attempts the channel swallowed before the schedule ran: frame
+    #: interceptor drops on every ARQ substrate, plus PSR interceptor
+    #: drops and decode failures on the runtime.
     drops_channel: int = 0
     #: Extra copies put on the link by duplication verdicts.
     dup_copies: int = 0
@@ -73,8 +76,8 @@ class EdgeCounters:
     duplicates_suppressed: int = 0
     #: First copies that arrived after their receiver's deadline.
     late_frames: int = 0
-    #: First copies whose inner protocol frame failed to decode at the
-    #: receiver (cluster).
+    #: First copies the channel's receiver half rejected (cluster): the
+    #: frame no longer parsed, or a PSR interceptor dropped the message.
     decode_failures: int = 0
     #: Parcels whose sender exhausted its retry budget.
     gave_up: int = 0

@@ -32,12 +32,18 @@ Workload = Callable[[int, int], int]
 
 @dataclass
 class DataMessage:
-    """A PSR in flight from *sender* to *receiver* at *epoch*."""
+    """A PSR in flight from *sender* to *receiver* at *epoch*.
+
+    *manifest* is the survivor manifest travelling with the PSR: the
+    source ids whose contributions it carries (empty where the driver
+    does not track survivors, as on the analytic simulator).
+    """
 
     sender: int
     receiver: int
     epoch: int
     psr: PartialStateRecord
+    manifest: frozenset[int] = frozenset()
 
     def wire_size(self) -> int:
         """Payload bytes on the radio — the Table V quantity."""

@@ -150,8 +150,6 @@ class Parcel:
     edge: EdgeClass
     #: The epoch: each hop carries exactly one parcel per epoch.
     uid: int
-    #: Source ids whose contributions the parcel's PSR carries.
-    manifest: frozenset[int]
     attempts: int = 0
     acked: bool = False
     failed: bool = False

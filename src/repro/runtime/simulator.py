@@ -215,9 +215,10 @@ class RuntimeSimulator:
     ) -> None:
         """One PSR onto the ARQ; its first copies go back to the driver."""
 
-        def deliver(message: DataMessage, manifest: frozenset[int]) -> str:
-            return self._driver.deliver(message.receiver, epoch, message.psr, manifest)
+        def deliver(message: DataMessage) -> str:
+            # Routed by the parcel's epoch, never the frame header's.
+            return self._driver.deliver(message.receiver, epoch, message.psr, message.manifest)
 
         self.transport.send(
-            DataMessage(sender, receiver, epoch, psr), edge, manifest, on_deliver=deliver
+            DataMessage(sender, receiver, epoch, psr, manifest), edge, on_deliver=deliver
         )

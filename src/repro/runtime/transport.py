@@ -4,12 +4,15 @@ Every decision of the hop — verdicts, copies, timeouts, give-up, dedup,
 ACK fate, accounting — comes from :class:`~repro.runtime.hop.HopEngine`.
 This module only turns those answers into scheduler events:
 
-* each physical attempt first passes through the legitimate
-  :class:`~repro.network.channel.Channel` (so adversary interceptors
-  and byte counters see retransmissions exactly like first attempts);
-  the channel and the engine fill one ledger, the channel's;
-  the frame is encoded once per parcel and every attempt replays the
-  identical bytes;
+* each physical attempt first passes through both halves of the
+  legitimate :class:`~repro.network.channel.Channel` at once
+  (:meth:`~repro.network.channel.Channel.transmit`), so adversary
+  interceptors and byte counters see retransmissions exactly like
+  first attempts; the channel and the engine fill one ledger, the
+  channel's; the frame is encoded once per parcel and every attempt
+  replays the identical bytes;
+* an attempt the channel drops (an interceptor, or a frame that no
+  longer decodes) never reaches the link: ``drops_channel``;
 * every surviving copy becomes an arrival event after its keyed link
   latency, every surviving ACK an ACK event after its keyed return
   latency;
@@ -37,10 +40,11 @@ from repro.runtime.hop import (
 
 __all__ = ["RetransmitPolicy", "RuntimeParcel", "ReliableTransport"]
 
-#: Application delivery callback: (delivered message, manifest).  May
-#: return :data:`~repro.runtime.hop.LATE` to classify the copy as late;
+#: Application delivery callback, given the delivered message (its
+#: survivor manifest included).  May return
+#: :data:`~repro.runtime.hop.LATE` to classify the copy as late;
 #: anything else counts as delivered.
-DeliverFn = Callable[[DataMessage, frozenset[int]], "str | None"]
+DeliverFn = Callable[[DataMessage], "str | None"]
 
 
 @dataclass(eq=False)
@@ -87,7 +91,6 @@ class ReliableTransport:
         self,
         message: DataMessage,
         edge: EdgeClass,
-        manifest: frozenset[int],
         *,
         on_deliver: DeliverFn | None = None,
     ) -> RuntimeParcel:
@@ -97,7 +100,6 @@ class ReliableTransport:
             receiver=message.receiver,
             edge=edge,
             uid=message.epoch,
-            manifest=manifest,
             message=message,
             on_deliver=on_deliver,
         )
@@ -128,7 +130,7 @@ class ReliableTransport:
         def classify() -> str:
             if parcel.on_deliver is None:
                 return DELIVERED
-            return parcel.on_deliver(message, parcel.manifest) or DELIVERED
+            return parcel.on_deliver(message) or DELIVERED
 
         if self.engine.receive(
             parcel.sender, parcel.receiver, parcel.edge, parcel.uid, attempt, classify

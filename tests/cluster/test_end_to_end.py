@@ -18,6 +18,7 @@ Three layers of assurance:
 from __future__ import annotations
 
 import asyncio
+import gc
 import itertools
 
 import pytest
@@ -25,6 +26,7 @@ import pytest
 from repro.cluster.faults import parcel_fate
 from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator, run_cluster
 from repro.core.protocol import SIESProtocol
+from repro.core.querier import SIESQuerier
 from repro.datasets.workload import DomainScaledWorkload
 from repro.errors import SimulationError
 from repro.network.channel import EdgeClass
@@ -244,6 +246,36 @@ def test_a_failing_driver_timer_fails_the_run(monkeypatch) -> None:
         asyncio.run(bounded())
 
 
+def test_a_role_error_in_the_receive_path_is_the_error_run_raises(monkeypatch) -> None:
+    """An error raised inside a node's inbound handler (here the querier's
+    ``evaluate``, reached from the receive path of the final PSR) fails
+    every epoch in flight; the fleet still drains, ``run()`` raises that
+    error — not a socket error from the shutdown — and no task or
+    callback error is left for the loop's exception handler."""
+
+    def broken_evaluate(self, *args, **kwargs):
+        raise RuntimeError("querier exploded")
+
+    monkeypatch.setattr(SIESQuerier, "evaluate", broken_evaluate)
+    loop_errors: list[dict] = []
+
+    async def main() -> None:
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: loop_errors.append(context)
+        )
+        orchestrator = EpochOrchestrator(
+            SIESProtocol(4, seed=3), build_complete_tree(4, fanout=4),
+            lambda sid, epoch: sid + epoch, ClusterConfig(num_epochs=4, window=2),
+        )
+        with pytest.raises(RuntimeError, match="querier exploded"):
+            await orchestrator.run()
+        await asyncio.sleep(0.05)  # let any straggling callback reach the handler
+
+    asyncio.run(main())
+    gc.collect()  # an unretrieved task exception is reported when collected
+    assert loop_errors == []
+
+
 class TestConfigurationRejections:
     def test_tree_protocol_size_mismatch(self) -> None:
         with pytest.raises(SimulationError):
@@ -345,7 +377,7 @@ def test_acceptance_64_sources_100_epochs_20_percent_loss() -> None:
     # Byte-exact wire accounting: SIES PSRs are constant-size, so each
     # edge class's traffic counters must equal attempts × their size.
     psr = protocol.create_source(0).initialize(1, 42)
-    frame_size = orchestrator.codec.framed_size(psr)
+    frame_size = orchestrator.channel.codec.framed_size(psr)
     for edge in EdgeClass:
         c = metrics.traffic.edge(edge)
         assert c.messages == c.attempts > c.retransmissions

@@ -19,9 +19,9 @@ from repro.cluster.faults import parcel_fate
 from repro.cluster.node import ClusterNode
 from repro.core.protocol import SIESProtocol
 from repro.errors import SimulationError
-from repro.network.channel import EdgeClass
+from repro.network.channel import Channel, EdgeClass
+from repro.network.messages import DataMessage
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile
-from repro.network.ledger import HopLedger
 from repro.runtime.hop import DELIVERED
 from repro.runtime.transport import RetransmitPolicy
 
@@ -43,15 +43,15 @@ class _Hop:
     """
 
     def __init__(self, plan: FaultPlan, policy: RetransmitPolicy, seed: int) -> None:
-        self.ledger = HopLedger()
+        self.channel = Channel(_CODEC)
+        self.ledger = self.channel.ledger
         self.injector = KeyedFaultInjector(plan, seed=seed)
         #: ``(receiver, epoch, psr, manifest)`` of every first copy.
         self.delivered: list[tuple] = []
         common = dict(
-            codec=_CODEC,
+            channel=self.channel,
             uplink={0: (1, EDGE)},
             deliver=self._deliver,
-            ledger=self.ledger,
             injector=self.injector,
             policy=policy,
             seed=seed,
@@ -68,7 +68,7 @@ class _Hop:
     async def send(self, epoch: int, value: int) -> bool:
         """The source's PSR for *epoch* through the child's ARQ."""
         psr = self.source.initialize(epoch, value)
-        return await self.child.send_psr(epoch, psr, frozenset({0}))
+        return await self.child.send_psr(DataMessage(0, 1, epoch, psr, frozenset({0})))
 
     async def __aenter__(self) -> "_Hop":
         await self.parent.start()

@@ -68,14 +68,3 @@ def test_valid_subset_still_evaluates(deployment) -> None:
     assert result.value == sum(values[i] for i in subset)
     assert result.verified
 
-
-def test_guards_apply_with_key_cache(deployment) -> None:
-    """Guard behaviour is identical on the cached fast path."""
-    protocol, _, values, _ = deployment
-    cache = protocol.create_key_cache(capacity=4)
-    querier = protocol.create_querier(key_cache=cache)
-    final = _subset_psr(deployment, [0, 1])
-    with pytest.raises(ProtocolError, match="duplicate"):
-        querier.evaluate(EPOCH, final, reporting_sources=[0, 0, 1])
-    result = querier.evaluate(EPOCH, final, reporting_sources=[0, 1])
-    assert result.value == values[0] + values[1]

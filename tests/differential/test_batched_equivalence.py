@@ -10,9 +10,7 @@ tampered epoch rejected, and the closed-form op ledgers and S-A message
 counts (see :mod:`tests.differential.harness`).
 
 The sweep covers ≥ 200 epoch/failure/tamper combinations (asserted
-explicitly).  The key-schedule cache tests pin the amortization claim:
-a warm cache performs strictly fewer HMAC evaluations per epoch than
-the plain querier.
+explicitly).
 """
 
 from __future__ import annotations
@@ -27,10 +25,7 @@ from repro.attacks.adversary import (
     DropAttack,
     ReplayAttack,
 )
-from repro.core.protocol import SIESProtocol
-from repro.experiments.common import build_final_psr
 from repro.network.channel import EdgeClass
-from repro.protocols.base import OpCounter
 
 from tests.differential.harness import (
     RunSpec,
@@ -142,74 +137,3 @@ def test_attacked_sweep_actually_detects_something() -> None:
     assert subset_accepted, "no failed-subset epoch was ever accepted"
     assert touched, "no adversary ever touched an epoch"
 
-
-# ----------------------------------------------------------------------
-# The key-schedule cache's amortization claim
-# ----------------------------------------------------------------------
-
-EPOCHS = list(range(1, 9))
-N = 16
-
-
-def _finals(protocol: SIESProtocol) -> dict[int, object]:
-    rng = random.Random(99)
-    return {
-        epoch: build_final_psr(protocol, epoch, [rng.randrange(1000) for _ in range(N)])
-        for epoch in EPOCHS
-    }
-
-
-def test_warm_cache_strictly_fewer_hmacs_per_epoch() -> None:
-    protocol = SIESProtocol(N, seed=31)
-    finals = _finals(protocol)
-
-    # Sequential reference: every epoch pays N+1 HM256 + N HM1.
-    seq_ops = OpCounter()
-    seq_querier = protocol.create_querier(ops=seq_ops)
-    for epoch in EPOCHS:
-        seq_querier.evaluate(epoch, finals[epoch])
-    seq_hm256_per_epoch = seq_ops.get("hm256") / len(EPOCHS)
-    seq_hm1_per_epoch = seq_ops.get("hm1") / len(EPOCHS)
-    assert seq_hm256_per_epoch == N + 1
-    assert seq_hm1_per_epoch == N
-
-    # Warm cache: prefetch pays the schedule once, evaluation pays zero.
-    warm_ops = OpCounter()
-    eval_ops = OpCounter()
-    cache = protocol.create_key_cache(capacity=len(EPOCHS))
-    cached_querier = protocol.create_querier(ops=eval_ops, key_cache=cache)
-    cache.prefetch(EPOCHS, ops=warm_ops)
-    assert warm_ops.get("hm256") == len(EPOCHS) * (N + 1)
-    assert warm_ops.get("hm1") == len(EPOCHS) * N
-
-    results = [cached_querier.evaluate(epoch, finals[epoch]) for epoch in EPOCHS]
-    assert [result.value for result in results] == [
-        seq_querier.evaluate(epoch, finals[epoch]).value for epoch in EPOCHS
-    ]
-    # Strictly fewer HMACs per epoch at evaluation time: zero vs 2N+1.
-    assert eval_ops.get("hm256") == 0 < seq_hm256_per_epoch
-    assert eval_ops.get("hm1") == 0 < seq_hm1_per_epoch
-
-
-def test_cache_amortizes_repeated_windows() -> None:
-    """Two query passes over the same window: the cached querier pays the
-    key schedule once in total, the sequential querier pays it twice."""
-    protocol = SIESProtocol(N, seed=32)
-    finals = _finals(protocol)
-
-    seq_ops = OpCounter()
-    seq_querier = protocol.create_querier(ops=seq_ops)
-    for _ in range(2):
-        for epoch in EPOCHS:
-            seq_querier.evaluate(epoch, finals[epoch])
-
-    cached_ops = OpCounter()
-    cache = protocol.create_key_cache(capacity=len(EPOCHS))
-    cached_querier = protocol.create_querier(ops=cached_ops, key_cache=cache)
-    for _ in range(2):
-        for epoch in EPOCHS:
-            assert cached_querier.evaluate(epoch, finals[epoch]).verified
-
-    assert cached_ops.get("hm256") == seq_ops.get("hm256") // 2
-    assert cached_ops.get("hm1") == seq_ops.get("hm1") // 2
-    assert cache.hits > 0 and cache.evictions == 0

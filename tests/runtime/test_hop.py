@@ -87,7 +87,7 @@ def kinds(events: list[tuple[str, dict]]) -> list[str]:
 
 def test_lossless_link_delivers_on_the_first_attempt() -> None:
     engine, ledger, events = make_engine(KeyedFaultInjector(FaultPlan.lossless(), seed=0))
-    parcel = Parcel(0, 1, EDGE, uid=1, manifest=frozenset({0}))
+    parcel = Parcel(0, 1, EDGE, uid=1)
     assert drive(engine, parcel) == [DELIVERED]
     assert parcel.acked and not parcel.failed and parcel.attempts == 1
     assert kinds(events) == ["attempt", "deliver"]
@@ -98,7 +98,7 @@ def test_lossless_link_delivers_on_the_first_attempt() -> None:
 
 def test_lossy_link_retransmits_until_it_delivers() -> None:
     engine, ledger, events = make_engine(ScriptedInjector([0, 0, 1, 1], [False] * 4))
-    parcel = Parcel(0, 1, EDGE, uid=4, manifest=frozenset({0}))
+    parcel = Parcel(0, 1, EDGE, uid=4)
     assert drive(engine, parcel) == [DELIVERED]
     assert parcel.acked and parcel.attempts == 3
     assert kinds(events) == ["attempt", "drop", "attempt", "drop", "attempt", "deliver"]
@@ -110,7 +110,7 @@ def test_lossy_link_retransmits_until_it_delivers() -> None:
 
 def test_sender_gives_up_after_max_attempts() -> None:
     engine, ledger, events = make_engine(KeyedFaultInjector(FaultPlan.uniform_loss(1.0), seed=0))
-    parcel = Parcel(0, 1, EDGE, uid=1, manifest=frozenset({0}))
+    parcel = Parcel(0, 1, EDGE, uid=1)
     assert drive(engine, parcel) == []
     assert parcel.failed and not parcel.acked
     assert parcel.attempts == POLICY.max_attempts
@@ -123,7 +123,7 @@ def test_sender_gives_up_after_max_attempts() -> None:
 
 def test_lost_ack_triggers_a_spurious_retransmit_but_one_delivery() -> None:
     engine, ledger, events = make_engine(ScriptedInjector([1, 1, 1, 1], [True, False, False, False]))
-    parcel = Parcel(0, 1, EDGE, uid=2, manifest=frozenset({0}))
+    parcel = Parcel(0, 1, EDGE, uid=2)
     assert drive(engine, parcel) == [DELIVERED]  # the application saw it once
     assert parcel.acked and parcel.attempts == 2
     assert kinds(events) == ["attempt", "deliver", "ack_lost", "attempt", "duplicate"]
@@ -134,7 +134,7 @@ def test_lost_ack_triggers_a_spurious_retransmit_but_one_delivery() -> None:
 
 def test_duplicate_is_suppressed_but_still_acked() -> None:
     engine, ledger, events = make_engine(ScriptedInjector([2], [False, False]))
-    parcel = Parcel(0, 1, EDGE, uid=3, manifest=frozenset({0}))
+    parcel = Parcel(0, 1, EDGE, uid=3)
     assert drive(engine, parcel) == [DELIVERED]
     assert kinds(events) == ["attempt", "deliver", "duplicate"]
     c = ledger.edge(EDGE)
@@ -148,7 +148,7 @@ def test_burst_fires_only_inside_its_epoch_window() -> None:
     engine, ledger, _ = make_engine(KeyedFaultInjector(plan, seed=0))
     outcome = {}
     for epoch in range(1, 6):
-        parcel = Parcel(0, 1, EDGE, uid=epoch, manifest=frozenset({0}))
+        parcel = Parcel(0, 1, EDGE, uid=epoch)
         outcome[epoch] = bool(drive(engine, parcel))
     assert outcome == {1: True, 2: False, 3: False, 4: True, 5: True}
     assert ledger.edge(EDGE).gave_up == 2
@@ -157,7 +157,7 @@ def test_burst_fires_only_inside_its_epoch_window() -> None:
 
 def test_channel_swallowed_attempt_is_counted_apart_from_the_schedule() -> None:
     engine, ledger, events = make_engine(KeyedFaultInjector(FaultPlan.lossless(), seed=0))
-    parcel = Parcel(0, 1, EDGE, uid=1, manifest=frozenset({0}))
+    parcel = Parcel(0, 1, EDGE, uid=1)
     assert engine.attempt(parcel, swallowed=True)[0] == 0
     assert kinds(events) == ["attempt", "drop"] and events[-1][1]["cause"] == "channel"
     assert ledger.edge(EDGE).drops_channel == 1 and ledger.edge(EDGE).drops_injected == 0
@@ -181,14 +181,14 @@ def test_backoff_grows_per_attempt_and_jitter_is_per_link() -> None:
     policy = RetransmitPolicy(max_retries=3, ack_timeout=10.0, backoff=2.0, jitter=0.5)
     lossy = KeyedFaultInjector(FaultPlan.uniform_loss(1.0), seed=0)
     engine, _, _ = make_engine(lossy, policy)
-    parcel = Parcel(0, 1, EDGE, uid=1, manifest=frozenset({0}))
+    parcel = Parcel(0, 1, EDGE, uid=1)
     timeouts = [engine.attempt(parcel)[1] for _ in range(4)]
     for attempt, timeout in enumerate(timeouts):
         base = 10.0 * 2.0**attempt
         assert base <= timeout <= base * 1.5
     # A fresh engine on the same seed replays the same per-link stream.
     again, _, _ = make_engine(lossy, policy)
-    replay = Parcel(0, 1, EDGE, uid=1, manifest=frozenset({0}))
+    replay = Parcel(0, 1, EDGE, uid=1)
     assert [again.attempt(replay)[1] for _ in range(4)] == timeouts
 
 

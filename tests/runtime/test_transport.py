@@ -39,10 +39,9 @@ def make_transport(plan: FaultPlan, policy: RetransmitPolicy | None = None, *, s
 def send_one(transport: ReliableTransport, *, epoch: int = 1):
     delivered: list[frozenset[int]] = []
     parcel = transport.send(
-        DataMessage(0, 1, epoch, _record(epoch)),
+        DataMessage(0, 1, epoch, _record(epoch), frozenset({0})),
         EdgeClass.SOURCE_TO_AGGREGATOR,
-        frozenset({0}),
-        on_deliver=lambda _m, manifest: delivered.append(manifest),
+        on_deliver=lambda m: delivered.append(m.manifest),
     )
     return parcel, delivered
 
@@ -153,9 +152,8 @@ def test_channel_interceptor_sees_every_physical_attempt() -> None:
         scheduler, KeyedFaultInjector(plan, seed=0), channel, policy, seed=0
     )
     transport.send(
-        DataMessage(0, 1, 7, _record(7)),
+        DataMessage(0, 1, 7, _record(7), frozenset({0})),
         EdgeClass.SOURCE_TO_AGGREGATOR,
-        frozenset({0}),
     )
     scheduler.run()
     assert seen == [7] * 5  # adversary saw the original and all 4 retransmits
@@ -184,10 +182,9 @@ def test_adversarial_drop_looks_like_loss_and_triggers_retransmit() -> None:
     )
     delivered: list[frozenset[int]] = []
     transport.send(
-        DataMessage(0, 1, 1, _record()),
+        DataMessage(0, 1, 1, _record(), frozenset({0})),
         EdgeClass.SOURCE_TO_AGGREGATOR,
-        frozenset({0}),
-        on_deliver=lambda _m, manifest: delivered.append(manifest),
+        on_deliver=lambda m: delivered.append(m.manifest),
     )
     scheduler.run()
     assert delivered == [frozenset({0})]

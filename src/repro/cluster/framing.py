@@ -13,7 +13,7 @@ boundaries:
   at a frame boundary, and raises
   :class:`~repro.errors.FrameTruncatedError` on EOF mid-frame.
 * :class:`FrameWriter` — wraps an :class:`asyncio.StreamWriter`; writes
-  one validated frame per call and counts bytes.
+  one validated frame per call, synchronously, and counts bytes.
 
 Malformed input raises *only* the typed
 :class:`~repro.errors.WireDecodeError` family — never ``ValueError``,
@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 
-from repro.errors import FrameLengthError, FrameTruncatedError, WireDecodeError, WireEncodeError
+from repro.errors import FrameLengthError, FrameTruncatedError, SimulationError, WireDecodeError, WireEncodeError
 from repro.wire.frame import HEADER_LEN, decode_header
 
 __all__ = ["DEFAULT_MAX_PAYLOAD", "FrameAssembler", "FrameReader", "FrameWriter"]
@@ -156,12 +156,15 @@ class FrameWriter:
         self.frames_written = 0
         self.bytes_written = 0
 
-    async def write_frame(self, frame: bytes) -> None:
-        """Queue one frame and drain.
+    def write_frame(self, frame: bytes) -> None:
+        """Queue one frame on the transport; never waits.
 
         The frame is length-checked against its own header first — a
         sender bug that would desynchronize the receiver's framing must
-        fail here, loudly, not at the far end.
+        fail here, loudly, not at the far end.  A closing transport (a
+        dead peer) raises :class:`~repro.errors.SimulationError` rather
+        than drop the frame; what the socket does not take at once stays
+        buffered in the transport.
         """
         header = decode_header(frame)
         if header.total_len != len(frame):
@@ -169,10 +172,11 @@ class FrameWriter:
                 f"refusing to write a {len(frame)}-byte frame whose header "
                 f"announces {header.total_len} bytes"
             )
+        if self._writer.transport.is_closing():
+            raise SimulationError("refusing to write a frame on a closing connection")
         self._writer.write(frame)
         self.frames_written += 1
         self.bytes_written += len(frame)
-        await self._writer.drain()
 
     def close(self) -> None:
         self._writer.close()

@@ -9,10 +9,13 @@ back down it, so the hop looks exactly like the paper's one-hop radio
 link with a MAC-layer ARQ on top:
 
 * each application send becomes one *parcel* (uid = epoch: a node sends
-  exactly one PSR per epoch per hop) run through the hop engine of
-  :mod:`repro.runtime.hop` — the same ARQ, dedup, ACK discipline and
-  keyed fault oracle the event runtime drives; this module only turns
-  the engine's answers into socket writes and ``asyncio`` waits;
+  exactly one PSR per epoch per hop) on the run's one ARQ driver,
+  :class:`~repro.runtime.transport.ReliableTransport` — the same ARQ,
+  dedup, ACK discipline and keyed fault oracle the event runtime
+  drives.  A node is the driver's socket end: :meth:`ClusterNode.put`
+  writes an attempt's envelope copies on the uplink, the inbound
+  handler reports each arriving copy to the driver and writes the ACK
+  it answers, and the ACK loop hands every ACK back to the driver;
 * every hop goes through the run's one
   :class:`~repro.network.channel.Channel`, split at the socket: the
   sender's ``emit`` runs before each write (a frame it drops is never
@@ -27,46 +30,37 @@ link with a MAC-layer ARQ on top:
 
 Above the hop every node is the same :class:`ClusterNode`: the epoch
 machine lives in one :class:`~repro.runtime.epoch.EpochDriver` owned by
-the orchestrator.  A node hands each accepted first copy to its
-*deliver* callable (the driver's :meth:`~repro.runtime.epoch.EpochDriver.deliver`),
-routed by the envelope's epoch, never by the attacker-readable frame
-header; the driver, in turn, sends through :meth:`ClusterNode.send_psr`.
+the orchestrator, which the ARQ driver hands each accepted first copy,
+routed by the envelope's uid, never by the attacker-readable frame
+header.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections.abc import Callable, Mapping
+from collections.abc import AsyncIterator, Mapping
 
 from repro.errors import SimulationError, WireDecodeError
 from repro.network.channel import Channel
 from repro.network.ledger import EdgeClass
-from repro.network.messages import DataMessage
 from repro.cluster.envelope import AckEnvelope, DataEnvelope, decode_envelope, encode_ack, encode_data
 from repro.cluster.framing import FrameReader, FrameWriter
-from repro.protocols.base import PartialStateRecord
-from repro.runtime.faults import KeyedFaultInjector
-from repro.runtime.hop import DECODE_FAILURE, HopEngine, Parcel, RetransmitPolicy, TransportObserver
+from repro.runtime.transport import ReliableTransport, RuntimeParcel
 
 __all__ = ["ClusterNode"]
 
 _HOST = "127.0.0.1"
 
-#: ``deliver(receiver, epoch, psr, manifest) -> disposition``: the
-#: receiving node's epoch machine takes one decoded first copy.
-DeliverFn = Callable[[int, int, PartialStateRecord, frozenset[int]], str]
-
 
 class ClusterNode:
     """One tree node: a TCP server plus an optional uplink to its parent.
 
-    *channel* is the run's channel, shared by every node: its ledger is
-    the run's one hop ledger.  *uplink* is the tree's table
-    ``{node: (receiver, edge class)}``
+    *channel* is the run's channel and *transport* the run's ARQ driver,
+    both shared by every node: the channel's ledger is the run's one hop
+    ledger.  *uplink* is the tree's table ``{node: (receiver, edge class)}``
     (:attr:`~repro.runtime.epoch.EpochPlanner.uplink`): it names this
     node's own hop (none on the querier) and which senders are its
-    children.  *now* is the running loop's clock, stamped on observer
-    events.
+    children.
     """
 
     def __init__(
@@ -75,32 +69,18 @@ class ClusterNode:
         *,
         channel: Channel,
         uplink: Mapping[int, tuple[int, EdgeClass]],
-        deliver: DeliverFn,
-        injector: KeyedFaultInjector,
-        policy: RetransmitPolicy,
-        seed: int,
-        now: Callable[[], float],
-        observer: TransportObserver | None = None,
+        transport: ReliableTransport,
     ) -> None:
         self.node_id = node_id
         self.channel = channel
         self._uplink = uplink
-        self._deliver_psr = deliver
-        #: This node's half of every hop it takes part in: sender on its
-        #: uplink, receiver for its children.  The observer gets the
-        #: same ``(kind, attrs)`` events as on the runtime, so one
-        #: :class:`~repro.obs.trace.TraceRecorder` observes both substrates.
-        self.engine = HopEngine(
-            injector, policy, channel.ledger, seed=seed, now=now, observer=observer
-        )
+        self.transport = transport
         self._server: asyncio.Server | None = None
         self.port: int | None = None
         self._uplink_writer: FrameWriter | None = None
         self._uplink_stream: asyncio.StreamWriter | None = None
         self._ack_task: asyncio.Task | None = None
-        #: parcel uid → the parcel and the event set when its ACK arrives.
-        self._pending: dict[int, tuple[Parcel, asyncio.Event]] = {}
-        #: Frames that failed envelope parsing on an inbound connection —
+        #: Frames that failed envelope parsing, or came the wrong way —
         #: impossible from a well-behaved peer; conservation catches the
         #: imbalance and this counter names the culprit node.
         self.stream_errors = 0
@@ -164,31 +144,35 @@ class ClusterNode:
         self._inbound.add(task)
         task.add_done_callback(self._inbound.discard)
 
+    async def _envelopes(self, frames: FrameReader, kind: type) -> AsyncIterator:
+        """Envelopes of *kind* off one connection, until EOF.
+
+        A frame that does not parse, or an envelope going the wrong way
+        (children never send ACKs upstream, parents never send data
+        down), means the peer is broken: a stream error, and the
+        connection is dropped.
+        """
+        while True:
+            try:
+                frame = await frames.read_frame()
+                if frame is None:
+                    return
+                envelope = decode_envelope(frame)
+            except WireDecodeError:
+                self.stream_errors += 1
+                return
+            if not isinstance(envelope, kind):
+                self.stream_errors += 1
+                return
+            yield envelope
+
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        frames = FrameReader(reader)
         acks = FrameWriter(writer)
         try:
-            while True:
-                try:
-                    frame = await frames.read_frame()
-                except WireDecodeError:
-                    self.stream_errors += 1
-                    break
-                if frame is None:
-                    break
-                try:
-                    envelope = decode_envelope(frame)
-                except WireDecodeError:
-                    self.stream_errors += 1
-                    break
-                if not isinstance(envelope, DataEnvelope):
-                    # Children never send ACKs upstream; a stray one means
-                    # the peer is broken — drop the connection.
-                    self.stream_errors += 1
-                    break
-                await self._handle_data(envelope, acks)
+            async for envelope in self._envelopes(FrameReader(reader), DataEnvelope):
+                self._handle_data(envelope, acks)
         finally:
             writer.close()
             await writer.wait_closed()
@@ -202,99 +186,44 @@ class ClusterNode:
             )
         return hop[1]
 
-    async def _handle_data(self, envelope: DataEnvelope, acks: FrameWriter) -> None:
+    def _handle_data(self, envelope: DataEnvelope, acks: FrameWriter) -> None:
+        """Report one arriving copy to the driver; write the ACK it answers.
+
+        A first copy is accepted off the channel here, at the receiver.
+        """
         edge = self._classify(envelope.sender)
-        if self.engine.receive(
-            envelope.sender,
-            self.node_id,
-            edge,
-            envelope.uid,
-            envelope.attempt,
-            lambda: self._deliver(envelope, edge),
+        if self.transport.receive(
+            envelope.sender, self.node_id, edge, envelope.uid, envelope.attempt,
+            lambda: self.channel.accept(
+                envelope.inner, envelope.sender, self.node_id, edge, envelope.manifest
+            ),
         ):
             ack = encode_ack(epoch=envelope.epoch, uid=envelope.uid, attempt=envelope.attempt)
-            await acks.write_frame(ack)
-            self.engine.ledger.edge(edge).ack_bytes += len(ack)
-
-    def _deliver(self, envelope: DataEnvelope, edge: EdgeClass) -> str:
-        """Accept a first copy off the channel and hand it to the epoch machine."""
-        message = self.channel.accept(
-            envelope.inner, envelope.sender, self.node_id, edge, envelope.manifest
-        )
-        if message is None:
-            return DECODE_FAILURE
-        # Routed by the envelope's epoch: the frame header's is the attacker's.
-        return self._deliver_psr(self.node_id, envelope.epoch, message.psr, message.manifest)
+            acks.write_frame(ack)
+            self.channel.ledger.edge(edge).ack_bytes += len(ack)
 
     # ------------------------------------------------------------------
-    # Outbound: the per-hop ARQ over the uplink
+    # Outbound: the driver's link over the uplink
     # ------------------------------------------------------------------
 
-    async def _ack_loop(self, frames: FrameReader) -> None:
-        _, edge = self._uplink[self.node_id]
-        while True:
-            try:
-                frame = await frames.read_frame()
-            except WireDecodeError:
-                self.stream_errors += 1
-                return
-            if frame is None:
-                return
-            try:
-                envelope = decode_envelope(frame)
-            except WireDecodeError:
-                self.stream_errors += 1
-                return
-            if not isinstance(envelope, AckEnvelope):
-                self.stream_errors += 1
-                return
-            pending = self._pending.get(envelope.uid)
-            parcel = pending[0] if pending is not None else None
-            if self.engine.ack_arrived(edge, parcel) and pending is not None:
-                pending[1].set()
+    def put(self, parcel: RuntimeParcel, frame: bytes, attempt: int, copies: int) -> None:
+        """Write *copies* envelopes of one attempt's *frame* on the uplink.
 
-    async def send_psr(self, message: DataMessage) -> bool:
-        """Run one parcel through the ARQ; True once ACKed, False on give-up.
-
-        The inner frame is encoded once; every attempt then goes through
-        the channel's sender half, which counts it and may rewrite or
-        drop the frame, exactly as on the runtime.  The delivered-or-not
-        outcome is the keyed fault schedule's, not the event loop's: an
-        attempt the schedule spares is physically written (TCP then
-        delivers it), an attempt it or the channel swallows is never
-        written.  Slow ACKs can only add extra attempts whose copies the
-        receiver suppresses — see :func:`repro.cluster.faults.parcel_fate`.
+        The keyed schedule chose *copies*, so what TCP delivers is its
+        decision, whatever the loop's timing (see :mod:`repro.cluster.faults`).
         """
         if self._uplink_writer is None:
             raise SimulationError(f"node {self.node_id} has no uplink to send on")
-        receiver, edge = self._uplink[self.node_id]
-        epoch = message.epoch
-        inner = self.channel.codec.encode(message.psr)
-        counters = self.engine.ledger.edge(edge)
-        parcel = Parcel(self.node_id, receiver, edge, epoch)
-        event = asyncio.Event()
-        self._pending[epoch] = (parcel, event)
-        try:
-            while True:
-                frame = self.channel.emit(message, edge, inner)
-                copies, timeout = self.engine.attempt(parcel, swallowed=frame is None)
-                if frame is not None and copies:
-                    envelope = encode_data(
-                        epoch=epoch,
-                        sender=self.node_id,
-                        uid=epoch,
-                        attempt=parcel.attempts - 1,
-                        manifest=message.manifest,
-                        inner=frame,
-                    )
-                    for _ in range(copies):
-                        await self._uplink_writer.write_frame(envelope)
-                    counters.envelope_bytes += copies * len(envelope)
-                try:
-                    await asyncio.wait_for(event.wait(), timeout)
-                    return True
-                except TimeoutError:
-                    if not self.engine.expire(parcel):
-                        return parcel.acked
-        finally:
-            del self._pending[epoch]
+        envelope = encode_data(
+            epoch=parcel.uid, sender=self.node_id, uid=parcel.uid, attempt=attempt,
+            manifest=parcel.message.manifest, inner=frame,
+        )
+        for _ in range(copies):
+            self._uplink_writer.write_frame(envelope)
+        self.channel.ledger.edge(parcel.edge).envelope_bytes += copies * len(envelope)
+
+    async def _ack_loop(self, frames: FrameReader) -> None:
+        """Hand every ACK back on the uplink to the driver."""
+        _, edge = self._uplink[self.node_id]
+        async for envelope in self._envelopes(frames, AckEnvelope):
+            self.transport.ack(self.node_id, edge, envelope.uid)

@@ -6,12 +6,11 @@
    ``127.0.0.1:0`` (kernel-assigned ports, no fixtures, no conflicts);
 2. **connect** — each child opens its persistent uplink to its parent's
    port; the root connects to the querier;
-3. **pipeline** — epochs launch in order through a bounded window (an
-   ``asyncio.Semaphore``): up to ``window`` epochs are in flight at
-   once, exactly like the logical runtime's ``epoch_interval``
-   pipelining but paced by completion instead of a clock.  An epoch
-   holds its slot until its querier has settled it and every parcel it
-   sent has finished its ARQ;
+3. **pipeline** — epochs launch in order through a bounded window: up
+   to ``window`` epochs are in flight at once, exactly like the logical
+   runtime's ``epoch_interval`` pipelining but paced by completion
+   instead of a clock.  An epoch holds its slot until its querier has
+   settled it and each parcel it sent was ACKed or given up;
 4. **drain** — uplinks half-close bottom-up (sources first, root last)
    so every in-flight ACK is read before any socket dies, then servers
    stop and :meth:`~repro.network.ledger.HopLedger.check_conservation`
@@ -22,13 +21,15 @@ Every hop goes through one :class:`~repro.network.channel.Channel`
 ledger: interceptors from :mod:`repro.attacks` attach to it exactly as
 on the other two substrates.
 
-Each epoch runs on the event runtime's
-:class:`~repro.runtime.epoch.EpochDriver`, with the running loop's
-``time`` and ``call_later`` as its timer and :meth:`ClusterNode.send_psr
-<repro.cluster.node.ClusterNode.send_psr>` tasks as its sends.  The
-first error raised by the driver — in a timer, a delivery or a launch —
-or by a parcel's ARQ fails the run: every epoch in flight stops
-waiting, no further epoch launches, the fleet drains as usual, and
+Both drivers of the event runtime run here on the running loop's
+``time`` and ``call_later``: each epoch on the
+:class:`~repro.runtime.epoch.EpochDriver`, and every parcel of the
+fleet on one :class:`~repro.runtime.transport.ReliableTransport`, whose
+``wire`` is the channel's ``emit`` and whose ``put`` writes envelopes
+on the sender's uplink.  Every timer goes through the orchestrator's
+guard, so the first error raised in a timer, a delivery, a launch or an
+ARQ attempt fails the run: every epoch in flight stops waiting, no
+further epoch launches, the fleet drains as usual, and
 :meth:`EpochOrchestrator.run` raises that error.  Epoch
 deadlines are *relative to the epoch's launch*, so a window-8 run has
 eight independent sets of loop timers armed — the hold-and-wait schedule
@@ -43,6 +44,7 @@ secoa_m — through the same lifecycle.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -55,9 +57,9 @@ from repro.cluster.metrics import ClusterRunMetrics
 from repro.cluster.node import ClusterNode
 from repro.protocols.base import PartialStateRecord, SecureAggregationProtocol
 from repro.runtime.epoch import EpochDriver, EpochPlanner
-from repro.runtime.metrics import EpochRecord
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
 from repro.runtime.hop import LATE, RetransmitPolicy, TransportObserver
+from repro.runtime.transport import ReliableTransport, TimerHandle
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ClusterConfig", "EpochOrchestrator", "run_cluster"]
@@ -99,7 +101,7 @@ class ClusterConfig:
     evaluate: bool = True
     #: Source ids that are known-failed up front (never report).
     failed_sources: frozenset[int] = field(default_factory=frozenset)
-    #: ``(kind, attrs)`` hook fed from every node's ARQ and receive path
+    #: ``(kind, attrs)`` hook fed from the ARQ of every hop
     #: — the shape of ``SimulationConfig.observer`` and
     #: ``RuntimeConfig.observer``, so one
     #: :class:`~repro.obs.trace.TraceRecorder` traces any substrate.
@@ -146,8 +148,17 @@ class EpochOrchestrator:
         )
         #: Node id → its node, built on the running loop by :meth:`run`.
         self._nodes: dict[int, ClusterNode] = {}
-        #: Epoch in flight → (settled future, its parcels' ARQ tasks).
-        self._in_flight: dict[int, tuple[asyncio.Future, list[asyncio.Task]]] = {}
+        #: Epochs not launched yet, in order.
+        self._unlaunched = deque(
+            range(self.config.start_epoch, self.config.start_epoch + self.config.num_epochs)
+        )
+        #: Epoch in flight → its holds on a window slot: one until it
+        #: settles, plus one per parcel still in its ARQ.
+        self._in_flight: dict[int, int] = {}
+        #: Built on the running loop by :meth:`run`: the epoch driver, and
+        #: the future resolved once every epoch was released or the run failed.
+        self._driver: EpochDriver
+        self._done: asyncio.Future
         #: The first error of the run; once set, the driver is never entered again.
         self._failure: Exception | None = None
         self._ran = False
@@ -156,14 +167,35 @@ class EpochOrchestrator:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def _build(self, loop: asyncio.AbstractEventLoop) -> EpochDriver:
-        """The driver on *loop*'s timer, and one node per tree node plus the querier."""
+    def _build(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Both drivers on *loop*'s timer, and one node per tree node plus the querier."""
         protocol, tree = self.protocol, self.tree
 
-        def call_later(delay: float, fn: Callable[[], None]) -> None:
-            loop.call_later(delay, self._guard, fn)
+        def call_later(delay: float, fn: Callable[[], None]) -> TimerHandle:
+            return loop.call_later(delay, self._guard, fn)
 
-        driver = EpochDriver(
+        def ack_timeout(delay: float, fn: Callable[[], None]) -> TimerHandle:
+            return loop.call_later(delay, after_polls, 3, fn)
+
+        def after_polls(polls: int, fn: Callable[[], None]) -> None:
+            # An ACK timeout decides three loop iterations after it fires, each
+            # polling the sockets first, so an ACK already on the wire has been
+            # handled by the ACK loop; deciding sooner attempted 5-54 % more
+            # than the keyed schedule needs (N=64, window 8, 20 % loss).
+            if polls:
+                loop.call_later(0, after_polls, polls - 1, fn)
+            else:
+                self._guard(fn)
+
+        def send(
+            sender: int, receiver: int, edge: EdgeClass, epoch: int,
+            psr: PartialStateRecord, manifest: frozenset[int],
+        ) -> None:
+            """The driver's send: one parcel onto the ARQ, holding its epoch's slot."""
+            self._in_flight[epoch] += 1
+            transport.send(DataMessage(sender, receiver, epoch, psr, manifest), edge)
+
+        self._driver = driver = EpochDriver(
             self._planner,
             self.workload,
             sources={sid: protocol.create_source(sid) for sid in tree.source_ids},
@@ -171,23 +203,30 @@ class EpochOrchestrator:
             querier=protocol.create_querier(),
             now=loop.time,
             call_later=call_later,
-            send=self._send,
+            send=send,
             evaluate=self.config.evaluate,
-            on_settled=self._settled,
+            on_settled=lambda record: self._release(record.epoch),
+        )
+        transport = ReliableTransport(
+            self.injector,
+            self.config.policy,
+            self.channel.ledger,
+            seed=self.config.seed,
+            now=loop.time,
+            call_later=ack_timeout,
+            encode=self.channel.codec.encode,
+            wire=self.channel.emit,
+            put=lambda parcel, frame, attempt, copies: self._nodes[parcel.sender].put(
+                parcel, frame, attempt, copies
+            ),
+            deliver=lambda *copy: self._guard(driver.deliver, *copy) or LATE,
+            on_finished=lambda parcel: self._release(parcel.uid),
+            observer=self.config.observer,
         )
         for node_id in (*tree.source_ids, *tree.aggregator_ids, QUERIER_NODE_ID):
             self._nodes[node_id] = ClusterNode(
-                node_id,
-                channel=self.channel,
-                uplink=self._planner.uplink,
-                deliver=lambda *copy: self._guard(driver.deliver, *copy) or LATE,
-                injector=self.injector,
-                policy=self.config.policy,
-                seed=self.config.seed,
-                now=loop.time,
-                observer=self.config.observer,
+                node_id, channel=self.channel, uplink=self._planner.uplink, transport=transport
             )
-        return driver
 
     async def _bind_and_connect(self) -> None:
         for node in self._nodes.values():
@@ -208,22 +247,30 @@ class EpochOrchestrator:
     # Epoch pipeline
     # ------------------------------------------------------------------
 
-    def _send(
-        self,
-        sender: int,
-        receiver: int,
-        edge: EdgeClass,
-        epoch: int,
-        psr: PartialStateRecord,
-        manifest: frozenset[int],
-    ) -> None:
-        """The driver's send: one ARQ task on *sender*'s uplink, kept by its epoch."""
-        _, parcels = self._in_flight[epoch]
-        message = DataMessage(sender, receiver, epoch, psr, manifest)
-        parcels.append(asyncio.ensure_future(self._nodes[sender].send_psr(message)))
+    def _launch(self) -> None:
+        """Start epochs in order while the window has room; resolve the run
+        once every epoch has been released."""
+        window = self.config.window
+        while self._failure is None and self._unlaunched and len(self._in_flight) < window:
+            epoch = self._unlaunched.popleft()
+            self._in_flight[epoch] = 1
+            self._guard(self._driver.start, epoch)
+        if not self._in_flight and not self._done.done():
+            self._done.set_result(None)
 
-    def _settled(self, record: EpochRecord) -> None:
-        self._in_flight[record.epoch][0].set_result(None)
+    def _release(self, epoch: int) -> None:
+        """Drop one hold on *epoch*'s slot: it settled, or one of its parcels finished.
+
+        No parcel opens once the epoch settled (merges come first); after a
+        failure the slot is gone already."""
+        holds = self._in_flight.get(epoch)
+        if holds is None:
+            return
+        if holds > 1:
+            self._in_flight[epoch] = holds - 1
+        else:
+            del self._in_flight[epoch]
+            asyncio.get_running_loop().call_soon(self._launch)
 
     def _guard(self, fn: Callable[..., str | None], *args: object) -> str | None:
         """Enter the driver through *fn*, unless the run already failed.
@@ -242,31 +289,12 @@ class EpochOrchestrator:
         return None
 
     def _fail(self, exc: Exception) -> None:
-        """Record the run's first error and release every epoch in flight."""
+        """Record the run's first error, give up every slot and end the run."""
         if self._failure is None:
             self._failure = exc
-        for settled, _ in self._in_flight.values():
-            if not settled.done():
-                settled.set_result(None)
-
-    async def _run_epoch(
-        self, driver: EpochDriver, epoch: int, window: asyncio.Semaphore
-    ) -> None:
-        async with window:
-            if self._failure is not None:
-                return  # a failed run launches nothing more
-            settled: asyncio.Future = asyncio.get_running_loop().create_future()
-            parcels: list[asyncio.Task] = []
-            self._in_flight[epoch] = (settled, parcels)
-            self._guard(driver.start, epoch)
-            await settled
-            # Merges happen before the settlement (after a failure the
-            # driver sends nothing more), so every parcel of the epoch is
-            # already in the list: wait for each ARQ to finish.
-            for outcome in await asyncio.gather(*parcels, return_exceptions=True):
-                if isinstance(outcome, Exception):
-                    self._fail(outcome)
-            del self._in_flight[epoch]
+        self._in_flight.clear()
+        if not self._done.done():
+            self._done.set_result(None)
 
     async def run(self) -> ClusterRunMetrics:
         """Execute the configured epochs over real sockets.
@@ -282,17 +310,13 @@ class EpochOrchestrator:
             )
         self._ran = True
         loop = asyncio.get_running_loop()
-        driver = self._build(loop)
+        self._done = loop.create_future()
+        self._build(loop)
         await self._bind_and_connect()
         started = loop.time()
         try:
-            window = asyncio.Semaphore(self.config.window)
-            await asyncio.gather(
-                *(
-                    self._run_epoch(driver, self.config.start_epoch + offset, window)
-                    for offset in range(self.config.num_epochs)
-                )
-            )
+            self._launch()
+            await self._done
         finally:
             wall_seconds = loop.time() - started
             try:
@@ -310,7 +334,7 @@ class EpochOrchestrator:
             seed=self.config.seed,
             window=self.config.window,
             # After the drain, so stragglers' late copies are counted too.
-            epochs=driver.records(),
+            epochs=self._driver.records(),
             traffic=ledger,
             wall_seconds=wall_seconds,
         )

@@ -10,8 +10,8 @@ aggregator merge deadlines and querier settlement
 (:mod:`repro.runtime.epoch`), and a recovery path that converts
 undelivered subtrees into the paper's reported-failure subset so the
 querier answers the exact SUM over the survivors
-(:mod:`repro.runtime.recovery`).  The TCP cluster drives the same hop
-engine, epoch machine and fault oracle.
+(:mod:`repro.runtime.recovery`).  The TCP cluster runs the same ARQ
+driver, epoch machine and fault oracle.
 
 Quick start::
 

@@ -17,8 +17,9 @@ clock or touches a socket of its own:
   attempted source under it — can still receive;
 * :class:`HoldAndWait` — one aggregator's inboxes, one per live epoch:
   :meth:`~HoldAndWait.offer` answers :data:`~repro.runtime.hop.DELIVERED`
-  (and whether the inbox is now complete: the early-merge case) or
-  :data:`~repro.runtime.hop.LATE`; :meth:`~HoldAndWait.close` merges in
+  (and whether the inbox is now complete: the early-merge case),
+  :data:`~repro.runtime.hop.LATE` or, for a forged header epoch,
+  :data:`~repro.runtime.hop.DECODE_FAILURE`; :meth:`~HoldAndWait.close` merges in
   arrival order and forwards the merged PSR with the union of the
   manifests;
 * :class:`QuerierEpochs` — the querier's side: the final PSR settles its
@@ -33,8 +34,8 @@ clock or touches a socket of its own:
 The event runtime (:class:`~repro.runtime.simulator.RuntimeSimulator`)
 and the TCP cluster (:mod:`repro.cluster.orchestrator`) both run on
 :class:`EpochDriver`; only the timer (the scheduler's logical clock, or
-the running asyncio loop) and the ``send`` callable (ARQ over scheduler
-events, or over a socket) differ.  The analytic simulator walks the same
+the running asyncio loop) and the ``send`` callable (the one ARQ driver,
+over scheduler events or a socket) differ.  The analytic simulator walks the same
 machine bottom-up in zero time.  Times enter the machine only as
 arguments (``started_at``, ``now``) to stamp completion latencies.
 """
@@ -49,7 +50,7 @@ from typing import TYPE_CHECKING
 from repro.errors import SecurityError, SimulationError
 from repro.network.ledger import EdgeClass
 from repro.network.messages import QUERIER_NODE_ID
-from repro.runtime.hop import DELIVERED, LATE
+from repro.runtime.hop import DECODE_FAILURE, DELIVERED, LATE
 from repro.runtime.metrics import EpochRecord
 from repro.runtime.recovery import EpochRecovery
 
@@ -187,9 +188,13 @@ class HoldAndWait:
     ) -> tuple[str, bool]:
         """Hand in one child's first copy: ``(disposition, inbox complete)``.
 
-        A copy for an epoch without an open inbox — closed already, or
-        never live here — is :data:`LATE` and counted.
+        A copy whose header names another epoch than the routed one is a
+        :data:`DECODE_FAILURE`, never merged; a copy for an epoch without
+        an open inbox — closed already, or never live here — is
+        :data:`LATE` and counted.
         """
+        if psr.epoch != epoch:
+            return DECODE_FAILURE, False
         inbox = self._inboxes.get(epoch)
         if inbox is None:
             self.late[epoch] += 1

@@ -23,12 +23,12 @@ clock, touches a socket, or schedules a callback:
   event to the optional :data:`TransportObserver` through
   :func:`emit_hop`, the emit helper every substrate's hop path shares.
 
-The drivers own the time and the bytes: the event runtime
-(:class:`~repro.runtime.transport.ReliableTransport`) turns copies and
-timeouts into scheduler events, the TCP cluster
-(:class:`~repro.cluster.node.ClusterNode`) into socket writes and
-``asyncio`` waits.  A parcel's uid is its epoch on both substrates —
-each hop carries one parcel per epoch.
+One driver owns the time and the bytes on both ARQ substrates:
+:class:`~repro.runtime.transport.ReliableTransport`, on a timer and a
+link it is handed — the event runtime's scheduler and keyed-latency
+arrival events, or the cluster's running loop and socket writes.  A
+parcel's uid is its epoch on both substrates — each hop carries one
+parcel per epoch.
 
 A sender giving up does **not** retract a copy that actually arrived
 (the ACK may be the lost half): correctness downstream derives from

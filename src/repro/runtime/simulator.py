@@ -47,7 +47,7 @@ from repro.runtime.events import EventScheduler
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
 from repro.runtime.hop import RetransmitPolicy, TransportObserver
 from repro.runtime.metrics import RuntimeRunMetrics
-from repro.runtime.transport import ReliableTransport
+from repro.runtime.transport import scheduled_transport
 from repro.utils.validation import check_positive_int
 
 __all__ = ["RuntimeConfig", "RuntimeSimulator"]
@@ -127,15 +127,6 @@ class RuntimeSimulator:
         self.channel = Channel(codec=protocol.wire_codec())
         self.scheduler = EventScheduler()
         self.keyed_injector = KeyedFaultInjector(self.config.plan, seed=self.config.seed)
-        self.transport = ReliableTransport(
-            self.scheduler,
-            self.keyed_injector,
-            self.channel,
-            self.config.policy,
-            seed=self.config.seed,
-            observer=self.config.observer,
-        )
-
         self.source_ops = OpCounter()
         self.aggregator_ops = OpCounter()
         self.querier_ops = OpCounter()
@@ -160,6 +151,15 @@ class RuntimeSimulator:
             call_later=self.scheduler.call_later,
             send=self._send,
             evaluate=self.config.evaluate,
+        )
+        self.transport = scheduled_transport(
+            self.scheduler,
+            self.keyed_injector,
+            self.channel,
+            self.config.policy,
+            seed=self.config.seed,
+            deliver=self._driver.deliver,
+            observer=self.config.observer,
         )
         self._ran = False
 
@@ -214,11 +214,4 @@ class RuntimeSimulator:
         manifest: frozenset[int],
     ) -> None:
         """One PSR onto the ARQ; its first copies go back to the driver."""
-
-        def deliver(message: DataMessage) -> str:
-            # Routed by the parcel's epoch, never the frame header's.
-            return self._driver.deliver(message.receiver, epoch, message.psr, message.manifest)
-
-        self.transport.send(
-            DataMessage(sender, receiver, epoch, psr, manifest), edge, on_deliver=deliver
-        )
+        self.transport.send(DataMessage(sender, receiver, epoch, psr, manifest), edge)

@@ -247,33 +247,57 @@ def test_a_failing_driver_timer_fails_the_run(monkeypatch) -> None:
 
 
 def test_a_role_error_in_the_receive_path_is_the_error_run_raises(monkeypatch) -> None:
-    """An error raised inside a node's inbound handler (here the querier's
-    ``evaluate``, reached from the receive path of the final PSR) fails
-    every epoch in flight; the fleet still drains, ``run()`` raises that
-    error — not a socket error from the shutdown — and no task or
-    callback error is left for the loop's exception handler."""
+    """An error raised inside the run fails every epoch in flight; the
+    fleet still drains, ``run()`` raises that error — not a socket error
+    from the shutdown — and no task or callback error is left for the
+    loop's exception handler.  Two sources of the error: the querier's
+    ``evaluate``, reached from the receive path of the final PSR, and a
+    frame interceptor that raises on a retransmission, reached from an
+    ARQ timer."""
 
     def broken_evaluate(self, *args, **kwargs):
         raise RuntimeError("querier exploded")
 
-    monkeypatch.setattr(SIESQuerier, "evaluate", broken_evaluate)
-    loop_errors: list[dict] = []
+    def querier_explodes(patch, orchestrator) -> None:
+        patch.setattr(SIESQuerier, "evaluate", broken_evaluate)
 
-    async def main() -> None:
-        asyncio.get_running_loop().set_exception_handler(
-            lambda _loop, context: loop_errors.append(context)
-        )
-        orchestrator = EpochOrchestrator(
-            SIESProtocol(4, seed=3), build_complete_tree(4, fanout=4),
-            lambda sid, epoch: sid + epoch, ClusterConfig(num_epochs=4, window=2),
-        )
-        with pytest.raises(RuntimeError, match="querier exploded"):
-            await orchestrator.run()
-        await asyncio.sleep(0.05)  # let any straggling callback reach the handler
+    def retransmission_explodes(patch, orchestrator) -> None:
+        # Retransmissions replay the parcel's frame byte for byte.
+        seen: set[bytes] = set()
 
-    asyncio.run(main())
-    gc.collect()  # an unretrieved task exception is reported when collected
-    assert loop_errors == []
+        def interceptor(frame: bytes, edge: EdgeClass) -> bytes:
+            if frame in seen:
+                raise RuntimeError("retransmission exploded")
+            seen.add(frame)
+            return frame
+
+        orchestrator.channel.add_frame_interceptor(interceptor)
+
+    cases = [
+        (querier_explodes, FaultPlan(), "querier exploded"),
+        (retransmission_explodes, FaultPlan.uniform_loss(0.5), "retransmission exploded"),
+    ]
+    for break_it, plan, message in cases:
+        loop_errors: list[dict] = []
+
+        async def main() -> None:
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: loop_errors.append(context)
+            )
+            orchestrator = EpochOrchestrator(
+                SIESProtocol(4, seed=3), build_complete_tree(4, fanout=4),
+                lambda sid, epoch: sid + epoch,
+                ClusterConfig(num_epochs=4, window=2, plan=plan),
+            )
+            with monkeypatch.context() as patch:
+                break_it(patch, orchestrator)
+                with pytest.raises(RuntimeError, match=message):
+                    await orchestrator.run()
+            await asyncio.sleep(0.05)  # let any straggling callback reach the handler
+
+        asyncio.run(main())
+        gc.collect()  # an unretrieved task exception is reported when collected
+        assert loop_errors == [], message
 
 
 class TestConfigurationRejections:

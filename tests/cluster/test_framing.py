@@ -19,6 +19,7 @@ from repro.errors import (
     FrameLengthError,
     FrameMagicError,
     FrameTruncatedError,
+    SimulationError,
     WireDecodeError,
     WireEncodeError,
 )
@@ -189,7 +190,7 @@ class TestFrameReaderWriter:
             _, writer = await asyncio.open_connection("127.0.0.1", port)
             framed = FrameWriter(writer)
             for frame in FRAMES:
-                await framed.write_frame(frame)
+                framed.write_frame(frame)
             assert framed.frames_written == len(FRAMES)
             assert framed.bytes_written == len(STREAM)
             framed.close()
@@ -212,10 +213,33 @@ class TestFrameReaderWriter:
             _, writer = await asyncio.open_connection("127.0.0.1", port)
             framed = FrameWriter(writer)
             with pytest.raises(WireEncodeError):
-                await framed.write_frame(FRAMES[0] + b"\x00")
+                framed.write_frame(FRAMES[0] + b"\x00")
             with pytest.raises(FrameTruncatedError):
-                await framed.write_frame(FRAMES[0][:-1])
+                framed.write_frame(FRAMES[0][:-1])
             framed.close()
+            await framed.wait_closed()
+            server.close()
+            await server.wait_closed()
+
+        self._drive(scenario())
+
+    def test_writer_refuses_a_closing_connection(self) -> None:
+        """Writes never wait, so a dead link must fail at the write itself:
+        a typed error, not a frame the transport silently drops."""
+
+        async def scenario() -> None:
+            server = await asyncio.start_server(
+                lambda r, w: None, host="127.0.0.1", port=0
+            )
+            port = server.sockets[0].getsockname()[1]
+            _, writer = await asyncio.open_connection("127.0.0.1", port)
+            framed = FrameWriter(writer)
+            framed.write_frame(FRAMES[0])
+            framed.close()
+            with pytest.raises(SimulationError, match="closing connection"):
+                framed.write_frame(FRAMES[1])
+            assert framed.frames_written == 1
+            assert framed.bytes_written == len(FRAMES[0])
             await framed.wait_closed()
             server.close()
             await server.wait_closed()

@@ -1,8 +1,10 @@
 """One hop over a real socket: ARQ, dedup, give-up, ACK accounting.
 
 A single source→aggregator link built from two real
-:class:`~repro.cluster.node.ClusterNode` endpoints (the parent hands
-every decoded first copy to a recording ``deliver``), so every counter
+:class:`~repro.cluster.node.ClusterNode` endpoints sharing one
+:class:`~repro.runtime.transport.ReliableTransport` on the running loop,
+wired as the orchestrator wires it (the driver hands every decoded
+first copy to a recording ``deliver``), so every counter
 the ledger keeps can be pinned exactly against the keyed fault
 schedule.  Timing-dependent quantities (extra attempts under a slow
 ACK) are asserted as inequalities; everything the schedule
@@ -23,7 +25,7 @@ from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile
 from repro.runtime.hop import DELIVERED
-from repro.runtime.transport import RetransmitPolicy
+from repro.runtime.transport import ReliableTransport, RetransmitPolicy, RuntimeParcel
 
 EDGE = EdgeClass.SOURCE_TO_AGGREGATOR
 #: Generous ACK timeout: the success path returns the moment the ACK
@@ -39,7 +41,7 @@ _CODEC = _PROTOCOL.wire_codec()
 class _Hop:
     """A live source→aggregator link plus its accounting.
 
-    Built inside the running loop: the nodes stamp its clock.
+    Built inside the running loop: the driver runs on its timer.
     """
 
     def __init__(self, plan: FaultPlan, policy: RetransmitPolicy, seed: int) -> None:
@@ -48,15 +50,23 @@ class _Hop:
         self.injector = KeyedFaultInjector(plan, seed=seed)
         #: ``(receiver, epoch, psr, manifest)`` of every first copy.
         self.delivered: list[tuple] = []
-        common = dict(
-            channel=self.channel,
-            uplink={0: (1, EDGE)},
-            deliver=self._deliver,
-            injector=self.injector,
-            policy=policy,
+        #: parcel uid → the future its finish (ACK or give-up) resolves.
+        self._finished: dict[int, asyncio.Future] = {}
+        loop = asyncio.get_running_loop()
+        self.transport = ReliableTransport(
+            self.injector,
+            policy,
+            self.ledger,
             seed=seed,
-            now=asyncio.get_running_loop().time,
+            now=loop.time,
+            call_later=loop.call_later,
+            encode=_CODEC.encode,
+            wire=self.channel.emit,
+            put=lambda parcel, *attempt: self.child.put(parcel, *attempt),
+            deliver=self._deliver,
+            on_finished=self._finish,
         )
+        common = dict(channel=self.channel, uplink={0: (1, EDGE)}, transport=self.transport)
         self.parent = ClusterNode(1, **common)
         self.child = ClusterNode(0, **common)
         self.source = _PROTOCOL.create_source(0)
@@ -65,10 +75,18 @@ class _Hop:
         self.delivered.append((receiver, epoch, psr, manifest))
         return DELIVERED
 
+    def _finish(self, parcel: RuntimeParcel) -> None:
+        self._finished.pop(parcel.uid).set_result(None)
+
     async def send(self, epoch: int, value: int) -> bool:
-        """The source's PSR for *epoch* through the child's ARQ."""
+        """The source's PSR for *epoch* through the driver; True once ACKed,
+        False on give-up."""
         psr = self.source.initialize(epoch, value)
-        return await self.child.send_psr(DataMessage(0, 1, epoch, psr, frozenset({0})))
+        finished = asyncio.get_running_loop().create_future()
+        self._finished[epoch] = finished
+        parcel = self.transport.send(DataMessage(0, 1, epoch, psr, frozenset({0})), EDGE)
+        await finished
+        return parcel.acked
 
     async def __aenter__(self) -> "_Hop":
         await self.parent.start()

@@ -1,4 +1,10 @@
-"""The per-hop ARQ: retransmission, backoff, dedup, give-up semantics."""
+"""The per-hop ARQ: retransmission, backoff, dedup, give-up semantics.
+
+Most cases run the event runtime's driver
+(:func:`~repro.runtime.transport.scheduled_transport`) on a real
+:class:`EventScheduler`; the last ones hold the driver's handed-timer
+contract with no scheduler and no event loop at all.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +16,7 @@ from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
 from repro.runtime.events import EventScheduler
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile, NodeOutage
-from repro.runtime.transport import ReliableTransport, RetransmitPolicy
+from repro.runtime.transport import ReliableTransport, RetransmitPolicy, scheduled_transport
 from repro.wire.codecs import SIESCodec
 
 MODULUS_BYTES = 32
@@ -24,26 +30,34 @@ def _record(epoch: int = 1) -> SIESRecord:
     return SIESRecord(ciphertext=12345, epoch=epoch, modulus_bytes=MODULUS_BYTES)
 
 
-def make_transport(plan: FaultPlan, policy: RetransmitPolicy | None = None, *, seed: int = 0):
+def make_transport(
+    plan: FaultPlan,
+    policy: RetransmitPolicy | None = None,
+    *,
+    seed: int = 0,
+    injector: KeyedFaultInjector | None = None,
+    channel: Channel | None = None,
+):
+    """The runtime's driver; returns the scheduler, the driver and the
+    manifest of every first copy it delivers."""
     scheduler = EventScheduler()
-    transport = ReliableTransport(
+    delivered: list[frozenset[int]] = []
+    transport = scheduled_transport(
         scheduler,
-        KeyedFaultInjector(plan, seed=seed),
-        _channel(),
+        injector or KeyedFaultInjector(plan, seed=seed),
+        channel or _channel(),
         policy or RetransmitPolicy(),
         seed=seed,
+        deliver=lambda receiver, epoch, psr, manifest: delivered.append(manifest),
     )
-    return scheduler, transport
+    return scheduler, transport, delivered
 
 
 def send_one(transport: ReliableTransport, *, epoch: int = 1):
-    delivered: list[frozenset[int]] = []
-    parcel = transport.send(
+    return transport.send(
         DataMessage(0, 1, epoch, _record(epoch), frozenset({0})),
         EdgeClass.SOURCE_TO_AGGREGATOR,
-        on_deliver=lambda m: delivered.append(m.manifest),
     )
-    return parcel, delivered
 
 
 def test_policy_validation() -> None:
@@ -64,8 +78,8 @@ def test_backoff_grows_exponentially() -> None:
 
 
 def test_clean_link_delivers_first_attempt() -> None:
-    scheduler, transport = make_transport(FaultPlan.lossless())
-    parcel, delivered = send_one(transport)
+    scheduler, transport, delivered = make_transport(FaultPlan.lossless())
+    parcel = send_one(transport)
     scheduler.run()
     assert delivered == [frozenset({0})]
     assert parcel.acked and not parcel.failed
@@ -76,11 +90,12 @@ def test_clean_link_delivers_first_attempt() -> None:
 def test_lossy_link_retransmits_until_delivery() -> None:
     # ~60% loss: first attempts often die, the ARQ must push through.
     plan = FaultPlan.uniform_loss(0.6, latency=1.0, jitter=0.0)
-    scheduler, transport = make_transport(plan, RetransmitPolicy(max_retries=8), seed=11)
-    outcomes = [send_one(transport, epoch=e) for e in range(1, 21)]
+    scheduler, transport, delivered = make_transport(plan, RetransmitPolicy(max_retries=8), seed=11)
+    for e in range(1, 21):
+        send_one(transport, epoch=e)
     scheduler.run()
     edge = EdgeClass.SOURCE_TO_AGGREGATOR
-    delivered_count = sum(len(d) for _, d in outcomes)
+    delivered_count = len(delivered)
     assert delivered_count >= 19  # 9 attempts at 60% loss: ~0.999^… practically all
     assert transport.ledger.retransmissions[edge] > 0
     assert transport.ledger.attempts[edge] > 20
@@ -89,8 +104,8 @@ def test_lossy_link_retransmits_until_delivery() -> None:
 def test_retry_budget_exhaustion_reports_failure() -> None:
     plan = FaultPlan.uniform_loss(1.0)  # the void: nothing ever arrives
     policy = RetransmitPolicy(max_retries=3, ack_timeout=5.0, jitter=0.0)
-    scheduler, transport = make_transport(plan, policy)
-    parcel, delivered = send_one(transport)
+    scheduler, transport, delivered = make_transport(plan, policy)
+    parcel = send_one(transport)
     scheduler.run()
     assert delivered == []
     assert parcel.failed and not parcel.acked
@@ -102,8 +117,8 @@ def test_retry_budget_exhaustion_reports_failure() -> None:
 
 def test_duplicates_suppressed_at_receiver() -> None:
     plan = FaultPlan(default_profile=LinkProfile(duplicate_rate=1.0, jitter=0.0))
-    scheduler, transport = make_transport(plan)
-    _, delivered = send_one(transport)
+    scheduler, transport, delivered = make_transport(plan)
+    send_one(transport)
     scheduler.run()
     assert delivered == [frozenset({0})]  # app sees exactly one copy
     edge = EdgeClass.SOURCE_TO_AGGREGATOR
@@ -114,11 +129,10 @@ def test_lost_ack_causes_spurious_retransmit_but_single_delivery() -> None:
     # Data direction 0->1 is clean; ACK direction 1->0 is the void.
     plan = FaultPlan.lossless()
     policy = RetransmitPolicy(max_retries=2, ack_timeout=5.0, jitter=0.0)
-    scheduler = EventScheduler()
     injector = KeyedFaultInjector(plan, seed=0)
     injector.ack_verdict = lambda *coordinate: True  # type: ignore[method-assign]
-    transport = ReliableTransport(scheduler, injector, _channel(), policy, seed=0)
-    parcel, delivered = send_one(transport)
+    scheduler, transport, delivered = make_transport(plan, policy, injector=injector)
+    parcel = send_one(transport)
     scheduler.run()
     # The receiver got it (once, despite 3 physical copies); the sender
     # believes it failed — and that belief must NOT retract the delivery.
@@ -133,8 +147,8 @@ def test_lost_ack_causes_spurious_retransmit_but_single_delivery() -> None:
 def test_crashed_receiver_neither_delivers_nor_acks() -> None:
     plan = FaultPlan(outages=(NodeOutage(node_id=1, first_epoch=0),))
     policy = RetransmitPolicy(max_retries=1, ack_timeout=5.0, jitter=0.0)
-    scheduler, transport = make_transport(plan, policy)
-    parcel, delivered = send_one(transport)
+    scheduler, transport, delivered = make_transport(plan, policy)
+    parcel = send_one(transport)
     scheduler.run()
     assert delivered == []
     assert parcel.failed and not parcel.acked
@@ -144,17 +158,11 @@ def test_crashed_receiver_neither_delivers_nor_acks() -> None:
 def test_channel_interceptor_sees_every_physical_attempt() -> None:
     plan = FaultPlan.uniform_loss(1.0)
     policy = RetransmitPolicy(max_retries=4, ack_timeout=2.0, jitter=0.0)
-    scheduler = EventScheduler()
     channel = _channel()
     seen: list[int] = []
     channel.add_interceptor(lambda m, e: (seen.append(m.epoch), m)[1])
-    transport = ReliableTransport(
-        scheduler, KeyedFaultInjector(plan, seed=0), channel, policy, seed=0
-    )
-    transport.send(
-        DataMessage(0, 1, 7, _record(7), frozenset({0})),
-        EdgeClass.SOURCE_TO_AGGREGATOR,
-    )
+    scheduler, transport, _ = make_transport(plan, policy, channel=channel)
+    send_one(transport, epoch=7)
     scheduler.run()
     assert seen == [7] * 5  # adversary saw the original and all 4 retransmits
     sa = channel.ledger.edge(EdgeClass.SOURCE_TO_AGGREGATOR)
@@ -163,7 +171,6 @@ def test_channel_interceptor_sees_every_physical_attempt() -> None:
 
 
 def test_adversarial_drop_looks_like_loss_and_triggers_retransmit() -> None:
-    scheduler = EventScheduler()
     channel = _channel()
     # Drop the first two physical attempts, then let traffic through.
     state = {"count": 0}
@@ -173,19 +180,131 @@ def test_adversarial_drop_looks_like_loss_and_triggers_retransmit() -> None:
         return None if state["count"] <= 2 else message
 
     channel.add_interceptor(drop_twice)
-    transport = ReliableTransport(
-        scheduler,
-        KeyedFaultInjector(FaultPlan.lossless(), seed=0),
-        channel,
+    scheduler, transport, delivered = make_transport(
+        FaultPlan.lossless(),
         RetransmitPolicy(max_retries=4, ack_timeout=3.0, jitter=0.0),
-        seed=0,
+        channel=channel,
     )
-    delivered: list[frozenset[int]] = []
-    transport.send(
-        DataMessage(0, 1, 1, _record(), frozenset({0})),
-        EdgeClass.SOURCE_TO_AGGREGATOR,
-        on_deliver=lambda m: delivered.append(m.manifest),
-    )
+    send_one(transport)
     scheduler.run()
     assert delivered == [frozenset({0})]
     assert transport.ledger.retransmissions[EdgeClass.SOURCE_TO_AGGREGATOR] == 2
+
+
+# ----------------------------------------------------------------------
+# The handed-timer contract, with no scheduler and no event loop
+# ----------------------------------------------------------------------
+
+EDGE = EdgeClass.SOURCE_TO_AGGREGATOR
+
+
+class FakeTimer:
+    """A list-backed ``call_later``: nothing fires until a test fires it."""
+
+    def __init__(self) -> None:
+        self.handles: list[FakeHandle] = []
+
+    def call_later(self, delay: float, fn) -> "FakeHandle":
+        handle = FakeHandle(delay, fn)
+        self.handles.append(handle)
+        return handle
+
+    def armed(self) -> list["FakeHandle"]:
+        return [h for h in self.handles if not h.cancelled and not h.fired]
+
+    def fire_next(self) -> None:
+        handle = self.armed()[0]
+        handle.fired = True
+        handle.fn()
+
+
+class FakeHandle:
+    def __init__(self, delay: float, fn) -> None:
+        self.delay = delay
+        self.fn = fn
+        self.cancelled = False
+        self.fired = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
+def contract_transport(plan: FaultPlan, policy: RetransmitPolicy | None = None):
+    """The driver on a :class:`FakeTimer`, with a recording ``put`` and
+    ``on_finished``; the wire is the channel's sender half."""
+    timer = FakeTimer()
+    channel = _channel()
+    puts: list[tuple[int, int]] = []
+    finished: list = []
+    transport = ReliableTransport(
+        KeyedFaultInjector(plan, seed=0),
+        policy or RetransmitPolicy(max_retries=2, ack_timeout=5.0, jitter=0.0),
+        channel.ledger,
+        seed=0,
+        now=lambda: 0.0,
+        call_later=timer.call_later,
+        encode=channel.codec.encode,
+        wire=channel.emit,
+        put=lambda parcel, frame, attempt, copies: puts.append((attempt, copies)),
+        deliver=lambda *copy: None,
+        on_finished=finished.append,
+    )
+    return timer, transport, puts, finished
+
+
+def test_an_ack_before_the_timeout_cancels_the_timer() -> None:
+    timer, transport, puts, finished = contract_transport(FaultPlan.lossless())
+    parcel = send_one(transport)
+    assert puts == [(0, 1)]
+    [handle] = timer.handles
+    assert handle.delay == 5.0 and not handle.cancelled
+    transport.ack(0, EDGE, parcel.uid)
+    assert handle.cancelled and timer.armed() == []
+    assert parcel.acked and not parcel.failed
+    assert finished == [parcel]
+    assert transport.ledger.edge(EDGE).acks_received == 1
+
+
+def test_a_give_up_finishes_the_parcel_exactly_once() -> None:
+    timer, transport, puts, finished = contract_transport(FaultPlan.uniform_loss(1.0))
+    parcel = send_one(transport)
+    while timer.armed():
+        timer.fire_next()
+    assert parcel.failed and not parcel.acked
+    assert parcel.attempts == 3 and puts == []
+    assert [h.delay for h in timer.handles] == [5.0, 10.0, 20.0]
+    assert finished == [parcel]
+    assert transport.ledger.edge(EDGE).gave_up == 1
+
+
+@pytest.mark.parametrize("stop", ["ack", "give_up"])
+def test_an_ack_for_a_stopped_parcel_is_only_counted(stop: str) -> None:
+    plan = FaultPlan.lossless() if stop == "ack" else FaultPlan.uniform_loss(1.0)
+    timer, transport, puts, finished = contract_transport(plan)
+    parcel = send_one(transport)
+    if stop == "ack":
+        transport.ack(0, EDGE, parcel.uid)
+    while timer.armed():
+        timer.fire_next()
+    before = transport.ledger.edge(EDGE).as_dict()
+    state = (parcel.acked, parcel.failed, parcel.attempts, len(timer.handles), list(puts))
+    transport.ack(0, EDGE, parcel.uid)
+    after = transport.ledger.edge(EDGE).as_dict()
+    assert after.pop("acks_received") == before.pop("acks_received") + 1
+    assert after == before
+    assert (parcel.acked, parcel.failed, parcel.attempts, len(timer.handles), puts) == state
+    assert finished == [parcel]
+
+
+def test_an_expiry_that_runs_after_the_ack_changes_nothing() -> None:
+    """The cluster decides a timeout a few loop iterations after it fires,
+    so its ACK may be handled in between: the late expiry is a no-op."""
+    timer, transport, puts, finished = contract_transport(FaultPlan.lossless())
+    parcel = send_one(transport)
+    [handle] = timer.handles
+    transport.ack(0, EDGE, parcel.uid)
+    handle.fn()
+    assert parcel.acked and not parcel.failed and parcel.attempts == 1
+    assert len(timer.handles) == 1 and puts == [(0, 1)]
+    assert finished == [parcel]
+    assert transport.ledger.edge(EDGE).gave_up == 0

@@ -88,7 +88,7 @@ class FrameAssembler:
         frames: list[bytes] = []
         while len(self._buffer) >= HEADER_LEN:
             try:
-                header = decode_header(bytes(self._buffer[:HEADER_LEN]))
+                header = decode_header(self._buffer)  # in place: no copy
             except WireDecodeError as exc:
                 raise self._poison(exc)
             if header.payload_len > self.max_payload:

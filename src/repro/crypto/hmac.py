@@ -13,26 +13,45 @@ This module implements HMAC from its definition,
 :class:`repro.crypto.hashes.HashFunction` — including the pure-Python
 backends — and is cross-validated against :mod:`hmac` in the tests.
 
-The key schedule is paid once per :class:`HMAC`: the constructor
-derives ``K' ⊕ ipad`` and ``K' ⊕ opad`` with ``bytes.translate`` over
-two precomputed 256-byte tables (as the stdlib does) and absorbs each
-pad block into its own hash state.  :meth:`HMAC.copy` clones both
-states, so a caller holding a keyed ``HMAC`` (see
-:class:`repro.crypto.prf.PRF`) evaluates a new message by copying
-states and hashing only the message and the inner digest, never the
-pads.  Both pad states are key-equivalent secrets; ``repr`` shows only
-the algorithm and backend.
+The key schedule is :func:`keyed_states`: it derives ``K' ⊕ ipad`` and
+``K' ⊕ opad`` with ``bytes.translate`` over two precomputed 256-byte
+tables (as the stdlib does) and absorbs each pad block into its own
+hash state.  It is paid once per :class:`HMAC` and once per
+:class:`repro.crypto.prf.PRF`.  The outer state is never updated in
+place, so an evaluation costs two state copies: the inner state, to
+hash the message, and the outer state, to hash the inner digest.
+:meth:`HMAC.copy` therefore clones only the inner state and shares the
+outer one.  Both pad states are key-equivalent secrets; ``repr`` shows
+only the algorithm and backend.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.crypto.hashes import HashFunction, get_hash
 
-__all__ = ["hmac_digest", "HMAC", "HM1", "HM256"]
+__all__ = ["hmac_digest", "keyed_states", "HMAC", "HM1", "HM256"]
 
 #: ``x ⊕ ipad`` / ``x ⊕ opad`` for every byte value, for ``bytes.translate``.
 _TRANS_IPAD = bytes(x ^ 0x36 for x in range(256))
 _TRANS_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+def keyed_states(key: bytes, hash_function: HashFunction) -> tuple[Any, Any]:
+    """The HMAC key schedule: the hash states after ``K' ⊕ ipad`` and ``K' ⊕ opad``.
+
+    Callers copy the states before updating them; the pair stays keyed
+    for the lifetime of the key.
+    """
+    block_size = hash_function.block_size
+    if len(key) > block_size:
+        key = hash_function.digest(key)
+    key = key.ljust(block_size, b"\x00")
+    return (
+        hash_function.new(key.translate(_TRANS_IPAD)),
+        hash_function.new(key.translate(_TRANS_OPAD)),
+    )
 
 
 class HMAC:
@@ -42,12 +61,7 @@ class HMAC:
 
     def __init__(self, key: bytes, hash_function: HashFunction, data: bytes = b"") -> None:
         self._hash = hash_function
-        block_size = hash_function.block_size
-        if len(key) > block_size:
-            key = hash_function.digest(key)
-        key = key.ljust(block_size, b"\x00")
-        self._inner = hash_function.new(key.translate(_TRANS_IPAD))
-        self._outer = hash_function.new(key.translate(_TRANS_OPAD))
+        self._inner, self._outer = keyed_states(key, hash_function)
         if data:
             self._inner.update(data)
 
@@ -59,11 +73,14 @@ class HMAC:
         return self._hash.digest_size
 
     def copy(self) -> "HMAC":
-        """An independent clone: updating it never touches this instance."""
+        """An independent clone: updating it never touches this instance.
+
+        The outer state is shared: :meth:`digest` copies it before use.
+        """
         clone = HMAC.__new__(HMAC)
         clone._hash = self._hash
         clone._inner = self._inner.copy()
-        clone._outer = self._outer.copy()
+        clone._outer = self._outer
         return clone
 
     def update(self, data: bytes) -> None:

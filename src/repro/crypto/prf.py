@@ -11,20 +11,26 @@ The epoch encoding is 8 bytes big-endian, giving a canonical, injective
 input for all 64-bit epochs — ambiguity between inputs like ``t=1`` and
 ``t="1"`` would silently weaken freshness.
 
-Each :class:`PRF` keeps one keyed :class:`~repro.crypto.hmac.HMAC`, so
-the key schedule (padding the key, hashing both pad blocks) is paid once
-per key rather than once per epoch: :meth:`PRF.evaluate` is
-``copy → update(message) → digest`` on that state.  The keyed state is
-built lazily, on the first evaluation, because setup builds far more
-PRFs (``2N+1`` in :class:`repro.core.keys.SIESKeyMaterial`, three per
-source) than a typical run evaluates right away.  The fill is benign
-under threads: racing first evaluations build identical states and
-either one may be kept.
+Each :class:`PRF` holds the two keyed pad states of its HMAC
+(:func:`~repro.crypto.hmac.keyed_states`), so the key schedule (padding
+the key, hashing both pad blocks) is paid once per key rather than once
+per epoch.  :meth:`PRF.evaluate` makes two state copies and no other
+object: copy the inner state, ``update(message)``, ``digest``; copy the
+outer state, ``update(inner digest)``, ``digest``.  It is the single
+entry point of every derivation (:meth:`~PRF.at_epoch`,
+:meth:`~PRF.expand` and :meth:`~PRF.derive_key` all call it).  The
+keyed states are built lazily, on the first evaluation, because setup
+builds far more PRFs (``2N+1`` in :class:`repro.core.keys.SIESKeyMaterial`,
+three per source) than a typical run evaluates right away.  The fill is
+one assignment of the pair and benign under threads: racing first
+evaluations build identical states and either pair may be kept.
 """
 
 from __future__ import annotations
 
-from repro.crypto.hmac import HMAC
+from typing import Any
+
+from repro.crypto.hmac import keyed_states
 from repro.crypto.hashes import get_hash
 from repro.errors import ParameterError
 from repro.utils.bytesops import bytes_to_int, int_to_bytes
@@ -60,12 +66,14 @@ class PRF:
         Optional hash-backend override (see :mod:`repro.crypto.hashes`).
     """
 
+    __slots__ = ("_key", "_hash", "_states", "algorithm")
+
     def __init__(self, key: bytes, algorithm: str = "sha256", backend: str | None = None) -> None:
         if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
             raise ParameterError("PRF key must be a non-empty byte string")
         self._key = bytes(key)
         self._hash = get_hash(algorithm, backend)
-        self._mac: HMAC | None = None
+        self._states: tuple[Any, Any] | None = None
         self.algorithm = algorithm
 
     def __repr__(self) -> str:
@@ -77,13 +85,16 @@ class PRF:
         return self._hash.digest_size
 
     def evaluate(self, message: bytes) -> bytes:
-        """``F_K(message)`` as raw bytes (one HMAC evaluation)."""
-        mac = self._mac
-        if mac is None:
-            mac = self._mac = HMAC(self._key, self._hash)
-        mac = mac.copy()
-        mac.update(message)
-        return mac.digest()
+        """``F_K(message)`` as raw bytes (one HMAC evaluation, two state copies)."""
+        states = self._states
+        if states is None:
+            states = self._states = keyed_states(self._key, self._hash)
+        inner, outer = states
+        inner = inner.copy()
+        inner.update(message)
+        outer = outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def at_epoch(self, epoch: int) -> bytes:
         """``F_K(t)`` with the canonical epoch encoding — the paper's use."""

@@ -130,12 +130,13 @@ class Channel:
         level.  Returns the frame the receiver gets, or ``None`` if a frame
         interceptor dropped it.
         """
+        psr = message.psr
         counters = self.ledger.edge(edge_class)
         counters.messages += 1
-        counters.payload_bytes += message.wire_size()
+        counters.payload_bytes += psr.wire_size()
         if frame is None:
-            frame = self.codec.encode(message.psr)
-        counters.frame_bytes += self.codec.checked_frame_size(message.psr, frame)
+            frame = self.codec.encode(psr)
+        counters.frame_bytes += self.codec.checked_frame_size(psr, frame)
         attacked: bytes | None = frame
         for frame_interceptor in self._frame_interceptors:
             attacked = frame_interceptor(attacked, edge_class)

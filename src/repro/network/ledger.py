@@ -53,7 +53,10 @@ class EdgeCounters:
     #: Frames the channel's receiver half discarded because they no
     #: longer parsed (also counted as ``drops_channel`` on the runtime,
     #: whose channel decodes at the sender, and as ``decode_failures`` on
-    #: the cluster, whose receiver decodes the copy it got).
+    #: the cluster, whose receiver decodes the copy it got).  On the
+    #: analytic simulator, which keeps no ARQ counters, it also counts
+    #: the copies hold-and-wait refused for a forged header epoch (the
+    #: ARQ substrates count those as ``decode_failures``).
     channel_decode_failures: int = 0
     #: ARQ send decisions (first attempts + retransmissions).
     attempts: int = 0

@@ -17,8 +17,9 @@ by the plan (the paper's reported failures), never by what was merged,
 so a PSR dropped below the root ends in a rejected epoch, not a smaller
 SUM.  Op counts, traffic per edge class and (optionally) radio energy
 accumulate into :class:`~repro.network.metrics.RunMetrics`; every hop is
-reported to the optional ``observer`` as ``attempt`` then ``deliver``
-or ``drop`` — the hop-event stream of the runtime and the cluster.
+reported to the optional ``observer`` as ``attempt`` then ``deliver``,
+``decode_failure`` (a copy hold-and-wait refused) or ``drop`` — the
+hop-event stream of the runtime and the cluster.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.network.channel import Channel, EdgeClass
+from repro.network.channel import Channel
 from repro.network.energy import EnergyLedger, EnergyModel
 from repro.network.messages import QUERIER_NODE_ID, DataMessage, Workload
 from repro.network.metrics import RunMetrics
@@ -35,7 +36,7 @@ from repro.network.topology import AggregationTree
 from repro.protocols.base import OpCounter, PartialStateRecord, SecureAggregationProtocol
 from repro.runtime.epoch import EpochPlanner, HoldAndWait, settle_final, settle_lost
 from repro.runtime.faults import FaultPlan, NodeOutage
-from repro.runtime.hop import TransportObserver, emit_hop
+from repro.runtime.hop import DECODE_FAILURE, DELIVERED, TransportObserver, emit_hop
 from repro.runtime.metrics import EpochRecord
 from repro.utils.validation import check_positive_int
 
@@ -63,9 +64,10 @@ class SimulationConfig:
     evaluate: bool = True
     #: Source ids that have permanently failed (reported to the querier).
     failed_sources: frozenset[int] = field(default_factory=frozenset)
-    #: ``(kind, attrs)`` hook fed every hop (``attempt`` then ``deliver``
-    #: or ``drop``) — the shape of ``RuntimeConfig.observer`` and
-    #: ``ClusterConfig.observer``.  Purely observational.
+    #: ``(kind, attrs)`` hook fed every hop (``attempt`` then ``deliver``,
+    #: ``decode_failure`` or ``drop``) — the shape of
+    #: ``RuntimeConfig.observer`` and ``ClusterConfig.observer``.  Purely
+    #: observational.
     observer: TransportObserver | None = field(default=None, repr=False)
 
 
@@ -200,7 +202,10 @@ class NetworkSimulator:
 
         A PSR delivered to an aggregator goes into its hold-and-wait inbox
         with an empty manifest: the plan, not the merge, names the
-        reporting subset here.
+        reporting subset here.  The observer hears ``attempt``, then
+        ``drop`` (the channel returned nothing) or the disposition the
+        receiver gave the copy: ``deliver``, or ``decode_failure`` for a
+        copy hold-and-wait refused.
         """
         receiver, edge = self._planner.uplink[sender]
         message = DataMessage(sender, receiver, epoch, psr)
@@ -210,29 +215,25 @@ class NetworkSimulator:
             if receiver != QUERIER_NODE_ID:
                 self._energy.on_receive(receiver, size)
         observer = self.config.observer
-        if observer is None:
-            delivered = self.channel.transmit(message, edge)
-        else:
-            delivered = self._observed_transmit(observer, message, edge)
-        if delivered is None:
-            return None
-        if receiver == QUERIER_NODE_ID:
-            return delivered.psr
-        self._mergers[receiver].offer(epoch, delivered.psr, frozenset())
-        return None
-
-    def _observed_transmit(
-        self, observer: TransportObserver, message: DataMessage, edge: EdgeClass
-    ) -> DataMessage | None:
-        """:meth:`Channel.transmit`, reported as the hop's single attempt."""
-        hop = (message.sender, message.receiver, edge, message.epoch, 0, None)
-        emit_hop(observer, "attempt", *hop)
+        if observer is not None:
+            hop = (sender, receiver, edge, epoch, 0, None)
+            emit_hop(observer, "attempt", *hop)
         delivered = self.channel.transmit(message, edge)
         if delivered is None:
-            emit_hop(observer, "drop", *hop, cause="channel")
+            if observer is not None:
+                emit_hop(observer, "drop", *hop, cause="channel")
+            return None
+        if receiver == QUERIER_NODE_ID:
+            disposition = DELIVERED
         else:
-            emit_hop(observer, "deliver", *hop)
-        return delivered
+            disposition, _ = self._mergers[receiver].offer(epoch, delivered.psr, frozenset())
+            if disposition == DECODE_FAILURE:
+                # Refused for a forged header epoch.  No ARQ counts arrivals
+                # here, so the receiver half's counter takes it.
+                self.channel.ledger.edge(edge).channel_decode_failures += 1
+        if observer is not None:
+            emit_hop(observer, disposition, *hop)
+        return delivered.psr if receiver == QUERIER_NODE_ID else None
 
 
 def naive_collection_traffic(

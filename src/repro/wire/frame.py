@@ -26,13 +26,21 @@ Versioning rules (see ``docs/wire_format.md``):
   :class:`~repro.errors.FrameVersionError` — there is no silent
   best-effort parsing of foreign versions.
 
+The header is one precompiled :class:`struct.Struct` layout
+(``>2sBBQI``): :func:`encode_frame` packs it, :func:`decode_header`
+unpacks it in place from ``bytes``, ``bytearray`` or ``memoryview``
+input, and :func:`decode_frame` copies the payload exactly once.  The
+checks run in a fixed order: magic, version, length, then (in
+:meth:`~repro.wire.codec.PSRCodec.decode`) protocol id.
+
 Decoding never asserts and never raises anything outside the
 :class:`~repro.errors.WireDecodeError` hierarchy for malformed input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from typing import NamedTuple
 
 from repro.errors import (
     FrameLengthError,
@@ -62,12 +70,12 @@ HEADER_LEN = 16
 #: Upper bound accepted for the payload-length field (4-byte unsigned).
 MAX_PAYLOAD_LEN = (1 << 32) - 1
 
-_EPOCH_MAX = (1 << 64) - 1
+#: The whole fixed header: magic, version, protocol id, epoch, payload length.
+_HEADER = struct.Struct(">2sBBQI")
 
 
-@dataclass(frozen=True)
-class FrameHeader:
-    """The parsed fixed header of one frame."""
+class FrameHeader(NamedTuple):
+    """The parsed fixed header of one frame (immutable)."""
 
     version: int
     protocol_id: int
@@ -82,55 +90,56 @@ class FrameHeader:
 
 def encode_frame(protocol_id: int, epoch: int, payload: bytes) -> bytes:
     """Assemble a frame from its parts (the codec layer's exit point)."""
-    if not 0 <= protocol_id <= 0xFF:
-        raise WireEncodeError(f"protocol id {protocol_id} does not fit the 1-byte field")
-    if not 0 <= epoch <= _EPOCH_MAX:
-        raise WireEncodeError(f"epoch {epoch} does not fit the 8-byte header field")
-    if len(payload) > MAX_PAYLOAD_LEN:
-        raise WireEncodeError(f"payload of {len(payload)} bytes exceeds the 4-byte length field")
-    return (
-        MAGIC
-        + bytes((WIRE_VERSION, protocol_id))
-        + epoch.to_bytes(8, "big")
-        + len(payload).to_bytes(4, "big")
-        + payload
-    )
+    try:
+        return _HEADER.pack(MAGIC, WIRE_VERSION, protocol_id, epoch, len(payload)) + payload
+    except struct.error as exc:
+        if not 0 <= protocol_id <= 0xFF:
+            reason = f"protocol id {protocol_id} does not fit the 1-byte field"
+        elif not 0 <= epoch < 1 << 64:
+            reason = f"epoch {epoch} does not fit the 8-byte header field"
+        elif len(payload) > MAX_PAYLOAD_LEN:
+            reason = f"payload of {len(payload)} bytes exceeds the 4-byte length field"
+        else:
+            reason = f"frame header does not pack: {exc}"
+        raise WireEncodeError(reason) from None
 
 
-def decode_header(frame: bytes) -> FrameHeader:
-    """Parse and validate the fixed header (payload not inspected)."""
-    if not isinstance(frame, (bytes, bytearray, memoryview)):
-        raise FrameTruncatedError(f"frame must be bytes, got {type(frame).__name__}")
-    frame = bytes(frame)
-    if len(frame) < HEADER_LEN:
+def decode_header(frame: bytes | bytearray | memoryview) -> FrameHeader:
+    """Parse and validate the fixed header in place (payload not inspected)."""
+    try:
+        magic, version, protocol_id, epoch, payload_len = _HEADER.unpack_from(frame)
+    except struct.error:
         raise FrameTruncatedError(
-            f"frame of {len(frame)} bytes is shorter than the {HEADER_LEN}-byte header"
-        )
-    if frame[:2] != MAGIC:
-        raise FrameMagicError(f"bad magic {frame[:2]!r}; expected {MAGIC!r}")
-    version = frame[2]
+            f"frame of {memoryview(frame).nbytes} bytes is shorter than the "
+            f"{HEADER_LEN}-byte header"
+        ) from None
+    except (TypeError, BufferError):
+        raise FrameTruncatedError(
+            f"frame must be a contiguous byte buffer, got {type(frame).__name__}"
+        ) from None
+    if magic != MAGIC:
+        raise FrameMagicError(f"bad magic {magic!r}; expected {MAGIC!r}")
     if version != WIRE_VERSION:
         raise FrameVersionError(f"unsupported wire version {version}; this build speaks {WIRE_VERSION}")
-    return FrameHeader(
-        version=version,
-        protocol_id=frame[3],
-        epoch=int.from_bytes(frame[4:12], "big"),
-        payload_len=int.from_bytes(frame[12:16], "big"),
-    )
+    # tuple.__new__ skips the named tuple's Python-level constructor.
+    return tuple.__new__(FrameHeader, (version, protocol_id, epoch, payload_len))
 
 
-def decode_frame(frame: bytes) -> tuple[FrameHeader, bytes]:
+def decode_frame(frame: bytes | bytearray | memoryview) -> tuple[FrameHeader, bytes]:
     """Split a frame into its validated header and exact payload bytes.
 
     The length field must account for every byte after the header —
     both truncation and trailing garbage raise
     :class:`~repro.errors.FrameLengthError` (a frame is not allowed to
-    smuggle unaccounted bytes past the counters).
+    smuggle unaccounted bytes past the counters).  The payload is the
+    one copy made, and always ``bytes``.
     """
     header = decode_header(frame)
-    payload = bytes(frame)[HEADER_LEN:]
-    if header.payload_len != len(payload):
+    if type(frame) is not bytes:
+        frame = memoryview(frame).cast("B")  # byte offsets on any buffer, no copy
+    present = len(frame) - HEADER_LEN
+    if header.payload_len != present:
         raise FrameLengthError(
-            f"header announces {header.payload_len} payload bytes but {len(payload)} are present"
+            f"header announces {header.payload_len} payload bytes but {present} are present"
         )
-    return header, payload
+    return header, bytes(frame[HEADER_LEN:])

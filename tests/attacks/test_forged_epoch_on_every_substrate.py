@@ -13,6 +13,7 @@ wrong, and never as an exception out of the run.
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.core.protocol import SIESProtocol
 from repro.network.channel import EdgeClass
 from repro.network.simulator import NetworkSimulator, SimulationConfig
 from repro.network.topology import build_complete_tree
+from repro.obs import MetricsRegistry, TraceRecorder, publish_network_metrics
 from repro.runtime import FaultPlan, RuntimeConfig, RuntimeSimulator
 
 N = 16
@@ -106,8 +108,37 @@ def test_a_forged_header_epoch_costs_epochs_not_the_run(substrate, attack) -> No
             assert record.security_failure in {"MessageLost", "VerificationFailure"}
     if attack is _every_frame:
         assert all(record.security_failure == "MessageLost" for record in epochs)
-    elif substrate is not _analytic:
+    elif substrate is _analytic:
+        # No ARQ counts arrivals here: the refused copies are counted by
+        # the channel's receiver half.
+        assert ledger.total("channel_decode_failures") > 0
+    else:
         # Forged copies are first copies the transport delivered, and the
         # epoch machine refused them.
         assert ledger.total("decode_failures") > 0
         assert any(record.accepted for record in epochs)
+
+
+def test_analytic_trace_names_every_refused_copy() -> None:
+    """Each copy hold-and-wait refused is traced as ``decode_failure``,
+    not ``deliver``, and counted once in the ledger."""
+    recorder = TraceRecorder("analytic")
+    simulator = NetworkSimulator(
+        SIESProtocol(N, seed=SEED),
+        build_complete_tree(N, FANOUT),
+        _workload,
+        SimulationConfig(num_epochs=EPOCHS, observer=recorder),
+    )
+    simulator.channel.add_frame_interceptor(_some_source_frames())
+    metrics = simulator.run()
+    metrics.traffic.check_conservation()
+    kinds = Counter(event.kind for event in recorder.events)
+    refused = metrics.traffic.total("channel_decode_failures")
+    assert refused > 0
+    assert kinds["decode_failure"] == refused
+    assert kinds["attempt"] == kinds["deliver"] + kinds["decode_failure"]
+    assert kinds["attempt"] == metrics.traffic.total("messages")
+    registry = MetricsRegistry()
+    publish_network_metrics(metrics, registry)
+    series = registry.get("sies_decode_failures_total")
+    assert series.value(substrate="network", edge=EdgeClass.SOURCE_TO_AGGREGATOR.value) == refused

@@ -1,4 +1,8 @@
-"""HMAC (RFC 2104) against RFC test vectors and the stdlib."""
+"""HMAC (RFC 2104) against RFC test vectors and the stdlib.
+
+Also cross-validates the key schedule (`keyed_states`) that
+:class:`repro.crypto.prf.PRF` evaluates with two state copies per call.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ import hmac as stdlib_hmac
 import pytest
 
 from repro.crypto.hashes import get_hash
-from repro.crypto.hmac import HM1, HM256, HMAC, hmac_digest
+from repro.crypto.hmac import HM1, HM256, HMAC, hmac_digest, keyed_states
 
 # RFC 2202 (HMAC-SHA1) and RFC 4231 (HMAC-SHA256) vectors.
 RFC2202_SHA1 = [
@@ -116,3 +120,36 @@ def test_repr_exposes_neither_key_nor_pad_states(backend: str, key_len: int) -> 
     for secret in (key, ipad, opad):
         assert secret.hex() not in text
         assert repr(secret) not in text
+
+
+@pytest.mark.parametrize("backend", ["hashlib", "pure"])
+@pytest.mark.parametrize("algorithm", ["sha1", "sha256"])
+@pytest.mark.parametrize("key_len", [1, 63, 64, 65, 129])
+def test_keyed_states_are_the_stdlib_pads(backend: str, algorithm: str, key_len: int) -> None:
+    """The key schedule alone: finishing each pad state by hand gives
+    the stdlib's HMAC, and finishing never changes the shared states."""
+    key = bytes((3 * i + 1) % 256 for i in range(key_len))
+    inner_state, outer_state = keyed_states(key, get_hash(algorithm, backend))
+    for message in (b"", b"epoch", b"z" * 130):
+        inner = inner_state.copy()
+        inner.update(message)
+        outer = outer_state.copy()
+        outer.update(inner.digest())
+        assert outer.digest() == stdlib_hmac.digest(key, message, algorithm)
+
+
+@pytest.mark.parametrize("backend", ["hashlib", "pure"])
+def test_clones_sharing_the_outer_state_stay_independent(backend: str) -> None:
+    """Clones of one keyed HMAC share its outer pad state; interleaved
+    updates and digests on several clones never disturb each other."""
+    key = b"k" * 70
+    keyed = HMAC(key, get_hash("sha256", backend))
+    clones = [keyed.copy() for _ in range(3)]
+    for round_ in range(3):
+        for index, clone in enumerate(clones):
+            clone.update(bytes([index, round_]))
+            assert clone.digest() == clone.digest()
+    for index, clone in enumerate(clones):
+        message = b"".join(bytes([index, r]) for r in range(3))
+        assert clone.digest() == stdlib_hmac.digest(key, message, "sha256")
+    assert keyed.digest() == stdlib_hmac.digest(key, b"", "sha256")

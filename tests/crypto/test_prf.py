@@ -117,7 +117,7 @@ def test_warm_and_fresh_prfs_match_stdlib(backend: str, algorithm: str, key_len:
 def test_racing_first_evaluations_match_sequential() -> None:
     """Cold PRFs filled concurrently from a thread pool return the
     sequential results: a PRF shared across threads may build its keyed
-    HMAC state twice, but every evaluation still matches."""
+    pad states twice, but every evaluation still matches."""
     workers = 4
     keys = [bytes([i + 1]) * 20 for i in range(24)]
     algorithms = ("sha1", "sha256")
@@ -158,3 +158,75 @@ def test_repr_exposes_no_key_material(backend: str) -> None:
     for secret in (key, bytes(b ^ 0x36 for b in block), bytes(b ^ 0x5C for b in block)):
         assert secret.hex() not in repr(prf) + str(prf)
         assert repr(secret) not in repr(prf) + str(prf)
+
+
+# ----------------------------------------------------------------------
+# Cross-validation against the stdlib: two state copies per evaluation
+# ----------------------------------------------------------------------
+
+#: Shorter than, equal to and longer than the 64-byte block of both hashes.
+_KEY_LENGTHS = [1, 32, 63, 64, 65, 129]
+_EPOCHS = [0, 1, 2, 255, 256, 1 << 32, (1 << 64) - 1]
+
+
+def _key(length: int) -> bytes:
+    return bytes((13 * i + 7) % 256 for i in range(length))
+
+
+@pytest.mark.parametrize("backend", ["hashlib", "pure"])
+@pytest.mark.parametrize("algorithm", ["sha1", "sha256"])
+@pytest.mark.parametrize("key_len", _KEY_LENGTHS)
+def test_evaluate_and_at_epoch_equal_stdlib_digest(
+    backend: str, algorithm: str, key_len: int
+) -> None:
+    key = _key(key_len)
+    prf = PRF(key, algorithm, backend)
+    for epoch in _EPOCHS:
+        expected = stdlib_hmac.digest(key, encode_epoch(epoch), algorithm)
+        assert prf.at_epoch(epoch) == expected
+        assert prf.evaluate(encode_epoch(epoch)) == expected
+    for message in (b"", b"m", bytes(range(256)) * 3):
+        assert prf.evaluate(message) == stdlib_hmac.digest(key, message, algorithm)
+
+
+@pytest.mark.parametrize("backend", ["hashlib", "pure"])
+@pytest.mark.parametrize("algorithm", ["sha1", "sha256"])
+def test_repeated_and_interleaved_evaluations_keep_the_keyed_state(
+    backend: str, algorithm: str
+) -> None:
+    """Every entry point on one PRF, in an order that would expose a
+    state updated in place: each result still equals the stdlib's."""
+    key = _key(20)
+    prf = PRF(key, algorithm, backend)
+
+    def hm(message: bytes) -> bytes:
+        return stdlib_hmac.digest(key, message, algorithm)
+
+    for _ in range(3):
+        for epoch in (5, 6, 5):
+            assert prf.at_epoch(epoch) == hm(encode_epoch(epoch))
+        assert prf.evaluate(b"x" * 100) == hm(b"x" * 100)
+        assert prf.derive_key("label") == hm(b"derive:label")
+        blocks = b"".join(hm(b"ctx" + counter.to_bytes(4, "big")) for counter in range(3))
+        assert prf.expand(b"ctx", 48) == blocks[:48]
+        assert prf.int_at_epoch(5) == int.from_bytes(hm(encode_epoch(5)), "big")
+
+
+@pytest.mark.parametrize("algorithm", ["sha1", "sha256"])
+def test_two_threads_racing_the_first_evaluation_agree(algorithm: str) -> None:
+    """Two threads released onto one cold PRF at once both get the
+    stdlib's digest, whichever keyed state the PRF keeps."""
+    for trial in range(20):
+        key = _key(trial + 1)
+        prf = PRF(key, algorithm)
+        barrier = threading.Barrier(2, timeout=30)
+
+        def first_call(epoch: int, prf: PRF = prf, barrier: threading.Barrier = barrier) -> bytes:
+            barrier.wait()
+            return prf.at_epoch(epoch)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            digests = list(pool.map(first_call, (trial, trial)))
+        expected = stdlib_hmac.digest(key, encode_epoch(trial), algorithm)
+        assert digests == [expected, expected]
+        assert prf.at_epoch(trial + 1) == stdlib_hmac.digest(key, encode_epoch(trial + 1), algorithm)

@@ -6,13 +6,16 @@ either returns a PSR or raises something in the
 ``AssertionError`` (would vanish under ``python -O``; the contract is
 re-run in an optimised subprocess by ``tests/test_optimized_mode.py``),
 no ``struct.error``/``IndexError``/``KeyError`` leaking from parsing
-internals, and no broad ``except`` hiding a crash.  Mutations are
-seeded, so a failure reproduces from the printed seed.
+internals (the header is one ``struct`` layout, read in place from
+``bytes``, ``bytearray`` or ``memoryview``), and no broad ``except``
+hiding a crash.  Mutations are seeded, so a failure reproduces from the
+printed seed.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 
@@ -40,13 +43,23 @@ def _codec_and_frame(name: str):
     return codec, codec.encode(psr)
 
 
+#: Parsing internals that must never escape the decoder.
+_LEAKS = (struct.error, IndexError, KeyError, ValueError, TypeError, BufferError, AssertionError)
+
+
 def _decode_strict(codec, blob: bytes) -> None:
-    """Decode must return a PSR or raise *only* a WireDecodeError."""
-    try:
-        codec.decode(blob)
-    except WireDecodeError:
-        pass
-    # Anything else (AssertionError included) propagates and fails the test.
+    """Decode must return a PSR or raise *only* a WireDecodeError.
+
+    The header is read in place, so every blob is also decoded as a
+    ``bytearray`` and a ``memoryview``.
+    """
+    for buffer in (blob, bytearray(blob), memoryview(blob)):
+        try:
+            codec.decode(buffer)
+        except WireDecodeError:
+            pass
+        except _LEAKS as exc:
+            pytest.fail(f"{type(exc).__name__} escaped the decoder: {exc}")
 
 
 PROTOCOLS = ("sies", "cmt", "secoa_s", "commit_attest")

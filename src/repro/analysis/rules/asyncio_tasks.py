@@ -1,18 +1,19 @@
 """SL007 — no dropped task handles, no unawaited coroutines.
 
 The cluster substrate (:mod:`repro.cluster`) hangs the paper's
-exactness guarantee off asyncio tasks: every node's ACK loop, every
-inbound connection handler, every epoch pipeline stage is a task.  Two
-classic asyncio bugs silently void that:
+exactness guarantee off coroutines: its start-up and its bottom-up
+shutdown drain are ``async def`` chains the orchestrator awaits.  Two
+classic asyncio bugs silently void that kind of code:
 
 * ``asyncio.create_task(...)`` / ``asyncio.ensure_future(...)`` whose
   result is discarded — the event loop holds only a weak reference to
   tasks, so a dropped handle can be garbage-collected mid-flight and
-  its exceptions are never observed (``node.py`` stores every handle in
-  ``self._ack_task`` / ``self._inbound`` for exactly this reason);
+  its exceptions are never observed;
 * calling an ``async def`` without ``await`` as a bare statement — the
-  coroutine object is created, never scheduled, and the send/merge it
-  was supposed to perform simply does not happen.
+  coroutine object is created, never scheduled, and the work it was
+  supposed to perform simply does not happen (``ClusterNode.stop``
+  dropping the ``await`` on ``self.close_uplink()`` would leave the
+  uplink open and its last ACKs unread).
 
 The rule flags expression statements that discard a task-factory result
 or a coroutine created from an ``async def`` defined in the same module

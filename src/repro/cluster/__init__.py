@@ -20,7 +20,7 @@ from repro.cluster.envelope import (
     encode_data,
 )
 from repro.cluster.faults import parcel_fate
-from repro.cluster.framing import DEFAULT_MAX_PAYLOAD, FrameAssembler, FrameReader, FrameWriter
+from repro.cluster.framing import DEFAULT_MAX_PAYLOAD, FrameAssembler
 from repro.cluster.metrics import ClusterRunMetrics
 from repro.cluster.node import ClusterNode
 from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator, run_cluster
@@ -36,8 +36,6 @@ __all__ = [
     "parcel_fate",
     "DEFAULT_MAX_PAYLOAD",
     "FrameAssembler",
-    "FrameReader",
-    "FrameWriter",
     "ClusterRunMetrics",
     "ClusterNode",
     "ClusterConfig",

@@ -1,21 +1,26 @@
 """Tree nodes as asyncio TCP servers speaking the wire format.
 
 Every node of the aggregation tree — source, aggregator, querier — runs
-inside one process as an asyncio task bound to its own real TCP server
-socket on ``127.0.0.1`` (port 0, kernel-assigned).  Child nodes open a
-client connection to their parent's server and keep it for the whole
-run; data envelopes flow up that connection and transport ACKs flow
-back down it, so the hop looks exactly like the paper's one-hop radio
-link with a MAC-layer ARQ on top:
+inside one process, bound to its own real TCP server socket on
+``127.0.0.1`` (port 0, kernel-assigned).  Child nodes open a client
+connection to their parent's server and keep it for the whole run; data
+envelopes flow up that connection and transport ACKs flow back down it,
+so the hop looks exactly like the paper's one-hop radio link with a
+MAC-layer ARQ on top:
 
 * each application send becomes one *parcel* (uid = epoch: a node sends
   exactly one PSR per epoch per hop) on the run's one ARQ driver,
   :class:`~repro.runtime.transport.ReliableTransport` — the same ARQ,
   dedup, ACK discipline and keyed fault oracle the event runtime
   drives.  A node is the driver's socket end: :meth:`ClusterNode.put`
-  writes an attempt's envelope copies on the uplink, the inbound
-  handler reports each arriving copy to the driver and writes the ACK
-  it answers, and the ACK loop hands every ACK back to the driver;
+  writes an attempt's envelope copies on the uplink;
+* each connection, both ends, is one :class:`asyncio.Protocol` that
+  reassembles and handles its frames synchronously in
+  ``data_received``: the parent's side reports each arriving copy to
+  the driver and writes the ACK it answers at once, the child's side
+  hands each ACK to the driver.  No task reads a socket, so an ACK on
+  the wire reaches the driver in the first loop iteration that polls
+  it, before that iteration's timers;
 * every hop goes through the run's one
   :class:`~repro.network.channel.Channel`, split at the socket: the
   sender's ``emit`` runs before each write (a frame it drops is never
@@ -32,24 +37,115 @@ Above the hop every node is the same :class:`ClusterNode`: the epoch
 machine lives in one :class:`~repro.runtime.epoch.EpochDriver` owned by
 the orchestrator, which the ARQ driver hands each accepted first copy,
 routed by the envelope's uid, never by the attacker-readable frame
-header.
+header.  Frames are handled through the orchestrator's *guard*, so an
+error raised while handling one fails the run like an error in a timer.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections.abc import AsyncIterator, Mapping
+from collections.abc import Callable, Mapping
+from typing import Any
 
-from repro.errors import SimulationError, WireDecodeError
+from repro.errors import SimulationError, WireDecodeError, WireEncodeError
 from repro.network.channel import Channel
 from repro.network.ledger import EdgeClass
 from repro.cluster.envelope import AckEnvelope, DataEnvelope, decode_envelope, encode_ack, encode_data
-from repro.cluster.framing import FrameReader, FrameWriter
+from repro.cluster.framing import FrameAssembler
 from repro.runtime.transport import ReliableTransport, RuntimeParcel
+from repro.wire.frame import decode_header
 
 __all__ = ["ClusterNode"]
 
 _HOST = "127.0.0.1"
+
+
+class _Link(asyncio.Protocol):
+    """One cluster TCP connection: frames in through ``data_received``, out through :meth:`write`.
+
+    *kind* is the envelope this end takes (:class:`DataEnvelope` on a
+    parent's accepted connection, :class:`AckEnvelope` on a child's
+    uplink) and *handle* what it does with one.  A frame that does not
+    parse, or an envelope going the wrong way (children never send ACKs
+    upstream, parents never send data down), means the peer is broken: a
+    stream error, and the connection is dropped.
+    """
+
+    def __init__(
+        self, node: ClusterNode, kind: type, handle: Callable[[Any, _Link], None]
+    ) -> None:
+        self._node = node
+        self._kind = kind
+        self._handle = handle
+        self._assembler = FrameAssembler()
+        self._transport: asyncio.Transport
+        #: Resolved once the connection is gone: what a clean shutdown awaits.
+        self.closed: asyncio.Future[None] = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+
+    def data_received(self, data: bytes) -> None:
+        self._node.guard(self._read, data)
+
+    def _read(self, data: bytes) -> None:
+        try:
+            frames = self._assembler.feed(data)
+        except WireDecodeError:
+            return self._drop()
+        for frame in frames:
+            try:
+                envelope = decode_envelope(frame)
+            except WireDecodeError:
+                return self._drop()
+            if not isinstance(envelope, self._kind):
+                return self._drop()
+            self._handle(envelope, self)
+
+    def _drop(self) -> None:
+        self._node.stream_errors += 1
+        self._transport.close()
+
+    def eof_received(self) -> None:
+        """The peer half-closed: the stream must end on a frame boundary.
+
+        Returning ``None`` closes this side too, after whatever was
+        written (every ACK the peer's data asked for) is flushed.
+        """
+        try:
+            self._assembler.finish()
+        except WireDecodeError:
+            self._node.stream_errors += 1
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if exc is None:
+            self.closed.set_result(None)
+        else:
+            self.closed.set_exception(exc)
+
+    def write(self, frame: bytes) -> None:
+        """Queue one frame on the connection; never waits.
+
+        The frame is length-checked against its own header first — a
+        sender bug that would desynchronize the receiver's framing must
+        fail here, loudly, not at the far end.  A closing connection (a
+        dead peer) raises :class:`~repro.errors.SimulationError` rather
+        than drop the frame; what the socket does not take at once stays
+        buffered in the transport.
+        """
+        announced = decode_header(frame).total_len
+        if announced != len(frame):
+            raise WireEncodeError(
+                f"refusing to write a {len(frame)}-byte frame whose header "
+                f"announces {announced} bytes"
+            )
+        if self._transport.is_closing():
+            raise SimulationError("refusing to write a frame on a closing connection")
+        self._transport.write(frame)
+
+    def half_close(self) -> None:
+        """Send FIN: no more frames from this end."""
+        self._transport.write_eof()
 
 
 class ClusterNode:
@@ -60,7 +156,9 @@ class ClusterNode:
     ledger.  *uplink* is the tree's table ``{node: (receiver, edge class)}``
     (:attr:`~repro.runtime.epoch.EpochPlanner.uplink`): it names this
     node's own hop (none on the querier) and which senders are its
-    children.
+    children.  *guard* runs every received chunk's handling:
+    ``guard(fn, *args)`` calls ``fn(*args)`` (the orchestrator's guard
+    turns an error into the run's failure).
     """
 
     def __init__(
@@ -70,21 +168,22 @@ class ClusterNode:
         channel: Channel,
         uplink: Mapping[int, tuple[int, EdgeClass]],
         transport: ReliableTransport,
+        guard: Callable[..., object],
     ) -> None:
         self.node_id = node_id
         self.channel = channel
         self._uplink = uplink
         self.transport = transport
+        self.guard = guard
         self._server: asyncio.Server | None = None
         self.port: int | None = None
-        self._uplink_writer: FrameWriter | None = None
-        self._uplink_stream: asyncio.StreamWriter | None = None
-        self._ack_task: asyncio.Task | None = None
-        #: Frames that failed envelope parsing, or came the wrong way —
-        #: impossible from a well-behaved peer; conservation catches the
-        #: imbalance and this counter names the culprit node.
+        #: The connection to the parent, and every connection a child opened.
+        self._parent: _Link | None = None
+        self._children: list[_Link] = []
+        #: Frames that failed envelope parsing, came the wrong way, or were
+        #: cut off by EOF — impossible from a well-behaved peer; conservation
+        #: catches the imbalance and this counter names the culprit node.
         self.stream_errors = 0
-        self._inbound: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -94,88 +193,52 @@ class ClusterNode:
         """Bind the node's server socket; returns the kernel-assigned port."""
         if self._server is not None:
             raise SimulationError(f"node {self.node_id} already started")
-        self._server = await asyncio.start_server(self._on_connection, host=_HOST, port=0)
+        self._server = await asyncio.get_running_loop().create_server(
+            self._accept, host=_HOST, port=0
+        )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
 
+    def _accept(self) -> _Link:
+        link = _Link(self, DataEnvelope, self._handle_data)
+        self._children.append(link)
+        return link
+
     async def connect_uplink(self, port: int) -> None:
         """Open the persistent client connection to the parent's server."""
-        if self._uplink_writer is not None:
+        if self._parent is not None:
             raise SimulationError(f"node {self.node_id} already has an uplink")
-        reader, writer = await asyncio.open_connection(_HOST, port)
-        self._uplink_stream = writer
-        self._uplink_writer = FrameWriter(writer)
-        self._ack_task = asyncio.ensure_future(self._ack_loop(FrameReader(reader)))
+        _, self._parent = await asyncio.get_running_loop().create_connection(
+            lambda: _Link(self, AckEnvelope, self._handle_ack), _HOST, port
+        )
 
     async def close_uplink(self) -> None:
-        """Half-close the uplink (FIN), drain remaining ACKs, then close.
+        """Half-close the uplink (FIN), then wait until the parent closed it.
 
         The half-close ordering is what keeps the ACK conservation law
         exact at shutdown: the parent sees our EOF only after all data,
-        replies to everything, then closes its side — and our ACK loop
-        reads every byte the parent wrote before observing EOF.
+        has ACKed every copy by then and closes its side — and our end
+        reads every byte the parent wrote before it sees that EOF.
         """
-        if self._uplink_stream is None:
+        if self._parent is None:
             return
-        if self._uplink_stream.can_write_eof():
-            self._uplink_stream.write_eof()
-        if self._ack_task is not None:
-            await self._ack_task
-        self._uplink_stream.close()
-        await self._uplink_stream.wait_closed()
-        self._uplink_stream = None
-        self._uplink_writer = None
+        self._parent.half_close()
+        await self._parent.closed
+        self._parent = None
 
     async def stop(self) -> None:
-        """Stop accepting, then wait for inbound handlers to drain."""
+        """Close the uplink, stop accepting, then wait for every child's connection to close."""
+        await self.close_uplink()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._inbound):
-            await task
+        for link in self._children:
+            await link.closed
 
     # ------------------------------------------------------------------
-    # Inbound: data envelopes from children
+    # Inbound: data envelopes from children, ACKs from the parent
     # ------------------------------------------------------------------
-
-    def _on_connection(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        task = asyncio.ensure_future(self._serve_connection(reader, writer))
-        self._inbound.add(task)
-        task.add_done_callback(self._inbound.discard)
-
-    async def _envelopes(self, frames: FrameReader, kind: type) -> AsyncIterator:
-        """Envelopes of *kind* off one connection, until EOF.
-
-        A frame that does not parse, or an envelope going the wrong way
-        (children never send ACKs upstream, parents never send data
-        down), means the peer is broken: a stream error, and the
-        connection is dropped.
-        """
-        while True:
-            try:
-                frame = await frames.read_frame()
-                if frame is None:
-                    return
-                envelope = decode_envelope(frame)
-            except WireDecodeError:
-                self.stream_errors += 1
-                return
-            if not isinstance(envelope, kind):
-                self.stream_errors += 1
-                return
-            yield envelope
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        acks = FrameWriter(writer)
-        try:
-            async for envelope in self._envelopes(FrameReader(reader), DataEnvelope):
-                self._handle_data(envelope, acks)
-        finally:
-            writer.close()
-            await writer.wait_closed()
 
     def _classify(self, sender: int) -> EdgeClass:
         hop = self._uplink.get(sender)
@@ -186,7 +249,7 @@ class ClusterNode:
             )
         return hop[1]
 
-    def _handle_data(self, envelope: DataEnvelope, acks: FrameWriter) -> None:
+    def _handle_data(self, envelope: DataEnvelope, link: _Link) -> None:
         """Report one arriving copy to the driver; write the ACK it answers.
 
         A first copy is accepted off the channel here, at the receiver.
@@ -199,8 +262,12 @@ class ClusterNode:
             ),
         ):
             ack = encode_ack(epoch=envelope.epoch, uid=envelope.uid, attempt=envelope.attempt)
-            acks.write_frame(ack)
+            link.write(ack)
             self.channel.ledger.edge(edge).ack_bytes += len(ack)
+
+    def _handle_ack(self, envelope: AckEnvelope, link: _Link) -> None:
+        """Hand one ACK back on the uplink to the driver."""
+        self.transport.ack(self.node_id, self._uplink[self.node_id][1], envelope.uid)
 
     # ------------------------------------------------------------------
     # Outbound: the driver's link over the uplink
@@ -212,18 +279,12 @@ class ClusterNode:
         The keyed schedule chose *copies*, so what TCP delivers is its
         decision, whatever the loop's timing (see :mod:`repro.cluster.faults`).
         """
-        if self._uplink_writer is None:
+        if self._parent is None:
             raise SimulationError(f"node {self.node_id} has no uplink to send on")
         envelope = encode_data(
             epoch=parcel.uid, sender=self.node_id, uid=parcel.uid, attempt=attempt,
             manifest=parcel.message.manifest, inner=frame,
         )
         for _ in range(copies):
-            self._uplink_writer.write_frame(envelope)
+            self._parent.write(envelope)
         self.channel.ledger.edge(parcel.edge).envelope_bytes += copies * len(envelope)
-
-    async def _ack_loop(self, frames: FrameReader) -> None:
-        """Hand every ACK back on the uplink to the driver."""
-        _, edge = self._uplink[self.node_id]
-        async for envelope in self._envelopes(frames, AckEnvelope):
-            self.transport.ack(self.node_id, edge, envelope.uid)

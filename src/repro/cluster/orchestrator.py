@@ -26,9 +26,9 @@ Both drivers of the event runtime run here on the running loop's
 :class:`~repro.runtime.epoch.EpochDriver`, and every parcel of the
 fleet on one :class:`~repro.runtime.transport.ReliableTransport`, whose
 ``wire`` is the channel's ``emit`` and whose ``put`` writes envelopes
-on the sender's uplink.  Every timer goes through the orchestrator's
-guard, so the first error raised in a timer, a delivery, a launch or an
-ARQ attempt fails the run: every epoch in flight stops waiting, no
+on the sender's uplink.  Every timer and every chunk a connection
+reads go through the orchestrator's guard, so the first error raised in
+a timer, a received frame, a launch or an ARQ attempt fails the run: every epoch in flight stops waiting, no
 further epoch launches, the fleet drains as usual, and
 :meth:`EpochOrchestrator.run` raises that error.  Epoch
 deadlines are *relative to the epoch's launch*, so a window-8 run has
@@ -58,7 +58,7 @@ from repro.cluster.node import ClusterNode
 from repro.protocols.base import PartialStateRecord, SecureAggregationProtocol
 from repro.runtime.epoch import EpochDriver, EpochPlanner
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
-from repro.runtime.hop import LATE, RetransmitPolicy, TransportObserver
+from repro.runtime.hop import RetransmitPolicy, TransportObserver
 from repro.runtime.transport import ReliableTransport, TimerHandle
 from repro.utils.validation import check_positive_int
 
@@ -175,17 +175,13 @@ class EpochOrchestrator:
             return loop.call_later(delay, self._guard, fn)
 
         def ack_timeout(delay: float, fn: Callable[[], None]) -> TimerHandle:
-            return loop.call_later(delay, after_polls, 3, fn)
-
-        def after_polls(polls: int, fn: Callable[[], None]) -> None:
-            # An ACK timeout decides three loop iterations after it fires, each
-            # polling the sockets first, so an ACK already on the wire has been
-            # handled by the ACK loop; deciding sooner attempted 5-54 % more
-            # than the keyed schedule needs (N=64, window 8, 20 % loss).
-            if polls:
-                loop.call_later(0, after_polls, polls - 1, fn)
-            else:
-                self._guard(fn)
+            # An ACK timeout decides one loop iteration after it fires.  A loop
+            # iteration runs the callbacks of its socket poll before its due
+            # timers, and nodes hand ACKs to the driver in data_received, so
+            # re-arming for 0 s lets the next poll deliver an ACK that reached
+            # the socket while this iteration ran; deciding at once attempts
+            # more than the keyed schedule needs.
+            return loop.call_later(delay, loop.call_later, 0, self._guard, fn)
 
         def send(
             sender: int, receiver: int, edge: EdgeClass, epoch: int,
@@ -219,13 +215,14 @@ class EpochOrchestrator:
             put=lambda parcel, frame, attempt, copies: self._nodes[parcel.sender].put(
                 parcel, frame, attempt, copies
             ),
-            deliver=lambda *copy: self._guard(driver.deliver, *copy) or LATE,
+            deliver=driver.deliver,
             on_finished=lambda parcel: self._release(parcel.uid),
             observer=self.config.observer,
         )
         for node_id in (*tree.source_ids, *tree.aggregator_ids, QUERIER_NODE_ID):
             self._nodes[node_id] = ClusterNode(
-                node_id, channel=self.channel, uplink=self._planner.uplink, transport=transport
+                node_id, channel=self.channel, uplink=self._planner.uplink,
+                transport=transport, guard=self._guard,
             )
 
     async def _bind_and_connect(self) -> None:
@@ -272,21 +269,19 @@ class EpochOrchestrator:
             del self._in_flight[epoch]
             asyncio.get_running_loop().call_soon(self._launch)
 
-    def _guard(self, fn: Callable[..., str | None], *args: object) -> str | None:
+    def _guard(self, fn: Callable[..., object], *args: object) -> None:
         """Enter the driver through *fn*, unless the run already failed.
 
-        An error in a timer or an inbound delivery would otherwise only
-        reach the loop's log (or kill the node's connection), and its
-        epoch would never settle; instead it fails the run.  A copy that
-        arrives after the failure is left unmerged (the delivery wrapper
-        reports it as late).
+        An error in a timer or in a received frame's handling would
+        otherwise only reach the loop's log (and close the node's
+        connection), and its epoch would never settle; instead it fails
+        the run.  A frame that arrives after the failure is not handled.
         """
         if self._failure is None:
             try:
-                return fn(*args)
+                fn(*args)
             except Exception as exc:  # sieslint: disable=SL005 — run() raises it
                 self._fail(exc)
-        return None
 
     def _fail(self, exc: Exception) -> None:
         """Record the run's first error, give up every slot and end the run."""

@@ -688,17 +688,15 @@ class TestClusterMutations:
     def test_pristine_node_is_clean(self) -> None:
         assert self._lint_node(self._node_source()) == []
 
-    def test_dropped_ack_task_handle_flagged(self) -> None:
-        original = "self._ack_task = asyncio.ensure_future(self._ack_loop(FrameReader(reader)))"
+    def test_dropped_await_in_stop_flagged(self) -> None:
+        original = "await self.close_uplink()"
         assert original in self._node_source()
-        mutated = self._node_source().replace(
-            original, "asyncio.ensure_future(self._ack_loop(FrameReader(reader)))"
-        )
+        mutated = self._node_source().replace(original, "self.close_uplink()")
         findings = self._lint_node(mutated)
         assert "SL007" in rules_of(findings)
 
     def test_time_sleep_in_async_path_flagged(self) -> None:
-        original = "await self._ack_task"
+        original = "await self._parent.closed"
         assert original in self._node_source()
         mutated = "import time\n" + self._node_source().replace(
             original, "time.sleep(0.1)"

@@ -30,6 +30,7 @@ from repro.core.querier import SIESQuerier
 from repro.datasets.workload import DomainScaledWorkload
 from repro.errors import SimulationError
 from repro.network.channel import EdgeClass
+from repro.network.messages import DataMessage
 from repro.protocols.base import SecureAggregationProtocol
 from repro.network.simulator import QUERIER_NODE_ID
 from repro.network.topology import build_complete_tree
@@ -250,10 +251,11 @@ def test_a_role_error_in_the_receive_path_is_the_error_run_raises(monkeypatch) -
     """An error raised inside the run fails every epoch in flight; the
     fleet still drains, ``run()`` raises that error — not a socket error
     from the shutdown — and no task or callback error is left for the
-    loop's exception handler.  Two sources of the error: the querier's
-    ``evaluate``, reached from the receive path of the final PSR, and a
+    loop's exception handler.  Three sources of the error: the querier's
+    ``evaluate``, reached from the receive path of the final PSR; a
     frame interceptor that raises on a retransmission, reached from an
-    ARQ timer."""
+    ARQ timer; and a PSR interceptor that raises inside the receiver's
+    ``channel.accept``, reached from a connection's ``data_received``."""
 
     def broken_evaluate(self, *args, **kwargs):
         raise RuntimeError("querier exploded")
@@ -273,9 +275,16 @@ def test_a_role_error_in_the_receive_path_is_the_error_run_raises(monkeypatch) -
 
         orchestrator.channel.add_frame_interceptor(interceptor)
 
+    def accept_explodes(patch, orchestrator) -> None:
+        def interceptor(message: DataMessage, edge: EdgeClass) -> DataMessage:
+            raise RuntimeError("accept exploded")
+
+        orchestrator.channel.add_interceptor(interceptor)
+
     cases = [
         (querier_explodes, FaultPlan(), "querier exploded"),
         (retransmission_explodes, FaultPlan.uniform_loss(0.5), "retransmission exploded"),
+        (accept_explodes, FaultPlan(), "accept exploded"),
     ]
     for break_it, plan, message in cases:
         loop_errors: list[dict] = []
@@ -383,7 +392,10 @@ def test_acceptance_64_sources_100_epochs_20_percent_loss() -> None:
     assert metrics.num_epochs == epochs
     for em in metrics.epochs:
         expected = oracle_survivors(tree, plan, config.policy, seed, em.epoch)
-        assert em.recovery.survivors == expected
+        assert em.recovery.survivors == expected, (
+            f"epoch {em.epoch}: oracle survivors {sorted(expected)}, cluster survivors "
+            f"{sorted(em.recovery.survivors)}, late_arrivals {em.late_arrivals}"
+        )
         assert em.accepted, f"epoch {em.epoch}: {em.security_failure}"
         assert em.result is not None and em.result.verified
         assert em.result.value == sum(workload(sid, em.epoch) for sid in expected)

@@ -4,17 +4,22 @@ The satellite property: a byte stream holding complete wire frames must
 reassemble to exactly those frames *no matter where the TCP chunk
 boundaries fall* — exhaustively, at every split position — and every
 malformed stream must fail with a :class:`~repro.errors.WireDecodeError`
-subclass, never an untyped exception and never a silent resync.
+subclass, never an untyped exception and never a silent resync.  The
+last class drives a cluster connection (the ``asyncio.Protocol`` each
+node reads its frames with) over a real localhost socket.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cluster.framing import DEFAULT_MAX_PAYLOAD, FrameAssembler, FrameReader, FrameWriter
+from repro.cluster.envelope import AckEnvelope, DataEnvelope, decode_envelope, encode_ack, encode_data
+from repro.cluster.framing import DEFAULT_MAX_PAYLOAD, FrameAssembler
+from repro.cluster.node import _Link
 from repro.errors import (
     FrameLengthError,
     FrameMagicError,
@@ -48,6 +53,7 @@ class TestFrameAssembler:
             assembler = FrameAssembler()
             frames = assembler.feed(STREAM[:cut]) + assembler.feed(STREAM[cut:])
             assert frames == FRAMES, f"split at byte {cut} corrupted reassembly"
+            assert all(type(frame) is bytes for frame in frames)
             assert assembler.at_boundary
             assembler.finish()
 
@@ -137,111 +143,144 @@ class TestFrameAssembler:
             FrameAssembler(max_payload=0)
 
 
-class TestFrameReaderWriter:
-    def _drive(self, coro):
-        return asyncio.run(coro)
+#: Data envelopes as a child writes them up its uplink.
+ENVELOPES = [
+    encode_data(epoch=1, sender=0, uid=1, attempt=0, manifest=frozenset({0}), inner=FRAMES[0]),
+    encode_data(epoch=2, sender=0, uid=2, attempt=3, manifest=frozenset({0, 5}), inner=FRAMES[2]),
+    encode_data(epoch=(1 << 40) + 3, sender=7, uid=9, attempt=1, manifest=frozenset(), inner=FRAMES[1]),
+]
 
-    def test_reader_reassembles_fed_stream(self) -> None:
-        async def scenario() -> list[bytes]:
-            stream = asyncio.StreamReader()
-            stream.feed_data(STREAM)
-            stream.feed_eof()
-            reader = FrameReader(stream)
-            frames = []
-            while (frame := await reader.read_frame()) is not None:
-                frames.append(frame)
-            assert reader.frames_read == len(FRAMES)
-            # Clean EOF stays clean on repeated reads.
-            assert await reader.read_frame() is None
-            return frames
 
-        assert self._drive(scenario()) == FRAMES
+class _Ends:
+    """One real localhost connection between two cluster links.
 
-    def test_reader_truncated_eof_raises(self) -> None:
-        async def scenario() -> None:
-            stream = asyncio.StreamReader()
-            stream.feed_data(STREAM + FRAMES[0][:-1])
-            stream.feed_eof()
-            reader = FrameReader(stream)
-            for expected in FRAMES:
-                assert await reader.read_frame() == expected
-            with pytest.raises(FrameTruncatedError):
-                await reader.read_frame()
+    The parent end takes data envelopes (as a node's accepted connection
+    does) and records them; the child end is an uplink.  Each end's node
+    is a stub holding only what a link uses of it: the guard and the
+    stream-error counter.
+    """
 
-        self._drive(scenario())
+    async def open(self) -> "_Ends":
+        self.parent = SimpleNamespace(guard=lambda fn, *args: fn(*args), stream_errors=0)
+        self.child = SimpleNamespace(guard=lambda fn, *args: fn(*args), stream_errors=0)
+        self.received: list[DataEnvelope] = []
+        self.accepted: list[_Link] = []
+        loop = asyncio.get_running_loop()
 
-    def test_roundtrip_over_real_socket(self) -> None:
-        """Writer → kernel TCP buffers → reader, byte-exact."""
+        def accept() -> _Link:
+            link = _Link(self.parent, DataEnvelope, lambda envelope, _: self.received.append(envelope))
+            self.accepted.append(link)
+            return link
 
-        async def scenario() -> None:
-            received: list[bytes] = []
-            done = asyncio.Event()
+        self.server = await loop.create_server(accept, host="127.0.0.1", port=0)
+        port = self.server.sockets[0].getsockname()[1]
+        _, self.uplink = await loop.create_connection(
+            lambda: _Link(self.child, AckEnvelope, lambda envelope, _: None), "127.0.0.1", port
+        )
+        return self
 
-            async def serve(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-                frames = FrameReader(reader)
-                while (frame := await frames.read_frame()) is not None:
-                    received.append(frame)
-                writer.close()
-                await writer.wait_closed()
-                done.set()
+    async def dribble(self, stream: bytes, size: int) -> None:
+        """Write *stream* raw in *size*-byte chunks, yielding to the loop between them."""
+        for start in range(0, len(stream), size):
+            self.uplink._transport.write(stream[start : start + size])
+            await asyncio.sleep(0.001)
 
-            server = await asyncio.start_server(serve, host="127.0.0.1", port=0)
-            port = server.sockets[0].getsockname()[1]
-            _, writer = await asyncio.open_connection("127.0.0.1", port)
-            framed = FrameWriter(writer)
-            for frame in FRAMES:
-                framed.write_frame(frame)
-            assert framed.frames_written == len(FRAMES)
-            assert framed.bytes_written == len(STREAM)
-            framed.close()
-            await framed.wait_closed()
-            await done.wait()
-            server.close()
-            await server.wait_closed()
-            assert received == FRAMES
+    async def close(self) -> None:
+        """Half-close the uplink and wait until both ends are gone."""
+        self.uplink.half_close()
+        await self.uplink.closed
+        for link in self.accepted:
+            await link.closed
+        self.server.close()
+        await self.server.wait_closed()
 
-        self._drive(scenario())
 
-    def test_writer_rejects_header_length_mismatch(self) -> None:
+class TestClusterLink:
+    def test_reassembly_over_a_real_socket_is_byte_exact(self) -> None:
+        """Frames split across TCP chunks, through the kernel, come out whole."""
+
+        async def scenario() -> _Ends:
+            ends = await _Ends().open()
+            await ends.dribble(b"".join(ENVELOPES), 5)
+            await ends.close()
+            return ends
+
+        ends = asyncio.run(scenario())
+        assert ends.received == [decode_envelope(envelope) for envelope in ENVELOPES]
+        assert [envelope.inner for envelope in ends.received] == [FRAMES[0], FRAMES[2], FRAMES[1]]
+        assert ends.parent.stream_errors == ends.child.stream_errors == 0
+
+    def test_clean_eof_closes_both_ends(self) -> None:
+        """A half-close on a frame boundary ends the connection without error."""
+
+        async def scenario() -> _Ends:
+            ends = await _Ends().open()
+            for envelope in ENVELOPES:
+                ends.uplink.write(envelope)
+            await ends.close()
+            return ends
+
+        ends = asyncio.run(scenario())
+        assert len(ends.received) == len(ENVELOPES)
+        assert ends.parent.stream_errors == ends.child.stream_errors == 0
+        assert ends.uplink.closed.result() is None
+
+    def test_eof_mid_frame_is_a_stream_error(self) -> None:
+        async def scenario() -> _Ends:
+            ends = await _Ends().open()
+            await ends.dribble(ENVELOPES[0] + ENVELOPES[1][:-1], 64)
+            await ends.close()
+            return ends
+
+        ends = asyncio.run(scenario())
+        assert ends.received == [decode_envelope(ENVELOPES[0])]
+        assert ends.parent.stream_errors == 1
+        assert ends.child.stream_errors == 0
+
+    def test_an_envelope_going_the_wrong_way_drops_the_connection(self) -> None:
+        async def scenario() -> _Ends:
+            ends = await _Ends().open()
+            ends.uplink.write(encode_ack(epoch=1, uid=1, attempt=0))
+            await ends.uplink.closed  # the parent closed on us
+            await ends.close()
+            return ends
+
+        ends = asyncio.run(scenario())
+        assert ends.received == []
+        assert ends.parent.stream_errors == 1
+
+    def test_write_refuses_a_header_length_mismatch(self) -> None:
         """A sender bug must fail at the send site, not desync the peer."""
 
-        async def scenario() -> None:
-            server = await asyncio.start_server(
-                lambda r, w: None, host="127.0.0.1", port=0
-            )
-            port = server.sockets[0].getsockname()[1]
-            _, writer = await asyncio.open_connection("127.0.0.1", port)
-            framed = FrameWriter(writer)
+        async def scenario() -> _Ends:
+            ends = await _Ends().open()
             with pytest.raises(WireEncodeError):
-                framed.write_frame(FRAMES[0] + b"\x00")
+                ends.uplink.write(ENVELOPES[0] + b"\x00")
             with pytest.raises(FrameTruncatedError):
-                framed.write_frame(FRAMES[0][:-1])
-            framed.close()
-            await framed.wait_closed()
-            server.close()
-            await server.wait_closed()
+                ends.uplink.write(FRAMES[0][:-1])
+            await ends.close()
+            return ends
 
-        self._drive(scenario())
+        ends = asyncio.run(scenario())
+        assert ends.received == []  # nothing reached the wire
+        assert ends.parent.stream_errors == 0
 
-    def test_writer_refuses_a_closing_connection(self) -> None:
+    def test_write_refuses_a_closing_connection(self) -> None:
         """Writes never wait, so a dead link must fail at the write itself:
         a typed error, not a frame the transport silently drops."""
 
-        async def scenario() -> None:
-            server = await asyncio.start_server(
-                lambda r, w: None, host="127.0.0.1", port=0
-            )
-            port = server.sockets[0].getsockname()[1]
-            _, writer = await asyncio.open_connection("127.0.0.1", port)
-            framed = FrameWriter(writer)
-            framed.write_frame(FRAMES[0])
-            framed.close()
+        async def scenario() -> _Ends:
+            ends = await _Ends().open()
+            ends.uplink.write(ENVELOPES[0])
+            ends.uplink._transport.close()
             with pytest.raises(SimulationError, match="closing connection"):
-                framed.write_frame(FRAMES[1])
-            assert framed.frames_written == 1
-            assert framed.bytes_written == len(FRAMES[0])
-            await framed.wait_closed()
-            server.close()
-            await server.wait_closed()
+                ends.uplink.write(ENVELOPES[1])
+            await ends.uplink.closed
+            for link in ends.accepted:
+                await link.closed
+            ends.server.close()
+            await ends.server.wait_closed()
+            return ends
 
-        self._drive(scenario())
+        ends = asyncio.run(scenario())
+        assert ends.received == [decode_envelope(ENVELOPES[0])]

@@ -66,7 +66,10 @@ class _Hop:
             deliver=self._deliver,
             on_finished=self._finish,
         )
-        common = dict(channel=self.channel, uplink={0: (1, EDGE)}, transport=self.transport)
+        common = dict(
+            channel=self.channel, uplink={0: (1, EDGE)}, transport=self.transport,
+            guard=lambda fn, *args: fn(*args),
+        )
         self.parent = ClusterNode(1, **common)
         self.child = ClusterNode(0, **common)
         self.source = _PROTOCOL.create_source(0)

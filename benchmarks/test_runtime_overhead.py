@@ -78,7 +78,7 @@ def test_runtime_simulator_lossless(benchmark) -> None:
 
     metrics = benchmark.pedantic(lambda: state["sim"].run(), setup=setup, rounds=3, iterations=1)
     assert metrics.acceptance_rate() == 1.0
-    assert metrics.retransmissions_total() == 0
+    assert metrics.traffic.total("retransmissions") == 0
     benchmark.extra_info["events_processed"] = metrics.events_processed
 
 
@@ -99,6 +99,6 @@ def test_retransmission_cost(benchmark, loss_rate: float) -> None:
     metrics = benchmark.pedantic(lambda: state["sim"].run(), setup=setup, rounds=3, iterations=1)
     assert metrics.num_epochs == EPOCHS
     benchmark.extra_info["loss_rate"] = loss_rate
-    benchmark.extra_info["retransmissions"] = metrics.retransmissions_total()
+    benchmark.extra_info["retransmissions"] = metrics.traffic.total("retransmissions")
     benchmark.extra_info["delivery_rate"] = metrics.delivery_rate()
     benchmark.extra_info["events_processed"] = metrics.events_processed

@@ -62,6 +62,7 @@ from repro.protocols.registry import available_protocols, create_protocol
 from repro.queries.engine import ContinuousQuery
 from repro.queries.predicates import AlwaysTrue, parse_predicate
 from repro.queries.query import AggregateKind, Query
+from repro.runtime.metrics import RunMetrics
 
 __all__ = ["main", "build_parser"]
 
@@ -308,9 +309,9 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
     ledger = metrics.ledger()
     print(f"\ndelivery rate    : {metrics.delivery_rate():8.4f}")
     print(f"acceptance rate  : {metrics.acceptance_rate():8.4f}")
-    print(f"retransmissions  : {metrics.retransmissions_total():8d}")
+    print(f"retransmissions  : {metrics.traffic.total('retransmissions'):8d}")
     for edge in EdgeClass:
-        retries = metrics.transport.retransmissions.get(edge, 0)
+        retries = metrics.traffic.retransmissions.get(edge, 0)
         print(f"  on {edge.value} links : {retries:8d}")
     latency = ledger["latency"]
     print(
@@ -538,11 +539,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if any(f.severity == Severity.ERROR for f in new) else 0
 
 
-def _run_observed(args: argparse.Namespace, recorder=None):
+def _run_observed(args: argparse.Namespace, recorder=None) -> RunMetrics:
     """Run the substrate named by ``args.substrate``, optionally traced.
 
-    Returns the run's native metrics object; *recorder*, when given, is
-    the run's hop observer.
+    Returns the run's :class:`~repro.runtime.metrics.RunMetrics`;
+    *recorder*, when given, is the run's hop observer.
     """
     kwargs = {"seed": args.seed}
     if args.protocol == "secoa_s":
@@ -623,21 +624,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs import (
-        MetricsRegistry,
-        publish_cluster_metrics,
-        publish_network_metrics,
-        publish_runtime_metrics,
-    )
+    from repro.obs import MetricsRegistry, publish_run
 
-    metrics = _run_observed(args)
     registry = MetricsRegistry()
-    publish = {
-        "network": publish_network_metrics,
-        "runtime": publish_runtime_metrics,
-        "cluster": publish_cluster_metrics,
-    }[args.substrate]
-    publish(metrics, registry)
+    publish_run(_run_observed(args), registry)
     if args.format == "json":
         print(json.dumps(registry.render_json(), indent=2))
     else:

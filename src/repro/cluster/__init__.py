@@ -21,7 +21,6 @@ from repro.cluster.envelope import (
 )
 from repro.cluster.faults import parcel_fate
 from repro.cluster.framing import DEFAULT_MAX_PAYLOAD, FrameAssembler
-from repro.cluster.metrics import ClusterRunMetrics
 from repro.cluster.node import ClusterNode
 from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator, run_cluster
 
@@ -36,7 +35,6 @@ __all__ = [
     "parcel_fate",
     "DEFAULT_MAX_PAYLOAD",
     "FrameAssembler",
-    "ClusterRunMetrics",
     "ClusterNode",
     "ClusterConfig",
     "EpochOrchestrator",

@@ -13,8 +13,9 @@
    settled it and each parcel it sent was ACKed or given up;
 4. **drain** — uplinks half-close bottom-up (sources first, root last)
    so every in-flight ACK is read before any socket dies, then servers
-   stop and :meth:`~repro.network.ledger.HopLedger.check_conservation`
-   proves no frame went unaccounted.
+   stop and the run record's conservation check
+   (:meth:`~repro.network.ledger.HopLedger.check_conservation`) proves
+   no frame went unaccounted.
 
 Every hop goes through one :class:`~repro.network.channel.Channel`
 (:attr:`EpochOrchestrator.channel`), whose ledger is the run's one hop
@@ -53,12 +54,12 @@ from repro.network.channel import Channel
 from repro.network.ledger import EdgeClass
 from repro.network.messages import QUERIER_NODE_ID, DataMessage, Workload
 from repro.network.topology import AggregationTree
-from repro.cluster.metrics import ClusterRunMetrics
 from repro.cluster.node import ClusterNode
 from repro.protocols.base import PartialStateRecord, SecureAggregationProtocol
 from repro.runtime.epoch import EpochDriver, EpochPlanner
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
 from repro.runtime.hop import RetransmitPolicy, TransportObserver
+from repro.runtime.metrics import RunMetrics
 from repro.runtime.transport import ReliableTransport, TimerHandle
 from repro.utils.validation import check_positive_int
 
@@ -291,7 +292,7 @@ class EpochOrchestrator:
         if not self._done.done():
             self._done.set_result(None)
 
-    async def run(self) -> ClusterRunMetrics:
+    async def run(self) -> RunMetrics:
         """Execute the configured epochs over real sockets.
 
         One-shot, like :meth:`RuntimeSimulator.run`: dedup state and the
@@ -321,16 +322,15 @@ class EpochOrchestrator:
                     raise
         if self._failure is not None:
             raise self._failure
-        ledger = self.channel.ledger
-        ledger.check_conservation()
-        return ClusterRunMetrics(
+        return RunMetrics(
+            substrate="cluster",
             protocol=self.protocol.name,
             num_sources=self.tree.num_sources,
             seed=self.config.seed,
-            window=self.config.window,
             # After the drain, so stragglers' late copies are counted too.
             epochs=self._driver.records(),
-            traffic=ledger,
+            traffic=self.channel.ledger,
+            window=self.config.window,
             wall_seconds=wall_seconds,
         )
 
@@ -340,6 +340,6 @@ def run_cluster(
     tree: AggregationTree,
     workload: Workload,
     config: ClusterConfig | None = None,
-) -> ClusterRunMetrics:
+) -> RunMetrics:
     """Synchronous entry point: build the fleet, run it, tear it down."""
     return asyncio.run(EpochOrchestrator(protocol, tree, workload, config).run())

@@ -15,9 +15,9 @@ from repro.network.broadcast import MuTeslaBroadcaster, MuTeslaReceiver
 from repro.network.channel import Channel, EdgeClass
 from repro.network.energy import EnergyModel, FirstOrderRadioModel
 from repro.network.messages import BroadcastPacket, DataMessage
-from repro.network.metrics import RunMetrics
 from repro.network.simulator import NetworkSimulator, SimulationConfig
 from repro.network.topology import AggregationTree, TreeNode, build_complete_tree, build_random_tree
+from repro.runtime.metrics import RunMetrics
 
 __all__ = [
     "AggregationTree",

@@ -140,8 +140,11 @@ class HopLedger:
     def check_conservation(self) -> None:
         """Raise :class:`~repro.errors.SimulationError` on any silent drop.
 
-        Called once per ARQ run after every copy and ACK has landed;
-        every law must balance on every edge class independently:
+        Called once per run, as the run's
+        :class:`~repro.runtime.metrics.RunMetrics` is built after every
+        copy and ACK has landed (vacuous on the analytic simulator, which
+        counts no ARQ); every law must balance on every edge class
+        independently:
 
         * each attempt puts 1 or 2 copies on the link or is swallowed
           by the schedule or the channel;

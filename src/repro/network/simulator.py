@@ -16,7 +16,7 @@ cluster drive — in zero time.  Its querier is told the reporting subset
 by the plan (the paper's reported failures), never by what was merged,
 so a PSR dropped below the root ends in a rejected epoch, not a smaller
 SUM.  Op counts, traffic per edge class and (optionally) radio energy
-accumulate into :class:`~repro.network.metrics.RunMetrics`; every hop is
+accumulate into the run's :class:`~repro.runtime.metrics.RunMetrics`; every hop is
 reported to the optional ``observer`` as ``attempt`` then ``deliver``,
 ``decode_failure`` (a copy hold-and-wait refused) or ``drop`` — the
 hop-event stream of the runtime and the cluster.
@@ -31,13 +31,12 @@ from repro.errors import SimulationError
 from repro.network.channel import Channel
 from repro.network.energy import EnergyLedger, EnergyModel
 from repro.network.messages import QUERIER_NODE_ID, DataMessage, Workload
-from repro.network.metrics import RunMetrics
 from repro.network.topology import AggregationTree
 from repro.protocols.base import OpCounter, PartialStateRecord, SecureAggregationProtocol
 from repro.runtime.epoch import EpochPlanner, HoldAndWait, settle_final, settle_lost
 from repro.runtime.faults import FaultPlan, NodeOutage
 from repro.runtime.hop import DECODE_FAILURE, DELIVERED, TransportObserver, emit_hop
-from repro.runtime.metrics import EpochRecord
+from repro.runtime.metrics import EpochRecord, RunMetrics
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -139,23 +138,34 @@ class NetworkSimulator:
     # ------------------------------------------------------------------
 
     def run(self, num_epochs: int | None = None) -> RunMetrics:
-        """Execute the configured number of epochs and return the metrics."""
+        """Execute the configured number of epochs and return the metrics.
+
+        Every call is a measured run of its own: traffic, op counts and
+        energy start from zero, and the record holds copies that later
+        runs on this simulator leave untouched.
+        """
         epochs = num_epochs if num_epochs is not None else self.config.num_epochs
         check_positive_int("num_epochs", epochs)
         self.channel.begin_run()
+        # Zeroed in place: the roles hold these counters.
+        counters = (self.source_ops, self.aggregator_ops, self.querier_ops)
+        for counter in counters:
+            counter.reset()
+        if self._energy is not None:
+            self._energy.spent_by_node.clear()
         records = [self._execute_epoch(self.config.start_epoch + i) for i in range(epochs)]
-        metrics = RunMetrics(
+        source_ops, aggregator_ops, querier_ops = (counter.copy() for counter in counters)
+        return RunMetrics(
+            substrate="network",
             protocol=self.protocol.name,
             num_sources=self.tree.num_sources,
             epochs=records,
             traffic=self.channel.ledger,
-            source_ops=self.source_ops,
-            aggregator_ops=self.aggregator_ops,
-            querier_ops=self.querier_ops,
+            source_ops=source_ops,
+            aggregator_ops=aggregator_ops,
+            querier_ops=querier_ops,
+            energy_by_node=dict(self._energy.spent_by_node) if self._energy is not None else {},
         )
-        if self._energy is not None:
-            metrics.energy_by_node = dict(self._energy.spent_by_node)
-        return metrics
 
     def run_epoch(self, epoch: int) -> EpochRecord:
         """Execute one epoch as its own measured run (fresh traffic ledger).

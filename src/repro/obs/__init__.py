@@ -9,8 +9,8 @@ substrates (analytic network, event runtime, TCP cluster):
   disposition slice;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
   gauges, fixed-bucket histograms, Prometheus-text and JSON exporters;
-* :mod:`repro.obs.publish` — maps every substrate's native ledger into
-  the unified ``sies_*`` metric names;
+* :mod:`repro.obs.publish` — maps the one run record every substrate
+  returns into the unified ``sies_*`` metric names;
 * :mod:`repro.obs.profiling` — per-phase timers for the crypto/codec
   hot paths;
 * :mod:`repro.obs.diff` — trace diffing on the determined slice.
@@ -25,15 +25,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.profiling import PhaseProfiler, ProfiledCodec
-from repro.obs.publish import (
-    publish_cluster_metrics,
-    publish_epoch_outcomes,
-    publish_network_metrics,
-    publish_ops,
-    publish_runtime_metrics,
-    publish_traffic,
-    publish_transport,
-)
+from repro.obs.publish import publish_run, publish_traffic, publish_transport
 from repro.obs.trace import EVENT_KINDS, ObsEvent, TraceRecorder, trace_dispositions
 
 __all__ = [
@@ -48,13 +40,9 @@ __all__ = [
     "MetricsRegistry",
     "PhaseProfiler",
     "ProfiledCodec",
+    "publish_run",
     "publish_traffic",
-    "publish_ops",
     "publish_transport",
-    "publish_epoch_outcomes",
-    "publish_network_metrics",
-    "publish_runtime_metrics",
-    "publish_cluster_metrics",
     "DispositionDelta",
     "TraceDiff",
     "diff_dispositions",

@@ -1,13 +1,12 @@
 """Substrate-neutral metrics registry with Prometheus/JSON exporters.
 
-Every substrate keeps its own native accounting —
-:class:`~repro.network.metrics.RunMetrics`,
-:class:`~repro.runtime.metrics.RuntimeRunMetrics`,
-:class:`~repro.cluster.metrics.ClusterRunMetrics`, each around one
-:class:`~repro.network.ledger.HopLedger` — and *publishes*
-into one :class:`MetricsRegistry` under unified names
-(:mod:`repro.obs.publish`), so a dashboard or diff tool reads one
-namespace regardless of which execution substrate produced the run.
+Every substrate ends a run as one
+:class:`~repro.runtime.metrics.RunMetrics` around one
+:class:`~repro.network.ledger.HopLedger`, and one publisher
+(:func:`repro.obs.publish.publish_run`) writes it into one
+:class:`MetricsRegistry` under unified names, so a dashboard or diff
+tool reads one namespace regardless of which execution substrate
+produced the run.
 
 Design constraints:
 

@@ -1,12 +1,14 @@
-"""Publishers: native per-substrate metrics → the unified registry.
+"""The publisher: one run record → the unified registry.
 
-Each substrate keeps its native run metrics; these functions map every
-ledger into one metric namespace so ``repro metrics`` (and any
-Prometheus scrape of an exported file) reads identical names whichever
-substrate produced the run.  Every run holds one
-:class:`~repro.network.ledger.HopLedger`, and :func:`publish_traffic`
-and :func:`publish_transport` are the only writers of its series, so a
-traffic series means the same thing on all three substrates:
+Every substrate ends a run as one
+:class:`~repro.runtime.metrics.RunMetrics`, and :func:`publish_run`
+maps it into one metric namespace, labelled with the record's
+``substrate``, so ``repro metrics`` (and any Prometheus scrape of an
+exported file) reads identical names whichever substrate produced the
+run.  Every run holds one :class:`~repro.network.ledger.HopLedger`, and
+:func:`publish_traffic` and :func:`publish_transport` are the only
+writers of its series, so a traffic series means the same thing on all
+three substrates:
 
 * ``sies_traffic_messages_total`` — transmissions, one per attempt;
 * ``sies_traffic_bytes_total`` — analytic payload bytes
@@ -17,7 +19,10 @@ traffic series means the same thing on all three substrates:
   the channel or by the receiving node.
 
 On the ARQ substrates ``sies_traffic_messages_total`` therefore equals
-``sies_transport_attempts_total`` edge class by edge class.
+``sies_transport_attempts_total`` edge class by edge class.  What is
+published follows the data, never the substrate's name: the
+``sies_transport_*`` families only when the ledger counted an ARQ
+attempt, ``sies_ops_total`` only when a role counted an operation.
 
 ==========================================  =======================================
 metric                                      labels
@@ -56,21 +61,10 @@ from typing import TYPE_CHECKING
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 
 if TYPE_CHECKING:
-    from repro.cluster.metrics import ClusterRunMetrics
     from repro.network.ledger import HopLedger
-    from repro.network.metrics import RunMetrics
-    from repro.protocols.base import OpCounter
-    from repro.runtime.metrics import EpochSeries, RuntimeRunMetrics
+    from repro.runtime.metrics import RunMetrics
 
-__all__ = [
-    "publish_traffic",
-    "publish_ops",
-    "publish_transport",
-    "publish_epoch_outcomes",
-    "publish_network_metrics",
-    "publish_runtime_metrics",
-    "publish_cluster_metrics",
-]
+__all__ = ["publish_run", "publish_traffic", "publish_transport"]
 
 _EDGE_LABELS = ("substrate", "edge")
 
@@ -106,67 +100,6 @@ def publish_traffic(ledger: "HopLedger", registry: MetricsRegistry, *, substrate
             count = read(counters)
             if count:
                 metric.inc(count, substrate=substrate, edge=edge.value)
-
-
-def publish_ops(
-    registry: MetricsRegistry,
-    *,
-    substrate: str,
-    source: "OpCounter",
-    aggregator: "OpCounter",
-    querier: "OpCounter",
-) -> None:
-    """Primitive-operation counts per role under one metric."""
-    ops = registry.counter(
-        "sies_ops_total", "Primitive operations per role", ("substrate", "role", "op")
-    )
-    for role, counter in (("source", source), ("aggregator", aggregator), ("querier", querier)):
-        for op, count in sorted(counter.counts.items()):
-            if count:
-                ops.inc(count, substrate=substrate, role=role, op=op)
-
-
-def publish_epoch_outcomes(
-    series: "EpochSeries", registry: MetricsRegistry, *, substrate: str
-) -> None:
-    """Epoch outcomes; *unrecovered* means lost, not rejected (PSR never arrived)."""
-    registry.counter("sies_epochs_total", "Epochs executed", ("substrate",)).inc(
-        series.num_epochs, substrate=substrate
-    )
-    registry.counter(
-        "sies_epochs_accepted_total", "Epochs whose exact SUM was accepted", ("substrate",)
-    ).inc(sum(1 for e in series.epochs if e.accepted), substrate=substrate)
-    registry.counter(
-        "sies_epochs_unrecovered_total", "Epochs lost end to end", ("substrate",)
-    ).inc(sum(1 for e in series.epochs if not e.recovery.converged), substrate=substrate)
-    registry.gauge(
-        "sies_delivery_rate", "Fraction of attempted contributions that survived", ("substrate",)
-    ).set(series.delivery_rate(), substrate=substrate)
-    registry.gauge(
-        "sies_acceptance_rate", "Fraction of epochs accepted by the querier", ("substrate",)
-    ).set(series.acceptance_rate(), substrate=substrate)
-    latency = registry.histogram(
-        "sies_completion_latency",
-        "Epoch completion latency (substrate-native time units)",
-        DEFAULT_LATENCY_BUCKETS,
-        ("substrate",),
-    )
-    for sample in series.completion_latencies():
-        latency.observe(sample, substrate=substrate)
-
-
-def publish_network_metrics(metrics: "RunMetrics", registry: MetricsRegistry) -> None:
-    """Analytic :class:`~repro.network.metrics.RunMetrics` → registry (zero-time latencies)."""
-    substrate = "network"
-    publish_traffic(metrics.traffic, registry, substrate=substrate)
-    publish_ops(
-        registry,
-        substrate=substrate,
-        source=metrics.source_ops,
-        aggregator=metrics.aggregator_ops,
-        querier=metrics.querier_ops,
-    )
-    publish_epoch_outcomes(metrics, registry, substrate=substrate)
 
 
 #: Ledger counter → (metric name, help), in publication order.
@@ -205,24 +138,53 @@ def publish_transport(ledger: "HopLedger", registry: MetricsRegistry, *, substra
                 metric.inc(count, substrate=substrate, edge=edge.value)
 
 
-def publish_runtime_metrics(metrics: "RuntimeRunMetrics", registry: MetricsRegistry) -> None:
-    """Event-runtime ledger → registry (logical-time latencies)."""
-    substrate = "runtime"
-    publish_traffic(metrics.transport, registry, substrate=substrate)
-    publish_ops(
-        registry,
-        substrate=substrate,
-        source=metrics.source_ops,
-        aggregator=metrics.aggregator_ops,
-        querier=metrics.querier_ops,
-    )
-    publish_transport(metrics.transport, registry, substrate=substrate)
-    publish_epoch_outcomes(metrics, registry, substrate=substrate)
 
+def publish_run(metrics: "RunMetrics", registry: MetricsRegistry) -> None:
+    """One run record → registry, labelled ``substrate=metrics.substrate``.
 
-def publish_cluster_metrics(metrics: "ClusterRunMetrics", registry: MetricsRegistry) -> None:
-    """TCP-cluster ledger → registry (real-seconds latencies)."""
-    substrate = "cluster"
+    Latencies are in the substrate's time (0 on the analytic simulator,
+    logical ticks on the runtime, real seconds on the cluster); an
+    *unrecovered* epoch is lost (its PSR never arrived), not rejected.
+    """
+    substrate = metrics.substrate
     publish_traffic(metrics.traffic, registry, substrate=substrate)
-    publish_transport(metrics.traffic, registry, substrate=substrate)
-    publish_epoch_outcomes(metrics, registry, substrate=substrate)
+    if metrics.traffic.total("attempts"):
+        publish_transport(metrics.traffic, registry, substrate=substrate)
+    roles = (
+        ("source", metrics.source_ops),
+        ("aggregator", metrics.aggregator_ops),
+        ("querier", metrics.querier_ops),
+    )
+    if any(any(counter.counts.values()) for _, counter in roles):
+        ops = registry.counter(
+            "sies_ops_total", "Primitive operations per role", ("substrate", "role", "op")
+        )
+        for role, counter in roles:
+            for op, count in sorted(counter.counts.items()):
+                if count:
+                    ops.inc(count, substrate=substrate, role=role, op=op)
+
+    epochs = metrics.epochs
+    registry.counter("sies_epochs_total", "Epochs executed", ("substrate",)).inc(
+        len(epochs), substrate=substrate
+    )
+    registry.counter(
+        "sies_epochs_accepted_total", "Epochs whose exact SUM was accepted", ("substrate",)
+    ).inc(sum(1 for e in epochs if e.accepted), substrate=substrate)
+    registry.counter(
+        "sies_epochs_unrecovered_total", "Epochs lost end to end", ("substrate",)
+    ).inc(sum(1 for e in epochs if not e.recovery.converged), substrate=substrate)
+    registry.gauge(
+        "sies_delivery_rate", "Fraction of attempted contributions that survived", ("substrate",)
+    ).set(metrics.delivery_rate(), substrate=substrate)
+    registry.gauge(
+        "sies_acceptance_rate", "Fraction of epochs accepted by the querier", ("substrate",)
+    ).set(metrics.acceptance_rate(), substrate=substrate)
+    latency = registry.histogram(
+        "sies_completion_latency",
+        "Epoch completion latency (substrate-native time units)",
+        DEFAULT_LATENCY_BUCKETS,
+        ("substrate",),
+    )
+    for sample in metrics.completion_latencies():
+        latency.observe(sample, substrate=substrate)

@@ -25,7 +25,7 @@ Quick start::
     metrics = RuntimeSimulator(
         protocol, build_complete_tree(64, fanout=4), workload, config
     ).run()
-    print(metrics.delivery_rate(), metrics.retransmissions_total())
+    print(metrics.delivery_rate(), metrics.traffic.total("retransmissions"))
 """
 
 from repro.network.ledger import EdgeCounters, HopLedger
@@ -40,7 +40,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.epoch import EpochDriver, EpochPlan, EpochPlanner, HoldAndWait, QuerierEpochs
 from repro.runtime.hop import HopEngine, Parcel, RetransmitPolicy
-from repro.runtime.metrics import EpochRecord, RuntimeRunMetrics
+from repro.runtime.metrics import EpochRecord, RunMetrics
 from repro.runtime.recovery import EpochRecovery
 from repro.runtime.simulator import RuntimeConfig, RuntimeSimulator
 from repro.runtime.transport import ReliableTransport
@@ -67,7 +67,7 @@ __all__ = [
     "QuerierEpochs",
     "EpochRecovery",
     "EpochRecord",
-    "RuntimeRunMetrics",
+    "RunMetrics",
     "RuntimeConfig",
     "RuntimeSimulator",
 ]

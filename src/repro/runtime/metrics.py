@@ -1,16 +1,26 @@
-"""Epoch records every substrate shares, and the runtime's run metrics.
+"""The epoch record and the run record every substrate fills.
 
-:class:`EpochRecord` is how one epoch ended and :class:`EpochSeries` the
-run-level views over a list of them; the analytic simulator and the TCP
-cluster build their run metrics on both.  Nothing the runtime records
-carries wall-clock seconds: every field is a function of the seed and
-the configuration, so two runs with identical inputs produce identical
-:meth:`RuntimeRunMetrics.ledger` dicts — the determinism contract the
-acceptance tests compare byte for byte.
+:class:`EpochRecord` is how one epoch ended and :class:`RunMetrics`
+everything one run measured, on the analytic simulator (``network``),
+the event runtime (``runtime``) and the TCP cluster (``cluster``)
+alike: the epochs, the run's one
+:class:`~repro.network.ledger.HopLedger` (Table V's traffic per edge
+class, plus the ARQ counters on the two ARQ substrates), the
+primitive-operation counts per role, and what only some substrates
+measure (scheduler events, the cluster's window and wall-clock
+seconds, radio energy per node), each zero or empty where unmeasured.
+The ledger's conservation laws are checked as the record is built.
 
-Latency fields are *logical* (scheduler time units; 0 on the zero-time
-analytic simulator): epoch completion latency is the span from the
-epoch's start event to the querier's evaluation of its final PSR.
+:meth:`RunMetrics.deterministic_ledger` is the seed-determined slice,
+equal across reruns on every substrate; :meth:`RunMetrics.ledger` adds
+everything measured.  The runtime measures nothing but seeded, logical
+quantities, so its full ledger is rerun-equal too — the determinism
+contract the acceptance tests compare byte for byte.
+
+Latency fields are in the substrate's time: logical ticks on the
+runtime, real seconds on the cluster, 0 on the zero-time analytic
+simulator.  Epoch completion latency is the span from the epoch's start
+to the querier's evaluation of its final PSR.
 """
 
 from __future__ import annotations
@@ -18,12 +28,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Literal
 
 from repro.network.ledger import HopLedger
 from repro.protocols.base import EvaluationResult, OpCounter
 from repro.runtime.recovery import EpochRecovery
 
-__all__ = ["EpochRecord", "EpochSeries", "RuntimeRunMetrics", "latency_percentile"]
+__all__ = ["EpochRecord", "RunMetrics", "Substrate", "latency_percentile"]
+
+#: The label a run record, and every metric it publishes, carries.
+Substrate = Literal["network", "runtime", "cluster"]
 
 
 def latency_percentile(samples: list[float], fraction: float) -> float:
@@ -68,14 +82,48 @@ class EpochRecord:
         return len(self.recovery.attempted)
 
 
-class EpochSeries:
-    """Run-level views over ``epochs``, shared by every substrate."""
+@dataclass
+class RunMetrics:
+    """Everything one run measured, on any substrate."""
 
-    epochs: list[EpochRecord]
+    substrate: Substrate
+    protocol: str
+    num_sources: int
+    #: The run's fault and jitter seed (``None`` on the analytic simulator).
+    seed: int | None = None
+    epochs: list[EpochRecord] = field(default_factory=list)
+    traffic: HopLedger = field(default_factory=HopLedger)
+    source_ops: OpCounter = field(default_factory=OpCounter)
+    aggregator_ops: OpCounter = field(default_factory=OpCounter)
+    querier_ops: OpCounter = field(default_factory=OpCounter)
+    #: Scheduler events the runtime processed.
+    events_processed: int = 0
+    #: Cluster pipelining bound: epochs in flight at once.
+    window: int = 0
+    #: Real seconds of a cluster run (servers up → last epoch settled).
+    wall_seconds: float = 0.0
+    #: Joules per node when an energy model is attached.
+    energy_by_node: dict[int, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.traffic.check_conservation()
+
+    @property
+    def transport(self) -> HopLedger:
+        """The traffic ledger under its old runtime name.
+
+        Kept only for ``perfbench/workloads.py``, which reads
+        ``metrics.transport`` on the runtime and changes only with the
+        benchmark; everything else reads :attr:`traffic`.
+        """
+        return self.traffic
 
     @property
     def num_epochs(self) -> int:
         return len(self.epochs)
+
+    def all_verified(self) -> bool:
+        return all(e.result.verified for e in self.epochs if e.result is not None)
 
     def recovery_summary(self) -> dict[str, object]:
         """Run-level recovery tallies: epochs complete, recovered (some
@@ -105,6 +153,13 @@ class EpochSeries:
         if not self.epochs:
             return 1.0
         return sum(1 for e in self.epochs if e.accepted) / len(self.epochs)
+
+    def epochs_per_second(self) -> float:
+        return self.num_epochs / self.wall_seconds if self.wall_seconds > 0 else 0.0
+
+    def frames_per_second(self) -> float:
+        frames = self.traffic.total("frames_sent") + self.traffic.total("acks_sent")
+        return frames / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     def completion_latencies(self) -> list[float]:
         return [e.completion_latency for e in self.epochs if e.recovery.converged]
@@ -144,46 +199,44 @@ class EpochSeries:
             entries.append(entry)
         return entries
 
-
-@dataclass
-class RuntimeRunMetrics(EpochSeries):
-    """Everything one runtime run measured (fully deterministic)."""
-
-    protocol: str
-    num_sources: int
-    seed: int
-    epochs: list[EpochRecord] = field(default_factory=list)
-    transport: HopLedger = field(default_factory=HopLedger)
-    source_ops: OpCounter = field(default_factory=OpCounter)
-    aggregator_ops: OpCounter = field(default_factory=OpCounter)
-    querier_ops: OpCounter = field(default_factory=OpCounter)
-    events_processed: int = 0
-
-    def retransmissions_total(self) -> int:
-        return self.transport.total("retransmissions")
-
-    def ledger(self) -> dict:
-        """Canonical, JSON-serializable record of the whole run.
-
-        Contains *only* seed-determined quantities — no wall-clock, no
-        object ids — so two runs with the same configuration and seed
-        must produce equal ledgers (asserted by the acceptance tests).
-        """
+    def deterministic_ledger(self) -> dict:
+        """The seed-determined slice: equal across reruns (and, on the
+        cluster, across windows and to the :mod:`repro.cluster.faults`
+        oracle's prediction on the same plan)."""
         return {
             "protocol": self.protocol,
             "num_sources": self.num_sources,
             "seed": self.seed,
-            "num_epochs": self.num_epochs,
-            "delivery_rate": self.delivery_rate(),
-            "acceptance_rate": self.acceptance_rate(),
-            "events_processed": self.events_processed,
-            "transport": self.transport.as_dict(),
-            "recovery": self.recovery_summary(),
-            "ops": {
-                "source": dict(sorted(self.source_ops.counts.items())),
-                "aggregator": dict(sorted(self.aggregator_ops.counts.items())),
-                "querier": dict(sorted(self.querier_ops.counts.items())),
-            },
-            "latency": self.latency_summary(),
-            "epochs": self.epoch_entries(),
+            "epochs": self.epoch_entries(measured=False),
         }
+
+    def ledger(self) -> dict:
+        """The full JSON-serializable record of the run."""
+        out = self.deterministic_ledger()
+        out.update(
+            {
+                "substrate": self.substrate,
+                # Latencies and late copies depend on timing on the cluster.
+                "epochs": self.epoch_entries(),
+                "num_epochs": self.num_epochs,
+                "delivery_rate": self.delivery_rate(),
+                "acceptance_rate": self.acceptance_rate(),
+                "recovery": self.recovery_summary(),
+                "latency": self.latency_summary(),
+                "traffic": self.traffic.as_dict(),
+                "ops": {
+                    "source": dict(sorted(self.source_ops.counts.items())),
+                    "aggregator": dict(sorted(self.aggregator_ops.counts.items())),
+                    "querier": dict(sorted(self.querier_ops.counts.items())),
+                },
+                "events_processed": self.events_processed,
+                "window": self.window,
+                "wall_seconds": self.wall_seconds,
+                "epochs_per_second": self.epochs_per_second(),
+                "frames_per_second": self.frames_per_second(),
+                "energy_by_node": {
+                    str(node): joules for node, joules in sorted(self.energy_by_node.items())
+                },
+            }
+        )
+        return out

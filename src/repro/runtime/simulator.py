@@ -29,8 +29,8 @@ The runtime reuses the existing role objects and
 interceptor from :mod:`repro.attacks` works here too — and sees
 retransmissions as extra attack opportunities, exactly like a real
 radio.  All scheduling is logical-clock based and seeded; see
-:meth:`RuntimeRunMetrics.ledger` for the determinism contract.  Every
-run ends by checking the hop ledger's conservation laws.
+:meth:`~repro.runtime.metrics.RunMetrics.ledger` for the determinism
+contract.  The run record checks the hop ledger's conservation laws.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.runtime.epoch import EpochDriver, EpochPlanner
 from repro.runtime.events import EventScheduler
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
 from repro.runtime.hop import RetransmitPolicy, TransportObserver
-from repro.runtime.metrics import RuntimeRunMetrics
+from repro.runtime.metrics import RunMetrics
 from repro.runtime.transport import scheduled_transport
 from repro.utils.validation import check_positive_int
 
@@ -167,7 +167,7 @@ class RuntimeSimulator:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self, num_epochs: int | None = None) -> RuntimeRunMetrics:
+    def run(self, num_epochs: int | None = None) -> RunMetrics:
         """Execute the configured epochs through the event loop.
 
         One-shot: transports, fault streams and dedup state are bound
@@ -190,19 +190,18 @@ class RuntimeSimulator:
             )
         self.scheduler.run()
 
-        metrics = RuntimeRunMetrics(
+        return RunMetrics(
+            substrate="runtime",
             protocol=self.protocol.name,
             num_sources=self.tree.num_sources,
             seed=self.config.seed,
             epochs=self._driver.records(),
-            transport=self.transport.ledger,
+            traffic=self.transport.ledger,
             source_ops=self.source_ops,
             aggregator_ops=self.aggregator_ops,
             querier_ops=self.querier_ops,
             events_processed=self.scheduler.events_processed,
         )
-        metrics.transport.check_conservation()
-        return metrics
 
     def _send(
         self,

@@ -23,7 +23,7 @@ from repro.core.protocol import SIESProtocol
 from repro.network.channel import EdgeClass
 from repro.network.simulator import NetworkSimulator, SimulationConfig
 from repro.network.topology import build_complete_tree
-from repro.obs import MetricsRegistry, TraceRecorder, publish_network_metrics
+from repro.obs import MetricsRegistry, TraceRecorder, publish_run
 from repro.runtime import FaultPlan, RuntimeConfig, RuntimeSimulator
 
 N = 16
@@ -72,7 +72,7 @@ def _runtime(attack):
     )
     simulator.channel.add_frame_interceptor(attack)
     metrics = simulator.run()
-    return metrics.epochs, metrics.transport
+    return metrics.epochs, metrics.traffic
 
 
 def _cluster(attack):
@@ -139,6 +139,6 @@ def test_analytic_trace_names_every_refused_copy() -> None:
     assert kinds["attempt"] == kinds["deliver"] + kinds["decode_failure"]
     assert kinds["attempt"] == metrics.traffic.total("messages")
     registry = MetricsRegistry()
-    publish_network_metrics(metrics, registry)
+    publish_run(metrics, registry)
     series = registry.get("sies_decode_failures_total")
     assert series.value(substrate="network", edge=EdgeClass.SOURCE_TO_AGGREGATOR.value) == refused

@@ -104,7 +104,7 @@ def test_frame_drop_acts_on_the_cluster_as_on_the_runtime() -> None:
         for epoch, (survivors, _, _) in _outcomes(cluster).items()
         if epoch != TARGET
     )
-    r, c = runtime.transport.edge(aa), cluster.traffic.edge(aa)
+    r, c = runtime.traffic.edge(aa), cluster.traffic.edge(aa)
     assert (c.drops_channel, c.gave_up) == (r.drops_channel, r.gave_up)
     # Every attempt of the target epoch's A-A parcels was swallowed.
     assert c.gave_up == FANOUT
@@ -149,7 +149,7 @@ def test_undecodable_frame_acts_on_the_cluster_as_on_the_runtime() -> None:
 
     runtime, cluster = _runtime(attach), _cluster(attach)
     assert _outcomes(cluster) == _outcomes(runtime)
-    c, r = cluster.traffic.edge(sa), runtime.transport.edge(sa)
+    c, r = cluster.traffic.edge(sa), runtime.traffic.edge(sa)
     # Only a receiver holding the copy finds it corrupt: the cluster's
     # decode failures are the channel's, the runtime's are channel drops.
     assert c.channel_decode_failures == c.decode_failures > 0

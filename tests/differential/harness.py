@@ -41,10 +41,10 @@ from repro.datasets.workload import UniformWorkload
 from repro.network.channel import EdgeClass, Interceptor
 from repro.network.ledger import HopLedger
 from repro.network.messages import DataMessage
-from repro.network.metrics import RunMetrics
 from repro.network.simulator import NetworkSimulator, SimulationConfig
 from repro.network.topology import build_complete_tree
 from repro.protocols.base import SecureAggregationProtocol
+from repro.runtime.metrics import RunMetrics
 from repro.utils.rng import derive_seed
 
 __all__ = [
@@ -180,13 +180,20 @@ def execute_path(spec: RunSpec, *, batched: bool) -> PathTrace:
     else:
         # Each run_epoch starts a fresh traffic ledger; sum them so the
         # two entry points compare counter by counter.
-        metrics = RunMetrics(protocol=protocol.name, num_sources=spec.num_sources)
+        records, traffic = [], HopLedger()
         for epoch in spec.epochs:
-            metrics.epochs.append(simulator.run_epoch(epoch))
-            _add_ledger(metrics.traffic, simulator.channel.ledger)
-        metrics.source_ops = simulator.source_ops
-        metrics.aggregator_ops = simulator.aggregator_ops
-        metrics.querier_ops = simulator.querier_ops
+            records.append(simulator.run_epoch(epoch))
+            _add_ledger(traffic, simulator.channel.ledger)
+        metrics = RunMetrics(
+            "network",
+            protocol.name,
+            spec.num_sources,
+            epochs=records,
+            traffic=traffic,
+            source_ops=simulator.source_ops,
+            aggregator_ops=simulator.aggregator_ops,
+            querier_ops=simulator.querier_ops,
+        )
 
     ciphertexts = {
         (epoch, sender): psr.ciphertext

@@ -1,10 +1,9 @@
-"""Metrics containers: per-epoch records and per-run aggregation."""
+"""The run record on the analytic simulator: per-epoch records, per-run views."""
 
 from __future__ import annotations
 
-from repro.network.metrics import RunMetrics
 from repro.protocols.base import EvaluationResult
-from repro.runtime.metrics import EpochRecord
+from repro.runtime.metrics import EpochRecord, RunMetrics
 from repro.runtime.recovery import EpochRecovery
 
 
@@ -22,7 +21,7 @@ def _epoch(epoch: int, *, sources: int = 4, value: int = 10,
 
 
 def test_run_metrics_means_over_epochs() -> None:
-    run = RunMetrics(protocol="sies", num_sources=4, epochs=[_epoch(1), _epoch(2, sources=3)])
+    run = RunMetrics("network", "sies", 4, epochs=[_epoch(1), _epoch(2, sources=3)])
     assert run.num_epochs == 2
     assert [e.sources_reporting for e in run.epochs] == [4, 3]
     assert run.acceptance_rate() == 1.0
@@ -35,7 +34,7 @@ def test_run_metrics_means_over_epochs() -> None:
 
 def test_run_metrics_with_failures() -> None:
     run = RunMetrics(
-        protocol="sies", num_sources=4, epochs=[_epoch(1), _epoch(2, failure="VerificationFailure")]
+        "network", "sies", 4, epochs=[_epoch(1), _epoch(2, failure="VerificationFailure")]
     )
     assert run.all_verified()  # the rejected epoch has no result to check
     assert run.security_failures() == [(2, "VerificationFailure")]
@@ -44,12 +43,12 @@ def test_run_metrics_with_failures() -> None:
 
 
 def test_run_metrics_unverified_results() -> None:
-    run = RunMetrics(protocol="cmt", num_sources=4, epochs=[_epoch(1, verified=False)])
+    run = RunMetrics("network", "cmt", 4, epochs=[_epoch(1, verified=False)])
     assert not run.all_verified()
 
 
 def test_empty_run_metrics() -> None:
-    run = RunMetrics(protocol="sies", num_sources=4)
+    run = RunMetrics("network", "sies", 4)
     assert run.num_epochs == 0
     assert run.acceptance_rate() == 1.0
     assert run.all_verified()  # vacuously
@@ -78,5 +77,5 @@ def test_epoch_entries_are_json_serializable() -> None:
     # Big-integer SUMs are stringified so they survive JSON losslessly.
     expected = sum(workload(s, 1) for s in range(8))
     assert restored[0]["value"] == str(expected)
-    big = RunMetrics("sies", 4, epochs=[_epoch(3, value=2**200)])
+    big = RunMetrics("network", "sies", 4, epochs=[_epoch(3, value=2**200)])
     assert json.loads(json.dumps(big.epoch_entries()))[0]["value"] == str(2**200)

@@ -197,6 +197,33 @@ def test_energy_accounting(setup) -> None:
     assert aggregator_spend > source_spend
 
 
+def _measured(metrics) -> tuple:
+    """Everything a run counts, copied out of its record."""
+    return (
+        [em.result.value for em in metrics.epochs],
+        dict(metrics.source_ops.counts),
+        dict(metrics.aggregator_ops.counts),
+        dict(metrics.querier_ops.counts),
+        metrics.traffic.as_dict(),
+        dict(metrics.energy_by_node),
+    )
+
+
+def test_every_run_is_measured_from_zero(setup) -> None:
+    """Regression: a second ``run()`` on one simulator once counted the
+    first run's operations and energy again, and rewrote the first
+    record's op counts, which shared the simulator's counters."""
+    protocol, tree, workload = setup
+    config = SimulationConfig(num_epochs=2, energy_model=FirstOrderRadioModel())
+    fresh = _measured(NetworkSimulator(protocol, tree, workload, config).run())
+    sim = NetworkSimulator(protocol, tree, workload, config)
+    first = sim.run()
+    assert _measured(first) == fresh
+    second = sim.run()
+    assert _measured(second) == fresh
+    assert _measured(first) == fresh
+
+
 def test_evaluate_disabled(setup) -> None:
     protocol, tree, workload = setup
     metrics = NetworkSimulator(

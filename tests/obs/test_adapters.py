@@ -19,11 +19,11 @@ from repro.obs import (
     PhaseProfiler,
     ProfiledCodec,
     TraceRecorder,
-    publish_network_metrics,
-    publish_runtime_metrics,
+    publish_run,
     publish_traffic,
 )
-from repro.runtime import FaultPlan, RuntimeConfig, RuntimeSimulator
+from repro.protocols.base import OpCounter
+from repro.runtime import FaultPlan, RunMetrics, RuntimeConfig, RuntimeSimulator
 
 N = 16
 
@@ -78,9 +78,9 @@ def test_transport_adapter_traces_runtime_arq() -> None:
     kinds = {e.kind for e in recorder.events}
     assert "attempt" in kinds and "deliver" in kinds and "drop" in kinds
     attempts = [e for e in recorder.events if e.kind == "attempt"]
-    assert len(attempts) == sum(metrics.transport.attempts.values())
+    assert len(attempts) == sum(metrics.traffic.attempts.values())
     delivers = [e for e in recorder.events if e.kind == "deliver"]
-    assert len(delivers) == sum(metrics.transport.delivered.values())
+    assert len(delivers) == sum(metrics.traffic.delivered.values())
     assert all(e.uid is not None for e in attempts)
     assert all(e.attempt is not None and e.time is not None for e in attempts)
     drops = [e for e in recorder.events if e.kind == "drop"]
@@ -154,9 +154,9 @@ def test_profiled_codec_times_encode_and_decode() -> None:
 def test_publish_network_and_runtime_share_metric_names() -> None:
     registry = MetricsRegistry()
     net = _network_simulator(epochs=1)
-    publish_network_metrics(net.run(), registry)
+    publish_run(net.run(), registry)
     rt = _runtime_simulator(loss=0.2, epochs=2)
-    publish_runtime_metrics(rt.run(), registry)
+    publish_run(rt.run(), registry)
     epochs_total = registry.get("sies_epochs_total")
     assert epochs_total is not None
     assert epochs_total.value(substrate="network") == 1
@@ -180,7 +180,7 @@ def test_publish_network_and_runtime_share_metric_names() -> None:
     run = lossy.run()
     assert run.security_failures() == [(2, "MessageLost"), (3, "VerificationFailure")]
     analytic = MetricsRegistry()
-    publish_network_metrics(run, analytic)
+    publish_run(run, analytic)
     assert analytic.get("sies_epochs_total").value(substrate="network") == epochs
     assert analytic.get("sies_epochs_unrecovered_total").value(substrate="network") == 1
     assert analytic.get("sies_epochs_accepted_total").value(substrate="network") == epochs - 2
@@ -206,3 +206,28 @@ def test_decode_failures_publish_channel_and_receiver_discards() -> None:
     messages = registry.get("sies_traffic_messages_total")
     assert messages is not None
     assert messages.samples() == [("sies_traffic_messages_total", ("cluster", "S-A"), 4)]
+
+
+def test_publish_run_writes_what_the_record_counted() -> None:
+    """The ARQ and op families follow the data, not the substrate label:
+    a record with no attempt and no operation publishes neither, and the
+    same record with a nonzero op count gains ``sies_ops_total``."""
+
+    def families(metrics: RunMetrics) -> set[str]:
+        registry = MetricsRegistry()
+        publish_run(metrics, registry)
+        return set(registry.names())
+
+    bare = families(RunMetrics("runtime", "sies", 4))
+    assert not any(name.startswith("sies_transport_") for name in bare)
+    assert "sies_ops_total" not in bare
+    assert {"sies_traffic_messages_total", "sies_epochs_total"} <= bare
+    assert "sies_ops_total" not in families(
+        RunMetrics("network", "sies", 4, source_ops=OpCounter(counts={"hm256": 0}))
+    )
+    assert families(
+        RunMetrics("cluster", "sies", 4, querier_ops=OpCounter(counts={"hm256": 1}))
+    ) == bare | {"sies_ops_total"}
+    # A lossless ARQ run still counts attempts, so its ARQ families appear.
+    lossless = _runtime_simulator(loss=0.0, epochs=1).run()
+    assert "sies_transport_attempts_total" in families(lossless)

@@ -29,11 +29,11 @@ from repro.obs import (
     MetricsRegistry,
     TraceRecorder,
     diff_traces,
-    publish_cluster_metrics,
-    publish_network_metrics,
-    publish_runtime_metrics,
+    publish_run,
 )
+from repro.network.ledger import HopLedger
 from repro.runtime import BurstLoss, FaultPlan, NodeOutage, RuntimeConfig, RuntimeSimulator
+from repro.runtime.metrics import RunMetrics
 
 pytestmark = pytest.mark.cluster
 
@@ -43,7 +43,7 @@ pytestmark = pytest.mark.cluster
 SAFE = dict(hold_time=0.5, querier_slack=0.5)
 
 
-def _analytic_trace(n, fanout, epochs, seed) -> tuple[TraceRecorder, object]:
+def _analytic_trace(n, fanout, epochs, seed) -> tuple[TraceRecorder, RunMetrics]:
     recorder = TraceRecorder(substrate="network", run_id=f"seed-{seed}")
     simulator = NetworkSimulator(
         SIESProtocol(n, seed=seed),
@@ -54,7 +54,7 @@ def _analytic_trace(n, fanout, epochs, seed) -> tuple[TraceRecorder, object]:
     return recorder, simulator.run()
 
 
-def _runtime_trace(n, fanout, epochs, seed, plan) -> tuple[TraceRecorder, object]:
+def _runtime_trace(n, fanout, epochs, seed, plan) -> tuple[TraceRecorder, RunMetrics]:
     recorder = TraceRecorder(substrate="runtime", run_id=f"seed-{seed}")
     simulator = RuntimeSimulator(
         SIESProtocol(n, seed=seed),
@@ -67,7 +67,7 @@ def _runtime_trace(n, fanout, epochs, seed, plan) -> tuple[TraceRecorder, object
     return recorder, simulator.run()
 
 
-def _cluster_trace(n, fanout, epochs, seed, plan) -> tuple[TraceRecorder, object]:
+def _cluster_trace(n, fanout, epochs, seed, plan) -> tuple[TraceRecorder, RunMetrics]:
     import asyncio
 
     recorder = TraceRecorder(substrate="cluster", run_id=f"seed-{seed}")
@@ -219,10 +219,10 @@ _TRAFFIC = (
 )
 
 
-def _series(publish, metrics, names) -> dict[str, dict[str, float]]:
+def _series(metrics, names) -> dict[str, dict[str, float]]:
     """``{metric: {edge: value}}`` of *metrics* published alone."""
     registry = MetricsRegistry()
-    publish(metrics, registry)
+    publish_run(metrics, registry)
     out = {}
     for name in names:
         metric = registry.get(name)
@@ -244,8 +244,8 @@ def test_traffic_series_count_attempts_on_both_arq_substrates() -> None:
     frame_size = protocol.wire_codec().framed_size(psr)
 
     names = _TRAFFIC + ("sies_transport_attempts_total",)
-    runtime = _series(publish_runtime_metrics, runtime_metrics, names)
-    cluster = _series(publish_cluster_metrics, cluster_metrics, names)
+    runtime = _series(runtime_metrics, names)
+    cluster = _series(cluster_metrics, names)
     for published in (runtime, cluster):
         attempts = published["sies_transport_attempts_total"]
         assert set(attempts) == {edge.value for edge in EdgeClass}
@@ -275,11 +275,10 @@ def test_attempt_events_match_ledger_messages(substrate: str) -> None:
     simulator: ``tests/network/test_tracing.py``)."""
     trace = _runtime_trace if substrate == "runtime" else _cluster_trace
     recorder, metrics = trace(8, 2, 4, 2011, FaultPlan.uniform_loss(0.2))
-    ledger = metrics.transport if substrate == "runtime" else metrics.traffic
     assert recorder.filter(kinds=("drop",))
     for edge in EdgeClass:
         attempts = recorder.filter(edge=edge.value, kinds=("attempt",))
-        assert len(attempts) == ledger.edge(edge).messages > 0
+        assert len(attempts) == metrics.traffic.edge(edge).messages > 0
 
 
 def test_lossless_runtime_publishes_the_analytic_traffic() -> None:
@@ -296,7 +295,48 @@ def test_lossless_runtime_publishes_the_analytic_traffic() -> None:
             num_epochs=epochs, seed=seed, plan=FaultPlan.lossless(), keyed_faults=True
         ),
     ).run()
-    network_series = _series(publish_network_metrics, analytic, _TRAFFIC)
-    runtime_series = _series(publish_runtime_metrics, runtime, _TRAFFIC)
+    network_series = _series(analytic, _TRAFFIC)
+    runtime_series = _series(runtime, _TRAFFIC)
     assert network_series == runtime_series
     assert network_series["sies_traffic_messages_total"]["S-A"] == n * epochs
+
+
+#: One seeded run per substrate, as ``(recorder, record)``.
+_RUNS = {
+    "network": lambda: _analytic_trace(8, 2, 3, 2011),
+    "runtime": lambda: _runtime_trace(8, 2, 3, 2011, FaultPlan.uniform_loss(0.2)),
+    "cluster": lambda: _cluster_trace(8, 2, 3, 2011, FaultPlan.uniform_loss(0.2)),
+}
+
+#: ``deterministic_ledger()`` keys, those of its epoch rows, and what
+#: ``ledger()`` adds — the same on every substrate.
+_DETERMINED_KEYS = {"protocol", "num_sources", "seed", "epochs"}
+_DETERMINED_EPOCH_KEYS = {
+    "epoch", "value", "verified", "security_failure", "survivors", "lost", "converged",
+}
+_LEDGER_KEYS = _DETERMINED_KEYS | {
+    "substrate", "num_epochs", "delivery_rate", "acceptance_rate", "recovery", "latency",
+    "traffic", "ops", "events_processed", "window", "wall_seconds", "epochs_per_second",
+    "frames_per_second", "energy_by_node",
+}
+
+
+@pytest.mark.parametrize("substrate", sorted(_RUNS))
+def test_every_substrate_returns_the_one_run_record(substrate: str) -> None:
+    """One record type on all three substrates: its label, its one
+    traffic ledger (narrated by the trace), its epochs, and ledgers
+    with the same keys everywhere."""
+    recorder, metrics = _RUNS[substrate]()
+    assert isinstance(metrics, RunMetrics)
+    assert metrics.substrate == substrate
+    assert metrics.num_epochs == len(metrics.epochs) == 3
+    assert isinstance(metrics.traffic, HopLedger)
+    assert metrics.traffic.total("messages") == len(recorder.filter(kinds=("attempt",))) > 0
+
+    determined = metrics.deterministic_ledger()
+    assert set(determined) == _DETERMINED_KEYS
+    assert all(set(row) == _DETERMINED_EPOCH_KEYS for row in determined["epochs"])
+    full = metrics.ledger()
+    assert set(full) == _LEDGER_KEYS
+    assert full["substrate"] == substrate
+    assert full["traffic"] == metrics.traffic.as_dict()

@@ -55,7 +55,7 @@ def test_conservation_and_exact_sums_hold(
         sim.channel.add_interceptor(dropper)
     metrics = sim.run()
 
-    ledger = metrics.transport
+    ledger = metrics.traffic
     ledger.check_conservation()
     assert sum(em.late_arrivals for em in metrics.epochs) == ledger.total("late_frames")
     if adversary:
@@ -86,7 +86,7 @@ def test_late_copies_balance_against_the_ledger(loss: float, seed: int) -> None:
         ),
     )
     metrics = sim.run()
-    late = metrics.transport.total("late_frames")
+    late = metrics.traffic.total("late_frames")
     assert late > 0
     assert sum(em.late_arrivals for em in metrics.epochs) == late
 
@@ -117,8 +117,8 @@ def test_copy_sent_to_a_down_receiver_is_counted_and_traced() -> None:
     assert attempts, "the down aggregator's children never tried to reach it"
     assert len(drops) == len(attempts)
     assert not [e for e in towards if e.kind in ("deliver", "late", "duplicate")]
-    c = metrics.transport.edge(EdgeClass.SOURCE_TO_AGGREGATOR)
+    c = metrics.traffic.edge(EdgeClass.SOURCE_TO_AGGREGATOR)
     assert c.drops_injected == len(drops)  # the lossless plan drops nothing else
-    metrics.transport.check_conservation()
+    metrics.traffic.check_conservation()
     assert metrics.epochs[0].recovery.lost == frozenset(tree.leaves_under(aggregator))
     assert metrics.epochs[1].recovery.complete

@@ -1,5 +1,6 @@
-"""`latency_percentile` must implement the true nearest-rank definition.
+"""The run record's own rules, and `latency_percentile`.
 
+`latency_percentile` must implement the true nearest-rank definition.
 Regression suite for the `int(fraction * n)` off-by-one (p50 of
 ``[1, 2, 3, 4]`` came back 3 instead of 2): every value is checked
 against an independently written reference implementation, both on
@@ -14,7 +15,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.runtime.metrics import latency_percentile
+from repro.errors import SimulationError
+from repro.network.ledger import EdgeClass, HopLedger
+from repro.runtime.metrics import RunMetrics, latency_percentile
+
+
+def test_rates_are_zero_without_wall_clock_seconds() -> None:
+    traffic = HopLedger()
+    counters = traffic.edge(EdgeClass.SOURCE_TO_AGGREGATOR)
+    counters.attempts = counters.frames_sent = counters.frames_received = 4
+    counters.delivered = counters.acks_sent = counters.acks_received = 4
+    metrics = RunMetrics("runtime", "sies", 4, traffic=traffic)
+    assert metrics.epochs_per_second() == metrics.frames_per_second() == 0.0
+    metrics.wall_seconds = 2.0
+    assert metrics.frames_per_second() == 4.0  # 4 frames + 4 ACKs
+
+
+def test_the_record_checks_conservation_as_it_is_built() -> None:
+    traffic = HopLedger()
+    traffic.edge(EdgeClass.AGGREGATOR_TO_QUERIER).attempts = 1
+    with pytest.raises(SimulationError, match="silent drop on A-Q"):
+        RunMetrics("cluster", "sies", 4, traffic=traffic)
 
 
 def _reference_nearest_rank(samples: list[float], fraction: float) -> float:

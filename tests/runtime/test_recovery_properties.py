@@ -161,7 +161,7 @@ def test_sies_never_rejects_a_converged_run(loss_rate: float) -> None:
 def test_zero_loss_sweep_is_complete(protocol_name: str) -> None:
     metrics, _ = run_sweep(protocol_name, 0.0, n=12, seed=9)
     assert metrics.delivery_rate() == 1.0
-    assert metrics.retransmissions_total() == 0
+    assert metrics.traffic.total("retransmissions") == 0
     for em in metrics.epochs:
         assert em.recovery.complete
 

@@ -69,7 +69,7 @@ def test_lossless_matches_network_simulator() -> None:
         assert runtime_epoch.result.verified
         assert runtime_epoch.recovery.complete
     assert runtime_metrics.delivery_rate() == 1.0
-    assert runtime_metrics.retransmissions_total() == 0
+    assert runtime_metrics.traffic.total("retransmissions") == 0
     # Identical crypto work on both execution substrates.
     assert runtime_metrics.source_ops.counts == reference.source_ops.counts
     assert runtime_metrics.aggregator_ops.counts == reference.aggregator_ops.counts
@@ -86,7 +86,7 @@ def test_loss_recovers_to_exact_sum_over_survivors() -> None:
         expected = sum(workload(sid, em.epoch) for sid in sorted(em.recovery.survivors))
         assert em.result.value == expected
         saw_partial = saw_partial or not em.recovery.complete
-    assert metrics.retransmissions_total() > 0
+    assert metrics.traffic.total("retransmissions") > 0
 
 
 def test_late_copies_are_counted_and_never_reach_the_sum() -> None:
@@ -108,7 +108,7 @@ def test_late_copies_are_counted_and_never_reach_the_sum() -> None:
 
     assert any(em.late_arrivals >= 1 for em in metrics.epochs)
     assert sum(em.late_arrivals for em in metrics.epochs) == len(late)
-    assert sum(em.late_arrivals for em in metrics.epochs) == metrics.transport.total(
+    assert sum(em.late_arrivals for em in metrics.epochs) == metrics.traffic.total(
         "late_frames"
     )
     by_epoch = {em.epoch: em for em in metrics.epochs}
@@ -246,7 +246,7 @@ def test_retransmissions_cost_traffic_bytes() -> None:
     lossy_sa = lossy_metrics.transport.edge(edge)
     assert lossy_sa.payload_bytes > clean_metrics.transport.edge(edge).payload_bytes
     assert lossy_sa.messages == lossy_sa.attempts
-    assert lossy_metrics.retransmissions_total() > 0
+    assert lossy_metrics.traffic.total("retransmissions") > 0
 
 
 def test_ledger_is_json_serializable() -> None:
@@ -301,7 +301,7 @@ def test_acceptance_100_epochs_64_sources_20pct_loss_deterministic() -> None:
         assert em.result.value == expected
     assert metrics.acceptance_rate() > 0.95
     assert metrics.delivery_rate() > 0.95
-    assert metrics.retransmissions_total() > 0
+    assert metrics.traffic.total("retransmissions") > 0
 
     repeat, _ = run_once()
     assert repeat.ledger() == metrics.ledger(), "run is not seed-deterministic"

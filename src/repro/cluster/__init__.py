@@ -4,7 +4,7 @@ Runs the same Initialization → Merging → Evaluation process as the
 logical-clock runtimes, but with every tree node bound to a real TCP
 server on localhost and every PSR crossing a real socket inside a
 :mod:`repro.cluster.envelope` frame.  Every hop runs the event
-runtime's ARQ driver (:mod:`repro.runtime.transport`) over the same keyed
+runtime's per-hop ARQ (:mod:`repro.runtime.transport`) over the same keyed
 fault oracle, with loss injected at the stream layer
 (:mod:`repro.cluster.faults`); recovery is the paper's reported-failure
 subset, and the traffic ledger proves zero silent drops.  See ``docs/cluster.md``.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.network.channel import EdgeClass
 from repro.runtime.faults import KeyedFaultInjector
-from repro.runtime.hop import RetransmitPolicy
+from repro.runtime.transport import RetransmitPolicy
 
 __all__ = ["parcel_fate"]
 

@@ -9,17 +9,17 @@ so the hop looks exactly like the paper's one-hop radio link with a
 MAC-layer ARQ on top:
 
 * each application send becomes one *parcel* (uid = epoch: a node sends
-  exactly one PSR per epoch per hop) on the run's one ARQ driver,
+  exactly one PSR per epoch per hop) on the run's one per-hop ARQ,
   :class:`~repro.runtime.transport.ReliableTransport` — the same ARQ,
   dedup, ACK discipline and keyed fault oracle the event runtime
-  drives.  A node is the driver's socket end: :meth:`ClusterNode.put`
+  runs.  A node is the transport's socket end: :meth:`ClusterNode.put`
   writes an attempt's envelope copies on the uplink;
 * each connection, both ends, is one :class:`asyncio.Protocol` that
   reassembles and handles its frames synchronously in
   ``data_received``: the parent's side reports each arriving copy to
-  the driver and writes the ACK it answers at once, the child's side
-  hands each ACK to the driver.  No task reads a socket, so an ACK on
-  the wire reaches the driver in the first loop iteration that polls
+  the transport and writes the ACK it answers at once, the child's side
+  hands each ACK to the transport.  No task reads a socket, so an ACK on
+  the wire reaches the transport in the first loop iteration that polls
   it, before that iteration's timers;
 * every hop goes through the run's one
   :class:`~repro.network.channel.Channel`, split at the socket: the
@@ -35,7 +35,7 @@ MAC-layer ARQ on top:
 
 Above the hop every node is the same :class:`ClusterNode`: the epoch
 machine lives in one :class:`~repro.runtime.epoch.EpochDriver` owned by
-the orchestrator, which the ARQ driver hands each accepted first copy,
+the orchestrator, which the transport hands each accepted first copy,
 routed by the envelope's uid, never by the attacker-readable frame
 header.  Frames are handled through the orchestrator's *guard*, so an
 error raised while handling one fails the run like an error in a timer.
@@ -52,7 +52,7 @@ from repro.network.channel import Channel
 from repro.network.ledger import EdgeClass
 from repro.cluster.envelope import AckEnvelope, DataEnvelope, decode_envelope, encode_ack, encode_data
 from repro.cluster.framing import FrameAssembler
-from repro.runtime.transport import ReliableTransport, RuntimeParcel
+from repro.runtime.transport import Parcel, ReliableTransport
 from repro.wire.frame import decode_header
 
 __all__ = ["ClusterNode"]
@@ -151,7 +151,7 @@ class _Link(asyncio.Protocol):
 class ClusterNode:
     """One tree node: a TCP server plus an optional uplink to its parent.
 
-    *channel* is the run's channel and *transport* the run's ARQ driver,
+    *channel* is the run's channel and *transport* the run's per-hop ARQ,
     both shared by every node: the channel's ledger is the run's one hop
     ledger.  *uplink* is the tree's table ``{node: (receiver, edge class)}``
     (:attr:`~repro.runtime.epoch.EpochPlanner.uplink`): it names this
@@ -250,7 +250,7 @@ class ClusterNode:
         return hop[1]
 
     def _handle_data(self, envelope: DataEnvelope, link: _Link) -> None:
-        """Report one arriving copy to the driver; write the ACK it answers.
+        """Report one arriving copy to the transport; write the ACK it answers.
 
         A first copy is accepted off the channel here, at the receiver.
         """
@@ -266,14 +266,14 @@ class ClusterNode:
             self.channel.ledger.edge(edge).ack_bytes += len(ack)
 
     def _handle_ack(self, envelope: AckEnvelope, link: _Link) -> None:
-        """Hand one ACK back on the uplink to the driver."""
+        """Hand one ACK back on the uplink to the transport."""
         self.transport.ack(self.node_id, self._uplink[self.node_id][1], envelope.uid)
 
     # ------------------------------------------------------------------
-    # Outbound: the driver's link over the uplink
+    # Outbound: the transport's link over the uplink
     # ------------------------------------------------------------------
 
-    def put(self, parcel: RuntimeParcel, frame: bytes, attempt: int, copies: int) -> None:
+    def put(self, parcel: Parcel, frame: bytes, attempt: int, copies: int) -> None:
         """Write *copies* envelopes of one attempt's *frame* on the uplink.
 
         The keyed schedule chose *copies*, so what TCP delivers is its

@@ -45,6 +45,7 @@ secoa_m — through the same lifecycle.
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -58,9 +59,13 @@ from repro.cluster.node import ClusterNode
 from repro.protocols.base import PartialStateRecord, SecureAggregationProtocol
 from repro.runtime.epoch import EpochDriver, EpochPlanner
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
-from repro.runtime.hop import RetransmitPolicy, TransportObserver
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.transport import ReliableTransport, TimerHandle
+from repro.runtime.transport import (
+    ReliableTransport,
+    RetransmitPolicy,
+    TimerHandle,
+    TransportObserver,
+)
 from repro.utils.validation import check_positive_int
 
 __all__ = ["ClusterConfig", "EpochOrchestrator", "run_cluster"]
@@ -112,6 +117,8 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         check_positive_int("num_epochs", self.num_epochs)
         check_positive_int("window", self.window)
+        if not (math.isfinite(self.hold_time) and math.isfinite(self.querier_slack)):
+            raise SimulationError("hold_time and querier_slack must be finite")
         if self.hold_time <= 0 or self.querier_slack < 0:
             raise SimulationError(
                 "hold_time must be positive and querier_slack non-negative"
@@ -207,11 +214,9 @@ class EpochOrchestrator:
         transport = ReliableTransport(
             self.injector,
             self.config.policy,
-            self.channel.ledger,
-            seed=self.config.seed,
+            self.channel,
             now=loop.time,
             call_later=ack_timeout,
-            encode=self.channel.codec.encode,
             wire=self.channel.emit,
             put=lambda parcel, frame, attempt, copies: self._nodes[parcel.sender].put(
                 parcel, frame, attempt, copies

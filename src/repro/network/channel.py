@@ -35,7 +35,7 @@ The channel is where the threat model lives: the paper's adversary "may
 are implemented purely as interceptors — protocols cannot tell the
 difference, exactly as in a real deployment.  The channel only answers
 whether a hop arrived; its drivers report that answer as trace events
-(:func:`repro.runtime.hop.emit_hop`).
+(:func:`repro.runtime.transport.emit_hop`).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ and every substrate fills exactly one ledger per run:
   payload bytes and measured frame bytes in its sender half and its own
   decode discards in its receiver half — the analytic simulator's whole
   ledger;
-* the per-hop ARQ (:class:`~repro.runtime.hop.HopEngine`) adds the
+* the per-hop ARQ (:class:`~repro.runtime.transport.ReliableTransport`) adds the
   attempt, copy and ACK counters on the event runtime and on the TCP
   cluster, into the same ledger as their channel.
 

@@ -35,7 +35,7 @@ from repro.network.topology import AggregationTree
 from repro.protocols.base import OpCounter, PartialStateRecord, SecureAggregationProtocol
 from repro.runtime.epoch import EpochPlanner, HoldAndWait, settle_final, settle_lost
 from repro.runtime.faults import FaultPlan, NodeOutage
-from repro.runtime.hop import DECODE_FAILURE, DELIVERED, TransportObserver, emit_hop
+from repro.runtime.transport import DECODE_FAILURE, DELIVERED, TransportObserver, emit_hop
 from repro.runtime.metrics import EpochRecord, RunMetrics
 from repro.utils.validation import check_positive_int
 

@@ -19,11 +19,11 @@ kind                    meaning
 ======================  =====================================================
 
 Every substrate emits these events through one ``(kind, attrs)``
-observer (:data:`repro.runtime.hop.TransportObserver`, filled by
-:func:`repro.runtime.hop.emit_hop`): the analytic simulator reports each
+observer (:data:`repro.runtime.transport.TransportObserver`, filled by
+:func:`repro.runtime.transport.emit_hop`): the analytic simulator reports each
 hop as one ``attempt`` followed by ``deliver`` or ``drop`` (``detail``
-``channel``), the runtime and the cluster report their hop engine's
-ARQ.  A :class:`TraceRecorder` *is* such an observer — pass it as
+``channel``), the runtime and the cluster report their per-hop ARQ
+(:class:`~repro.runtime.transport.ReliableTransport`).  A :class:`TraceRecorder` *is* such an observer — pass it as
 ``SimulationConfig.observer``, ``RuntimeConfig.observer`` or
 ``ClusterConfig.observer``.
 
@@ -31,7 +31,7 @@ Traces serialize to JSON-lines (one compact object per event) and are
 diffable: :func:`trace_dispositions` reduces a trace to its
 **seed-determined slice** — per-epoch sets of delivered / dropped /
 late hops — which must be identical for the runtime and the cluster on
-the same seed, plan, and tree (both drive one hop engine over one keyed
+the same seed, plan, and tree (both run one per-hop ARQ over one keyed
 fault oracle), and for a lossless run also for the analytic simulator.
 The ACK-timing-dependent kinds (``give_up``, ``ack_lost``,
 ``duplicate``) are recorded but deliberately excluded from that slice.

@@ -4,8 +4,8 @@ Where :mod:`repro.network` executes epochs as a lossless function-call
 chain, this package drives them through a deterministic event scheduler
 over faulty links: keyed per-edge loss/latency/duplication, epoch-windowed
 bursts and node outages (:mod:`repro.runtime.faults`), the per-hop
-ACK/retransmission engine with exponential backoff
-(:mod:`repro.runtime.hop`, driven by :mod:`repro.runtime.transport`),
+ACK/retransmission with exponential backoff
+(:mod:`repro.runtime.transport`),
 aggregator merge deadlines and querier settlement
 (:mod:`repro.runtime.epoch`), and a recovery path that converts
 undelivered subtrees into the paper's reported-failure subset so the
@@ -39,11 +39,10 @@ from repro.runtime.faults import (
     NodeOutage,
 )
 from repro.runtime.epoch import EpochDriver, EpochPlan, EpochPlanner, HoldAndWait, QuerierEpochs
-from repro.runtime.hop import HopEngine, Parcel, RetransmitPolicy
 from repro.runtime.metrics import EpochRecord, RunMetrics
 from repro.runtime.recovery import EpochRecovery
 from repro.runtime.simulator import RuntimeConfig, RuntimeSimulator
-from repro.runtime.transport import ReliableTransport
+from repro.runtime.transport import Parcel, ReliableTransport, RetransmitPolicy
 
 __all__ = [
     "EventScheduler",
@@ -58,7 +57,6 @@ __all__ = [
     "Parcel",
     "EdgeCounters",
     "HopLedger",
-    "HopEngine",
     "ReliableTransport",
     "EpochPlan",
     "EpochPlanner",

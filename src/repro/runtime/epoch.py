@@ -1,12 +1,12 @@
 """Hold-and-wait merging and querier settlement as one clock-free machine.
 
-Above the per-hop ARQ (:mod:`repro.runtime.hop`) every lossy substrate
+Above the per-hop ARQ (:mod:`repro.runtime.transport`) every lossy substrate
 makes the same per-epoch decisions — paper Section IV-B failure handling
 as a protocol run: aggregators merge whatever their children delivered,
 and the querier verifies the exact SUM over the reported subset that the
 merged manifests name.  This module makes those decisions, and drives
-them on a timer it is handed; like the hop engine it never reads a
-clock or touches a socket of its own:
+them on a timer it is handed; like the ARQ it never reads a clock or
+touches a socket of its own:
 
 * :class:`EpochPlanner` — per tree, once: node heights, each
   aggregator's merge offset (``hold_time × height``), the querier's
@@ -16,10 +16,10 @@ clock or touches a socket of its own:
   sources and the contributions each *live* aggregator — one with an
   attempted source under it — can still receive;
 * :class:`HoldAndWait` — one aggregator's inboxes, one per live epoch:
-  :meth:`~HoldAndWait.offer` answers :data:`~repro.runtime.hop.DELIVERED`
+  :meth:`~HoldAndWait.offer` answers :data:`~repro.runtime.transport.DELIVERED`
   (and whether the inbox is now complete: the early-merge case),
-  :data:`~repro.runtime.hop.LATE` or, for a forged header epoch,
-  :data:`~repro.runtime.hop.DECODE_FAILURE`; :meth:`~HoldAndWait.close` merges in
+  :data:`~repro.runtime.transport.LATE` or, for a forged header epoch,
+  :data:`~repro.runtime.transport.DECODE_FAILURE`; :meth:`~HoldAndWait.close` merges in
   arrival order and forwards the merged PSR with the union of the
   manifests;
 * :class:`QuerierEpochs` — the querier's side: the final PSR settles its
@@ -34,8 +34,8 @@ clock or touches a socket of its own:
 The event runtime (:class:`~repro.runtime.simulator.RuntimeSimulator`)
 and the TCP cluster (:mod:`repro.cluster.orchestrator`) both run on
 :class:`EpochDriver`; only the timer (the scheduler's logical clock, or
-the running asyncio loop) and the ``send`` callable (the one ARQ driver,
-over scheduler events or a socket) differ.  The analytic simulator walks the same
+the running asyncio loop) and the ``send`` callable (the one per-hop
+ARQ, over scheduler events or a socket) differ.  The analytic simulator walks the same
 machine bottom-up in zero time.  Times enter the machine only as
 arguments (``started_at``, ``now``) to stamp completion latencies.
 """
@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 from repro.errors import SecurityError, SimulationError
 from repro.network.ledger import EdgeClass
 from repro.network.messages import QUERIER_NODE_ID
-from repro.runtime.hop import DECODE_FAILURE, DELIVERED, LATE
+from repro.runtime.transport import DECODE_FAILURE, DELIVERED, LATE
 from repro.runtime.metrics import EpochRecord
 from repro.runtime.recovery import EpochRecovery
 

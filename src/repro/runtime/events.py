@@ -71,9 +71,9 @@ class EventScheduler:
 
     def call_at(self, when: float, action: Callable[[], None]) -> ScheduledEvent:
         """Schedule *action* at absolute logical time *when*."""
-        if when < self._now:
+        if not when >= self._now:  # also refuses a NaN time
             raise SimulationError(
-                f"cannot schedule into the past: {when} < now={self._now}"
+                f"cannot schedule at {when}: not at or after now={self._now}"
             )
         seq = self._seq
         self._seq = seq + 1

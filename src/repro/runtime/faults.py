@@ -57,6 +57,10 @@ class LinkProfile:
     def __post_init__(self) -> None:
         _check_rate("loss_rate", self.loss_rate)
         _check_rate("duplicate_rate", self.duplicate_rate)
+        if not (math.isfinite(self.latency) and math.isfinite(self.jitter)):
+            raise ParameterError(
+                f"latency and jitter must be finite, got {self.latency} and {self.jitter}"
+            )
         if self.latency < 0 or self.jitter < 0:
             raise ParameterError("latency and jitter must be non-negative")
 

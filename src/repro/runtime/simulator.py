@@ -5,10 +5,10 @@
 the sources, bottom-up merging, evaluation at the querier — but over a
 *faulty network* instead of a lossless function call chain:
 
-* every hop goes through the per-hop ARQ of :mod:`repro.runtime.hop`
-  (ACKs, timeouts, bounded retransmission with exponential backoff),
-  driven by :mod:`repro.runtime.transport` over the keyed fault oracle
-  of :mod:`repro.runtime.faults` — the one the TCP cluster uses;
+* every hop goes through the per-hop ARQ of :mod:`repro.runtime.transport`
+  (ACKs, timeouts, bounded retransmission with exponential backoff)
+  over the keyed fault oracle of :mod:`repro.runtime.faults` — the ARQ
+  and the oracle the TCP cluster uses;
 * aggregators **hold-and-wait**: each epoch they merge whatever
   children delivered by their deadline (``hold_time ×`` node height) —
   or immediately once every expected child arrived — and forward the
@@ -35,6 +35,7 @@ contract.  The run record checks the hop ledger's conservation laws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, SimulationError
@@ -45,9 +46,8 @@ from repro.protocols.base import OpCounter, PartialStateRecord, SecureAggregatio
 from repro.runtime.epoch import EpochDriver, EpochPlanner
 from repro.runtime.events import EventScheduler
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector
-from repro.runtime.hop import RetransmitPolicy, TransportObserver
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.transport import scheduled_transport
+from repro.runtime.transport import RetransmitPolicy, TransportObserver, scheduled_transport
 from repro.utils.validation import check_positive_int
 
 __all__ = ["RuntimeConfig", "RuntimeSimulator"]
@@ -83,7 +83,7 @@ class RuntimeConfig:
     #: the TCP cluster uses.  Accepted as ``True`` for existing callers.
     keyed_faults: bool = True
     #: ``(kind, attrs)`` hook fed every hop event of the
-    #: :class:`~repro.runtime.hop.HopEngine` (``attempt``, ``drop``,
+    #: :class:`~repro.runtime.transport.ReliableTransport` (``attempt``, ``drop``,
     #: ``deliver``, ``duplicate``, ``late``, ``decode_failure``,
     #: ``ack_lost``, ``give_up``) — the shape of
     #: ``SimulationConfig.observer`` and ``ClusterConfig.observer``.
@@ -97,6 +97,8 @@ class RuntimeConfig:
                 "the sequential fault streams are gone; the runtime always uses "
                 "the keyed fault oracle (keyed_faults=True)"
             )
+        if not all(map(math.isfinite, (self.epoch_interval, self.hold_time, self.querier_slack))):
+            raise SimulationError("epoch_interval, hold_time and querier_slack must be finite")
         if self.epoch_interval <= 0 or self.hold_time <= 0 or self.querier_slack < 0:
             raise SimulationError(
                 "epoch_interval and hold_time must be positive, querier_slack non-negative"
@@ -157,7 +159,6 @@ class RuntimeSimulator:
             self.keyed_injector,
             self.channel,
             self.config.policy,
-            seed=self.config.seed,
             deliver=self._driver.deliver,
             observer=self.config.observer,
         )

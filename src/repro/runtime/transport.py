@@ -1,40 +1,159 @@
-"""The one driver of the per-hop ARQ, on a handed timer.
+"""The per-hop ARQ, as one class on a handed timer.
 
-Every decision of the hop — verdicts, copies, timeouts, give-up, dedup,
-ACK fate, accounting — comes from :class:`~repro.runtime.hop.HopEngine`.
-:class:`ReliableTransport` only turns those answers into timer callbacks
-and link writes, and owns no scheduler, loop or socket: it is handed a
-timer (``now()``, ``call_later(delay, fn)`` returning a handle with
-``cancel()``), a ``wire`` step (the channel's sender side, run once per
-attempt on the parcel's one encoding; ``None`` = the channel ate it), a
-``put`` link for the copies the engine answers, and the receivers'
-``deliver``, routed by the parcel uid, never by the frame header.
+Real WSN MAC layers retransmit unacknowledged frames a bounded number
+of times; SIES rides on that and recovers whatever still gets lost via
+the reporting-subset mechanism (paper Section IV-B).
+:class:`ReliableTransport` is that hop on both ARQ substrates, and owns
+no scheduler, loop or socket.  It is handed a timer (``now()``,
+``call_later(delay, fn)`` returning a handle with ``cancel()``), a
+``wire`` step (the channel's sender side, run once per attempt on the
+parcel's one encoding; ``None`` = the channel ate it), a ``put`` link for
+the copies the keyed schedule lets through, and the receivers'
+``deliver``, routed by the parcel uid, never by the frame header:
 
-Every attempt arms a retransmission timer, whatever the link did — the
-sender cannot observe loss, only missing ACKs.  A parcel stops on its
-first ACK or when the engine gives it up; *on_finished* hears of either
-once.  :func:`scheduled_transport` builds the event runtime's driver;
-the TCP cluster's orchestrator hands its running loop, the channel's
-``emit`` and envelope writes on the sender's uplink.
+* **sender half** — every attempt asks the keyed fault oracle for its
+  verdict, puts 0, 1 or 2 copies on the link and arms an ACK timeout
+  (exponential backoff, jitter from one sequential stream per link),
+  whatever the link did — the sender cannot observe loss, only missing
+  ACKs.  A parcel stops on its first ACK or gives up with its retry
+  budget spent; *on_finished* hears of either once;
+* **receiver half** — :meth:`ReliableTransport.receive` suppresses
+  duplicates by ``(sender, uid)``, has ``deliver`` classify each first
+  copy (delivered, late, or decode failure), and decides whether the
+  ACK — sent for *every* received copy — survives the way back;
+* every outcome is counted into the channel's per-edge-class
+  :class:`~repro.network.ledger.HopLedger`, whose
+  :meth:`~repro.network.ledger.HopLedger.check_conservation` proves no
+  frame was dropped silently, and reported as a ``(kind, attrs)``
+  event to the optional :data:`TransportObserver` through
+  :func:`emit_hop`, the emit helper every substrate's hop path shares.
+
+:func:`scheduled_transport` builds the event runtime's transport on its
+scheduler and keyed-latency arrival events; the TCP cluster's
+orchestrator hands its running loop, the channel's ``emit`` and envelope
+writes on the sender's uplink.  A parcel's uid is its epoch on both
+substrates — each hop carries one parcel per epoch.
+
+A sender giving up does **not** retract a copy that actually arrived
+(the ACK may be the lost half): correctness downstream derives from
+what receivers really merged, never from sender-side beliefs.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Protocol
 
+from repro.errors import ParameterError, SimulationError
 from repro.network.channel import Channel, EdgeClass
-from repro.network.ledger import HopLedger
 from repro.network.messages import DataMessage
 from repro.runtime.events import EventScheduler
 from repro.runtime.faults import KeyedFaultInjector
-from repro.runtime.hop import DECODE_FAILURE, DELIVERED, HopEngine, Parcel, RetransmitPolicy, TransportObserver
+from repro.utils.rng import DeterministicRandom
 
 if TYPE_CHECKING:
     from repro.protocols.base import PartialStateRecord
 
-__all__ = ["RetransmitPolicy", "RuntimeParcel", "ReliableTransport", "scheduled_transport"]
+__all__ = [
+    "DELIVERED",
+    "LATE",
+    "DECODE_FAILURE",
+    "RetransmitPolicy",
+    "Parcel",
+    "ReliableTransport",
+    "TransportObserver",
+    "emit_hop",
+    "scheduled_transport",
+]
+
+#: Observability hook: ``(event kind, attributes)`` per hop event.
+#: Kinds: ``attempt``, ``drop``, ``deliver``, ``duplicate``, ``late``,
+#: ``decode_failure``, ``ack_lost``, ``give_up``.  Kept as a plain
+#: callable so the ARQ stays below :mod:`repro.obs` in the layering
+#: (:class:`~repro.obs.trace.TraceRecorder` is one).
+TransportObserver = Callable[[str, dict], None]
+
+
+def emit_hop(
+    observer: TransportObserver,
+    kind: str,
+    sender: int,
+    receiver: int,
+    edge: EdgeClass,
+    uid: int,
+    attempt: int,
+    time: float | None,
+    **extra: object,
+) -> None:
+    """Report one hop event to *observer* in the shared attribute schema.
+
+    Keys: ``time`` (the driver's clock, ``None`` on the zero-time
+    analytic substrate), ``epoch`` and ``uid`` (a parcel's uid is its
+    epoch), ``attempt``, ``edge``, ``sender``, ``receiver``, plus
+    *extra* (``cause`` on drops).
+    """
+    attrs: dict = {
+        "time": time,
+        "epoch": uid,
+        "uid": uid,
+        "attempt": attempt,
+        "edge": edge.value,
+        "sender": sender,
+        "receiver": receiver,
+    }
+    attrs.update(extra)
+    observer(kind, attrs)
+
+#: Dispositions of a first copy, as ``deliver`` classifies it (these
+#: are also the trace kinds the ARQ emits for it).
+DELIVERED = "deliver"
+LATE = "late"
+DECODE_FAILURE = "decode_failure"
+
+
+@dataclass(frozen=True)
+class RetransmitPolicy:
+    """Retry budget and backoff shape of the per-hop ARQ.
+
+    Attempt ``a`` (0-based) waits ``ack_timeout * backoff**a`` scaled
+    by ``1 + uniform(0, jitter)`` before retransmitting — classic
+    truncated exponential backoff with jitter to de-synchronize
+    colliding retransmitters.
+    """
+
+    max_retries: int = 4
+    ack_timeout: float = 12.0
+    backoff: float = 2.0
+    jitter: float = 0.25
+
+    def __post_init__(self) -> None:
+        for name in ("ack_timeout", "backoff", "jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.max_retries < 0:
+            raise ParameterError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.ack_timeout <= 0:
+            raise ParameterError(f"ack_timeout must be positive, got {self.ack_timeout}")
+        if self.backoff < 1.0:
+            raise ParameterError(f"backoff must be >= 1, got {self.backoff}")
+        if self.jitter < 0:
+            raise ParameterError(f"jitter must be non-negative, got {self.jitter}")
+
+    def timeout_for(self, attempt: int, u: float) -> float:
+        """Deadline delay before retransmission *attempt+1* (``u ∈ [0,1)``)."""
+        return self.ack_timeout * (self.backoff**attempt) * (1.0 + self.jitter * u)
+
+    @property
+    def max_attempts(self) -> int:
+        return self.max_retries + 1
+
+    def worst_case_span(self) -> float:
+        """Upper bound on time from first send to giving up (no latencies)."""
+        return sum(
+            self.timeout_for(attempt, 1.0) for attempt in range(self.max_attempts)
+        )
 
 
 class TimerHandle(Protocol):
@@ -49,58 +168,77 @@ DeliverFn = Callable[[int, int, "PartialStateRecord", frozenset[int]], "str | No
 
 
 @dataclass(eq=False)
-class RuntimeParcel(Parcel):
-    """A parcel plus the driver's in-flight state."""
+class Parcel:
+    """One message in flight across a single hop."""
 
-    message: DataMessage = field(kw_only=True)
+    sender: int
+    receiver: int
+    edge: EdgeClass
+    #: The epoch: each hop carries exactly one parcel per epoch.
+    uid: int
+    message: DataMessage
     #: Wire encoding from :meth:`ReliableTransport.send`, replayed by every attempt.
-    frame: bytes = field(kw_only=True, repr=False)
+    frame: bytes = field(repr=False)
+    attempts: int = 0
+    acked: bool = False
+    failed: bool = False
     timer: TimerHandle | None = field(default=None, repr=False)
 
 
 class ReliableTransport:
-    """Drives one :class:`HopEngine` for every hop of a run.
+    """Sender and receiver halves of the per-hop ARQ for every hop of a run.
 
-    One driver serves a whole fleet: links and ``(sender, uid)`` keys
+    One transport serves a whole fleet: links and ``(sender, uid)`` keys
     never overlap between nodes, so the sender's id and the parcel uid
-    route every ACK to its parcel.
+    route every ACK to its parcel.  It counts into ``channel.ledger``,
+    encodes with ``channel.codec`` and draws backoff jitter from the
+    injector's seed.  *now* only stamps observer events; no decision
+    reads it.  The injector is looked up on every use, never bound.
     """
 
     def __init__(
         self,
         injector: KeyedFaultInjector,
         policy: RetransmitPolicy,
-        ledger: HopLedger,
+        channel: Channel,
         *,
-        seed: int,
         now: Callable[[], float],
         call_later: Callable[[float, Callable[[], None]], TimerHandle],
-        encode: Callable[["PartialStateRecord"], bytes],
         wire: Callable[[DataMessage, EdgeClass, bytes], Any],
-        put: Callable[[RuntimeParcel, Any, int, int], None],
+        put: Callable[[Parcel, Any, int, int], None],
         deliver: DeliverFn,
-        on_finished: Callable[[RuntimeParcel], None] | None = None,
+        on_finished: Callable[[Parcel], None] | None = None,
         observer: TransportObserver | None = None,
     ) -> None:
-        self.engine = HopEngine(injector, policy, ledger, seed=seed, now=now, observer=observer)
+        self.injector = injector
+        self.policy = policy
+        self.ledger = channel.ledger
+        self._now = now
+        self._observer = observer
+        self._encode = channel.codec.encode
         self._call_later = call_later
-        self._encode = encode
         self._wire = wire
         self._put = put
         self._deliver = deliver
         self._on_finished = on_finished
         #: ``(sender, uid)`` → the parcel, until it stops.
-        self._open: dict[tuple[int, int], RuntimeParcel] = {}
+        self._open: dict[tuple[int, int], Parcel] = {}
+        #: One sequential backoff-jitter stream per link, built on the
+        #: link's first attempt.  Jitter only shapes timing: delivered
+        #: sets stay a pure function of the keyed schedule.
+        self._backoff: dict[tuple[int, int], DeterministicRandom] = {}
+        #: ``(sender, uid)`` pairs already received (duplicate suppression).
+        self._seen: set[tuple[int, int]] = set()
 
-    @property
-    def ledger(self) -> HopLedger:
-        return self.engine.ledger
+    # ------------------------------------------------------------------
+    # Sender half
+    # ------------------------------------------------------------------
 
-    def send(self, message: DataMessage, edge: EdgeClass) -> RuntimeParcel:
+    def send(self, message: DataMessage, edge: EdgeClass) -> Parcel:
         """Hand one message (its epoch is the parcel uid) to the ARQ."""
-        parcel = RuntimeParcel(
+        parcel = Parcel(
             message.sender, message.receiver, edge, message.epoch,
-            message=message, frame=self._encode(message.psr),
+            message, self._encode(message.psr),
         )
         self._open[(parcel.sender, parcel.uid)] = parcel
         self._attempt(parcel)
@@ -108,30 +246,76 @@ class ReliableTransport:
 
     def ack(self, sender: int, edge: EdgeClass, uid: int) -> None:
         """One ACK is back at *sender*: the first stops its parcel, a later one is only counted."""
+        self.ledger.edge(edge).acks_received += 1
         parcel = self._open.get((sender, uid))
-        if self.engine.ack_arrived(edge, parcel) and parcel is not None:
-            if parcel.timer is not None:
-                parcel.timer.cancel()
-            self._finish(parcel)
+        if parcel is None:  # the sender already stopped waiting
+            return
+        parcel.acked = True
+        if parcel.timer is not None:
+            parcel.timer.cancel()
+        self._finish(parcel)
 
-    def _attempt(self, parcel: RuntimeParcel) -> None:
-        payload = self._wire(parcel.message, parcel.edge, parcel.frame)
-        copies, timeout = self.engine.attempt(parcel, swallowed=payload is None)
-        if copies:
-            self._put(parcel, payload, parcel.attempts - 1, copies)
+    def _attempt(self, parcel: Parcel) -> None:
+        sender, receiver, edge, uid = parcel.sender, parcel.receiver, parcel.edge, parcel.uid
+        payload = self._wire(parcel.message, edge, parcel.frame)
+        index = parcel.attempts
+        parcel.attempts += 1
+        c = self.ledger.edge(edge)
+        c.attempts += 1
+        if index:
+            c.retransmissions += 1
+        self._emit("attempt", sender, receiver, edge, uid, index)
+        if payload is None:
+            c.drops_channel += 1
+            self._emit("drop", sender, receiver, edge, uid, index, cause="channel")
+        else:
+            verdict = self.injector.data_verdict(sender, receiver, edge, uid, index)
+            if verdict.lost:
+                c.drops_injected += 1
+                self._emit("drop", sender, receiver, edge, uid, index, cause="link")
+            else:
+                copies = verdict.copies
+                c.frames_sent += copies
+                c.dup_copies += copies - 1
+                self._put(parcel, payload, index, copies)
+        timeout = self.policy.timeout_for(index, self._jitter(sender, receiver))
         parcel.timer = self._call_later(timeout, lambda: self._expire(parcel))
 
-    def _expire(self, parcel: RuntimeParcel) -> None:
-        if self.engine.expire(parcel):
-            self._attempt(parcel)
-        elif parcel.failed:  # not when an ACK got in after the timer fired
-            self._finish(parcel)
+    def _expire(self, parcel: Parcel) -> None:
+        """The ACK timeout fired: retransmit, or give up with the budget spent.
 
-    def _finish(self, parcel: RuntimeParcel) -> None:
+        An ACK may have got in after the timer fired; the parcel then
+        just stays stopped.
+        """
+        if parcel.acked:
+            return
+        if parcel.attempts < self.policy.max_attempts:
+            self._attempt(parcel)
+            return
+        parcel.failed = True
+        self.ledger.edge(parcel.edge).gave_up += 1
+        self._emit(
+            "give_up", parcel.sender, parcel.receiver, parcel.edge, parcel.uid, parcel.attempts - 1
+        )
+        self._finish(parcel)
+
+    def _finish(self, parcel: Parcel) -> None:
         del self._open[(parcel.sender, parcel.uid)]
         parcel.timer = None  # the timer's callback refers back to the parcel
         if self._on_finished is not None:
             self._on_finished(parcel)
+
+    def _jitter(self, sender: int, receiver: int) -> float:
+        link = (sender, receiver)
+        stream = self._backoff.get(link)
+        if stream is None:
+            stream = DeterministicRandom(self.injector.seed, "backoff", f"{sender}->{receiver}")
+            self._backoff[link] = stream
+        return stream.random()
+
+    # ------------------------------------------------------------------
+    # Receiver half
+    # ------------------------------------------------------------------
 
     def receive(
         self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int,
@@ -139,26 +323,60 @@ class ReliableTransport:
     ) -> bool:
         """Account one copy arriving at *receiver*; True when its ACK must go back.
 
-        *open_copy* runs for a first copy only: the message the channel
-        delivers, or ``None`` when it rejected the frame (a decode failure).
+        *open_copy* runs for the first copy of each ``(sender, uid)``
+        only: the message the channel delivers, which ``deliver``
+        classifies as :data:`DELIVERED`, :data:`LATE` or
+        :data:`DECODE_FAILURE`, or ``None`` when the channel rejected the
+        frame (a decode failure).  Every copy — duplicates and
+        undecodable ones included, the *transport* delivered them — is
+        ACKed unless the schedule swallows the ACK on the way back.
         """
-
-        def classify() -> str:
+        c = self.ledger.edge(edge)
+        c.frames_received += 1
+        key = (sender, uid)
+        if key in self._seen:
+            c.duplicates_suppressed += 1
+            kind = "duplicate"
+        else:
+            self._seen.add(key)
             message = open_copy()
             if message is None:
-                return DECODE_FAILURE
-            return self._deliver(receiver, uid, message.psr, message.manifest) or DELIVERED
+                kind = DECODE_FAILURE
+            else:
+                kind = self._deliver(receiver, uid, message.psr, message.manifest) or DELIVERED
+            if kind == DELIVERED:
+                c.delivered += 1
+            elif kind == LATE:
+                c.late_frames += 1
+            elif kind == DECODE_FAILURE:
+                c.decode_failures += 1
+            else:
+                raise SimulationError(f"unknown first-copy disposition {kind!r}")
+        self._emit(kind, sender, receiver, edge, uid, attempt)
+        if self.injector.ack_verdict(sender, receiver, edge, uid, attempt):
+            c.acks_dropped += 1
+            self._emit("ack_lost", sender, receiver, edge, uid, attempt)
+            return False
+        c.acks_sent += 1
+        return True
 
-        return self.engine.receive(sender, receiver, edge, uid, attempt, classify)
+    def _emit(
+        self, kind: str, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int,
+        **extra: object,
+    ) -> None:
+        if self._observer is not None:
+            emit_hop(
+                self._observer, kind, sender, receiver, edge, uid, attempt, self._now(), **extra
+            )
 
 
 def scheduled_transport(
     scheduler: EventScheduler, injector: KeyedFaultInjector, channel: Channel,
-    policy: RetransmitPolicy, *, seed: int, deliver: DeliverFn,
+    policy: RetransmitPolicy, *, deliver: DeliverFn,
     observer: TransportObserver | None = None,
 ) -> ReliableTransport:
-    """The event runtime's driver: on *scheduler*, every copy and ACK an
-    event after its keyed latency.
+    """The event runtime's transport: on *scheduler*, every copy and ACK
+    an event after its keyed latency.
 
     Each attempt runs both halves of the channel at once
     (``channel.transmit``, looked up per attempt so a hook on the
@@ -166,12 +384,12 @@ def scheduled_transport(
     first attempts, and a dropped attempt never reaches the link.
     """
 
-    def put(parcel: RuntimeParcel, message: DataMessage, attempt: int, copies: int) -> None:
+    def put(parcel: Parcel, message: DataMessage, attempt: int, copies: int) -> None:
         sender, receiver, edge, uid = parcel.sender, parcel.receiver, parcel.edge, parcel.uid
         for latency in injector.data_latencies(sender, receiver, edge, uid, attempt, copies):
             scheduler.call_later(latency, lambda: arrive(parcel, message, attempt))
 
-    def arrive(parcel: RuntimeParcel, message: DataMessage, attempt: int) -> None:
+    def arrive(parcel: Parcel, message: DataMessage, attempt: int) -> None:
         sender, receiver, edge, uid = parcel.sender, parcel.receiver, parcel.edge, parcel.uid
         if transport.receive(sender, receiver, edge, uid, attempt, lambda: message):
             scheduler.call_later(
@@ -180,8 +398,8 @@ def scheduled_transport(
             )
 
     transport = ReliableTransport(
-        injector, policy, channel.ledger, seed=seed, now=lambda: scheduler.now,
-        call_later=scheduler.call_later, encode=channel.codec.encode,
+        injector, policy, channel, now=lambda: scheduler.now,
+        call_later=scheduler.call_later,
         wire=lambda message, edge, frame: channel.transmit(message, edge, frame=frame),
         put=put, deliver=deliver, observer=observer,
     )

@@ -195,6 +195,7 @@ class _Ends:
         await self.server.wait_closed()
 
 
+@pytest.mark.cluster
 class TestClusterLink:
     def test_reassembly_over_a_real_socket_is_byte_exact(self) -> None:
         """Frames split across TCP chunks, through the kernel, come out whole."""

@@ -24,8 +24,9 @@ from repro.errors import SimulationError
 from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile
-from repro.runtime.hop import DELIVERED
-from repro.runtime.transport import ReliableTransport, RetransmitPolicy, RuntimeParcel
+from repro.runtime.transport import DELIVERED, Parcel, ReliableTransport, RetransmitPolicy
+
+pytestmark = pytest.mark.cluster
 
 EDGE = EdgeClass.SOURCE_TO_AGGREGATOR
 #: Generous ACK timeout: the success path returns the moment the ACK
@@ -56,11 +57,9 @@ class _Hop:
         self.transport = ReliableTransport(
             self.injector,
             policy,
-            self.ledger,
-            seed=seed,
+            self.channel,
             now=loop.time,
             call_later=loop.call_later,
-            encode=_CODEC.encode,
             wire=self.channel.emit,
             put=lambda parcel, *attempt: self.child.put(parcel, *attempt),
             deliver=self._deliver,
@@ -78,7 +77,7 @@ class _Hop:
         self.delivered.append((receiver, epoch, psr, manifest))
         return DELIVERED
 
-    def _finish(self, parcel: RuntimeParcel) -> None:
+    def _finish(self, parcel: Parcel) -> None:
         self._finished.pop(parcel.uid).set_result(None)
 
     async def send(self, epoch: int, value: int) -> bool:

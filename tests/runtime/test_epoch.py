@@ -35,7 +35,7 @@ from repro.runtime.epoch import (
     node_heights,
 )
 from repro.runtime.faults import FaultPlan, NodeOutage
-from repro.runtime.hop import DELIVERED, LATE
+from repro.runtime.transport import DELIVERED, LATE
 from repro.runtime.simulator import RuntimeSimulator
 
 N = 4

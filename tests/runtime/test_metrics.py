@@ -38,6 +38,13 @@ def test_the_record_checks_conservation_as_it_is_built() -> None:
         RunMetrics("cluster", "sies", 4, traffic=traffic)
 
 
+def test_conservation_names_the_broken_law() -> None:
+    ledger = HopLedger()
+    ledger.edge(EdgeClass.SOURCE_TO_AGGREGATOR).attempts = 1
+    with pytest.raises(SimulationError, match="attempts == drops_injected"):
+        ledger.check_conservation()
+
+
 def _reference_nearest_rank(samples: list[float], fraction: float) -> float:
     """Textbook nearest-rank: the ceil(p*n)-th smallest value, 1-based."""
     if not samples:

@@ -1,9 +1,12 @@
 """The per-hop ARQ: retransmission, backoff, dedup, give-up semantics.
 
-Most cases run the event runtime's driver
+The first cases run the event runtime's transport
 (:func:`~repro.runtime.transport.scheduled_transport`) on a real
-:class:`EventScheduler`; the last ones hold the driver's handed-timer
-contract with no scheduler and no event loop at all.
+:class:`EventScheduler`; the rest hold the handed-timer contract with
+no scheduler and no event loop at all, and check every ARQ decision in
+isolation from any substrate: a ``put`` that hands each copy straight
+to the receiver half and each surviving ACK straight back, a scripted
+fault schedule, and the observer's event kinds.
 """
 
 from __future__ import annotations
@@ -11,13 +14,29 @@ from __future__ import annotations
 import pytest
 
 from repro.core.source import SIESRecord
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SimulationError
 from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
 from repro.runtime.events import EventScheduler
-from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile, NodeOutage
-from repro.runtime.transport import ReliableTransport, RetransmitPolicy, scheduled_transport
+from repro.runtime.faults import (
+    BurstLoss,
+    FaultPlan,
+    KeyedFaultInjector,
+    KeyedVerdict,
+    LinkProfile,
+    NodeOutage,
+)
+from repro.runtime.transport import (
+    DELIVERED,
+    LATE,
+    Parcel,
+    ReliableTransport,
+    RetransmitPolicy,
+    scheduled_transport,
+)
 from repro.wire.codecs import SIESCodec
+
+pytestmark = pytest.mark.runtime
 
 MODULUS_BYTES = 32
 
@@ -47,17 +66,17 @@ def make_transport(
         injector or KeyedFaultInjector(plan, seed=seed),
         channel or _channel(),
         policy or RetransmitPolicy(),
-        seed=seed,
         deliver=lambda receiver, epoch, psr, manifest: delivered.append(manifest),
     )
     return scheduler, transport, delivered
 
 
-def send_one(transport: ReliableTransport, *, epoch: int = 1):
-    return transport.send(
-        DataMessage(0, 1, epoch, _record(epoch), frozenset({0})),
-        EdgeClass.SOURCE_TO_AGGREGATOR,
-    )
+def _message(epoch: int = 1) -> DataMessage:
+    return DataMessage(0, 1, epoch, _record(epoch), frozenset({0}))
+
+
+def send_one(transport: ReliableTransport, *, epoch: int = 1) -> Parcel:
+    return transport.send(_message(epoch), EdgeClass.SOURCE_TO_AGGREGATOR)
 
 
 def test_policy_validation() -> None:
@@ -166,7 +185,7 @@ def test_channel_interceptor_sees_every_physical_attempt() -> None:
     scheduler.run()
     assert seen == [7] * 5  # adversary saw the original and all 4 retransmits
     sa = channel.ledger.edge(EdgeClass.SOURCE_TO_AGGREGATOR)
-    assert sa.messages == sa.attempts == 5  # channel and engine share one ledger
+    assert sa.messages == sa.attempts == 5  # channel and transport share one ledger
     assert transport.ledger is channel.ledger
 
 
@@ -229,25 +248,45 @@ class FakeHandle:
         self.cancelled = True
 
 
-def contract_transport(plan: FaultPlan, policy: RetransmitPolicy | None = None):
-    """The driver on a :class:`FakeTimer`, with a recording ``put`` and
-    ``on_finished``; the wire is the channel's sender half."""
+def contract_transport(
+    plan: FaultPlan,
+    policy: RetransmitPolicy | None = None,
+    *,
+    injector: KeyedFaultInjector | None = None,
+    channel: Channel | None = None,
+    deliver=lambda *copy: None,
+    observer=None,
+    echo: bool = False,
+):
+    """The transport on a :class:`FakeTimer`, with a recording ``put`` and
+    ``on_finished``; the wire is the channel's sender half.
+
+    With *echo*, ``put`` also hands every copy to the receiver half at
+    once and every ACK that survives straight back to the sender.
+    """
     timer = FakeTimer()
-    channel = _channel()
+    channel = channel or _channel()
     puts: list[tuple[int, int]] = []
     finished: list = []
+
+    def put(parcel: Parcel, frame: bytes, attempt: int, copies: int) -> None:
+        puts.append((attempt, copies))
+        for _ in range(copies if echo else 0):
+            sender, receiver, edge, uid = parcel.sender, parcel.receiver, parcel.edge, parcel.uid
+            if transport.receive(sender, receiver, edge, uid, attempt, lambda: parcel.message):
+                transport.ack(sender, edge, uid)
+
     transport = ReliableTransport(
-        KeyedFaultInjector(plan, seed=0),
+        injector or KeyedFaultInjector(plan, seed=0),
         policy or RetransmitPolicy(max_retries=2, ack_timeout=5.0, jitter=0.0),
-        channel.ledger,
-        seed=0,
+        channel,
         now=lambda: 0.0,
         call_later=timer.call_later,
-        encode=channel.codec.encode,
         wire=channel.emit,
-        put=lambda parcel, frame, attempt, copies: puts.append((attempt, copies)),
-        deliver=lambda *copy: None,
+        put=put,
+        deliver=deliver,
         on_finished=finished.append,
+        observer=observer,
     )
     return timer, transport, puts, finished
 
@@ -308,3 +347,187 @@ def test_an_expiry_that_runs_after_the_ack_changes_nothing() -> None:
     assert len(timer.handles) == 1 and puts == [(0, 1)]
     assert finished == [parcel]
     assert transport.ledger.edge(EDGE).gave_up == 0
+
+
+# ----------------------------------------------------------------------
+# Every ARQ decision, one copy and one ACK at a time
+# ----------------------------------------------------------------------
+
+POLICY = RetransmitPolicy(max_retries=3, ack_timeout=5.0, backoff=2.0, jitter=0.0)
+
+
+class ScriptedInjector(KeyedFaultInjector):
+    """Keyed oracle whose data and ACK fates follow a per-attempt script."""
+
+    def __init__(self, data: list[int], acks_lost: list[bool]) -> None:
+        super().__init__(FaultPlan.lossless(), seed=0)
+        self.data = data
+        self.acks_lost = acks_lost
+
+    def data_verdict(self, sender, receiver, edge, uid, attempt) -> KeyedVerdict:
+        copies = self.data[attempt]
+        return KeyedVerdict(lost=copies == 0, copies=copies)
+
+    def ack_verdict(self, sender, receiver, edge, uid, attempt) -> bool:
+        return self.acks_lost[attempt]
+
+
+def echo_transport(
+    injector: KeyedFaultInjector,
+    policy: RetransmitPolicy = POLICY,
+    *,
+    disposition: str = DELIVERED,
+    channel: Channel | None = None,
+):
+    """An echoing contract transport on *injector* whose ``deliver``
+    answers *disposition*; returns the timer, the transport, the
+    observer's events and the first-copy dispositions in order."""
+    events: list[tuple[str, dict]] = []
+    dispositions: list[str] = []
+
+    def deliver(*copy) -> str:
+        dispositions.append(disposition)
+        return disposition
+
+    timer, transport, _, _ = contract_transport(
+        FaultPlan.lossless(), policy, injector=injector, channel=channel, deliver=deliver,
+        observer=lambda kind, attrs: events.append((kind, attrs)), echo=True,
+    )
+    return timer, transport, events, dispositions
+
+
+def drive(timer: FakeTimer, transport: ReliableTransport, *, epoch: int = 1) -> Parcel:
+    """Send one parcel and fire its timeouts until it stops."""
+    parcel = send_one(transport, epoch=epoch)
+    while timer.armed():
+        timer.fire_next()
+    return parcel
+
+
+def kinds(events: list[tuple[str, dict]]) -> list[str]:
+    return [kind for kind, _ in events]
+
+
+def test_lossless_link_delivers_on_the_first_attempt() -> None:
+    timer, transport, events, delivered = echo_transport(
+        KeyedFaultInjector(FaultPlan.lossless(), seed=0)
+    )
+    parcel = drive(timer, transport)
+    assert delivered == [DELIVERED]
+    assert parcel.acked and not parcel.failed and parcel.attempts == 1
+    assert kinds(events) == ["attempt", "deliver"]
+    c = transport.ledger.edge(EDGE)
+    assert (c.attempts, c.frames_sent, c.delivered, c.acks_sent, c.acks_received) == (1, 1, 1, 1, 1)
+    transport.ledger.check_conservation()
+
+
+def test_lossy_link_retransmits_until_it_delivers() -> None:
+    timer, transport, events, delivered = echo_transport(ScriptedInjector([0, 0, 1, 1], [False] * 4))
+    parcel = drive(timer, transport, epoch=4)
+    assert delivered == [DELIVERED]
+    assert parcel.acked and parcel.attempts == 3
+    assert kinds(events) == ["attempt", "drop", "attempt", "drop", "attempt", "deliver"]
+    assert all(attrs["cause"] == "link" for kind, attrs in events if kind == "drop")
+    c = transport.ledger.edge(EDGE)
+    assert (c.retransmissions, c.drops_injected, c.delivered) == (2, 2, 1)
+    transport.ledger.check_conservation()
+
+
+def test_sender_gives_up_after_max_attempts() -> None:
+    timer, transport, events, delivered = echo_transport(
+        KeyedFaultInjector(FaultPlan.uniform_loss(1.0), seed=0)
+    )
+    parcel = drive(timer, transport)
+    assert delivered == []
+    assert parcel.failed and not parcel.acked
+    assert parcel.attempts == POLICY.max_attempts
+    assert kinds(events)[-1] == "give_up"
+    assert events[-1][1]["attempt"] == POLICY.max_attempts - 1
+    c = transport.ledger.edge(EDGE)
+    assert (c.attempts, c.drops_injected, c.gave_up) == (POLICY.max_attempts,) * 2 + (1,)
+    transport.ledger.check_conservation()
+
+
+def test_lost_ack_triggers_a_spurious_retransmit_but_one_delivery() -> None:
+    timer, transport, events, delivered = echo_transport(
+        ScriptedInjector([1, 1, 1, 1], [True, False, False, False])
+    )
+    parcel = drive(timer, transport, epoch=2)
+    assert delivered == [DELIVERED]  # the application saw it once
+    assert parcel.acked and parcel.attempts == 2
+    assert kinds(events) == ["attempt", "deliver", "ack_lost", "attempt", "duplicate"]
+    c = transport.ledger.edge(EDGE)
+    assert (c.delivered, c.duplicates_suppressed, c.acks_dropped, c.acks_sent) == (1, 1, 1, 1)
+    transport.ledger.check_conservation()
+
+
+def test_duplicate_is_suppressed_but_still_acked() -> None:
+    timer, transport, events, delivered = echo_transport(ScriptedInjector([2], [False, False]))
+    drive(timer, transport, epoch=3)
+    assert delivered == [DELIVERED]
+    assert kinds(events) == ["attempt", "deliver", "duplicate"]
+    c = transport.ledger.edge(EDGE)
+    assert (c.frames_sent, c.dup_copies, c.duplicates_suppressed) == (2, 1, 1)
+    assert c.acks_sent == c.acks_received == 2  # every copy is ACKed
+    transport.ledger.check_conservation()
+
+
+def test_burst_fires_only_inside_its_epoch_window() -> None:
+    plan = FaultPlan(bursts=(BurstLoss(first_epoch=2, last_epoch=3, loss_rate=1.0),))
+    timer, transport, _, delivered = echo_transport(KeyedFaultInjector(plan, seed=0))
+    outcome = {}
+    for epoch in range(1, 6):
+        before = len(delivered)
+        drive(timer, transport, epoch=epoch)
+        outcome[epoch] = len(delivered) > before
+    assert outcome == {1: True, 2: False, 3: False, 4: True, 5: True}
+    assert transport.ledger.edge(EDGE).gave_up == 2
+    transport.ledger.check_conservation()
+
+
+def test_channel_swallowed_attempt_is_counted_apart_from_the_schedule() -> None:
+    channel = _channel()
+    channel.add_frame_interceptor(lambda frame, edge: None)
+    _, transport, events, delivered = echo_transport(
+        KeyedFaultInjector(FaultPlan.lossless(), seed=0), channel=channel
+    )
+    send_one(transport)
+    assert delivered == [] and transport.ledger.edge(EDGE).frames_sent == 0
+    assert kinds(events) == ["attempt", "drop"] and events[-1][1]["cause"] == "channel"
+    assert transport.ledger.edge(EDGE).drops_channel == 1
+    assert transport.ledger.edge(EDGE).drops_injected == 0
+    transport.ledger.check_conservation()
+
+
+def test_late_first_copy_is_counted_and_acked() -> None:
+    _, transport, events, _ = echo_transport(
+        KeyedFaultInjector(FaultPlan.lossless(), seed=0), disposition=LATE
+    )
+    assert transport.receive(0, 1, EDGE, 1, 0, _message)
+    assert kinds(events) == ["late"]
+    assert transport.ledger.edge(EDGE).late_frames == 1
+    assert transport.ledger.edge(EDGE).acks_sent == 1
+
+
+def test_unknown_disposition_is_rejected() -> None:
+    _, transport, _, _ = echo_transport(
+        KeyedFaultInjector(FaultPlan.lossless(), seed=0), disposition="maybe"
+    )
+    with pytest.raises(SimulationError):
+        transport.receive(0, 1, EDGE, 1, 0, _message)
+
+
+def test_backoff_grows_per_attempt_and_jitter_is_per_link() -> None:
+    policy = RetransmitPolicy(max_retries=3, ack_timeout=10.0, backoff=2.0, jitter=0.5)
+    lossy = KeyedFaultInjector(FaultPlan.uniform_loss(1.0), seed=0)
+    timer, transport, _, _ = echo_transport(lossy, policy)
+    drive(timer, transport)
+    timeouts = [handle.delay for handle in timer.handles]
+    assert len(timeouts) == 4
+    for attempt, timeout in enumerate(timeouts):
+        base = 10.0 * 2.0**attempt
+        assert base <= timeout <= base * 1.5
+    # A fresh transport on the same seed replays the same per-link stream.
+    again, replay, _, _ = echo_transport(lossy, policy)
+    drive(again, replay)
+    assert [handle.delay for handle in again.handles] == timeouts

@@ -49,7 +49,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from collections.abc import Callable
 
 from repro.core.params import SIESParams
 from repro.errors import SimulationError
@@ -58,6 +60,7 @@ from repro.datasets.workload import DomainScaledWorkload
 from repro.network.channel import EdgeClass
 from repro.network.simulator import NetworkSimulator, SimulationConfig
 from repro.network.topology import build_complete_tree
+from repro.protocols.base import SecureAggregationProtocol
 from repro.protocols.registry import available_protocols, create_protocol
 from repro.queries.engine import ContinuousQuery
 from repro.queries.predicates import AlwaysTrue, parse_predicate
@@ -68,6 +71,22 @@ __all__ = ["main", "build_parser"]
 
 _EXPERIMENTS = ("table2", "table3", "table5", "fig4", "fig5", "fig6a", "fig6b",
                 "extension_scalability", "extension_energy", "run_all")
+
+
+def _duration(*, allow_zero: bool) -> Callable[[str], float]:
+    """argparse type of a time flag: a finite number, > 0 (>= 0 with *allow_zero*)."""
+    bound = ">= 0" if allow_zero else "> 0"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,12 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
     runtime_p.add_argument("--epochs", type=int, default=20)
     runtime_p.add_argument("--loss", type=float, default=0.2,
                            help="per-hop loss probability (default 0.2)")
-    runtime_p.add_argument("--latency", type=float, default=1.0,
+    runtime_p.add_argument("--latency", type=_duration(allow_zero=True), default=1.0,
                            help="base per-hop latency in logical ticks")
     runtime_p.add_argument("--duplicate", type=float, default=0.0,
                            help="per-hop duplication probability")
     runtime_p.add_argument("--max-retries", type=int, default=4)
-    runtime_p.add_argument("--ack-timeout", type=float, default=12.0)
+    runtime_p.add_argument("--ack-timeout", type=_duration(allow_zero=False), default=12.0)
     runtime_p.add_argument("--scale", type=int, default=100)
     runtime_p.add_argument("--seed", type=int, default=2011)
     runtime_p.add_argument("--json", action="store_true",
@@ -111,11 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="per-hop duplication probability")
     cluster_p.add_argument("--window", type=int, default=8,
                            help="epochs pipelined concurrently (default 8)")
-    cluster_p.add_argument("--hold-time", type=float, default=0.25,
+    cluster_p.add_argument("--hold-time", type=_duration(allow_zero=False), default=0.25,
                            help="merge-deadline spacing per tree level, seconds")
-    cluster_p.add_argument("--querier-slack", type=float, default=0.25,
+    cluster_p.add_argument("--querier-slack", type=_duration(allow_zero=True), default=0.25,
                            help="extra querier wait beyond the root deadline, seconds")
-    cluster_p.add_argument("--ack-timeout", type=float, default=0.01,
+    cluster_p.add_argument("--ack-timeout", type=_duration(allow_zero=False), default=0.01,
                            help="first ARQ retransmit timeout, seconds")
     cluster_p.add_argument("--max-retries", type=int, default=4)
     cluster_p.add_argument("--scale", type=int, default=100)
@@ -225,12 +244,42 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _protocol_and_workload(
+    args: argparse.Namespace,
+) -> tuple[SecureAggregationProtocol, DomainScaledWorkload]:
+    """The command's protocol and its seeded workload."""
     kwargs = {"seed": args.seed}
     if args.protocol == "secoa_s":
         kwargs["num_sketches"] = 50  # keep interactive runs snappy
     protocol = create_protocol(args.protocol, args.sources, **kwargs)
-    workload = DomainScaledWorkload(args.sources, scale=args.scale, seed=args.seed)
+    return protocol, DomainScaledWorkload(args.sources, scale=args.scale, seed=args.seed)
+
+
+def _print_recovered_epochs(
+    metrics: RunMetrics, sources: int, latency: Callable[[float], str], *, name_lost: bool
+) -> None:
+    """One line per epoch of an ARQ substrate: its SUM and who it recovered."""
+    for em in metrics.epochs:
+        if em.security_failure:
+            print(f"epoch {em.epoch}: LOST ({em.security_failure})")
+            continue
+        if em.result is None:
+            raise SimulationError(f"epoch {em.epoch} finished with neither result nor failure")
+        tag = "verified" if em.result.verified else "UNVERIFIED"
+        if em.recovery.complete:
+            detail = "all sources"
+        else:
+            detail = f"recovered {len(em.recovery.survivors)}/{sources}"
+            if name_lost:
+                detail += f", lost {sorted(em.recovery.lost)}"
+        print(
+            f"epoch {em.epoch}: result {em.result.value} ({tag}, {detail}, "
+            f"{latency(em.completion_latency)})"
+        )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    protocol, workload = _protocol_and_workload(args)
     simulator = NetworkSimulator(
         protocol,
         build_complete_tree(args.sources, args.fanout),
@@ -264,11 +313,7 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         RuntimeSimulator,
     )
 
-    kwargs = {"seed": args.seed}
-    if args.protocol == "secoa_s":
-        kwargs["num_sketches"] = 50
-    protocol = create_protocol(args.protocol, args.sources, **kwargs)
-    workload = DomainScaledWorkload(args.sources, scale=args.scale, seed=args.seed)
+    protocol, workload = _protocol_and_workload(args)
     config = RuntimeConfig(
         num_epochs=args.epochs,
         plan=FaultPlan(
@@ -289,22 +334,9 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         print(json.dumps(metrics.ledger(), indent=2))
         return 0
 
-    for em in metrics.epochs:
-        if em.security_failure:
-            print(f"epoch {em.epoch}: LOST ({em.security_failure})")
-            continue
-        if em.result is None:
-            raise SimulationError(f"epoch {em.epoch} finished with neither result nor failure")
-        tag = "verified" if em.result.verified else "UNVERIFIED"
-        if em.recovery.complete:
-            detail = "all sources"
-        else:
-            lost = sorted(em.recovery.lost)
-            detail = f"recovered {len(em.recovery.survivors)}/{args.sources}, lost {lost}"
-        print(
-            f"epoch {em.epoch}: result {em.result.value} ({tag}, {detail}, "
-            f"latency {em.completion_latency:.1f})"
-        )
+    _print_recovered_epochs(
+        metrics, args.sources, lambda latency: f"latency {latency:.1f}", name_lost=True
+    )
 
     ledger = metrics.ledger()
     print(f"\ndelivery rate    : {metrics.delivery_rate():8.4f}")
@@ -329,11 +361,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterConfig, run_cluster
     from repro.runtime import FaultPlan, LinkProfile, RetransmitPolicy
 
-    kwargs = {"seed": args.seed}
-    if args.protocol == "secoa_s":
-        kwargs["num_sketches"] = 50
-    protocol = create_protocol(args.protocol, args.sources, **kwargs)
-    workload = DomainScaledWorkload(args.sources, scale=args.scale, seed=args.seed)
+    protocol, workload = _protocol_and_workload(args)
     config = ClusterConfig(
         num_epochs=args.epochs,
         window=args.window,
@@ -355,21 +383,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print(json.dumps(metrics.ledger(), indent=2))
         return 0
 
-    for em in metrics.epochs:
-        if em.security_failure:
-            print(f"epoch {em.epoch}: LOST ({em.security_failure})")
-            continue
-        if em.result is None:
-            raise SimulationError(f"epoch {em.epoch} finished with neither result nor failure")
-        tag = "verified" if em.result.verified else "UNVERIFIED"
-        if em.recovery.complete:
-            detail = "all sources"
-        else:
-            detail = f"recovered {len(em.recovery.survivors)}/{args.sources}"
-        print(
-            f"epoch {em.epoch}: result {em.result.value} ({tag}, {detail}, "
-            f"{em.completion_latency * 1e3:.1f} ms)"
-        )
+    _print_recovered_epochs(
+        metrics, args.sources, lambda latency: f"{latency * 1e3:.1f} ms", name_lost=False
+    )
     print(f"\ndelivery rate    : {metrics.delivery_rate():8.4f}")
     print(f"acceptance rate  : {metrics.acceptance_rate():8.4f}")
     print(f"retransmissions  : {metrics.traffic.total('retransmissions'):8d}")
@@ -545,11 +561,7 @@ def _run_observed(args: argparse.Namespace, recorder=None) -> RunMetrics:
     Returns the run's :class:`~repro.runtime.metrics.RunMetrics`;
     *recorder*, when given, is the run's hop observer.
     """
-    kwargs = {"seed": args.seed}
-    if args.protocol == "secoa_s":
-        kwargs["num_sketches"] = 50
-    protocol = create_protocol(args.protocol, args.sources, **kwargs)
-    workload = DomainScaledWorkload(args.sources, scale=args.scale, seed=args.seed)
+    protocol, workload = _protocol_and_workload(args)
     tree = build_complete_tree(args.sources, args.fanout)
 
     if args.substrate == "network":

@@ -37,7 +37,8 @@ def parcel_fate(
     edge: EdgeClass,
     uid: int,
 ) -> tuple[bool, int]:
-    """Replay one parcel's ARQ against the keyed schedule.
+    """Replay one parcel's ARQ against the keyed schedule, one verdict
+    (data fate and ACK fate) per attempt.
 
     Returns ``(delivered, attempts)`` where *attempts* is the number of
     attempts a sender makes when every ACK round-trip beats its timeout.
@@ -53,6 +54,6 @@ def parcel_fate(
         verdict = injector.data_verdict(sender, receiver, edge, uid, attempt)
         if not verdict.lost:
             delivered = True
-            if not injector.ack_verdict(sender, receiver, edge, uid, attempt):
+            if not verdict.ack_lost:
                 return True, attempt + 1
     return delivered, policy.max_attempts

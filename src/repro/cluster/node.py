@@ -52,6 +52,7 @@ from repro.network.channel import Channel
 from repro.network.ledger import EdgeClass
 from repro.cluster.envelope import AckEnvelope, DataEnvelope, decode_envelope, encode_ack, encode_data
 from repro.cluster.framing import FrameAssembler
+from repro.runtime.faults import KeyedVerdict
 from repro.runtime.transport import Parcel, ReliableTransport
 from repro.wire.frame import decode_header
 
@@ -273,10 +274,10 @@ class ClusterNode:
     # Outbound: the transport's link over the uplink
     # ------------------------------------------------------------------
 
-    def put(self, parcel: Parcel, frame: bytes, attempt: int, copies: int) -> None:
-        """Write *copies* envelopes of one attempt's *frame* on the uplink.
+    def put(self, parcel: Parcel, frame: bytes, attempt: int, verdict: KeyedVerdict) -> None:
+        """Write the verdict's copies of one attempt's *frame* on the uplink.
 
-        The keyed schedule chose *copies*, so what TCP delivers is its
+        The keyed schedule chose how many, so what TCP delivers is its
         decision, whatever the loop's timing (see :mod:`repro.cluster.faults`).
         """
         if self._parent is None:
@@ -285,6 +286,6 @@ class ClusterNode:
             epoch=parcel.uid, sender=self.node_id, uid=parcel.uid, attempt=attempt,
             manifest=parcel.message.manifest, inner=frame,
         )
-        for _ in range(copies):
+        for _ in range(verdict.copies):
             self._parent.write(envelope)
-        self.channel.ledger.edge(parcel.edge).envelope_bytes += copies * len(envelope)
+        self.channel.ledger.edge(parcel.edge).envelope_bytes += verdict.copies * len(envelope)

@@ -218,8 +218,8 @@ class EpochOrchestrator:
             now=loop.time,
             call_later=ack_timeout,
             wire=self.channel.emit,
-            put=lambda parcel, frame, attempt, copies: self._nodes[parcel.sender].put(
-                parcel, frame, attempt, copies
+            put=lambda parcel, frame, attempt, verdict: self._nodes[parcel.sender].put(
+                parcel, frame, attempt, verdict
             ),
             deliver=driver.deliver,
             on_finished=lambda parcel: self._release(parcel.uid),

@@ -37,6 +37,10 @@ class EdgeClass(enum.Enum):
     AGGREGATOR_TO_AGGREGATOR = "A-A"
     AGGREGATOR_TO_QUERIER = "A-Q"
 
+    # Members compare by identity, so the C-level identity hash agrees with
+    # equality; Enum's Python-level hash cost a call per per-hop lookup.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class EdgeCounters:

@@ -8,10 +8,9 @@ never by wall clocks.  Determinism rests on two invariants:
 * events fire in ``(time, sequence)`` order, where the sequence number
   is assigned at scheduling time — ties are broken by scheduling order,
   which is itself deterministic;
-* no component reads ``time.time()``/``random`` globals: fault verdicts
-  and delays are keyed digests of their attempt coordinate
-  (:class:`~repro.runtime.faults.KeyedFaultInjector`), and backoff
-  jitter comes from one seeded sequential stream per link.
+* no component reads ``time.time()``/``random`` globals: fault verdicts,
+  delays and backoff jitter are keyed digests of their attempt
+  coordinate (:class:`~repro.runtime.faults.KeyedFaultInjector`).
 
 The scheduler is intentionally minimal (a binary heap of
 ``(time, sequence, event)`` tuples and a cancel flag): protocols and

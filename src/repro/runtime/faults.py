@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import ParameterError
 from repro.network.channel import EdgeClass
@@ -158,97 +159,88 @@ class FaultPlan:
         return cls(default_profile=LinkProfile(loss_rate=loss_rate, **profile_kwargs))
 
 
-@dataclass(frozen=True)
-class KeyedVerdict:
-    """What the keyed fault schedule does to one transmission attempt."""
+class KeyedVerdict(NamedTuple):
+    """The whole fate of one transmission attempt, read from its one digest."""
 
     lost: bool
     #: Copies that survive the link (0 lost, 1 normal, 2 duplicated).
     copies: int
-
-
-_LOST = KeyedVerdict(lost=True, copies=0)
-_DELIVERED = KeyedVerdict(lost=False, copies=1)
-_DUPLICATED = KeyedVerdict(lost=False, copies=2)
+    #: Arrival delays of the first and the second copy; the first ``copies`` apply.
+    latencies: tuple[float, float]
+    #: Whether the ACK of a copy of this attempt is lost on the way back, and its delay.
+    ack_lost: bool
+    ack_latency: float
+    #: Backoff jitter ``u`` of :meth:`~repro.runtime.transport.RetransmitPolicy.timeout_for`.
+    jitter: float
 
 
 class KeyedFaultInjector:
     """Order-independent fault oracle keyed by the attempt coordinate.
 
-    Fault schedule v2.  Every decision reads its uniforms from one keyed
-    BLAKE2b digest (:func:`~repro.utils.rng.keyed_uniforms`) of the label
-    ``kind/sender->receiver/uid/attempt``, under a key derived once per
-    injector from the seed.  The four kinds — ``data`` (loss, then
-    duplication), ``ack`` (ACK loss), ``lat`` and ``acklat`` (delays) —
-    are independent streams, and no generator state is carried from one
-    draw to the next, so a verdict depends on nothing but the seed and
-    its coordinate.  The number of uniforms per draw never depends on
-    the verdict.  Bursts and outages fold into the loss *threshold* and
-    draw nothing extra, so a plan without them yields exactly the plain
-    plan's schedule.
-
-    Changing the key derivation or the label format re-randomizes every
-    keyed schedule; that is a new schedule version, not a refactor.
+    Fault schedule v3: one keyed BLAKE2b digest per coordinate
+    (:func:`~repro.utils.rng.keyed_uniforms` of ``sender->receiver/uid/attempt``
+    under a key derived from the seed), whose seven uniforms fill the
+    slots of :class:`KeyedVerdict` in field order, each drawn whatever
+    the verdict.  No state is carried between digests, so a verdict, its
+    ACK timeout included, depends only on the seed and its coordinate.
+    Bursts and outages only move the loss thresholds.  :meth:`data_verdict`
+    hashes; the other three methods are views of it.  Changing the key,
+    the label or the slots re-randomizes every keyed schedule: that is a
+    new schedule version, not a refactor.
     """
 
     def __init__(self, plan: FaultPlan, *, seed: int = 0) -> None:
         self.plan = plan
-        self.seed = seed
-        self._key = derive_key(seed, "fault-schedule-v2")
+        self._key = derive_key(seed, "fault-schedule-v3")
         self._windowed = bool(plan.bursts or plan.outages)
 
-    def _draw(
-        self, kind: str, sender: int, receiver: int, uid: int, attempt: int, n: int
-    ) -> tuple[float, ...]:
-        label = f"{kind}/{sender}->{receiver}/{uid}/{attempt}".encode("ascii")
-        return keyed_uniforms(self._key, label, n)
-
     def _threshold(self, destination: int, edge: EdgeClass, uid: int) -> float:
-        """Loss threshold of an attempt towards *destination* in epoch *uid*."""
-        if not self._windowed:
-            return self.plan.profile_for(edge).loss_rate
-        if self.plan.node_down(destination, uid):
-            return 1.0
-        return self.plan.loss_rate(edge, uid)
+        """Loss threshold of a windowed plan towards *destination* in epoch *uid*."""
+        return 1.0 if self.plan.node_down(destination, uid) else self.plan.loss_rate(edge, uid)
 
     def data_verdict(
         self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int
     ) -> KeyedVerdict:
-        """Fate of data attempt *attempt* of parcel *uid*."""
-        u_loss, u_dup = self._draw("data", sender, receiver, uid, attempt, 2)
-        if u_loss < self._threshold(receiver, edge, uid):
-            return _LOST
-        return _DUPLICATED if u_dup < self.plan.profile_for(edge).duplicate_rate else _DELIVERED
+        """Fate of data attempt *attempt* of parcel *uid*, and of its ACKs.
+
+        *sender*/*receiver* name the **data** direction; the ACK travels
+        receiver→sender, so a down sender loses it.  Data and ACK loss
+        read different slots, so they are uncorrelated, as on a real radio.
+        """
+        label = f"{sender}->{receiver}/{uid}/{attempt}".encode("ascii")
+        u_loss, u_dup, u_first, u_second, u_ack, u_ack_latency, u_jitter = keyed_uniforms(
+            self._key, label, 7
+        )
+        profile = self.plan.profile_for(edge)
+        if self._windowed:
+            lost = u_loss < self._threshold(receiver, edge, uid)
+            ack_lost = u_ack < self._threshold(sender, edge, uid)
+        else:
+            lost, ack_lost = u_loss < profile.loss_rate, u_ack < profile.loss_rate
+        latency, jitter = profile.latency, profile.jitter
+        return KeyedVerdict(
+            lost,
+            0 if lost else 2 if u_dup < profile.duplicate_rate else 1,
+            (latency + u_first * jitter, latency + u_second * jitter),
+            ack_lost,
+            latency + u_ack_latency * jitter,
+            u_jitter,
+        )
 
     def ack_verdict(
         self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int
     ) -> bool:
-        """True when the ACK for (*uid*, *attempt*) is lost on the way back.
-
-        *sender*/*receiver* name the **data** direction (the ACK travels
-        receiver→sender); keyed independently of the data draw so a lost
-        packet and a lost ACK are uncorrelated, as on a real radio.
-        """
-        (u_loss,) = self._draw("ack", sender, receiver, uid, attempt, 1)
-        return u_loss < self._threshold(sender, edge, uid)
+        """True when the ACK for (*uid*, *attempt*) is lost on the way back."""
+        return self.data_verdict(sender, receiver, edge, uid, attempt).ack_lost
 
     def data_latencies(
         self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int, copies: int
     ) -> tuple[float, ...]:
-        """Arrival delays for *copies* surviving copies (logical time).
-
-        Drawn from a keyed stream of its own (``"lat"``) so substrates
-        that do not simulate latency — the TCP cluster has real sockets
-        for that — consume nothing from the loss/duplication streams.
-        """
-        profile = self.plan.profile_for(edge)
-        draws = self._draw("lat", sender, receiver, uid, attempt, copies)
-        return tuple(profile.latency + u * profile.jitter for u in draws)
+        """Arrival delays of the first *copies* (at most 2) copies (logical time)."""
+        return self.data_verdict(sender, receiver, edge, uid, attempt).latencies[:copies]
 
     def ack_latency(
         self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int
     ) -> float:
         """Return-trip delay of a surviving ACK (logical time)."""
-        profile = self.plan.profile_for(edge)
-        (u,) = self._draw("acklat", sender, receiver, uid, attempt, 1)
-        return profile.latency + u * profile.jitter
+        return self.data_verdict(sender, receiver, edge, uid, attempt).ack_latency

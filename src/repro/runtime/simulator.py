@@ -73,7 +73,7 @@ class RuntimeConfig:
     policy: RetransmitPolicy = field(default_factory=RetransmitPolicy)
     #: What the network does to packets (see :class:`FaultPlan`).
     plan: FaultPlan = field(default_factory=FaultPlan)
-    #: Seed for every runtime randomness stream (links, backoff jitter).
+    #: Seed of the keyed fault schedule (link fates, latencies, backoff jitter).
     seed: int = 0
     #: When False, querier evaluation is skipped (pure transport runs).
     evaluate: bool = True

@@ -12,15 +12,16 @@ the copies the keyed schedule lets through, and the receivers'
 ``deliver``, routed by the parcel uid, never by the frame header:
 
 * **sender half** — every attempt asks the keyed fault oracle for its
-  verdict, puts 0, 1 or 2 copies on the link and arms an ACK timeout
-  (exponential backoff, jitter from one sequential stream per link),
-  whatever the link did — the sender cannot observe loss, only missing
-  ACKs.  A parcel stops on its first ACK or gives up with its retry
-  budget spent; *on_finished* hears of either once;
+  one verdict, puts 0, 1 or 2 copies on the link and arms an ACK
+  timeout (exponential backoff, jitter from the verdict), whatever the
+  link did — the sender cannot observe loss, only missing ACKs.  A
+  parcel stops on its first ACK or gives up with its retry budget
+  spent; *on_finished* hears of either once;
 * **receiver half** — :meth:`ReliableTransport.receive` suppresses
   duplicates by ``(sender, uid)``, has ``deliver`` classify each first
-  copy (delivered, late, or decode failure), and decides whether the
-  ACK — sent for *every* received copy — survives the way back;
+  copy (delivered, late, or decode failure), and reads from the
+  attempt's verdict whether the ACK — sent for *every* received copy —
+  survives the way back;
 * every outcome is counted into the channel's per-edge-class
   :class:`~repro.network.ledger.HopLedger`, whose
   :meth:`~repro.network.ledger.HopLedger.check_conservation` proves no
@@ -29,10 +30,12 @@ the copies the keyed schedule lets through, and the receivers'
   :func:`emit_hop`, the emit helper every substrate's hop path shares.
 
 :func:`scheduled_transport` builds the event runtime's transport on its
-scheduler and keyed-latency arrival events; the TCP cluster's
+scheduler and keyed-latency arrival events, which carry the attempt's
+verdict, so the runtime hashes once per attempt; the TCP cluster's
 orchestrator hands its running loop, the channel's ``emit`` and envelope
-writes on the sender's uplink.  A parcel's uid is its epoch on both
-substrates — each hop carries one parcel per epoch.
+writes on the sender's uplink, and its receiver, which holds only the
+envelope, recomputes the verdict for each copy.  A parcel's uid is its
+epoch on both substrates — each hop carries one parcel per epoch.
 
 A sender giving up does **not** retract a copy that actually arrived
 (the ACK may be the lost half): correctness downstream derives from
@@ -50,8 +53,7 @@ from repro.errors import ParameterError, SimulationError
 from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
 from repro.runtime.events import EventScheduler
-from repro.runtime.faults import KeyedFaultInjector
-from repro.utils.rng import DeterministicRandom
+from repro.runtime.faults import KeyedFaultInjector, KeyedVerdict
 
 if TYPE_CHECKING:
     from repro.protocols.base import PartialStateRecord
@@ -190,10 +192,9 @@ class ReliableTransport:
 
     One transport serves a whole fleet: links and ``(sender, uid)`` keys
     never overlap between nodes, so the sender's id and the parcel uid
-    route every ACK to its parcel.  It counts into ``channel.ledger``,
-    encodes with ``channel.codec`` and draws backoff jitter from the
-    injector's seed.  *now* only stamps observer events; no decision
-    reads it.  The injector is looked up on every use, never bound.
+    route every ACK to its parcel.  It counts into ``channel.ledger`` and
+    encodes with ``channel.codec``.  *now* only stamps observer events; no
+    decision reads it.  The injector is looked up on every use, never bound.
     """
 
     def __init__(
@@ -205,7 +206,7 @@ class ReliableTransport:
         now: Callable[[], float],
         call_later: Callable[[float, Callable[[], None]], TimerHandle],
         wire: Callable[[DataMessage, EdgeClass, bytes], Any],
-        put: Callable[[Parcel, Any, int, int], None],
+        put: Callable[[Parcel, Any, int, KeyedVerdict], None],
         deliver: DeliverFn,
         on_finished: Callable[[Parcel], None] | None = None,
         observer: TransportObserver | None = None,
@@ -223,10 +224,6 @@ class ReliableTransport:
         self._on_finished = on_finished
         #: ``(sender, uid)`` → the parcel, until it stops.
         self._open: dict[tuple[int, int], Parcel] = {}
-        #: One sequential backoff-jitter stream per link, built on the
-        #: link's first attempt.  Jitter only shapes timing: delivered
-        #: sets stay a pure function of the keyed schedule.
-        self._backoff: dict[tuple[int, int], DeterministicRandom] = {}
         #: ``(sender, uid)`` pairs already received (duplicate suppression).
         self._seen: set[tuple[int, int]] = set()
 
@@ -265,20 +262,19 @@ class ReliableTransport:
         if index:
             c.retransmissions += 1
         self._emit("attempt", sender, receiver, edge, uid, index)
+        verdict = self.injector.data_verdict(sender, receiver, edge, uid, index)
         if payload is None:
             c.drops_channel += 1
             self._emit("drop", sender, receiver, edge, uid, index, cause="channel")
+        elif verdict.lost:
+            c.drops_injected += 1
+            self._emit("drop", sender, receiver, edge, uid, index, cause="link")
         else:
-            verdict = self.injector.data_verdict(sender, receiver, edge, uid, index)
-            if verdict.lost:
-                c.drops_injected += 1
-                self._emit("drop", sender, receiver, edge, uid, index, cause="link")
-            else:
-                copies = verdict.copies
-                c.frames_sent += copies
-                c.dup_copies += copies - 1
-                self._put(parcel, payload, index, copies)
-        timeout = self.policy.timeout_for(index, self._jitter(sender, receiver))
+            copies = verdict.copies
+            c.frames_sent += copies
+            c.dup_copies += copies - 1
+            self._put(parcel, payload, index, verdict)
+        timeout = self.policy.timeout_for(index, verdict.jitter)
         parcel.timer = self._call_later(timeout, lambda: self._expire(parcel))
 
     def _expire(self, parcel: Parcel) -> None:
@@ -305,21 +301,13 @@ class ReliableTransport:
         if self._on_finished is not None:
             self._on_finished(parcel)
 
-    def _jitter(self, sender: int, receiver: int) -> float:
-        link = (sender, receiver)
-        stream = self._backoff.get(link)
-        if stream is None:
-            stream = DeterministicRandom(self.injector.seed, "backoff", f"{sender}->{receiver}")
-            self._backoff[link] = stream
-        return stream.random()
-
     # ------------------------------------------------------------------
     # Receiver half
     # ------------------------------------------------------------------
 
     def receive(
         self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int,
-        open_copy: Callable[[], DataMessage | None],
+        open_copy: Callable[[], DataMessage | None], verdict: KeyedVerdict | None = None,
     ) -> bool:
         """Account one copy arriving at *receiver*; True when its ACK must go back.
 
@@ -329,7 +317,8 @@ class ReliableTransport:
         :data:`DECODE_FAILURE`, or ``None`` when the channel rejected the
         frame (a decode failure).  Every copy — duplicates and
         undecodable ones included, the *transport* delivered them — is
-        ACKed unless the schedule swallows the ACK on the way back.
+        ACKed unless the schedule swallows the ACK on the way back: the
+        attempt's *verdict* says so, or the injector when none is carried.
         """
         c = self.ledger.edge(edge)
         c.frames_received += 1
@@ -353,7 +342,11 @@ class ReliableTransport:
             else:
                 raise SimulationError(f"unknown first-copy disposition {kind!r}")
         self._emit(kind, sender, receiver, edge, uid, attempt)
-        if self.injector.ack_verdict(sender, receiver, edge, uid, attempt):
+        if verdict is None:
+            ack_lost = self.injector.ack_verdict(sender, receiver, edge, uid, attempt)
+        else:
+            ack_lost = verdict.ack_lost
+        if ack_lost:
             c.acks_dropped += 1
             self._emit("ack_lost", sender, receiver, edge, uid, attempt)
             return False
@@ -376,7 +369,8 @@ def scheduled_transport(
     observer: TransportObserver | None = None,
 ) -> ReliableTransport:
     """The event runtime's transport: on *scheduler*, every copy and ACK
-    an event after its keyed latency.
+    an event after its keyed latency, read from the verdict the attempt
+    carries to them.
 
     Each attempt runs both halves of the channel at once
     (``channel.transmit``, looked up per attempt so a hook on the
@@ -384,18 +378,14 @@ def scheduled_transport(
     first attempts, and a dropped attempt never reaches the link.
     """
 
-    def put(parcel: Parcel, message: DataMessage, attempt: int, copies: int) -> None:
-        sender, receiver, edge, uid = parcel.sender, parcel.receiver, parcel.edge, parcel.uid
-        for latency in injector.data_latencies(sender, receiver, edge, uid, attempt, copies):
-            scheduler.call_later(latency, lambda: arrive(parcel, message, attempt))
+    def put(parcel: Parcel, message: DataMessage, attempt: int, verdict: KeyedVerdict) -> None:
+        for latency in verdict.latencies[: verdict.copies]:
+            scheduler.call_later(latency, lambda: arrive(parcel, message, attempt, verdict))
 
-    def arrive(parcel: Parcel, message: DataMessage, attempt: int) -> None:
+    def arrive(parcel: Parcel, message: DataMessage, attempt: int, verdict: KeyedVerdict) -> None:
         sender, receiver, edge, uid = parcel.sender, parcel.receiver, parcel.edge, parcel.uid
-        if transport.receive(sender, receiver, edge, uid, attempt, lambda: message):
-            scheduler.call_later(
-                injector.ack_latency(sender, receiver, edge, uid, attempt),
-                lambda: transport.ack(sender, edge, uid),
-            )
+        if transport.receive(sender, receiver, edge, uid, attempt, lambda: message, verdict):
+            scheduler.call_later(verdict.ack_latency, lambda: transport.ack(sender, edge, uid))
 
     transport = ReliableTransport(
         injector, policy, channel, now=lambda: scheduler.now,

@@ -10,7 +10,6 @@ from repro.runtime.faults import (
     BurstLoss,
     FaultPlan,
     KeyedFaultInjector,
-    KeyedVerdict,
     LinkProfile,
     NodeOutage,
 )
@@ -66,9 +65,8 @@ class TestRates:
     def test_lossless_plan_never_drops(self) -> None:
         injector = KeyedFaultInjector(FaultPlan.lossless(), seed=5)
         for c in COORDS:
-            assert injector.data_verdict(c[0], c[1], EDGE, c[2], c[3]) == KeyedVerdict(
-                lost=False, copies=1
-            )
+            verdict = injector.data_verdict(c[0], c[1], EDGE, c[2], c[3])
+            assert (verdict.lost, verdict.copies) == (False, 1)
             assert injector.ack_verdict(c[0], c[1], EDGE, c[2], c[3]) is False
 
     def test_total_loss_always_drops(self) -> None:

@@ -20,13 +20,14 @@ EDGE = EdgeClass.SOURCE_TO_AGGREGATOR
 
 
 def reference_uniforms(
-    seed: int, kind: str, sender: int, receiver: int, uid: int, attempt: int, n: int
+    seed: int, sender: int, receiver: int, uid: int, attempt: int
 ) -> list[float]:
-    """Schedule v2 written out from its definition, sharing no code with it."""
-    key = hashlib.sha256(f"{seed}/fault-schedule-v2".encode()).digest()
-    label = f"{kind}/{sender}->{receiver}/{uid}/{attempt}".encode()
-    digest = hashlib.blake2b(label, key=key, digest_size=8 * n).digest()
-    words = [int.from_bytes(digest[8 * i : 8 * i + 8], "big") for i in range(n)]
+    """Schedule v3 written out from its definition, sharing no code with it:
+    the seven slots of one coordinate's keyed digest."""
+    key = hashlib.sha256(f"{seed}/fault-schedule-v3".encode()).digest()
+    label = f"{sender}->{receiver}/{uid}/{attempt}".encode()
+    digest = hashlib.blake2b(label, key=key, digest_size=56).digest()
+    words = [int.from_bytes(digest[8 * i : 8 * i + 8], "big") for i in range(7)]
     return [(word >> 11) / 2**53 for word in words]
 
 
@@ -133,7 +134,7 @@ def test_duplication_yields_extra_copies() -> None:
 
 
 def test_verdict_outcomes_do_not_shift_the_stream() -> None:
-    """A burst changing outcomes must not perturb any other draw."""
+    """A burst changing outcomes must not perturb any other slot."""
     quiet = KeyedFaultInjector(FaultPlan.uniform_loss(0.3, jitter=1.0), seed=5)
     bursty = KeyedFaultInjector(
         FaultPlan(
@@ -142,19 +143,19 @@ def test_verdict_outcomes_do_not_shift_the_stream() -> None:
         ),
         seed=5,
     )
-    for uid in range(10):
+    for uid in range(5):
         for attempt in range(3):
-            # Latencies never depend on the loss verdict.
-            assert quiet.data_latencies(0, 1, EDGE, uid, attempt, 2) == bursty.data_latencies(
-                0, 1, EDGE, uid, attempt, 2
-            )
+            lossy = bursty.data_verdict(0, 1, EDGE, uid, attempt)
+            assert lossy.lost and lossy.ack_lost
+            # Latencies and jitter never depend on the loss verdicts.
+            plain = quiet.data_verdict(0, 1, EDGE, uid, attempt)
+            assert lossy.latencies == plain.latencies
+            assert lossy.ack_latency == plain.ack_latency
+            assert lossy.jitter == plain.jitter
     # After the burst window the two schedules are identical.
     for uid in range(5, 10):
         for attempt in range(3):
             assert quiet.data_verdict(0, 1, EDGE, uid, attempt) == bursty.data_verdict(
-                0, 1, EDGE, uid, attempt
-            )
-            assert quiet.ack_verdict(0, 1, EDGE, uid, attempt) == bursty.ack_verdict(
                 0, 1, EDGE, uid, attempt
             )
 
@@ -163,49 +164,56 @@ class TestKeyedFaultInjector:
     """The keyed oracle both substrates consult."""
 
     def test_matches_the_cluster_injector_draw_for_draw(self) -> None:
-        """Verdicts are schedule v2's keyed digests, replayed here by an
-        independent reference: BLAKE2b keyed by SHA-256 of the seed."""
-        plan = FaultPlan.uniform_loss(0.3, duplicate_rate=0.1)
+        """Verdicts are schedule v3's keyed digests, replayed here by an
+        independent reference: BLAKE2b keyed by SHA-256 of the seed, one
+        digest per coordinate, seven slots in a fixed order."""
+        plan = FaultPlan.uniform_loss(0.3, duplicate_rate=0.1, latency=1.0, jitter=2.0)
         keyed = KeyedFaultInjector(plan, seed=11)
         edge = EdgeClass.SOURCE_TO_AGGREGATOR
-        for uid in (1, 2, 900):
+        for uid in (1, 2, 9, 900):
             for attempt in range(3):
-                u_loss, u_dup = reference_uniforms(11, "data", 0, 1, uid, attempt, 2)
+                u_loss, u_dup, u_first, u_second, u_ack, u_ack_lat, u_jitter = (
+                    reference_uniforms(11, 0, 1, uid, attempt)
+                )
                 verdict = keyed.data_verdict(0, 1, edge, uid, attempt)
                 assert verdict.lost == (u_loss < 0.3)
-                if not verdict.lost:
-                    assert verdict.copies == (2 if u_dup < 0.1 else 1)
-                (u_ack,) = reference_uniforms(11, "ack", 0, 1, uid, attempt, 1)
-                assert keyed.ack_verdict(0, 1, edge, uid, attempt) == (u_ack < 0.3)
-        timed = KeyedFaultInjector(FaultPlan.uniform_loss(0.0, latency=1.0, jitter=2.0), seed=11)
-        lat = reference_uniforms(11, "lat", 0, 1, 5, 1, 2)
-        assert timed.data_latencies(0, 1, edge, 5, 1, 2) == tuple(1.0 + 2.0 * u for u in lat)
-        (acklat,) = reference_uniforms(11, "acklat", 0, 1, 5, 1, 1)
-        assert timed.ack_latency(0, 1, edge, 5, 1) == 1.0 + 2.0 * acklat
+                assert verdict.copies == (0 if verdict.lost else 2 if u_dup < 0.1 else 1)
+                assert verdict.latencies == (1.0 + 2.0 * u_first, 1.0 + 2.0 * u_second)
+                assert verdict.ack_lost == (u_ack < 0.3)
+                assert verdict.ack_latency == 1.0 + 2.0 * u_ack_lat
+                assert verdict.jitter == u_jitter
+                # The three views read the same digest.
+                assert keyed.ack_verdict(0, 1, edge, uid, attempt) == verdict.ack_lost
+                assert keyed.data_latencies(0, 1, edge, uid, attempt, 2) == verdict.latencies
+                assert keyed.ack_latency(0, 1, edge, uid, attempt) == verdict.ack_latency
 
-    def test_golden_schedule_v2(self) -> None:
-        """Literal first verdicts of seed 11: any re-randomization of the
-        keyed schedule must fail here, loudly, and ship as a new version."""
+    def test_golden_schedule_v3(self) -> None:
+        """Literal verdicts of seed 11: any re-randomization of the keyed
+        schedule must fail here, loudly, and ship as a new version."""
         plan = FaultPlan.uniform_loss(0.3, duplicate_rate=0.1)
         keyed = KeyedFaultInjector(plan, seed=11)
         edge = EdgeClass.SOURCE_TO_AGGREGATOR
         observed = []
-        for uid in range(1, 9):
+        for uid in range(7, 17):
             verdict = keyed.data_verdict(0, 1, edge, uid, 0)
-            observed.append((verdict.lost, verdict.copies, keyed.ack_verdict(0, 1, edge, uid, 0)))
+            observed.append((verdict.lost, verdict.copies, verdict.ack_lost, verdict.jitter))
         assert observed == [
-            (True, 0, True),
-            (False, 1, False),
-            (False, 1, False),
-            (True, 0, True),
-            (False, 1, False),
-            (True, 0, False),
-            (False, 1, False),
-            (True, 0, False),
+            (False, 2, True, 0.6305885486562122),
+            (False, 1, False, 0.0936710430723896),
+            (True, 0, True, 0.35636277474575184),
+            (False, 1, False, 0.3483033033116175),
+            (False, 1, True, 0.6525205697891548),
+            (False, 1, False, 0.6628520265486864),
+            (False, 1, False, 0.005527278317222772),
+            (False, 1, False, 0.4233688386829002),
+            (True, 0, False, 0.962107522712357),
+            (False, 2, False, 0.40486211413893136),
         ]
         raw = KeyedFaultInjector(FaultPlan.uniform_loss(0.0, latency=0.0, jitter=1.0), seed=11)
-        assert raw.data_latencies(0, 1, edge, 1, 0, 2) == (0.4742348025357316, 0.5331259880209128)
-        assert raw.ack_latency(0, 1, edge, 1, 0) == 0.3802030533542434
+        verdict = raw.data_verdict(0, 1, edge, 1, 0)
+        assert verdict.latencies == (0.42138441825136863, 0.8912799749311338)
+        assert verdict.ack_latency == 0.7571843980733458
+        assert verdict.jitter == 0.9223721017471272
 
     def test_latency_draws_are_keyed_and_profile_bounded(self) -> None:
         plan = FaultPlan.uniform_loss(0.0, latency=2.0, jitter=0.5)
@@ -253,7 +261,8 @@ def _coordinates(count: int):
 
 
 class TestScheduleV2Properties:
-    """Statistical and boundary properties of the keyed digests."""
+    """Statistical and boundary properties of the keyed digests, held
+    since schedule v2 and kept by v3."""
 
     COORDINATES = 20_000
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.runtime.faults as faults
 from repro.core.source import SIESRecord
 from repro.errors import ParameterError, SimulationError
 from repro.network.channel import Channel, EdgeClass
@@ -149,7 +150,12 @@ def test_lost_ack_causes_spurious_retransmit_but_single_delivery() -> None:
     plan = FaultPlan.lossless()
     policy = RetransmitPolicy(max_retries=2, ack_timeout=5.0, jitter=0.0)
     injector = KeyedFaultInjector(plan, seed=0)
-    injector.ack_verdict = lambda *coordinate: True  # type: ignore[method-assign]
+    keyed = injector.data_verdict
+
+    def acks_lost(*coordinate) -> KeyedVerdict:
+        return keyed(*coordinate)._replace(ack_lost=True)
+
+    injector.data_verdict = acks_lost  # type: ignore[method-assign]
     scheduler, transport, delivered = make_transport(plan, policy, injector=injector)
     parcel = send_one(transport)
     scheduler.run()
@@ -269,9 +275,9 @@ def contract_transport(
     puts: list[tuple[int, int]] = []
     finished: list = []
 
-    def put(parcel: Parcel, frame: bytes, attempt: int, copies: int) -> None:
-        puts.append((attempt, copies))
-        for _ in range(copies if echo else 0):
+    def put(parcel: Parcel, frame: bytes, attempt: int, verdict: KeyedVerdict) -> None:
+        puts.append((attempt, verdict.copies))
+        for _ in range(verdict.copies if echo else 0):
             sender, receiver, edge, uid = parcel.sender, parcel.receiver, parcel.edge, parcel.uid
             if transport.receive(sender, receiver, edge, uid, attempt, lambda: parcel.message):
                 transport.ack(sender, edge, uid)
@@ -366,10 +372,10 @@ class ScriptedInjector(KeyedFaultInjector):
 
     def data_verdict(self, sender, receiver, edge, uid, attempt) -> KeyedVerdict:
         copies = self.data[attempt]
-        return KeyedVerdict(lost=copies == 0, copies=copies)
-
-    def ack_verdict(self, sender, receiver, edge, uid, attempt) -> bool:
-        return self.acks_lost[attempt]
+        return KeyedVerdict(
+            lost=copies == 0, copies=copies, latencies=(0.0, 0.0),
+            ack_lost=self.acks_lost[attempt], ack_latency=0.0, jitter=0.0,
+        )
 
 
 def echo_transport(
@@ -517,17 +523,50 @@ def test_unknown_disposition_is_rejected() -> None:
         transport.receive(0, 1, EDGE, 1, 0, _message)
 
 
-def test_backoff_grows_per_attempt_and_jitter_is_per_link() -> None:
+def test_an_ack_timeout_is_a_pure_function_of_its_coordinate() -> None:
+    """Two pipelined epochs on one link get the same ACK timeouts in
+    either send order: the jitter is keyed by the attempt, not drawn
+    from a stream the link's other parcels advance."""
     policy = RetransmitPolicy(max_retries=3, ack_timeout=10.0, backoff=2.0, jitter=0.5)
     lossy = KeyedFaultInjector(FaultPlan.uniform_loss(1.0), seed=0)
-    timer, transport, _, _ = echo_transport(lossy, policy)
-    drive(timer, transport)
-    timeouts = [handle.delay for handle in timer.handles]
-    assert len(timeouts) == 4
-    for attempt, timeout in enumerate(timeouts):
+
+    def timeouts(order: tuple[int, int]) -> dict[tuple[int, int], float]:
+        timer, transport, events, _ = echo_transport(lossy, policy)
+        for epoch in order:
+            send_one(transport, epoch=epoch)
+        while timer.armed():
+            timer.fire_next()
+        attempts = [(attrs["uid"], attrs["attempt"]) for kind, attrs in events if kind == "attempt"]
+        return dict(zip(attempts, (handle.delay for handle in timer.handles), strict=True))
+
+    forward, backward = timeouts((1, 2)), timeouts((2, 1))
+    assert len(forward) == 8
+    assert forward == backward
+    for (uid, attempt), timeout in forward.items():
         base = 10.0 * 2.0**attempt
-        assert base <= timeout <= base * 1.5
-    # A fresh transport on the same seed replays the same per-link stream.
-    again, replay, _, _ = echo_transport(lossy, policy)
-    drive(again, replay)
-    assert [handle.delay for handle in again.handles] == timeouts
+        jitter = lossy.data_verdict(0, 1, EDGE, uid, attempt).jitter
+        assert timeout == policy.timeout_for(attempt, jitter)
+        assert base <= timeout < base * 1.5
+    assert forward[(1, 0)] != forward[(2, 0)]
+
+
+def test_the_runtime_hashes_once_per_attempt(monkeypatch: pytest.MonkeyPatch) -> None:
+    """One keyed digest per attempt: the arrival and ACK events reuse the
+    verdict their attempt drew."""
+    digests = []
+    keyed_uniforms = faults.keyed_uniforms
+
+    def counted(key: bytes, label: bytes, n: int) -> tuple[float, ...]:
+        digests.append(label)
+        return keyed_uniforms(key, label, n)
+
+    monkeypatch.setattr(faults, "keyed_uniforms", counted)
+    plan = FaultPlan.uniform_loss(0.4, duplicate_rate=0.3, latency=1.0, jitter=1.0)
+    scheduler, transport, _ = make_transport(plan, RetransmitPolicy(max_retries=6), seed=3)
+    for epoch in range(1, 31):
+        send_one(transport, epoch=epoch)
+    scheduler.run()
+    c = transport.ledger.edge(EDGE)
+    assert c.retransmissions and c.dup_copies and c.acks_dropped  # every path ran
+    assert len(digests) == c.attempts == len(set(digests))
+    transport.ledger.check_conservation()

@@ -146,6 +146,35 @@ def test_parser_rejects_unknown(capsys) -> None:
         build_parser().parse_args([])
 
 
+#: Every time flag: (command, flag, whether 0 is a valid value).
+TIME_FLAGS = [
+    ("runtime", "--latency", True),
+    ("runtime", "--ack-timeout", False),
+    ("cluster", "--hold-time", False),
+    ("cluster", "--querier-slack", True),
+    ("cluster", "--ack-timeout", False),
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(("command", "flag", "zero_ok"), TIME_FLAGS)
+def test_bad_time_flags_are_usage_errors(
+    capsys, command: str, flag: str, zero_ok: bool, value: str
+) -> None:
+    """A bad time value is an argparse usage error (exit 2) naming the flag,
+    raised before anything runs, never a traceback."""
+    if value == "0" and zero_ok:
+        args = build_parser().parse_args([command, flag, value])
+        assert getattr(args, flag[2:].replace("-", "_")) == 0.0
+        return
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a finite number" in err
+    assert "Traceback" not in err
+
+
 def test_trace_command_records_and_writes_jsonl(tmp_path, capsys) -> None:
     out_path = tmp_path / "runtime.jsonl"
     assert main(["trace", "--substrate", "runtime", "--sources", "8", "--fanout", "2",

@@ -145,7 +145,9 @@ class SECOAMaxAggregator(AggregatorRole):
                     f"PSR epoch header {psr.epoch} does not match current epoch {epoch}"
                 )
             records.append(psr)
-        best = max(records, key=lambda r: r.value)
+        # Tied maxima go to the lowest source id: the winner, and so the
+        # certificate the querier checks, never depends on arrival order.
+        best = max(records, key=lambda r: (r.value, -r.winner))
         folded = self._seals.roll_and_fold(
             (r.seal for r in records), best.value, ops=self._ops
         )

@@ -30,8 +30,9 @@ retransmissions (the ARQ encodes once per parcel, exactly like
 :class:`repro.runtime.transport.Parcel`); only the envelope's 1-byte
 attempt counter changes per retry — the moral equivalent of a MAC-layer
 retry flag.  The attempt counter keys the deterministic fault schedule
-(:mod:`repro.cluster.faults`); like every frame header field it is
-plaintext transport metadata, and no protocol derives security from it.
+(:class:`repro.runtime.faults.KeyedFaultInjector`); like every frame
+header field it is plaintext transport metadata, and no protocol derives
+security from it.
 
 Decoding raises only the typed :class:`~repro.errors.WireDecodeError`
 family.  The inner frame bytes are *not* validated here: a corrupted

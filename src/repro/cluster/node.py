@@ -278,7 +278,8 @@ class ClusterNode:
         """Write the verdict's copies of one attempt's *frame* on the uplink.
 
         The keyed schedule chose how many, so what TCP delivers is its
-        decision, whatever the loop's timing (see :mod:`repro.cluster.faults`).
+        decision, whatever the loop's timing (see
+        :class:`repro.runtime.faults.KeyedFaultInjector`).
         """
         if self._parent is None:
             raise SimulationError(f"node {self.node_id} has no uplink to send on")

@@ -99,9 +99,11 @@ class ClusterConfig:
     #: Per-hop ARQ shape, in real seconds.
     policy: RetransmitPolicy = field(default_factory=_default_policy)
     #: What the stream layer does to envelopes (loss, duplication,
-    #: epoch-windowed bursts and outages — see repro.cluster.faults).
+    #: epoch-windowed bursts and outages — the keyed schedule of
+    #: repro.runtime.faults.KeyedFaultInjector).
     plan: FaultPlan = field(default_factory=FaultPlan)
-    #: Seed for the fault schedule and backoff jitter streams.
+    #: Seed of the keyed fault schedule (one digest per attempt, its
+    #: backoff jitter included).
     seed: int = 0
     #: When False, querier evaluation is skipped (pure transport runs).
     evaluate: bool = True

@@ -10,32 +10,37 @@ Each epoch (paper Section III-B):
 3. the querier runs the **evaluation** phase on the PSR received from
    the sink; security exceptions are recorded, not swallowed silently.
 
-The simulator drives the clock-free epoch machine of
-:mod:`repro.runtime.epoch` — the one the event runtime and the TCP
-cluster drive — in zero time.  Its querier is told the reporting subset
-by the plan (the paper's reported failures), never by what was merged,
-so a PSR dropped below the root ends in a rejected epoch, not a smaller
-SUM.  Op counts, traffic per edge class and (optionally) radio energy
-accumulate into the run's :class:`~repro.runtime.metrics.RunMetrics`; every hop is
-reported to the optional ``observer`` as ``attempt`` then ``deliver``,
+The simulator runs :class:`~repro.runtime.epoch.EpochDriver` — the one
+epoch driver of the event runtime and the TCP cluster — in zero time:
+its timer reads 0 and keeps the armed deadlines in a list, its network
+is a FIFO queue of hops, and every queued hop is carried through the
+channel before the next deadline fires.  Its querier is told the
+reporting subset by the plan (the paper's reported failures), never by
+what was merged, so a PSR dropped below the root ends in a rejected
+epoch, not a smaller SUM.  Op counts, traffic per edge class and
+(optionally) radio energy accumulate into the run's
+:class:`~repro.runtime.metrics.RunMetrics`; every hop is reported to
+the optional ``observer`` as ``attempt`` then ``deliver``,
 ``decode_failure`` (a copy hold-and-wait refused) or ``drop`` — the
 hop-event stream of the runtime and the cluster.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.network.channel import Channel
 from repro.network.energy import EnergyLedger, EnergyModel
+from repro.network.ledger import EdgeClass
 from repro.network.messages import QUERIER_NODE_ID, DataMessage, Workload
 from repro.network.topology import AggregationTree
 from repro.protocols.base import OpCounter, PartialStateRecord, SecureAggregationProtocol
-from repro.runtime.epoch import EpochPlanner, HoldAndWait, settle_final, settle_lost
+from repro.runtime.epoch import EpochDriver, EpochPlanner
 from repro.runtime.faults import FaultPlan, NodeOutage
-from repro.runtime.transport import DECODE_FAILURE, DELIVERED, TransportObserver, emit_hop
+from repro.runtime.transport import DECODE_FAILURE, TransportObserver, emit_hop
 from repro.runtime.metrics import EpochRecord, RunMetrics
 from repro.utils.validation import check_positive_int
 
@@ -99,24 +104,31 @@ class NetworkSimulator:
         self.source_ops = OpCounter()
         self.aggregator_ops = OpCounter()
         self.querier_ops = OpCounter()
-        self._sources = {
-            sid: protocol.create_source(sid, ops=self.source_ops) for sid in tree.source_ids
-        }
-        self._mergers = {
-            aid: HoldAndWait(
-                aid,
-                protocol.create_aggregator(ops=self.aggregator_ops),
-                is_root=(aid == tree.root_id),
-            )
-            for aid in tree.aggregator_ids
-        }
-        self._querier = protocol.create_querier(ops=self.querier_ops)
-        self._planner = EpochPlanner(
-            tree,
-            hold_time=0.0,
-            querier_slack=0.0,
-            failed_sources=self.config.failed_sources,
-            faults=FaultPlan(),
+        # The zero-time timer and network: deadlines in arm order, hops
+        # (the driver's send arguments) in send order; see _execute_epoch.
+        self._deadlines: list[Callable[[], None]] = []
+        self._hops: deque[tuple] = deque()
+        self._driver = EpochDriver(
+            EpochPlanner(
+                tree,
+                hold_time=0.0,
+                querier_slack=0.0,
+                failed_sources=self.config.failed_sources,
+                faults=FaultPlan(),
+            ),
+            workload,
+            sources={
+                sid: protocol.create_source(sid, ops=self.source_ops) for sid in tree.source_ids
+            },
+            aggregators={
+                aid: protocol.create_aggregator(ops=self.aggregator_ops)
+                for aid in tree.aggregator_ids
+            },
+            querier=protocol.create_querier(ops=self.querier_ops),
+            now=lambda: 0.0,
+            call_later=lambda _delay, fn: self._deadlines.append(fn),
+            send=lambda *hop: self._hops.append(hop),
+            evaluate=self.config.evaluate,
         )
         self._energy = (
             EnergyLedger(self.config.energy_model) if self.config.energy_model else None
@@ -128,10 +140,10 @@ class NetworkSimulator:
 
     def fail_source_at(self, source_id: int, epochs: Iterable[int]) -> None:
         """Mark *source_id* as failed (and reported) for the given epochs."""
-        if source_id not in self._sources:
+        if source_id not in self._driver.sources:
             raise SimulationError(f"unknown source {source_id}")
         outages = tuple(NodeOutage(source_id, epoch, epoch) for epoch in epochs)
-        self._planner.faults.outages += outages
+        self._driver.planner.faults.outages += outages
 
     # ------------------------------------------------------------------
     # Execution
@@ -178,51 +190,50 @@ class NetworkSimulator:
         return self._execute_epoch(epoch)
 
     def _execute_epoch(self, epoch: int) -> EpochRecord:
-        """One epoch's work, accounted into the channel's current ledger."""
-        plan = self._planner.plan(epoch)
-        for aid, expected in plan.expected.items():
-            self._mergers[aid].open(epoch, expected)
-        for sid in self.tree.source_ids:
-            if sid in plan.attempted:
-                psr = self._sources[sid].initialize(epoch, self.workload(sid, epoch))
-                self._send(sid, epoch, psr)
-        final = None
-        for aid in plan.expected:  # bottom-up, so the root closes last
-            forward = self._mergers[aid].close(epoch)
-            if forward is not None:
-                final = self._send(aid, epoch, forward[0])
-        if final is None:
-            return settle_lost(epoch, attempted=plan.attempted, pre_failed=plan.pre_failed)
-        return settle_final(
-            self._querier,
-            epoch,
-            final,
-            attempted=plan.attempted,
-            manifest=plan.attempted,
-            pre_failed=plan.pre_failed,
-            num_sources=self.tree.num_sources,
-            evaluate=self.config.evaluate,
-        )
+        """One epoch in zero time, accounted into the channel's current ledger.
 
-    def _send(
-        self, sender: int, epoch: int, psr: PartialStateRecord
-    ) -> PartialStateRecord | None:
-        """One hop up the tree, radio energy charged; the PSR, when it
-        reached the querier.
+        Every deadline is at offset 0, so they fire in the order the
+        driver armed them: live aggregators bottom-up, then the querier's
+        expiry.  Before each one fires, every queued hop is delivered, so
+        no copy is ever late.  The settled record is taken out of the
+        driver, so the epoch can run again.
+        """
+        driver = self._driver
+        driver.start(epoch)
+        deadlines, self._deadlines = self._deadlines, []
+        hops = self._hops
+        for deadline in deadlines:
+            while hops:  # including the forwards these deliveries queue
+                self._hop(*hops.popleft())
+            deadline()
+        return driver.querier.records.pop(epoch)
 
-        A PSR delivered to an aggregator goes into its hold-and-wait inbox
-        with an empty manifest: the plan, not the merge, names the
-        reporting subset here.  The observer hears ``attempt``, then
+    def _hop(
+        self,
+        sender: int,
+        receiver: int,
+        edge: EdgeClass,
+        epoch: int,
+        psr: PartialStateRecord,
+        _manifest: frozenset[int],
+    ) -> None:
+        """One queued hop up the tree, radio energy charged.
+
+        The driver's manifest is not used: a PSR delivered to an
+        aggregator goes into its hold-and-wait inbox with an empty
+        manifest, and only the A-Q hop carries one, the epoch's attempted
+        sources — the plan, not the merge, names the reporting subset
+        here.  The observer hears ``attempt``, then
         ``drop`` (the channel returned nothing) or the disposition the
         receiver gave the copy: ``deliver``, or ``decode_failure`` for a
         copy hold-and-wait refused.
         """
-        receiver, edge = self._planner.uplink[sender]
         message = DataMessage(sender, receiver, epoch, psr)
+        to_querier = receiver == QUERIER_NODE_ID
         if self._energy is not None:
             size = message.wire_size()
             self._energy.on_transmit(sender, size, self.tree.node(sender).link_distance_m)
-            if receiver != QUERIER_NODE_ID:
+            if not to_querier:
                 self._energy.on_receive(receiver, size)
         observer = self.config.observer
         if observer is not None:
@@ -232,18 +243,15 @@ class NetworkSimulator:
         if delivered is None:
             if observer is not None:
                 emit_hop(observer, "drop", *hop, cause="channel")
-            return None
-        if receiver == QUERIER_NODE_ID:
-            disposition = DELIVERED
-        else:
-            disposition, _ = self._mergers[receiver].offer(epoch, delivered.psr, frozenset())
-            if disposition == DECODE_FAILURE:
-                # Refused for a forged header epoch.  No ARQ counts arrivals
-                # here, so the receiver half's counter takes it.
-                self.channel.ledger.edge(edge).channel_decode_failures += 1
+            return
+        manifest = self._driver.planner.plan(epoch).attempted if to_querier else frozenset()
+        disposition = self._driver.deliver(receiver, epoch, delivered.psr, manifest)
+        if disposition == DECODE_FAILURE:
+            # Refused for a forged header epoch.  No ARQ counts arrivals
+            # here, so the receiver half's counter takes it.
+            self.channel.ledger.edge(edge).channel_decode_failures += 1
         if observer is not None:
             emit_hop(observer, disposition, *hop)
-        return delivered.psr if receiver == QUERIER_NODE_ID else None
 
 
 def naive_collection_traffic(

@@ -23,27 +23,31 @@ touches a socket of its own:
   arrival order and forwards the merged PSR with the union of the
   manifests;
 * :class:`QuerierEpochs` — the querier's side: the final PSR settles its
-  epoch (:func:`settle_final`), the deadline settles an unsettled one as
-  lost (:func:`settle_lost`), and anything later is late;
-* :func:`settled_epochs` — the run's :class:`EpochRecord` list, with every
-  late first copy of an epoch's traffic folded into that epoch;
+  epoch (:meth:`~QuerierEpochs.offer`: evaluated over the subset its
+  manifest names), the deadline settles an unsettled one as lost
+  (:meth:`~QuerierEpochs.expire`), and anything later is late;
 * :class:`EpochDriver` — the one driver of all of the above on a timer:
   it starts each epoch, arms its deadlines, hands every first copy to
-  its receiver's machine and routes every forward up the tree.
+  its receiver's machine and routes every forward up the tree;
+  :meth:`~EpochDriver.records` is the run's :class:`EpochRecord` list,
+  with every late first copy of an epoch's traffic folded into that epoch.
 
-The event runtime (:class:`~repro.runtime.simulator.RuntimeSimulator`)
-and the TCP cluster (:mod:`repro.cluster.orchestrator`) both run on
-:class:`EpochDriver`; only the timer (the scheduler's logical clock, or
-the running asyncio loop) and the ``send`` callable (the one per-hop
-ARQ, over scheduler events or a socket) differ.  The analytic simulator walks the same
-machine bottom-up in zero time.  Times enter the machine only as
-arguments (``started_at``, ``now``) to stamp completion latencies.
+All three substrates run on :class:`EpochDriver`; only the timer and
+the ``send`` callable differ.  The event runtime
+(:class:`~repro.runtime.simulator.RuntimeSimulator`) hands it the
+scheduler's logical clock and the per-hop ARQ over scheduler events; the
+TCP cluster (:mod:`repro.cluster.orchestrator`) the running asyncio loop
+and the ARQ over sockets; the analytic
+:class:`~repro.network.simulator.NetworkSimulator` a zero-time timer
+(every deadline at offset 0, fired in arm order) and a FIFO queue of
+hops.  Times enter the machine only as arguments (``started_at``,
+``now``) to stamp completion latencies.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -66,9 +70,6 @@ __all__ = [
     "EpochPlanner",
     "HoldAndWait",
     "QuerierEpochs",
-    "settle_final",
-    "settle_lost",
-    "settled_epochs",
     "EpochDriver",
 ]
 
@@ -172,8 +173,10 @@ class HoldAndWait:
         self.node_id = node_id
         self.role = role
         self.is_root = is_root
-        #: epoch → (expected contributions, [(psr, manifest), ...] in arrival order).
-        self._inboxes: dict[int, tuple[int, list[tuple[PartialStateRecord, frozenset[int]]]]] = {}
+        #: epoch → (expected contributions, PSRs, their manifests), in arrival order.
+        self._inboxes: dict[
+            int, tuple[int, list[PartialStateRecord], list[frozenset[int]]]
+        ] = {}
         #: epoch → first copies classified late here.
         self.late: Counter[int] = Counter()
 
@@ -181,7 +184,7 @@ class HoldAndWait:
         """Open the epoch's inbox; it closes once, at :meth:`close`."""
         if epoch in self._inboxes:
             raise SimulationError(f"aggregator {self.node_id} already opened epoch {epoch}")
-        self._inboxes[epoch] = (expected, [])
+        self._inboxes[epoch] = (expected, [], [])
 
     def offer(
         self, epoch: int, psr: "PartialStateRecord", manifest: frozenset[int]
@@ -199,9 +202,10 @@ class HoldAndWait:
         if inbox is None:
             self.late[epoch] += 1
             return LATE, False
-        expected, received = inbox
-        received.append((psr, manifest))
-        return DELIVERED, len(received) >= expected
+        expected, psrs, manifests = inbox
+        psrs.append(psr)
+        manifests.append(manifest)
+        return DELIVERED, len(psrs) >= expected
 
     def close(self, epoch: int) -> "tuple[PartialStateRecord, frozenset[int]] | None":
         """Merge what arrived: ``(merged PSR, manifest union)`` to forward.
@@ -210,66 +214,14 @@ class HoldAndWait:
         when the inbox is already closed.  The root also finalizes the
         merged PSR for the querier.
         """
-        _, received = self._inboxes.pop(epoch, (0, []))
-        if not received:
+        inbox = self._inboxes.pop(epoch, None)
+        if inbox is None or not inbox[1]:
             return None
-        merged = self.role.merge(epoch, [psr for psr, _ in received])
+        _, psrs, manifests = inbox
+        merged = self.role.merge(epoch, psrs)
         if self.is_root:
             merged = self.role.finalize_for_querier(merged)
-        return merged, frozenset().union(*(manifest for _, manifest in received))
-
-
-def settle_final(
-    querier: "QuerierRole",
-    epoch: int,
-    psr: "PartialStateRecord",
-    *,
-    attempted: frozenset[int],
-    manifest: frozenset[int],
-    pre_failed: frozenset[int],
-    num_sources: int,
-    evaluate: bool = True,
-) -> EpochRecord:
-    """Settle an epoch whose final PSR arrived carrying *manifest*.
-
-    The querier evaluates over the manifest's reporting subset; a
-    :class:`~repro.errors.SecurityError` rejects the epoch under its
-    class name instead of propagating.
-    """
-    recovery = EpochRecovery.from_final_manifest(
-        epoch, attempted=attempted, manifest=manifest, pre_failed=pre_failed
-    )
-    record = EpochRecord(epoch, recovery)
-    if evaluate:
-        try:
-            record.result = querier.evaluate(
-                epoch, psr, reporting_sources=recovery.reporting_subset(num_sources)
-            )
-        except SecurityError as exc:
-            record.security_failure = type(exc).__name__
-    return record
-
-
-def settle_lost(
-    epoch: int, *, attempted: frozenset[int], pre_failed: frozenset[int]
-) -> EpochRecord:
-    """Settle an epoch whose final PSR never reached the querier.
-
-    ``MessageLost`` (sources attempted but the network or an adversary
-    swallowed every path) stays distinct from ``NoResult`` (no source
-    attempted: all failed or down).  All three substrates settle lost
-    epochs here, so they draw the distinction alike.
-    """
-    recovery = EpochRecovery(
-        epoch=epoch,
-        attempted=attempted,
-        survivors=frozenset(),
-        pre_failed=pre_failed,
-        converged=False,
-    )
-    return EpochRecord(
-        epoch, recovery, security_failure="MessageLost" if attempted else "NoResult"
-    )
+        return merged, frozenset().union(*manifests)
 
 
 class QuerierEpochs:
@@ -302,52 +254,60 @@ class QuerierEpochs:
     def offer(
         self, epoch: int, psr: "PartialStateRecord", manifest: frozenset[int], *, now: float
     ) -> str:
-        """Settle the epoch from its final PSR; a later copy is :data:`LATE`."""
+        """Settle the epoch from its final PSR; a later copy is :data:`LATE`.
+
+        The *manifest* the final PSR carries **is** the reporting subset
+        ``R`` the querier evaluates over.  A
+        :class:`~repro.errors.SecurityError` rejects the epoch under its
+        class name instead of propagating.
+        """
         pending = self._open.pop(epoch, None)
         if pending is None:
             self.late[epoch] += 1
             return LATE
         attempted, pre_failed, started_at = pending
-        record = settle_final(
-            self.role,
-            epoch,
-            psr,
+        recovery = EpochRecovery(
+            epoch=epoch,
             attempted=attempted,
-            manifest=manifest,
+            survivors=manifest,
             pre_failed=pre_failed,
-            num_sources=self.num_sources,
-            evaluate=self.evaluate,
+            converged=True,
         )
-        record.completion_latency = now - started_at
+        record = EpochRecord(epoch, recovery, completion_latency=now - started_at)
+        if self.evaluate:
+            try:
+                record.result = self.role.evaluate(
+                    epoch, psr, reporting_sources=recovery.reporting_subset(self.num_sources)
+                )
+            except SecurityError as exc:
+                record.security_failure = type(exc).__name__
         self.records[epoch] = record
         return DELIVERED
 
     def expire(self, epoch: int) -> EpochRecord:
-        """The deadline passed: settle the epoch as lost unless it settled."""
+        """The deadline passed: settle the epoch as lost unless it settled.
+
+        ``MessageLost`` (sources attempted but the network or an adversary
+        swallowed every path) stays distinct from ``NoResult`` (no source
+        attempted: all failed or down).
+        """
         pending = self._open.pop(epoch, None)
         if pending is not None:
             attempted, pre_failed, _ = pending
-            self.records[epoch] = settle_lost(epoch, attempted=attempted, pre_failed=pre_failed)
+            recovery = EpochRecovery(
+                epoch=epoch,
+                attempted=attempted,
+                survivors=frozenset(),
+                pre_failed=pre_failed,
+                converged=False,
+            )
+            self.records[epoch] = EpochRecord(
+                epoch, recovery, security_failure="MessageLost" if attempted else "NoResult"
+            )
         record = self.records.get(epoch)
         if record is None:
             raise SimulationError(f"querier never opened epoch {epoch}")
         return record
-
-
-def settled_epochs(querier: QuerierEpochs, mergers: Iterable[HoldAndWait]) -> list[EpochRecord]:
-    """Every settled epoch in epoch order, with the run's late copies folded in.
-
-    Called once the run drained, so stragglers that landed after their
-    epoch settled count too: Σ ``late_arrivals`` equals the hop ledger's
-    ``late_frames``.
-    """
-    late = Counter(querier.late)
-    for merger in mergers:
-        late.update(merger.late)
-    records = [querier.records[epoch] for epoch in sorted(querier.records)]
-    for record in records:
-        record.late_arrivals = late[record.epoch]
-    return records
 
 
 #: ``send(sender, receiver, edge, epoch, psr, manifest)``: put one PSR on
@@ -431,8 +391,20 @@ class EpochDriver:
         return disposition
 
     def records(self) -> list[EpochRecord]:
-        """Every settled epoch, late copies folded in (see :func:`settled_epochs`)."""
-        return settled_epochs(self.querier, self.mergers.values())
+        """Every settled epoch in epoch order, with the run's late copies folded in.
+
+        Called once the run drained, so stragglers that landed after their
+        epoch settled count too: Σ ``late_arrivals`` equals the hop ledger's
+        ``late_frames``.
+        """
+        late = Counter(self.querier.late)
+        for merger in self.mergers.values():
+            late.update(merger.late)
+        settled = self.querier.records
+        records = [settled[epoch] for epoch in sorted(settled)]
+        for record in records:
+            record.late_arrivals = late[record.epoch]
+        return records
 
     def _merge(self, epoch: int, aid: int) -> None:
         forward = self.mergers[aid].close(epoch)

@@ -50,30 +50,6 @@ class EpochRecovery:
                 "never attempted to report — manifest corruption"
             )
 
-    @classmethod
-    def from_final_manifest(
-        cls,
-        epoch: int,
-        *,
-        attempted: frozenset[int],
-        manifest: frozenset[int],
-        pre_failed: frozenset[int],
-    ) -> "EpochRecovery":
-        """Recovery verdict for an epoch whose final PSR arrived.
-
-        The *manifest* carried by that PSR **is** the reporting subset
-        ``R`` — what was actually merged, not what senders believe was
-        delivered — shared by both runtimes so their verdicts can be
-        compared verbatim in the differential tests.
-        """
-        return cls(
-            epoch=epoch,
-            attempted=attempted,
-            survivors=manifest,
-            pre_failed=pre_failed,
-            converged=True,
-        )
-
     @property
     def lost(self) -> frozenset[int]:
         """Sources whose PSR was swallowed by the network this epoch."""

@@ -36,7 +36,17 @@ def test_exact_max_with_winner(protocol: SECOAMaxProtocol) -> None:
     result = protocol.create_querier().evaluate(1, final)
     assert result.value == 17
     assert result.verified
-    assert result.extras["winner"] in (1, 3)  # either 17-holder
+    assert result.extras["winner"] == 1  # the lower id of the two 17-holders
+
+
+def test_tied_maxima_merge_alike_in_any_order(protocol: SECOAMaxProtocol) -> None:
+    """Tied maxima go to the lowest source id, whatever the arrival order."""
+    epoch = 10
+    high, low = (protocol.create_source(i).initialize(epoch, 17) for i in (4, 2))
+    agg = protocol.create_aggregator()
+    merged = agg.merge(epoch, [high, low])
+    assert merged == agg.merge(epoch, [low, high])
+    assert merged.winner == 2
 
 
 def test_hierarchical_merge_matches_flat(protocol: SECOAMaxProtocol) -> None:

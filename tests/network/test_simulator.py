@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.attacks.adversary import DropAttack
 from repro.core.protocol import SIESProtocol
 from repro.datasets.workload import UniformWorkload
 from repro.errors import SimulationError
@@ -11,6 +12,7 @@ from repro.network.channel import EdgeClass
 from repro.network.energy import FirstOrderRadioModel
 from repro.network.simulator import NetworkSimulator, SimulationConfig
 from repro.network.topology import build_complete_tree, build_random_tree
+from repro.obs import TraceRecorder
 
 N = 16
 
@@ -153,6 +155,39 @@ def test_nothing_sent_records_no_result(setup) -> None:
     assert em.result is None
     assert em.security_failure == "NoResult"
     assert em.sources_reporting == 0
+
+
+def test_dropped_forward_rejects_every_epoch_and_nothing_is_late(setup) -> None:
+    """Zero-time order: every forward queued before a deadline is
+    delivered before that deadline fires.
+
+    A dropped A-A forward leaves the root's inbox incomplete until its
+    deadline.  The plan, not the merge, names the reporting subset, so
+    the querier checks the PSR against every attempted source and
+    rejects it.  Had a deadline fired before a sibling's forward was
+    delivered, that forward would be late, or the root would forward twice.
+    The settled record leaves the epoch machine, so an epoch runs again.
+    """
+    protocol, tree, workload = setup
+    recorder = TraceRecorder(substrate="network")
+    config = SimulationConfig(num_epochs=3, observer=recorder)
+    sim = NetworkSimulator(protocol, tree, workload, config)
+    sim.channel.add_interceptor(
+        DropAttack(
+            sender_ids=frozenset({tree.parent(0)}),
+            edge_class=EdgeClass.AGGREGATOR_TO_AGGREGATOR,
+        )
+    )
+    metrics = sim.run()
+    for em in metrics.epochs:
+        assert em.result is None and em.security_failure == "VerificationFailure"
+        assert em.sources_reporting == N
+        assert em.late_arrivals == 0
+        final = recorder.filter(epoch=em.epoch, edge="A-Q", kinds=("attempt",))
+        assert len(final) == 1
+    assert recorder.filter(kinds=("drop",))
+    assert not recorder.filter(kinds=("late",))
+    assert sim.run_epoch(2) == sim.run_epoch(2) == metrics.epochs[1]
 
 
 def test_message_lost_parity_across_run_modes(setup) -> None:

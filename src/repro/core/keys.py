@@ -20,6 +20,12 @@ evaluation, and every later epoch costs only the HMAC of the 8-byte
 epoch.  Constructing key material builds ``2N+1`` PRFs but hashes
 nothing, so setup cost does not grow with the keyed state.
 
+Each role call encodes its epoch once (:func:`~repro.crypto.prf.encode_epoch`)
+and passes those bytes to :meth:`~repro.crypto.prf.PRF.evaluate` for
+every derivation it makes: :meth:`SIESKeyMaterial.epoch_material` walks
+all of an epoch's contributors over one encoding, summing the pads and
+reducing the sum mod ``p`` once, at the end.
+
 :class:`SIESKeyMaterial` is the *querier's* view (it owns everything).
 Sources receive :class:`SourceKeys` — only ``(K, k_i, p)``, which is
 what the attack model assumes a compromised source can leak.
@@ -28,6 +34,7 @@ what the attack model assumes a compromised source can leak.
 from __future__ import annotations
 
 import secrets
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.crypto.prf import PRF, encode_epoch
@@ -42,15 +49,17 @@ __all__ = ["SourceKeys", "SIESKeyMaterial", "KEY_BYTES"]
 KEY_BYTES = 20
 
 
-def _temporal_int(prf: PRF, epoch: int, modulus: int, *, require_invertible: bool) -> int:
-    """``PRF(t)`` as an integer; optionally re-derived until non-zero mod p."""
-    value = bytes_to_int(prf.at_epoch(epoch))
+def _temporal_int(prf: PRF, encoded: bytes, modulus: int, *, require_invertible: bool) -> int:
+    """``PRF(t)`` as an integer for the encoded epoch *encoded*
+    (:func:`~repro.crypto.prf.encode_epoch`); optionally re-derived until
+    non-zero mod p."""
+    value = int.from_bytes(prf.evaluate(encoded), "big")
     if not require_invertible:
         return value
     retry = 0
     while value % modulus == 0:  # probability ~2^-256; loop for totality
         retry += 1
-        value = bytes_to_int(prf.evaluate(encode_epoch(epoch) + bytes([retry & 0xFF])))
+        value = int.from_bytes(prf.evaluate(encoded + bytes([retry & 0xFF])), "big")
     return value
 
 
@@ -133,10 +142,15 @@ class SIESKeyMaterial:
     def num_sources(self) -> int:
         return len(self.source_keys)
 
-    def keys_for_source(self, source_id: int) -> SourceKeys:
-        """The registration bundle delivered to source ``source_id``."""
+    def _check_source(self, source_id: int) -> int:
+        # Python's negative indexing would silently alias another source.
         if not 0 <= source_id < self.num_sources:
             raise KeyMaterialError(f"no key material for source {source_id}")
+        return source_id
+
+    def keys_for_source(self, source_id: int) -> SourceKeys:
+        """The registration bundle delivered to source ``source_id``."""
+        self._check_source(source_id)
         return SourceKeys(
             source_id=source_id,
             master_key=self.master_key,
@@ -150,12 +164,48 @@ class SIESKeyMaterial:
 
     def master_key_at(self, epoch: int) -> int:
         """``K_t`` as an invertible integer mod ``p`` (one HM256)."""
-        return _temporal_int(self._master_prf, epoch, self.p, require_invertible=True)
+        return _temporal_int(
+            self._master_prf, encode_epoch(epoch), self.p, require_invertible=True
+        )
 
     def source_pad_at(self, source_id: int, epoch: int) -> int:
         """``k_i,t`` as an integer (one HM256)."""
-        return bytes_to_int(self._pad_prfs[source_id].at_epoch(epoch))
+        return bytes_to_int(self._pad_prfs[self._check_source(source_id)].at_epoch(epoch))
 
     def share_digest_at(self, source_id: int, epoch: int) -> bytes:
         """``ss_i,t`` digest bytes (one HM1); layouts truncate as needed."""
-        return self._share_prfs[source_id].at_epoch(epoch)
+        return self._share_prfs[self._check_source(source_id)].at_epoch(epoch)
+
+    def epoch_material(
+        self,
+        epoch: int,
+        contributors: Sequence[int] | None,
+        share_value: Callable[[bytes], int],
+    ) -> tuple[int, int, int]:
+        """``(K_t, Σ k_i,t mod p, Σ share_value(ss_i,t))`` over *contributors*.
+
+        One HM256 for ``K_t`` and one HM256 plus one HM1 per contributor,
+        all over a single encoding of *epoch*; the pad sum is reduced
+        mod ``p`` once, at the end.  ``None`` means every source.  The
+        ids are taken as given — the querier validates its reporting
+        subset up front — except that a subset reaching outside
+        ``[0, N)`` raises :class:`~repro.errors.KeyMaterialError`, checked
+        once for the whole subset rather than per derivation.
+        """
+        encoded = encode_epoch(epoch)
+        k_t = _temporal_int(self._master_prf, encoded, self.p, require_invertible=True)
+        if contributors is None:
+            pairs: Iterable[tuple[PRF, PRF]] = zip(self._pad_prfs, self._share_prfs)
+        else:
+            if contributors and (min(contributors) < 0 or max(contributors) >= self.num_sources):
+                raise KeyMaterialError(
+                    f"reporting subset reaches outside the {self.num_sources} keyed sources"
+                )
+            pad_prfs, share_prfs = self._pad_prfs, self._share_prfs
+            pairs = ((pad_prfs[sid], share_prfs[sid]) for sid in contributors)
+        pad_sum = 0
+        share_sum = 0
+        for pad_prf, share_prf in pairs:
+            pad_sum += int.from_bytes(pad_prf.evaluate(encoded), "big")
+            share_sum += share_value(share_prf.evaluate(encoded))
+        return k_t, pad_sum % self.p, share_sum

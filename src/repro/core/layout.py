@@ -9,11 +9,15 @@ Summing up to ``N = 2^pad_bits`` such integers keeps the value sums and
 share sums in disjoint bit ranges: share-sum carries spill into the pad,
 never into the value field.  Decoding the aggregate therefore splits it
 back into the exact SUM and the aggregated secret ``s_t`` (paper Fig. 3).
+
+The derived widths and bounds are computed once per layout, on first
+use, not on every encode, decode or truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.params import SIESParams
 from repro.errors import LayoutError, ParameterError
@@ -47,11 +51,11 @@ class MessageLayout:
 
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def total_bits(self) -> int:
         return self.value_bits + self.pad_bits + self.share_bits
 
-    @property
+    @cached_property
     def secret_bits(self) -> int:
         """Width of the pad+share region — the extracted ``s_t`` field.
 
@@ -59,25 +63,32 @@ class MessageLayout:
         """
         return self.pad_bits + self.share_bits
 
-    @property
+    @cached_property
     def max_value(self) -> int:
         return (1 << self.value_bits) - 1
 
-    @property
+    @cached_property
     def max_share(self) -> int:
         return (1 << self.share_bits) - 1
 
-    @property
+    @cached_property
     def aggregation_capacity(self) -> int:
         """How many messages may be summed before shares can overflow."""
         return 1 << self.pad_bits
+
+    @cached_property
+    def _share_slice(self) -> tuple[int, int]:
+        """``(bytes read, bits dropped)`` when a digest becomes a share."""
+        needed = (self.share_bits + 7) // 8
+        return needed, needed * 8 - self.share_bits
 
     # ------------------------------------------------------------------
 
     def encode(self, value: int, share: int) -> int:
         """Pack ``(value, share)`` into the plaintext integer ``m_i,t``."""
-        check_nonnegative_int("value", value)
-        check_nonnegative_int("share", share)
+        if type(value) is not int or type(share) is not int or value < 0 or share < 0:
+            check_nonnegative_int("value", value)
+            check_nonnegative_int("share", share)
         if value > self.max_value:
             raise LayoutError(
                 f"value {value} exceeds the {self.value_bits}-bit value field"
@@ -111,11 +122,10 @@ class MessageLayout:
         With the default 20-byte shares this is the identity on the
         digest; the share-size ablation keeps the leading bytes.
         """
-        needed = (self.share_bits + 7) // 8
+        needed, excess = self._share_slice
         if len(digest) < needed:
             raise ParameterError(
                 f"digest of {len(digest)} bytes cannot fill a {self.share_bits}-bit share"
             )
         share = int.from_bytes(digest[:needed], "big")
-        excess = needed * 8 - self.share_bits
         return share >> excess if excess else share

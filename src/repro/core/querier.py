@@ -18,6 +18,11 @@ reporting subset is validated up front — an empty subset, a duplicate
 source id, or an out-of-range id would make the decryption silently
 produce garbage, so all three raise :class:`~repro.errors.ProtocolError`
 instead.
+
+Step 1 is one :meth:`~repro.core.keys.SIESKeyMaterial.epoch_material`
+call: the epoch is encoded once for the whole evaluation, every
+contributor's pad and share is derived over those bytes, and the pad
+sum is reduced mod ``p`` once.
 """
 
 from __future__ import annotations
@@ -70,10 +75,15 @@ class SIESQuerier(QuerierRole):
         if not isinstance(psr, SIESRecord):
             raise ProtocolError(f"SIES querier received foreign PSR {type(psr).__name__}")
         contributors = self._validated_contributors(reporting_sources)
-        n = len(contributors)
+        n = self._keys.num_sources if contributors is None else len(contributors)
 
         # --- Recompute temporal material (N+1 HM256, N HM1) -------------
-        k_t, pad_sum, share_sum = self._temporal_material(epoch, contributors)
+        k_t, pad_sum, share_sum = self._keys.epoch_material(
+            epoch, contributors, self._layout.truncate_share
+        )
+        if self._ops is not None:
+            self._ops.add("hm256", n + 1)
+            self._ops.add("hm1", n)
 
         # --- Decrypt the aggregate ---------------------------------------
         k_t_inverse = modinv(k_t, self._p)
@@ -119,8 +129,10 @@ class SIESQuerier(QuerierRole):
     # Internals
     # ------------------------------------------------------------------
 
-    def _validated_contributors(self, reporting_sources: Sequence[int] | None) -> list[int]:
-        """The contributing source ids, validated against silent garbage.
+    def _validated_contributors(
+        self, reporting_sources: Sequence[int] | None
+    ) -> list[int] | None:
+        """The contributing source ids (``None``: all), validated against silent garbage.
 
         A wrong subset does not fail loudly on its own: the decryption
         simply subtracts the wrong pad sum and the share check rejects
@@ -130,7 +142,7 @@ class SIESQuerier(QuerierRole):
         """
         num_sources = self._keys.num_sources
         if reporting_sources is None:
-            return list(range(num_sources))
+            return None
         contributors = list(reporting_sources)
         if not contributors:
             raise ProtocolError("cannot evaluate an epoch with no reporting sources")
@@ -147,19 +159,3 @@ class SIESQuerier(QuerierRole):
                 )
             seen.add(source_id)
         return contributors
-
-    def _temporal_material(self, epoch: int, contributors: list[int]) -> tuple[int, int, int]:
-        """``(K_t, Σ k_i,t mod p, Σ truncated ss_i,t)`` for the epoch,
-        charging the full ``N+1`` HM256 / ``N`` HM1 derivation cost."""
-        keys = self._keys
-        truncate = self._layout.truncate_share
-        k_t = keys.master_key_at(epoch)
-        pad_sum = 0
-        share_sum = 0
-        for source_id in contributors:
-            pad_sum = (pad_sum + keys.source_pad_at(source_id, epoch)) % self._p
-            share_sum += truncate(keys.share_digest_at(source_id, epoch))
-        if self._ops is not None:
-            self._ops.add("hm256", len(contributors) + 1)
-            self._ops.add("hm1", len(contributors))
-        return k_t, pad_sum, share_sum

@@ -10,6 +10,11 @@ Per epoch, with reading ``v_i,t``:
    multiplication and one addition)
 
 — total cost ``2·C_HM256 + C_HM1 + C_M32 + C_A32``, the paper's Eq. 3.
+
+Each :meth:`SIESSource.initialize` call encodes its epoch once and
+feeds those bytes to all three HMACs, and charges the Eq. 3 counts in
+one :meth:`~repro.protocols.base.OpCounter.charge` of a cost bundle
+validated when the module loads.
 """
 
 from __future__ import annotations
@@ -18,14 +23,17 @@ from dataclasses import dataclass
 
 from repro.core.keys import SourceKeys, _temporal_int
 from repro.core.layout import MessageLayout
+from repro.crypto.prf import encode_epoch
 from repro.errors import LayoutError
-from repro.protocols.base import OpCounter, PartialStateRecord, SourceRole
-from repro.utils.bytesops import bytes_to_int
+from repro.protocols.base import OpCosts, OpCounter, PartialStateRecord, SourceRole
 
 __all__ = ["SIESRecord", "SIESSource"]
 
+#: One initialization's primitive operations, the paper's Eq. 3.
+_EQ3_COSTS = OpCosts(hm256=2, hm1=1, mul32=1, add32=1)
 
-@dataclass
+
+@dataclass(slots=True)
 class SIESRecord(PartialStateRecord):
     """A SIES PSR: one ciphertext residue mod ``p``.
 
@@ -79,16 +87,14 @@ class SIESSource(SourceRole):
                 f"reading {value} exceeds the {layout.value_bits}-bit value field"
             )
 
-        k_t = _temporal_int(self._master_prf, epoch, self._p, require_invertible=True)
-        k_it = bytes_to_int(self._pad_prf.at_epoch(epoch))
-        share = layout.truncate_share(self._share_prf.at_epoch(epoch))
+        encoded = encode_epoch(epoch)
+        k_t = _temporal_int(self._master_prf, encoded, self._p, require_invertible=True)
+        k_it = int.from_bytes(self._pad_prf.evaluate(encoded), "big")
+        share = layout.truncate_share(self._share_prf.evaluate(encoded))
 
         message = layout.encode(value, share)
         ciphertext = (k_t * message + k_it) % self._p
 
         if self._ops is not None:
-            self._ops.add("hm256", 2)
-            self._ops.add("hm1", 1)
-            self._ops.add("mul32", 1)
-            self._ops.add("add32", 1)
-        return SIESRecord(ciphertext=ciphertext, epoch=epoch, modulus_bytes=self._modulus_bytes)
+            self._ops.charge(_EQ3_COSTS)
+        return SIESRecord(ciphertext, epoch, self._modulus_bytes)

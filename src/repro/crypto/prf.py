@@ -18,7 +18,10 @@ per epoch.  :meth:`PRF.evaluate` makes two state copies and no other
 object: copy the inner state, ``update(message)``, ``digest``; copy the
 outer state, ``update(inner digest)``, ``digest``.  It is the single
 entry point of every derivation (:meth:`~PRF.at_epoch`,
-:meth:`~PRF.expand` and :meth:`~PRF.derive_key` all call it).  The
+:meth:`~PRF.expand` and :meth:`~PRF.derive_key` all call it).  The SIES
+roles (:mod:`repro.core.source`, :mod:`repro.core.keys`) encode the
+epoch once per role call with :func:`encode_epoch` and hand those bytes
+to :meth:`~PRF.evaluate` for each of their derivations.  The
 keyed states are built lazily, on the first evaluation, because setup
 builds far more PRFs (``2N+1`` in :class:`repro.core.keys.SIESKeyMaterial`,
 three per source) than a typical run evaluates right away.  The fill is
@@ -117,16 +120,15 @@ class PRF:
         digest of keystream (never on the paper's critical path).
         """
         check_positive_int("length", length)
-        blocks = []
-        counter = 0
-        while sum(len(b) for b in blocks) < length:
-            blocks.append(self.evaluate(message + int_to_bytes(counter, 4)))
-            counter += 1
-        return b"".join(blocks)[:length]
+        blocks = -(-length // self.output_size)
+        return b"".join(
+            self.evaluate(message + int_to_bytes(counter, 4)) for counter in range(blocks)
+        )[:length]
 
     def derive_key(self, label: str, length: int | None = None) -> bytes:
         """A labelled subkey ``F_K("derive" ∥ label)`` for domain separation."""
-        material = self.evaluate(b"derive:" + label.encode("utf-8"))
+        message = b"derive:" + label.encode("utf-8")
+        material = self.evaluate(message)
         if length is None or length == len(material):
             return material
-        return self.expand(b"derive:" + label.encode("utf-8"), length)
+        return self.expand(message, length)

@@ -26,9 +26,11 @@ lands, so a frame crosses a real socket between the two halves.
 Each attempt counts one message and its bytes twice:
 ``payload_bytes`` is the paper's *analytic* payload (``psr.wire_size()``,
 the Table V quantity), ``frame_bytes`` the **measured** ``len(frame)``.
-The channel cross-checks the two on every attempt
-(:meth:`~repro.wire.codec.PSRCodec.checked_frame_size`) so the analytic
-model can never silently drift from the bytes actually sent.
+The two are cross-checked once per frame, so the analytic model can
+never silently drift from the bytes actually sent: a frame the channel
+encodes is checked by :meth:`~repro.wire.codec.PSRCodec.encode` itself,
+and a frame handed in from outside (the ARQ layer's per-parcel
+encoding) by :meth:`~repro.wire.codec.PSRCodec.checked_frame_size`.
 
 The channel is where the threat model lives: the paper's adversary "may
 … infiltrate the wireless channel", so attacks in :mod:`repro.attacks`
@@ -127,16 +129,20 @@ class Channel:
         The PSR is encoded to its byte frame, or *frame* is sent verbatim
         when given (the ARQ layer passes its per-parcel encoding so
         retransmissions are byte-identical), then attacked at the byte
-        level.  Returns the frame the receiver gets, or ``None`` if a frame
-        interceptor dropped it.
+        level.  The size contract is checked once per frame: by the
+        codec's ``encode`` for a fresh frame, by ``checked_frame_size``
+        for a given one.  Returns the frame the receiver gets, or
+        ``None`` if a frame interceptor dropped it.
         """
         psr = message.psr
         counters = self.ledger.edge(edge_class)
         counters.messages += 1
         counters.payload_bytes += psr.wire_size()
         if frame is None:
-            frame = self.codec.encode(psr)
-        counters.frame_bytes += self.codec.checked_frame_size(psr, frame)
+            frame = self.codec.encode(psr)  # raises unless the size contract holds
+            counters.frame_bytes += len(frame)
+        else:
+            counters.frame_bytes += self.codec.checked_frame_size(psr, frame)
         attacked: bytes | None = frame
         for frame_interceptor in self._frame_interceptors:
             attacked = frame_interceptor(attacked, edge_class)

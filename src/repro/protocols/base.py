@@ -11,7 +11,8 @@ This module fixes those phase signatures as abstract roles plus a
 factory (:class:`SecureAggregationProtocol`) that performs the setup
 phase (key generation and distribution) and hands out role objects.
 It also defines :class:`OpCounter`, the operation-count ledger that
-backs the analytic cost models of Section V.
+backs the analytic cost models of Section V, and :class:`OpCosts`, a
+fixed bundle of counts a role validates once and charges per call.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "PartialStateRecord",
     "EvaluationResult",
     "OpCounter",
+    "OpCosts",
     "SourceRole",
     "AggregatorRole",
     "QuerierRole",
@@ -52,6 +54,9 @@ class PartialStateRecord(ABC):
     paper's communication model counts, cross-checked against the real
     encoding on every transmission.
     """
+
+    # No instance dict of its own, so a subclass may declare slots.
+    __slots__ = ()
 
     #: Epoch header (set by subclasses; plaintext metadata, untrusted).
     epoch: int
@@ -102,6 +107,30 @@ OP_NAMES = (
 )
 
 
+def _check_op(op: str, count: int) -> None:
+    if op not in OP_NAMES:
+        raise ParameterError(f"unknown operation {op!r}; expected one of {OP_NAMES}")
+    if count < 0:
+        raise ParameterError(f"operation count must be non-negative, got {count}")
+
+
+class OpCosts:
+    """A fixed bundle of operation counts, validated once when built.
+
+    A role whose per-call cost is constant (a SIES source's Eq. 3) builds
+    one and charges it with :meth:`OpCounter.charge` on every call, in
+    the order the counts were given.
+    """
+
+    __slots__ = ("items",)
+
+    def __init__(self, **counts: int) -> None:
+        for op, count in counts.items():
+            _check_op(op, count)
+        #: ``(operation, count)`` pairs, in the order given.
+        self.items: tuple[tuple[str, int], ...] = tuple(counts.items())
+
+
 @dataclass
 class OpCounter:
     """Ledger of primitive-operation counts for one party's work.
@@ -115,11 +144,14 @@ class OpCounter:
     counts: dict[str, int] = field(default_factory=dict)
 
     def add(self, op: str, count: int = 1) -> None:
-        if op not in OP_NAMES:
-            raise ParameterError(f"unknown operation {op!r}; expected one of {OP_NAMES}")
-        if count < 0:
-            raise ParameterError(f"operation count must be non-negative, got {count}")
+        _check_op(op, count)
         self.counts[op] = self.counts.get(op, 0) + count
+
+    def charge(self, costs: OpCosts) -> None:
+        """Add every count of *costs* (validated when it was built)."""
+        counts = self.counts
+        for op, count in costs.items:
+            counts[op] = counts.get(op, 0) + count
 
     def get(self, op: str) -> int:
         return self.counts.get(op, 0)

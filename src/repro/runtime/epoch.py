@@ -356,6 +356,9 @@ class EpochDriver:
         self._now = now
         self._call_later = call_later
         self._send = send
+        #: Source → the singleton manifest of its reports, built on its
+        #: first report rather than once per epoch.
+        self._manifests: dict[int, frozenset[int]] = {}
         #: Called once per epoch with its record, when it settles.
         self._on_settled = on_settled
 
@@ -365,12 +368,17 @@ class EpochDriver:
         plan = planner.plan(epoch)
         for aid, expected in plan.expected.items():
             self.mergers[aid].open(epoch, expected)
-        self.querier.open(epoch, plan.attempted, plan.pre_failed, started_at=self._now())
+        attempted = plan.attempted
+        self.querier.open(epoch, attempted, plan.pre_failed, started_at=self._now())
+        manifests = self._manifests
         for sid in planner.tree.source_ids:
-            if sid in plan.attempted:
+            if sid in attempted:
                 psr = self.sources[sid].initialize(epoch, self.workload(sid, epoch))
+                manifest = manifests.get(sid)
+                if manifest is None:
+                    manifest = manifests[sid] = frozenset((sid,))
                 receiver, edge = planner.uplink[sid]
-                self._send(sid, receiver, edge, epoch, psr, frozenset((sid,)))
+                self._send(sid, receiver, edge, epoch, psr, manifest)
         # Only live aggregators hold an inbox, so only they get a deadline.
         for aid in plan.expected:
             self._call_later(planner.merge_offset[aid], lambda a=aid: self._merge(epoch, a))

@@ -100,11 +100,7 @@ class SIESCodec(PSRCodec):
             raise PayloadFormatError(
                 f"SIES payload must be exactly {self.modulus_bytes} bytes, got {len(payload)}"
             )
-        return SIESRecord(
-            ciphertext=int.from_bytes(payload, "big"),
-            epoch=epoch,
-            modulus_bytes=self.modulus_bytes,
-        )
+        return SIESRecord(int.from_bytes(payload, "big"), epoch, self.modulus_bytes)
 
 
 class CMTCodec(PSRCodec):

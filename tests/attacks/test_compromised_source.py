@@ -14,7 +14,7 @@ import pytest
 from repro.core.keys import _temporal_int
 from repro.core.protocol import SIESProtocol
 from repro.crypto.modular import modinv
-from repro.crypto.prf import PRF
+from repro.crypto.prf import PRF, encode_epoch
 from repro.errors import VerificationFailure
 
 N = 8
@@ -40,7 +40,9 @@ def test_adversary_decrypts_only_its_own_psr(protocol, adversary_view) -> None:
     other_psr = protocol.create_source(0).initialize(epoch, 1234)
 
     # With K_t and its own k_{j,t} the adversary decrypts its own PSR...
-    k_t = _temporal_int(PRF(master_key, "sha256"), epoch, p, require_invertible=True)
+    k_t = _temporal_int(
+        PRF(master_key, "sha256"), encode_epoch(epoch), p, require_invertible=True
+    )
     own_pad = PRF(own_key, "sha256").int_at_epoch(epoch)
     own_plain = ((own_psr.ciphertext - own_pad) * modinv(k_t, p)) % p
     assert own_plain >> protocol.layout.secret_bits == 1234
@@ -63,7 +65,9 @@ def test_other_sources_ciphertexts_look_uniform_under_known_master_key(
     residues = []
     for epoch in range(1, 41):
         psr = protocol.create_source(0).initialize(epoch, 42)  # constant reading
-        k_t = _temporal_int(PRF(master_key, "sha256"), epoch, p, require_invertible=True)
+        k_t = _temporal_int(
+            PRF(master_key, "sha256"), encode_epoch(epoch), p, require_invertible=True
+        )
         residues.append((psr.ciphertext * modinv(k_t, p)) % p)
     assert len(set(residues)) == 40  # no repetition across epochs
     # spread over the field: top bytes take many distinct values
@@ -79,7 +83,9 @@ def test_adversary_cannot_forge_another_sources_contribution(protocol, adversary
     psrs = [protocol.create_source(i).initialize(epoch, 10) for i in range(N)]
     # Replace the victim's PSR with an adversary-crafted one that uses
     # ITS key material but claims the victim's slot.
-    k_t = _temporal_int(PRF(master_key, "sha256"), epoch, p, require_invertible=True)
+    k_t = _temporal_int(
+        PRF(master_key, "sha256"), encode_epoch(epoch), p, require_invertible=True
+    )
     own_pad = PRF(own_key, "sha256").int_at_epoch(epoch)
     fake_share = protocol.layout.truncate_share(PRF(own_key, "sha1").at_epoch(epoch))
     forged_message = protocol.layout.encode(999999, fake_share)

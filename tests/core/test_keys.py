@@ -103,5 +103,36 @@ def test_invertibility_retry_path_uses_warm_prf_state() -> None:
     warm = PRF(key, "sha256")
     warm.at_epoch(3)
     for prf in (warm, PRF(key, "sha256")):
-        assert _temporal_int(prf, 9, first, require_invertible=True) == expected
-        assert _temporal_int(prf, 9, first, require_invertible=False) == first
+        assert _temporal_int(prf, encode_epoch(9), first, require_invertible=True) == expected
+        assert _temporal_int(prf, encode_epoch(9), first, require_invertible=False) == first
+
+
+@pytest.mark.parametrize("source_id", [-1, -8, 8, 9])
+def test_temporal_derivations_reject_sources_outside_the_deployment(
+    material: SIESKeyMaterial, source_id: int
+) -> None:
+    """A negative id must not alias source ``N+id`` through Python's
+    negative indexing, and an id past the end is a key-material error,
+    like :meth:`SIESKeyMaterial.keys_for_source`, not a bare IndexError."""
+    with pytest.raises(KeyMaterialError):
+        material.source_pad_at(source_id, 1)
+    with pytest.raises(KeyMaterialError):
+        material.share_digest_at(source_id, 1)
+    with pytest.raises(KeyMaterialError):
+        material.keys_for_source(source_id)
+    with pytest.raises(KeyMaterialError):
+        material.epoch_material(1, [0, source_id], lambda digest: 0)
+
+
+@pytest.mark.parametrize("contributors", [None, [], [3], [7, 0, 5], list(range(8))])
+def test_epoch_material_equals_the_per_source_derivations(
+    material: SIESKeyMaterial, contributors: list[int] | None
+) -> None:
+    epoch = 11
+    ids = range(8) if contributors is None else contributors
+    share_value = lambda digest: int.from_bytes(digest, "big")
+    assert material.epoch_material(epoch, contributors, share_value) == (
+        material.master_key_at(epoch),
+        sum(material.source_pad_at(sid, epoch) for sid in ids) % P,
+        sum(share_value(material.share_digest_at(sid, epoch)) for sid in ids),
+    )

@@ -230,3 +230,27 @@ def test_two_threads_racing_the_first_evaluation_agree(algorithm: str) -> None:
         expected = stdlib_hmac.digest(key, encode_epoch(trial), algorithm)
         assert digests == [expected, expected]
         assert prf.at_epoch(trial + 1) == stdlib_hmac.digest(key, encode_epoch(trial + 1), algorithm)
+
+
+@pytest.mark.parametrize("algorithm", ["sha1", "sha256"])
+@pytest.mark.parametrize("length", [1, 32, 33, 4096])
+def test_expand_matches_a_stdlib_counter_mode_reference(algorithm: str, length: int) -> None:
+    """``expand`` is HMAC in counter mode: ``F_K(m ∥ i)`` for 4-byte
+    big-endian counters ``i = 0, 1, …``, concatenated and cut to length."""
+    key = _key(20)
+    message = b"expand-context"
+    reference = b""
+    counter = 0
+    while len(reference) < length:
+        reference += stdlib_hmac.digest(key, message + counter.to_bytes(4, "big"), algorithm)
+        counter += 1
+    assert PRF(key, algorithm).expand(message, length) == reference[:length]
+
+
+def test_derive_key_expands_from_the_same_labelled_input() -> None:
+    key = _key(20)
+    expected = b"".join(
+        stdlib_hmac.digest(key, b"derive:label" + counter.to_bytes(4, "big"), "sha256")
+        for counter in range(2)
+    )
+    assert PRF(key, "sha256").derive_key("label", 40) == expected[:40]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, ParameterError
-from repro.protocols.base import OP_NAMES, EvaluationResult, OpCounter
+from repro.protocols.base import OP_NAMES, EvaluationResult, OpCosts, OpCounter
 from repro.protocols.registry import available_protocols, create_protocol, register_protocol
 
 
@@ -25,6 +25,20 @@ def test_op_counter_rejects_unknown_and_negative() -> None:
         ops.add("quantum_fft")
     with pytest.raises(ParameterError):
         ops.add("hm1", -1)
+
+
+def test_op_costs_are_validated_once_and_charged_in_order() -> None:
+    with pytest.raises(ParameterError):
+        OpCosts(quantum_fft=1)
+    with pytest.raises(ParameterError):
+        OpCosts(hm1=-1)
+    costs = OpCosts(hm256=2, hm1=1, rsa=0)
+    ops = OpCounter()
+    ops.add("hm1")
+    ops.charge(costs)
+    ops.charge(costs)
+    assert ops.counts == {"hm1": 3, "hm256": 4, "rsa": 0}
+    assert list(ops.counts) == ["hm1", "hm256", "rsa"]
 
 
 def test_op_counter_merge_copy_reset() -> None:

@@ -19,7 +19,6 @@ from repro.cluster.envelope import (
     encode_ack,
     encode_data,
 )
-from repro.cluster.faults import parcel_fate
 from repro.cluster.framing import DEFAULT_MAX_PAYLOAD, FrameAssembler
 from repro.cluster.node import ClusterNode
 from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator, run_cluster
@@ -32,7 +31,6 @@ __all__ = [
     "decode_envelope",
     "encode_ack",
     "encode_data",
-    "parcel_fate",
     "DEFAULT_MAX_PAYLOAD",
     "FrameAssembler",
     "ClusterNode",

@@ -18,9 +18,16 @@ MAC-layer ARQ on top:
   reassembles and handles its frames synchronously in
   ``data_received``: the parent's side reports each arriving copy to
   the transport and writes the ACK it answers at once, the child's side
-  hands each ACK to the transport.  No task reads a socket, so an ACK on
-  the wire reaches the transport in the first loop iteration that polls
-  it, before that iteration's timers;
+  hands each ACK to the transport.  No task reads a socket;
+* every frame is handled at its *write time* on the orchestrator's
+  :class:`~repro.cluster.orchestrator.ScheduledClock`: a node records
+  each frame it writes in the clock's FIFO of that connection direction
+  (its envelope's uid and attempt and, with a data copy, its attempt's
+  verdict), and the reading node takes the entry back for each frame it
+  reads.  Both ends key a connection by
+  its (child, parent) socket address pair.  No timer due after a frame was written
+  runs before that frame is handled, and the receiver hands the carried
+  verdict to the transport rather than hashing it again;
 * every hop goes through the run's one
   :class:`~repro.network.channel.Channel`, split at the socket: the
   sender's ``emit`` runs before each write (a frame it drops is never
@@ -37,15 +44,15 @@ Above the hop every node is the same :class:`ClusterNode`: the epoch
 machine lives in one :class:`~repro.runtime.epoch.EpochDriver` owned by
 the orchestrator, which the transport hands each accepted first copy,
 routed by the envelope's uid, never by the attacker-readable frame
-header.  Frames are handled through the orchestrator's *guard*, so an
-error raised while handling one fails the run like an error in a timer.
+header.  Frames are handled through the clock's guard, so an error
+raised while handling one fails the run like an error in a timer.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections.abc import Callable, Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import SimulationError, WireDecodeError, WireEncodeError
 from repro.network.channel import Channel
@@ -55,6 +62,9 @@ from repro.cluster.framing import FrameAssembler
 from repro.runtime.faults import KeyedVerdict
 from repro.runtime.transport import Parcel, ReliableTransport
 from repro.wire.frame import decode_header
+
+if TYPE_CHECKING:
+    from repro.cluster.orchestrator import ScheduledClock
 
 __all__ = ["ClusterNode"]
 
@@ -80,11 +90,22 @@ class _Link(asyncio.Protocol):
         self._handle = handle
         self._assembler = FrameAssembler()
         self._transport: asyncio.Transport
+        #: The clock's names of the frames in flight towards this end and away from it.
+        self.inbound: tuple[object, type]
+        self.outbound: tuple[object, type]
         #: Resolved once the connection is gone: what a clean shutdown awaits.
         self.closed: asyncio.Future[None] = asyncio.get_running_loop().create_future()
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self._transport = transport  # type: ignore[assignment]
+        # Both ends name the connection by its (child, parent) address
+        # pair — a child's port alone may repeat towards another parent —
+        # and each direction by the envelope type it carries.
+        ends = transport.get_extra_info("sockname"), transport.get_extra_info("peername")
+        parent_side = self._kind is DataEnvelope
+        connection = ends[::-1] if parent_side else ends
+        self.inbound = (connection, self._kind)
+        self.outbound = (connection, AckEnvelope if parent_side else DataEnvelope)
 
     def data_received(self, data: bytes) -> None:
         self._node.guard(self._read, data)
@@ -157,9 +178,9 @@ class ClusterNode:
     ledger.  *uplink* is the tree's table ``{node: (receiver, edge class)}``
     (:attr:`~repro.runtime.epoch.EpochPlanner.uplink`): it names this
     node's own hop (none on the querier) and which senders are its
-    children.  *guard* runs every received chunk's handling:
-    ``guard(fn, *args)`` calls ``fn(*args)`` (the orchestrator's guard
-    turns an error into the run's failure).
+    children.  *clock* is the run's scheduled clock: it keeps the frames
+    in flight and runs every received chunk's handling
+    (:meth:`~repro.cluster.orchestrator.ScheduledClock.receive`).
     """
 
     def __init__(
@@ -169,13 +190,15 @@ class ClusterNode:
         channel: Channel,
         uplink: Mapping[int, tuple[int, EdgeClass]],
         transport: ReliableTransport,
-        guard: Callable[..., object],
+        clock: ScheduledClock,
     ) -> None:
         self.node_id = node_id
         self.channel = channel
         self._uplink = uplink
         self.transport = transport
-        self.guard = guard
+        self.clock = clock
+        #: What each connection runs a received chunk through.
+        self.guard = clock.receive
         self._server: asyncio.Server | None = None
         self.port: int | None = None
         #: The connection to the parent, and every connection a child opened.
@@ -201,7 +224,7 @@ class ClusterNode:
         return self.port
 
     def _accept(self) -> _Link:
-        link = _Link(self, DataEnvelope, self._handle_data)
+        link = self._watch(_Link(self, DataEnvelope, self._handle_data))
         self._children.append(link)
         return link
 
@@ -210,8 +233,13 @@ class ClusterNode:
         if self._parent is not None:
             raise SimulationError(f"node {self.node_id} already has an uplink")
         _, self._parent = await asyncio.get_running_loop().create_connection(
-            lambda: _Link(self, AckEnvelope, self._handle_ack), _HOST, port
+            lambda: self._watch(_Link(self, AckEnvelope, self._handle_ack)), _HOST, port
         )
+
+    def _watch(self, link: _Link) -> _Link:
+        """Once *link* is gone, the frames in flight towards it never will be read."""
+        link.closed.add_done_callback(lambda _: self.clock.discard(link.inbound))
+        return link
 
     async def close_uplink(self) -> None:
         """Half-close the uplink (FIN), then wait until the parent closed it.
@@ -251,7 +279,13 @@ class ClusterNode:
         return hop[1]
 
     def _handle_data(self, envelope: DataEnvelope, link: _Link) -> None:
-        """Report one arriving copy to the transport; write the ACK it answers.
+        self.clock.arrive(
+            link.inbound, (envelope.uid, envelope.attempt), self._take_copy, envelope, link
+        )
+
+    def _take_copy(self, verdict: KeyedVerdict, envelope: DataEnvelope, link: _Link) -> None:
+        """Report one arriving copy, with its attempt's *verdict*, to the
+        transport; write the ACK it answers.
 
         A first copy is accepted off the channel here, at the receiver.
         """
@@ -261,12 +295,17 @@ class ClusterNode:
             lambda: self.channel.accept(
                 envelope.inner, envelope.sender, self.node_id, edge, envelope.manifest
             ),
+            verdict,
         ):
             ack = encode_ack(epoch=envelope.epoch, uid=envelope.uid, attempt=envelope.attempt)
             link.write(ack)
+            self.clock.wrote(link.outbound, (envelope.uid, envelope.attempt))
             self.channel.ledger.edge(edge).ack_bytes += len(ack)
 
     def _handle_ack(self, envelope: AckEnvelope, link: _Link) -> None:
+        self.clock.arrive(link.inbound, (envelope.uid, envelope.attempt), self._take_ack, envelope)
+
+    def _take_ack(self, verdict: None, envelope: AckEnvelope) -> None:
         """Hand one ACK back on the uplink to the transport."""
         self.transport.ack(self.node_id, self._uplink[self.node_id][1], envelope.uid)
 
@@ -281,12 +320,14 @@ class ClusterNode:
         decision, whatever the loop's timing (see
         :class:`repro.runtime.faults.KeyedFaultInjector`).
         """
-        if self._parent is None:
+        link = self._parent
+        if link is None:
             raise SimulationError(f"node {self.node_id} has no uplink to send on")
         envelope = encode_data(
             epoch=parcel.uid, sender=self.node_id, uid=parcel.uid, attempt=attempt,
             manifest=parcel.message.manifest, inner=frame,
         )
         for _ in range(verdict.copies):
-            self._parent.write(envelope)
+            link.write(envelope)
+            self.clock.wrote(link.outbound, (parcel.uid, attempt), verdict)
         self.channel.ledger.edge(parcel.edge).envelope_bytes += verdict.copies * len(envelope)

@@ -22,18 +22,27 @@ Every hop goes through one :class:`~repro.network.channel.Channel`
 ledger: interceptors from :mod:`repro.attacks` attach to it exactly as
 on the other two substrates.
 
-Both drivers of the event runtime run here on the running loop's
-``time`` and ``call_later``: each epoch on the
-:class:`~repro.runtime.epoch.EpochDriver`, and every parcel of the
-fleet on one :class:`~repro.runtime.transport.ReliableTransport`, whose
-``wire`` is the channel's ``emit`` and whose ``put`` writes envelopes
-on the sender's uplink.  Every timer and every chunk a connection
-reads go through the orchestrator's guard, so the first error raised in
-a timer, a received frame, a launch or an ARQ attempt fails the run: every epoch in flight stops waiting, no
+Both drivers of the event runtime run here on one
+:class:`ScheduledClock`, the runtime's clock rule on the running loop:
+each epoch on the :class:`~repro.runtime.epoch.EpochDriver`, and every
+parcel of the fleet on one
+:class:`~repro.runtime.transport.ReliableTransport`, whose ``wire`` is
+the channel's ``emit`` and whose ``put`` writes envelopes on the
+sender's uplink.  Every timer — merge deadline, querier expiry, ACK
+timeout, epoch launch — runs in scheduled-time order, and a timer
+waits for every frame written before it to be handled, so the loop's
+speed changes when a decision is made, never what it decides: survivor
+sets and ARQ attempts are a function of the seed
+(:meth:`~repro.runtime.epoch.EpochPlanner.predict` says which).  The
+driver's and the transport's ``now`` stay the loop's ``time``, so
+completion latencies and ``wall_seconds`` are real seconds.  Every timer
+and every chunk a connection reads go through the orchestrator's guard,
+so the first error raised in a timer, a received frame, a launch or an
+ARQ attempt fails the run: every epoch in flight stops waiting, no
 further epoch launches, the fleet drains as usual, and
-:meth:`EpochOrchestrator.run` raises that error.  Epoch
-deadlines are *relative to the epoch's launch*, so a window-8 run has
-eight independent sets of loop timers armed — the hold-and-wait schedule
+:meth:`EpochOrchestrator.run` raises that error.  Epoch deadlines are
+*relative to the epoch's launch*, so a window-8 run has eight
+independent sets of deadlines armed — the hold-and-wait schedule
 (``hold_time × height``) is per epoch, not global.
 
 Everything protocol-specific comes from the registered facades
@@ -46,9 +55,10 @@ from __future__ import annotations
 
 import asyncio
 import math
-from collections import deque
-from collections.abc import Callable
+from collections import Counter, defaultdict, deque
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.errors import SimulationError
 from repro.network.channel import Channel
@@ -58,31 +68,161 @@ from repro.network.topology import AggregationTree
 from repro.cluster.node import ClusterNode
 from repro.protocols.base import PartialStateRecord, SecureAggregationProtocol
 from repro.runtime.epoch import EpochDriver, EpochPlanner
-from repro.runtime.faults import FaultPlan, KeyedFaultInjector
+from repro.runtime.events import EventScheduler, ScheduledEvent
+from repro.runtime.faults import FaultPlan, KeyedFaultInjector, KeyedVerdict
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.transport import (
-    ReliableTransport,
-    RetransmitPolicy,
-    TimerHandle,
-    TransportObserver,
-)
+from repro.runtime.transport import ReliableTransport, RetransmitPolicy, TransportObserver
 from repro.utils.validation import check_positive_int
 
-__all__ = ["ClusterConfig", "EpochOrchestrator", "run_cluster"]
+__all__ = ["ClusterConfig", "EpochOrchestrator", "ScheduledClock", "run_cluster"]
 
 
 def _default_policy() -> RetransmitPolicy:
-    # Real-seconds ARQ shape (the RetransmitPolicy defaults are logical
+    # Seconds of scheduled time (the RetransmitPolicy defaults are logical
     # ticks).  The worst *delivered* wait — last attempt firing after all
-    # four backoffs — is 0.01·(1+1.5+2.25+3.375)·1.25 ≈ 0.10 s, well under
-    # the default hold_time, so even a fifth-attempt delivery beats its
-    # aggregator's merge deadline with margin to spare for loop lag.
+    # four backoffs — is 0.01·(1+1.5+2.25+3.375)·1.25 ≈ 0.10 s, under the
+    # default hold_time, so even a fifth-attempt delivery beats its
+    # aggregator's merge deadline: timers run in scheduled order, so a
+    # slow loop cannot make it late.
     return RetransmitPolicy(max_retries=4, ack_timeout=0.01, backoff=1.5, jitter=0.25)
+
+
+class ScheduledClock:
+    """The cluster's clock rule: every timer in scheduled-time order, paced by the loop.
+
+    Scheduled time lives on an :class:`~repro.runtime.events.EventScheduler`
+    whose 0 is :meth:`start` on the loop clock.  A timer's scheduled time
+    is the scheduled time of the callback that armed it plus its delay; a
+    frame is handled at its *write time*, the scheduled time of the
+    callback that wrote it.  A timer due at T runs only once
+
+    * the loop clock has reached T (real pacing),
+    * every timer due before T has run (the scheduler's order), and
+    * every frame written at or before T has been handled,
+
+    so a stalled loop delays decisions but never changes one.  One loop
+    timer, armed for the scheduler's head, paces it; every received
+    chunk and every dropped connection runs it again (:meth:`pump`).
+
+    Frames in flight are kept in one FIFO per directed connection —
+    TCP keeps their order — under a name both ends derive from the
+    connection (:class:`repro.cluster.node.ClusterNode`): each entry is
+    the frame's write time, its envelope's ``(uid, attempt)`` (checked
+    against the frame read) and, for a data copy, its attempt's
+    :class:`~repro.runtime.faults.KeyedVerdict`, which the receiver hands
+    on instead of hashing it again.  Every timer runs through *guard*.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, guard: Callable[..., None]) -> None:
+        self._loop = loop
+        self._guard = guard
+        self._scheduler = EventScheduler()
+        self._origin = loop.time()
+        #: Connection direction → (write time, (uid, attempt), verdict) of
+        #: each frame not yet handled.
+        self._in_flight: defaultdict[
+            Hashable, deque[tuple[float, tuple[int, int], KeyedVerdict | None]]
+        ] = defaultdict(deque)
+        #: Write time → frames in flight written then.
+        self._pending: Counter[float] = Counter()
+        #: Directions whose reading end is gone: nothing written there is read.
+        self._dead: set[Hashable] = set()
+        self._wake: asyncio.TimerHandle | None = None
+        self._wake_at: float | None = None
+        self._stopped = False
+
+    def start(self, fn: Callable[[], None]) -> None:
+        """Set scheduled time 0 to the loop's time now, and run *fn* there."""
+        self._origin = self._loop.time()
+        self.call_later(0.0, fn)
+        self.pump()
+
+    def call_later(self, delay: float, fn: Callable[[], None]) -> ScheduledEvent:
+        """Arm *fn* at the running callback's scheduled time plus *delay*."""
+        return self._scheduler.call_later(delay, partial(self._guard, fn))
+
+    def wrote(
+        self, wire: Hashable, frame: tuple[int, int], verdict: KeyedVerdict | None = None
+    ) -> None:
+        """The envelope *frame* ``(uid, attempt)`` went onto the connection
+        direction *wire* at the running callback's time."""
+        if wire not in self._dead:
+            at = self._scheduler.now
+            self._in_flight[wire].append((at, frame, verdict))
+            self._pending[at] += 1
+
+    def arrive(
+        self, wire: Hashable, frame: tuple[int, int], fn: Callable[..., None], *args: object
+    ) -> None:
+        """Handle the envelope *frame* read on *wire*: ``fn(verdict, *args)`` at its write time."""
+        frames = self._in_flight.get(wire)
+        written = frames.popleft() if frames else None
+        if written is None or written[1] != frame:
+            raise SimulationError(
+                f"read envelope {frame} on {wire}, but the next one written there "
+                f"was {written and written[1]}"
+            )
+        at, _, verdict = written
+        self._handled(at)
+        self._scheduler.run_at(at, partial(fn, verdict, *args))
+
+    def receive(self, fn: Callable[..., None], *args: object) -> None:
+        """Handle one received chunk through the guard, then run the timers it unblocked."""
+        self._guard(fn, *args)
+        self.pump()
+
+    def discard(self, wire: Hashable) -> None:
+        """The reading end of *wire* is gone: its frames in flight never will be handled."""
+        self._dead.add(wire)
+        for at, _, _ in self._in_flight.pop(wire, ()):
+            self._handled(at)
+        self.pump()
+
+    def stop(self) -> None:
+        """Run no further timer."""
+        self._stopped = True
+        if self._wake is not None:
+            self._wake.cancel()
+            self._wake = None
+
+    def pump(self) -> None:
+        """Run every timer the rule lets run, in order; arm the loop timer for the next."""
+        if not self._stopped:
+            self._scheduler.run(until=self._waits)
+
+    def _handled(self, at: float) -> None:
+        left = self._pending[at] - 1
+        if left:
+            self._pending[at] = left
+        else:
+            del self._pending[at]
+
+    def _waits(self) -> bool:
+        """Whether the scheduler's head must wait (before each timer :meth:`pump` runs)."""
+        head = self._scheduler.next_time()
+        if head is None or self._stopped:
+            return True
+        if self._pending and min(self._pending) <= head:
+            return True  # handling that frame pumps again
+        due = self._origin + head
+        if due > self._loop.time():
+            if due != self._wake_at:
+                if self._wake is not None:
+                    self._wake.cancel()
+                self._wake = self._loop.call_at(due, self._woken)
+                self._wake_at = due
+            return True
+        return False
+
+    def _woken(self) -> None:
+        self._wake = self._wake_at = None
+        self.pump()
 
 
 @dataclass
 class ClusterConfig:
-    """Knobs for one TCP cluster run (times in real seconds)."""
+    """Knobs for one TCP cluster run (times in seconds of the
+    :class:`ScheduledClock`, which the loop's clock paces)."""
 
     num_epochs: int = 20
     #: First epoch index (epoch 0 is reserved for setup, as elsewhere).
@@ -90,9 +230,10 @@ class ClusterConfig:
     #: Pipelining bound: epochs concurrently in flight.
     window: int = 8
     #: Merge-deadline spacing per tree level: an aggregator at height h
-    #: merges what arrived by ``epoch launch + hold_time * h``.  Keep it
-    #: above the ARQ's worst delivered wait or the survivor sets will
-    #: (legitimately) fall below what the fault oracle predicts.
+    #: merges what arrived by ``epoch launch + hold_time * h`` (scheduled
+    #: time).  Keep it above the ARQ's worst delivered wait or the
+    #: survivor sets will (legitimately) fall below what the fault oracle
+    #: predicts.
     hold_time: float = 0.25
     #: Extra wait at the querier beyond the root's deadline.
     querier_slack: float = 0.25
@@ -165,8 +306,9 @@ class EpochOrchestrator:
         #: Epoch in flight → its holds on a window slot: one until it
         #: settles, plus one per parcel still in its ARQ.
         self._in_flight: dict[int, int] = {}
-        #: Built on the running loop by :meth:`run`: the epoch driver, and
-        #: the future resolved once every epoch was released or the run failed.
+        #: Built on the running loop by :meth:`run`: the clock, the epoch driver,
+        #: and the future resolved once every epoch was released or the run failed.
+        self._clock: ScheduledClock
         self._driver: EpochDriver
         self._done: asyncio.Future
         #: The first error of the run; once set, the driver is never entered again.
@@ -178,20 +320,9 @@ class EpochOrchestrator:
     # ------------------------------------------------------------------
 
     def _build(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Both drivers on *loop*'s timer, and one node per tree node plus the querier."""
+        """Both drivers on one scheduled clock, and one node per tree node plus the querier."""
         protocol, tree = self.protocol, self.tree
-
-        def call_later(delay: float, fn: Callable[[], None]) -> TimerHandle:
-            return loop.call_later(delay, self._guard, fn)
-
-        def ack_timeout(delay: float, fn: Callable[[], None]) -> TimerHandle:
-            # An ACK timeout decides one loop iteration after it fires.  A loop
-            # iteration runs the callbacks of its socket poll before its due
-            # timers, and nodes hand ACKs to the driver in data_received, so
-            # re-arming for 0 s lets the next poll deliver an ACK that reached
-            # the socket while this iteration ran; deciding at once attempts
-            # more than the keyed schedule needs.
-            return loop.call_later(delay, loop.call_later, 0, self._guard, fn)
+        self._clock = clock = ScheduledClock(loop, self._guard)
 
         def send(
             sender: int, receiver: int, edge: EdgeClass, epoch: int,
@@ -208,7 +339,7 @@ class EpochOrchestrator:
             aggregators={aid: protocol.create_aggregator() for aid in tree.aggregator_ids},
             querier=protocol.create_querier(),
             now=loop.time,
-            call_later=call_later,
+            call_later=clock.call_later,
             send=send,
             evaluate=self.config.evaluate,
             on_settled=lambda record: self._release(record.epoch),
@@ -218,7 +349,7 @@ class EpochOrchestrator:
             self.config.policy,
             self.channel,
             now=loop.time,
-            call_later=ack_timeout,
+            call_later=clock.call_later,
             wire=self.channel.emit,
             put=lambda parcel, frame, attempt, verdict: self._nodes[parcel.sender].put(
                 parcel, frame, attempt, verdict
@@ -230,7 +361,7 @@ class EpochOrchestrator:
         for node_id in (*tree.source_ids, *tree.aggregator_ids, QUERIER_NODE_ID):
             self._nodes[node_id] = ClusterNode(
                 node_id, channel=self.channel, uplink=self._planner.uplink,
-                transport=transport, guard=self._guard,
+                transport=transport, clock=clock,
             )
 
     async def _bind_and_connect(self) -> None:
@@ -256,10 +387,10 @@ class EpochOrchestrator:
         """Start epochs in order while the window has room; resolve the run
         once every epoch has been released."""
         window = self.config.window
-        while self._failure is None and self._unlaunched and len(self._in_flight) < window:
+        while self._unlaunched and len(self._in_flight) < window:
             epoch = self._unlaunched.popleft()
             self._in_flight[epoch] = 1
-            self._guard(self._driver.start, epoch)
+            self._driver.start(epoch)
         if not self._in_flight and not self._done.done():
             self._done.set_result(None)
 
@@ -267,7 +398,8 @@ class EpochOrchestrator:
         """Drop one hold on *epoch*'s slot: it settled, or one of its parcels finished.
 
         No parcel opens once the epoch settled (merges come first); after a
-        failure the slot is gone already."""
+        failure the slot is gone already.  The freed slot launches at the
+        releasing callback's scheduled time."""
         holds = self._in_flight.get(epoch)
         if holds is None:
             return
@@ -275,7 +407,7 @@ class EpochOrchestrator:
             self._in_flight[epoch] = holds - 1
         else:
             del self._in_flight[epoch]
-            asyncio.get_running_loop().call_soon(self._launch)
+            self._clock.call_later(0.0, self._launch)
 
     def _guard(self, fn: Callable[..., object], *args: object) -> None:
         """Enter the driver through *fn*, unless the run already failed.
@@ -318,9 +450,10 @@ class EpochOrchestrator:
         await self._bind_and_connect()
         started = loop.time()
         try:
-            self._launch()
+            self._clock.start(self._launch)
             await self._done
         finally:
+            self._clock.stop()
             wall_seconds = loop.time() - started
             try:
                 await self._shutdown()

@@ -15,12 +15,14 @@ Each primitive is timed exactly as the protocols execute it:
 * ``C_sk`` — one per-item sketch insertion (hash + trailing zeros),
   i.e. the reference ``PER_ITEM`` strategy's unit cost.
 
-Results are cached per process: experiments re-use one measurement.
+Results are cached per process: experiments re-use one measurement
+(``fresh=True`` re-times without touching the cache).
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 
 from repro.baselines.secoa.sketch import item_level
 from repro.costmodel.constants import CostConstants
@@ -34,23 +36,18 @@ __all__ = ["measure_constants", "DEFAULT_REPEATS"]
 
 DEFAULT_REPEATS = 5
 _cache: dict[tuple[int, int, int], CostConstants] = {}
+_operations_cache: dict[tuple[int, int], dict[str, Callable[[], object]]] = {}
 
 
-def measure_constants(
-    *,
-    repeat: int = DEFAULT_REPEATS,
-    inner_loops: int = 200,
-    rsa_exponent: int = 3,
-    seed: int = 2011,
-) -> CostConstants:
-    """Micro-benchmark every Table II constant on this machine.
+def _operations(rsa_exponent: int, seed: int) -> dict[str, Callable[[], object]]:
+    """The timed call behind each :class:`CostConstants` field.
 
-    Uses the median over *repeat* batches of *inner_loops* calls, which
-    is robust to scheduler noise on shared hosts.
+    Operands (and the RSA key pair, whose generation dwarfs every
+    timing) are built once per ``(rsa_exponent, seed)`` and reused.
     """
-    cache_key = (repeat, inner_loops, rsa_exponent)
-    if cache_key in _cache:
-        return _cache[cache_key]
+    cache_key = (rsa_exponent, seed)
+    if cache_key in _operations_cache:
+        return _operations_cache[cache_key]
 
     rng = random.Random(seed)
     key20 = rng.randbytes(20)
@@ -71,19 +68,44 @@ def measure_constants(
     prf_hm1 = PRF(key20, "sha1")
     prf_hm256 = PRF(key20, "sha256")
 
-    def timed(op) -> float:
-        return time_operation(op, repeat=repeat, inner_loops=inner_loops).median
+    operations: dict[str, Callable[[], object]] = {
+        "c_hm1": lambda: prf_hm1.int_at_epoch(epoch),
+        "c_hm256": lambda: prf_hm256.int_at_epoch(epoch),
+        "c_a20": lambda: (a160 + b160) % n160,
+        "c_a32": lambda: (a256 + b256) % p256,
+        "c_m32": lambda: (a256 * b256) % p256,
+        "c_m128": lambda: (m1024 * m1024b) % n1024,
+        "c_mi32": lambda: modinv(a256, p256),
+        "c_rsa": lambda: keypair.public.encrypt(m1024),
+        "c_sk": lambda: item_level(7, 42),
+    }
+    _operations_cache[cache_key] = operations
+    return operations
 
-    constants = CostConstants(
-        c_hm1=timed(lambda: prf_hm1.int_at_epoch(epoch)),
-        c_hm256=timed(lambda: prf_hm256.int_at_epoch(epoch)),
-        c_a20=timed(lambda: (a160 + b160) % n160),
-        c_a32=timed(lambda: (a256 + b256) % p256),
-        c_m32=timed(lambda: (a256 * b256) % p256),
-        c_m128=timed(lambda: (m1024 * m1024b) % n1024),
-        c_mi32=timed(lambda: modinv(a256, p256)),
-        c_rsa=timed(lambda: keypair.public.encrypt(m1024)),
-        c_sk=timed(lambda: item_level(7, 42)),
-    )
-    _cache[cache_key] = constants
+
+def measure_constants(
+    *,
+    repeat: int = DEFAULT_REPEATS,
+    inner_loops: int = 200,
+    rsa_exponent: int = 3,
+    seed: int = 2011,
+    fresh: bool = False,
+) -> CostConstants:
+    """Micro-benchmark every Table II constant on this machine.
+
+    Uses the median over *repeat* batches of *inner_loops* calls, which
+    is robust to scheduler noise on shared hosts.  *fresh* times anew
+    and leaves the per-process cache alone: a model priced from it
+    describes the CPU as it is now, not as it was at the first call.
+    """
+    cache_key = (repeat, inner_loops, rsa_exponent)
+    if not fresh and cache_key in _cache:
+        return _cache[cache_key]
+
+    constants = CostConstants(**{
+        name: time_operation(op, repeat=repeat, inner_loops=inner_loops).median
+        for name, op in _operations(rsa_exponent, seed).items()
+    })
+    if not fresh:
+        _cache[cache_key] = constants
     return constants

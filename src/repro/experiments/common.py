@@ -9,7 +9,9 @@ module measures each party directly:
 * :func:`measure_source_cost` times ``initialize`` on real source roles;
 * :func:`measure_aggregator_cost` times ``merge`` over ``F`` real child
   PSRs (built untimed);
-* :func:`measure_querier_cost` times ``evaluate`` on a *final* PSR.
+* :func:`measure_querier_cost` times ``evaluate`` on a *final* PSR
+  (:func:`measure_queriers_paired` pairs each evaluation with a fresh
+  timing of the model's constants).
   For SIES/CMT the final PSR is produced by actually merging all ``N``
   source PSRs; for SECOA_S it is synthesized through the roll/fold
   algebra (provably identical to the network's output, since rolling
@@ -23,6 +25,7 @@ next to measured wall time.
 
 from __future__ import annotations
 
+import statistics
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -35,9 +38,11 @@ from repro.baselines.secoa.certificates import (
 from repro.baselines.secoa.secoa_sum import SECOASumProtocol, SECOASumRecord
 from repro.baselines.secoa.sketch import sample_sketch_level
 from repro.costmodel.constants import CostConstants
+from repro.costmodel.microbench import measure_constants
 from repro.datasets.workload import DomainScaledWorkload
 from repro.errors import ParameterError
 from repro.protocols.base import (
+    EvaluationResult,
     OpCounter,
     PartialStateRecord,
     SecureAggregationProtocol,
@@ -49,6 +54,8 @@ __all__ = [
     "measure_source_cost",
     "measure_aggregator_cost",
     "measure_querier_cost",
+    "PairedMeasurement",
+    "measure_queriers_paired",
     "build_final_psr",
     "paper_workload",
 ]
@@ -147,12 +154,7 @@ def measure_querier_cost(
     uncounted evaluation of ``epochs[0]`` first (see
     :func:`measure_source_cost`).
     """
-    finals = [
-        (epoch, build_final_psr(
-            protocol, epoch, [workload(i, epoch) for i in range(protocol.num_sources)]
-        ))
-        for epoch in epochs
-    ]
+    finals = _final_psrs(protocol, workload, epochs)
     ops = OpCounter()
     querier = protocol.create_querier(ops=ops)
     if warmup:
@@ -165,9 +167,81 @@ def measure_querier_cost(
         result = querier.evaluate(epoch, final_psr)
         total += time.perf_counter() - start
         samples += 1
-        if not result.verified and protocol.provides_integrity:
-            raise ParameterError("synthesized final PSR failed verification")
+        _check_verified(protocol, result)
     return PartyMeasurement(mean_seconds=total / samples, samples=samples, ops=ops)
+
+
+@dataclass
+class PairedMeasurement:
+    """Medians of a querier's wall time, its model and their ratio."""
+
+    median_seconds: float
+    model_seconds: float
+    model_ratio: float
+
+
+def measure_queriers_paired(
+    parties: Sequence[tuple[
+        SecureAggregationProtocol, Callable[[int, int], int], Callable[[CostConstants], float]
+    ]],
+    *,
+    epochs: Sequence[int],
+    rounds: int,
+) -> list[PairedMeasurement]:
+    """Time each ``(protocol, workload, model)`` querier, round by round.
+
+    A model priced from constants timed once and compared with a querier
+    timed later compares two CPU states: on a shared host the speed
+    drifts by up to 2x over seconds.  Each of *rounds* rounds here times
+    the Table II constants afresh (one batch of 20 calls per constant)
+    and then one evaluation per party of its next final PSR of *epochs*,
+    so every ratio, and every comparison between parties, is taken in
+    one window of a few milliseconds.  The results are medians over the
+    rounds, which drops the rounds a preemption lands in.  One untimed
+    evaluation of ``epochs[0]`` per party runs first.
+    """
+    setups = []
+    for protocol, workload, model in parties:
+        finals = _final_psrs(protocol, workload, epochs)
+        querier = protocol.create_querier()
+        querier.evaluate(*finals[0])
+        setups.append((protocol, querier, finals, model, [], [], []))
+    for i in range(rounds):
+        host = measure_constants(repeat=1, inner_loops=20, fresh=True)
+        for protocol, querier, finals, model, seconds, modeled, ratios in setups:
+            epoch, final_psr = finals[i % len(finals)]
+            start = time.perf_counter()
+            result = querier.evaluate(epoch, final_psr)
+            seconds.append(time.perf_counter() - start)
+            modeled.append(model(host))
+            ratios.append(seconds[-1] / modeled[-1])
+            _check_verified(protocol, result)
+    return [
+        PairedMeasurement(
+            median_seconds=statistics.median(seconds),
+            model_seconds=statistics.median(modeled),
+            model_ratio=statistics.median(ratios),
+        )
+        for *_, seconds, modeled, ratios in setups
+    ]
+
+
+def _final_psrs(
+    protocol: SecureAggregationProtocol,
+    workload: Callable[[int, int], int],
+    epochs: Sequence[int],
+) -> list[tuple[int, PartialStateRecord]]:
+    return [
+        (epoch, build_final_psr(
+            protocol, epoch, [workload(i, epoch) for i in range(protocol.num_sources)]
+        ))
+        for epoch in epochs
+    ]
+
+
+def _check_verified(protocol: SecureAggregationProtocol, result: EvaluationResult) -> None:
+    if not result.verified and protocol.provides_integrity:
+        raise ParameterError("synthesized final PSR failed verification")
 
 
 # ----------------------------------------------------------------------

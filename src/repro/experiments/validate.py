@@ -12,7 +12,8 @@ Claims (Section VI of the paper):
 * C2  SIES source cost orders of magnitude below SECOA_S's model floor.
 * C3  Aggregator costs grow with fanout; SIES stays in the μs regime.
 * C4  Querier costs linear in N for every scheme.
-* C5  SIES querier measurements match its own cost model closely.
+* C5  SIES querier measurements match its own cost model closely: the
+      median ratio of each evaluation to the model priced in its round.
 * C6  SIES ≈ CMT within a small constant factor everywhere.
 * C7  Communication: 20 B (CMT) / 32 B (SIES) constants vs SECOA_S KBs,
       with the sink's A-Q size inside the Eq. 11 envelope.
@@ -99,9 +100,7 @@ def validate(*, quick: bool = True) -> list[Claim]:
         0.3 * expected_growth < n_growth < 3 * expected_growth,
         f"N grew {expected_growth:.0f}x, SIES querier grew {n_growth:.1f}x",
     ))
-    model_errors = [
-        abs(m - mm) / mm for m, mm in zip(s6["sies"], s6["sies_model"]) if mm
-    ]
+    model_errors = [abs(ratio - 1) for ratio in s6["sies_model_ratio"]]
     claims.append(Claim(
         "C5", "SIES querier matches its cost model",
         max(model_errors) < 0.5,

@@ -14,7 +14,9 @@ touches a socket of its own:
   and the uplink table (every node's receiver and edge class); per
   epoch (:meth:`EpochPlanner.plan`): the attempted and pre-failed
   sources and the contributions each *live* aggregator — one with an
-  attempted source under it — can still receive;
+  attempted source under it — can still receive; and, as a test oracle
+  that no decision reads, what the keyed fault schedule makes of the
+  epoch (:meth:`EpochPlanner.predict`);
 * :class:`HoldAndWait` — one aggregator's inboxes, one per live epoch:
   :meth:`~HoldAndWait.offer` answers :data:`~repro.runtime.transport.DELIVERED`
   (and whether the inbox is now complete: the early-merge case),
@@ -54,7 +56,7 @@ from typing import TYPE_CHECKING
 from repro.errors import SecurityError, SimulationError
 from repro.network.ledger import EdgeClass
 from repro.network.messages import QUERIER_NODE_ID
-from repro.runtime.transport import DECODE_FAILURE, DELIVERED, LATE
+from repro.runtime.transport import DECODE_FAILURE, DELIVERED, LATE, parcel_fate
 from repro.runtime.metrics import EpochRecord
 from repro.runtime.recovery import EpochRecovery
 
@@ -62,11 +64,13 @@ if TYPE_CHECKING:
     from repro.network.messages import Workload
     from repro.network.topology import AggregationTree
     from repro.protocols.base import AggregatorRole, PartialStateRecord, QuerierRole, SourceRole
-    from repro.runtime.faults import FaultPlan
+    from repro.runtime.faults import FaultPlan, KeyedFaultInjector
+    from repro.runtime.transport import RetransmitPolicy
 
 __all__ = [
     "node_heights",
     "EpochPlan",
+    "EpochFate",
     "EpochPlanner",
     "HoldAndWait",
     "QuerierEpochs",
@@ -92,6 +96,18 @@ class EpochPlan:
     pre_failed: frozenset[int]
     #: Live aggregators, bottom-up → child contributions that can arrive.
     expected: dict[int, int]
+
+
+@dataclass(frozen=True)
+class EpochFate:
+    """What the keyed fault schedule makes of one epoch (:meth:`EpochPlanner.predict`)."""
+
+    #: Sources whose PSR reaches the querier.
+    survivors: frozenset[int]
+    #: ARQ attempts over every parcel sent, each surviving ACK in time.
+    attempts: int
+    #: Parcels sent: every attempted source, and every aggregator that got anything.
+    parcels: int
 
 
 class EpochPlanner:
@@ -134,6 +150,40 @@ class EpochPlanner:
             o.node_id for o in self.faults.outages if o.down(epoch)
         )
         return self._walk(self._sources - down) if down else self._full
+
+    def predict(
+        self, epoch: int, injector: "KeyedFaultInjector", policy: "RetransmitPolicy"
+    ) -> EpochFate:
+        """Replay the epoch's parcels against the keyed schedule, bottom-up.
+
+        Every attempted source sends, and every live aggregator forwards
+        the union of the manifests its children delivered, if any
+        (:func:`~repro.runtime.transport.parcel_fate` per parcel).  This
+        is the outcome whenever each delivered copy beats its merge
+        deadline and each surviving ACK its timeout.  A test oracle: no
+        substrate decision reads it.
+        """
+        plan = self.plan(epoch)
+        inbox: dict[int, set[int]] = {}
+        attempts = parcels = 0
+
+        def send(node: int, manifest: set[int]) -> None:
+            nonlocal attempts, parcels
+            receiver, edge = self.uplink[node]
+            delivered, tries = parcel_fate(injector, policy, node, receiver, edge, epoch)
+            attempts += tries
+            parcels += 1
+            if delivered:
+                inbox.setdefault(receiver, set()).update(manifest)
+
+        for sid in self.tree.source_ids:
+            if sid in plan.attempted:
+                send(sid, {sid})
+        for aid in plan.expected:  # live aggregators, bottom-up
+            manifest = inbox.pop(aid, None)
+            if manifest:
+                send(aid, manifest)
+        return EpochFate(frozenset(inbox.get(QUERIER_NODE_ID, ())), attempts, parcels)
 
     def _walk(self, attempted: frozenset[int]) -> EpochPlan:
         tree = self.tree

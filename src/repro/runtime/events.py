@@ -17,7 +17,11 @@ The scheduler is intentionally minimal (a binary heap of
 transports build timers, timeouts and deadlines out of
 :meth:`EventScheduler.call_at` / :meth:`call_later` alone.  The unique
 sequence number settles every tie, so the heap compares plain tuples
-and never reaches the event itself.
+and never reaches the event itself.  The TCP cluster's clock
+(:class:`repro.cluster.orchestrator.ScheduledClock`) drives the same
+scheduler from its event loop: :meth:`EventScheduler.next_time` says when
+the next timer is due, and :meth:`EventScheduler.run_at` runs a received
+frame's handler at the frame's write time.
 """
 
 from __future__ import annotations
@@ -85,6 +89,29 @@ class EventScheduler:
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.call_at(self._now + delay, action)
+
+    def next_time(self) -> float | None:
+        """Time of the earliest live event (cancelled ones are dropped first), or None."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def run_at(self, when: float, action: Callable[[], None]) -> None:
+        """Run *action* at once, outside the heap, as if at logical time *when*.
+
+        Whatever *action* schedules is relative to *when*; afterwards the
+        clock is back at the last event's time.  *when* may not precede
+        that time: a callback cannot run before an event already run.
+        """
+        now = self._now
+        if not when >= now:
+            raise SimulationError(f"cannot run at {when}: before now={now}")
+        self._now = when
+        try:
+            action()
+        finally:
+            self._now = now
 
     def run(self, *, until: Callable[[], bool] | None = None, max_events: int = 10_000_000) -> None:
         """Process events in order until the heap drains (or *until* is true).

@@ -201,8 +201,9 @@ class RunMetrics:
 
     def deterministic_ledger(self) -> dict:
         """The seed-determined slice: equal across reruns (and, on the
-        cluster, across windows and to the :mod:`repro.cluster.faults`
-        oracle's prediction on the same plan)."""
+        cluster, across windows; on both lossy substrates, its survivor
+        sets are :meth:`~repro.runtime.epoch.EpochPlanner.predict`'s on
+        the same plan)."""
         return {
             "protocol": self.protocol,
             "num_sources": self.num_sources,

@@ -20,8 +20,8 @@ the copies the keyed schedule lets through, and the receivers'
 * **receiver half** — :meth:`ReliableTransport.receive` suppresses
   duplicates by ``(sender, uid)``, has ``deliver`` classify each first
   copy (delivered, late, or decode failure), and reads from the
-  attempt's verdict whether the ACK — sent for *every* received copy —
-  survives the way back;
+  attempt's verdict, which the link carries to every copy, whether the
+  ACK — sent for *every* received copy — survives the way back;
 * every outcome is counted into the channel's per-edge-class
   :class:`~repro.network.ledger.HopLedger`, whose
   :meth:`~repro.network.ledger.HopLedger.check_conservation` proves no
@@ -30,12 +30,16 @@ the copies the keyed schedule lets through, and the receivers'
   :func:`emit_hop`, the emit helper every substrate's hop path shares.
 
 :func:`scheduled_transport` builds the event runtime's transport on its
-scheduler and keyed-latency arrival events, which carry the attempt's
-verdict, so the runtime hashes once per attempt; the TCP cluster's
-orchestrator hands its running loop, the channel's ``emit`` and envelope
-writes on the sender's uplink, and its receiver, which holds only the
-envelope, recomputes the verdict for each copy.  A parcel's uid is its
-epoch on both substrates — each hop carries one parcel per epoch.
+scheduler and keyed-latency arrival events; the TCP cluster's
+orchestrator hands its scheduled-time clock, the channel's ``emit`` and
+envelope writes on the sender's uplink, whose in-flight record carries
+the verdict to the receiving node.  Either way each attempt is hashed
+once.  A parcel's uid is its epoch on both substrates — each hop
+carries one parcel per epoch.
+
+:func:`parcel_fate` replays one parcel's ARQ against the keyed schedule
+before any run; :meth:`repro.runtime.epoch.EpochPlanner.predict` walks
+it up the tree.  Both are test oracles: no substrate decision reads them.
 
 A sender giving up does **not** retract a copy that actually arrived
 (the ACK may be the lost half): correctness downstream derives from
@@ -67,6 +71,7 @@ __all__ = [
     "ReliableTransport",
     "TransportObserver",
     "emit_hop",
+    "parcel_fate",
     "scheduled_transport",
 ]
 
@@ -307,7 +312,7 @@ class ReliableTransport:
 
     def receive(
         self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int,
-        open_copy: Callable[[], DataMessage | None], verdict: KeyedVerdict | None = None,
+        open_copy: Callable[[], DataMessage | None], verdict: KeyedVerdict,
     ) -> bool:
         """Account one copy arriving at *receiver*; True when its ACK must go back.
 
@@ -317,8 +322,8 @@ class ReliableTransport:
         :data:`DECODE_FAILURE`, or ``None`` when the channel rejected the
         frame (a decode failure).  Every copy — duplicates and
         undecodable ones included, the *transport* delivered them — is
-        ACKed unless the schedule swallows the ACK on the way back: the
-        attempt's *verdict* says so, or the injector when none is carried.
+        ACKed unless the attempt's *verdict*, carried with the copy, has
+        the schedule swallow the ACK on the way back.
         """
         c = self.ledger.edge(edge)
         c.frames_received += 1
@@ -342,11 +347,7 @@ class ReliableTransport:
             else:
                 raise SimulationError(f"unknown first-copy disposition {kind!r}")
         self._emit(kind, sender, receiver, edge, uid, attempt)
-        if verdict is None:
-            ack_lost = self.injector.ack_verdict(sender, receiver, edge, uid, attempt)
-        else:
-            ack_lost = verdict.ack_lost
-        if ack_lost:
+        if verdict.ack_lost:
             c.acks_dropped += 1
             self._emit("ack_lost", sender, receiver, edge, uid, attempt)
             return False
@@ -394,3 +395,29 @@ def scheduled_transport(
         put=put, deliver=deliver, observer=observer,
     )
     return transport
+
+
+def parcel_fate(
+    injector: KeyedFaultInjector,
+    policy: RetransmitPolicy,
+    sender: int,
+    receiver: int,
+    edge: EdgeClass,
+    uid: int,
+) -> tuple[bool, int]:
+    """Replay one parcel's ARQ against the keyed schedule, one verdict
+    (data fate and ACK fate) per attempt.
+
+    Returns ``(delivered, attempts)``: whether some attempt's copy got
+    through, and the attempts the sender makes when every surviving ACK
+    beats its timeout — on the cluster's scheduled-time clock and on the
+    event runtime's default timings, always.
+    """
+    delivered = False
+    for attempt in range(policy.max_attempts):
+        verdict = injector.data_verdict(sender, receiver, edge, uid, attempt)
+        if not verdict.lost:
+            delivered = True
+            if not verdict.ack_lost:
+                return True, attempt + 1
+    return delivered, policy.max_attempts

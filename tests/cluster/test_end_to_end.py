@@ -6,9 +6,9 @@ Three layers of assurance:
    reproduce exactly what the in-process runtime (and ground truth)
    computes, epoch for epoch.
 2. **Lossy oracle differential** — under seeded loss, every epoch's
-   survivor set must equal the :func:`repro.cluster.faults.parcel_fate`
-   walk of the tree, and the accepted value must be the exact SUM over
-   those survivors (the paper's reported-failure-subset recovery).
+   survivor set must equal :meth:`repro.runtime.epoch.EpochPlanner.predict`,
+   and the accepted value must be the exact SUM over those survivors
+   (the paper's reported-failure-subset recovery).
 3. **Acceptance run** (``slow``) — the ISSUE's headline scenario: a
    64-source SIES tree over localhost TCP with 20% seeded loss
    completing 100 pipelined epochs with zero silent drops and byte-exact
@@ -23,7 +23,7 @@ import itertools
 
 import pytest
 
-from repro.cluster.faults import parcel_fate
+from repro.cluster.node import ClusterNode
 from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator, run_cluster
 from repro.core.protocol import SIESProtocol
 from repro.core.querier import SIESQuerier
@@ -32,50 +32,29 @@ from repro.errors import SimulationError
 from repro.network.channel import EdgeClass
 from repro.network.messages import DataMessage
 from repro.protocols.base import SecureAggregationProtocol
-from repro.network.simulator import QUERIER_NODE_ID
 from repro.network.topology import build_complete_tree
 from repro.runtime import FaultPlan, RuntimeConfig, RuntimeSimulator
-from repro.runtime.epoch import EpochDriver
+from repro.runtime.epoch import EpochDriver, EpochPlanner
 from repro.runtime.faults import BurstLoss, KeyedFaultInjector, NodeOutage
-from repro.runtime.transport import RetransmitPolicy
 from repro.wire.frame import HEADER_LEN
 
 pytestmark = pytest.mark.cluster
 
 #: Hold/slack used by the lossy tests: the ARQ's worst *delivered* wait
-#: is ≈0.10 s (see orchestrator defaults), so a 0.5 s rung leaves real
-#: margin for event-loop lag — late frames would (legitimately) shrink
-#: survivor sets below the oracle's prediction.
+#: is ≈0.10 s of scheduled time (see orchestrator defaults), so a 0.5 s
+#: rung leaves margin — a copy past its deadline would (legitimately)
+#: shrink survivor sets below the oracle's prediction.
 SAFE = dict(hold_time=0.5, querier_slack=0.5)
 
 
-def oracle_survivors(
-    tree, plan: FaultPlan, policy: RetransmitPolicy, seed: int, epoch: int
-) -> frozenset[int]:
-    """Replay the keyed fault schedule bottom-up: a source survives iff
-    every hop on its path to the querier delivers its epoch parcel."""
+def predictor(tree, plan: FaultPlan, config: ClusterConfig, seed: int):
+    """``epoch -> EpochFate``: what the keyed schedule makes of each epoch."""
+    planner = EpochPlanner(
+        tree, hold_time=config.hold_time, querier_slack=config.querier_slack,
+        failed_sources=config.failed_sources, faults=plan,
+    )
     injector = KeyedFaultInjector(plan, seed=seed)
-
-    def hop_delivers(nid: int) -> bool:
-        parent = tree.parent(nid)
-        if parent is None:
-            receiver, edge = QUERIER_NODE_ID, EdgeClass.AGGREGATOR_TO_QUERIER
-        elif tree.node(nid).is_source:
-            receiver, edge = parent, EdgeClass.SOURCE_TO_AGGREGATOR
-        else:
-            receiver, edge = parent, EdgeClass.AGGREGATOR_TO_AGGREGATOR
-        return parcel_fate(injector, policy, nid, receiver, edge, epoch)[0]
-
-    survivors = set()
-    for sid in tree.source_ids:
-        ok = hop_delivers(sid)
-        node = tree.parent(sid)
-        while ok and node is not None:
-            ok = hop_delivers(node)
-            node = tree.parent(node)
-        if ok:
-            survivors.add(sid)
-    return frozenset(survivors)
+    return lambda epoch: planner.predict(epoch, injector, config.policy)
 
 
 def test_lossless_cluster_matches_runtime_and_ground_truth() -> None:
@@ -109,25 +88,24 @@ def test_lossy_epochs_match_the_tree_walk_oracle() -> None:
     n, epochs = 16, 10
     plan = FaultPlan.uniform_loss(0.25)
     tree = build_complete_tree(n, 4)
-    policy = ClusterConfig().policy
     # The first seed from 2011 on whose schedule loses a whole source in
     # some epoch, so the oracle comparison below is never vacuous.
     seed = next(
         candidate
         for candidate in itertools.count(2011)
         if any(
-            len(oracle_survivors(tree, plan, policy, candidate, epoch)) < n
+            len(predictor(tree, plan, ClusterConfig(**SAFE), candidate)(epoch).survivors) < n
             for epoch in range(1, epochs + 1)
         )
     )
     workload = DomainScaledWorkload(n, scale=100, seed=seed)
     config = ClusterConfig(num_epochs=epochs, window=4, seed=seed, plan=plan, **SAFE)
-    assert config.policy == policy
     metrics = run_cluster(SIESProtocol(n, seed=seed), tree, workload, config)
     assert metrics.num_epochs == epochs
+    predict = predictor(tree, plan, config, seed)
     lossy_epochs = 0
     for em in metrics.epochs:
-        expected = oracle_survivors(tree, plan, config.policy, seed, em.epoch)
+        expected = predict(em.epoch).survivors
         assert em.recovery.survivors == expected, f"epoch {em.epoch} diverged from oracle"
         if expected:
             assert em.accepted and em.result is not None and em.result.verified
@@ -309,6 +287,32 @@ def test_a_role_error_in_the_receive_path_is_the_error_run_raises(monkeypatch) -
         assert loop_errors == [], message
 
 
+def test_a_dropped_connection_fails_the_run_instead_of_hanging(monkeypatch) -> None:
+    """A source's uplink dies right after its first write.  The frame's
+    in-flight record must go with the connection: otherwise the ACK
+    timeout it armed would wait for that frame forever.  Instead the
+    timeout runs, and its retransmission fails the run."""
+    original_put = ClusterNode.put
+
+    def put_then_drop(node, parcel, frame, attempt, verdict) -> None:
+        original_put(node, parcel, frame, attempt, verdict)
+        if node.node_id == 0:
+            node._parent._transport.abort()
+
+    monkeypatch.setattr(ClusterNode, "put", put_then_drop)
+    orchestrator = EpochOrchestrator(
+        SIESProtocol(4, seed=1), build_complete_tree(4, 4),
+        DomainScaledWorkload(4, scale=100, seed=1),
+        ClusterConfig(num_epochs=1, window=1, plan=FaultPlan.lossless()),
+    )
+
+    async def bounded() -> None:
+        await asyncio.wait_for(orchestrator.run(), timeout=20.0)
+
+    with pytest.raises(SimulationError, match="closing connection"):
+        asyncio.run(bounded())
+
+
 class TestConfigurationRejections:
     def test_tree_protocol_size_mismatch(self) -> None:
         with pytest.raises(SimulationError):
@@ -390,8 +394,9 @@ def test_acceptance_64_sources_100_epochs_20_percent_loss() -> None:
     # SUM over that epoch's survivors, and the survivors are exactly the
     # keyed fault schedule's prediction.
     assert metrics.num_epochs == epochs
+    predict = predictor(tree, plan, config, seed)
     for em in metrics.epochs:
-        expected = oracle_survivors(tree, plan, config.policy, seed, em.epoch)
+        expected = predict(em.epoch).survivors
         assert em.recovery.survivors == expected, (
             f"epoch {em.epoch}: oracle survivors {sorted(expected)}, cluster survivors "
             f"{sorted(em.recovery.survivors)}, late_arrivals {em.late_arrivals}"
@@ -401,6 +406,10 @@ def test_acceptance_64_sources_100_epochs_20_percent_loss() -> None:
         assert em.result.value == sum(workload(sid, em.epoch) for sid in expected)
     assert 0 < metrics.delivery_rate() < 1.0  # lossy but recovering
     assert metrics.acceptance_rate() == 1.0
+    # Every surviving ACK beat its timeout: no attempt beyond the schedule's.
+    assert metrics.traffic.total("attempts") == sum(
+        predict(epoch).attempts for epoch in range(1, epochs + 1)
+    )
 
     # Zero silent drops: the conservation laws and per-node error
     # counters account for every frame ever written or swallowed.

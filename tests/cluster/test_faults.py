@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-from repro.cluster.faults import parcel_fate
 from repro.network.channel import EdgeClass
 from repro.runtime.faults import (
     BurstLoss,
@@ -13,7 +12,7 @@ from repro.runtime.faults import (
     LinkProfile,
     NodeOutage,
 )
-from repro.runtime.transport import RetransmitPolicy
+from repro.runtime.transport import RetransmitPolicy, parcel_fate
 
 EDGE = EdgeClass.SOURCE_TO_AGGREGATOR
 PLAN = FaultPlan.uniform_loss(0.3)

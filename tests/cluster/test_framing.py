@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import socket
 from types import SimpleNamespace
 
 import pytest
@@ -285,3 +286,53 @@ class TestClusterLink:
 
         ends = asyncio.run(scenario())
         assert ends.received == [decode_envelope(ENVELOPES[0])]
+
+    def test_both_ends_name_a_connection_alike_even_when_a_local_port_repeats(self) -> None:
+        """Two uplinks on one local port towards two parents are two
+        connections: each end's outbound name is the other end's inbound
+        name, and the two connections' names differ."""
+
+        async def scenario() -> list[tuple[_Link, _Link]]:
+            loop = asyncio.get_running_loop()
+            node = SimpleNamespace(guard=lambda fn, *args: fn(*args), stream_errors=0)
+            accepted: list[_Link] = []
+
+            def accept() -> _Link:
+                link = _Link(node, DataEnvelope, lambda envelope, _: None)
+                accepted.append(link)
+                return link
+
+            servers = [await loop.create_server(accept, host="127.0.0.1", port=0) for _ in range(2)]
+            local_port = None
+            pairs = []
+            for server in servers:
+                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                sock.bind(("127.0.0.1", local_port or 0))
+                local_port = sock.getsockname()[1]
+                sock.setblocking(False)
+                await loop.sock_connect(sock, server.sockets[0].getsockname())
+                _, uplink = await loop.create_connection(
+                    lambda: _Link(node, AckEnvelope, lambda envelope, _: None), sock=sock
+                )
+                while len(accepted) < len(pairs) + 1:
+                    await asyncio.sleep(0.001)
+                pairs.append((uplink, accepted[-1]))
+            for uplink, _ in pairs:
+                uplink.half_close()
+                await uplink.closed
+            for server in servers:
+                server.close()
+                await server.wait_closed()
+            return pairs
+
+        pairs = asyncio.run(scenario())
+        (up_a, down_a), (up_b, down_b) = pairs
+        assert up_a._transport.get_extra_info("sockname") == up_b._transport.get_extra_info(
+            "sockname"
+        )
+        for uplink, parent_end in pairs:
+            assert uplink.outbound == parent_end.inbound
+            assert parent_end.outbound == uplink.inbound
+        assert up_a.outbound != up_b.outbound and up_a.inbound != up_b.inbound
+

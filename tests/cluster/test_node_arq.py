@@ -2,13 +2,12 @@
 
 A single source→aggregator link built from two real
 :class:`~repro.cluster.node.ClusterNode` endpoints sharing one
-:class:`~repro.runtime.transport.ReliableTransport` on the running loop,
-wired as the orchestrator wires it (the driver hands every decoded
-first copy to a recording ``deliver``), so every counter
-the ledger keeps can be pinned exactly against the keyed fault
-schedule.  Timing-dependent quantities (extra attempts under a slow
-ACK) are asserted as inequalities; everything the schedule
-determines — delivery, injected drops, duplicate copies — exactly.
+:class:`~repro.runtime.transport.ReliableTransport` on one
+:class:`~repro.cluster.orchestrator.ScheduledClock`, wired as the
+orchestrator wires them (the driver hands every decoded first copy to a
+recording ``deliver``), so every counter the ledger keeps can be pinned
+exactly against the keyed fault schedule — attempts included: on the
+scheduled clock every surviving ACK beats its timeout.
 """
 
 from __future__ import annotations
@@ -17,14 +16,20 @@ import asyncio
 
 import pytest
 
-from repro.cluster.faults import parcel_fate
 from repro.cluster.node import ClusterNode
+from repro.cluster.orchestrator import ScheduledClock
 from repro.core.protocol import SIESProtocol
 from repro.errors import SimulationError
 from repro.network.channel import Channel, EdgeClass
 from repro.network.messages import DataMessage
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile
-from repro.runtime.transport import DELIVERED, Parcel, ReliableTransport, RetransmitPolicy
+from repro.runtime.transport import (
+    DELIVERED,
+    Parcel,
+    ReliableTransport,
+    RetransmitPolicy,
+    parcel_fate,
+)
 
 pytestmark = pytest.mark.cluster
 
@@ -54,12 +59,13 @@ class _Hop:
         #: parcel uid → the future its finish (ACK or give-up) resolves.
         self._finished: dict[int, asyncio.Future] = {}
         loop = asyncio.get_running_loop()
+        self.clock = ScheduledClock(loop, lambda fn, *args: fn(*args))
         self.transport = ReliableTransport(
             self.injector,
             policy,
             self.channel,
             now=loop.time,
-            call_later=loop.call_later,
+            call_later=self.clock.call_later,
             wire=self.channel.emit,
             put=lambda parcel, *attempt: self.child.put(parcel, *attempt),
             deliver=self._deliver,
@@ -67,7 +73,7 @@ class _Hop:
         )
         common = dict(
             channel=self.channel, uplink={0: (1, EDGE)}, transport=self.transport,
-            guard=lambda fn, *args: fn(*args),
+            clock=self.clock,
         )
         self.parent = ClusterNode(1, **common)
         self.child = ClusterNode(0, **common)
@@ -87,6 +93,7 @@ class _Hop:
         finished = asyncio.get_running_loop().create_future()
         self._finished[epoch] = finished
         parcel = self.transport.send(DataMessage(0, 1, epoch, psr, frozenset({0})), EDGE)
+        self.clock.pump()  # sent outside any clock callback: arm its timer
         await finished
         return parcel.acked
 
@@ -231,9 +238,8 @@ def test_lossy_epochs_match_the_parcel_fate_oracle() -> None:
     assert [epoch for _, epoch, _, _ in hop.delivered] == [
         epoch for epoch, (delivered, _) in fates.items() if delivered
     ]
-    # Attempt counts are timing-dependent only *upward* (slow ACKs add
-    # attempts; nothing removes one).
-    assert c.attempts >= sum(attempts for _, attempts in fates.values())
+    # Every surviving ACK beats its timeout on the scheduled clock.
+    assert c.attempts == sum(attempts for _, attempts in fates.values())
     assert c.retransmissions == c.attempts - len(list(epochs))
     hop.ledger.check_conservation()
     # A parcel whose every data copy the schedule ate can never be ACKed.

@@ -27,3 +27,11 @@ def test_results_are_cached_per_settings() -> None:
     a = measure_constants(repeat=2, inner_loops=20)
     b = measure_constants(repeat=2, inner_loops=20)
     assert a is b
+
+
+def test_fresh_retimes_and_leaves_the_cache() -> None:
+    cached = measure_constants(repeat=2, inner_loops=20)
+    fresh = measure_constants(repeat=2, inner_loops=20, fresh=True)
+    assert fresh is not cached
+    assert set(vars(fresh)) == set(vars(cached))
+    assert measure_constants(repeat=2, inner_loops=20) is cached

@@ -14,6 +14,7 @@ from repro.experiments.common import (
     build_final_psr,
     measure_aggregator_cost,
     measure_querier_cost,
+    measure_queriers_paired,
     measure_source_cost,
     paper_workload,
 )
@@ -46,6 +47,27 @@ def test_measure_querier_cost_verifies(small_tree=None) -> None:
     pm = measure_querier_cost(protocol, WORKLOAD, epochs=[1, 2])
     assert pm.samples == 2
     assert pm.ops.get("inv32") == 2
+
+
+def test_queriers_paired_price_each_round_afresh() -> None:
+    """Each round divides one evaluation per party by its model at fresh constants."""
+    calls = []
+
+    def model(host):
+        calls.append(host)
+        return 1.0
+
+    sies, cmt = measure_queriers_paired(
+        [(SIESProtocol(N, seed=3), WORKLOAD, model),
+         (CMTProtocol(N, seed=3), WORKLOAD, lambda host: 1e-12)],
+        epochs=[1, 2], rounds=3,
+    )
+    assert len(calls) == 3 and len({id(c) for c in calls}) == 3
+    # a model of one second per evaluation: the ratio is the time itself
+    assert sies.model_seconds == 1.0
+    assert sies.model_ratio == pytest.approx(sies.median_seconds)
+    assert 0 < sies.median_seconds < 1.0
+    assert cmt.model_ratio > 1.0
 
 
 def test_build_final_psr_generic_path_matches_direct_sum() -> None:

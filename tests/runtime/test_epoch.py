@@ -34,8 +34,8 @@ from repro.runtime.epoch import (
     QuerierEpochs,
     node_heights,
 )
-from repro.runtime.faults import FaultPlan, NodeOutage
-from repro.runtime.transport import DELIVERED, LATE
+from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile, NodeOutage
+from repro.runtime.transport import DELIVERED, LATE, RetransmitPolicy, parcel_fate
 from repro.runtime.simulator import RuntimeSimulator
 
 N = 4
@@ -318,6 +318,49 @@ def test_plan_matches_the_per_source_definition_over_random_outages(seed: int) -
     attempted, pre_failed, expected = reference_plan(tree, frozenset(), FaultPlan(), 3)
     plan = clean.plan(3)
     assert (plan.attempted, plan.pre_failed, plan.expected) == (attempted, pre_failed, expected)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_predict_is_the_per_source_path_walk(seed: int) -> None:
+    """A source survives iff it attempts and every hop on its path up
+    delivers; the parcels are the attempted sources and every aggregator
+    that a delivered hop reached, each charged its ``parcel_fate`` attempts."""
+    rng = random.Random(seed)
+    tree = build_random_tree(31, max_fanout=4, seed=seed)
+    nodes = [*tree.source_ids, *tree.aggregator_ids]
+    faults = FaultPlan(
+        default_profile=LinkProfile(loss_rate=0.45),
+        outages=tuple(NodeOutage(rng.choice(nodes), e, e + 1) for e in rng.sample(range(1, 9), 3)),
+    )
+    failed = frozenset(rng.sample(tree.source_ids, 2))
+    planner = EpochPlanner(
+        tree, hold_time=1.0, querier_slack=0.0, failed_sources=failed, faults=faults
+    )
+    injector = KeyedFaultInjector(faults, seed=seed)
+    policy = RetransmitPolicy(max_retries=2)
+    lossy = 0
+    for epoch in range(1, 10):
+
+        def fate(node: int) -> tuple[bool, int]:
+            receiver, edge = planner.uplink[node]
+            return parcel_fate(injector, policy, node, receiver, edge, epoch)
+
+        attempted = planner.plan(epoch).attempted
+        survivors, senders = set(), set(attempted)
+        for sid in attempted:
+            node, path_ok = sid, fate(sid)[0]
+            while path_ok and tree.parent(node) is not None:
+                node = tree.parent(node)
+                senders.add(node)
+                path_ok = fate(node)[0]
+            if path_ok:
+                survivors.add(sid)
+        prediction = planner.predict(epoch, injector, policy)
+        assert prediction.survivors == survivors
+        assert prediction.parcels == len(senders)
+        assert prediction.attempts == sum(fate(node)[1] for node in senders)
+        lossy += len(survivors) < len(attempted)
+    assert lossy, "45 % loss lost no source: the walk is vacuous"
 
 
 def test_uplink_table_names_every_hop_and_its_edge_class() -> None:

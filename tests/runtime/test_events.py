@@ -120,3 +120,30 @@ def test_pending_ignores_cancelled_entries() -> None:
     assert scheduler.pending == 3
     scheduler.run()
     assert scheduler.pending == 0
+
+
+def test_next_time_skips_cancelled_events() -> None:
+    scheduler = EventScheduler()
+    assert scheduler.next_time() is None
+    doomed = scheduler.call_at(1.0, lambda: None)
+    scheduler.call_at(2.0, lambda: None)
+    assert scheduler.next_time() == 1.0
+    doomed.cancel()
+    assert scheduler.next_time() == 2.0
+    assert scheduler.pending == 1
+
+
+def test_run_at_schedules_relative_to_its_time_and_restores_the_clock() -> None:
+    scheduler = EventScheduler()
+    fired: list[tuple[str, float]] = []
+    scheduler.call_at(1.0, lambda: fired.append(("timer", scheduler.now)))
+    scheduler.run()
+    scheduler.run_at(
+        3.0, lambda: scheduler.call_later(0.5, lambda: fired.append(("armed", scheduler.now)))
+    )
+    assert scheduler.now == 1.0
+    scheduler.run()
+    assert fired == [("timer", 1.0), ("armed", 3.5)]
+    assert scheduler.events_processed == 2
+    with pytest.raises(SimulationError):
+        scheduler.run_at(2.0, lambda: None)  # before the last event run

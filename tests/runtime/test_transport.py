@@ -279,7 +279,9 @@ def contract_transport(
         puts.append((attempt, verdict.copies))
         for _ in range(verdict.copies if echo else 0):
             sender, receiver, edge, uid = parcel.sender, parcel.receiver, parcel.edge, parcel.uid
-            if transport.receive(sender, receiver, edge, uid, attempt, lambda: parcel.message):
+            if transport.receive(
+                sender, receiver, edge, uid, attempt, lambda: parcel.message, verdict
+            ):
                 transport.ack(sender, edge, uid)
 
     transport = ReliableTransport(
@@ -506,21 +508,21 @@ def test_channel_swallowed_attempt_is_counted_apart_from_the_schedule() -> None:
 
 
 def test_late_first_copy_is_counted_and_acked() -> None:
-    _, transport, events, _ = echo_transport(
-        KeyedFaultInjector(FaultPlan.lossless(), seed=0), disposition=LATE
-    )
-    assert transport.receive(0, 1, EDGE, 1, 0, _message)
+    injector = KeyedFaultInjector(FaultPlan.lossless(), seed=0)
+    _, transport, events, _ = echo_transport(injector, disposition=LATE)
+    verdict = injector.data_verdict(0, 1, EDGE, 1, 0)
+    assert transport.receive(0, 1, EDGE, 1, 0, _message, verdict)
     assert kinds(events) == ["late"]
     assert transport.ledger.edge(EDGE).late_frames == 1
     assert transport.ledger.edge(EDGE).acks_sent == 1
 
 
 def test_unknown_disposition_is_rejected() -> None:
-    _, transport, _, _ = echo_transport(
-        KeyedFaultInjector(FaultPlan.lossless(), seed=0), disposition="maybe"
-    )
+    injector = KeyedFaultInjector(FaultPlan.lossless(), seed=0)
+    _, transport, _, _ = echo_transport(injector, disposition="maybe")
+    verdict = injector.data_verdict(0, 1, EDGE, 1, 0)
     with pytest.raises(SimulationError):
-        transport.receive(0, 1, EDGE, 1, 0, _message)
+        transport.receive(0, 1, EDGE, 1, 0, _message, verdict)
 
 
 def test_an_ack_timeout_is_a_pure_function_of_its_coordinate() -> None:

@@ -243,7 +243,8 @@ def test_metrics_command_prometheus(capsys) -> None:
 
 
 def test_metrics_traffic_series_match_across_substrates(capsys) -> None:
-    """Both ARQ substrates count one message and its bytes per attempt."""
+    """Both ARQ substrates count one message and its bytes per attempt, and
+    make the same attempts: every surviving ACK beats its timeout on both."""
 
     def traffic_lines(substrate: str) -> list[str]:
         assert main(["metrics", "--substrate", substrate, "--seed", "2011"]) == 0
@@ -251,11 +252,12 @@ def test_metrics_traffic_series_match_across_substrates(capsys) -> None:
         return [
             line.replace(f'substrate="{substrate}",', "")
             for line in out.splitlines()
-            if line.startswith("sies_traffic_")
+            if line.startswith(("sies_traffic_", "sies_transport_attempts_total"))
         ]
 
     runtime = traffic_lines("runtime")
-    assert len(runtime) == 6  # messages and bytes on S-A, A-A and A-Q
+    # messages and bytes, and attempts, on S-A, A-A and A-Q
+    assert len(runtime) == 9
     assert traffic_lines("cluster") == runtime
 
 

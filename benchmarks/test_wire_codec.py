@@ -20,7 +20,6 @@ from repro.baselines.cmt import CMTProtocol
 from repro.baselines.secoa.secoa_sum import SECOASumProtocol
 from repro.core.protocol import SIESProtocol
 from repro.network.channel import Channel, EdgeClass
-from repro.network.messages import DataMessage
 
 SEED = 2011
 BATCH = 512
@@ -94,11 +93,10 @@ def test_channel_roundtrip_tax(benchmark) -> None:
     protocol = SIESProtocol(64, seed=SEED)
     psr = protocol.create_source(0).initialize(EPOCH, 1234)
     channel = Channel(protocol.wire_codec())
-    message = DataMessage(0, 1, EPOCH, psr)
 
     def transmit_batch():
         for _ in range(BATCH):
-            channel.transmit(message, EdgeClass.SOURCE_TO_AGGREGATOR)
+            channel.transmit(0, 1, EdgeClass.SOURCE_TO_AGGREGATOR, psr)
 
     benchmark.pedantic(transmit_batch, rounds=5, iterations=1)
     _report_rate(benchmark, BATCH)

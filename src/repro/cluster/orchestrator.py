@@ -350,7 +350,7 @@ class EpochOrchestrator:
             self.channel,
             now=loop.time,
             call_later=clock.call_later,
-            wire=self.channel.emit,
+            wire=lambda message, edge, frame: self.channel.emit(message.psr, edge, frame),
             put=lambda parcel, frame, attempt, verdict: self._nodes[parcel.sender].put(
                 parcel, frame, attempt, verdict
             ),

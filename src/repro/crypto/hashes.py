@@ -13,6 +13,14 @@ implementation:
 The active backend is process-global (:func:`set_default_backend`) and
 can be overridden per call; the ablation benchmark
 ``benchmarks/test_ablation_hash_backend.py`` quantifies the gap.
+
+Descriptors are immutable, so :func:`get_hash` hands out one shared
+:class:`HashFunction` per ``(algorithm, resolved backend)``, built on
+first use: SIES set-up keys ``5N+1`` PRFs, and each resolves its hash
+with one dictionary lookup.  The backend is resolved *before* the
+lookup, so a later :func:`set_default_backend` changes what the next
+call returns but never a descriptor already handed out.  An unknown
+algorithm or backend raises on every call and is never stored.
 """
 
 from __future__ import annotations
@@ -72,6 +80,9 @@ _PURE_FACTORIES: dict[str, Callable[[bytes], object]] = {
 
 _SIZES = {"sha1": (20, 64), "sha256": (32, 64)}
 
+#: ``(algorithm, resolved backend)`` → its one shared descriptor.
+_DESCRIPTORS: dict[tuple[str, str], HashFunction] = {}
+
 
 def available_backends() -> tuple[str, ...]:
     """Backends accepted by :func:`get_hash` / :func:`set_default_backend`."""
@@ -94,16 +105,27 @@ def get_default_backend() -> str:
 
 
 def get_hash(name: str, backend: str | None = None) -> HashFunction:
-    """Resolve algorithm *name* (``"sha1"``/``"sha256"``) on a backend."""
+    """Resolve algorithm *name* (``"sha1"``/``"sha256"``) on a backend.
+
+    Repeated calls for the same algorithm and resolved backend return
+    the same descriptor.
+    """
+    key = (name, backend or _default_backend)
+    descriptor = _DESCRIPTORS.get(key)
+    if descriptor is None:
+        descriptor = _DESCRIPTORS[key] = _build(*key)
+    return descriptor
+
+
+def _build(name: str, backend: str) -> HashFunction:
     if name not in _SIZES:
         raise ParameterError(f"unsupported hash algorithm {name!r}")
-    chosen = backend or _default_backend
-    if chosen not in _BACKENDS:
+    if backend not in _BACKENDS:
         raise ConfigurationError(
-            f"unknown hash backend {chosen!r}; expected one of {_BACKENDS}"
+            f"unknown hash backend {backend!r}; expected one of {_BACKENDS}"
         )
     digest_size, block_size = _SIZES[name]
-    if chosen == "pure":
+    if backend == "pure":
         factory = _PURE_FACTORIES[name]
     else:
         factory = _hashlib_factory(name)
@@ -111,7 +133,7 @@ def get_hash(name: str, backend: str | None = None) -> HashFunction:
         name=name,
         digest_size=digest_size,
         block_size=block_size,
-        backend=chosen,
+        backend=backend,
         _factory=factory,
     )
 

@@ -2,7 +2,11 @@
 
 Series (paper: N=1024, F=4, D = [18,50] × {1, 10, 10², 10³, 10⁴}):
 
-* SIES and CMT measured — flat in D (a couple of HMACs + modular ops);
+* SIES and CMT measured — flat in D (a couple of HMACs + modular ops),
+  every domain point of both timed in shared rounds and reported as
+  medians (:func:`~repro.experiments.common.measure_sources_paired`): a
+  mean of a few ~10 µs calls, each point timed seconds apart from the
+  others, swings by 2x or more on a shared host;
 * SECOA_S measured — with the ``PER_ITEM`` reference strategy wherever
   the insertion count ``J·v`` is tractable, and with ``CLOSED_FORM``
   everywhere (which times the HMAC/RSA part exactly and replaces the
@@ -27,12 +31,18 @@ from repro.costmodel.microbench import measure_constants
 from repro.costmodel.models import secoas_cost_bounds, sies_costs, cmt_costs
 from repro.costmodel.tables import DEFAULTS
 from repro.datasets.workload import domain_for_scale
-from repro.experiments.common import measure_source_cost, paper_workload
+from repro.experiments.common import (
+    measure_source_cost,
+    measure_sources_paired,
+    paper_workload,
+)
 from repro.experiments.reporting import ExperimentReport, format_seconds, render_report
 
 __all__ = ["run", "main", "PAPER_SCALES"]
 
 PAPER_SCALES = (1, 10, 100, 1000, 10000)
+#: Fewest shared rounds timing the SIES and CMT sources.
+PAIRED_ROUNDS = 15
 
 #: Largest J*v insertion count we time with the literal per-item path.
 PER_ITEM_WORK_LIMIT = 2_000_000
@@ -69,20 +79,17 @@ def run(
         "secoa_model_min_paper": [], "secoa_model_max_paper": [],
     }
 
-    fast_epoch_list = list(range(1, fast_epochs + 1))
-    fast_source_list = list(range(fast_sources))
-    for scale in scales:
+    workloads = [paper_workload(num_sources, scale, seed=seed) for scale in scales]
+    paired = measure_sources_paired(
+        [(SIESProtocol(num_sources, seed=seed), workload) for workload in workloads]
+        + [(CMTProtocol(num_sources, seed=seed), workload) for workload in workloads],
+        epochs=range(1, fast_epochs + 1),
+        source_ids=range(fast_sources),
+        rounds=max(PAIRED_ROUNDS, fast_epochs * fast_sources),
+    )
+    k = len(scales)
+    for scale, workload, sies, cmt in zip(scales, workloads, paired[:k], paired[k:]):
         domain = domain_for_scale(scale)
-        workload = paper_workload(num_sources, scale, seed=seed)
-
-        sies = measure_source_cost(
-            SIESProtocol(num_sources, seed=seed),
-            workload, epochs=fast_epoch_list, source_ids=fast_source_list, warmup=True,
-        )
-        cmt = measure_source_cost(
-            CMTProtocol(num_sources, seed=seed),
-            workload, epochs=fast_epoch_list, source_ids=fast_source_list, warmup=True,
-        )
         secoa_cf = measure_source_cost(
             SECOASumProtocol(
                 num_sources, num_sketches=num_sketches, seed=seed,
@@ -111,14 +118,14 @@ def run(
 
         report.add_row(
             f"x{scale}",
-            format_seconds(sies.mean_seconds),
-            format_seconds(cmt.mean_seconds),
+            format_seconds(sies),
+            format_seconds(cmt),
             format_seconds(secoa_cf.mean_seconds),
             format_seconds(secoa_pi.mean_seconds) if secoa_pi else "-",
             f"{format_seconds(lo.source)} - {format_seconds(hi.source)}",
         )
-        series["sies"].append(sies.mean_seconds)
-        series["cmt"].append(cmt.mean_seconds)
+        series["sies"].append(sies)
+        series["cmt"].append(cmt)
         series["secoa_cf"].append(secoa_cf.mean_seconds)
         series["secoa_pi"].append(secoa_pi.mean_seconds if secoa_pi else None)
         series["secoa_model_min"].append(lo.source)

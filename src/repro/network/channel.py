@@ -23,6 +23,13 @@ The analytic simulator and the event runtime call both halves at once
 before the socket write and :meth:`~Channel.accept` where a first copy
 lands, so a frame crosses a real socket between the two halves.
 
+The sender half reads only the PSR, so it takes the PSR, not a
+message: :meth:`~Channel.transmit` takes the hop's parts, and the one
+:class:`~repro.network.messages.DataMessage` of an analytic hop is the
+one :meth:`~Channel.accept` builds around the decoded PSR.  The codec
+decodes each frame once (:meth:`~repro.wire.codec.PSRCodec.decode`,
+one ``struct`` unpack for SIES and CMT).
+
 Each attempt counts one message and its bytes twice:
 ``payload_bytes`` is the paper's *analytic* payload (``psr.wire_size()``,
 the Table V quantity), ``frame_bytes`` the **measured** ``len(frame)``.
@@ -50,6 +57,7 @@ from repro.network.ledger import EdgeClass, HopLedger
 from repro.network.messages import DataMessage
 
 if TYPE_CHECKING:
+    from repro.protocols.base import PartialStateRecord
     from repro.wire.codec import PSRCodec
 
 __all__ = [
@@ -119,9 +127,9 @@ class Channel:
     # -- transmission ----------------------------------------------------
 
     def emit(
-        self, message: DataMessage, edge_class: EdgeClass, frame: bytes | None = None
+        self, psr: PartialStateRecord, edge_class: EdgeClass, frame: bytes | None = None
     ) -> bytes | None:
-        """Sender half: count one attempt of *message* and put its frame on the air.
+        """Sender half: count one attempt of *psr* and put its frame on the air.
 
         Traffic is accounted for the legitimate transmission (the sender
         spent that energy regardless of what the adversary later does),
@@ -134,7 +142,6 @@ class Channel:
         for a given one.  Returns the frame the receiver gets, or
         ``None`` if a frame interceptor dropped it.
         """
-        psr = message.psr
         counters = self.ledger.edge(edge_class)
         counters.messages += 1
         counters.payload_bytes += psr.wire_size()
@@ -184,19 +191,21 @@ class Channel:
 
     def transmit(
         self,
-        message: DataMessage,
+        sender: int,
+        receiver: int,
         edge_class: EdgeClass,
+        psr: PartialStateRecord,
         *,
         frame: bytes | None = None,
+        manifest: frozenset[int] = frozenset(),
     ) -> DataMessage | None:
         """Both halves in one call: :meth:`emit`, then :meth:`accept`.
 
-        Returns the message as the receiver gets it, or ``None`` if it
-        was dropped on the way.
+        Returns the message as the receiver gets it — the one
+        :class:`DataMessage` of the hop, built by :meth:`accept` — or
+        ``None`` if it was dropped on the way.
         """
-        attacked = self.emit(message, edge_class, frame)
+        attacked = self.emit(psr, edge_class, frame)
         if attacked is None:
             return None
-        return self.accept(
-            attacked, message.sender, message.receiver, edge_class, message.manifest
-        )
+        return self.accept(attacked, sender, receiver, edge_class, manifest)

@@ -22,7 +22,10 @@ epoch, not a smaller SUM.  Op counts, traffic per edge class and
 :class:`~repro.runtime.metrics.RunMetrics`; every hop is reported to
 the optional ``observer`` as ``attempt`` then ``deliver``,
 ``decode_failure`` (a copy hold-and-wait refused) or ``drop`` — the
-hop-event stream of the runtime and the cluster.
+hop-event stream of the runtime and the cluster.  Each hop is one
+:meth:`~repro.network.channel.Channel.transmit` of the PSR, which
+builds the hop's one :class:`~repro.network.messages.DataMessage`
+around the decoded PSR the receiver gets.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from repro.errors import SimulationError
 from repro.network.channel import Channel
 from repro.network.energy import EnergyLedger, EnergyModel
 from repro.network.ledger import EdgeClass
-from repro.network.messages import QUERIER_NODE_ID, DataMessage, Workload
+from repro.network.messages import QUERIER_NODE_ID, Workload
 from repro.network.topology import AggregationTree
 from repro.protocols.base import OpCounter, PartialStateRecord, SecureAggregationProtocol
 from repro.runtime.epoch import EpochDriver, EpochPlanner
@@ -228,10 +231,9 @@ class NetworkSimulator:
         receiver gave the copy: ``deliver``, or ``decode_failure`` for a
         copy hold-and-wait refused.
         """
-        message = DataMessage(sender, receiver, epoch, psr)
         to_querier = receiver == QUERIER_NODE_ID
         if self._energy is not None:
-            size = message.wire_size()
+            size = psr.wire_size()
             self._energy.on_transmit(sender, size, self.tree.node(sender).link_distance_m)
             if not to_querier:
                 self._energy.on_receive(receiver, size)
@@ -239,7 +241,7 @@ class NetworkSimulator:
         if observer is not None:
             hop = (sender, receiver, edge, epoch, 0, None)
             emit_hop(observer, "attempt", *hop)
-        delivered = self.channel.transmit(message, edge)
+        delivered = self.channel.transmit(sender, receiver, edge, psr)
         if delivered is None:
             if observer is not None:
                 emit_hop(observer, "drop", *hop, cause="channel")

@@ -391,7 +391,10 @@ def scheduled_transport(
     transport = ReliableTransport(
         injector, policy, channel, now=lambda: scheduler.now,
         call_later=scheduler.call_later,
-        wire=lambda message, edge, frame: channel.transmit(message, edge, frame=frame),
+        wire=lambda message, edge, frame: channel.transmit(
+            message.sender, message.receiver, edge, message.psr,
+            frame=frame, manifest=message.manifest,
+        ),
         put=put, deliver=deliver, observer=observer,
     )
     return transport

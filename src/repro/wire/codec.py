@@ -19,15 +19,25 @@ internal edges the per-sketch winner MACs) that the ICDE paper's
 communication model deliberately does not count; the overhead is an
 explicit, audited function, not a fudge factor (DESIGN.md §5,
 ``docs/wire_format.md``).
+
+:meth:`PSRCodec.decode` is the two-step path: :func:`~repro.wire.frame.decode_frame`,
+the protocol-id check, then :meth:`~PSRCodec.decode_payload`.  A codec
+whose frames all have one length (SIES, CMT) sets ``fixed_layout``
+(:func:`~repro.wire.frame.fixed_frame_layout`), and ``decode`` then
+reads a frame in one unpack: the payload goes to ``decode_payload``
+only when every check of the two-step path holds, and any other frame
+takes the two-step path, which raises its typed error.  A malformed
+frame fails with the same exception, in the same check order, either way.
 """
 
 from __future__ import annotations
 
+import struct
 from abc import ABC, abstractmethod
 
 from repro.errors import FrameProtocolIdError, WireEncodeError
 from repro.protocols.base import PartialStateRecord
-from repro.wire.frame import HEADER_LEN, decode_frame, encode_frame
+from repro.wire.frame import HEADER_LEN, MAGIC, WIRE_VERSION, decode_frame, encode_frame
 
 __all__ = ["PSRCodec"]
 
@@ -39,6 +49,9 @@ class PSRCodec(ABC):
     protocol_id: int
     #: The protocol's registry name, for diagnostics.
     protocol_name: str
+    #: Header plus payload as one ``struct`` layout, for a codec whose
+    #: frames all have one length; ``None`` for variable-length payloads.
+    fixed_layout: struct.Struct | None = None
 
     # -- payload layer (protocol-specific) ------------------------------
 
@@ -78,8 +91,22 @@ class PSRCodec(ABC):
             )
         return encode_frame(self.protocol_id, psr.epoch, payload)
 
-    def decode(self, frame: bytes) -> PartialStateRecord:
+    def decode(self, frame: bytes | bytearray | memoryview) -> PartialStateRecord:
         """Parse a complete frame back into a PSR."""
+        layout = self.fixed_layout
+        if layout is not None:
+            try:
+                magic, version, protocol_id, epoch, length, payload = layout.unpack(frame)
+            except (struct.error, TypeError, BufferError):
+                pass  # not one buffer of the fixed length: the two-step path names the fault
+            else:
+                if (
+                    magic == MAGIC
+                    and version == WIRE_VERSION
+                    and length == layout.size - HEADER_LEN
+                    and protocol_id == self.protocol_id
+                ):
+                    return self.decode_payload(payload, epoch)
         header, payload = decode_frame(frame)
         if header.protocol_id != self.protocol_id:
             raise FrameProtocolIdError(

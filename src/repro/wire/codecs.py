@@ -5,6 +5,9 @@ and rationale in ``docs/wire_format.md``):
 
 * **SIES** (id 1) — the ciphertext residue, exactly ``|p|`` bytes.
 * **CMT** (id 2) — the ciphertext residue, exactly ``|n|`` = 20 bytes.
+  Both frames have one fixed length, which these two codecs declare, so
+  :meth:`~repro.wire.codec.PSRCodec.decode` reads each in one ``struct``
+  unpack (``docs/wire_format.md``).
 * **SECOA_S** (id 3) —
   ``flags(1) ‖ levels(J×1) ‖ winners(J×4) ‖ seal_count(2) ‖
   seals(count × [position(2) ‖ value(|n_RSA|)]) ‖ certificates``
@@ -41,6 +44,7 @@ from repro.errors import PayloadFormatError, WireEncodeError
 from repro.protocols.base import PartialStateRecord
 from repro.protocols.registry import register_wire_protocol_id
 from repro.wire.codec import PSRCodec
+from repro.wire.frame import fixed_frame_layout
 
 __all__ = [
     "SIESCodec",
@@ -85,6 +89,7 @@ class SIESCodec(PSRCodec):
         if modulus_bytes <= 0:
             raise WireEncodeError(f"modulus_bytes must be positive, got {modulus_bytes}")
         self.modulus_bytes = modulus_bytes
+        self.fixed_layout = fixed_frame_layout(modulus_bytes)
 
     def encode_payload(self, psr: PartialStateRecord) -> bytes:
         _expect_type(psr, SIESRecord, "SIES")
@@ -113,6 +118,7 @@ class CMTCodec(PSRCodec):
         if modulus_bytes <= 0:
             raise WireEncodeError(f"modulus_bytes must be positive, got {modulus_bytes}")
         self.modulus_bytes = modulus_bytes
+        self.fixed_layout = fixed_frame_layout(modulus_bytes)
 
     def encode_payload(self, psr: PartialStateRecord) -> bytes:
         _expect_type(psr, CMTRecord, "CMT")

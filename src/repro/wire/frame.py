@@ -32,6 +32,8 @@ unpacks it in place from ``bytes``, ``bytearray`` or ``memoryview``
 input, and :func:`decode_frame` copies the payload exactly once.  The
 checks run in a fixed order: magic, version, length, then (in
 :meth:`~repro.wire.codec.PSRCodec.decode`) protocol id.
+:func:`fixed_frame_layout` extends the layout by a fixed-width payload,
+for the codecs that read a whole frame in one unpack.
 
 Decoding never asserts and never raises anything outside the
 :class:`~repro.errors.WireDecodeError` hierarchy for malformed input.
@@ -59,6 +61,7 @@ __all__ = [
     "encode_frame",
     "decode_header",
     "decode_frame",
+    "fixed_frame_layout",
 ]
 
 #: Two fixed bytes opening every frame.
@@ -102,6 +105,17 @@ def encode_frame(protocol_id: int, epoch: int, payload: bytes) -> bytes:
         else:
             reason = f"frame header does not pack: {exc}"
         raise WireEncodeError(reason) from None
+
+
+def fixed_frame_layout(payload_len: int) -> struct.Struct:
+    """The header and a *payload_len*-byte payload as one ``struct`` layout.
+
+    For codecs whose every frame has one length
+    (:attr:`~repro.wire.codec.PSRCodec.fixed_layout`): a single unpack
+    yields magic, version, protocol id, epoch, length field and payload
+    bytes.
+    """
+    return struct.Struct(_HEADER.format + f"{payload_len}s")
 
 
 def decode_header(frame: bytes | bytearray | memoryview) -> FrameHeader:

@@ -24,17 +24,25 @@ from repro.wire.frame import HEADER_LEN
 SIZE = 32
 
 
+def _transmit(
+    channel: Channel, message: DataMessage, edge: EdgeClass
+) -> DataMessage | None:
+    return channel.transmit(
+        message.sender, message.receiver, edge, message.psr, manifest=message.manifest
+    )
+
+
 def _split(
     channel: Channel, message: DataMessage, edge: EdgeClass
 ) -> DataMessage | None:
-    frame = channel.emit(message, edge)
+    frame = channel.emit(message.psr, edge)
     if frame is None:
         return None
     return channel.accept(frame, message.sender, message.receiver, edge, message.manifest)
 
 
 #: Both ways through the channel: one call, or sender half then receiver half.
-SENDS = (Channel.transmit, _split)
+SENDS = (_transmit, _split)
 
 
 def _channel() -> Channel:
@@ -174,7 +182,7 @@ def test_manifest_travels_with_the_message() -> None:
 def test_emit_counts_the_attempt_when_a_frame_interceptor_drops() -> None:
     channel = _channel()
     channel.add_frame_interceptor(lambda f, e: None)
-    assert channel.emit(_message(), EdgeClass.AGGREGATOR_TO_AGGREGATOR) is None
+    assert channel.emit(_message().psr, EdgeClass.AGGREGATOR_TO_AGGREGATOR) is None
     aa = channel.ledger.edge(EdgeClass.AGGREGATOR_TO_AGGREGATOR)
     assert (aa.messages, aa.payload_bytes, aa.frame_bytes) == (1, SIZE, SIZE + HEADER_LEN)
     assert aa.channel_decode_failures == 0
@@ -184,9 +192,9 @@ def test_emit_replays_a_given_frame_and_checks_its_size() -> None:
     channel = _channel()
     message = _message()
     frame = channel.codec.encode(message.psr)
-    assert channel.emit(message, EdgeClass.SOURCE_TO_AGGREGATOR, frame) is frame
+    assert channel.emit(message.psr, EdgeClass.SOURCE_TO_AGGREGATOR, frame) is frame
     with pytest.raises(WireEncodeError, match="diverged"):
-        channel.emit(message, EdgeClass.SOURCE_TO_AGGREGATOR, frame + b"\x00")
+        channel.emit(message.psr, EdgeClass.SOURCE_TO_AGGREGATOR, frame + b"\x00")
 
 
 def test_accept_counts_a_decode_failure() -> None:

@@ -10,6 +10,11 @@
 * A frame the channel encodes itself is still held to the size
   contract: a codec whose payload disagrees with ``wire_size()`` makes
   :meth:`~repro.network.channel.Channel.emit` raise.
+* Set-up resolves its hashes to shared descriptors: a SIES set-up
+  builds as many :class:`~repro.crypto.hashes.HashFunction` objects at
+  N=64 as at N=16, one per algorithm.
+* Each analytic hop builds one :class:`~repro.network.messages.DataMessage`,
+  the one the receiver half delivers.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import pytest
 from repro import build_complete_tree
 from repro.core.protocol import SIESProtocol
 from repro.core.source import SIESRecord
+from repro.crypto import hashes
 from repro.crypto.prf import PRF
 from repro.errors import WireEncodeError
 from repro.network.channel import Channel, EdgeClass
@@ -90,13 +96,60 @@ class _LongPayloadCodec(SIESCodec):
 def test_emit_still_checks_a_fresh_frame_against_wire_size() -> None:
     channel = Channel(_LongPayloadCodec(32))
     psr = SIESRecord(ciphertext=123, epoch=1, modulus_bytes=32)
-    message = DataMessage(sender=0, receiver=1, epoch=1, psr=psr)
     with pytest.raises(WireEncodeError, match="diverged"):
-        channel.emit(message, EdgeClass.SOURCE_TO_AGGREGATOR)
+        channel.emit(psr, EdgeClass.SOURCE_TO_AGGREGATOR)
     with pytest.raises(WireEncodeError, match="diverged"):
-        channel.transmit(message, EdgeClass.SOURCE_TO_AGGREGATOR)
+        channel.transmit(0, 1, EdgeClass.SOURCE_TO_AGGREGATOR, psr)
     # The honest codec's frame passes and is counted at its measured length.
     honest = Channel(SIESCodec(32))
-    frame = honest.emit(message, EdgeClass.SOURCE_TO_AGGREGATOR)
+    frame = honest.emit(psr, EdgeClass.SOURCE_TO_AGGREGATOR)
     assert frame is not None
     assert honest.ledger.edge(EdgeClass.SOURCE_TO_AGGREGATOR).frame_bytes == len(frame)
+
+
+def test_setup_builds_hash_descriptors_independent_of_n(monkeypatch: pytest.MonkeyPatch) -> None:
+    built: list[str] = []
+    real = hashes.HashFunction
+
+    def counting(*args, **kwargs) -> hashes.HashFunction:
+        descriptor = real(*args, **kwargs)
+        built.append(descriptor.name)
+        return descriptor
+
+    monkeypatch.setattr(hashes, "HashFunction", counting)
+    per_n = {}
+    for n in (16, 64):
+        monkeypatch.setattr(hashes, "_DESCRIPTORS", {})  # a cold table for each set-up
+        built.clear()
+        _simulator(n)
+        per_n[n] = sorted(built)
+    assert per_n[16] == ["sha1", "sha256"]
+    assert per_n[64] == per_n[16]
+
+
+def test_one_analytic_epoch_builds_one_data_message_per_transmit(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    n = 64
+    sim = _simulator(n)
+    built = transmits = 0
+    real_init = DataMessage.__init__
+    real_transmit = sim.channel.transmit
+
+    def counting_init(self, *args, **kwargs) -> None:
+        nonlocal built
+        built += 1
+        real_init(self, *args, **kwargs)
+
+    def counting_transmit(*args, **kwargs):
+        nonlocal transmits
+        transmits += 1
+        return real_transmit(*args, **kwargs)
+
+    monkeypatch.setattr(DataMessage, "__init__", counting_init)
+    monkeypatch.setattr(sim.channel, "transmit", counting_transmit)
+    record = sim.run_epoch(1)
+    assert record.result is not None and record.result.verified
+    hops = n + sim.tree.num_aggregators
+    assert transmits == hops
+    assert built == hops

@@ -10,20 +10,29 @@ internals (the header is one ``struct`` layout, read in place from
 ``bytes``, ``bytearray`` or ``memoryview``), and no broad ``except``
 hiding a crash.  Mutations are seeded, so a failure reproduces from the
 printed seed.
+
+The fixed-width codecs (SIES, CMT) decode a frame in one ``struct``
+unpack; a differential test runs that decode and the two-step reference
+(``decode_frame``, the protocol-id check, ``decode_payload``) on every
+case the fuzzer generates, and both must return an equal record or
+raise the same exception class.
 """
 
 from __future__ import annotations
 
 import random
 import struct
+from collections import Counter
+from collections.abc import Iterator
 
 import pytest
 
 from repro.baselines.commit_attest import CommitAttestProtocol, CommitLabelRecord
 from repro.baselines.secoa.secoa_sum import SECOASumProtocol
-from repro.errors import PayloadFormatError, WireDecodeError
+from repro.errors import FrameProtocolIdError, PayloadFormatError, WireDecodeError
+from repro.protocols.base import PartialStateRecord
 from repro.protocols.registry import create_protocol
-from repro.wire.frame import HEADER_LEN
+from repro.wire.frame import HEADER_LEN, decode_frame
 
 EPOCH = 4
 ROUNDS = 300
@@ -65,47 +74,133 @@ def _decode_strict(codec, blob: bytes) -> None:
 PROTOCOLS = ("sies", "cmt", "secoa_s", "commit_attest")
 
 
+def _garbage(name: str, frame: bytes) -> Iterator[bytes]:
+    rng = random.Random(f"garbage-{name}")
+    for _ in range(ROUNDS):
+        yield rng.randbytes(rng.randrange(0, 2 * len(frame)))
+
+
+def _truncations(frame: bytes) -> Iterator[bytes]:
+    for cut in range(len(frame)):
+        yield frame[:cut]
+
+
+def _header_mutations(frame: bytes) -> Iterator[bytes]:
+    for index in range(HEADER_LEN):
+        for xor in (0x01, 0x80, 0xFF):
+            mutated = bytearray(frame)
+            mutated[index] ^= xor
+            yield bytes(mutated)
+
+
+def _splices(name: str, frame: bytes) -> Iterator[bytes]:
+    """Cut-and-paste of two valid frames at random offsets."""
+    rng = random.Random(f"splice-{name}")
+    for _ in range(ROUNDS):
+        i = rng.randrange(0, len(frame) + 1)
+        j = rng.randrange(0, len(frame) + 1)
+        yield frame[:i] + frame[j:]
+
+
+def _length_lies(frame: bytes) -> Iterator[bytes]:
+    """The length field rewritten to anything but the true payload length."""
+    for announced in (0, 1, len(frame) - HEADER_LEN + 1, (1 << 32) - 1):
+        if announced == len(frame) - HEADER_LEN:
+            continue
+        mutated = bytearray(frame)
+        mutated[12:16] = announced.to_bytes(4, "big")
+        yield bytes(mutated)
+
+
+def _width_lies(frame: bytes) -> Iterator[bytes]:
+    """Consistent frames one payload byte short or long, length field patched."""
+    for payload in (frame[HEADER_LEN:-1], frame[HEADER_LEN:] + b"\x00"):
+        patched = bytearray(frame[:HEADER_LEN] + payload)
+        patched[12:16] = len(payload).to_bytes(4, "big")
+        yield bytes(patched)
+
+
+def _every_case(name: str, frame: bytes) -> Iterator[bytes]:
+    """The valid frame and every blob the fuzzer derives from it."""
+    yield frame
+    yield from _garbage(name, frame)
+    yield from _truncations(frame)
+    yield from _header_mutations(frame)
+    yield from _splices(name, frame)
+    yield from _length_lies(frame)
+    yield from _width_lies(frame)
+
+
 @pytest.mark.parametrize("name", PROTOCOLS)
 class TestFuzzedFrames:
     def test_random_garbage(self, name: str) -> None:
         codec, frame = _codec_and_frame(name)
-        rng = random.Random(f"garbage-{name}")
-        for _ in range(ROUNDS):
-            blob = rng.randbytes(rng.randrange(0, 2 * len(frame)))
+        for blob in _garbage(name, frame):
             _decode_strict(codec, blob)
 
     def test_truncations_every_length(self, name: str) -> None:
         codec, frame = _codec_and_frame(name)
-        for cut in range(len(frame)):
+        for blob in _truncations(frame):
             with pytest.raises(WireDecodeError):
-                codec.decode(frame[:cut])
+                codec.decode(blob)
 
     def test_single_byte_mutations_of_header(self, name: str) -> None:
         codec, frame = _codec_and_frame(name)
-        for index in range(HEADER_LEN):
-            for xor in (0x01, 0x80, 0xFF):
-                mutated = bytearray(frame)
-                mutated[index] ^= xor
-                _decode_strict(codec, bytes(mutated))
+        for blob in _header_mutations(frame):
+            _decode_strict(codec, blob)
 
     def test_random_splices(self, name: str) -> None:
         """Cut-and-paste of two valid frames at random offsets."""
         codec, frame = _codec_and_frame(name)
-        rng = random.Random(f"splice-{name}")
-        for _ in range(ROUNDS):
-            i = rng.randrange(0, len(frame) + 1)
-            j = rng.randrange(0, len(frame) + 1)
-            _decode_strict(codec, frame[:i] + frame[j:])
+        for blob in _splices(name, frame):
+            _decode_strict(codec, blob)
 
     def test_length_field_lies(self, name: str) -> None:
         codec, frame = _codec_and_frame(name)
-        for announced in (0, 1, len(frame) - HEADER_LEN + 1, (1 << 32) - 1):
-            mutated = bytearray(frame)
-            mutated[12:16] = announced.to_bytes(4, "big")
-            if announced == len(frame) - HEADER_LEN:
-                continue
+        for blob in _length_lies(frame):
             with pytest.raises(WireDecodeError):
-                codec.decode(bytes(mutated))
+                codec.decode(blob)
+
+
+def _two_step(codec, frame) -> PartialStateRecord:
+    """The reference decode: :func:`decode_frame`, the protocol-id check,
+    then :meth:`~repro.wire.codec.PSRCodec.decode_payload`."""
+    header, payload = decode_frame(frame)
+    if header.protocol_id != codec.protocol_id:
+        raise FrameProtocolIdError(f"protocol id {header.protocol_id}")
+    return codec.decode_payload(payload, header.epoch)
+
+
+def _outcome(decode, frame) -> object:
+    try:
+        return decode(frame)
+    except WireDecodeError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", ["sies", "cmt"])
+def test_one_parse_decode_matches_the_two_step_reference(name: str) -> None:
+    """The fixed-width codecs' one-unpack decode against the two-step path,
+    on every case the fuzzer generates and every buffer type: an equal
+    record, or the same exception class."""
+    codec, frame = _codec_and_frame(name)
+    outcomes: Counter[str] = Counter()
+    for blob in _every_case(name, frame):
+        for buffer in (blob, bytearray(blob), memoryview(blob)):
+            expected = _outcome(lambda f: _two_step(codec, f), buffer)
+            got = _outcome(codec.decode, buffer)
+            assert got == expected, f"{blob.hex()}: {got!r} != {expected!r}"
+            outcomes[expected.__name__ if isinstance(expected, type) else "record"] += 1
+    # The cases reach every check of the reference path, and the record.
+    assert set(outcomes) == {
+        "record",
+        "FrameTruncatedError",
+        "FrameMagicError",
+        "FrameVersionError",
+        "FrameLengthError",
+        "FrameProtocolIdError",
+        "PayloadFormatError",
+    }, outcomes
 
 
 class TestPayloadShapes:
@@ -128,11 +223,9 @@ class TestPayloadShapes:
 
     def test_sies_wrong_width(self) -> None:
         codec, frame = _codec_and_frame("sies")
-        short = frame[:HEADER_LEN] + frame[HEADER_LEN:-1]
-        patched = bytearray(short)
-        patched[12:16] = (len(short) - HEADER_LEN).to_bytes(4, "big")
-        with pytest.raises(PayloadFormatError):
-            codec.decode(bytes(patched))
+        for patched in _width_lies(frame):
+            with pytest.raises(PayloadFormatError):
+                codec.decode(patched)
 
     def test_commit_attest_trailing_bytes(self) -> None:
         codec, frame = _codec_and_frame("commit_attest")

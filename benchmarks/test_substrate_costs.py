@@ -1,4 +1,4 @@
-"""Substrate benchmarks: μTesla, Merkle trees, key schedules, Paillier.
+"""Substrate benchmarks: μTesla, key schedules, Paillier.
 
 Not paper figures — these price the building blocks the protocols stand
 on, so regressions in any substrate are caught before they distort the
@@ -14,7 +14,6 @@ import pytest
 from repro.core.keys import SIESKeyMaterial
 from repro.core.params import SIESParams
 from repro.crypto.keychain import OneWayKeyChain, verify_disclosed_key
-from repro.crypto.merkle import MerkleTree, verify_merkle_path
 from repro.crypto.paillier import generate_paillier_keypair
 from repro.network.broadcast import MuTeslaBroadcaster, MuTeslaReceiver
 
@@ -53,22 +52,6 @@ def test_broadcast_and_authenticate(benchmark) -> None:
 
     result = benchmark.pedantic(round_trip, rounds=20, iterations=1)
     assert result
-
-
-@pytest.mark.parametrize("n", [256, 1024])
-@pytest.mark.benchmark(group="substrate-merkle")
-def test_merkle_build(benchmark, n: int) -> None:
-    leaves = [i.to_bytes(4, "big") for i in range(n)]
-    tree = benchmark(MerkleTree, leaves)
-    assert tree.num_leaves == n
-
-
-@pytest.mark.benchmark(group="substrate-merkle")
-def test_merkle_path_verify(benchmark) -> None:
-    leaves = [i.to_bytes(4, "big") for i in range(1024)]
-    tree = MerkleTree(leaves)
-    path = tree.path(777)
-    assert benchmark(verify_merkle_path, leaves[777], path, tree.root)
 
 
 @pytest.mark.benchmark(group="substrate-keys")

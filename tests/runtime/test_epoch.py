@@ -219,7 +219,7 @@ def check_plan(tree, failed: frozenset[int], faults: FaultPlan, epoch: int) -> N
     planner = EpochPlanner(
         tree, hold_time=7.0, querier_slack=3.0, failed_sources=failed, faults=faults
     )
-    heights = node_heights(tree)
+    heights = node_heights(tree, tree.bottom_up_aggregators())
     assert heights == reference_heights(tree)
     assert planner.merge_offset == {aid: 7.0 * heights[aid] for aid in tree.aggregator_ids}
     assert planner.querier_offset == 7.0 * (heights[tree.root_id] + 1) + 3.0
@@ -242,7 +242,7 @@ def check_plan(tree, failed: frozenset[int], faults: FaultPlan, epoch: int) -> N
 
 def test_plan_on_a_chain_tree() -> None:
     tree = build_chain_tree(6)
-    heights = node_heights(tree)
+    heights = node_heights(tree, tree.bottom_up_aggregators())
     assert heights[tree.root_id] == 5
     assert sorted(heights[aid] for aid in tree.aggregator_ids) == [1, 2, 3, 4, 5]
     faults = FaultPlan(outages=(NodeOutage(node_id=5, first_epoch=2, last_epoch=2),))

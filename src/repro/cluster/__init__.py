@@ -1,8 +1,9 @@
 """The aggregation tree over real sockets: an asyncio TCP cluster.
 
 Runs the same Initialization → Merging → Evaluation process as the
-logical-clock runtimes, but with every tree node bound to a real TCP
-server on localhost and every PSR crossing a real socket inside a
+logical-clock runtimes, but with every tree node a real TCP endpoint on
+localhost (a server on each aggregator and the querier, an uplink on
+each child) and every PSR crossing a real socket inside a
 :mod:`repro.cluster.envelope` frame.  Every hop runs the event
 runtime's per-hop ARQ (:mod:`repro.runtime.transport`) over the same keyed
 fault oracle (:class:`repro.runtime.faults.KeyedFaultInjector`), with loss

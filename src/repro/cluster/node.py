@@ -1,9 +1,11 @@
 """Tree nodes as asyncio TCP servers speaking the wire format.
 
 Every node of the aggregation tree — source, aggregator, querier — runs
-inside one process, bound to its own real TCP server socket on
-``127.0.0.1`` (port 0, kernel-assigned).  Child nodes open a client
-connection to their parent's server and keep it for the whole run; data
+inside one process; each node that receives (every aggregator and the
+querier) is bound to its own real TCP server socket on ``127.0.0.1``
+(port 0, kernel-assigned), and sources, which only send, bind none.
+Child nodes open a client connection to their parent's server and keep
+it for the whole run; data
 envelopes flow up that connection and transport ACKs flow back down it,
 so the hop looks exactly like the paper's one-hop radio link with a
 MAC-layer ARQ on top:
@@ -171,7 +173,7 @@ class _Link(asyncio.Protocol):
 
 
 class ClusterNode:
-    """One tree node: a TCP server plus an optional uplink to its parent.
+    """One tree node: a TCP server (on receivers) plus an optional uplink to its parent.
 
     *channel* is the run's channel and *transport* the run's per-hop ARQ,
     both shared by every node: the channel's ledger is the run's one hop
@@ -325,9 +327,9 @@ class ClusterNode:
             raise SimulationError(f"node {self.node_id} has no uplink to send on")
         envelope = encode_data(
             epoch=parcel.uid, sender=self.node_id, uid=parcel.uid, attempt=attempt,
-            manifest=parcel.message.manifest, inner=frame,
+            manifest=parcel.manifest, inner=frame,
         )
         for _ in range(verdict.copies):
             link.write(envelope)
             self.clock.wrote(link.outbound, (parcel.uid, attempt), verdict)
-        self.channel.ledger.edge(parcel.edge).envelope_bytes += verdict.copies * len(envelope)
+        parcel.counters.envelope_bytes += verdict.copies * len(envelope)

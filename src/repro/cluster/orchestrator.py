@@ -2,10 +2,14 @@
 
 :class:`EpochOrchestrator` owns the run lifecycle:
 
-1. **bind** — every tree node starts its own server socket on
-   ``127.0.0.1:0`` (kernel-assigned ports, no fixtures, no conflicts);
+1. **bind** — every node some child sends to (each aggregator and the
+   querier) starts its own server socket on ``127.0.0.1:0``
+   (kernel-assigned ports, no fixtures, no conflicts); sources only
+   send, so they bind none;
 2. **connect** — each child opens its persistent uplink to its parent's
-   port; the root connects to the querier;
+   port; the root connects to the querier.  If a bind or a connect
+   fails, every socket opened so far is closed before the error is
+   raised;
 3. **pipeline** — epochs launch in order through a bounded window: up
    to ``window`` epochs are in flight at once, exactly like the logical
    runtime's ``epoch_interval`` pipelining but paced by completion
@@ -63,7 +67,7 @@ from functools import partial
 from repro.errors import SimulationError
 from repro.network.channel import Channel
 from repro.network.ledger import EdgeClass
-from repro.network.messages import QUERIER_NODE_ID, DataMessage, Workload
+from repro.network.messages import QUERIER_NODE_ID, Workload
 from repro.network.topology import AggregationTree
 from repro.cluster.node import ClusterNode
 from repro.protocols.base import PartialStateRecord, SecureAggregationProtocol
@@ -330,7 +334,7 @@ class EpochOrchestrator:
         ) -> None:
             """The driver's send: one parcel onto the ARQ, holding its epoch's slot."""
             self._in_flight[epoch] += 1
-            transport.send(DataMessage(sender, receiver, epoch, psr, manifest), edge)
+            transport.send(sender, receiver, edge, epoch, psr, manifest)
 
         self._driver = driver = EpochDriver(
             self._planner,
@@ -350,7 +354,7 @@ class EpochOrchestrator:
             self.channel,
             now=loop.time,
             call_later=clock.call_later,
-            wire=lambda message, edge, frame: self.channel.emit(message.psr, edge, frame),
+            wire=lambda parcel: self.channel.emit(parcel.psr, parcel.edge, parcel.frame),
             put=lambda parcel, frame, attempt, verdict: self._nodes[parcel.sender].put(
                 parcel, frame, attempt, verdict
             ),
@@ -365,9 +369,11 @@ class EpochOrchestrator:
             )
 
     async def _bind_and_connect(self) -> None:
-        for node in self._nodes.values():
-            await node.start()
-        for node_id, (receiver, _) in self._planner.uplink.items():
+        """Bind a server on every node that receives, then connect every uplink."""
+        uplink = self._planner.uplink
+        for receiver in dict.fromkeys(receiver for receiver, _ in uplink.values()):
+            await self._nodes[receiver].start()
+        for node_id, (receiver, _) in uplink.items():
             await self._nodes[node_id].connect_uplink(self._nodes[receiver].port)
 
     async def _shutdown(self) -> None:
@@ -447,7 +453,11 @@ class EpochOrchestrator:
         loop = asyncio.get_running_loop()
         self._done = loop.create_future()
         self._build(loop)
-        await self._bind_and_connect()
+        try:
+            await self._bind_and_connect()
+        except BaseException:
+            await self._shutdown()  # close whatever was opened, then re-raise
+            raise
         started = loop.time()
         try:
             self._clock.start(self._launch)

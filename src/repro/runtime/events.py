@@ -17,7 +17,11 @@ The scheduler is intentionally minimal (a binary heap of
 transports build timers, timeouts and deadlines out of
 :meth:`EventScheduler.call_at` / :meth:`call_later` alone.  The unique
 sequence number settles every tie, so the heap compares plain tuples
-and never reaches the event itself.  The TCP cluster's clock
+and never reaches the event itself.  An event is only the handle of
+its heap entry: a slotted action that :meth:`ScheduledEvent.cancel`
+clears.  :meth:`~EventScheduler.call_later` — every ARQ timeout,
+arrival and ACK of both ARQ substrates — builds its entry itself, one
+call deep.  The TCP cluster's clock
 (:class:`repro.cluster.orchestrator.ScheduledClock`) drives the same
 scheduler from its event loop: :meth:`EventScheduler.next_time` says when
 the next timer is due, and :meth:`EventScheduler.run_at` runs a received
@@ -28,25 +32,26 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 
 __all__ = ["EventScheduler", "ScheduledEvent"]
 
+_push = heapq.heappush
 
-@dataclass
+
 class ScheduledEvent:
-    """A pending callback, queued at ``(time, seq)``."""
+    """A pending callback; the heap entry ``(time, seq, event)`` holds its time."""
 
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("action",)
+
+    def __init__(self, action: Callable[[], None]) -> None:
+        #: The callback, or ``None`` once cancelled.
+        self.action: Callable[[], None] | None = action
 
     def cancel(self) -> None:
-        """Mark the event dead; the scheduler skips it on pop."""
-        self.cancelled = True
+        """Mark the event dead (and drop its callback); the scheduler skips it on pop."""
+        self.action = None
 
 
 class EventScheduler:
@@ -70,7 +75,7 @@ class EventScheduler:
     @property
     def pending(self) -> int:
         """Number of scheduled, not-yet-cancelled events."""
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
+        return sum(1 for _, _, event in self._heap if event.action is not None)
 
     def call_at(self, when: float, action: Callable[[], None]) -> ScheduledEvent:
         """Schedule *action* at absolute logical time *when*."""
@@ -80,20 +85,24 @@ class EventScheduler:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(time=when, seq=seq, action=action)
-        heapq.heappush(self._heap, (when, seq, event))
+        event = ScheduledEvent(action)
+        _push(self._heap, (when, seq, event))
         return event
 
     def call_later(self, delay: float, action: Callable[[], None]) -> ScheduledEvent:
         """Schedule *action* after a non-negative logical *delay*."""
-        if delay < 0:
+        if not delay >= 0:  # also refuses a NaN delay
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.call_at(self._now + delay, action)
+        seq = self._seq
+        self._seq = seq + 1
+        event = ScheduledEvent(action)
+        _push(self._heap, (self._now + delay, seq, event))
+        return event
 
     def next_time(self) -> float | None:
         """Time of the earliest live event (cancelled ones are dropped first), or None."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
+        while heap and heap[0][2].action is None:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
@@ -120,15 +129,17 @@ class EventScheduler:
         reschedules forever should fail loudly, not hang the suite.
         """
         heap = self._heap
+        pop = heapq.heappop
         processed = 0
         while heap:
             if until is not None and until():
                 return
-            when, _, event = heapq.heappop(heap)
-            if event.cancelled:
+            when, _, event = pop(heap)
+            action = event.action
+            if action is None:
                 continue
             self._now = when
-            event.action()
+            action()
             self._processed += 1
             processed += 1
             if processed > max_events:

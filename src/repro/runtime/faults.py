@@ -17,12 +17,14 @@ time: a burst or an outage covers the same attempts on every substrate.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from typing import NamedTuple
 
 from repro.errors import ParameterError
 from repro.network.channel import EdgeClass
-from repro.utils.rng import derive_key, keyed_uniforms
+from repro.utils.rng import derive_key
 
 __all__ = [
     "LinkProfile",
@@ -32,6 +34,13 @@ __all__ = [
     "KeyedVerdict",
     "KeyedFaultInjector",
 ]
+
+#: The seven big-endian 64-bit words of one verdict digest.
+_SEVEN_WORDS = struct.Struct(">7Q").unpack
+#: Weight of the lowest of the 53 bits a uniform keeps: ``(word >> 11) * _ULP``
+#: lies in ``[0, 1)``, where ``word * 2**-64`` would round the largest words
+#: up to exactly 1.0, which a down node's loss threshold of 1.0 must catch.
+_ULP = 2.0**-53
 
 
 def _check_rate(name: str, value: float) -> float:
@@ -174,25 +183,39 @@ class KeyedVerdict(NamedTuple):
     jitter: float
 
 
+#: Builds a :class:`KeyedVerdict` from one tuple of its fields, skipping
+#: the Python-level ``__new__`` of the named tuple.
+_new_verdict = tuple.__new__
+
+
 class KeyedFaultInjector:
     """Order-independent fault oracle keyed by the attempt coordinate.
 
-    Fault schedule v3: one keyed BLAKE2b digest per coordinate
-    (:func:`~repro.utils.rng.keyed_uniforms` of ``sender->receiver/uid/attempt``
-    under a key derived from the seed), whose seven uniforms fill the
+    Fault schedule v3: one keyed BLAKE2b digest per coordinate — 56
+    bytes over ``sender->receiver/uid/attempt`` under a key derived from
+    the seed, read as seven big-endian words, each keeping its top 53
+    bits as a uniform in ``[0, 1)`` — whose seven uniforms fill the
     slots of :class:`KeyedVerdict` in field order, each drawn whatever
-    the verdict.  No state is carried between digests, so a verdict, its
-    ACK timeout included, depends only on the seed and its coordinate.
-    Bursts and outages only move the loss thresholds.  :meth:`data_verdict`
-    hashes; the other three methods are views of it.  Changing the key,
-    the label or the slots re-randomizes every keyed schedule: that is a
-    new schedule version, not a refactor.
+    the verdict.  No state is carried between digests, so a verdict, its ACK
+    timeout included, depends only on the seed and its coordinate.
+    Bursts and outages only move the loss thresholds.  The plan is read
+    at construction: each edge class's link profile is resolved once.
+    :meth:`data_verdict` hashes; the other three methods are views of it.
+    Changing the key, the label or the slots re-randomizes every keyed
+    schedule: that is a new schedule version, not a refactor.
     """
 
     def __init__(self, plan: FaultPlan, *, seed: int = 0) -> None:
         self.plan = plan
         self._key = derive_key(seed, "fault-schedule-v3")
         self._windowed = bool(plan.bursts or plan.outages)
+        #: Edge class → (loss rate, duplicate rate, latency, jitter) of its profile.
+        self._links: dict[EdgeClass, tuple[float, float, float, float]] = {}
+        for edge in EdgeClass:
+            profile = plan.profile_for(edge)
+            self._links[edge] = (
+                profile.loss_rate, profile.duplicate_rate, profile.latency, profile.jitter
+            )
 
     def _threshold(self, destination: int, edge: EdgeClass, uid: int) -> float:
         """Loss threshold of a windowed plan towards *destination* in epoch *uid*."""
@@ -207,24 +230,33 @@ class KeyedFaultInjector:
         receiver→sender, so a down sender loses it.  Data and ACK loss
         read different slots, so they are uncorrelated, as on a real radio.
         """
-        label = f"{sender}->{receiver}/{uid}/{attempt}".encode("ascii")
-        u_loss, u_dup, u_first, u_second, u_ack, u_ack_latency, u_jitter = keyed_uniforms(
-            self._key, label, 7
+        w_loss, w_dup, w_first, w_second, w_ack, w_ack_latency, w_jitter = _SEVEN_WORDS(
+            blake2b(
+                f"{sender}->{receiver}/{uid}/{attempt}".encode("ascii"),
+                key=self._key,
+                digest_size=56,
+            ).digest()
         )
-        profile = self.plan.profile_for(edge)
+        loss_rate, duplicate_rate, latency, jitter = self._links[edge]
         if self._windowed:
-            lost = u_loss < self._threshold(receiver, edge, uid)
-            ack_lost = u_ack < self._threshold(sender, edge, uid)
+            lost = (w_loss >> 11) * _ULP < self._threshold(receiver, edge, uid)
+            ack_lost = (w_ack >> 11) * _ULP < self._threshold(sender, edge, uid)
         else:
-            lost, ack_lost = u_loss < profile.loss_rate, u_ack < profile.loss_rate
-        latency, jitter = profile.latency, profile.jitter
-        return KeyedVerdict(
-            lost,
-            0 if lost else 2 if u_dup < profile.duplicate_rate else 1,
-            (latency + u_first * jitter, latency + u_second * jitter),
-            ack_lost,
-            latency + u_ack_latency * jitter,
-            u_jitter,
+            lost = (w_loss >> 11) * _ULP < loss_rate
+            ack_lost = (w_ack >> 11) * _ULP < loss_rate
+        return _new_verdict(
+            KeyedVerdict,
+            (
+                lost,
+                0 if lost else 2 if (w_dup >> 11) * _ULP < duplicate_rate else 1,
+                (
+                    latency + (w_first >> 11) * _ULP * jitter,
+                    latency + (w_second >> 11) * _ULP * jitter,
+                ),
+                ack_lost,
+                latency + (w_ack_latency >> 11) * _ULP * jitter,
+                (w_jitter >> 11) * _ULP,
+            ),
         )
 
     def ack_verdict(

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.channel import Channel, EdgeClass
-from repro.network.messages import DataMessage, Workload
+from repro.network.messages import Workload
 from repro.network.topology import AggregationTree
 from repro.protocols.base import OpCounter, PartialStateRecord, SecureAggregationProtocol
 from repro.runtime.epoch import EpochDriver, EpochPlanner
@@ -214,4 +214,4 @@ class RuntimeSimulator:
         manifest: frozenset[int],
     ) -> None:
         """One PSR onto the ARQ; its first copies go back to the driver."""
-        self.transport.send(DataMessage(sender, receiver, epoch, psr, manifest), edge)
+        self.transport.send(sender, receiver, edge, epoch, psr, manifest)

@@ -6,8 +6,8 @@ the reporting-subset mechanism (paper Section IV-B).
 :class:`ReliableTransport` is that hop on both ARQ substrates, and owns
 no scheduler, loop or socket.  It is handed a timer (``now()``,
 ``call_later(delay, fn)`` returning a handle with ``cancel()``), a
-``wire`` step (the channel's sender side, run once per attempt on the
-parcel's one encoding; ``None`` = the channel ate it), a ``put`` link for
+``wire(parcel)`` step (the channel's sender side, run once per attempt
+on the parcel's one encoding; ``None`` = the channel ate it), a ``put`` link for
 the copies the keyed schedule lets through, and the receivers'
 ``deliver``, routed by the parcel uid, never by the frame header:
 
@@ -23,14 +23,22 @@ the copies the keyed schedule lets through, and the receivers'
   attempt's verdict, which the link carries to every copy, whether the
   ACK — sent for *every* received copy — survives the way back;
 * every outcome is counted into the channel's per-edge-class
-  :class:`~repro.network.ledger.HopLedger`, whose
+  :class:`~repro.network.ledger.HopLedger` — a parcel's attempts and
+  ACKs into the :class:`~repro.network.ledger.EdgeCounters` it
+  resolved once, at :meth:`ReliableTransport.send` — whose
   :meth:`~repro.network.ledger.HopLedger.check_conservation` proves no
-  frame was dropped silently, and reported as a ``(kind, attrs)``
-  event to the optional :data:`TransportObserver` through
-  :func:`emit_hop`, the emit helper every substrate's hop path shares.
+  frame was dropped silently, and, with an observer attached (and only
+  then: without one no event is built), reported as a ``(kind, attrs)``
+  event to the :data:`TransportObserver` through :func:`emit_hop`, the
+  emit helper every substrate's hop path shares.
+
+A :class:`Parcel` is slotted and holds the PSR and its manifest
+directly: a send builds no :class:`~repro.network.messages.DataMessage`;
+the receiving side gets one per delivered attempt, from the channel.
 
 :func:`scheduled_transport` builds the event runtime's transport on its
-scheduler and keyed-latency arrival events; the TCP cluster's
+scheduler and keyed-latency arrival events (the copies of one attempt
+share one arrival callback); the TCP cluster's
 orchestrator hands its scheduled-time clock, the channel's ``emit`` and
 envelope writes on the sender's uplink, whose in-flight record carries
 the verdict to the receiving node.  Either way each attempt is hashed
@@ -55,6 +63,7 @@ from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.errors import ParameterError, SimulationError
 from repro.network.channel import Channel, EdgeClass
+from repro.network.ledger import EdgeCounters
 from repro.network.messages import DataMessage
 from repro.runtime.events import EventScheduler
 from repro.runtime.faults import KeyedFaultInjector, KeyedVerdict
@@ -174,18 +183,22 @@ class TimerHandle(Protocol):
 DeliverFn = Callable[[int, int, "PartialStateRecord", frozenset[int]], "str | None"]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Parcel:
-    """One message in flight across a single hop."""
+    """One PSR in flight across a single hop."""
 
     sender: int
     receiver: int
     edge: EdgeClass
     #: The epoch: each hop carries exactly one parcel per epoch.
     uid: int
-    message: DataMessage
+    psr: PartialStateRecord
+    #: The survivor manifest travelling with the PSR.
+    manifest: frozenset[int]
     #: Wire encoding from :meth:`ReliableTransport.send`, replayed by every attempt.
     frame: bytes = field(repr=False)
+    #: The ledger's counters of the parcel's edge class, resolved once at send.
+    counters: EdgeCounters = field(repr=False)
     attempts: int = 0
     acked: bool = False
     failed: bool = False
@@ -197,9 +210,11 @@ class ReliableTransport:
 
     One transport serves a whole fleet: links and ``(sender, uid)`` keys
     never overlap between nodes, so the sender's id and the parcel uid
-    route every ACK to its parcel.  It counts into ``channel.ledger`` and
-    encodes with ``channel.codec``.  *now* only stamps observer events; no
-    decision reads it.  The injector is looked up on every use, never bound.
+    route every ACK to its parcel.  It counts into ``channel.ledger`` —
+    a parcel's attempts and ACKs into the counters it resolved at
+    :meth:`send` — and encodes with ``channel.codec``.  *now* only stamps
+    observer events, and runs only with an observer attached; no decision
+    reads it.  The injector is looked up on every use, never bound.
     """
 
     def __init__(
@@ -210,7 +225,7 @@ class ReliableTransport:
         *,
         now: Callable[[], float],
         call_later: Callable[[float, Callable[[], None]], TimerHandle],
-        wire: Callable[[DataMessage, EdgeClass, bytes], Any],
+        wire: Callable[[Parcel], Any],
         put: Callable[[Parcel, Any, int, KeyedVerdict], None],
         deliver: DeliverFn,
         on_finished: Callable[[Parcel], None] | None = None,
@@ -236,22 +251,30 @@ class ReliableTransport:
     # Sender half
     # ------------------------------------------------------------------
 
-    def send(self, message: DataMessage, edge: EdgeClass) -> Parcel:
-        """Hand one message (its epoch is the parcel uid) to the ARQ."""
+    def send(
+        self,
+        sender: int,
+        receiver: int,
+        edge: EdgeClass,
+        uid: int,
+        psr: PartialStateRecord,
+        manifest: frozenset[int],
+    ) -> Parcel:
+        """Hand one PSR and its manifest to the ARQ as parcel *uid* (its epoch)."""
         parcel = Parcel(
-            message.sender, message.receiver, edge, message.epoch,
-            message, self._encode(message.psr),
+            sender, receiver, edge, uid, psr, manifest, self._encode(psr), self.ledger.edge(edge)
         )
-        self._open[(parcel.sender, parcel.uid)] = parcel
+        self._open[(sender, uid)] = parcel
         self._attempt(parcel)
         return parcel
 
     def ack(self, sender: int, edge: EdgeClass, uid: int) -> None:
         """One ACK is back at *sender*: the first stops its parcel, a later one is only counted."""
-        self.ledger.edge(edge).acks_received += 1
         parcel = self._open.get((sender, uid))
         if parcel is None:  # the sender already stopped waiting
+            self.ledger.edge(edge).acks_received += 1
             return
+        parcel.counters.acks_received += 1
         parcel.acked = True
         if parcel.timer is not None:
             parcel.timer.cancel()
@@ -259,21 +282,31 @@ class ReliableTransport:
 
     def _attempt(self, parcel: Parcel) -> None:
         sender, receiver, edge, uid = parcel.sender, parcel.receiver, parcel.edge, parcel.uid
-        payload = self._wire(parcel.message, edge, parcel.frame)
+        payload = self._wire(parcel)
         index = parcel.attempts
-        parcel.attempts += 1
-        c = self.ledger.edge(edge)
+        parcel.attempts = index + 1
+        c = parcel.counters
         c.attempts += 1
         if index:
             c.retransmissions += 1
-        self._emit("attempt", sender, receiver, edge, uid, index)
+        observer = self._observer
+        if observer is not None:
+            emit_hop(observer, "attempt", sender, receiver, edge, uid, index, self._now())
         verdict = self.injector.data_verdict(sender, receiver, edge, uid, index)
         if payload is None:
             c.drops_channel += 1
-            self._emit("drop", sender, receiver, edge, uid, index, cause="channel")
+            if observer is not None:
+                emit_hop(
+                    observer, "drop", sender, receiver, edge, uid, index, self._now(),
+                    cause="channel",
+                )
         elif verdict.lost:
             c.drops_injected += 1
-            self._emit("drop", sender, receiver, edge, uid, index, cause="link")
+            if observer is not None:
+                emit_hop(
+                    observer, "drop", sender, receiver, edge, uid, index, self._now(),
+                    cause="link",
+                )
         else:
             copies = verdict.copies
             c.frames_sent += copies
@@ -294,10 +327,12 @@ class ReliableTransport:
             self._attempt(parcel)
             return
         parcel.failed = True
-        self.ledger.edge(parcel.edge).gave_up += 1
-        self._emit(
-            "give_up", parcel.sender, parcel.receiver, parcel.edge, parcel.uid, parcel.attempts - 1
-        )
+        parcel.counters.gave_up += 1
+        if self._observer is not None:
+            emit_hop(
+                self._observer, "give_up", parcel.sender, parcel.receiver, parcel.edge,
+                parcel.uid, parcel.attempts - 1, self._now(),
+            )
         self._finish(parcel)
 
     def _finish(self, parcel: Parcel) -> None:
@@ -346,22 +381,16 @@ class ReliableTransport:
                 c.decode_failures += 1
             else:
                 raise SimulationError(f"unknown first-copy disposition {kind!r}")
-        self._emit(kind, sender, receiver, edge, uid, attempt)
+        observer = self._observer
+        if observer is not None:
+            emit_hop(observer, kind, sender, receiver, edge, uid, attempt, self._now())
         if verdict.ack_lost:
             c.acks_dropped += 1
-            self._emit("ack_lost", sender, receiver, edge, uid, attempt)
+            if observer is not None:
+                emit_hop(observer, "ack_lost", sender, receiver, edge, uid, attempt, self._now())
             return False
         c.acks_sent += 1
         return True
-
-    def _emit(
-        self, kind: str, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int,
-        **extra: object,
-    ) -> None:
-        if self._observer is not None:
-            emit_hop(
-                self._observer, kind, sender, receiver, edge, uid, attempt, self._now(), **extra
-            )
 
 
 def scheduled_transport(
@@ -376,27 +405,36 @@ def scheduled_transport(
     Each attempt runs both halves of the channel at once
     (``channel.transmit``, looked up per attempt so a hook on the
     instance sees every attempt): interceptors see retransmissions like
-    first attempts, and a dropped attempt never reaches the link.
+    first attempts, and a dropped attempt never reaches the link.  The
+    copies of one attempt share one arrival callback.
     """
+    call_later = scheduler.call_later
+
+    def wire(parcel: Parcel) -> DataMessage | None:
+        return channel.transmit(
+            parcel.sender, parcel.receiver, parcel.edge, parcel.psr,
+            frame=parcel.frame, manifest=parcel.manifest,
+        )
 
     def put(parcel: Parcel, message: DataMessage, attempt: int, verdict: KeyedVerdict) -> None:
-        for latency in verdict.latencies[: verdict.copies]:
-            scheduler.call_later(latency, lambda: arrive(parcel, message, attempt, verdict))
+        def arrive() -> None:
+            sender, edge, uid = parcel.sender, parcel.edge, parcel.uid
+            if receive(sender, parcel.receiver, edge, uid, attempt, open_copy, verdict):
+                call_later(verdict.ack_latency, lambda: ack(sender, edge, uid))
 
-    def arrive(parcel: Parcel, message: DataMessage, attempt: int, verdict: KeyedVerdict) -> None:
-        sender, receiver, edge, uid = parcel.sender, parcel.receiver, parcel.edge, parcel.uid
-        if transport.receive(sender, receiver, edge, uid, attempt, lambda: message, verdict):
-            scheduler.call_later(verdict.ack_latency, lambda: transport.ack(sender, edge, uid))
+        def open_copy() -> DataMessage:
+            return message
+
+        latencies = verdict.latencies
+        call_later(latencies[0], arrive)
+        if verdict.copies == 2:
+            call_later(latencies[1], arrive)
 
     transport = ReliableTransport(
-        injector, policy, channel, now=lambda: scheduler.now,
-        call_later=scheduler.call_later,
-        wire=lambda message, edge, frame: channel.transmit(
-            message.sender, message.receiver, edge, message.psr,
-            frame=frame, manifest=message.manifest,
-        ),
-        put=put, deliver=deliver, observer=observer,
+        injector, policy, channel, now=lambda: scheduler.now, call_later=call_later,
+        wire=wire, put=put, deliver=deliver, observer=observer,
     )
+    receive, ack = transport.receive, transport.ack
     return transport
 
 

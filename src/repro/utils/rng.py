@@ -4,8 +4,10 @@ Experiments must be replayable run-to-run, so every stochastic component
 (dataset generator, topology builder, sketch hashing, adversary) draws
 from a :class:`DeterministicRandom` seeded from a root seed plus a label.
 Order-independent draws — a fault verdict that must be the same no
-matter when it is asked for — come from :func:`keyed_uniforms` instead:
-one keyed digest per coordinate, no generator state at all.
+matter when it is asked for — come from
+:class:`~repro.runtime.faults.KeyedFaultInjector` instead: one keyed
+digest per coordinate under a :func:`derive_key` key, no generator
+state at all.
 Key material, by contrast, is generated from the PRF layer
 (:mod:`repro.crypto.prf`), never from here.
 """
@@ -14,17 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-import struct
 
-from repro.errors import ParameterError
-
-__all__ = ["DeterministicRandom", "derive_key", "derive_seed", "keyed_uniforms"]
-
-#: Uniforms per :func:`keyed_uniforms` call: one 64-byte BLAKE2b digest.
-_MAX_UNIFORMS = 8
-#: Weight of the lowest of the 53 bits a double carries.
-_ULP = 2.0**-53
-_UNPACK = [struct.Struct(f">{n}Q").unpack for n in range(_MAX_UNIFORMS + 1)]
+__all__ = ["DeterministicRandom", "derive_key", "derive_seed"]
 
 
 def derive_key(root_seed: int, *labels: str) -> bytes:
@@ -45,22 +38,6 @@ def derive_key(root_seed: int, *labels: str) -> bytes:
 def derive_seed(root_seed: int, *labels: str) -> int:
     """Derive a 64-bit child seed: the first 8 bytes of :func:`derive_key`."""
     return int.from_bytes(derive_key(root_seed, *labels)[:8], "big")
-
-
-def keyed_uniforms(key: bytes, label: bytes, n: int) -> tuple[float, ...]:
-    """*n* uniforms in ``[0, 1)``, a pure function of ``(key, label, n)``.
-
-    One keyed BLAKE2b digest of ``8*n`` bytes, read as big-endian 64-bit
-    words.  Each word keeps its top 53 bits, ``(x >> 11) * 2**-53``: a
-    plain ``x * 2**-64`` rounds the largest words up to exactly ``1.0``,
-    and a loss threshold of ``1.0`` (a down node) must catch every draw.
-    """
-    if n == 0:
-        return ()
-    if not 0 < n <= _MAX_UNIFORMS:
-        raise ParameterError(f"keyed_uniforms draws 0..{_MAX_UNIFORMS} values, got {n}")
-    words = _UNPACK[n](hashlib.blake2b(label, key=key, digest_size=8 * n).digest())
-    return tuple([(x >> 11) * _ULP for x in words])
 
 
 class DeterministicRandom(random.Random):

@@ -21,7 +21,6 @@ from repro.cluster.orchestrator import ScheduledClock
 from repro.core.protocol import SIESProtocol
 from repro.errors import SimulationError
 from repro.network.channel import Channel, EdgeClass
-from repro.network.messages import DataMessage
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile
 from repro.runtime.transport import (
     DELIVERED,
@@ -66,7 +65,7 @@ class _Hop:
             self.channel,
             now=loop.time,
             call_later=self.clock.call_later,
-            wire=self.channel.emit,
+            wire=lambda parcel: self.channel.emit(parcel.psr, parcel.edge, parcel.frame),
             put=lambda parcel, *attempt: self.child.put(parcel, *attempt),
             deliver=self._deliver,
             on_finished=self._finish,
@@ -92,7 +91,7 @@ class _Hop:
         psr = self.source.initialize(epoch, value)
         finished = asyncio.get_running_loop().create_future()
         self._finished[epoch] = finished
-        parcel = self.transport.send(DataMessage(0, 1, epoch, psr, frozenset({0})), EDGE)
+        parcel = self.transport.send(0, 1, EDGE, epoch, psr, frozenset({0}))
         self.clock.pump()  # sent outside any clock callback: arm its timer
         await finished
         return parcel.acked

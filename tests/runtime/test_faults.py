@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+import repro.runtime.faults as faults
 from repro.errors import ParameterError
 from repro.network.channel import EdgeClass
 from repro.runtime.faults import (
@@ -279,6 +280,28 @@ class TestScheduleV2Properties:
             assert not never.data_verdict(sender, receiver, EDGE, uid, attempt).lost
             assert always.data_verdict(sender, receiver, EDGE, uid, attempt).lost
             assert always.ack_verdict(sender, receiver, EDGE, uid, attempt)
+
+    def test_an_all_ones_digest_stays_below_one(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        """Each uniform keeps its word's top 53 bits: the all-ones word reads
+        1 - 2**-53, not 1.0, so a down node's threshold of 1.0 catches it."""
+
+        class AllOnes:
+            def __init__(self, data: bytes, *, key: bytes, digest_size: int) -> None:
+                self.size = digest_size
+
+            def digest(self) -> bytes:
+                return b"\xff" * self.size
+
+        monkeypatch.setattr(faults, "blake2b", AllOnes)
+        assert ((1 << 64) - 1) * 2.0**-64 == 1.0  # why the naive scaling is wrong
+        top = 1.0 - 2.0**-53
+        raw = KeyedFaultInjector(FaultPlan.uniform_loss(0.0, latency=0.0, jitter=1.0), seed=4)
+        verdict = raw.data_verdict(0, 1, EDGE, 1, 0)
+        assert verdict.latencies == (top, top) and verdict.ack_latency == top
+        assert verdict.jitter == top and not verdict.lost and not verdict.ack_lost
+        down = KeyedFaultInjector(FaultPlan(outages=(NodeOutage(1, 1, 1),)), seed=4)
+        assert down.data_verdict(0, 1, EDGE, 1, 0).lost
+        assert down.data_verdict(1, 0, EDGE, 1, 0).ack_lost
 
     def test_empirical_loss_rate_matches_the_plan(self) -> None:
         injector = KeyedFaultInjector(FaultPlan.uniform_loss(0.2), seed=1)

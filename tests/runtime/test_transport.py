@@ -77,7 +77,9 @@ def _message(epoch: int = 1) -> DataMessage:
 
 
 def send_one(transport: ReliableTransport, *, epoch: int = 1) -> Parcel:
-    return transport.send(_message(epoch), EdgeClass.SOURCE_TO_AGGREGATOR)
+    return transport.send(
+        0, 1, EdgeClass.SOURCE_TO_AGGREGATOR, epoch, _record(epoch), frozenset({0})
+    )
 
 
 def test_policy_validation() -> None:
@@ -280,7 +282,8 @@ def contract_transport(
         for _ in range(verdict.copies if echo else 0):
             sender, receiver, edge, uid = parcel.sender, parcel.receiver, parcel.edge, parcel.uid
             if transport.receive(
-                sender, receiver, edge, uid, attempt, lambda: parcel.message, verdict
+                sender, receiver, edge, uid, attempt,
+                lambda: DataMessage(sender, receiver, uid, parcel.psr, parcel.manifest), verdict,
             ):
                 transport.ack(sender, edge, uid)
 
@@ -290,7 +293,7 @@ def contract_transport(
         channel,
         now=lambda: 0.0,
         call_later=timer.call_later,
-        wire=channel.emit,
+        wire=lambda parcel: channel.emit(parcel.psr, parcel.edge, parcel.frame),
         put=put,
         deliver=deliver,
         on_finished=finished.append,
@@ -556,13 +559,13 @@ def test_the_runtime_hashes_once_per_attempt(monkeypatch: pytest.MonkeyPatch) ->
     """One keyed digest per attempt: the arrival and ACK events reuse the
     verdict their attempt drew."""
     digests = []
-    keyed_uniforms = faults.keyed_uniforms
+    blake2b = faults.blake2b
 
-    def counted(key: bytes, label: bytes, n: int) -> tuple[float, ...]:
+    def counted(label: bytes, **params):
         digests.append(label)
-        return keyed_uniforms(key, label, n)
+        return blake2b(label, **params)
 
-    monkeypatch.setattr(faults, "keyed_uniforms", counted)
+    monkeypatch.setattr(faults, "blake2b", counted)
     plan = FaultPlan.uniform_loss(0.4, duplicate_rate=0.3, latency=1.0, jitter=1.0)
     scheduler, transport, _ = make_transport(plan, RetransmitPolicy(max_retries=6), seed=3)
     for epoch in range(1, 31):

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import ParameterError
-from repro.utils import rng
-from repro.utils.rng import DeterministicRandom, derive_key, derive_seed, keyed_uniforms
+from repro.utils.rng import DeterministicRandom, derive_key, derive_seed
 
 
 def test_same_seed_same_stream() -> None:
@@ -48,33 +44,3 @@ def test_derive_seed_is_the_key_prefix() -> None:
     key = derive_key(1, "a", "b")
     assert len(key) == 32
     assert derive_seed(1, "a", "b") == int.from_bytes(key[:8], "big")
-
-
-def test_keyed_uniforms_are_a_pure_function_of_key_label_and_count() -> None:
-    key = derive_key(3, "k")
-    draws = keyed_uniforms(key, b"x", 8)
-    assert draws == keyed_uniforms(key, b"x", 8)
-    assert len(set(draws)) == 8
-    assert all(0.0 <= u < 1.0 for u in draws)
-    assert keyed_uniforms(key, b"y", 8) != draws
-    assert keyed_uniforms(derive_key(4, "k"), b"x", 8) != draws
-    assert keyed_uniforms(key, b"x", 0) == ()
-    with pytest.raises(ParameterError):
-        keyed_uniforms(key, b"x", 9)
-    with pytest.raises(ParameterError):
-        keyed_uniforms(key, b"x", -1)
-
-
-def test_keyed_uniforms_never_reach_one(monkeypatch: pytest.MonkeyPatch) -> None:
-    """The all-ones word keeps its top 53 bits: 1 - 2**-53, not 1.0."""
-
-    class AllOnes:
-        def __init__(self, data: bytes, *, key: bytes, digest_size: int) -> None:
-            self.size = digest_size
-
-        def digest(self) -> bytes:
-            return b"\xff" * self.size
-
-    monkeypatch.setattr(rng.hashlib, "blake2b", AllOnes)
-    assert ((1 << 64) - 1) * 2.0**-64 == 1.0  # why the naive scaling is wrong
-    assert keyed_uniforms(b"k", b"x", 2) == (1.0 - 2.0**-53,) * 2

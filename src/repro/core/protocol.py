@@ -28,6 +28,7 @@ from repro.core.layout import MessageLayout
 from repro.core.params import SIESParams
 from repro.core.querier import SIESQuerier
 from repro.core.source import SIESSource
+from repro.errors import KeyMaterialError, ParameterError
 from repro.protocols.base import OpCounter, SecureAggregationProtocol
 from repro.protocols.registry import register_protocol
 
@@ -92,8 +93,13 @@ class SIESProtocol(SecureAggregationProtocol):
         return self.params.modulus_bytes
 
     def create_source(self, source_id: int, *, ops: OpCounter | None = None) -> SIESSource:
-        self._check_source_id(source_id)
-        return SIESSource(self.keys.keys_for_source(source_id), self.layout, ops=ops)
+        try:
+            keys = self.keys.keys_for_source(source_id)  # the one range check
+        except KeyMaterialError:
+            raise ParameterError(
+                f"source_id must be in [0, {self.num_sources}), got {source_id}"
+            ) from None
+        return SIESSource(keys, self.layout, ops=ops)
 
     def create_aggregator(self, *, ops: OpCounter | None = None) -> SIESAggregator:
         return SIESAggregator(self.params.p, ops=ops)

@@ -14,7 +14,9 @@ Per epoch, with reading ``v_i,t``:
 Each :meth:`SIESSource.initialize` call encodes its epoch once and
 feeds those bytes to all three HMACs, and charges the Eq. 3 counts in
 one :meth:`~repro.protocols.base.OpCounter.charge` of a cost bundle
-validated when the module loads.
+validated when the module loads.  The source's three PRFs are the ones
+its :class:`~repro.core.keys.SourceKeys` carries — the key material's,
+so a deployment builds one PRF per ``(key, hash)`` pair.
 """
 
 from __future__ import annotations
@@ -62,17 +64,15 @@ class SIESSource(SourceRole):
         ops: OpCounter | None = None,
     ) -> None:
         self.source_id = keys.source_id
-        self._keys = keys
         self._layout = layout
         self._p = keys.p
         self._modulus_bytes = (keys.p.bit_length() + 7) // 8
         self._ops = ops
-        # PRF objects are part of the sensor's installed state, not
-        # per-epoch work, so they are built here (outside timed paths);
-        # each builds its keyed HMAC state on its first evaluation.
-        self._master_prf = keys.master_prf()
-        self._pad_prf = keys.pad_prf()
-        self._share_prf = keys.share_prf()
+        # The key material's own PRFs: each builds its keyed HMAC state
+        # on its first evaluation, by whichever party evaluates it first.
+        self._master_prf = keys.master_prf
+        self._pad_prf = keys.pad_prf
+        self._share_prf = keys.share_prf
 
     def initialize(self, epoch: int, value: int) -> SIESRecord:
         """Produce ``PSR_i,t`` for this source's *value* at *epoch*."""

@@ -16,7 +16,7 @@ can be overridden per call; the ablation benchmark
 
 Descriptors are immutable, so :func:`get_hash` hands out one shared
 :class:`HashFunction` per ``(algorithm, resolved backend)``, built on
-first use: SIES set-up keys ``5N+1`` PRFs, and each resolves its hash
+first use: SIES set-up keys ``2N+1`` PRFs, and each resolves its hash
 with one dictionary lookup.  The backend is resolved *before* the
 lookup, so a later :func:`set_default_backend` changes what the next
 call returns but never a descriptor already handed out.  An unknown

@@ -8,10 +8,12 @@ merged manifests name.  This module makes those decisions, and drives
 them on a timer it is handed; like the ARQ it never reads a clock or
 touches a socket of its own:
 
-* :class:`EpochPlanner` — per tree, once: node heights, each
+* :class:`EpochPlanner` — per tree, once, walking each node's own
+  children list: node heights, each
   aggregator's merge offset (``hold_time × height``), the querier's
   deadline offset (``hold_time × (root height + 1) + querier_slack``)
-  and the uplink table (every node's receiver and edge class); per
+  and the uplink table (every node's receiver and edge class); it
+  rejects ``failed_sources`` ids that are no source of the tree; per
   epoch (:meth:`EpochPlanner.plan`): the attempted and pre-failed
   sources and the contributions each *live* aggregator — one with an
   attempted source under it — can still receive; and, as a test oracle
@@ -82,12 +84,12 @@ def node_heights(tree: "AggregationTree", bottom_up: Sequence[int]) -> dict[int,
     """Height of every node: sources 0, aggregators 1 + their highest child.
 
     *bottom_up* is ``tree.bottom_up_aggregators()``, which the caller
-    walks once and keeps (at N=1024 the walk is ~0.25 ms of a ~11 ms
-    set-up).
+    walks once and keeps.  Each aggregator's children are read from its
+    node's own list, not copied.
     """
-    heights: dict[int, int] = {sid: 0 for sid in tree.source_ids}
+    heights: dict[int, int] = dict.fromkeys(tree.source_ids, 0)
     for aid in bottom_up:
-        heights[aid] = 1 + max(heights[child] for child in tree.children(aid))
+        heights[aid] = 1 + max(map(heights.__getitem__, tree.node(aid).children))
     return heights
 
 
@@ -128,13 +130,20 @@ class EpochPlanner:
         faults: "FaultPlan",
     ) -> None:
         self.tree = tree
+        self._sources = frozenset(tree.source_ids)
+        unknown = failed_sources - self._sources
+        if unknown:
+            raise SimulationError(
+                f"failed_sources names ids that are not sources of the tree: {sorted(unknown)}"
+            )
         self.failed_sources = failed_sources
         self.faults = faults
-        self._bottom_up = tree.bottom_up_aggregators()
-        heights = node_heights(tree, self._bottom_up)
-        self._sources = frozenset(tree.source_ids)
+        bottom_up = tree.bottom_up_aggregators()
+        heights = node_heights(tree, bottom_up)
+        #: Aggregator → its children list, bottom-up: the order of every plan.
+        self._children = {aid: tree.node(aid).children for aid in bottom_up}
         #: Aggregator → its merge deadline, relative to the epoch start.
-        self.merge_offset = {aid: hold_time * heights[aid] for aid in self._bottom_up}
+        self.merge_offset = {aid: hold_time * heights[aid] for aid in bottom_up}
         #: The querier's deadline, relative to the epoch start.
         self.querier_offset = hold_time * (heights[tree.root_id] + 1) + querier_slack
         #: Node → (receiver, edge class) of its one hop up the tree.
@@ -191,13 +200,12 @@ class EpochPlanner:
         return EpochFate(frozenset(inbox.get(QUERIER_NODE_ID, ())), attempts, parcels)
 
     def _walk(self, attempted: frozenset[int]) -> EpochPlan:
-        tree = self.tree
-        live: dict[int, bool] = {sid: sid in attempted for sid in tree.source_ids}
+        live = set(attempted)  # grows by each live aggregator, bottom-up
         expected: dict[int, int] = {}
-        for aid in self._bottom_up:
-            count = sum(1 for child in tree.children(aid) if live[child])
-            live[aid] = count > 0
+        for aid, children in self._children.items():
+            count = len(live.intersection(children))  # children are distinct
             if count:
+                live.add(aid)
                 expected[aid] = count
         return EpochPlan(attempted, self._sources - attempted, expected)
 

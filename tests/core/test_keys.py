@@ -60,15 +60,23 @@ def test_master_key_at_is_invertible(material: SIESKeyMaterial) -> None:
 
 
 def test_source_registration_bundle(material: SIESKeyMaterial) -> None:
-    bundle = material.keys_for_source(5)
-    assert isinstance(bundle, SourceKeys)
-    assert bundle.source_id == 5
-    assert bundle.master_key == material.master_key
-    assert bundle.source_key == material.source_keys[5]
-    assert bundle.p == P
-    # the source derives exactly what the querier derives
-    assert bundle.pad_prf().at_epoch(3) == HM256(material.source_keys[5], encode_epoch(3))
-    assert bundle.share_prf().at_epoch(3) == material.share_digest_at(5, 3)
+    encoded = encode_epoch(3)
+    for sid in range(material.num_sources):
+        bundle = material.keys_for_source(sid)
+        assert isinstance(bundle, SourceKeys)
+        assert bundle.source_id == sid
+        assert bundle.master_key == material.master_key
+        assert bundle.source_key == material.source_keys[sid]
+        assert bundle.p == P
+        # the source derives exactly what the querier derives
+        assert _temporal_int(
+            bundle.master_prf, encoded, P, require_invertible=True
+        ) == material.master_key_at(3)
+        assert bytes_to_int(bundle.pad_prf.evaluate(encoded)) == material.source_pad_at(sid, 3)
+        assert bundle.share_prf.evaluate(encoded) == material.share_digest_at(sid, 3)
+        assert bundle.pad_prf.evaluate(encoded) == HM256(material.source_keys[sid], encoded)
+        with pytest.raises(AttributeError):
+            bundle.source_key = material.source_keys[0]  # type: ignore[misc]
 
 
 def test_keys_for_unknown_source(material: SIESKeyMaterial) -> None:
@@ -85,6 +93,11 @@ def test_constructor_validation() -> None:
         SIESKeyMaterial(b"master", [], P)
     with pytest.raises(KeyMaterialError):
         SIESKeyMaterial(b"master", [b"same", b"same"], P)
+    with pytest.raises(KeyMaterialError, match="non-empty"):
+        SIESKeyMaterial(b"master", [b"k0", b""], P)
+    # K == k_i makes K_t equal source i's pad k_i,t: every source could strip it.
+    with pytest.raises(KeyMaterialError, match="master key"):
+        SIESKeyMaterial(b"k1", [b"k0", b"k1"], P)
 
 
 def test_distinct_sources_have_distinct_temporal_keys(material: SIESKeyMaterial) -> None:

@@ -1,12 +1,15 @@
 """Setup builds PRFs but never runs a hash: the keyed HMAC state is lazy.
 
-``SIESKeyMaterial`` holds ``2N+1`` PRFs and every source three more.
-Building each PRF's keyed state eagerly would put ``~5N`` key schedules
-into setup; these tests keep that cost on the first evaluation instead.
+``SIESKeyMaterial`` holds ``2N+1`` PRFs, one per ``(key, hash)`` pair,
+and every source derives on the material's own three.  Building each
+PRF's keyed state eagerly would put ``2N+1`` key schedules into setup;
+these tests keep that cost on the first evaluation instead, and check
+that the first epoch pays each key schedule exactly once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterator
 
 import pytest
@@ -14,10 +17,13 @@ import pytest
 from repro.core.keys import SIESKeyMaterial
 from repro.core.layout import MessageLayout
 from repro.core.params import SIESParams
+from repro.core.protocol import SIESProtocol
 from repro.core.source import SIESSource
 from repro.crypto import hashes
 from repro.crypto.hashes import get_default_backend, set_default_backend
 from repro.crypto.prf import PRF
+from repro.network.simulator import NetworkSimulator
+from repro.network.topology import build_complete_tree
 
 N = 16
 
@@ -71,3 +77,17 @@ def test_key_material_and_sources_run_no_hash(hash_constructions: list[str]) -> 
     sources[0].initialize(1, 5)
     material.master_key_at(1)
     assert hash_constructions  # the guard itself sees real work
+
+
+def test_a_first_epoch_pays_one_key_schedule_per_key(hash_constructions: list[str]) -> None:
+    """``K`` and each ``k_i`` under HM256, each ``k_i`` under HM1: ``2N+1``
+    key schedules of two hash states each, however many parties hold a key."""
+    protocol = SIESProtocol(N, seed=7)
+    sim = NetworkSimulator(protocol, build_complete_tree(N, 4), lambda sid, epoch: sid + epoch)
+    assert hash_constructions == []
+    record = sim.run_epoch(1)
+    assert record.result is not None and record.result.value == sum(range(N)) + N
+    assert len(hash_constructions) == 2 * (2 * N + 1)
+    assert Counter(hash_constructions) == {"sha256": 2 * (N + 1), "sha1": 2 * N}
+    sim.run_epoch(2)  # every later epoch only copies the keyed states
+    assert len(hash_constructions) == 2 * (2 * N + 1)

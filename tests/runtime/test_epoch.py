@@ -14,12 +14,12 @@ import random
 
 import pytest
 
-from repro.cluster.orchestrator import EpochOrchestrator
+from repro.cluster.orchestrator import ClusterConfig, EpochOrchestrator
 from repro.core.protocol import SIESProtocol
 from repro.errors import SimulationError
 from repro.network.ledger import EdgeClass
 from repro.network.messages import QUERIER_NODE_ID
-from repro.network.simulator import NetworkSimulator
+from repro.network.simulator import NetworkSimulator, SimulationConfig
 from repro.network.topology import (
     AggregationTree,
     TreeNode,
@@ -36,7 +36,7 @@ from repro.runtime.epoch import (
 )
 from repro.runtime.faults import FaultPlan, KeyedFaultInjector, LinkProfile, NodeOutage
 from repro.runtime.transport import DELIVERED, LATE, RetransmitPolicy, parcel_fate
-from repro.runtime.simulator import RuntimeSimulator
+from repro.runtime.simulator import RuntimeConfig, RuntimeSimulator
 
 N = 4
 PROTOCOL = SIESProtocol(N, seed=3)
@@ -388,6 +388,31 @@ def test_a_source_at_the_root_is_rejected_at_construction(substrate) -> None:
     tree = AggregationTree([TreeNode(0, is_source=True)])
     with pytest.raises(SimulationError, match="source 0 has no parent aggregator"):
         substrate(SIESProtocol(1, seed=1), tree, lambda sid, epoch: 7)
+
+
+@pytest.mark.parametrize(
+    ("substrate", "config"),
+    [
+        (NetworkSimulator, SimulationConfig),
+        (RuntimeSimulator, RuntimeConfig),
+        (EpochOrchestrator, ClusterConfig),
+    ],
+    ids=["analytic", "runtime", "cluster"],
+)
+@pytest.mark.parametrize("unknown", [99, -1, 16], ids=["past-the-end", "negative", "aggregator"])
+def test_failed_sources_naming_no_source_are_rejected_at_construction(
+    substrate, config, unknown: int
+) -> None:
+    """An id that is no source of the tree would otherwise be ignored: the
+    epoch would pass as if every source had reported."""
+    tree = build_complete_tree(16, 4)  # aggregators are 16 … 20
+    with pytest.raises(SimulationError, match=rf"not sources of the tree: \[{unknown}\]"):
+        substrate(
+            SIESProtocol(16, seed=1),
+            tree,
+            lambda sid, epoch: 7,
+            config(failed_sources=frozenset({3, unknown})),
+        )
 
 
 # ----------------------------------------------------------------------

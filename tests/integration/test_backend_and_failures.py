@@ -36,13 +36,26 @@ def test_full_sies_network_on_pure_backend() -> None:
 
 
 def test_backend_switch_mid_deployment_is_transparent() -> None:
-    """PSRs made on one backend verify on the other (same functions)."""
-    protocol = SIESProtocol(N, seed=23)
+    """PSRs made on one backend verify on the other (same functions).
+
+    A source derives on its key material's PRFs, whose backend is fixed
+    when the protocol (and so the material) is built.  Two protocols with
+    the same seed hold the same keys: the sources come from one built on
+    the pure backend, the aggregator and querier from one built on hashlib.
+    """
     set_default_backend("pure")
-    psrs = [protocol.create_source(i).initialize(1, 7) for i in range(N)]
+    pure = SIESProtocol(N, seed=23)
     set_default_backend("hashlib")
-    final = protocol.create_aggregator().merge(1, psrs)
-    result = protocol.create_querier().evaluate(1, final)
+    native = SIESProtocol(N, seed=23)
+    assert pure.keys.source_keys == native.keys.source_keys
+    for i in range(N):
+        bundle = pure.keys.keys_for_source(i)
+        for prf in (bundle.master_prf, bundle.pad_prf, bundle.share_prf):
+            assert "backend='pure'" in repr(prf)
+        assert "backend='hashlib'" in repr(native.keys.keys_for_source(i).pad_prf)
+    psrs = [pure.create_source(i).initialize(1, 7) for i in range(N)]
+    final = native.create_aggregator().merge(1, psrs)
+    result = native.create_querier().evaluate(1, final)
     assert result.value == 7 * N and result.verified
 
 

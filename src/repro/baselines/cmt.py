@@ -37,6 +37,7 @@ from repro.protocols.base import (
     QuerierRole,
     SecureAggregationProtocol,
     SourceRole,
+    validated_reporting_subset,
 )
 from repro.protocols.registry import register_protocol
 from repro.utils.bytesops import bytes_to_int
@@ -110,7 +111,14 @@ class CMTAggregator(AggregatorRole):
 
 
 class CMTQuerier(QuerierRole):
-    """Subtracts the ``N`` temporal keys; cannot verify anything."""
+    """Subtracts the ``N`` temporal keys; cannot verify anything.
+
+    :meth:`evaluate` checks its reporting subset with
+    :func:`~repro.protocols.base.validated_reporting_subset`, as every
+    querier does: an empty subset, an id that is not an ``int``, an id
+    outside ``[0, N)`` or a duplicate id raises
+    :class:`~repro.errors.ProtocolError`.
+    """
 
     def __init__(self, keys: Sequence[bytes], modulus: int, *, ops: OpCounter | None = None) -> None:
         self._prfs = [PRF(k, "sha1") for k in keys]
@@ -126,9 +134,8 @@ class CMTQuerier(QuerierRole):
     ) -> EvaluationResult:
         if not isinstance(psr, CMTRecord):
             raise ProtocolError(f"CMT querier received foreign PSR {type(psr).__name__}")
-        contributors = (
-            range(len(self._prfs)) if reporting_sources is None else reporting_sources
-        )
+        subset = validated_reporting_subset(reporting_sources, len(self._prfs))
+        contributors = range(len(self._prfs)) if subset is None else subset
         total = psr.ciphertext
         count = 0
         for source_id in contributors:

@@ -36,6 +36,7 @@ from repro.protocols.base import (
     QuerierRole,
     SecureAggregationProtocol,
     SourceRole,
+    validated_reporting_subset,
 )
 from repro.protocols.registry import register_protocol
 from repro.utils.bytesops import bytes_to_int, constant_time_eq
@@ -162,7 +163,14 @@ class SECOAMaxAggregator(AggregatorRole):
 
 
 class SECOAMaxQuerier(QuerierRole):
-    """Verifies the inflation certificate and recreates the aggregate SEAL."""
+    """Verifies the inflation certificate and recreates the aggregate SEAL.
+
+    :meth:`evaluate` checks its reporting subset with
+    :func:`~repro.protocols.base.validated_reporting_subset`, as every
+    querier does: an empty subset, an id that is not an ``int``, an id
+    outside ``[0, N)`` or a duplicate id raises
+    :class:`~repro.errors.ProtocolError`.
+    """
 
     def __init__(
         self,
@@ -186,13 +194,8 @@ class SECOAMaxQuerier(QuerierRole):
     ) -> EvaluationResult:
         if not isinstance(psr, SECOAMaxRecord):
             raise ProtocolError(f"SECOA_M querier received foreign PSR {type(psr).__name__}")
-        contributors = (
-            list(range(len(self._cert_keys)))
-            if reporting_sources is None
-            else list(reporting_sources)
-        )
-        if not contributors:
-            raise ProtocolError("cannot evaluate an epoch with no reporting sources")
+        subset = validated_reporting_subset(reporting_sources, len(self._cert_keys))
+        contributors = list(range(len(self._cert_keys))) if subset is None else subset
         if psr.winner not in contributors:
             raise IntegrityError(f"claimed MAX winner {psr.winner} did not report this epoch")
 

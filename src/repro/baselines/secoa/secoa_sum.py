@@ -44,6 +44,7 @@ from repro.protocols.base import (
     QuerierRole,
     SecureAggregationProtocol,
     SourceRole,
+    validated_reporting_subset,
 )
 from repro.protocols.registry import register_protocol
 from repro.utils.bytesops import bytes_to_int, constant_time_eq
@@ -217,7 +218,14 @@ class SECOASumAggregator(AggregatorRole):
 
 
 class SECOASumQuerier(QuerierRole):
-    """Verifies certificates and SEAL algebra, then estimates ``2^x̄``."""
+    """Verifies certificates and SEAL algebra, then estimates ``2^x̄``.
+
+    :meth:`evaluate` checks its reporting subset with
+    :func:`~repro.protocols.base.validated_reporting_subset`, as every
+    querier does: an empty subset, an id that is not an ``int``, an id
+    outside ``[0, N)`` or a duplicate id raises
+    :class:`~repro.errors.ProtocolError`.
+    """
 
     def __init__(
         self,
@@ -249,13 +257,8 @@ class SECOASumQuerier(QuerierRole):
             raise IntegrityError(
                 f"expected {self._num_sketches} sketch values, got {len(psr.levels)}"
             )
-        contributors = (
-            list(range(len(self._cert_keys)))
-            if reporting_sources is None
-            else list(reporting_sources)
-        )
-        if not contributors:
-            raise ProtocolError("cannot evaluate an epoch with no reporting sources")
+        subset = validated_reporting_subset(reporting_sources, len(self._cert_keys))
+        contributors = list(range(len(self._cert_keys))) if subset is None else subset
         contributor_set = set(contributors)
         n = self._seals.public_key.n
 

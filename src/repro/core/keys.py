@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import secrets
 from collections.abc import Callable, Iterable, Sequence
+from functools import partial
 from typing import NamedTuple
 
 from repro.crypto.prf import PRF, encode_epoch
@@ -133,20 +134,19 @@ class SIESKeyMaterial:
         check_positive_int("num_sources", num_sources)
         check_positive_int("key_bytes", key_bytes)
         if seed is None:
-            draw = lambda: secrets.token_bytes(key_bytes)  # noqa: E731
+            draw = partial(secrets.token_bytes, key_bytes)
         else:
-            rng = DeterministicRandom(seed, "sies-keys")
-            draw = lambda: rng.random_bytes(key_bytes)  # noqa: E731
+            draw = partial(DeterministicRandom(seed, "sies-keys").random_bytes, key_bytes)
         master = draw()
-        source_keys: list[bytes] = []
-        seen = {master}
-        while len(source_keys) < num_sources:
-            key = draw()
-            if key in seen:  # astronomically unlikely; keep keys distinct
-                continue
-            seen.add(key)
-            source_keys.append(key)
-        return cls(master, source_keys, p)
+        # The first N distinct draws that differ from K, in draw order:
+        # draw N at once, then one at a time while a repeat (astronomically
+        # unlikely at 20 bytes) left a key short.
+        distinct = dict.fromkeys([draw() for _ in range(num_sources)])
+        distinct.pop(master, None)
+        while len(distinct) < num_sources:
+            distinct.setdefault(draw())
+            distinct.pop(master, None)
+        return cls(master, list(distinct), p)
 
     @property
     def num_sources(self) -> int:
@@ -161,15 +161,20 @@ class SIESKeyMaterial:
     def keys_for_source(self, source_id: int) -> SourceKeys:
         """The registration bundle delivered to source ``source_id``,
         carrying this material's PRFs for ``K`` and ``k_i``."""
-        self._check_source(source_id)
-        return SourceKeys(
-            source_id,
-            self.master_key,
-            self.source_keys[source_id],
-            self.p,
-            self._master_prf,
-            self._pad_prfs[source_id],
-            self._share_prfs[source_id],
+        if not 0 <= source_id < len(self.source_keys):
+            self._check_source(source_id)
+        # The tuple's own constructor: skips the named tuple's Python-level __new__.
+        return tuple.__new__(
+            SourceKeys,
+            (
+                source_id,
+                self.master_key,
+                self.source_keys[source_id],
+                self.p,
+                self._master_prf,
+                self._pad_prfs[source_id],
+                self._share_prfs[source_id],
+            ),
         )
 
     # ------------------------------------------------------------------

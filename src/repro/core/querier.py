@@ -14,10 +14,11 @@ Given the final ``PSR_f,t`` from the sink:
 
 Node failures (Section IV-B, Discussion): when told which sources
 reported, the querier sums keys/shares over that subset only.  The
-reporting subset is validated up front — an empty subset, a duplicate
-source id, or an out-of-range id would make the decryption silently
-produce garbage, so all three raise :class:`~repro.errors.ProtocolError`
-instead.
+reporting subset is validated up front, as every querier does
+(:func:`~repro.protocols.base.validated_reporting_subset`) — an empty
+subset, an id that is not an ``int``, an out-of-range id or a duplicate
+id would make the decryption silently produce garbage, so each raises
+:class:`~repro.errors.ProtocolError` instead.
 
 Step 1 is one :meth:`~repro.core.keys.SIESKeyMaterial.epoch_material`
 call: the epoch is encoded once for the whole evaluation, every
@@ -34,7 +35,13 @@ from repro.core.layout import MessageLayout
 from repro.core.source import SIESRecord
 from repro.crypto.modular import modinv
 from repro.errors import LayoutError, ProtocolError, VerificationFailure
-from repro.protocols.base import EvaluationResult, OpCounter, PartialStateRecord, QuerierRole
+from repro.protocols.base import (
+    EvaluationResult,
+    OpCounter,
+    PartialStateRecord,
+    QuerierRole,
+    validated_reporting_subset,
+)
 from repro.utils.bytesops import constant_time_eq, int_to_bytes
 
 __all__ = ["SIESQuerier"]
@@ -42,6 +49,12 @@ __all__ = ["SIESQuerier"]
 
 class SIESQuerier(QuerierRole):
     """Holds all key material; decrypts and verifies the final PSR.
+
+    :meth:`evaluate` checks its reporting subset with
+    :func:`~repro.protocols.base.validated_reporting_subset`, as every
+    querier does: an empty subset, an id that is not an ``int``, an id
+    outside ``[0, N)`` or a duplicate id raises
+    :class:`~repro.errors.ProtocolError`.
 
     Parameters
     ----------
@@ -74,7 +87,7 @@ class SIESQuerier(QuerierRole):
     ) -> EvaluationResult:
         if not isinstance(psr, SIESRecord):
             raise ProtocolError(f"SIES querier received foreign PSR {type(psr).__name__}")
-        contributors = self._validated_contributors(reporting_sources)
+        contributors = validated_reporting_subset(reporting_sources, self._keys.num_sources)
         n = self._keys.num_sources if contributors is None else len(contributors)
 
         # --- Recompute temporal material (N+1 HM256, N HM1) -------------
@@ -124,38 +137,3 @@ class SIESQuerier(QuerierRole):
             exact=True,
             extras={"secret": extracted_secret, "contributors": n},
         )
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _validated_contributors(
-        self, reporting_sources: Sequence[int] | None
-    ) -> list[int] | None:
-        """The contributing source ids (``None``: all), validated against silent garbage.
-
-        A wrong subset does not fail loudly on its own: the decryption
-        simply subtracts the wrong pad sum and the share check rejects
-        an honest result (or worse, an empty product decrypts nothing
-        meaningful).  These are caller errors, not attacks, so they
-        raise :class:`~repro.errors.ProtocolError` up front.
-        """
-        num_sources = self._keys.num_sources
-        if reporting_sources is None:
-            return None
-        contributors = list(reporting_sources)
-        if not contributors:
-            raise ProtocolError("cannot evaluate an epoch with no reporting sources")
-        seen: set[int] = set()
-        for source_id in contributors:
-            if not 0 <= source_id < num_sources:
-                raise ProtocolError(
-                    f"reporting source id {source_id} is outside [0, {num_sources})"
-                )
-            if source_id in seen:
-                raise ProtocolError(
-                    f"duplicate reporting source id {source_id}: each source contributes "
-                    "exactly one pad and one share per epoch"
-                )
-            seen.add(source_id)
-        return contributors

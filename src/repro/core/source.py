@@ -63,16 +63,21 @@ class SIESSource(SourceRole):
         *,
         ops: OpCounter | None = None,
     ) -> None:
-        self.source_id = keys.source_id
-        self._layout = layout
-        self._p = keys.p
-        self._modulus_bytes = (keys.p.bit_length() + 7) // 8
-        self._ops = ops
         # The key material's own PRFs: each builds its keyed HMAC state
         # on its first evaluation, by whichever party evaluates it first.
-        self._master_prf = keys.master_prf
-        self._pad_prf = keys.pad_prf
-        self._share_prf = keys.share_prf
+        (
+            self.source_id,
+            _,
+            _,
+            p,
+            self._master_prf,
+            self._pad_prf,
+            self._share_prf,
+        ) = keys
+        self._layout = layout
+        self._p = p
+        self._modulus_bytes = (p.bit_length() + 7) // 8
+        self._ops = ops
 
     def initialize(self, epoch: int, value: int) -> SIESRecord:
         """Produce ``PSR_i,t`` for this source's *value* at *epoch*."""

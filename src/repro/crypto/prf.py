@@ -79,9 +79,11 @@ class PRF:
     __slots__ = ("_key", "_hash", "_states", "algorithm")
 
     def __init__(self, key: bytes, algorithm: str = "sha256", backend: str | None = None) -> None:
-        if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
-            raise ParameterError("PRF key must be a non-empty byte string")
-        self._key = bytes(key)
+        if type(key) is not bytes or not key:  # an exact non-empty bytes key is kept as is
+            if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
+                raise ParameterError("PRF key must be a non-empty byte string")
+            key = bytes(key)
+        self._key = key
         self._hash = get_hash(algorithm, backend)
         self._states: tuple[Any, Any] | None = None
         self.algorithm = algorithm

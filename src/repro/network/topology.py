@@ -10,12 +10,20 @@ routing dynamics.
 
 Node identifiers: sources are ``0 … N-1`` (matching protocol source
 ids); aggregators get ids ``N, N+1, …`` assigned bottom-up.
+
+A tree is organised once, as in the paper: :class:`AggregationTree`
+validates its node table in one pass plus one walk from the root, and
+that walk also records the aggregator post-order — the merge schedule.
+The tree keeps its source ids, aggregator ids and post-order, so no
+caller re-walks or rescans it, and it must not be mutated after
+construction: neither a node's ``parent_id`` nor its ``children`` list.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from repro.errors import TopologyError
 from repro.utils.rng import DeterministicRandom
@@ -53,14 +61,23 @@ class AggregationTree:
     to.  Construction validates the structural invariants the protocols
     rely on: exactly one root, every source is a leaf, every aggregator
     has at least one child, no cycles, all nodes reachable from the root.
+
+    Validation is one pass over the node table and one walk from the
+    root; the walk also records the aggregator post-order.  The tree
+    keeps :attr:`source_ids`, :attr:`aggregator_ids` and that order
+    (:meth:`bottom_up_aggregators`), so it must not be mutated after
+    construction.
     """
 
     def __init__(self, nodes: Sequence[TreeNode]) -> None:
-        self._nodes: dict[int, TreeNode] = {}
-        for node in nodes:
-            if node.node_id in self._nodes:
-                raise TopologyError(f"duplicate node id {node.node_id}")
-            self._nodes[node.node_id] = node
+        table = {node.node_id: node for node in nodes}
+        if len(table) != len(nodes):
+            seen: set[int] = set()
+            for node in nodes:
+                if node.node_id in seen:
+                    raise TopologyError(f"duplicate node id {node.node_id}")
+                seen.add(node.node_id)
+        self._nodes = table
         self._validate()
 
     # ------------------------------------------------------------------
@@ -77,15 +94,17 @@ class AggregationTree:
 
     @property
     def num_aggregators(self) -> int:
-        return len(self._nodes) - len(self._source_ids)
+        return len(self._aggregator_ids)
 
     @property
     def source_ids(self) -> tuple[int, ...]:
+        """Source ids in ascending order."""
         return self._source_ids
 
     @property
     def aggregator_ids(self) -> tuple[int, ...]:
-        return tuple(i for i in self._nodes if self._nodes[i].is_aggregator)
+        """Aggregator ids in node-table order (built once, at construction)."""
+        return self._aggregator_ids
 
     def node(self, node_id: int) -> TreeNode:
         try:
@@ -129,23 +148,12 @@ class AggregationTree:
     def bottom_up_aggregators(self) -> list[int]:
         """Aggregator ids ordered so children always precede parents.
 
-        This is the merge schedule the simulator executes each epoch.
+        This is the merge schedule the simulator executes each epoch:
+        the post-order from the root, each node's children taken last
+        first, recorded once at construction.  Each call returns a fresh
+        list.
         """
-        order: list[int] = []
-        # Iterative post-order from the root.
-        stack: list[tuple[int, bool]] = [(self._root_id, False)]
-        while stack:
-            nid, expanded = stack.pop()
-            node = self._nodes[nid]
-            if node.is_source:
-                continue
-            if expanded:
-                order.append(nid)
-            else:
-                stack.append((nid, True))
-                for child in node.children:
-                    stack.append((child, False))
-        return order
+        return list(self._bottom_up)
 
     def leaves_under(self, node_id: int) -> list[int]:
         """Source ids in the subtree rooted at *node_id*."""
@@ -174,43 +182,108 @@ class AggregationTree:
     # ------------------------------------------------------------------
 
     def _validate(self) -> None:
-        if not self._nodes:
-            raise TopologyError("tree has no nodes")
-        roots = [n.node_id for n in self._nodes.values() if n.parent_id is None]
+        """One pass over the node table, then one walk from the root.
+
+        The walk checks every node it reaches (a source is a leaf, an
+        aggregator has children, each child exists and points back) and
+        records the pre-order with children taken first to last; its
+        reverse is the post-order with children taken last to first,
+        the merge schedule.  A tree is valid iff the walk reaches every
+        node once and flags nothing.  Otherwise :func:`_raise_fault`
+        runs the checks one by one and raises the first that fails, so
+        the message and its precedence do not depend on the walk.
+        """
+        table = self._nodes
+        roots: list[int] = []
+        aggregators: list[int] = []
+        for nid, node in table.items():
+            if node.parent_id is None:
+                roots.append(nid)
+            if not node.is_source:
+                aggregators.append(nid)
         if len(roots) != 1:
-            raise TopologyError(f"tree must have exactly one root, found {len(roots)}")
-        self._root_id = roots[0]
-        if self._nodes[self._root_id].is_source:
-            if len(self._nodes) > 1:
-                raise TopologyError("root must be an aggregator in multi-node trees")
+            _raise_fault(table)
+        root_id = roots[0]
+        root = table[root_id]
+        sources: list[int] = []
+        preorder: list[int] = []
+        if root.is_source:
+            if len(table) > 1 or root.children:
+                _raise_fault(table)
+            sources.append(root_id)
+        else:
+            limit = len(aggregators)
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                nid = node.node_id
+                children = node.children
+                preorder.append(nid)
+                if not children or len(preorder) > limit:
+                    _raise_fault(table)  # childless, or reached twice
+                for child_id in reversed(children):
+                    child = table.get(child_id)
+                    if child is None or child.parent_id != nid:
+                        _raise_fault(table)
+                    if not child.is_source:
+                        stack.append(child)
+                    elif child.children:
+                        _raise_fault(table)
+                    else:
+                        sources.append(child_id)
+        reached = len(preorder) + len(sources)
+        if reached != len(table) or len(set(preorder).union(sources)) != reached:
+            _raise_fault(table)
+        self._root_id = root_id
+        self._source_ids = tuple(sorted(sources))
+        self._aggregator_ids = tuple(aggregators)
+        preorder.reverse()
+        self._bottom_up = tuple(preorder)
 
-        for node in self._nodes.values():
-            if node.is_source and node.children:
-                raise TopologyError(f"source {node.node_id} must be a leaf")
-            if node.is_aggregator and not node.children:
-                raise TopologyError(f"aggregator {node.node_id} has no children")
-            for child in node.children:
-                if child not in self._nodes:
-                    raise TopologyError(f"node {node.node_id} references missing child {child}")
-                if self._nodes[child].parent_id != node.node_id:
-                    raise TopologyError(
-                        f"child {child} does not point back to parent {node.node_id}"
-                    )
 
-        # Reachability / acyclicity: BFS from root must visit all nodes once.
-        seen: set[int] = set()
-        queue = [self._root_id]
-        while queue:
-            nid = queue.pop()
-            if nid in seen:
-                raise TopologyError(f"cycle detected at node {nid}")
-            seen.add(nid)
-            queue.extend(self._nodes[nid].children)
-        if seen != set(self._nodes):
-            orphans = sorted(set(self._nodes) - seen)
-            raise TopologyError(f"nodes unreachable from root: {orphans[:5]}")
+def _raise_fault(table: dict[int, TreeNode]) -> NoReturn:
+    """Raise the first structural fault of *table*, in check order.
 
-        self._source_ids = tuple(sorted(n.node_id for n in self._nodes.values() if n.is_source))
+    Empty tree, root count, a source as root; then per node in table
+    order: a source with children, a childless aggregator, a missing
+    child, a child that does not point back; then a cycle, then nodes
+    unreachable from the root.
+    """
+    if not table:
+        raise TopologyError("tree has no nodes")
+    roots = [n.node_id for n in table.values() if n.parent_id is None]
+    if len(roots) != 1:
+        raise TopologyError(f"tree must have exactly one root, found {len(roots)}")
+    root_id = roots[0]
+    if table[root_id].is_source:
+        if len(table) > 1:
+            raise TopologyError("root must be an aggregator in multi-node trees")
+
+    for node in table.values():
+        if node.is_source and node.children:
+            raise TopologyError(f"source {node.node_id} must be a leaf")
+        if node.is_aggregator and not node.children:
+            raise TopologyError(f"aggregator {node.node_id} has no children")
+        for child in node.children:
+            if child not in table:
+                raise TopologyError(f"node {node.node_id} references missing child {child}")
+            if table[child].parent_id != node.node_id:
+                raise TopologyError(
+                    f"child {child} does not point back to parent {node.node_id}"
+                )
+
+    # Reachability / acyclicity: BFS from root must visit all nodes once.
+    seen: set[int] = set()
+    queue = [root_id]
+    while queue:
+        nid = queue.pop()
+        if nid in seen:
+            raise TopologyError(f"cycle detected at node {nid}")
+        seen.add(nid)
+        queue.extend(table[nid].children)
+    orphans = sorted(set(table) - seen)
+    # Every fault the one-pass validation flags fails one check above.
+    raise TopologyError(f"nodes unreachable from root: {orphans[:5]}")
 
 
 def build_complete_tree(
@@ -229,33 +302,26 @@ def build_complete_tree(
     if fanout < 2 and num_sources > 1:
         raise TopologyError("fanout must be at least 2 for multi-source trees")
 
-    nodes: dict[int, TreeNode] = {
-        i: TreeNode(node_id=i, is_source=True, link_distance_m=link_distance_m)
-        for i in range(num_sources)
-    }
-    next_id = num_sources
-    level = list(range(num_sources))
-    if num_sources == 1:
-        # Even a single source reports through one aggregator (the sink).
-        sink = TreeNode(node_id=next_id, is_source=False, link_distance_m=link_distance_m)
-        sink.children = [0]
-        nodes[0].parent_id = next_id
-        nodes[next_id] = sink
-        return AggregationTree(list(nodes.values()))
-
-    while len(level) > 1:
-        parents: list[int] = []
-        for start in range(0, len(level), fanout):
-            group = level[start : start + fanout]
-            parent = TreeNode(node_id=next_id, is_source=False, link_distance_m=link_distance_m)
-            parent.children = list(group)
-            for child in group:
-                nodes[child].parent_id = next_id
-            nodes[next_id] = parent
-            parents.append(next_id)
-            next_id += 1
-        level = parents
-    return AggregationTree(list(nodes.values()))
+    # Group each level's ids, bottom-up, until one root remains (even a
+    # single source reports through one aggregator, the sink); aggregator
+    # ``N + k`` takes group ``k``.  The groups cover ids ``0 … root-1`` in
+    # order, which gives every parent id; then each node is built once.
+    groups: list[list[int]] = []
+    first, end = 0, num_sources
+    while not groups or end - first > 1:
+        level = list(range(first, end))
+        groups += [level[start : start + fanout] for start in range(0, len(level), fanout)]
+        first, end = end, num_sources + len(groups)
+    parents: list[int | None] = [
+        parent for parent, group in enumerate(groups, num_sources) for _ in group
+    ]
+    parents.append(None)  # the root
+    nodes = [TreeNode(i, True, parents[i], [], link_distance_m) for i in range(num_sources)]
+    nodes += [
+        TreeNode(aggregator_id, False, parents[aggregator_id], group, link_distance_m)
+        for aggregator_id, group in enumerate(groups, num_sources)
+    ]
+    return AggregationTree(nodes)
 
 
 def build_chain_tree(num_sources: int, *, link_distance_m: float = 10.0) -> AggregationTree:

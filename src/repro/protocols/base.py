@@ -11,8 +11,10 @@ This module fixes those phase signatures as abstract roles plus a
 factory (:class:`SecureAggregationProtocol`) that performs the setup
 phase (key generation and distribution) and hands out role objects.
 It also defines :class:`OpCounter`, the operation-count ledger that
-backs the analytic cost models of Section V, and :class:`OpCosts`, a
-fixed bundle of counts a role validates once and charges per call.
+backs the analytic cost models of Section V, :class:`OpCosts`, a
+fixed bundle of counts a role validates once and charges per call, and
+:func:`validated_reporting_subset`, the one check every querier makes
+of the reporting subset it is handed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, ProtocolError
 
 if TYPE_CHECKING:
     from repro.wire.codec import PSRCodec
@@ -36,6 +38,7 @@ __all__ = [
     "AggregatorRole",
     "QuerierRole",
     "SecureAggregationProtocol",
+    "validated_reporting_subset",
 ]
 
 
@@ -167,6 +170,42 @@ class OpCounter:
         return OpCounter(counts=dict(self.counts))
 
 
+def validated_reporting_subset(
+    reporting_sources: Sequence[int] | None, num_sources: int
+) -> list[int] | None:
+    """The reporting subset as a list of source ids (``None``: all), validated.
+
+    A wrong subset does not fail loudly on its own: a querier subtracts
+    the wrong pads, sums the wrong seeds or indexes past its keys, and
+    either rejects an honest result or reports garbage as exact.  These
+    are caller errors, not attacks, so every querier calls this first
+    and each raises :class:`~repro.errors.ProtocolError`: an empty
+    subset; then, id by id, an id that is not an ``int`` (``bool``
+    included), an id outside ``[0, num_sources)`` (negative ids
+    included) and a duplicate id.
+    """
+    if reporting_sources is None:
+        return None
+    contributors = list(reporting_sources)
+    if not contributors:
+        raise ProtocolError("cannot evaluate an epoch with no reporting sources")
+    seen: set[int] = set()
+    for source_id in contributors:
+        if isinstance(source_id, bool) or not isinstance(source_id, int):
+            raise ProtocolError(f"reporting source id {source_id!r} is not an int")
+        if not 0 <= source_id < num_sources:
+            raise ProtocolError(
+                f"reporting source id {source_id} is outside [0, {num_sources})"
+            )
+        if source_id in seen:
+            raise ProtocolError(
+                f"duplicate reporting source id {source_id}: each source contributes "
+                "exactly once per epoch"
+            )
+        seen.add(source_id)
+    return contributors
+
+
 class SourceRole(ABC):
     """Initialization phase ``I`` — runs on a source sensor."""
 
@@ -210,6 +249,9 @@ class QuerierRole(ABC):
 
         ``reporting_sources`` lists the source ids that contributed this
         epoch (paper Section IV-B, node failures); ``None`` means all.
+        Every querier validates it with :func:`validated_reporting_subset`
+        before any other use, so a malformed subset raises
+        :class:`~repro.errors.ProtocolError` on every protocol.
         Raises a :class:`repro.errors.SecurityError` subclass when a
         protocol with integrity detects tampering or replay.
         """

@@ -83,13 +83,15 @@ __all__ = [
 def node_heights(tree: "AggregationTree", bottom_up: Sequence[int]) -> dict[int, int]:
     """Height of every node: sources 0, aggregators 1 + their highest child.
 
-    *bottom_up* is ``tree.bottom_up_aggregators()``, which the caller
-    walks once and keeps.  Each aggregator's children are read from its
+    *bottom_up* is ``tree.bottom_up_aggregators()``: the post-order the
+    tree recorded when it was built, so every child's height is known
+    before its parent's.  Each aggregator's children are read from its
     node's own list, not copied.
     """
     heights: dict[int, int] = dict.fromkeys(tree.source_ids, 0)
+    height, node = heights.__getitem__, tree.node
     for aid in bottom_up:
-        heights[aid] = 1 + max(map(heights.__getitem__, tree.node(aid).children))
+        heights[aid] = 1 + max(map(height, node(aid).children))
     return heights
 
 
@@ -148,8 +150,14 @@ class EpochPlanner:
         self.querier_offset = hold_time * (heights[tree.root_id] + 1) + querier_slack
         #: Node → (receiver, edge class) of its one hop up the tree.
         self.uplink = _uplink_table(tree)
-        #: The plan of every epoch in which no source is down.
-        self._full = self._walk(self._sources)
+        #: The plan of every epoch in which no source is down: what
+        #: :meth:`_walk` makes of all sources, since every aggregator has
+        #: a child, so all are live, each expecting all its children.
+        self._full = EpochPlan(
+            self._sources,
+            frozenset(),
+            {aid: len(children) for aid, children in self._children.items()},
+        )
 
     def plan(self, epoch: int) -> EpochPlan:
         """The epoch's participants and its live aggregators' expected counts.
@@ -211,22 +219,24 @@ class EpochPlanner:
 
 
 def _uplink_table(tree: "AggregationTree") -> dict[int, tuple[int, EdgeClass]]:
+    """Node → its hop, in node-table order.
+
+    Siblings share one hop tuple: the table keeps one long-lived object
+    per receiver and edge class, not one per node, which keeps a
+    simulator's set-up from adding to the garbage collector's work.
+    """
     s_a, a_a = EdgeClass.SOURCE_TO_AGGREGATOR, EdgeClass.AGGREGATOR_TO_AGGREGATOR
-    uplink: dict[int, tuple[int, EdgeClass]] = {}
-    # Siblings share one hop tuple: the table keeps one long-lived object
-    # per receiver and edge class, not one per node, which keeps a
-    # simulator's set-up from adding to the garbage collector's work.
-    hops: dict[tuple[int, EdgeClass], tuple[int, EdgeClass]] = {}
-    for node in tree:
-        parent = node.parent_id
-        if parent is not None:
-            hop = (parent, s_a if node.is_source else a_a)
-            uplink[node.node_id] = hops.setdefault(hop, hop)
-        elif node.is_source:
-            raise SimulationError(f"source {node.node_id} has no parent aggregator")
-        else:
-            uplink[node.node_id] = (QUERIER_NODE_ID, EdgeClass.AGGREGATOR_TO_QUERIER)
-    return uplink
+    aggregators = tree.aggregator_ids
+    # is_source → parent → hop; the root's parent (None) is the querier.
+    hops: dict[bool, dict[int | None, tuple[int, EdgeClass]]] = {
+        True: {aid: (aid, s_a) for aid in aggregators},
+        False: {aid: (aid, a_a) for aid in aggregators},
+    }
+    hops[False][None] = (QUERIER_NODE_ID, EdgeClass.AGGREGATOR_TO_QUERIER)
+    try:
+        return {node.node_id: hops[node.is_source][node.parent_id] for node in tree}
+    except KeyError:  # only a lone source is a root
+        raise SimulationError(f"source {tree.root_id} has no parent aggregator") from None
 
 
 class HoldAndWait:
@@ -240,8 +250,9 @@ class HoldAndWait:
         self._inboxes: dict[
             int, tuple[int, list[PartialStateRecord], list[frozenset[int]]]
         ] = {}
-        #: epoch → first copies classified late here.
-        self.late: defaultdict[int, int] = defaultdict(int)
+        #: epoch → first copies classified late here (a plain dict: a
+        #: default dict per aggregator would cost set-up more than it saves).
+        self.late: dict[int, int] = {}
 
     def open(self, epoch: int, expected: int) -> None:
         """Open the epoch's inbox; it closes once, at :meth:`close`."""
@@ -263,7 +274,7 @@ class HoldAndWait:
             return DECODE_FAILURE, False
         inbox = self._inboxes.get(epoch)
         if inbox is None:
-            self.late[epoch] += 1
+            self.late[epoch] = self.late.get(epoch, 0) + 1
             return LATE, False
         expected, psrs, manifests = inbox
         psrs.append(psr)
@@ -408,11 +419,12 @@ class EpochDriver:
         on_settled: Callable[[EpochRecord], None] | None = None,
     ) -> None:
         tree = planner.tree
+        root_id = tree.root_id
         self.planner = planner
         self.workload = workload
         self.sources = sources
         self.mergers = {
-            aid: HoldAndWait(aid, role, is_root=(aid == tree.root_id))
+            aid: HoldAndWait(aid, role, is_root=(aid == root_id))
             for aid, role in aggregators.items()
         }
         self.querier = QuerierEpochs(querier, num_sources=tree.num_sources, evaluate=evaluate)

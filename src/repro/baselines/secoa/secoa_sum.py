@@ -253,11 +253,11 @@ class SECOASumQuerier(QuerierRole):
             raise ProtocolError(f"SECOA_S querier received foreign PSR {type(psr).__name__}")
         if psr.certificate is None:
             raise ProtocolError("querier expects a finalized PSR (aggregate certificate)")
+        subset = validated_reporting_subset(reporting_sources, len(self._cert_keys))
         if len(psr.levels) != self._num_sketches:
             raise IntegrityError(
                 f"expected {self._num_sketches} sketch values, got {len(psr.levels)}"
             )
-        subset = validated_reporting_subset(reporting_sources, len(self._cert_keys))
         contributors = list(range(len(self._cert_keys))) if subset is None else subset
         contributor_set = set(contributors)
         n = self._seals.public_key.n

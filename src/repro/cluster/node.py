@@ -31,10 +31,10 @@ MAC-layer ARQ on top:
   runs before that frame is handled, and the receiver hands the carried
   verdict to the transport rather than hashing it again;
 * every hop goes through the run's one
-  :class:`~repro.network.channel.Channel`, split at the socket: the
-  sender's ``emit`` runs before each write (a frame it drops is never
-  written: ``drops_channel``), the receiver's ``accept`` on each first
-  copy (a copy it rejects is a ``decode_failures`` arrival, ACKed);
+  :class:`~repro.network.channel.Channel`, whose halves the transport
+  runs on either side of the socket (the channel's interceptor
+  contract): ``emit`` before each write, ``accept`` on the inner frame
+  of each first copy that lands here;
 * the inner protocol frame is encoded **once** per parcel and carried
   byte-identical across retransmissions unless a frame interceptor
   rewrites it; only the envelope's attempt counter changes (see
@@ -57,7 +57,6 @@ from collections.abc import Callable, Mapping
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import SimulationError, WireDecodeError, WireEncodeError
-from repro.network.channel import Channel
 from repro.network.ledger import EdgeClass
 from repro.cluster.envelope import AckEnvelope, DataEnvelope, decode_envelope, encode_ack, encode_data
 from repro.cluster.framing import FrameAssembler
@@ -175,9 +174,9 @@ class _Link(asyncio.Protocol):
 class ClusterNode:
     """One tree node: a TCP server (on receivers) plus an optional uplink to its parent.
 
-    *channel* is the run's channel and *transport* the run's per-hop ARQ,
-    both shared by every node: the channel's ledger is the run's one hop
-    ledger.  *uplink* is the tree's table ``{node: (receiver, edge class)}``
+    *transport* is the run's per-hop ARQ, shared by every node: its
+    ledger is the run's one hop ledger.  *uplink* is the tree's table
+    ``{node: (receiver, edge class)}``
     (:attr:`~repro.runtime.epoch.EpochPlanner.uplink`): it names this
     node's own hop (none on the querier) and which senders are its
     children.  *clock* is the run's scheduled clock: it keeps the frames
@@ -189,13 +188,11 @@ class ClusterNode:
         self,
         node_id: int,
         *,
-        channel: Channel,
         uplink: Mapping[int, tuple[int, EdgeClass]],
         transport: ReliableTransport,
         clock: ScheduledClock,
     ) -> None:
         self.node_id = node_id
-        self.channel = channel
         self._uplink = uplink
         self.transport = transport
         self.clock = clock
@@ -289,20 +286,17 @@ class ClusterNode:
         """Report one arriving copy, with its attempt's *verdict*, to the
         transport; write the ACK it answers.
 
-        A first copy is accepted off the channel here, at the receiver.
+        The transport decodes a first copy here, at the receiver.
         """
         edge = self._classify(envelope.sender)
         if self.transport.receive(
             envelope.sender, self.node_id, edge, envelope.uid, envelope.attempt,
-            lambda: self.channel.accept(
-                envelope.inner, envelope.sender, self.node_id, edge, envelope.manifest
-            ),
-            verdict,
+            envelope.inner, envelope.manifest, verdict,
         ):
             ack = encode_ack(epoch=envelope.epoch, uid=envelope.uid, attempt=envelope.attempt)
             link.write(ack)
             self.clock.wrote(link.outbound, (envelope.uid, envelope.attempt))
-            self.channel.ledger.edge(edge).ack_bytes += len(ack)
+            self.transport.ledger.edge(edge).ack_bytes += len(ack)
 
     def _handle_ack(self, envelope: AckEnvelope, link: _Link) -> None:
         self.clock.arrive(link.inbound, (envelope.uid, envelope.attempt), self._take_ack, envelope)

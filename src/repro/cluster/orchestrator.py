@@ -30,9 +30,9 @@ Both drivers of the event runtime run here on one
 :class:`ScheduledClock`, the runtime's clock rule on the running loop:
 each epoch on the :class:`~repro.runtime.epoch.EpochDriver`, and every
 parcel of the fleet on one
-:class:`~repro.runtime.transport.ReliableTransport`, whose ``wire`` is
-the channel's ``emit`` and whose ``put`` writes envelopes on the
-sender's uplink.  Every timer — merge deadline, querier expiry, ACK
+:class:`~repro.runtime.transport.ReliableTransport`, which drives the
+channel's two halves and whose ``put`` writes envelopes on the sender's
+uplink.  Every timer — merge deadline, querier expiry, ACK
 timeout, epoch launch — runs in scheduled-time order, and a timer
 waits for every frame written before it to be handled, so the loop's
 speed changes when a decision is made, never what it decides: survivor
@@ -354,7 +354,6 @@ class EpochOrchestrator:
             self.channel,
             now=loop.time,
             call_later=clock.call_later,
-            wire=lambda parcel: self.channel.emit(parcel.psr, parcel.edge, parcel.frame),
             put=lambda parcel, frame, attempt, verdict: self._nodes[parcel.sender].put(
                 parcel, frame, attempt, verdict
             ),
@@ -364,8 +363,7 @@ class EpochOrchestrator:
         )
         for node_id in (*tree.source_ids, *tree.aggregator_ids, QUERIER_NODE_ID):
             self._nodes[node_id] = ClusterNode(
-                node_id, channel=self.channel, uplink=self._planner.uplink,
-                transport=transport, clock=clock,
+                node_id, uplink=self._planner.uplink, transport=transport, clock=clock
             )
 
     async def _bind_and_connect(self) -> None:

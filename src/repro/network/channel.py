@@ -18,10 +18,23 @@ split at the wire into a sender half and a receiver half:
 
 An interceptor models an adversary (or a lossy link): it may return the
 frame or message unchanged, a modified one, or ``None`` to drop it.
-The analytic simulator and the event runtime call both halves at once
-(:meth:`Channel.transmit`); the TCP cluster calls :meth:`~Channel.emit`
-before the socket write and :meth:`~Channel.accept` where a first copy
-lands, so a frame crosses a real socket between the two halves.
+The analytic simulator, which has no ARQ and loses no attempt, calls
+both halves at once (:meth:`Channel.transmit`).  On the event runtime
+and the TCP cluster the per-hop ARQ
+(:class:`~repro.runtime.transport.ReliableTransport`) calls them, under
+one interceptor contract:
+
+* frame interceptors run **per attempt, at the sender** (``emit``).  A
+  frame they drop never reaches the link: ``drops_channel``, no ACK,
+  and the sender retransmits;
+* decoding and the PSR interceptors run **once, on the first copy that
+  lands** (``accept``; duplicates are suppressed before any decode).
+  A first copy that does not decode, or that a PSR interceptor drops,
+  is ``decode_failures`` and is ACKed: the ARQ sits below the codec and
+  SIES frames carry no link checksum, so the transport did deliver it.
+
+So an adversary acts on what a receiver actually hears, and is the same
+experiment on both ARQ substrates.
 
 The sender half reads only the PSR, so it takes the PSR, not a
 message: :meth:`~Channel.transmit` takes the hop's parts, and the one
@@ -190,22 +203,15 @@ class Channel:
         return delivered
 
     def transmit(
-        self,
-        sender: int,
-        receiver: int,
-        edge_class: EdgeClass,
-        psr: PartialStateRecord,
-        *,
-        frame: bytes | None = None,
-        manifest: frozenset[int] = frozenset(),
+        self, sender: int, receiver: int, edge_class: EdgeClass, psr: PartialStateRecord
     ) -> DataMessage | None:
-        """Both halves in one call: :meth:`emit`, then :meth:`accept`.
+        """Both halves in one call, the analytic hop: :meth:`emit`, then :meth:`accept`.
 
         Returns the message as the receiver gets it — the one
-        :class:`DataMessage` of the hop, built by :meth:`accept` — or
-        ``None`` if it was dropped on the way.
+        :class:`DataMessage` of the hop, built by :meth:`accept`, with an
+        empty manifest — or ``None`` if it was dropped on the way.
         """
-        attacked = self.emit(psr, edge_class, frame)
+        attacked = self.emit(psr, edge_class)
         if attacked is None:
             return None
-        return self.accept(attacked, sender, receiver, edge_class, manifest)
+        return self.accept(attacked, sender, receiver, edge_class)

@@ -55,12 +55,11 @@ class EdgeCounters:
     #: against ``PSRCodec.framed_size``.
     frame_bytes: int = 0
     #: Frames the channel's receiver half discarded because they no
-    #: longer parsed (also counted as ``drops_channel`` on the runtime,
-    #: whose channel decodes at the sender, and as ``decode_failures`` on
-    #: the cluster, whose receiver decodes the copy it got).  On the
-    #: analytic simulator, which keeps no ARQ counters, it also counts
-    #: the copies hold-and-wait refused for a forged header epoch (the
-    #: ARQ substrates count those as ``decode_failures``).
+    #: longer parsed (on the ARQ substrates each is also one of the
+    #: receiver's ``decode_failures``).  On the analytic simulator, which
+    #: keeps no ARQ counters, it also counts the copies hold-and-wait
+    #: refused for a forged header epoch (the ARQ substrates count those
+    #: as ``decode_failures`` only).
     channel_decode_failures: int = 0
     #: ARQ send decisions (first attempts + retransmissions).
     attempts: int = 0
@@ -69,8 +68,7 @@ class EdgeCounters:
     #: Attempts the fault schedule swallowed (nothing reached the link).
     drops_injected: int = 0
     #: Attempts the channel swallowed before the schedule ran: frame
-    #: interceptor drops on every ARQ substrate, plus PSR interceptor
-    #: drops and decode failures on the runtime.
+    #: interceptor drops, at the sender.
     drops_channel: int = 0
     #: Extra copies put on the link by duplication verdicts.
     dup_copies: int = 0
@@ -83,8 +81,10 @@ class EdgeCounters:
     duplicates_suppressed: int = 0
     #: First copies that arrived after their receiver's deadline.
     late_frames: int = 0
-    #: First copies the channel's receiver half rejected (cluster): the
-    #: frame no longer parsed, or a PSR interceptor dropped the message.
+    #: First copies discarded above the transport: the channel's
+    #: receiver half rejected them (the frame no longer parsed, or a PSR
+    #: interceptor dropped the message), or the epoch machine refused
+    #: them for a forged header epoch.
     decode_failures: int = 0
     #: Parcels whose sender exhausted its retry budget.
     gave_up: int = 0

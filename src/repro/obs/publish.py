@@ -16,7 +16,8 @@ three substrates:
 * ``sies_frame_bytes_total`` — measured PSR frame bytes (header
   included, envelope excluded), per attempt;
 * ``sies_decode_failures_total`` — frames discarded as unparseable, by
-  the channel or by the receiving node.
+  the channel or by the receiving node, each once (the receiver's count
+  holds the channel's on the ARQ substrates).
 
 On the ARQ substrates ``sies_traffic_messages_total`` therefore equals
 ``sies_transport_attempts_total`` edge class by edge class.  What is
@@ -30,7 +31,7 @@ metric                                      labels
 ``sies_traffic_bytes_total``                ``substrate, edge`` (payload, per attempt)
 ``sies_traffic_messages_total``             ``substrate, edge`` (one per attempt)
 ``sies_frame_bytes_total``                  ``substrate, edge`` (frames, per attempt)
-``sies_decode_failures_total``              ``substrate, edge`` (channel + receiver)
+``sies_decode_failures_total``              ``substrate, edge`` (channel or receiver)
 ``sies_transport_attempts_total``           ``substrate, edge``
 ``sies_transport_retransmissions_total``    ``substrate, edge``
 ``sies_transport_delivered_total``          ``substrate, edge``
@@ -90,7 +91,7 @@ def publish_traffic(ledger: "HopLedger", registry: MetricsRegistry, *, substrate
         (
             "sies_decode_failures_total",
             "Frames discarded as unparseable, by the channel or the receiver",
-            lambda c: c.channel_decode_failures + c.decode_failures,
+            lambda c: c.decode_failures if c.attempts else c.channel_decode_failures,
         ),
     )
     by_edge = sorted(ledger.by_class.items(), key=lambda kv: kv[0].value)

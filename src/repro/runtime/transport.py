@@ -6,22 +6,24 @@ the reporting-subset mechanism (paper Section IV-B).
 :class:`ReliableTransport` is that hop on both ARQ substrates, and owns
 no scheduler, loop or socket.  It is handed a timer (``now()``,
 ``call_later(delay, fn)`` returning a handle with ``cancel()``), a
-``wire(parcel)`` step (the channel's sender side, run once per attempt
-on the parcel's one encoding; ``None`` = the channel ate it), a ``put`` link for
-the copies the keyed schedule lets through, and the receivers'
-``deliver``, routed by the parcel uid, never by the frame header:
+``put`` link for the copies the keyed schedule lets through, and the
+receivers' ``deliver``, routed by the parcel uid, never by the frame
+header.  It runs both halves of the channel itself, under the
+interceptor contract :mod:`repro.network.channel` states:
 
-* **sender half** — every attempt asks the keyed fault oracle for its
-  one verdict, puts 0, 1 or 2 copies on the link and arms an ACK
-  timeout (exponential backoff, jitter from the verdict), whatever the
-  link did — the sender cannot observe loss, only missing ACKs.  A
-  parcel stops on its first ACK or gives up with its retry budget
-  spent; *on_finished* hears of either once;
+* **sender half** — every attempt runs the channel's ``emit`` on the
+  parcel's one encoding (``None`` = the channel ate it), asks the keyed
+  fault oracle for its one verdict, puts 0, 1 or 2 copies of the frame
+  on the link and arms an ACK timeout (exponential backoff, jitter from
+  the verdict), whatever the link did — the sender cannot observe loss,
+  only missing ACKs.  A parcel stops on its first ACK or gives up with
+  its retry budget spent; *on_finished* hears of either once;
 * **receiver half** — :meth:`ReliableTransport.receive` suppresses
-  duplicates by ``(sender, uid)``, has ``deliver`` classify each first
-  copy (delivered, late, or decode failure), and reads from the
-  attempt's verdict, which the link carries to every copy, whether the
-  ACK — sent for *every* received copy — survives the way back;
+  duplicates by ``(sender, uid)``, runs the channel's ``accept`` on
+  each first copy, has ``deliver`` classify what it returns (delivered,
+  late, or decode failure), and reads from the attempt's verdict,
+  which the link carries to every copy, whether the ACK — sent for
+  *every* received copy — survives the way back;
 * every outcome is counted into the channel's per-edge-class
   :class:`~repro.network.ledger.HopLedger` — a parcel's attempts and
   ACKs into the :class:`~repro.network.ledger.EdgeCounters` it
@@ -34,14 +36,13 @@ the copies the keyed schedule lets through, and the receivers'
 
 A :class:`Parcel` is slotted and holds the PSR and its manifest
 directly: a send builds no :class:`~repro.network.messages.DataMessage`;
-the receiving side gets one per delivered attempt, from the channel.
+the receiving side gets one per first copy, from the channel.
 
 :func:`scheduled_transport` builds the event runtime's transport on its
 scheduler and keyed-latency arrival events (the copies of one attempt
-share one arrival callback); the TCP cluster's
-orchestrator hands its scheduled-time clock, the channel's ``emit`` and
-envelope writes on the sender's uplink, whose in-flight record carries
-the verdict to the receiving node.  Either way each attempt is hashed
+share one arrival callback); the TCP cluster's orchestrator hands its
+scheduled-time clock and envelope writes on the sender's uplink, whose
+in-flight record carries the verdict to the receiving node.  Either way each attempt is hashed
 once.  A parcel's uid is its epoch on both substrates — each hop
 carries one parcel per epoch.
 
@@ -59,12 +60,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.errors import ParameterError, SimulationError
 from repro.network.channel import Channel, EdgeClass
 from repro.network.ledger import EdgeCounters
-from repro.network.messages import DataMessage
 from repro.runtime.events import EventScheduler
 from repro.runtime.faults import KeyedFaultInjector, KeyedVerdict
 
@@ -214,7 +214,8 @@ class ReliableTransport:
     a parcel's attempts and ACKs into the counters it resolved at
     :meth:`send` — and encodes with ``channel.codec``.  *now* only stamps
     observer events, and runs only with an observer attached; no decision
-    reads it.  The injector is looked up on every use, never bound.
+    reads it.  The injector and the channel's halves are looked up on
+    every use, never bound.
     """
 
     def __init__(
@@ -225,8 +226,7 @@ class ReliableTransport:
         *,
         now: Callable[[], float],
         call_later: Callable[[float, Callable[[], None]], TimerHandle],
-        wire: Callable[[Parcel], Any],
-        put: Callable[[Parcel, Any, int, KeyedVerdict], None],
+        put: Callable[[Parcel, bytes, int, KeyedVerdict], None],
         deliver: DeliverFn,
         on_finished: Callable[[Parcel], None] | None = None,
         observer: TransportObserver | None = None,
@@ -234,11 +234,11 @@ class ReliableTransport:
         self.injector = injector
         self.policy = policy
         self.ledger = channel.ledger
+        self._channel = channel
         self._now = now
         self._observer = observer
         self._encode = channel.codec.encode
         self._call_later = call_later
-        self._wire = wire
         self._put = put
         self._deliver = deliver
         self._on_finished = on_finished
@@ -282,7 +282,7 @@ class ReliableTransport:
 
     def _attempt(self, parcel: Parcel) -> None:
         sender, receiver, edge, uid = parcel.sender, parcel.receiver, parcel.edge, parcel.uid
-        payload = self._wire(parcel)
+        frame = self._channel.emit(parcel.psr, edge, parcel.frame)
         index = parcel.attempts
         parcel.attempts = index + 1
         c = parcel.counters
@@ -293,7 +293,7 @@ class ReliableTransport:
         if observer is not None:
             emit_hop(observer, "attempt", sender, receiver, edge, uid, index, self._now())
         verdict = self.injector.data_verdict(sender, receiver, edge, uid, index)
-        if payload is None:
+        if frame is None:
             c.drops_channel += 1
             if observer is not None:
                 emit_hop(
@@ -311,7 +311,7 @@ class ReliableTransport:
             copies = verdict.copies
             c.frames_sent += copies
             c.dup_copies += copies - 1
-            self._put(parcel, payload, index, verdict)
+            self._put(parcel, frame, index, verdict)
         timeout = self.policy.timeout_for(index, verdict.jitter)
         parcel.timer = self._call_later(timeout, lambda: self._expire(parcel))
 
@@ -347,18 +347,18 @@ class ReliableTransport:
 
     def receive(
         self, sender: int, receiver: int, edge: EdgeClass, uid: int, attempt: int,
-        open_copy: Callable[[], DataMessage | None], verdict: KeyedVerdict,
+        frame: bytes, manifest: frozenset[int], verdict: KeyedVerdict,
     ) -> bool:
-        """Account one copy arriving at *receiver*; True when its ACK must go back.
+        """Account one copy of *frame* landing at *receiver*; True when its ACK must go back.
 
-        *open_copy* runs for the first copy of each ``(sender, uid)``
-        only: the message the channel delivers, which ``deliver``
-        classifies as :data:`DELIVERED`, :data:`LATE` or
-        :data:`DECODE_FAILURE`, or ``None`` when the channel rejected the
-        frame (a decode failure).  Every copy — duplicates and
-        undecodable ones included, the *transport* delivered them — is
-        ACKed unless the attempt's *verdict*, carried with the copy, has
-        the schedule swallow the ACK on the way back.
+        The first copy of each ``(sender, uid)`` only goes through the
+        channel's ``accept``, with its *manifest*: ``deliver`` classifies
+        the message as :data:`DELIVERED`, :data:`LATE` or
+        :data:`DECODE_FAILURE`, and ``None`` (the channel rejected it) is
+        a decode failure.  Every copy — duplicates and rejected ones
+        included, the *transport* delivered them — is ACKed unless the
+        attempt's *verdict*, carried with the copy, has the schedule
+        swallow the ACK on the way back.
         """
         c = self.ledger.edge(edge)
         c.frames_received += 1
@@ -368,7 +368,7 @@ class ReliableTransport:
             kind = "duplicate"
         else:
             self._seen.add(key)
-            message = open_copy()
+            message = self._channel.accept(frame, sender, receiver, edge, manifest)
             if message is None:
                 kind = DECODE_FAILURE
             else:
@@ -402,28 +402,18 @@ def scheduled_transport(
     an event after its keyed latency, read from the verdict the attempt
     carries to them.
 
-    Each attempt runs both halves of the channel at once
-    (``channel.transmit``, looked up per attempt so a hook on the
-    instance sees every attempt): interceptors see retransmissions like
-    first attempts, and a dropped attempt never reaches the link.  The
-    copies of one attempt share one arrival callback.
+    The copies of one attempt share one arrival callback, which hands
+    the frame the attempt emitted to the receiver half.
     """
     call_later = scheduler.call_later
 
-    def wire(parcel: Parcel) -> DataMessage | None:
-        return channel.transmit(
-            parcel.sender, parcel.receiver, parcel.edge, parcel.psr,
-            frame=parcel.frame, manifest=parcel.manifest,
-        )
-
-    def put(parcel: Parcel, message: DataMessage, attempt: int, verdict: KeyedVerdict) -> None:
+    def put(parcel: Parcel, frame: bytes, attempt: int, verdict: KeyedVerdict) -> None:
         def arrive() -> None:
             sender, edge, uid = parcel.sender, parcel.edge, parcel.uid
-            if receive(sender, parcel.receiver, edge, uid, attempt, open_copy, verdict):
+            if receive(
+                sender, parcel.receiver, edge, uid, attempt, frame, parcel.manifest, verdict
+            ):
                 call_later(verdict.ack_latency, lambda: ack(sender, edge, uid))
-
-        def open_copy() -> DataMessage:
-            return message
 
         latencies = verdict.latencies
         call_later(latencies[0], arrive)
@@ -432,7 +422,7 @@ def scheduled_transport(
 
     transport = ReliableTransport(
         injector, policy, channel, now=lambda: scheduler.now, call_later=call_later,
-        wire=wire, put=put, deliver=deliver, observer=observer,
+        put=put, deliver=deliver, observer=observer,
     )
     receive, ack = transport.receive, transport.ack
     return transport

@@ -65,15 +65,11 @@ class _Hop:
             self.channel,
             now=loop.time,
             call_later=self.clock.call_later,
-            wire=lambda parcel: self.channel.emit(parcel.psr, parcel.edge, parcel.frame),
             put=lambda parcel, *attempt: self.child.put(parcel, *attempt),
             deliver=self._deliver,
             on_finished=self._finish,
         )
-        common = dict(
-            channel=self.channel, uplink={0: (1, EDGE)}, transport=self.transport,
-            clock=self.clock,
-        )
+        common = dict(uplink={0: (1, EDGE)}, transport=self.transport, clock=self.clock)
         self.parent = ClusterNode(1, **common)
         self.child = ClusterNode(0, **common)
         self.source = _PROTOCOL.create_source(0)

@@ -1,8 +1,9 @@
 """Channel transmission, traffic accounting and interceptors.
 
-Every transmission case runs twice: through :meth:`Channel.transmit` and
-through its two halves, :meth:`Channel.emit` then :meth:`Channel.accept`,
-the way the TCP cluster calls them on either side of a socket.
+Every transmission case runs twice: through :meth:`Channel.transmit`
+(the analytic hop) and through its two halves, :meth:`Channel.emit`
+then :meth:`Channel.accept`, the way the per-hop ARQ calls them on
+either side of the link.  Only the second carries a survivor manifest.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ SIZE = 32
 def _transmit(
     channel: Channel, message: DataMessage, edge: EdgeClass
 ) -> DataMessage | None:
-    return channel.transmit(
-        message.sender, message.receiver, edge, message.psr, manifest=message.manifest
-    )
+    return channel.transmit(message.sender, message.receiver, edge, message.psr)
 
 
 def _split(
@@ -158,7 +157,8 @@ def test_edge_class_labels_match_paper() -> None:
     ids=["clean", "truncated", "payload-flip"],
 )
 def test_split_halves_equal_transmit(frame_interceptor) -> None:
-    """``accept(emit(...))`` leaves the ledger and returns the message ``transmit`` does."""
+    """``accept(emit(...))`` leaves the ledger and returns the message
+    ``transmit`` does, but for the manifest only the split carries."""
     results = []
     for send in SENDS:
         channel = _channel()
@@ -166,17 +166,23 @@ def test_split_halves_equal_transmit(frame_interceptor) -> None:
             channel.add_frame_interceptor(frame_interceptor)
         out = send(channel, _message(manifest=frozenset({0, 2})), EdgeClass.SOURCE_TO_AGGREGATOR)
         results.append((out, channel.ledger.as_dict()))
-    assert results[0] == results[1]
+    (analytic, analytic_ledger), (split, split_ledger) = results
+    assert analytic_ledger == split_ledger
+    if split is None:
+        assert analytic is None
+    else:
+        assert split.manifest == frozenset({0, 2})
+        assert analytic == dataclasses.replace(split, manifest=frozenset())
 
 
 def test_manifest_travels_with_the_message() -> None:
-    for send in SENDS:
+    for send, manifest in zip(SENDS, (frozenset(), frozenset({3, 4})), strict=True):
         seen: list[frozenset[int]] = []
         channel = _channel()
         channel.add_interceptor(lambda m, e: (seen.append(m.manifest), m)[1])
         out = send(channel, _message(manifest=frozenset({3, 4})), EdgeClass.AGGREGATOR_TO_QUERIER)
-        assert seen == [frozenset({3, 4})]
-        assert out is not None and out.manifest == frozenset({3, 4})
+        assert seen == [manifest]
+        assert out is not None and out.manifest == manifest
 
 
 def test_emit_counts_the_attempt_when_a_frame_interceptor_drops() -> None:

@@ -191,12 +191,16 @@ def test_publish_network_and_runtime_share_metric_names() -> None:
 
 
 def test_decode_failures_publish_channel_and_receiver_discards() -> None:
-    """The channel's discards (law 1 on the runtime) and the receiver's
-    (law 3 on the cluster) are one series; zero counters stay silent."""
+    """Each discarded frame is published once: on an ARQ substrate the
+    receiver's count, which holds every frame the channel rejected there
+    (law 3), on the analytic simulator the channel's; zero counters stay
+    silent."""
     ledger = HopLedger()
     aq = ledger.edge(EdgeClass.AGGREGATOR_TO_QUERIER)
+    aq.attempts = 5
+    # Two frames no longer parsed, one more copy a PSR interceptor dropped.
     aq.channel_decode_failures = 2
-    aq.decode_failures = 1
+    aq.decode_failures = 3
     ledger.edge(EdgeClass.SOURCE_TO_AGGREGATOR).messages = 4
     registry = MetricsRegistry()
     publish_traffic(ledger, registry, substrate="cluster")
@@ -206,6 +210,14 @@ def test_decode_failures_publish_channel_and_receiver_discards() -> None:
     messages = registry.get("sies_traffic_messages_total")
     assert messages is not None
     assert messages.samples() == [("sies_traffic_messages_total", ("cluster", "S-A"), 4)]
+
+    analytic = HopLedger()
+    analytic.edge(EdgeClass.AGGREGATOR_TO_QUERIER).channel_decode_failures = 2
+    registry = MetricsRegistry()
+    publish_traffic(analytic, registry, substrate="network")
+    failures = registry.get("sies_decode_failures_total")
+    assert failures is not None
+    assert failures.samples() == [("sies_decode_failures_total", ("network", "A-Q"), 2)]
 
 
 def test_publish_run_writes_what_the_record_counted() -> None:

@@ -10,13 +10,15 @@ answering a garbage SUM, reporting an integrity failure or leaking a raw
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.baselines.cmt import CMTProtocol
 from repro.baselines.secoa.secoa_max import SECOAMaxProtocol
 from repro.baselines.secoa.secoa_sum import SECOASumProtocol
 from repro.core.protocol import SIESProtocol
-from repro.errors import ProtocolError
+from repro.errors import IntegrityError, ProtocolError
 from repro.protocols.base import SecureAggregationProtocol
 
 N = 4
@@ -56,6 +58,23 @@ def test_a_malformed_subset_is_a_protocol_error(deployment, case: str) -> None:
     subset, message = BAD_SUBSETS[case]
     with pytest.raises(ProtocolError, match=message):
         protocol.create_querier().evaluate(EPOCH, final, reporting_sources=subset)
+
+
+def test_secoa_s_checks_the_subset_before_the_sketch_count() -> None:
+    """A malformed subset sent with a PSR of the wrong width is still the
+    caller's error, not an attack."""
+    protocol = PROTOCOLS["secoa_s"]()
+    psrs = [protocol.create_source(sid).initialize(EPOCH, 10 + sid) for sid in (0, 1)]
+    aggregator = protocol.create_aggregator()
+    final = aggregator.finalize_for_querier(aggregator.merge(EPOCH, psrs))
+    narrow = dataclasses.replace(final, levels=final.levels[:-1], winners=final.winners[:-1])
+    querier = protocol.create_querier()
+    with pytest.raises(IntegrityError, match="expected 4 sketch values, got 3"):
+        querier.evaluate(EPOCH, narrow, reporting_sources=(0, 1))
+    for case in sorted(BAD_SUBSETS):
+        subset, message = BAD_SUBSETS[case]
+        with pytest.raises(ProtocolError, match=message):
+            querier.evaluate(EPOCH, narrow, reporting_sources=subset)
 
 
 def test_the_honest_subset_still_evaluates(deployment) -> None:

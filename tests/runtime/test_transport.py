@@ -17,7 +17,6 @@ import repro.runtime.faults as faults
 from repro.core.source import SIESRecord
 from repro.errors import ParameterError, SimulationError
 from repro.network.channel import Channel, EdgeClass
-from repro.network.messages import DataMessage
 from repro.runtime.events import EventScheduler
 from repro.runtime.faults import (
     BurstLoss,
@@ -36,6 +35,7 @@ from repro.runtime.transport import (
     scheduled_transport,
 )
 from repro.wire.codecs import SIESCodec
+from repro.wire.frame import HEADER_LEN
 
 pytestmark = pytest.mark.runtime
 
@@ -72,8 +72,8 @@ def make_transport(
     return scheduler, transport, delivered
 
 
-def _message(epoch: int = 1) -> DataMessage:
-    return DataMessage(0, 1, epoch, _record(epoch), frozenset({0}))
+def _frame(epoch: int = 1) -> bytes:
+    return SIESCodec(MODULUS_BYTES).encode(_record(epoch))
 
 
 def send_one(transport: ReliableTransport, *, epoch: int = 1) -> Parcel:
@@ -183,39 +183,80 @@ def test_crashed_receiver_neither_delivers_nor_acks() -> None:
 
 
 def test_channel_interceptor_sees_every_physical_attempt() -> None:
+    """The frame interceptors run per attempt at the sender, lost or not;
+    the PSR interceptors only on a first copy that lands."""
     plan = FaultPlan.uniform_loss(1.0)
     policy = RetransmitPolicy(max_retries=4, ack_timeout=2.0, jitter=0.0)
     channel = _channel()
+    frames: list[int] = []
     seen: list[int] = []
+    channel.add_frame_interceptor(lambda f, e: (frames.append(len(f)), f)[1])
     channel.add_interceptor(lambda m, e: (seen.append(m.epoch), m)[1])
     scheduler, transport, _ = make_transport(plan, policy, channel=channel)
     send_one(transport, epoch=7)
     scheduler.run()
-    assert seen == [7] * 5  # adversary saw the original and all 4 retransmits
+    # The adversary saw the original and all 4 retransmits on the air...
+    assert frames == [MODULUS_BYTES + HEADER_LEN] * 5
+    # ...and no copy landed, so nothing was decoded.
+    assert seen == []
     sa = channel.ledger.edge(EdgeClass.SOURCE_TO_AGGREGATOR)
     assert sa.messages == sa.attempts == 5  # channel and transport share one ledger
     assert transport.ledger is channel.ledger
 
+    # Every copy of every attempt lands, and every ACK is lost: five
+    # attempts, ten copies, one decode.
+    injector = KeyedFaultInjector(FaultPlan.lossless(), seed=0)
+    keyed = injector.data_verdict
+
+    def doubled_acks_lost(*coordinate) -> KeyedVerdict:
+        return keyed(*coordinate)._replace(copies=2, latencies=(1.0, 1.5), ack_lost=True)
+
+    injector.data_verdict = doubled_acks_lost  # type: ignore[method-assign]
+    frames.clear()
+    scheduler, transport, delivered = make_transport(
+        FaultPlan.lossless(), policy, injector=injector, channel=channel
+    )
+    send_one(transport, epoch=7)
+    scheduler.run()
+    assert len(frames) == 5 and seen == [7] and delivered == [frozenset({0})]
+    assert (sa.frames_received, sa.duplicates_suppressed) == (10, 9)
+
 
 def test_adversarial_drop_looks_like_loss_and_triggers_retransmit() -> None:
+    """A frame dropped on the air is loss: no ACK, so the sender
+    retransmits.  A first copy dropped after it landed was delivered by
+    the transport: it is ACKed, and counted as a decode failure."""
+    policy = RetransmitPolicy(max_retries=4, ack_timeout=3.0, jitter=0.0)
     channel = _channel()
     # Drop the first two physical attempts, then let traffic through.
     state = {"count": 0}
 
-    def drop_twice(message, edge):
+    def drop_twice(frame, edge):
         state["count"] += 1
-        return None if state["count"] <= 2 else message
+        return None if state["count"] <= 2 else frame
 
-    channel.add_interceptor(drop_twice)
+    channel.add_frame_interceptor(drop_twice)
     scheduler, transport, delivered = make_transport(
-        FaultPlan.lossless(),
-        RetransmitPolicy(max_retries=4, ack_timeout=3.0, jitter=0.0),
-        channel=channel,
+        FaultPlan.lossless(), policy, channel=channel
     )
     send_one(transport)
     scheduler.run()
     assert delivered == [frozenset({0})]
-    assert transport.ledger.retransmissions[EdgeClass.SOURCE_TO_AGGREGATOR] == 2
+    sa = transport.ledger.edge(EdgeClass.SOURCE_TO_AGGREGATOR)
+    assert (sa.retransmissions, sa.drops_channel, sa.decode_failures) == (2, 2, 0)
+
+    channel = _channel()
+    channel.add_interceptor(lambda message, edge: None)
+    scheduler, transport, delivered = make_transport(
+        FaultPlan.lossless(), policy, channel=channel
+    )
+    parcel = send_one(transport)
+    scheduler.run()
+    assert delivered == [] and parcel.acked and parcel.attempts == 1
+    sa = transport.ledger.edge(EdgeClass.SOURCE_TO_AGGREGATOR)
+    assert (sa.retransmissions, sa.drops_channel, sa.decode_failures) == (0, 0, 1)
+    assert (sa.acks_sent, sa.channel_decode_failures) == (1, 0)
+    transport.ledger.check_conservation()
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +308,7 @@ def contract_transport(
     echo: bool = False,
 ):
     """The transport on a :class:`FakeTimer`, with a recording ``put`` and
-    ``on_finished``; the wire is the channel's sender half.
+    ``on_finished``.
 
     With *echo*, ``put`` also hands every copy to the receiver half at
     once and every ACK that survives straight back to the sender.
@@ -282,8 +323,7 @@ def contract_transport(
         for _ in range(verdict.copies if echo else 0):
             sender, receiver, edge, uid = parcel.sender, parcel.receiver, parcel.edge, parcel.uid
             if transport.receive(
-                sender, receiver, edge, uid, attempt,
-                lambda: DataMessage(sender, receiver, uid, parcel.psr, parcel.manifest), verdict,
+                sender, receiver, edge, uid, attempt, frame, parcel.manifest, verdict
             ):
                 transport.ack(sender, edge, uid)
 
@@ -293,7 +333,6 @@ def contract_transport(
         channel,
         now=lambda: 0.0,
         call_later=timer.call_later,
-        wire=lambda parcel: channel.emit(parcel.psr, parcel.edge, parcel.frame),
         put=put,
         deliver=deliver,
         on_finished=finished.append,
@@ -514,7 +553,7 @@ def test_late_first_copy_is_counted_and_acked() -> None:
     injector = KeyedFaultInjector(FaultPlan.lossless(), seed=0)
     _, transport, events, _ = echo_transport(injector, disposition=LATE)
     verdict = injector.data_verdict(0, 1, EDGE, 1, 0)
-    assert transport.receive(0, 1, EDGE, 1, 0, _message, verdict)
+    assert transport.receive(0, 1, EDGE, 1, 0, _frame(), frozenset({0}), verdict)
     assert kinds(events) == ["late"]
     assert transport.ledger.edge(EDGE).late_frames == 1
     assert transport.ledger.edge(EDGE).acks_sent == 1
@@ -525,7 +564,7 @@ def test_unknown_disposition_is_rejected() -> None:
     _, transport, _, _ = echo_transport(injector, disposition="maybe")
     verdict = injector.data_verdict(0, 1, EDGE, 1, 0)
     with pytest.raises(SimulationError):
-        transport.receive(0, 1, EDGE, 1, 0, _message, verdict)
+        transport.receive(0, 1, EDGE, 1, 0, _frame(), frozenset({0}), verdict)
 
 
 def test_an_ack_timeout_is_a_pure_function_of_its_coordinate() -> None:
